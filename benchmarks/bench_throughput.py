@@ -5,8 +5,9 @@ units, this benchmark measures real wall-clock throughput of the execution
 hot path along the two axes optimized by the high-throughput execution core:
 
 * **Probe algorithm** — nested-loop vs. hash-indexed probes
-  (``use_hash_index``), for both the REF join and the JIT join's
-  detection-free probe path.
+  (``use_hash_index``), for both the REF join and the JIT join, whose
+  detection-free probes, MNS-detecting probes and suspension extraction
+  are all served from the state's indexes.
 * **Ready-set maintenance** — the queued engine's incremental ready-set vs.
   the O(queues)-per-step rescan baseline, with and without same-timestamp
   micro-batching.

@@ -11,7 +11,7 @@ blacklist entry acts as a pending-input buffer that is replayed on resumption
 (the DOE behaviour).
 
 The blacklist is also the source of two quantities the JIT join needs for
-exact REF-equivalence (see DESIGN.md):
+exact REF-equivalence (see docs/JIT.md):
 
 * :meth:`Blacklist.min_live_ts` feeds the *delayed purge floor* of the
   opposite operator state, and
@@ -245,7 +245,7 @@ class Blacklist:
         sequence ``own_seq``) is being suspended: any tuple currently parked
         here that has not met it must be excluded from the new suspension's
         watermark, otherwise neither side's resumption would ever produce the
-        pair (see DESIGN.md, "watermark exceptions").
+        pair (see docs/JIT.md, "Watermark exceptions").
         """
         unmet = set()
         for entry in self._entries.values():
@@ -328,17 +328,16 @@ class Blacklist:
         if signature.is_empty:
             self._scan_signatures.append(signature)
             return
-        template = tuple((s, a) for s, a, _v in signature.items)
-        key = tuple(v for _s, _a, v in signature.items)
-        self._index.setdefault(template, {}).setdefault(key, []).append(signature)
+        self._index.setdefault(signature.template, {}).setdefault(signature.key, []).append(
+            signature
+        )
 
     def _unindex_signature(self, signature: MNSSignature) -> None:
         if signature.is_empty:
             if signature in self._scan_signatures:
                 self._scan_signatures.remove(signature)
             return
-        template = tuple((s, a) for s, a, _v in signature.items)
-        key = tuple(v for _s, _a, v in signature.items)
+        template, key = signature.template, signature.key
         bucket = self._index.get(template, {}).get(key)
         if bucket and signature in bucket:
             bucket.remove(signature)

@@ -37,7 +37,7 @@ class RetentionPolicy:
 
     ``EXACT`` keeps suspended tuples as long as they could still contribute to
     a result that the REF execution would produce, which requires a
-    plan-depth-aware horizon (see DESIGN.md, "Refinements needed for exact
+    plan-depth-aware horizon (see docs/JIT.md, "Refinements needed for exact
     result equivalence"); it guarantees JIT output == REF output and is the
     default.  ``WINDOW`` expires them after one window length, which is what
     the paper's description implies literally; it can drop a small number of

@@ -23,7 +23,7 @@ the probe in progress if it concerns such a tuple; resumption generates
 exactly the partial results that were skipped, using per-tuple watermarks,
 and hands them back to the consumer.
 
-Implementation notes (all recorded in DESIGN.md):
+Implementation notes (all recorded in docs/JIT.md):
 
 * ``t`` is inserted into its own state *before* the probe.  Probe results do
   not depend on the own-side state, so REF results are unchanged, but it
@@ -44,15 +44,20 @@ Implementation notes (all recorded in DESIGN.md):
   silently lost).  When the arrival is then diverted, the resumed partials
   are restored into the opposite state without being joined — the parked
   arrival replays later with an empty watermark and joins them exactly once.
-* Indexed probe paths: with ``use_hash_index`` and all-equi local
-  conditions, probes that need no MNS detection (source-fed ports under the
-  default configuration, and every ``_join_resumed`` replay) look up the
-  opposite state's hash index on the equi-join key instead of scanning it.
-  Entries with a different key cannot satisfy the conditions, so the result
-  set is REF-identical; mid-probe suspension watermarks stay exact because
-  unscanned entries can never join the in-flight tuple either.  Probes that
-  feed the MNS detector keep the nested loop — detection needs
-  per-component outcomes for every opposite tuple.
+* Indexed paths: with ``use_hash_index`` (which implies all-equi local
+  conditions) neither of JIT's two linear scans is one.  Probes that need
+  no MNS detection (source-fed ports under the default configuration, and
+  every ``_join_resumed`` replay) look up the opposite state's index on the
+  equi-join key.  Probes that feed the MNS detector look up, per component
+  of the input, the bucket of that component's conditions and visit the
+  union of the buckets in insertion order: an entry outside every bucket
+  matches no component, so it can neither kill a lattice node nor join.
+  ``Suspend_Production`` extracts the super-tuples of an MNS from the bucket
+  of the signature's ``(source, attribute)`` template.  Results, detected
+  MNSs and suspensions are those of the nested loop; mid-probe suspension
+  watermarks stay exact because unscanned entries can never join the
+  in-flight tuple either.  Without ``use_hash_index`` the nested loop and
+  the state scan remain the only path.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from repro.core.production_control import (
 from repro.core.signature import MNSSignature
 from repro.metrics import CostKind
 from repro.operators.base import PORT_LEFT, PORT_RIGHT, Operator
-from repro.operators.join import BinaryJoinOperator, opposite_port
+from repro.operators.join import BinaryJoinOperator, IndexLookup, opposite_port
 from repro.operators.predicates import JoinCondition, JoinPredicate
 from repro.operators.state import StateEntry
 from repro.streams.tuples import StreamTuple
@@ -131,6 +136,9 @@ class JITJoinOperator(BinaryJoinOperator):
         self.blacklists: Dict[str, Blacklist] = {}
         self.detectors: Dict[str, Optional[MNSDetector]] = {}
         self._conditions_by_source: Dict[str, Dict[str, Tuple[JoinCondition, ...]]] = {}
+        #: Per input port, one opposite-state lookup per component (hash-indexed
+        #: operators only): what an MNS-detecting probe visits instead of the state.
+        self._component_lookups: Dict[str, Tuple[IndexLookup, ...]] = {}
         self._active_probe: Optional[_ActiveProbe] = None
         self._pending_resume: Dict[Tuple[MNSSignature, ...], List[StreamTuple]] = {}
         self._last_jit_purge = float("-inf")
@@ -169,6 +177,11 @@ class JITJoinOperator(BinaryJoinOperator):
                     for c in conds
                 )
             self._conditions_by_source[port] = conds_by_source
+            if self.use_hash_index:
+                opposite_sources = self.input_sources(opposite_port(port))
+                self._component_lookups[port] = tuple(
+                    IndexLookup(conds, opposite_sources) for conds in conds_by_source.values()
+                )
             self.mns_buffers[port] = MNSBuffer(
                 name=f"{self.name}.{port}.mns",
                 context=context,
@@ -276,7 +289,7 @@ class JITJoinOperator(BinaryJoinOperator):
         )
         probe = _ActiveProbe(tuple=tup, port=port, own_seq=own_entry.seq)
         self._active_probe = probe
-        live_scanned = self._probe_opposite(
+        opposite_live = self._probe_opposite(
             tup, port, now, detector if should_detect else None, probe
         )
         self._active_probe = None
@@ -290,10 +303,10 @@ class JITJoinOperator(BinaryJoinOperator):
 
         # Lines 11-12: report newly detected MNSs and send suspension feedback.
         # Detection is finished only now so that resumed partial results count
-        # as join partners (see DESIGN.md on detection ordering), and it is
+        # as join partners (see docs/JIT.md on detection ordering), and it is
         # skipped when t itself was suspended mid-probe.
         if should_detect and not probe.aborted and own_producer is not None:
-            self._finish_detection(tup, port, now, detector, live_scanned, own_producer)
+            self._finish_detection(tup, port, now, detector, opposite_live, own_producer)
 
     def _probe_opposite(
         self,
@@ -302,19 +315,22 @@ class JITJoinOperator(BinaryJoinOperator):
         now: float,
         detector: Optional[MNSDetector],
         probe: _ActiveProbe,
-    ) -> int:
+    ) -> bool:
         """Probe the opposite state, feeding the MNS detector when one is given.
 
-        Returns the number of live opposite tuples scanned (0 means the
-        opposite state was effectively empty — the Ø case).
+        Returns whether the opposite state held a live tuple when the probe
+        started (False is the Ø case; only meaningful with a detector).
 
-        When the operator keeps hash indexes (``use_hash_index``) and no MNS
-        detection is required for this probe, the scan is replaced by an
-        index lookup on the equi-join key: only key-equal entries are
-        visited, which is REF-equivalent because entries with a different
-        key can never satisfy the (all-equi) local conditions.  Detection
-        needs per-component match outcomes for *every* opposite tuple, so
-        detecting probes always use the nested loop.
+        When the operator keeps hash indexes (``use_hash_index``) the scan is
+        replaced by index lookups.  Without detection, one lookup on the
+        equi-join key: entries with a different key can never satisfy the
+        (all-equi) local conditions.  With detection, one lookup per
+        component of ``tup`` on that component's conditions, and the union
+        of the buckets is visited in insertion order exactly as the scan
+        visits the state: an entry outside every bucket matches no
+        component, so it kills no lattice node at any ``max_mns_arity`` and
+        cannot join.  What is visited no longer says whether the state was
+        empty, so that is asked of the state itself.
         """
         context = self.require_context()
         window = context.window
@@ -324,20 +340,25 @@ class JITJoinOperator(BinaryJoinOperator):
         components = tuple(conds_by_source)
         live_after = window.purge_horizon(now)
         floor_active = opposite_state.purge_floor is not None
-        if detector is not None:
-            # Detection needs every opposite tuple, never the index.
+        opposite_live = False
+        if detector is None:
+            candidates: Iterable[StateEntry] = self.probe_candidates(tup, opp)
+        elif self.use_hash_index:
             detector.start(tup)
-            candidates: Iterable[StateEntry] = opposite_state.probe()
+            opposite_live = opposite_state.has_live(live_after if floor_active else None)
+            candidates = opposite_state.probe_index(
+                [lookup.probe(tup) for lookup in self._component_lookups[port]]
+            )
         else:
-            candidates = self.probe_candidates(tup, opp)
-        scanned = 0
+            detector.start(tup)
+            candidates = opposite_state.probe()
         for entry in candidates:
             if entry.removed:
                 continue
             if floor_active and entry.ts < live_after:
                 continue
             probe.scanned_seqs.add(entry.seq)
-            scanned += 1
+            opposite_live = True
             if detector is None:
                 # REF-style short-circuit evaluation.
                 if window.joinable(tup.ts, entry.ts) and self.evaluate_conditions(
@@ -367,7 +388,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 if probe.aborted:
                     self.stats["probes_aborted"] += 1
                     break
-        return scanned
+        return opposite_live
 
     def _integrate_resumed(
         self,
@@ -419,7 +440,7 @@ class JITJoinOperator(BinaryJoinOperator):
         port: str,
         now: float,
         detector: Optional[MNSDetector],
-        live_scanned: int,
+        opposite_live: bool,
         own_producer: Operator,
     ) -> None:
         """Collect detected MNSs, buffer them and send suspension feedback."""
@@ -433,7 +454,7 @@ class JITJoinOperator(BinaryJoinOperator):
             context.window.purge_horizon(now) if opposite_state.purge_floor is not None else None
         )
         signatures: List[MNSSignature]
-        if live_scanned == 0 and not opposite_state.has_live(live_after):
+        if not opposite_live and not opposite_state.has_live(live_after):
             # Figure 8, line 2: the opposite state is empty, Ø is the only MNS.
             signatures = [MNSSignature.empty(ts=tup.ts)]
         elif detector is not None:
@@ -452,7 +473,7 @@ class JITJoinOperator(BinaryJoinOperator):
             # Cycle prevention: never suspend an MNS whose missing partner may
             # itself be hidden behind a suspension on the opposite input (or
             # that could hide the partner of such a suspension).  See
-            # MNSBuffer.blocks_suspension and DESIGN.md.
+            # MNSBuffer.blocks_suspension and docs/JIT.md.
             if len(opposite_buffer):
                 items_map = {(s, a): v for s, a, v in signature.items}
                 partner_map = buffer.partner_map(signature)
@@ -585,7 +606,13 @@ class JITJoinOperator(BinaryJoinOperator):
         opposite_state = self.states[opposite_port(port)]
         default_watermark = opposite_state.next_seq - 1
         probe = self._active_probe
-        extracted = state.extract(signature.matches_super)
+        # With hash indexes the super-tuples sit in the bucket of the signature's
+        # (source, attribute) template; a coverage-only signature has no such
+        # template and keeps the scan.
+        lookup = None
+        if self.use_hash_index and signature.items:
+            lookup = (signature.template, signature.key)
+        extracted = state.extract(signature.matches_super, lookup)
         detector = self.detectors[opposite_port(port)]
         opposite_blacklist = self.blacklists[opposite_port(port)]
         for removed in extracted:

@@ -229,8 +229,9 @@ class MNSBuffer:
         The paper never discusses the case where MNSs are active on *both*
         inputs of a consumer and each one's missing partner is exactly what
         the other suspension suppresses: neither side can ever trigger the
-        other's resumption and results are silently lost (see DESIGN.md).  To
-        keep JIT's output identical to REF, a new MNS is only suspended when,
+        other's resumption and results are silently lost (see docs/JIT.md,
+        "Cycle prevention").  To keep JIT's output identical to REF, a new MNS
+        is only suspended when,
         for every MNS already buffered on the opposite side, (i) the new MNS's
         required partner conflicts with what the existing suspension hides and
         (ii) the existing MNS's required partner conflicts with what the new

@@ -4,10 +4,13 @@ Three detectors are provided, corresponding to the options the paper
 discusses:
 
 * :class:`LatticeMNSDetector` — the full ``Identify_MNS`` algorithm
-  (Figure 8) over the CNS lattice, integrated with the consumer's nested-loop
-  probe: the join computes, for every opposite-state tuple it scans, which
-  level-1 components match, and feeds those outcomes to the detector, which
-  is exactly the "combined with a nested loop join" optimization.
+  (Figure 8) over the CNS lattice, integrated with the consumer's probe: the
+  join computes, for every opposite-state tuple it visits, which level-1
+  components match, and feeds those outcomes to the detector.  Under a
+  nested loop that is exactly the "combined with a nested loop join"
+  optimization; a hash-indexed join visits only the tuples that match at
+  least one component, since a tuple matching none kills no lattice node
+  (docs/JIT.md, "Just-in-time state indexes").
 * :class:`BloomMNSDetector` — the Bloom-filter alternative: one filter per
   equi-join attribute of the opposite state; a component whose value is
   definitely absent from some filter is an MNS.  Cheaper, but may miss MNSs
@@ -77,7 +80,11 @@ class MNSDetector:
         """Begin detection for a new input tuple."""
 
     def observe(self, tup: StreamTuple, level1_matches: Mapping[str, bool]) -> None:
-        """Record the per-component match outcome against one opposite tuple."""
+        """Record the per-component match outcome against one opposite tuple.
+
+        An outcome with no matching component may be left out: it must not
+        change what :meth:`finish` returns.
+        """
 
     def finish(self, tup: StreamTuple) -> List[MNSSignature]:
         """Return the MNS signatures detected for ``tup`` (opposite state non-empty)."""

@@ -112,6 +112,17 @@ class MNSSignature:
         """The covered sources as a frozenset."""
         return frozenset(self.sources)
 
+    @property
+    def template(self) -> Tuple[Tuple[str, str], ...]:
+        """The ``(source, attribute)`` pairs of the items: what a hash index
+        that finds this signature's (similar) super-tuples is built over."""
+        return tuple((source, attr) for source, attr, _value in self.items)
+
+    @property
+    def key(self) -> Tuple[object, ...]:
+        """The item values, in :attr:`template` order."""
+        return tuple(value for _source, _attr, value in self.items)
+
     def matches_super(self, tup: StreamTuple) -> bool:
         """True if ``tup`` is (similar to) a super-tuple of this MNS.
 

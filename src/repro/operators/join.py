@@ -15,15 +15,15 @@ mechanism on top.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.metrics import CostKind
 from repro.operators.base import PORT_LEFT, PORT_RIGHT, Operator
-from repro.operators.predicates import AttributeRef, JoinCondition, JoinPredicate
-from repro.operators.state import OperatorState, StateEntry
+from repro.operators.predicates import JoinCondition, JoinPredicate
+from repro.operators.state import IndexKey, IndexTemplate, OperatorState, StateEntry, key_function
 from repro.streams.tuples import StreamTuple, join_tuples
 
-__all__ = ["BinaryJoinOperator", "opposite_port"]
+__all__ = ["BinaryJoinOperator", "IndexLookup", "opposite_port"]
 
 
 def opposite_port(port: str) -> str:
@@ -33,6 +33,33 @@ def opposite_port(port: str) -> str:
     if port == PORT_RIGHT:
         return PORT_LEFT
     raise KeyError(f"not a binary-join port: {port!r}")
+
+
+class IndexLookup:
+    """How tuples of one side hash-probe the other through some equi conditions.
+
+    ``template`` is the probed side of each condition — an index of the
+    probed state — and ``own_key`` computes a probing tuple's key from the
+    probing side of each, in the same condition order, so that it meets its
+    partners' key under ``template``.
+    """
+
+    __slots__ = ("template", "own_key")
+
+    def __init__(self, conditions: Sequence[JoinCondition], probed_sources: FrozenSet[str]) -> None:
+        template, own = [], []
+        for cond in conditions:
+            probed, other = cond.left, cond.right
+            if probed.source not in probed_sources:
+                probed, other = other, probed
+            template.append((probed.source, probed.attribute))
+            own.append((other.source, other.attribute))
+        self.template: IndexTemplate = tuple(template)
+        self.own_key = key_function(tuple(own))
+
+    def probe(self, tup: StreamTuple) -> Tuple[IndexTemplate, IndexKey]:
+        """The ``(template, key)`` lookup that finds ``tup``'s partners."""
+        return self.template, self.own_key(tup)
 
 
 class BinaryJoinOperator(Operator):
@@ -82,6 +109,9 @@ class BinaryJoinOperator(Operator):
         )
         self.use_hash_index = use_hash_index and all(c.is_equi for c in self.local_conditions)
         self.states: dict = {}
+        #: Per probed port, the lookup on the full equi-join key (hash-indexed
+        #: joins with at least one local condition only).
+        self._key_lookups: Dict[str, IndexLookup] = {}
         #: Total number of join results this operator has constructed.
         self.results_built = 0
 
@@ -111,42 +141,20 @@ class BinaryJoinOperator(Operator):
 
     def on_attach(self) -> None:
         context = self.require_context()
+        if self.use_hash_index and self.local_conditions:
+            self._key_lookups = {
+                port: IndexLookup(self.local_conditions, self.input_sources(port))
+                for port in self.ports
+            }
         self.states = {
-            PORT_LEFT: OperatorState(
-                name=f"S_{''.join(sorted(self.left_sources))}",
+            port: OperatorState(
+                name=f"S_{''.join(sorted(self.input_sources(port)))}",
                 context=context,
-                key_refs=self._key_refs(PORT_LEFT) if self.use_hash_index else None,
-            ),
-            PORT_RIGHT: OperatorState(
-                name=f"S_{''.join(sorted(self.right_sources))}",
-                context=context,
-                key_refs=self._key_refs(PORT_RIGHT) if self.use_hash_index else None,
-            ),
+                # The equi-join key is the state's first index, kept from the start.
+                key_template=self._key_lookups[port].template if self._key_lookups else None,
+            )
+            for port in self.ports
         }
-
-    def _key_refs(self, port: str) -> Optional[Sequence[AttributeRef]]:
-        """Attribute references forming the equi-join key on ``port``'s side."""
-        if not self.local_conditions:
-            return None
-        sources = self.input_sources(port)
-        refs: List[AttributeRef] = []
-        for cond in self.local_conditions:
-            refs.append(cond.left if cond.left.source in sources else cond.right)
-        return refs
-
-    def _probe_key_for(self, tup: StreamTuple, probe_port: str) -> Tuple[object, ...]:
-        """Key used to hash-probe the state on ``probe_port`` with ``tup``.
-
-        ``tup`` arrived on the opposite port; the key is built from the
-        attribute of each condition that lives on ``tup``'s side, in the same
-        condition order used to build the probed state's index.
-        """
-        sources = self.input_sources(probe_port)
-        values: List[object] = []
-        for cond in self.local_conditions:
-            ref = cond.right if cond.left.source in sources else cond.left
-            values.append(ref.value(tup))
-        return tuple(values)
 
     def probe_candidates(
         self, tup: StreamTuple, probe_port: str, live_only_after: Optional[float] = None
@@ -161,8 +169,9 @@ class BinaryJoinOperator(Operator):
         probe may mutate the state re-entrantly.
         """
         state = self.states[probe_port]
-        if self.use_hash_index and self.local_conditions:
-            return state.probe_key(self._probe_key_for(tup, probe_port))
+        lookup = self._key_lookups.get(probe_port)
+        if lookup is not None:
+            return state.probe_index((lookup.probe(tup),))
         return state.probe(live_only_after=live_only_after)
 
     # -- processing ---------------------------------------------------------------

@@ -7,8 +7,8 @@ the purge-probe-insert routine of Kang et al. [16]:
 
 * **purge** drops tuples older than the purge horizon,
 * **probe** iterates live tuples so the join can evaluate its predicate
-  (nested-loop, the algorithm used in the paper's experiments) or look up a
-  hash index on the equi-join key,
+  (nested-loop, the algorithm used in the paper's experiments) or looks up
+  one of the state's hash indexes,
 * **insert** appends the incoming tuple.
 
 The state also supports the operations JIT needs on top of the baseline:
@@ -19,25 +19,66 @@ The state also supports the operations JIT needs on top of the baseline:
   exactly the set of partners a suspended tuple has not met yet,
 * a purge *floor* so that, while suspended tuples exist that have not met
   some of this state's tuples, those tuples are retained past their normal
-  expiry (see DESIGN.md, "Delayed purge under suspension").
+  expiry (see docs/JIT.md, "Delayed purge under suspension").
 
 Internally the entry list is append-only and in insertion order; purging uses
 a timestamp min-heap and marks entries as removed, and the list is compacted
 lazily once removed entries accumulate.
+
+**Just-in-time indexes.**  The state keeps one registry of hash indexes,
+``template -> key -> entries``, where a template is a tuple of
+``(source, attribute)`` pairs and a key the tuple of their values.  The
+equi-join key of a hash-indexed join is registered when the state is built;
+every other index (a component's share of the join key for MNS-detecting
+probes, an MNS signature's template for suspension extraction) is built from
+the present entries the first time it is looked up and kept for the state's
+lifetime — their number is bounded by the plan's static conditions, so
+nothing is evicted.  Buckets hold present entries only, in insertion order.
+The charging rule, the same for every index:
+
+* build — one ``HASH`` per present entry (nothing for an index registered on
+  an empty state, nothing for an index never asked for);
+* maintenance — one ``HASH`` per insert per index in the registry;
+* lookup — one ``HASH``, then one ``PROBE_STEP`` per entry returned
+  (:meth:`OperatorState.probe_index`) or one ``BLACKLIST_SCAN`` per entry
+  examined (:meth:`OperatorState.extract`).
+
+Index structures are not charged to the :class:`~repro.metrics.MemoryModel`:
+the model counts stored tuples, and the equi-key index never was either.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
 from repro.metrics import CostKind
-from repro.operators.predicates import AttributeRef
 from repro.streams.tuples import StreamTuple
 
-__all__ = ["StateEntry", "OperatorState"]
+__all__ = ["StateEntry", "OperatorState", "IndexTemplate", "IndexKey", "key_function"]
+
+#: What an index is built over: ``(source, attribute)`` pairs, in key order.
+IndexTemplate = Tuple[Tuple[str, str], ...]
+#: The values of a template's attributes carried by one tuple.
+IndexKey = Tuple[object, ...]
+
+#: One member of a state's registry: its key function and its buckets.
+_Index = Tuple[Callable[[StreamTuple], IndexKey], Dict[IndexKey, List["StateEntry"]]]
+
+
+def key_function(template: IndexTemplate) -> Callable[[StreamTuple], IndexKey]:
+    """Compile ``template`` into the function from a tuple to its key.
+
+    Keys are computed on every insert, removal and lookup, once per index, so
+    the common one-attribute template gets a function without a loop.  The
+    tuple must cover the template's sources.
+    """
+    if len(template) == 1:
+        ((source, attr),) = template
+        return lambda tup: (tup.value(source, attr),)
+    return lambda tup: tuple([tup.value(source, attr) for source, attr in template])
 
 
 @dataclass
@@ -53,6 +94,10 @@ class StateEntry:
         order.  JIT resume watermarks are expressed in these sequence numbers.
     inserted_at:
         Simulated time at which the tuple entered the state.
+    order:
+        Position in the state's insertion order.  Unlike ``seq`` it is fresh
+        on every insert, so a resumed tuple re-inserted under its original
+        ``seq`` still sorts where it sits in the entry list: at the end.
     removed:
         Set to True when the entry leaves the state (purged, extracted to a
         blacklist, ...).  Probe loops skip removed entries, which also guards
@@ -63,6 +108,7 @@ class StateEntry:
     tuple: StreamTuple
     seq: int
     inserted_at: float
+    order: int = 0
     removed: bool = False
 
     @property
@@ -80,11 +126,11 @@ class OperatorState:
         Human-readable name (``"S_AB"`` etc.), used in diagnostics.
     context:
         The shared execution context (clock, window, cost and memory models).
-    key_refs:
-        Optional equi-join key: when given, a hash index from the referenced
-        attribute values to entries is maintained and :meth:`probe_key` can
-        be used instead of a full scan.  The paper's experiments use plain
-        nested loops, so the index is off by default.
+    key_template:
+        Optional equi-join key: when given, the index over this template is
+        registered up front (and so maintained from the first insert)
+        instead of being built on its first lookup.  The paper's experiments
+        use plain nested loops, so no index is registered by default.
     memory_category:
         Category under which this state's bytes are charged to the memory
         model.
@@ -94,17 +140,19 @@ class OperatorState:
         self,
         name: str,
         context: ExecutionContext,
-        key_refs: Optional[Sequence[AttributeRef]] = None,
+        key_template: Optional[IndexTemplate] = None,
         memory_category: str = "state",
     ) -> None:
         self.name = name
         self.context = context
-        self.key_refs = tuple(key_refs) if key_refs else None
         self.memory_category = memory_category
         self._entries: List[StateEntry] = []  # insertion order, lazily compacted
         self._expiry_heap: List[Tuple[float, int, StateEntry]] = []
         self._heap_counter = 0
-        self._index: Dict[Tuple[object, ...], List[StateEntry]] = {}
+        #: The index registry (see the module docstring for the charging rule).
+        self._indexes: Dict[IndexTemplate, _Index] = {}
+        if key_template:
+            self._register(key_template)
         self._next_seq = 0
         self._active_count = 0
         #: Lowest timestamp that purging is allowed to remove; JIT raises this
@@ -140,7 +188,8 @@ class OperatorState:
         """
         if horizon is None:
             return self._active_count > 0
-        return any(e.ts >= horizon for e in self._entries if not e.removed)
+        # Newest first: the entries a purge floor retains sit at the front.
+        return any(e.ts >= horizon for e in reversed(self._entries) if not e.removed)
 
     @property
     def next_seq(self) -> int:
@@ -178,14 +227,15 @@ class OperatorState:
             self._next_seq += 1
         elif seq >= self._next_seq:
             self._next_seq = seq + 1
-        entry = StateEntry(tuple=tup, seq=seq, inserted_at=now)
-        self._entries.append(entry)
         self._heap_counter += 1
+        entry = StateEntry(tuple=tup, seq=seq, inserted_at=now, order=self._heap_counter)
+        self._entries.append(entry)
         heapq.heappush(self._expiry_heap, (tup.ts, self._heap_counter, entry))
         self._active_count += 1
-        if self.key_refs is not None:
-            self._index.setdefault(self._key_of(tup), []).append(entry)
-            self.context.cost.charge(CostKind.HASH)
+        if self._indexes:
+            for key_of, buckets in self._indexes.values():
+                buckets.setdefault(key_of(tup), []).append(entry)
+            self.context.cost.charge(CostKind.HASH, len(self._indexes))
         self.context.cost.charge(CostKind.INSERT)
         self.context.memory.allocate(tup.size_bytes, self.memory_category)
         return entry
@@ -230,33 +280,47 @@ class OperatorState:
             self.context.cost.charge(CostKind.PROBE_STEP)
             yield entry
 
-    def probe_key(self, key: Tuple[object, ...]) -> List[StateEntry]:
-        """Hash-probe the index built over ``key_refs``."""
-        if self.key_refs is None:
-            raise RuntimeError(f"state {self.name!r} has no hash index")
-        self.context.cost.charge(CostKind.HASH)
-        matches = [e for e in self._index.get(key, []) if not e.removed]
+    def probe_index(
+        self, lookups: Sequence[Tuple[IndexTemplate, IndexKey]]
+    ) -> List[StateEntry]:
+        """Hash-probe the registry: the union of the looked-up buckets.
+
+        Entries come back in insertion order, each once.  One lookup is the
+        equi-join probe of a hash-indexed join; several — one per component
+        of the probing tuple — serve an MNS-detecting probe, which must see
+        every entry that matches at least one component.  The result is a
+        snapshot: callers re-check ``removed`` per entry, as with a scan.
+        """
+        (template, key), *others = lookups
+        matches = list(self._bucket(template, key))
+        if others:
+            union = {entry.order: entry for entry in matches}
+            for template, key in others:
+                for entry in self._bucket(template, key):
+                    union[entry.order] = entry
+            matches = [union[order] for order in sorted(union)]
         if matches:
             self.context.cost.charge(CostKind.PROBE_STEP, len(matches))
         return matches
 
-    def key_of(self, tup: StreamTuple) -> Tuple[object, ...]:
-        """Compute the index key of ``tup`` (requires ``key_refs``)."""
-        if self.key_refs is None:
-            raise RuntimeError(f"state {self.name!r} has no hash index")
-        return self._key_of(tup)
-
     # -- JIT support ----------------------------------------------------------
 
-    def extract(self, selector: Callable[[StreamTuple], bool]) -> List[StateEntry]:
+    def extract(
+        self,
+        selector: Callable[[StreamTuple], bool],
+        lookup: Optional[Tuple[IndexTemplate, IndexKey]] = None,
+    ) -> List[StateEntry]:
         """Remove and return all present entries whose tuple satisfies ``selector``.
 
         Used by ``Suspend_Production`` to move super-tuples of an MNS from the
         state into a blacklist.  Charges one blacklist-scan step per examined
-        entry (the scan is explicit in the paper's Section IV-B).
+        entry: every present entry (the scan is explicit in the paper's
+        Section IV-B), or only the bucket of ``lookup`` when the caller knows
+        that ``selector`` rejects everything outside it.
         """
+        candidates = self._entries if lookup is None else list(self._bucket(*lookup))
         removed: List[StateEntry] = []
-        for entry in self._entries:
+        for entry in candidates:
             if entry.removed:
                 continue
             self.context.cost.charge(CostKind.BLACKLIST_SCAN)
@@ -274,9 +338,29 @@ class OperatorState:
 
     # -- internals -------------------------------------------------------------
 
-    def _key_of(self, tup: StreamTuple) -> Tuple[object, ...]:
-        assert self.key_refs is not None
-        return tuple(ref.value(tup) for ref in self.key_refs)
+    def _bucket(self, template: IndexTemplate, key: IndexKey) -> Sequence[StateEntry]:
+        """One index lookup, building the index first if this is its first use.
+
+        Returns the live bucket itself: copy it before anything can remove
+        an entry.
+        """
+        cost = self.context.cost
+        try:
+            _key_of, buckets = self._indexes[template]
+        except KeyError:
+            key_of, buckets = self._register(template)
+            for entry in self._entries:
+                if not entry.removed:
+                    buckets.setdefault(key_of(entry.tuple), []).append(entry)
+            if self._active_count:
+                cost.charge(CostKind.HASH, self._active_count)
+        cost.charge(CostKind.HASH)
+        return buckets.get(key, ())
+
+    def _register(self, template: IndexTemplate) -> _Index:
+        """Add an (empty) index over ``template`` to the registry and return it."""
+        index = self._indexes[template] = (key_function(template), {})
+        return index
 
     def _forget(self, entry: StateEntry) -> None:
         """Release accounting and index bookkeeping for a removed entry."""
@@ -284,15 +368,16 @@ class OperatorState:
             return
         entry.removed = True
         self._active_count -= 1
-        if self.key_refs is not None:
-            bucket = self._index.get(self._key_of(entry.tuple))
+        for key_of, buckets in self._indexes.values():
+            key = key_of(entry.tuple)
+            bucket = buckets.get(key)
             if bucket:
                 for pos, existing in enumerate(bucket):
                     if existing is entry:
-                        bucket.pop(pos)
+                        del bucket[pos]
                         break
                 if not bucket:
-                    self._index.pop(self._key_of(entry.tuple), None)
+                    del buckets[key]
         self.context.memory.release(entry.tuple.size_bytes, self.memory_category)
 
     def _maybe_compact(self) -> None:

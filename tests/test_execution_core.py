@@ -308,8 +308,10 @@ class TestIndexedJITProbes:
 
     def test_detection_free_probe_uses_index(self):
         # On a 2-source plan both ports are source-fed, so detection is off
-        # and every probe must go through the hash index: no PROBE_STEP cost
-        # beyond key-matching entries, i.e. far fewer than the nested loop.
+        # and every probe is one lookup on the equi-join key: no PROBE_STEP
+        # cost beyond key-matching entries, i.e. far fewer than the nested
+        # loop.  (Detecting probes are index-served too; test_jit_indexes.py
+        # covers them.)
         workload = generate_clique_workload(
             n_sources=2, rate=2.0, window_seconds=30, dmax=50, duration=100, seed=3
         )

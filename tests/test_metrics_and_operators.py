@@ -21,7 +21,7 @@ from repro.operators.predicates import (
 from repro.operators.projection import ProjectionOperator
 from repro.operators.queues import InterOperatorQueue
 from repro.operators.selection import SelectionOperator
-from repro.operators.state import OperatorState
+from repro.operators.state import OperatorState, key_function
 from repro.operators.static_join import StaticJoinOperator
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
@@ -206,18 +206,19 @@ class TestOperatorState:
         assert context.memory.current_bytes == 0
 
     def test_hash_index_probe(self, context):
-        refs = [AttributeRef("A", "x")]
-        state = OperatorState("S", context, key_refs=refs)
+        state = OperatorState("S", context, key_template=(("A", "x"),))
         state.insert(make_tuple("A", 0.0, seq=0, x=7))
         state.insert(make_tuple("A", 0.0, seq=1, x=8))
-        matches = state.probe_key((7,))
+        matches = state.probe_index([((("A", "x"),), (7,))])
         assert [e.tuple.get("x") for e in matches] == [7]
-        assert state.key_of(make_tuple("A", 0.0, x=9)) == (9,)
+        assert key_function((("A", "x"),))(make_tuple("A", 0.0, x=9)) == (9,)
+        both = key_function((("A", "x"), ("A", "y")))
+        assert both(make_tuple("A", 0.0, x=9, y=3)) == (9, 3)
 
-    def test_probe_key_requires_index(self, context):
+    def test_probe_index_builds_the_index_on_first_use(self, context):
         state = OperatorState("S", context)
-        with pytest.raises(RuntimeError):
-            state.probe_key((1,))
+        state.insert(make_tuple("A", 0.0, x=1))
+        assert [e.tuple.get("x") for e in state.probe_index([((("A", "x"),), (1,))])] == [1]
 
     def test_remove_entry_twice_fails(self, context):
         state = OperatorState("S", context)

@@ -1,6 +1,7 @@
 """Ablation benchmarks beyond the paper's figures.
 
-These quantify the design choices called out in DESIGN.md:
+These quantify design choices the paper leaves open (the detection modes
+are described in ``docs/JIT.md``):
 
 * MNS detection mode (full lattice vs Bloom screening vs Ø-only, i.e. DOE),
 * plan style (X-Join tree vs M-Join vs Eddy) for the same query, and

@@ -2,27 +2,17 @@
 
 Unlike the ``bench_figNN`` scripts, which report the paper's *modelled* cost
 units, this benchmark measures real wall-clock throughput of the execution
-hot path along the two axes optimized by the high-throughput execution core:
+hot path:
 
 * **Probe algorithm** — nested-loop vs. hash-indexed probes
   (``use_hash_index``), for both the REF join and the JIT join, whose
   detection-free probes, MNS-detecting probes and suspension extraction
   are all served from the state's indexes.
-* **Ready-set maintenance** — the queued engine's incremental ready-set vs.
-  the O(queues)-per-step rescan baseline, with and without same-timestamp
-  micro-batching.
 * **Multi-query sharding** — a population of standing queries over shared
   streams served by the :class:`~repro.multi.ShardedEngine`: 1-shard vs.
-  N-shard throughput (sync and thread-per-shard), plus the INCREMENTAL vs.
-  RESCAN ready-set comparison re-measured at the high queue counts only the
-  multi-query engine reaches (hundreds of input queues in one scheduler
-  domain).  ``--suite multi`` writes its numbers to ``BENCH_multi.json``.
-* **Scheduler strategy** — the indexed O(log ready) scheduler (deltas +
-  ``pop_next``) vs. the legacy sorted-``select`` loop, measured across
-  scheduler domains of ~16 / ~340 / ~1000 input queues so the per-step
-  scaling is visible: the select path's microseconds-per-step grow with the
-  domain, the indexed path's must stay flat.  ``--suite sched`` writes its
-  numbers to ``BENCH_sched.json``.
+  N-shard throughput per drain mode (sync, thread-per-shard,
+  process-per-shard).  ``--suite multi`` writes its numbers to
+  ``BENCH_multi.json``.
 * **Sub-plan sharing** — multi-query common subexpression elimination: the
   128-query clique workload served with ``share_subplans`` on vs. off,
   swept across overlap ratios (source counts), with the per-shard
@@ -71,7 +61,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine import ExecutionMode, ReadyStrategy, SchedulerStrategy, run_workload
+from repro.engine import ExecutionMode, run_workload
 from repro.engine.results import result_multiset
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 from repro.plans.builder import (
@@ -97,17 +87,6 @@ DEFAULT_MULTI_EVENTS = 6_000
 
 #: Where ``--suite multi`` records its results.
 DEFAULT_MULTI_JSON = Path(__file__).resolve().parent / "BENCH_multi.json"
-
-#: Standing-query populations of the scheduler-strategy suite; over 4 shared
-#: streams these build 1-shard scheduler domains of ~16, ~340 and ~1000
-#: input queues (the actual counts are recorded).
-DEFAULT_SCHED_QUERIES = (6, 128, 380)
-
-#: Arrivals driven through each scheduler-strategy variant.
-DEFAULT_SCHED_EVENTS = 3_000
-
-#: Where ``--suite sched`` records its results.
-DEFAULT_SCHED_JSON = Path(__file__).resolve().parent / "BENCH_sched.json"
 
 #: Standing-query population of the serving suite (smaller than the multi
 #: suite: the quantity under test is the serving front-end, not sharding).
@@ -216,54 +195,6 @@ def bench_probe_paths(n_events: int = DEFAULT_EVENTS) -> Dict[str, Dict[str, flo
     return out
 
 
-def bench_ready_set(n_events: int = DEFAULT_EVENTS) -> Dict[str, Dict[str, float]]:
-    """Incremental ready-set vs. rescan drain loop, with and without batching.
-
-    A wide plan (8 sources → 7 joins → 14 input queues) makes the per-step
-    rescan cost visible, and hash-indexed probes keep the per-tuple join work
-    small so scheduling overhead — the quantity under test — dominates.
-    """
-    workload = generate_clique_workload(
-        n_sources=8,
-        rate=4.0,
-        window_seconds=30.0,
-        dmax=50,
-        duration=max(1.0, n_events / 32.0),
-        seed=11,
-    )
-    query = ContinuousQuery.from_workload(workload)
-    events = workload.events()
-    out: Dict[str, Dict[str, float]] = {}
-    baseline_results = None
-    variants = (
-        ("rescan", dict(ready_strategy=ReadyStrategy.RESCAN)),
-        ("incremental", dict(ready_strategy=ReadyStrategy.INCREMENTAL)),
-        ("incremental+batch", dict(ready_strategy=ReadyStrategy.INCREMENTAL, batch=True)),
-    )
-    for policy in ("fifo", "jit_aware"):
-        row: Dict[str, float] = {}
-        for label, kwargs in variants:
-            plan = build_xjoin_plan(
-                query, shape=PLAN_LEFT_DEEP, strategy=STRATEGY_JIT, use_hash_index=True
-            )
-            elapsed, report = _timed_run(
-                plan,
-                events,
-                workload.window.length,
-                mode=ExecutionMode.QUEUED,
-                scheduler=build_scheduler(policy),
-                **kwargs,
-            )
-            results = result_multiset(report.results.results)
-            if baseline_results is None:
-                baseline_results = results
-            assert results == baseline_results, f"{policy}/{label} changed the result set"
-            row[label] = len(events) / elapsed
-        row["speedup"] = row["incremental"] / row["rescan"]
-        out[f"queued/{policy}"] = row
-    return out
-
-
 def _multi_registry(workload, strategy: str) -> QueryRegistry:
     """Register the workload's standing queries with hash-indexed probes."""
     registry = QueryRegistry()
@@ -288,8 +219,7 @@ def bench_multi_query(
 
     ``n_queries`` standing neighborhood queries over 4 shared streams are
     served by the :class:`ShardedEngine` at each (shard count × drain mode)
-    point — inline, thread-per-shard, and process-per-shard workers — and
-    (1 shard, sync) additionally with the RESCAN ready-set baseline.  Few
+    point — inline, thread-per-shard, and process-per-shard workers.  Few
     sources under many queries puts ~``n_queries/4`` subscribers on every
     stream, so a single scheduler domain sees ready-sets that big on every
     arrival — the regime where scheduling cost dominates and sharding splits
@@ -309,8 +239,8 @@ def bench_multi_query(
     whenever real parallelism exists, record-only on a single core where no
     parallel speedup is possible and serialization overhead dominates.
     """
-    # The 1-shard baseline anchors both the acceptance ratio and the
-    # ready-set comparison, so it is always measured.
+    # The 1-shard baseline anchors the acceptance ratios, so it is always
+    # measured.
     shard_counts = tuple(sorted(set(shard_counts) | {1}))
     drain_modes = tuple(drain_modes)
     for mode in drain_modes:
@@ -341,18 +271,6 @@ def bench_multi_query(
                     dict(n_shards=shards, drain_mode=mode),
                 )
             )
-    variants.append(
-        (
-            "1-shard/sync/rescan",
-            dict(n_shards=1, ready_strategy=ReadyStrategy.RESCAN),
-        )
-    )
-    variants.append(
-        (
-            "1-shard/sync/select",
-            dict(n_shards=1, scheduler_strategy=SchedulerStrategy.SELECT),
-        )
-    )
 
     sharding: Dict[str, Dict[str, float]] = {}
     baseline_counts: Optional[Dict[str, int]] = None
@@ -441,20 +359,6 @@ def bench_multi_query(
         },
         "total_results": sum(baseline_counts.values()),
         "sharding": sharding,
-        "ready_set": {
-            "incremental_events_per_sec": sharding["1-shard/sync"]["events_per_sec"],
-            "rescan_events_per_sec": sharding["1-shard/sync/rescan"]["events_per_sec"],
-            "speedup": sharding["1-shard/sync"]["events_per_sec"]
-            / sharding["1-shard/sync/rescan"]["events_per_sec"],
-            "queues_in_domain": queue_counts["1-shard/sync"],
-        },
-        "scheduler": {
-            "indexed_events_per_sec": sharding["1-shard/sync"]["events_per_sec"],
-            "select_events_per_sec": sharding["1-shard/sync/select"]["events_per_sec"],
-            "speedup": sharding["1-shard/sync"]["events_per_sec"]
-            / sharding["1-shard/sync/select"]["events_per_sec"],
-            "queues_in_domain": queue_counts["1-shard/sync"],
-        },
         "acceptance": acceptance,
     }
 
@@ -561,98 +465,6 @@ def bench_share(
             "speedup": densest["speedup"],
             "ok": densest["speedup"] >= 3.0,
         },
-    }
-
-
-def bench_sched(
-    query_counts: Tuple[int, ...] = DEFAULT_SCHED_QUERIES,
-    n_events: int = DEFAULT_SCHED_EVENTS,
-    repeats: int = 2,
-    policy: str = "fifo",
-) -> Dict[str, object]:
-    """Indexed vs. select scheduler strategy across domain sizes.
-
-    Each population of standing queries is served by a 1-shard engine (one
-    scheduler domain) twice — once with the indexed O(log ready) scheduler,
-    once with the legacy sorted-``select`` loop — and the per-variant
-    microseconds per scheduling step are derived from the shard's
-    ``scheduler_step`` cost counter.  The step count is identical between
-    the variants (same schedule), so the per-step ratio isolates the
-    scheduling constant factor: select grows with the domain, indexed must
-    not.  Every variant must reproduce the per-query result counts of the
-    indexed run.
-    """
-    domains: List[Dict[str, object]] = []
-    for n_queries in query_counts:
-        n_sources = 4
-        # A slightly shorter window than the multi suite keeps the per-step
-        # join-state work small, so the quantity under test — the per-step
-        # scheduling cost — dominates the measurement.
-        workload = generate_multi_query_workload(
-            n_queries=n_queries,
-            n_sources=n_sources,
-            rate=1.0,
-            window_seconds=20.0,
-            dmax=400,
-            duration=max(1.0, n_events / n_sources),
-            seed=13,
-        )
-        events = workload.events()
-        registry = _multi_registry(workload, STRATEGY_REF)
-        row: Dict[str, object] = {"n_queries": n_queries, "n_events": len(events)}
-        baseline_counts: Optional[Dict[str, int]] = None
-        best: Dict[str, float] = {}
-        steps: Dict[str, int] = {}
-        # Interleave the variants' repeats so a noisy stretch of the shared
-        # runner cannot skew one variant's entire sample.
-        for _ in range(max(1, repeats)):
-            for label, strategy in (
-                ("indexed", SchedulerStrategy.INDEXED),
-                ("select", SchedulerStrategy.SELECT),
-            ):
-                with ShardedEngine(
-                    registry,
-                    n_shards=1,
-                    scheduler=policy,
-                    scheduler_strategy=strategy,
-                    keep_results=False,
-                ) as engine:
-                    row["queues"] = engine.shards[0].queue_count
-                    start = time.perf_counter()
-                    report = engine.run(events)
-                    elapsed = time.perf_counter() - start
-                counts = report.result_counts()
-                if baseline_counts is None:
-                    baseline_counts = counts
-                assert counts == baseline_counts, (
-                    f"{n_queries} queries/{label} changed the per-query results"
-                )
-                steps[label] = report.shard_metrics[0].counters["scheduler_step"]
-                best[label] = min(best.get(label, float("inf")), elapsed)
-        for label in ("indexed", "select"):
-            row[label] = {
-                "events_per_sec": len(events) / best[label],
-                "wall_seconds": best[label],
-                "sched_steps": steps[label],
-                "us_per_step": best[label] / max(1, steps[label]) * 1e6,
-            }
-        row["speedup"] = (
-            row["indexed"]["events_per_sec"] / row["select"]["events_per_sec"]
-        )
-        domains.append(row)
-    return {
-        "config": {
-            "query_counts": list(query_counts),
-            "n_events": n_events,
-            "n_sources": 4,
-            "window_seconds": 20.0,
-            "dmax": 400,
-            "seed": 13,
-            "policy": policy,
-            "repeats": repeats,
-            "strategy": STRATEGY_REF,
-        },
-        "domains": domains,
     }
 
 
@@ -1195,19 +1007,6 @@ def _format_serve(table: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _format_sched(table: Dict[str, object]) -> str:
-    lines = ["scheduler strategy: indexed vs select (1-shard domains)"]
-    for row in table["domains"]:
-        lines.append(
-            f"  {row['queues']:>5} queues ({row['n_queries']} queries): "
-            f"indexed {row['indexed']['events_per_sec']:>8,.0f} ev/s "
-            f"({row['indexed']['us_per_step']:.1f} us/step) vs select "
-            f"{row['select']['events_per_sec']:>8,.0f} ev/s "
-            f"({row['select']['us_per_step']:.1f} us/step) -> {row['speedup']:.2f}x"
-        )
-    return "\n".join(lines)
-
-
 def _format_share(table: Dict[str, object]) -> str:
     config = table["config"]
     lines = [
@@ -1243,18 +1042,6 @@ def _format_multi(table: Dict[str, object]) -> str:
             f"  {label:<24} {row['events_per_sec']:>10,.0f} ev/s  "
             f"(wall {row['wall_seconds']:.2f}s, <= {row['max_queues_per_shard']} queues/shard)"
         )
-    ready = table["ready_set"]
-    lines.append(
-        f"  ready-set @ {ready['queues_in_domain']} queues: incremental "
-        f"{ready['incremental_events_per_sec']:,.0f} ev/s vs rescan "
-        f"{ready['rescan_events_per_sec']:,.0f} ev/s -> {ready['speedup']:.2f}x"
-    )
-    sched = table["scheduler"]
-    lines.append(
-        f"  scheduler @ {sched['queues_in_domain']} queues: indexed "
-        f"{sched['indexed_events_per_sec']:,.0f} ev/s vs select "
-        f"{sched['select_events_per_sec']:,.0f} ev/s -> {sched['speedup']:.2f}x"
-    )
     acceptance = table["acceptance"]
     if "best_threaded_label" in acceptance:
         lines.append(
@@ -1300,29 +1087,12 @@ def test_indexed_probe_speedup():
     )
 
 
-def test_ready_set_no_regression():
-    """The incremental ready-set must not be meaningfully slower than rescan.
-
-    At 8-source plan width the two are within ~10% of each other (the win
-    grows with queue count — see ROADMAP), so the threshold is deliberately
-    loose: it catches an accidental O(queues)-or-worse ready-set without
-    flaking on shared-runner timing noise.
-    """
-    table = bench_ready_set(4_000)
-    print()
-    print(_format(table, "ready-set maintenance (4k events)"))
-    for key, row in table.items():
-        assert row["speedup"] > 0.6, f"{key}: incremental ready-set regressed: {row}"
-
-
 def test_multi_query_shard_scaling():
     """Acceptance (ISSUES 3 and 9): on the 128-query workload, the best
     N-shard threaded configuration must serve events at least as fast as one
     shard; the process drain mode must hit its core-count-scaled scaling
     target (≥3x over 1-shard sync with 8+ cores — recorded without a gate on
-    a single core, where no parallel speedup is physically possible); and
-    the incremental ready-set must clearly beat the rescan baseline at
-    multi-query queue counts."""
+    a single core, where no parallel speedup is physically possible)."""
     table = bench_multi_query(DEFAULT_QUERIES, DEFAULT_MULTI_EVENTS)
     print()
     print(_format_multi(table))
@@ -1338,44 +1108,6 @@ def test_multi_query_shard_scaling():
         f"{acceptance['cpu_cores']} core(s)"
     )
     assert acceptance["ok"]
-    assert table["ready_set"]["speedup"] > 1.5, (
-        f"incremental ready-set should win decisively at "
-        f"{table['ready_set']['queues_in_domain']} queues: {table['ready_set']}"
-    )
-
-
-def test_indexed_scheduler_speedup():
-    """Acceptance (ISSUE 4): at the 340-queue domain the indexed scheduler
-    clearly beats the sorted-per-step select loop, and its per-step cost does
-    not scale with the domain the way select's does.
-
-    On a quiet machine the speedup is ~1.7x (the committed
-    ``BENCH_sched.json`` is the acceptance record); the thresholds here are
-    deliberately looser — like ``test_ready_set_no_regression``'s — so the
-    test catches a real regression (an accidentally O(ready) indexed path
-    shows up as a ratio near or below 1.0 and steep per-step growth) without
-    flaking on shared-runner noise, which swings whole stretches of a run.
-    """
-    table = bench_sched(query_counts=(6, 128), n_events=2_500, repeats=3)
-    print()
-    print(_format_sched(table))
-    small, big = table["domains"][0], table["domains"][-1]
-    assert big["speedup"] >= 1.2, (
-        f"indexed scheduler should win clearly at {big['queues']} queues: {big}"
-    )
-    # Scaling: going from ~16 to ~340 queues the indexed per-step cost must
-    # stay near-flat while the select path's visibly inflates (its sort and
-    # scan grow with the ready-set; measured ~1.0x vs ~1.7x).
-    indexed_growth = big["indexed"]["us_per_step"] / small["indexed"]["us_per_step"]
-    select_growth = big["select"]["us_per_step"] / small["select"]["us_per_step"]
-    assert indexed_growth < 1.6, (
-        f"indexed per-step cost should stay near-flat across domain sizes, "
-        f"grew {indexed_growth:.2f}x"
-    )
-    assert select_growth > indexed_growth * 1.1, (
-        f"select per-step cost should grow with the domain while indexed "
-        f"stays flat: select {select_growth:.2f}x vs indexed {indexed_growth:.2f}x"
-    )
 
 
 def test_subplan_sharing_speedup():
@@ -1454,14 +1186,12 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument(
         "--suite",
         choices=(
-            "core", "probe", "ready", "multi", "sched", "serve", "share",
-            "trace", "health", "all",
+            "core", "probe", "multi", "serve", "share", "trace", "health", "all",
         ),
         default="core",
         help="which benchmark family to run: 'core' (default) is the quick "
-        "probe + ready-set pair; 'multi' is the sharded multi-query sweep "
-        "(records JSON); 'sched' compares indexed vs select scheduling "
-        "across domain sizes (records JSON); 'serve' measures the serving "
+        "probe-path comparison; 'multi' is the sharded multi-query sweep "
+        "(records JSON); 'serve' measures the serving "
         "front-end and the jit_aware boost-steps sweep (records JSON); "
         "'share' compares sub-plan sharing on vs off across overlap ratios "
         "(records JSON); 'trace' measures the flight recorder's overhead "
@@ -1494,23 +1224,6 @@ def main(argv: Optional[List[str]] = None) -> None:
         type=int,
         default=2,
         help="runs per multi-query variant (best throughput is reported)",
-    )
-    parser.add_argument(
-        "--sched-queries",
-        default=",".join(str(n) for n in DEFAULT_SCHED_QUERIES),
-        help="comma-separated query populations for the scheduler suite",
-    )
-    parser.add_argument(
-        "--sched-events",
-        type=int,
-        default=DEFAULT_SCHED_EVENTS,
-        help="arrivals per scheduler-suite variant",
-    )
-    parser.add_argument(
-        "--sched-policy",
-        choices=("fifo", "round_robin", "priority", "jit_aware"),
-        default="fifo",
-        help="scheduler policy the sched suite measures",
     )
     parser.add_argument(
         "--serve-queries",
@@ -1603,13 +1316,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     if args.suite in ("core", "probe", "all"):
         print(_format(bench_probe_paths(args.events), f"probe paths ({args.events} events)"))
         print()
-    if args.suite in ("core", "ready", "all"):
-        print(
-            _format(
-                bench_ready_set(args.events), f"ready-set maintenance ({args.events} events)"
-            )
-        )
-        print()
     if args.suite in ("multi", "all"):
         shard_counts = tuple(int(s) for s in args.shards.split(","))
         table = bench_multi_query(
@@ -1629,20 +1335,6 @@ def main(argv: Optional[List[str]] = None) -> None:
         if json_path is not None:
             json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
             print(f"  recorded -> {json_path}")
-    if args.suite in ("sched", "all"):
-        table = bench_sched(
-            tuple(int(s) for s in args.sched_queries.split(",")),
-            args.sched_events,
-            repeats=args.repeats,
-            policy=args.sched_policy,
-        )
-        print(_format_sched(table))
-        # Only an explicit sched run records, so `all` (whose --json path
-        # belongs to the multi suite) never clobbers the committed artifact.
-        json_path = (args.json or DEFAULT_SCHED_JSON) if args.suite == "sched" else None
-        if json_path is not None:
-            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-            print(f"  recorded -> {json_path}")
     if args.suite in ("share", "all"):
         table = bench_share(
             n_queries=args.share_queries,
@@ -1652,7 +1344,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             repeats=args.repeats,
         )
         print(_format_share(table))
-        # Like multi/sched/serve: only an explicit share run records, so
+        # Like multi/serve: only an explicit share run records, so
         # `all` never clobbers the committed artifact.
         json_path = (args.json or DEFAULT_SHARE_JSON) if args.suite == "share" else None
         if json_path is not None:
@@ -1667,7 +1359,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             repeats=args.repeats,
         )
         print(_format_serve(table))
-        # Like multi/sched: only an explicit serve run records, so `all`
+        # Like multi: only an explicit serve run records, so `all`
         # never clobbers the committed artifact.
         json_path = (args.json or DEFAULT_SERVE_JSON) if args.suite == "serve" else None
         if json_path is not None:

@@ -70,21 +70,9 @@ CHECKS: Dict[str, Dict[str, object]] = {
     },
     "multi": {
         "baseline": "BENCH_multi.json",
-        "ratios": [
-            ("acceptance.threaded_vs_one_shard", 0.15, "min"),
-            ("ready_set.speedup", 0.30, "min"),
-            ("scheduler.speedup", 0.25, "min"),
-        ],
+        "ratios": [("acceptance.threaded_vs_one_shard", 0.15, "min")],
         "flags": ["acceptance.ok"],
-        "equal": ["ready_set.queues_in_domain"],
-    },
-    "sched": {
-        "baseline": "BENCH_sched.json",
-        # The largest domain is where the indexed scheduler's advantage
-        # lives; the small-domain rows hover around 1.0x by design.
-        "ratios": [("domains.-1.speedup", 0.30, "min")],
-        "flags": [],
-        "equal": ["domains.-1.queues"],
+        "equal": ["sharding.1-shard/sync.max_queues_per_shard"],
     },
 }
 
@@ -120,8 +108,6 @@ def _run_suite(suite: str) -> Dict[str, object]:
             repeats=2,
             drain_modes=("sync", "thread", "process"),
         )
-    if suite == "sched":
-        return bt.bench_sched(bt.DEFAULT_SCHED_QUERIES, bt.DEFAULT_SCHED_EVENTS, repeats=2)
     raise ValueError(f"unknown suite {suite!r}")
 
 

@@ -67,7 +67,6 @@ def build_server(workload, args) -> StreamServer:
         registry,
         n_shards=args.shards,
         scheduler=args.scheduler,
-        threaded=args.threaded,
         drain_mode=args.drain_mode,
         keep_results=False,
     )
@@ -138,12 +137,11 @@ def main(argv: Optional[List[str]] = None) -> None:
         choices=("fifo", "round_robin", "priority", "jit_aware"),
         default="jit_aware",
     )
-    parser.add_argument("--threaded", action="store_true", help="thread-per-shard workers")
     parser.add_argument(
         "--drain-mode",
         choices=("sync", "thread", "process"),
         default=None,
-        help="shard worker backend (supersedes --threaded; 'process' profiles "
+        help="shard worker backend (default sync; 'process' profiles "
         "the parent-side pipe/dispatch path, workers live in their own "
         "processes — point py-spy at a worker pid for the other half)",
     )

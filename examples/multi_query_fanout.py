@@ -87,8 +87,8 @@ def main() -> None:
     print()
 
     # Serve them on two shards; events are *pushed* as they occur.  (Set
-    # threaded=True for the thread-per-shard drain mode — results are
-    # identical either way.)
+    # drain_mode="thread" for the thread-per-shard drain mode — results
+    # are identical either way.)
     events = merge_sources(sources, duration=600.0)
     with ShardedEngine(registry, n_shards=2, scheduler="jit_aware") as engine:
         start = time.perf_counter()

@@ -21,8 +21,9 @@ Quickstart::
     report = run_workload(plan, workload.events(), window_length=workload.window.length)
     print(report.summary())
 
-See ``README.md`` for the architecture overview, ``DESIGN.md`` for the system
-inventory and ``EXPERIMENTS.md`` for the paper-vs-measured comparison.
+See ``docs/JIT.md`` for the design notes of the JIT join, ``docs/SCALING.md``
+for the sharded multi-query engine and ``EXPERIMENTS.md`` for the
+paper-vs-measured comparison.
 """
 
 from repro.context import ExecutionContext

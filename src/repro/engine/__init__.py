@@ -9,9 +9,7 @@
 from repro.engine.engine import (
     ExecutionEngine,
     ExecutionMode,
-    ReadyStrategy,
     RunReport,
-    SchedulerStrategy,
     run_workload,
 )
 from repro.engine.results import ResultCollector, result_key, result_multiset
@@ -19,8 +17,6 @@ from repro.engine.results import ResultCollector, result_key, result_multiset
 __all__ = [
     "ExecutionEngine",
     "ExecutionMode",
-    "ReadyStrategy",
-    "SchedulerStrategy",
     "RunReport",
     "run_workload",
     "ResultCollector",

@@ -17,21 +17,15 @@ Both modes must — and, per the test suite, do — produce the same result set.
 
 Queued-mode hot-path design:
 
-* **Incremental ready-set.**  The drain loop used to rebuild the list of
-  runnable inputs by scanning *every* queue per scheduling step (O(queues)
-  per tuple).  Queues now carry a readiness listener that fires on their
-  empty<->non-empty transitions; the rescan loop is kept as the
-  ``ReadyStrategy.RESCAN`` baseline.
-* **Indexed scheduling.**  With ``SchedulerStrategy.INDEXED`` (the default),
-  queue transitions flow straight into the scheduler as deltas
-  (``on_ready`` / ``on_unready``, plus ``on_head_change`` after each pop)
-  and each step asks ``pop_next()`` — the policies answer from indexed
-  structures (lazy heaps keyed on head timestamps, served-order rotations),
-  so one scheduling step costs O(log ready).  ``SchedulerStrategy.SELECT``
-  keeps the previous loop — sort the ready-set by stable registration index
-  and call ``select()`` — as the equivalence/benchmark baseline; both
-  produce bit-identical schedules (the heaps tie-break on the same
-  registration index the sorted list is ordered by).
+* **Ready-set deltas.**  Every queue carries a readiness listener that fires
+  on its empty<->non-empty transitions and feeds the scheduler directly
+  (``on_ready`` / ``on_unready``); nothing scans the queues.
+* **One drain loop.**  :func:`drain_ready` — shared with the sharded engine's
+  :class:`~repro.multi.shard.ShardEngine` — asks ``pop_next()`` per step,
+  pops one tuple, reports the new head (``on_head_change``) and runs the
+  operator.  The policies answer from lazy heaps keyed on head timestamps
+  and served-order rotations, tie-breaking on the stable registration
+  index, so one scheduling step costs O(log ready).
 * **Feedback-aware scheduling.**  The engine registers its scheduler as a
   feedback listener on the execution context; operators notify the context
   whenever a suspension/resumption message is delivered, which lets
@@ -47,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
@@ -56,33 +49,18 @@ from repro.metrics import CostKind, MetricsReport
 from repro.operators.base import Operator
 from repro.operators.queues import InterOperatorQueue
 from repro.plans.plan import ExecutionPlan
-from repro.scheduler import (
-    OperatorScheduler,
-    ReadyInput,
-    SchedulerStrategy,
-    build_scheduler,
-)
+from repro.scheduler import OperatorScheduler, ReadyInput, build_scheduler
 from repro.streams.sources import StreamEvent
 
 __all__ = [
     "ExecutionMode",
-    "ReadyStrategy",
-    "SchedulerStrategy",
     "RunReport",
     "ExecutionEngine",
     "run_workload",
     "plan_operator_depths",
     "wire_queued_plan",
-    "resolve_scheduler_strategy",
-    "install_indexed_listeners",
-    "drain_ready_indexed",
-    "drain_ready_indexed_traced",
-    "drain_ready_incremental",
-    "drain_ready_rescan",
+    "drain_ready",
 ]
-
-#: Sort key presenting ready inputs in stable registration order.
-_BY_ORDER = attrgetter("order")
 
 
 class ExecutionMode:
@@ -92,19 +70,6 @@ class ExecutionMode:
     QUEUED = "queued"
 
     ALL = (SYNCHRONOUS, QUEUED)
-
-
-class ReadyStrategy:
-    """How the queued engine discovers runnable inputs."""
-
-    #: Maintain the ready-set incrementally from queue transitions (default).
-    INCREMENTAL = "incremental"
-    #: Rebuild the ready list by scanning every queue per step.  Kept as an
-    #: explicit baseline so ``benchmarks/bench_throughput.py`` can quantify
-    #: the difference; behaviour is identical.
-    RESCAN = "rescan"
-
-    ALL = (INCREMENTAL, RESCAN)
 
 
 @dataclass
@@ -161,7 +126,7 @@ def plan_operator_depths(plan: ExecutionPlan) -> Dict[int, int]:
 def wire_queued_plan(
     plan: ExecutionPlan,
     context: ExecutionContext,
-    readiness_listener,
+    scheduler: OperatorScheduler,
     order_start: int = 0,
     queue_prefix: str = "",
 ) -> Tuple[Dict[Tuple[int, str], InterOperatorQueue], List[ReadyInput]]:
@@ -170,10 +135,14 @@ def wire_queued_plan(
     Returns the queue map keyed by ``(id(operator), port)`` and the
     :class:`ReadyInput` templates in registration order (numbered from
     ``order_start`` so several plans can share one scheduler domain with
-    globally unique, stable orders).  Every queue gets ``readiness_listener``
-    installed so the caller can maintain an incremental ready-set.
+    globally unique, stable orders).  Every queue's readiness listener feeds
+    ``scheduler`` its transitions; each is a closure with the template and
+    the scheduler's delta methods pre-bound, so a transition costs one call
+    and one branch — no lookup to recover the template.
     """
     depths = plan_operator_depths(plan)
+    on_ready = scheduler.on_ready
+    on_unready = scheduler.on_unready
     input_queues: Dict[Tuple[int, str], InterOperatorQueue] = {}
     templates: List[ReadyInput] = []
     for operator in plan.operators:
@@ -182,16 +151,24 @@ def wire_queued_plan(
                 name=f"{queue_prefix}->{operator.name}.{port}", context=context
             )
             input_queues[(id(operator), port)] = queue
-            templates.append(
-                ReadyInput(
-                    operator=operator,
-                    port=port,
-                    queue=queue,
-                    depth=depths.get(id(operator), 0),
-                    order=order_start + len(templates),
-                )
+            item = ReadyInput(
+                operator=operator,
+                port=port,
+                queue=queue,
+                depth=depths.get(id(operator), 0),
+                order=order_start + len(templates),
             )
-            queue.readiness_listener = readiness_listener
+            templates.append(item)
+
+            def listener(
+                queue, nonempty, _item=item, _on_ready=on_ready, _on_unready=on_unready
+            ):
+                if nonempty:
+                    _on_ready(_item)
+                else:
+                    _on_unready(_item)
+
+            queue.readiness_listener = listener
     for operator in plan.operators:
         if operator.consumer is not None and operator.consumer_port is not None:
             operator.output_queue = input_queues[
@@ -200,67 +177,24 @@ def wire_queued_plan(
     return input_queues, templates
 
 
-def resolve_scheduler_strategy(
-    scheduler_strategy: Optional[str], ready_strategy: str
-) -> str:
-    """Resolve (and validate) the scheduler strategy for a queued engine.
+def drain_ready(scheduler: OperatorScheduler, cost, tracer=None, shard: int = 0) -> None:
+    """Run scheduled operators until the scheduler has no ready input.
 
-    ``None`` picks the natural pairing: the indexed scheduler on top of the
-    incremental ready-set, the legacy select loop for the rescan baseline
-    (which rebuilds the ready list per step by construction and therefore
-    cannot feed deltas).  Asking for INDEXED together with RESCAN is a
-    contradiction and is rejected.
+    Queue transitions reach the scheduler through the readiness listeners;
+    this loop only has to report the head change after each pop so the
+    scheduler's keys track the new head tuple.  While the tracer's *current
+    trace is sampled* a step observer records one scheduler-pop span and one
+    operator-step span per step (see :meth:`repro.trace.Tracer.step_observer`);
+    it only observes, so traced and untraced drains take identical decisions,
+    and every unsampled drain pays two ``is None`` tests per step for it.
     """
-    if scheduler_strategy is None:
-        if ready_strategy == ReadyStrategy.INCREMENTAL:
-            return SchedulerStrategy.INDEXED
-        return SchedulerStrategy.SELECT
-    if scheduler_strategy not in SchedulerStrategy.ALL:
-        raise ValueError(
-            f"unknown scheduler strategy {scheduler_strategy!r}; "
-            f"expected one of {SchedulerStrategy.ALL}"
-        )
-    if (
-        scheduler_strategy == SchedulerStrategy.INDEXED
-        and ready_strategy == ReadyStrategy.RESCAN
-    ):
-        raise ValueError(
-            "the rescan ready strategy rebuilds the ready list per step and "
-            "cannot drive the indexed scheduler; use SchedulerStrategy.SELECT"
-        )
-    return scheduler_strategy
-
-
-def install_indexed_listeners(
-    templates: Sequence[ReadyInput], scheduler: OperatorScheduler
-) -> None:
-    """Point each template queue's readiness listener at the scheduler.
-
-    Every queue gets its own closure with the template and the scheduler's
-    delta methods pre-bound, so a transition costs one call and one branch —
-    no per-event dict lookup to recover the template.
-    """
-    on_ready = scheduler.on_ready
-    on_unready = scheduler.on_unready
-    for item in templates:
-        def listener(
-            queue, nonempty, _item=item, _on_ready=on_ready, _on_unready=on_unready
-        ):
-            if nonempty:
-                _on_ready(_item)
-            else:
-                _on_unready(_item)
-
-        item.queue.readiness_listener = listener
-
-
-def drain_ready_indexed(scheduler: OperatorScheduler, cost) -> None:
-    """Run scheduled operators until the indexed scheduler has no ready input.
-
-    Queue transitions reach the scheduler through the readiness listeners
-    (``on_ready`` / ``on_unready``); this loop only has to report the head
-    change after each pop so the scheduler's keys track the new head tuple.
-    """
+    # ``enabled`` is a plain attribute; testing it first keeps a disabled
+    # tracer at one attribute load instead of the thread-local ``active``.
+    observer = (
+        tracer.step_observer(scheduler, cost, shard)
+        if tracer is not None and tracer.enabled and tracer.active
+        else None
+    )
     ready_count = scheduler.ready_count
     pop_next = scheduler.pop_next
     on_head_change = scheduler.on_head_change
@@ -268,142 +202,24 @@ def drain_ready_indexed(scheduler: OperatorScheduler, cost) -> None:
     step = CostKind.SCHEDULER_STEP
     while ready_count():
         charge(step)
-        choice = pop_next()
+        if observer is None:
+            choice = pop_next()
+        else:
+            observer.before_pop()
+            choice = pop_next()
+            observer.after_pop()
         queue = choice.queue
         tup = queue.pop()
         if queue:
             on_head_change(choice)
-        choice.operator.process(tup, choice.port)
-
-
-#: Cost kinds whose per-step deltas are attached to operator-step spans.
-_TRACED_CHARGE_KINDS = (
-    CostKind.PROBE_STEP,
-    CostKind.PREDICATE_EVAL,
-    CostKind.HASH,
-    CostKind.RESULT_BUILD,
-)
-
-
-def drain_ready_indexed_traced(
-    scheduler: OperatorScheduler, cost, tracer, shard: int = 0
-) -> None:
-    """:func:`drain_ready_indexed` with per-step span recording.
-
-    Entered only while the tracer's *current trace is sampled*, so the
-    untraced loop keeps its exact shape for every unsampled event.  Records
-    one scheduler-pop span per decision (policy, ready-set size, whether the
-    pop was served from the jit_aware boosted band — detected by the
-    ``boosted_servings`` counter advancing) and one operator-step span per
-    served tuple (wall time plus the :class:`~repro.metrics.CostKind` charge
-    deltas: probe steps, predicate evaluations, hash lookups — distinguishing
-    indexed probes from scans — and result builds).  Scheduling decisions are
-    identical to the untraced loop; spans only observe.
-    """
-    counters = cost.counters
-    charge = cost.charge
-    policy = scheduler.name
-    while scheduler.ready_count():
-        charge(CostKind.SCHEDULER_STEP)
-        ready = scheduler.ready_count()
-        boosted_before = getattr(scheduler, "boosted_servings", 0)
-        t0 = tracer.now_us()
-        choice = scheduler.pop_next()
-        t1 = tracer.now_us()
-        tracer.record_scheduler_pop(
-            shard,
-            policy,
-            t0,
-            t1 - t0,
-            ready,
-            getattr(scheduler, "boosted_servings", 0) > boosted_before,
-        )
-        queue = choice.queue
-        tup = queue.pop()
-        if queue:
-            scheduler.on_head_change(choice)
-        operator = choice.operator
-        # Queue names carry the hosting plan's prefix ("q0:->Op1.left"), so
-        # the span label is plan-qualified — co-hosted plans reusing operator
-        # names ("Tee", "Op1") get distinct tracks and distinct profiles.
-        queue_name = queue.name
-        arrow = queue_name.find("->")
-        label = (queue_name[:arrow] + operator.name) if arrow > 0 else operator.name
-        before = [counters.get(kind, 0) for kind in _TRACED_CHARGE_KINDS]
-        emitted_before = operator.emitted_count
-        # The hot-path tee/emit hooks key off this plain flag (set only
-        # here, in the sampled drain) instead of the tracer's thread-local
-        # ``active`` property, keeping untraced runs hook-free.
-        step_context = queue.context
-        t2 = tracer.now_us()
-        step_context.trace_live = True
-        try:
-            operator.process(tup, choice.port)
-        finally:
-            step_context.trace_live = False
-        t3 = tracer.now_us()
-        charges = {}
-        for kind, base in zip(_TRACED_CHARGE_KINDS, before):
-            delta = counters.get(kind, 0) - base
-            if delta:
-                charges[kind] = delta
-        tracer.record_operator_step(
-            shard,
-            label,
-            choice.port,
-            t2,
-            t3 - t2,
-            charges,
-            operator.emitted_count - emitted_before,
-            tup.ts,
-        )
-
-
-def drain_ready_incremental(
-    ready: Dict[int, ReadyInput], scheduler: OperatorScheduler, cost
-) -> None:
-    """Run scheduled operators until the incremental ready-set is empty.
-
-    The ``SchedulerStrategy.SELECT`` drain over the incremental ready-set:
-    every step sorts the ready inputs by their stable registration index and
-    asks ``select()`` — O(ready log ready) per step, kept as the baseline
-    the indexed path is verified and benchmarked against.
-    """
-    while ready:
-        items = sorted(ready.values(), key=_BY_ORDER)
-        cost.charge(CostKind.SCHEDULER_STEP)
-        choice = items[scheduler.select(items)]
-        tup = choice.queue.pop()
-        choice.operator.process(tup, choice.port)
-
-
-def drain_ready_rescan(
-    ready_meta: Sequence[ReadyInput], scheduler: OperatorScheduler, cost
-) -> None:
-    """The pre-optimization drain loop, kept verbatim as a baseline.
-
-    Scans every queue and rebuilds a fresh ``ReadyInput`` per non-empty one
-    on *every* scheduling step — O(queues) work plus allocations per tuple —
-    exactly what the incremental ready-set replaces.
-    """
-    while True:
-        ready = [
-            ReadyInput(
-                operator=item.operator,
-                port=item.port,
-                queue=item.queue,
-                depth=item.depth,
-                order=item.order,
-            )
-            for item in ready_meta
-            if len(item.queue)
-        ]
-        if not ready:
-            return
-        cost.charge(CostKind.SCHEDULER_STEP)
-        choice = ready[scheduler.select(ready)]
-        tup = choice.queue.pop()
-        choice.operator.process(tup, choice.port)
+        if observer is None:
+            choice.operator.process(tup, choice.port)
+        else:
+            observer.before_step(choice)
+            try:
+                choice.operator.process(tup, choice.port)
+            finally:
+                observer.after_step(choice, tup)
 
 
 class ExecutionEngine:
@@ -423,15 +239,6 @@ class ExecutionEngine:
     keep_results:
         Whether result tuples are retained (disable for very long benchmark
         runs where only counts and costs matter).
-    ready_strategy:
-        Queued mode only: :class:`ReadyStrategy` constant selecting how
-        runnable inputs are discovered (incremental ready-set by default).
-    scheduler_strategy:
-        Queued mode only: :class:`~repro.scheduler.SchedulerStrategy`
-        constant selecting how the scheduler is driven — the indexed
-        delta/``pop_next`` interface or the legacy sorted-``select`` loop.
-        ``None`` (default) resolves to INDEXED on the incremental ready-set
-        and SELECT on the rescan baseline.
     """
 
     def __init__(
@@ -441,23 +248,13 @@ class ExecutionEngine:
         mode: str = ExecutionMode.SYNCHRONOUS,
         scheduler: Optional[OperatorScheduler] = None,
         keep_results: bool = True,
-        ready_strategy: str = ReadyStrategy.INCREMENTAL,
-        scheduler_strategy: Optional[str] = None,
     ) -> None:
         if mode not in ExecutionMode.ALL:
             raise ValueError(f"unknown execution mode {mode!r}; expected one of {ExecutionMode.ALL}")
-        if ready_strategy not in ReadyStrategy.ALL:
-            raise ValueError(
-                f"unknown ready strategy {ready_strategy!r}; expected one of {ReadyStrategy.ALL}"
-            )
         self.plan = plan
         self.context = context
         self.mode = mode
         self.scheduler = scheduler if scheduler is not None else build_scheduler("fifo")
-        self.ready_strategy = ready_strategy
-        self.scheduler_strategy = resolve_scheduler_strategy(
-            scheduler_strategy, ready_strategy
-        )
         self.collector = ResultCollector(keep_tuples=keep_results)
         #: Arrivals processed so far (same meaning as the shard counter, so
         #: serving telemetry can compute steps-per-event for either engine).
@@ -469,56 +266,17 @@ class ExecutionEngine:
         plan.set_result_sink(self.collector.add)
         self._input_queues: Dict[Tuple[int, str], InterOperatorQueue] = {}
         self._ready_meta: List[ReadyInput] = []
-        #: Templates by queue identity, and the currently non-empty subset.
-        self._ready_templates: Dict[int, ReadyInput] = {}
-        self._ready: Dict[int, ReadyInput] = {}
         if mode == ExecutionMode.QUEUED:
-            self._setup_queues()
+            self._input_queues, self._ready_meta = wire_queued_plan(
+                plan, context, self.scheduler
+            )
             context.add_feedback_listener(self.scheduler.notify_feedback)
 
-    # -- queued-mode plumbing -----------------------------------------------------
-
-    def _setup_queues(self) -> None:
-        """Create one queue per operator input port and wire producer outputs."""
-        self._input_queues, self._ready_meta = wire_queued_plan(
-            self.plan, self.context, self._on_queue_readiness
-        )
-        self._ready_templates = {id(item.queue): item for item in self._ready_meta}
-        if self.scheduler_strategy == SchedulerStrategy.INDEXED:
-            # Queue transitions flow straight into the scheduler as deltas.
-            install_indexed_listeners(self._ready_meta, self.scheduler)
-
-    def _on_queue_readiness(self, queue: InterOperatorQueue, nonempty: bool) -> None:
-        """Fold one queue transition into the incremental ready-set."""
-        key = id(queue)
-        if nonempty:
-            self._ready[key] = self._ready_templates[key]
-        else:
-            self._ready.pop(key, None)
-
     def _drain_queues(self) -> None:
-        """Run scheduled operators until every input queue is empty.
-
-        All three drains make identical scheduling decisions: the select
-        paths present ready inputs sorted by the stable registration index,
-        and the indexed policies tie-break on that same index.
-        """
-        if self.ready_strategy == ReadyStrategy.RESCAN:
-            drain_ready_rescan(self._ready_meta, self.scheduler, self.context.cost)
-            return
-        if self.scheduler_strategy == SchedulerStrategy.INDEXED:
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled and tracer.active:
-                drain_ready_indexed_traced(
-                    self.scheduler,
-                    self.context.cost,
-                    tracer,
-                    self.context.trace_shard,
-                )
-            else:
-                drain_ready_indexed(self.scheduler, self.context.cost)
-            return
-        drain_ready_incremental(self._ready, self.scheduler, self.context.cost)
+        """Run scheduled operators until every input queue is empty."""
+        drain_ready(
+            self.scheduler, self.context.cost, self.tracer, self.context.trace_shard
+        )
 
     # -- tracing --------------------------------------------------------------------
 
@@ -526,8 +284,8 @@ class ExecutionEngine:
         """Attach a :class:`~repro.trace.Tracer` flight recorder.
 
         From now on every ingested event opens one trace (subject to the
-        tracer's head-based sampling) and sampled events run the traced
-        drain loop.  Detach by attaching ``None``.
+        tracer's head-based sampling) and sampled events record per-step
+        spans in the drain loop.  Detach by attaching ``None``.
         """
         self.tracer = tracer
         self.context.tracer = tracer
@@ -661,8 +419,6 @@ def run_workload(
     mode: str = ExecutionMode.SYNCHRONOUS,
     scheduler: Optional[OperatorScheduler] = None,
     keep_results: bool = True,
-    ready_strategy: str = ReadyStrategy.INCREMENTAL,
-    scheduler_strategy: Optional[str] = None,
     batch: bool = False,
     engine=None,
 ):
@@ -691,8 +447,6 @@ def run_workload(
             mode=mode,
             scheduler=scheduler,
             keep_results=keep_results,
-            ready_strategy=ready_strategy,
-            scheduler_strategy=scheduler_strategy,
         )
     elif (
         plan is not None
@@ -700,8 +454,6 @@ def run_workload(
         or mode != ExecutionMode.SYNCHRONOUS
         or scheduler is not None
         or keep_results is not True
-        or ready_strategy != ReadyStrategy.INCREMENTAL
-        or scheduler_strategy is not None
     ):
         # A pre-built engine already fixed its construction parameters;
         # accepting them here would silently ignore the caller's values.

@@ -1,6 +1,7 @@
 """Ablation experiments not present in the paper.
 
-These sweeps quantify the design choices DESIGN.md calls out:
+These sweeps quantify design choices the paper leaves open (the detection
+modes are described in ``docs/JIT.md``):
 
 * :func:`detection_mode_ablation` — full CNS-lattice detection vs the cheap
   Bloom-filter screening vs Ø-only detection (= the DOE baseline) vs no

@@ -316,12 +316,6 @@ class HealthMonitor:
         engine = self.engine
         watermark = self.watermark
         ages = engine.scheduler.starvation_ages(watermark)
-        if not ages:
-            ages = {
-                item.order: max(0.0, watermark - item.head_ts)
-                for item in engine._ready_meta
-                if len(item.queue)
-            }
         return {
             0: {
                 "alive": True,

@@ -91,18 +91,13 @@ class ShardWorkerError(RuntimeError):
     """
 
 
-def resolve_drain_mode(drain_mode: Optional[str], threaded: bool) -> str:
-    """Combine the ``drain_mode`` parameter with the legacy ``threaded`` flag."""
+def resolve_drain_mode(drain_mode: Optional[str]) -> str:
+    """Validate ``drain_mode`` (``None`` means ``"sync"``)."""
     if drain_mode is None:
-        return "thread" if threaded else "sync"
+        return "sync"
     if drain_mode not in DRAIN_MODES:
         raise ValueError(
             f"unknown drain_mode {drain_mode!r}; expected one of {DRAIN_MODES}"
-        )
-    if threaded and drain_mode != "thread":
-        raise ValueError(
-            f"threaded=True conflicts with drain_mode={drain_mode!r}; "
-            "pass one or the other"
         )
     return drain_mode
 
@@ -347,8 +342,6 @@ class _ShardSpec:
 
     shard_id: int
     scheduler: Union[str, Callable[[], object]]
-    ready_strategy: str
-    scheduler_strategy: Optional[str]
     share_subplans: bool
 
 
@@ -535,8 +528,6 @@ class _WorkerState:
             shard_id=spec.shard_id,
             scheduler=make_scheduler(spec.scheduler),
             clock=self.clock.view(f"shard-{spec.shard_id}"),
-            ready_strategy=spec.ready_strategy,
-            scheduler_strategy=spec.scheduler_strategy,
             # The worker never retains result tuples: results ship to the
             # parent's mirror collectors, which honour keep_results there.
             keep_results=False,
@@ -642,15 +633,7 @@ class _WorkerState:
     def snapshot(self) -> Dict[str, object]:
         shard = self.shard
         watermark = self.clock.watermark
-        # Starvation from the scheduler's indexed ready set when it has one;
-        # select-strategy shards fall back to scanning the queue templates.
         ages = shard.scheduler.starvation_ages(watermark)
-        if not ages:
-            ages = {
-                item.order: max(0.0, watermark - item.head_ts)
-                for item in shard._ready_meta
-                if len(item.queue)
-            }
         oldest_suspended = min(
             (opened[0] for opened in self.open_suspensions.values() if opened),
             default=None,
@@ -1003,16 +986,12 @@ class ProcessBackend:
         self,
         n_shards: int,
         scheduler: Union[str, Callable[[], object]],
-        ready_strategy: str,
-        scheduler_strategy: Optional[str],
         share_subplans: bool,
         keep_results: bool = True,
     ) -> None:
         methods = _mp.get_all_start_methods()
         self.mp_context = _mp.get_context("fork" if "fork" in methods else None)
         self._scheduler = scheduler
-        self._ready_strategy = ready_strategy
-        self._scheduler_strategy = scheduler_strategy
         self._share_subplans = share_subplans
         self._keep_results = keep_results
         self._token_lock = threading.Lock()
@@ -1044,8 +1023,6 @@ class ProcessBackend:
         return _ShardSpec(
             shard_id=shard_id,
             scheduler=self._scheduler,
-            ready_strategy=self._ready_strategy,
-            scheduler_strategy=self._scheduler_strategy,
             share_subplans=self._share_subplans,
         )
 

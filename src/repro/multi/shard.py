@@ -6,9 +6,10 @@ registered queries, gives every operator input port of every hosted plan an
 inter-operator queue, and drains them all under a **single** operator
 scheduler — one scheduler tick can serve any hosted query, which is the
 "sharded multi-query engine" the ROADMAP calls for.  The queued machinery
-(queue wiring, incremental ready-set, drain loops) is shared with the
-single-plan engine via the helpers in :mod:`repro.engine.engine`, so both
-paths exercise identical hot-path code.
+(queue wiring with its ready-set deltas, the drain loop) is shared with the
+single-plan engine via :func:`~repro.engine.engine.wire_queued_plan` and
+:func:`~repro.engine.engine.drain_ready`, so both paths run the same
+hot-path code.
 
 Isolation and sharing are deliberately split:
 
@@ -48,17 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
-from repro.engine.engine import (
-    ReadyStrategy,
-    SchedulerStrategy,
-    drain_ready_incremental,
-    drain_ready_indexed,
-    drain_ready_indexed_traced,
-    drain_ready_rescan,
-    install_indexed_listeners,
-    resolve_scheduler_strategy,
-    wire_queued_plan,
-)
+from repro.engine.engine import drain_ready, wire_queued_plan
 from repro.engine.results import ResultCollector
 from repro.metrics import CostModel, MemoryModel, MetricsReport
 from repro.multi.clock import ShardClock
@@ -159,14 +150,8 @@ class ShardEngine:
         so each shard owns its own).
     clock:
         The shard's view of the shared virtual clock.
-    ready_strategy:
-        :class:`~repro.engine.engine.ReadyStrategy` constant.
     keep_results:
         Whether hosted collectors retain result tuples.
-    scheduler_strategy:
-        :class:`~repro.scheduler.SchedulerStrategy` constant (or ``None``
-        for the natural pairing with ``ready_strategy``); every hosted
-        plan's queues feed the one shard scheduler through it.
     share_subplans:
         Enable common-subexpression sharing: queries with equal canonical
         sub-plan signatures share one hosted join subtree.
@@ -177,22 +162,12 @@ class ShardEngine:
         shard_id: int,
         scheduler: OperatorScheduler,
         clock: ShardClock,
-        ready_strategy: str = ReadyStrategy.INCREMENTAL,
         keep_results: bool = True,
-        scheduler_strategy: Optional[str] = None,
         share_subplans: bool = False,
     ) -> None:
-        if ready_strategy not in ReadyStrategy.ALL:
-            raise ValueError(
-                f"unknown ready strategy {ready_strategy!r}; expected one of {ReadyStrategy.ALL}"
-            )
         self.shard_id = shard_id
         self.scheduler = scheduler
         self.clock = clock
-        self.ready_strategy = ready_strategy
-        self.scheduler_strategy = resolve_scheduler_strategy(
-            scheduler_strategy, ready_strategy
-        )
         self.keep_results = keep_results
         self.share_subplans = share_subplans
         self.cost = CostModel()
@@ -204,8 +179,6 @@ class ShardEngine:
         #: Registrations that found an existing shared subtree to graft onto.
         self.shared_subplan_hits = 0
         self._ready_meta: List[ReadyInput] = []
-        self._ready_templates: Dict[int, ReadyInput] = {}
-        self._ready: Dict[int, ReadyInput] = {}
         #: Next registration order to hand out.  Monotone across the shard's
         #: lifetime — retired plans' orders are never reused, so scheduler
         #: histories keyed on order can never alias plans.
@@ -252,16 +225,12 @@ class ShardEngine:
         queues, templates = wire_queued_plan(
             plan,
             context,
-            self._on_queue_readiness,
+            self.scheduler,
             order_start=self._next_order,
             queue_prefix=queue_prefix,
         )
-        if self.scheduler_strategy == SchedulerStrategy.INDEXED:
-            install_indexed_listeners(templates, self.scheduler)
         self._next_order += len(templates)
         self._ready_meta.extend(templates)
-        for template in templates:
-            self._ready_templates[id(template.queue)] = template
         return queues, templates
 
     def _register_routes(
@@ -275,7 +244,7 @@ class ShardEngine:
                 route.append(queues[(id(operator), port)])
 
     def _unwire(self, templates: Iterable[ReadyInput]) -> None:
-        """Drop a retired plan's queues from the ready-set, routes and scheduler."""
+        """Drop a retired plan's queues from the routes and the scheduler."""
         templates = tuple(templates)
         retired_queues = {id(t.queue) for t in templates}
         self._ready_meta = [
@@ -283,8 +252,6 @@ class ShardEngine:
         ]
         for template in templates:
             template.queue.readiness_listener = None
-            self._ready_templates.pop(id(template.queue), None)
-            self._ready.pop(id(template.queue), None)
         for source in list(self._routes):
             kept = [q for q in self._routes[source] if id(q) not in retired_queues]
             if kept:
@@ -481,30 +448,8 @@ class ShardEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def _on_queue_readiness(self, queue: InterOperatorQueue, nonempty: bool) -> None:
-        key = id(queue)
-        if nonempty:
-            self._ready[key] = self._ready_templates[key]
-        else:
-            self._ready.pop(key, None)
-
     def _drain(self) -> None:
-        if self.ready_strategy == ReadyStrategy.RESCAN:
-            drain_ready_rescan(self._ready_meta, self.scheduler, self.cost)
-            return
-        if self.scheduler_strategy == SchedulerStrategy.INDEXED:
-            tracer = self.tracer
-            # ``enabled`` is a plain attribute; checking it first keeps the
-            # disabled-tracer drain at one attribute load instead of the
-            # thread-local ``active`` property.
-            if tracer is not None and tracer.enabled and tracer.active:
-                drain_ready_indexed_traced(
-                    self.scheduler, self.cost, tracer, self.shard_id
-                )
-            else:
-                drain_ready_indexed(self.scheduler, self.cost)
-            return
-        drain_ready_incremental(self._ready, self.scheduler, self.cost)
+        drain_ready(self.scheduler, self.cost, self.tracer, self.shard_id)
 
     def process_event(self, event: StreamEvent, trace_ctx=None) -> None:
         """Advance this shard's clock, deliver one routed event, drain.
@@ -522,31 +467,8 @@ class ShardEngine:
             self._drain()
             self.events_processed += 1
             return
-        previous = tracer.activate(trace_ctx) if trace_ctx is not None else None
-        try:
-            self.clock.advance_to(event.ts)
-            if tracer.active:
-                start = tracer.now_us()
-                pushes = 0
-                for queue in self._routes.get(event.source, ()):
-                    queue.push(event.tuple)
-                    pushes += 1
-                self._drain()
-                tracer.record_shard_span(
-                    self.shard_id,
-                    event.source,
-                    start,
-                    tracer.now_us() - start,
-                    pushes,
-                )
-            else:
-                for queue in self._routes.get(event.source, ()):
-                    queue.push(event.tuple)
-                self._drain()
-            self.events_processed += 1
-        finally:
-            if trace_ctx is not None:
-                tracer.restore(previous)
+        # With a live tracer an event is a micro-batch of one.
+        self.process_batch((event,), trace_ctx)
 
     def process_batch(self, events: Sequence[StreamEvent], trace_ctx=None) -> None:
         """Deliver a micro-batch of same-timestamp routed events, drain once."""

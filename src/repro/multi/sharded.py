@@ -24,10 +24,10 @@ the same entry point as a single-plan engine.
 * ``"sync"`` (default, :class:`~repro.multi.backend.InlineBackend`):
   ``submit`` drains each receiving shard before returning.  Fully
   deterministic — the mode the equivalence tests anchor on.
-* ``"thread"`` (:class:`~repro.multi.backend.ThreadBackend`, the legacy
-  ``threaded=True``): each shard owns a worker thread with an ingestion
-  buffer; ``submit`` enqueues and returns, shards drain concurrently, and
-  :meth:`flush` is the barrier.  GIL-bound — isolation, not CPU scale-out.
+* ``"thread"`` (:class:`~repro.multi.backend.ThreadBackend`): each shard
+  owns a worker thread with an ingestion buffer; ``submit`` enqueues and
+  returns, shards drain concurrently, and :meth:`flush` is the barrier.
+  GIL-bound — isolation, not CPU scale-out.
 * ``"process"`` (:class:`~repro.multi.backend.ProcessBackend`): each shard
   runs in a worker *process* fed pickled event micro-batches over a pipe,
   with results, feedback stats, telemetry snapshots and trace spans
@@ -50,7 +50,6 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.engine import ReadyStrategy
 from repro.engine.results import ResultCollector
 from repro.metrics import MetricsReport
 from repro.multi.backend import (
@@ -66,13 +65,9 @@ from repro.multi.partition import resolve_partitioner
 from repro.multi.registry import QueryRegistry
 from repro.multi.router import StreamRouter
 from repro.multi.shard import PlanRuntime, ShardEngine
-from repro.scheduler import OperatorScheduler
 from repro.streams.sources import StreamEvent
 
 __all__ = ["QueryReport", "MultiRunReport", "ShardedEngine"]
-
-#: ``drain_mode`` -> label used in reports and reprs.
-_MODE_LABELS = {"sync": "sync", "thread": "threaded", "process": "process"}
 
 
 @dataclass
@@ -96,23 +91,13 @@ class MultiRunReport:
 
     n_queries: int
     n_shards: int
-    threaded: bool
+    #: The drain mode that produced this report ("sync", "thread", "process").
+    drain_mode: str
     events_ingested: int
     queries: Dict[str, QueryReport]
     shard_metrics: Tuple[MetricsReport, ...]
     wall_seconds: float = 0.0
     dropped_events: int = 0
-    #: The drain mode that produced this report ("" on reports built by
-    #: callers predating the backend abstraction; ``mode`` falls back to
-    #: the legacy ``threaded`` flag then).
-    drain_mode: str = ""
-
-    @property
-    def mode(self) -> str:
-        """Human-readable drain-mode label."""
-        if self.drain_mode:
-            return _MODE_LABELS.get(self.drain_mode, self.drain_mode)
-        return "threaded" if self.threaded else "sync"
 
     @property
     def total_results(self) -> int:
@@ -140,7 +125,7 @@ class MultiRunReport:
     def summary(self) -> str:
         """One-line summary used by examples and benchmarks."""
         return (
-            f"{self.n_queries} queries / {self.n_shards} shard(s) [{self.mode}]: "
+            f"{self.n_queries} queries / {self.n_shards} shard(s) [{self.drain_mode}]: "
             f"{self.events_ingested} arrivals -> {self.total_results} results, "
             f"cpu={self.cpu_units:.0f} units, peak_mem={self.peak_memory_kb:.1f} KB, "
             f"wall={self.wall_seconds:.3f}s"
@@ -162,21 +147,12 @@ class ShardedEngine:
         :func:`~repro.scheduler.build_scheduler` or a zero-argument factory
         returning a new :class:`OperatorScheduler` (each shard needs its own
         stateful instance).
-    ready_strategy:
-        Ready-set maintenance strategy for every shard.
-    scheduler_strategy:
-        :class:`~repro.scheduler.SchedulerStrategy` constant driving every
-        shard's scheduler (``None``: the natural pairing — indexed on the
-        incremental ready-set, select on the rescan baseline).
     keep_results:
         Whether per-query collectors retain result tuples.
-    threaded:
-        Legacy alias for ``drain_mode="thread"`` (kept for callers predating
-        the backend abstraction; conflicts with an explicit other mode).
     drain_mode:
-        How shards are driven: ``"sync"`` (inline), ``"thread"``
-        (thread-per-shard) or ``"process"`` (process-per-shard workers fed
-        over pipes).  ``None`` resolves from ``threaded``.
+        How shards are driven: ``"sync"`` (inline, also what ``None``
+        means), ``"thread"`` (thread-per-shard) or ``"process"``
+        (process-per-shard workers fed over pipes).
     partitioner:
         Query placement policy (callable or name, see
         :mod:`repro.multi.partition`).  With ``share_subplans`` and no
@@ -193,10 +169,7 @@ class ShardedEngine:
         registry: QueryRegistry,
         n_shards: int = 1,
         scheduler: Union[str, object] = "fifo",
-        ready_strategy: str = ReadyStrategy.INCREMENTAL,
-        scheduler_strategy: Optional[str] = None,
         keep_results: bool = True,
-        threaded: bool = False,
         drain_mode: Optional[str] = None,
         partitioner=None,
         share_subplans: bool = False,
@@ -205,32 +178,20 @@ class ShardedEngine:
             raise ValueError(f"need at least one shard, got {n_shards}")
         if len(registry) == 0:
             raise ValueError("the registry has no registered queries")
-        drain_mode = resolve_drain_mode(drain_mode, threaded)
+        drain_mode = resolve_drain_mode(drain_mode)
         self.registry = registry
         self.n_shards = n_shards
         self.drain_mode = drain_mode
-        #: Legacy flag, kept in sync with ``drain_mode`` for old callers.
-        self.threaded = drain_mode == "thread"
         self.share_subplans = share_subplans
         self.clock = SharedVirtualClock()
         self.router = StreamRouter()
         if drain_mode == "process":
-            # Validate the policy/strategy arguments in the parent, where a
-            # bad value raises the same eager ValueError/TypeError the local
-            # modes produce (instead of a worker-startup ShardWorkerError).
+            # Validate the policy argument in the parent, where a bad value
+            # raises the same eager ValueError/TypeError the local modes
+            # produce (instead of a worker-startup ShardWorkerError).
             make_scheduler(scheduler)
-            if ready_strategy not in ReadyStrategy.ALL:
-                raise ValueError(
-                    f"unknown ready strategy {ready_strategy!r}; "
-                    f"expected one of {ReadyStrategy.ALL}"
-                )
             self._backend = ProcessBackend(
-                n_shards,
-                scheduler,
-                ready_strategy,
-                scheduler_strategy,
-                share_subplans,
-                keep_results=keep_results,
+                n_shards, scheduler, share_subplans, keep_results=keep_results
             )
             #: Process mode: parent-side proxies over worker-shipped
             #: telemetry snapshots (the live ShardEngines exist only in the
@@ -242,8 +203,6 @@ class ShardedEngine:
                     shard_id=index,
                     scheduler=make_scheduler(scheduler),
                     clock=self.clock.view(f"shard-{index}"),
-                    ready_strategy=ready_strategy,
-                    scheduler_strategy=scheduler_strategy,
                     keep_results=keep_results,
                     share_subplans=share_subplans,
                 )
@@ -308,11 +267,6 @@ class ShardedEngine:
         for source in entry.sources:
             self.router.subscribe(source, shard_id)
         return runtime
-
-    @staticmethod
-    def _make_scheduler(scheduler) -> OperatorScheduler:
-        """Deprecated alias of :func:`repro.multi.backend.make_scheduler`."""
-        return make_scheduler(scheduler)
 
     # -- push-based ingestion -------------------------------------------------
 
@@ -572,14 +526,6 @@ class ShardedEngine:
                 continue
             watermark = self.clock.watermark
             ages = shard.scheduler.starvation_ages(watermark)
-            if not ages:
-                # Select-strategy schedulers keep no indexed ready set;
-                # scan the shard's queue templates instead.
-                ages = {
-                    item.order: max(0.0, watermark - item.head_ts)
-                    for item in shard._ready_meta
-                    if len(item.queue)
-                }
             stats[shard_id] = {
                 "alive": True,
                 "in_flight": 0,
@@ -642,7 +588,7 @@ class ShardedEngine:
         return MultiRunReport(
             n_queries=len(self._runtimes),
             n_shards=self.n_shards,
-            threaded=self.threaded,
+            drain_mode=self.drain_mode,
             events_ingested=self.events_ingested,
             queries=queries,
             shard_metrics=tuple(
@@ -650,7 +596,6 @@ class ShardedEngine:
             ),
             wall_seconds=wall_seconds,
             dropped_events=self.router.dropped_events,
-            drain_mode=self.drain_mode,
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -699,6 +644,6 @@ class ShardedEngine:
     def __repr__(self) -> str:
         return (
             f"ShardedEngine({len(self._runtimes)} queries, {self.n_shards} "
-            f"shard(s), {_MODE_LABELS[self.drain_mode]}, "
+            f"shard(s), {self.drain_mode}, "
             f"ingested={self.events_ingested})"
         )

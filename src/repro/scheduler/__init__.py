@@ -7,17 +7,13 @@ synchronously), give a producer that is answering a resumption a higher
 priority than its consumer, and give an operator handling a suspension a
 higher priority than its upstream operators.
 
-:class:`~repro.scheduler.scheduler.OperatorScheduler` is the strategy
-interface; concrete policies live in :mod:`repro.scheduler.policies`.  Every
-policy implements two equivalent drive modes
-(:class:`~repro.scheduler.scheduler.SchedulerStrategy`): the incremental
-*indexed* interface (the engine pushes ready-set deltas and asks
-``pop_next()``, O(log ready) per step) and the legacy ``select()`` baseline
-(a freshly sorted ready list per step), which is kept for equivalence tests
-and benchmark comparisons.
+:class:`~repro.scheduler.scheduler.OperatorScheduler` is the interface: the
+engine pushes ready-set deltas (``on_ready`` / ``on_unready`` /
+``on_head_change``) and asks ``pop_next()``, O(log ready) per step.  The
+four concrete policies live in :mod:`repro.scheduler.policies`.
 """
 
-from repro.scheduler.scheduler import OperatorScheduler, ReadyInput, SchedulerStrategy
+from repro.scheduler.scheduler import OperatorScheduler, ReadyInput
 from repro.scheduler.policies import (
     FIFOScheduler,
     JITAwareScheduler,
@@ -29,7 +25,6 @@ from repro.scheduler.policies import (
 __all__ = [
     "OperatorScheduler",
     "ReadyInput",
-    "SchedulerStrategy",
     "FIFOScheduler",
     "RoundRobinScheduler",
     "PriorityScheduler",

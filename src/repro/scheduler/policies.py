@@ -1,32 +1,31 @@
 """Concrete operator-scheduling policies.
 
-Four policies are provided, each implementing *both* scheduler interfaces
-(the incremental indexed one and the legacy ``select()`` baseline — see
-:mod:`repro.scheduler.scheduler`) over the same policy state, with
-bit-identical decisions:
+Four policies implement the delta interface of
+:mod:`repro.scheduler.scheduler`, each over lazy-invalidation heaps so a
+scheduling step costs O(log ready):
 
 * :class:`FIFOScheduler` — run the input whose head tuple is oldest, which
   preserves global temporal order of processing (the default, and the policy
-  whose results must match synchronous execution exactly).  Indexed form: a
-  lazy-invalidation min-heap keyed on ``(head_ts, order)``.
+  whose results must match synchronous execution exactly).  A min-heap keyed
+  on ``(head_ts, order)``.
 * :class:`RoundRobinScheduler` — serve the least-recently-served ready input
-  (a served-order rotation over stable identities).  Indexed form: a lazy
-  heap over ``(last_served_step, first_sight_rank)`` records.
+  (a served-order rotation over stable identities).  A heap over
+  ``(last_served_step, first_sight_rank)`` records.
 * :class:`PriorityScheduler` — prefer operators closer to (or farther from)
   the plan root, the classic "chain"-style static policy referenced by the
-  paper's related-work discussion of operator scheduling [9].  Indexed form:
-  depth-bucketed ``(head_ts, order)`` heaps under a lazy heap of depths.
+  paper's related-work discussion of operator scheduling [9].
+  Depth-bucketed ``(head_ts, order)`` heaps under a lazy heap of depths.
 * :class:`JITAwareScheduler` — FIFO order plus the paper's Section III-B
   rules: after a resumption the producer is temporarily preferred over its
   consumer; after a suspension the handling (receiving) operator is
-  preferred over its upstream operators.  Indexed form: FIFO heap plus a
-  boosted *priority band* heap that boosted ready inputs jump into.
+  preferred over its upstream operators.  The FIFO heap plus a boosted
+  *priority band* heap that boosted ready inputs jump into.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.feedback import FeedbackKind
 from repro.operators.base import Operator
@@ -47,7 +46,7 @@ class _LazyHeap:
     ``set`` registers or refreshes an entry for ``order``; superseded heap
     records are left in place and skipped on pop because they no longer
     match the currently registered key.  ``pop_min`` returns the order with
-    the smallest key and *consumes* its entry — per the indexed-scheduler
+    the smallest key and *consumes* its entry — per the scheduler
     contract, the caller re-registers the order (``set``) if it stays ready
     or drops it (``discard``) when its queue empties.
     """
@@ -87,7 +86,7 @@ def _fifo_key(item: ReadyInput) -> Tuple[float, int]:
 
     Reads the queue's deque directly rather than through the ``head_ts``
     property chain — this runs once per queue transition and once per served
-    tuple, the hottest spots of the indexed path.
+    tuple, the hottest spots of a scheduling step.
     """
     items = item.queue._items
     return (items[0].ts if items else float("inf"), item.order)
@@ -101,19 +100,6 @@ class FIFOScheduler(OperatorScheduler):
     def __init__(self) -> None:
         self._ready: Dict[int, ReadyInput] = {}
         self._heap = _LazyHeap()
-
-    # -- legacy select ------------------------------------------------------------
-
-    def select(self, ready: Sequence[ReadyInput]) -> int:
-        best = 0
-        best_ts = ready[0].head_ts
-        for index, item in enumerate(ready[1:], start=1):
-            ts = item.head_ts
-            if ts < best_ts:
-                best, best_ts = index, ts
-        return best
-
-    # -- indexed ------------------------------------------------------------------
 
     def on_ready(self, item: ReadyInput) -> None:
         self._ready[item.order] = item
@@ -146,10 +132,10 @@ class RoundRobinScheduler(OperatorScheduler):
     the same position every call and starve inputs, and keying on
     ``id(operator)`` both grows without bound across plan churn and can
     alias a new operator onto a stale serve record when CPython reuses the
-    id after garbage collection.  Every call serves the least-recently-served
+    id after garbage collection.  Every step serves the least-recently-served
     ready identity (never-served identities first, in first-sight order),
     which guarantees each continuously ready input is served once per
-    rotation no matter how the ready list churns between calls; ``retire``
+    rotation no matter how the ready set churns between steps; ``retire``
     evicts the records of retired plans.
     """
 
@@ -165,8 +151,9 @@ class RoundRobinScheduler(OperatorScheduler):
         self._ready: Dict[int, ReadyInput] = {}
         self._heap = _LazyHeap()
         #: Ready orders awaiting their first-sight rank.  Ranks are assigned
-        #: in ascending-order batches at the next scheduling step, exactly
-        #: where the select path first scans them in its order-sorted list.
+        #: in ascending-order batches at the next scheduling step, so rank
+        #: order never depends on the order in which queues happened to
+        #: become non-empty between two steps.
         self._unranked: Set[int] = set()
 
     def _rank(self, order: int) -> Tuple[int, int]:
@@ -176,24 +163,9 @@ class RoundRobinScheduler(OperatorScheduler):
             self._next_rank += 1
         return record
 
-    # -- legacy select ------------------------------------------------------------
-
-    def select(self, ready: Sequence[ReadyInput]) -> int:
-        best_index = 0
-        best_key: Optional[Tuple[int, int]] = None
-        for index, item in enumerate(ready):
-            record = self._rank(item.order)
-            if best_key is None or record < best_key:
-                best_index, best_key = index, record
-        chosen = ready[best_index]
-        self._serve(chosen.order)
-        return best_index
-
     def _serve(self, order: int) -> None:
         self._step += 1
         self._history[order] = (self._step, self._history[order][1])
-
-    # -- indexed ------------------------------------------------------------------
 
     def on_ready(self, item: ReadyInput) -> None:
         self._ready[item.order] = item
@@ -239,7 +211,7 @@ class PriorityScheduler(OperatorScheduler):
         intermediate results quickly and minimizes queue memory; when False
         upstream operators run first, which maximizes batching.
 
-    The indexed form buckets ready inputs by (signed) depth — one lazy
+    Ready inputs are bucketed by (signed) depth — one lazy
     ``(head_ts, order)`` heap per depth — under a lazy min-heap of the
     depths that currently have ready inputs, so a head change only reorders
     within its bucket.
@@ -257,18 +229,6 @@ class PriorityScheduler(OperatorScheduler):
     def _signed_depth(self, item: ReadyInput) -> int:
         return item.depth if self.prefer_downstream else -item.depth
 
-    # -- legacy select ------------------------------------------------------------
-
-    def select(self, ready: Sequence[ReadyInput]) -> int:
-        keyed = [
-            (item.depth if self.prefer_downstream else -item.depth, item.head_ts, index)
-            for index, item in enumerate(ready)
-        ]
-        keyed.sort()
-        return keyed[0][2]
-
-    # -- indexed ------------------------------------------------------------------
-
     def on_ready(self, item: ReadyInput) -> None:
         self._ready[item.order] = item
         depth = self._signed_depth(item)
@@ -283,8 +243,7 @@ class PriorityScheduler(OperatorScheduler):
     def on_unready(self, item: ReadyInput) -> None:
         self._ready.pop(item.order, None)
         # retire() funnels through here for items whose depth never became
-        # ready (or that only ever ran through the select path), so the
-        # bucket may not exist.
+        # ready, so the bucket may not exist.
         bucket = self._buckets.get(self._signed_depth(item))
         if bucket is not None:
             bucket.discard(item.order)
@@ -349,7 +308,6 @@ class JITAwareScheduler(OperatorScheduler):
         #: short-lived by construction (consumed within ``boost_steps``
         #: servings); ``retire`` drops any left by retired operators.
         self._boosts: Dict[int, int] = {}
-        self._fifo = FIFOScheduler()
         self._ready: Dict[int, ReadyInput] = {}
         self._fifo_heap = _LazyHeap()
         #: The boosted priority band: ready inputs of boosted operators.
@@ -382,23 +340,6 @@ class JITAwareScheduler(OperatorScheduler):
         self._boosts.pop(op, None)
         for order in self._by_op.get(op, ()):
             self._boost_heap.discard(order)
-
-    # -- legacy select ------------------------------------------------------------
-
-    def select(self, ready: Sequence[ReadyInput]) -> int:
-        boosted: Optional[int] = None
-        boosted_key: Optional[Tuple[float, int]] = None
-        for index, item in enumerate(ready):
-            if self._boosts.get(id(item.operator), 0) > 0:
-                key = _fifo_key(item)
-                if boosted_key is None or key < boosted_key:
-                    boosted, boosted_key = index, key
-        if boosted is not None:
-            self._consume_boost(ready[boosted].operator)
-            return boosted
-        return self._fifo.select(ready)
-
-    # -- indexed ------------------------------------------------------------------
 
     def on_ready(self, item: ReadyInput) -> None:
         self._ready[item.order] = item

@@ -1,23 +1,14 @@
-"""The operator-scheduler strategy interface.
+"""The operator-scheduler interface.
 
 The queued execution engine repeatedly decides which *ready input* — a
-non-empty (operator, port, queue) triple — to run next.  Two scheduler
-interfaces coexist, selected by :class:`SchedulerStrategy`:
-
-* **Indexed** (default): the engine pushes *deltas* into the scheduler —
-  :meth:`OperatorScheduler.on_ready` when a queue becomes non-empty,
-  :meth:`~OperatorScheduler.on_unready` when it empties, and
-  :meth:`~OperatorScheduler.on_head_change` after each pop that leaves the
-  queue non-empty — and asks :meth:`~OperatorScheduler.pop_next` for the
-  next input to serve.  Policies maintain indexed structures (lazy heaps,
-  served-order rotations) under those deltas, so one scheduling step costs
-  O(log ready) instead of the O(ready log ready) sort-per-step of the
-  legacy path.
-* **Select** (legacy baseline): the engine hands :meth:`~OperatorScheduler.
-  select` a freshly sorted list of every ready input and receives an index
-  back.  Kept alive so equivalence tests and ``benchmarks/
-  bench_throughput.py --suite sched`` can verify and quantify the indexed
-  path against it; both must produce identical schedules.
+non-empty (operator, port, queue) triple — to run next.  The engine pushes
+*deltas* into the scheduler — :meth:`OperatorScheduler.on_ready` when a
+queue becomes non-empty, :meth:`~OperatorScheduler.on_unready` when it
+empties, and :meth:`~OperatorScheduler.on_head_change` after each pop that
+leaves the queue non-empty — and asks :meth:`~OperatorScheduler.pop_next`
+for the next input to serve.  Policies maintain indexed structures (lazy
+heaps, served-order rotations) under those deltas, so one scheduling step
+costs O(log ready).
 
 A scheduler never mutates queues or operators.  Scheduler instances are
 stateful (rotations, boosts, heaps) and belong to exactly one scheduler
@@ -29,24 +20,12 @@ thread only, so no locking is needed inside the policies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.operators.base import Operator
 from repro.operators.queues import InterOperatorQueue
 
-__all__ = ["ReadyInput", "OperatorScheduler", "SchedulerStrategy"]
-
-
-class SchedulerStrategy:
-    """How the engine drives its scheduler (see module docstring)."""
-
-    #: Push deltas, ask ``pop_next()``: O(log ready) per step (default).
-    INDEXED = "indexed"
-    #: Rebuild + sort the ready list and call ``select()`` every step.  Kept
-    #: as the equivalence/benchmark baseline.
-    SELECT = "select"
-
-    ALL = (INDEXED, SELECT)
+__all__ = ["ReadyInput", "OperatorScheduler"]
 
 
 @dataclass(frozen=True)
@@ -60,8 +39,7 @@ class ReadyInput:
     #: use it to prefer upstream or downstream work.
     depth: int = 0
     #: Stable registration index of the (operator, port) pair within the
-    #: scheduler domain.  The engine presents ready inputs sorted by this
-    #: index (and indexed policies tie-break on it), so scheduling decisions
+    #: scheduler domain.  Policies tie-break on it, so scheduling decisions
     #: are independent of the order in which queues happened to become
     #: non-empty.  Orders are unique within a domain and never reused, which
     #: also makes them the stable identity for scheduler bookkeeping
@@ -79,11 +57,7 @@ class ReadyInput:
 class OperatorScheduler:
     """Base class for operator scheduling policies.
 
-    Concrete policies implement both interfaces over shared policy state, so
-    one instance can serve either strategy — but a given engine drives it
-    through exactly one of them.
-
-    The indexed contract: the engine calls :meth:`on_ready` /
+    The contract: the engine calls :meth:`on_ready` /
     :meth:`on_unready` on every empty<->non-empty queue transition,
     :meth:`pop_next` to obtain the input to serve, then pops exactly one
     tuple from its queue and — when the queue stays non-empty —
@@ -96,17 +70,7 @@ class OperatorScheduler:
 
     name = "base"
 
-    # -- legacy select interface (SchedulerStrategy.SELECT) -----------------------
-
-    def select(self, ready: Sequence[ReadyInput]) -> int:
-        """Return the index (into ``ready``) of the input to run next.
-
-        ``ready`` is never empty when this is called, and the engine always
-        presents it sorted by :attr:`ReadyInput.order`.
-        """
-        raise NotImplementedError
-
-    # -- incremental indexed interface (SchedulerStrategy.INDEXED) ----------------
+    # -- ready-set deltas and the scheduling decision -----------------------------
 
     def on_ready(self, item: ReadyInput) -> None:
         """``item``'s queue just became non-empty."""
@@ -128,7 +92,7 @@ class OperatorScheduler:
         raise NotImplementedError
 
     def ready_count(self) -> int:
-        """Number of currently ready inputs known to the indexed interface."""
+        """Number of currently ready inputs."""
         raise NotImplementedError
 
     # -- lifecycle ----------------------------------------------------------------
@@ -163,19 +127,14 @@ class OperatorScheduler:
     # -- health introspection (read-only, off the hot path) -----------------------
 
     def ready_items(self) -> Tuple[ReadyInput, ...]:
-        """The ready inputs currently registered with the indexed interface.
+        """The currently ready inputs.
 
-        Every shipped policy keeps an ``order -> ReadyInput`` map of its
-        ready set, which this surfaces for observers (the health monitor,
-        diagnostic bundles).  Pull-only: nothing here runs per tuple.  A
-        scheduler driven through the legacy select path has no indexed
-        state and reports an empty tuple — callers fall back to scanning
-        the engine's queue templates directly.
+        Every policy keeps an ``order -> ReadyInput`` map of its ready set
+        in ``_ready``, which this surfaces for observers (the health
+        monitor, diagnostic bundles).  Pull-only: nothing here runs per
+        tuple.
         """
-        ready = getattr(self, "_ready", None)
-        if not ready:
-            return ()
-        return tuple(ready.values())
+        return tuple(self._ready.values())
 
     def starvation_ages(self, watermark: float) -> Dict[int, float]:
         """Virtual seconds each ready queue's head tuple has been waiting.

@@ -22,8 +22,8 @@ Design constraints (mirroring the telemetry layer's):
   nothing.
 * **Negligible overhead when disabled.**  A disabled tracer (or one that is
   not attached) costs the hot path one attribute load and one branch; the
-  instrumented drain loop is only entered while the *current* trace is
-  sampled, so the uninstrumented loops keep their exact pre-trace shape.
+  drain loop builds its :class:`StepObserver` only while the *current*
+  trace is sampled, and otherwise makes no call on the tracer's behalf.
 * **Bounded memory.**  Spans live in a :class:`~repro.trace.spans.SpanRing`
   that drops (and counts) the oldest span when full.
 * **Observation only.**  The tracer never mutates queues, schedulers or
@@ -46,12 +46,21 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.feedback import FeedbackKind
+from repro.metrics import CostKind
 from repro.trace.spans import SpanKind, SpanRing
 
 __all__ = ["TraceContext", "Tracer", "validate_chrome_trace"]
 
 #: Track (Chrome ``tid``) used for spans not attributable to one operator.
 _TRACK_PIPELINE = "pipeline"
+
+#: Cost kinds whose per-step deltas are attached to operator-step spans.
+_TRACED_CHARGE_KINDS = (
+    CostKind.PROBE_STEP,
+    CostKind.PREDICATE_EVAL,
+    CostKind.HASH,
+    CostKind.RESULT_BUILD,
+)
 
 
 class TraceContext:
@@ -72,6 +81,88 @@ class TraceContext:
 
     def __repr__(self) -> str:
         return f"TraceContext(id={self.trace_id}, sampled={self.sampled})"
+
+
+class StepObserver:
+    """Records the spans of one sampled drain, step by step.
+
+    :func:`repro.engine.engine.drain_ready` brackets its two observable
+    points with this object: the scheduling decision (one scheduler-pop
+    span: policy, ready-set size, whether the pop was served from the
+    jit_aware boosted band — detected by the ``boosted_servings`` counter
+    advancing) and the operator run (one operator-step span: wall time plus
+    the :class:`~repro.metrics.CostKind` charge deltas — probe steps,
+    predicate evaluations, hash lookups, result builds — and the tuples
+    emitted).  One observer serves one drain call on one thread.
+    """
+
+    __slots__ = ("tracer", "scheduler", "counters", "shard", "_start", "_pending")
+
+    def __init__(self, tracer: "Tracer", scheduler, cost, shard: int) -> None:
+        self.tracer = tracer
+        self.scheduler = scheduler
+        self.counters = cost.counters
+        self.shard = shard
+
+    def before_pop(self) -> None:
+        scheduler = self.scheduler
+        self._pending = (
+            scheduler.ready_count(),
+            getattr(scheduler, "boosted_servings", 0),
+        )
+        self._start = self.tracer.now_us()
+
+    def after_pop(self) -> None:
+        tracer, scheduler = self.tracer, self.scheduler
+        ready, boosted_before = self._pending
+        tracer.record_scheduler_pop(
+            self.shard,
+            scheduler.name,
+            self._start,
+            tracer.now_us() - self._start,
+            ready,
+            getattr(scheduler, "boosted_servings", 0) > boosted_before,
+        )
+
+    def before_step(self, choice) -> None:
+        operator, queue = choice.operator, choice.queue
+        # Queue names carry the hosting plan's prefix ("q0:->Op1.left"), so
+        # the span label is plan-qualified — co-hosted plans reusing operator
+        # names ("Tee", "Op1") get distinct tracks and distinct profiles.
+        arrow = queue.name.find("->")
+        label = (queue.name[:arrow] + operator.name) if arrow > 0 else operator.name
+        counters = self.counters
+        self._pending = (
+            label,
+            [counters.get(kind, 0) for kind in _TRACED_CHARGE_KINDS],
+            operator.emitted_count,
+        )
+        self._start = self.tracer.now_us()
+        # The hot-path tee/emit hooks key off this plain flag (set only
+        # around a sampled step) instead of the tracer's thread-local
+        # ``active`` property, keeping untraced runs hook-free.
+        queue.context.trace_live = True
+
+    def after_step(self, choice, tup) -> None:
+        choice.queue.context.trace_live = False
+        end = self.tracer.now_us()
+        label, before, emitted_before = self._pending
+        counters = self.counters
+        charges = {}
+        for kind, base in zip(_TRACED_CHARGE_KINDS, before):
+            delta = counters.get(kind, 0) - base
+            if delta:
+                charges[kind] = delta
+        self.tracer.record_operator_step(
+            self.shard,
+            label,
+            choice.port,
+            self._start,
+            end - self._start,
+            charges,
+            choice.operator.emitted_count - emitted_before,
+            tup.ts,
+        )
 
 
 class Tracer:
@@ -270,6 +361,10 @@ class Tracer:
             _TRACK_PIPELINE,
             {"source": source, "queue_pushes": pushes},
         )
+
+    def step_observer(self, scheduler, cost, shard: int) -> StepObserver:
+        """The per-step span recorder of one sampled drain."""
+        return StepObserver(self, scheduler, cost, shard)
 
     def record_scheduler_pop(
         self,

@@ -48,3 +48,31 @@ def small_workload():
 def tuple_factory():
     """Expose :func:`make_tuple` as a fixture."""
     return make_tuple
+
+
+def pick_through_deltas(scheduler, ready) -> int:
+    """One scheduling decision over exactly ``ready``; returns the chosen index.
+
+    Drives the scheduler the way the engine does: inputs entering ``ready``
+    are announced with ``on_ready``, inputs that left it with ``on_unready``,
+    the decision is ``pop_next``.  No tuple is popped, so the chosen input is
+    re-registered under its unchanged head with ``on_head_change`` and a
+    policy unit test can ask for several decisions over the same heads.
+    """
+    wanted = {item.order for item in ready}
+    registered = {item.order: item for item in scheduler.ready_items()}
+    for order, item in registered.items():
+        if order not in wanted:
+            scheduler.on_unready(item)
+    for item in ready:
+        if item.order not in registered:
+            scheduler.on_ready(item)
+    choice = scheduler.pop_next()
+    scheduler.on_head_change(choice)
+    return ready.index(choice)
+
+
+@pytest.fixture
+def pick():
+    """Expose :func:`pick_through_deltas` as a fixture."""
+    return pick_through_deltas

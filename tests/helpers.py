@@ -2,9 +2,127 @@
 
 from __future__ import annotations
 
+from repro.core.feedback import FeedbackKind
+from repro.operators.queues import InterOperatorQueue
+from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.streams.tuples import AtomicTuple
 
 
 def make_tuple(source: str, ts: float, seq: int = 0, **attrs: object) -> AtomicTuple:
     """Build an atomic tuple from keyword attribute values."""
     return AtomicTuple(source, ts, attrs, seq=seq)
+
+
+class StubOperator:
+    """Stands in for an operator where a scheduler only needs an identity."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"StubOperator({self.name})"
+
+
+def ready_input(context, name, ts, order, depth=0, operator=None) -> ReadyInput:
+    """A hand-built ready input whose queue holds one tuple stamped ``ts``."""
+    queue = InterOperatorQueue(f"q{order}", context)
+    queue.push(AtomicTuple(name, ts, {"x": 1}))
+    return ReadyInput(
+        operator=operator if operator is not None else StubOperator(name),
+        port="left",
+        queue=queue,
+        depth=depth,
+        order=order,
+    )
+
+
+def record_pops(scheduler: OperatorScheduler, pops: list) -> OperatorScheduler:
+    """Append the ``order`` of every input ``scheduler`` pops to ``pops``.
+
+    The drain loop binds ``pop_next`` from the instance at drain entry, so
+    an instance attribute is enough.
+    """
+    inner = scheduler.pop_next
+
+    def pop_next():
+        item = inner()
+        pops.append(item.order)
+        return item
+
+    scheduler.pop_next = pop_next
+    return scheduler
+
+
+class LinearScanScheduler(OperatorScheduler):
+    """The scheduling reference: the delta interface over one plain dict.
+
+    ``pop_next`` is ``min()`` over every ready input under the policy's key,
+    read off the live queue heads — O(ready) per step and plainly right.  The
+    shipped heap policies must pop in exactly this order.
+    """
+
+    def __init__(self, policy: str, boost_steps: int = 8, prefer_downstream: bool = True):
+        self.name = policy
+        self._key = getattr(self, f"_{policy}_key")
+        self._ready = {}
+        #: round_robin: order -> (step last served, first-sight rank).
+        self._history = {}
+        self._step = self._next_rank = 0
+        self._sign = 1 if prefer_downstream else -1
+        #: jit_aware: id(operator) -> boosted servings left.
+        self._boosts = {}
+        self.boost_steps = boost_steps
+        self.boosts_granted = self.boosted_servings = 0
+
+    def _fifo_key(self, item):
+        return (item.head_ts, item.order)
+
+    def _priority_key(self, item):
+        return (self._sign * item.depth, item.head_ts, item.order)
+
+    def _round_robin_key(self, item):
+        return self._history[item.order]
+
+    def _jit_aware_key(self, item):
+        return (id(item.operator) not in self._boosts, item.head_ts, item.order)
+
+    def on_ready(self, item):
+        self._ready[item.order] = item
+
+    def on_unready(self, item):
+        self._ready.pop(item.order, None)
+
+    def on_head_change(self, item):
+        """Nothing to refresh: keys are recomputed at every pop."""
+
+    def ready_count(self):
+        return len(self._ready)
+
+    def pop_next(self):
+        for order in sorted(self._ready):
+            if order not in self._history:
+                self._history[order] = (-1, self._next_rank)
+                self._next_rank += 1
+        choice = min(self._ready.values(), key=self._key)
+        self._step += 1
+        self._history[choice.order] = (self._step, self._history[choice.order][1])
+        op = id(choice.operator)
+        if op in self._boosts:
+            self.boosted_servings += 1
+            self._boosts[op] -= 1
+            if not self._boosts[op]:
+                del self._boosts[op]
+        return choice
+
+    def notify_feedback(self, producer, consumer, kind):
+        if self.name == "jit_aware":
+            suspending = kind in (FeedbackKind.SUSPEND, FeedbackKind.MARK)
+            self._boosts[id(consumer if suspending else producer)] = self.boost_steps
+            self.boosts_granted += 1
+
+    def retire(self, items):
+        for item in items:
+            self.on_unready(item)
+            self._history.pop(item.order, None)
+            if all(i.operator is not item.operator for i in self._ready.values()):
+                self._boosts.pop(id(item.operator), None)

@@ -1,23 +1,27 @@
 """Tests for the high-throughput execution core.
 
-Covers the incremental scheduler ready-set, micro-batch ingestion, the
+Covers queued-vs-synchronous equivalence, micro-batch ingestion, the
 hash-indexed JIT probe paths, feedback-aware scheduling, the round-robin
-fairness fix, symmetric feedback statistics, and the regression for the
-divert-before-resume-probe result loss.
+fairness fix, flat per-step scheduling work across domain sizes, symmetric
+feedback statistics, and the regression for the divert-before-resume-probe
+result loss.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
+from helpers import ready_input
 from repro.context import ExecutionContext
 from repro.core.jit_join import JITJoinOperator
-from repro.engine import ExecutionMode, ReadyStrategy, run_workload
+from repro.engine import ExecutionMode, run_workload
 from repro.engine.engine import ExecutionEngine
 from repro.engine.results import result_multiset
-from repro.operators.queues import InterOperatorQueue
+from repro.metrics import CostKind
+from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 from repro.operators.state import OperatorState
 from repro.plans.builder import (
     PLAN_LEFT_DEEP,
@@ -26,7 +30,12 @@ from repro.plans.builder import (
     build_xjoin_plan,
 )
 from repro.plans.query import ContinuousQuery
-from repro.scheduler import JITAwareScheduler, ReadyInput, RoundRobinScheduler, build_scheduler
+from repro.scheduler import (
+    JITAwareScheduler,
+    RoundRobinScheduler,
+    build_scheduler,
+    policies,
+)
 from repro.streams.generators import generate_clique_workload
 from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
@@ -177,8 +186,7 @@ class TestReplayedTupleResumesRegression:
 
 class TestQueuedEquivalence:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    @pytest.mark.parametrize("ready_strategy", ReadyStrategy.ALL)
-    def test_all_policies_match_synchronous_on_jit_plan(self, policy, ready_strategy):
+    def test_all_policies_match_synchronous_on_jit_plan(self, policy):
         workload = _suspension_workload()
         query, events, ref = _reference_run(workload)
         plan = _jit_plan(query)
@@ -188,7 +196,6 @@ class TestQueuedEquivalence:
             workload.window.length,
             mode=ExecutionMode.QUEUED,
             scheduler=build_scheduler(policy),
-            ready_strategy=ready_strategy,
         )
         assert result_multiset(report.results.results) == ref
         # The workload must actually exercise the feedback mechanism for the
@@ -196,28 +203,6 @@ class TestQueuedEquivalence:
         stats = [op.stats for op in plan.join_operators if isinstance(op, JITJoinOperator)]
         assert sum(s["suspensions_sent"] for s in stats) > 0
         assert sum(s["resumptions_sent"] for s in stats) > 0
-
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_incremental_ready_set_reproduces_rescan_schedule(self, policy):
-        # Not just the same result multiset: the identical schedule, hence
-        # identical modelled costs, for every policy.
-        workload = _suspension_workload()
-        query, events, _ref = _reference_run(workload)
-        reports = {}
-        for ready_strategy in ReadyStrategy.ALL:
-            report = run_workload(
-                _jit_plan(query),
-                events,
-                workload.window.length,
-                mode=ExecutionMode.QUEUED,
-                scheduler=build_scheduler(policy),
-                ready_strategy=ready_strategy,
-            )
-            reports[ready_strategy] = report
-        incremental = reports[ReadyStrategy.INCREMENTAL]
-        rescan = reports[ReadyStrategy.RESCAN]
-        assert [r for r in incremental.results.results] == [r for r in rescan.results.results]
-        assert incremental.metrics.cpu_units == rescan.metrics.cpu_units
 
 
 class TestMicroBatching:
@@ -330,36 +315,58 @@ class TestIndexedJITProbes:
 
 
 class TestRoundRobinFairness:
-    def _inputs(self, context, n):
-        class _Op:
-            def __init__(self, name):
-                self.name = name
-
-        inputs = []
-        for i in range(n):
-            queue = InterOperatorQueue(f"q{i}", context)
-            inputs.append(ReadyInput(operator=_Op(f"op{i}"), port="left", queue=queue, order=i))
-        return inputs
-
-    def test_no_starvation_under_alternating_ready_lengths(self, context):
+    def test_no_starvation_under_alternating_ready_lengths(self, context, pick):
         # The old cursor-modulo implementation picked index 0 of [a, b]
         # whenever the cursor happened to be even — which an interleaved
         # singleton list guarantees — so b was never served.
-        a, b, c = self._inputs(context, 3)
+        a, b, c = (ready_input(context, f"op{i}", ts=1.0, order=i) for i in range(3))
         scheduler = RoundRobinScheduler()
         served = []
         for _round in range(6):
-            served.append([a, b][scheduler.select([a, b])].operator.name)
-            served.append([c][scheduler.select([c])].operator.name)
+            served.append([a, b][pick(scheduler, [a, b])].operator.name)
+            served.append([c][pick(scheduler, [c])].operator.name)
         assert "op1" in served, f"input b starved: {served}"
         # Fair rotation: a and b are served equally often.
         assert served.count("op0") == served.count("op1")
 
-    def test_cycles_through_stable_identities(self, context):
-        a, b = self._inputs(context, 2)
-        scheduler = RoundRobinScheduler()
-        picks = [scheduler.select([a, b]) for _ in range(4)]
-        assert picks == [0, 1, 0, 1]
+
+class TestSchedulerStepScaling:
+    """One scheduling step does the same work in a 16-queue and a 340-queue domain."""
+
+    @staticmethod
+    def _policy_calls_per_step(policy, n_queries):
+        workload = generate_multi_query_workload(
+            n_queries=n_queries, n_sources=4, rate=1.0, window_seconds=20.0,
+            dmax=400, duration=30.0, seed=13,
+        )
+        registry = QueryRegistry()
+        for query in workload.queries():
+            registry.register(query, strategy=STRATEGY_REF)
+        calls = 0
+
+        def count_policy_calls(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == policies.__file__:
+                calls += 1
+
+        with ShardedEngine(registry, n_shards=1, scheduler=policy, keep_results=False) as engine:
+            shard = engine.shards[0]
+            sys.setprofile(count_policy_calls)
+            try:
+                engine.run(workload.events())
+            finally:
+                sys.setprofile(None)
+            return shard.queue_count, calls / shard.cost.counters[CostKind.SCHEDULER_STEP]
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_policy_calls_per_step_stay_flat(self, policy):
+        # Python calls made inside scheduler/policies.py per scheduler step:
+        # a clock-free stand-in for us/step.  A policy that walked its ready
+        # set per step would grow with the domain (~21x more queues here).
+        small_queues, small = self._policy_calls_per_step(policy, 6)
+        big_queues, big = self._policy_calls_per_step(policy, 128)
+        assert (small_queues, big_queues) == (16, 340)
+        assert big < small * 1.3, f"{policy}: {small:.2f} -> {big:.2f} calls/step"
 
 
 class TestFeedbackAwareScheduling:
@@ -379,28 +386,6 @@ class TestFeedbackAwareScheduling:
         report = engine.run(events)
         assert result_multiset(report.results.results) == ref
         assert "suspend" in notifications and "resume" in notifications
-
-    def test_boost_prefers_resumed_producer(self, context):
-        class _Op:
-            def __init__(self, name):
-                self.name = name
-
-        producer, consumer = _Op("producer"), _Op("consumer")
-        q1, q2 = (InterOperatorQueue(f"q{i}", context) for i in (1, 2))
-        older = AtomicTuple("A", 1.0, {"x": 1})
-        newer = AtomicTuple("B", 2.0, {"x": 1})
-        q1.push(newer)
-        q2.push(older)
-        ready = (
-            ReadyInput(operator=producer, port="left", queue=q1, order=0),
-            ReadyInput(operator=consumer, port="left", queue=q2, order=1),
-        )
-        scheduler = JITAwareScheduler(boost_steps=2)
-        assert scheduler.select(ready) == 1  # FIFO fallback: oldest head wins
-        scheduler.notify_feedback(producer, consumer, "resume")
-        assert scheduler.select(ready) == 0  # boosted producer wins
-        assert scheduler.select(ready) == 0  # still boosted (2 steps)
-        assert scheduler.select(ready) == 1  # boost expired
 
 
 # ------------------------------------------------------------------- feedback statistics

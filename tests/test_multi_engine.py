@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import ExecutionMode, ReadyStrategy, SchedulerStrategy, run_workload
+from repro.engine import ExecutionMode, run_workload
 from repro.multi import (
     MultiQueryWorkload,
     QueryRegistry,
@@ -32,8 +32,8 @@ from repro.streams.time import Window
 
 ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
-#: (n_shards, threaded) configurations the equivalence sweep covers.
-SHARD_CONFIGS = ((1, False), (3, False), (3, True))
+#: (n_shards, drain_mode) configurations the equivalence sweep covers.
+SHARD_CONFIGS = ((1, "sync"), (3, "sync"), (3, "thread"))
 
 
 @pytest.fixture(scope="module")
@@ -76,18 +76,18 @@ def standalone_multisets(shared_workload, shared_events):
 
 class TestShardedEquivalence:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    @pytest.mark.parametrize("n_shards,threaded", SHARD_CONFIGS)
+    @pytest.mark.parametrize("n_shards,drain_mode", SHARD_CONFIGS)
     def test_matches_standalone_runs(
-        self, shared_workload, shared_events, standalone_multisets, policy, n_shards, threaded
+        self, shared_workload, shared_events, standalone_multisets, policy, n_shards, drain_mode
     ):
         registry = _registry(shared_workload)
         with ShardedEngine(
-            registry, n_shards=n_shards, scheduler=policy, threaded=threaded
+            registry, n_shards=n_shards, scheduler=policy, drain_mode=drain_mode
         ) as engine:
             report = engine.run(shared_events)
             for query_id, expected in standalone_multisets.items():
                 assert engine.results_for(query_id).multiset() == expected, (
-                    f"{policy}/{n_shards} shard(s)/threaded={threaded}: "
+                    f"{policy}/{n_shards} shard(s)/{drain_mode}: "
                     f"query {query_id} diverged from its standalone run"
                 )
         assert report.events_ingested == len(shared_events)
@@ -95,24 +95,13 @@ class TestShardedEquivalence:
             sum(ms.values()) for ms in standalone_multisets.values()
         )
 
-    @pytest.mark.parametrize("n_shards,threaded", SHARD_CONFIGS)
+    @pytest.mark.parametrize("n_shards,drain_mode", SHARD_CONFIGS)
     def test_run_batch_matches(
-        self, shared_workload, shared_events, standalone_multisets, n_shards, threaded
+        self, shared_workload, shared_events, standalone_multisets, n_shards, drain_mode
     ):
         registry = _registry(shared_workload)
-        with ShardedEngine(registry, n_shards=n_shards, threaded=threaded) as engine:
+        with ShardedEngine(registry, n_shards=n_shards, drain_mode=drain_mode) as engine:
             engine.run_batch(shared_events)
-            for query_id, expected in standalone_multisets.items():
-                assert engine.results_for(query_id).multiset() == expected
-
-    def test_rescan_strategy_matches(
-        self, shared_workload, shared_events, standalone_multisets
-    ):
-        registry = _registry(shared_workload)
-        with ShardedEngine(
-            registry, n_shards=2, ready_strategy=ReadyStrategy.RESCAN
-        ) as engine:
-            engine.run(shared_events)
             for query_id, expected in standalone_multisets.items():
                 assert engine.results_for(query_id).multiset() == expected
 
@@ -130,7 +119,7 @@ class TestShardedEquivalence:
         counts = []
         for _ in range(2):
             with ShardedEngine(
-                _registry(shared_workload), n_shards=3, threaded=True
+                _registry(shared_workload), n_shards=3, drain_mode="thread"
             ) as engine:
                 counts.append(engine.run(shared_events).result_counts())
         assert counts[0] == counts[1]
@@ -337,7 +326,7 @@ class TestShardedEngineAPI:
 
     def test_worker_failure_surfaces_on_close(self, shared_workload, shared_events):
         """A worker that dies mid-run must not let close() succeed silently."""
-        engine = ShardedEngine(_registry(shared_workload), n_shards=2, threaded=True)
+        engine = ShardedEngine(_registry(shared_workload), n_shards=2, drain_mode="thread")
         engine.submit(shared_events[0])
         engine.flush()
         # Sabotage shard 0's drain so its worker dies on the next event.
@@ -406,7 +395,7 @@ class TestRunWorkloadReuse:
                 run_workload(
                     events=shared_events,
                     engine=engine,
-                    scheduler_strategy=SchedulerStrategy.SELECT,
+                    scheduler=build_scheduler("fifo"),
                 )
         with pytest.raises(ValueError, match="needs either"):
             run_workload(events=shared_events)
@@ -432,3 +421,108 @@ class TestMultiQueryWorkload:
             MultiQueryWorkload(
                 base=shared_workload.base, n_queries=2, sources_per_query=(9,)
             )
+
+
+# ------------------------------------------------------------------ shard retirement
+
+
+class TestShardPlanRetirement:
+    def _workload(self):
+        return generate_multi_query_workload(
+            n_queries=2, n_sources=3, rate=0.8, window_seconds=20, dmax=4,
+            duration=80, seed=7,
+        )
+
+    def _registry(self, workload):
+        registry = QueryRegistry()
+        for query in workload.queries():
+            registry.register(query)
+        return registry
+
+    def _standalone_q0(self, workload, events):
+        q0 = QueryRegistry().register(workload.query(0), query_id="q0")
+        subscribed = [e for e in events if e.source in q0.sources]
+        return run_workload(
+            q0.build_plan(), subscribed, q0.query.window.length
+        ).results.multiset()
+
+    def test_retire_mid_run_preserves_survivor(self):
+        workload = self._workload()
+        events = workload.events()
+        half = len(events) // 2
+        registry = self._registry(workload)
+        with ShardedEngine(registry, n_shards=1, scheduler="round_robin") as engine:
+            shard = engine.shards[0]
+            for event in events[:half]:
+                engine.submit(event)
+            retired = shard.retire_plan("q1")
+            assert retired.query_id == "q1"
+            partial_count = retired.collector.count
+            for event in events[half:]:
+                engine.submit(event)
+            survivor = engine.results_for("q0").multiset()
+            # The retired plan processed nothing after retirement.
+            assert retired.collector.count == partial_count
+            assert len(shard.runtimes) == 1
+            # Scheduler history holds no retired identities (round robin
+            # keys on orders; q1's orders are gone).
+            live_orders = {t.order for t in shard.runtimes[0].templates}
+            assert set(shard.scheduler._history) <= live_orders
+            # The archived context no longer feeds the shard's scheduler.
+            assert (
+                shard.scheduler.notify_feedback
+                not in retired.context.feedback_listeners
+            )
+        # The survivor matches a standalone run exactly.
+        assert survivor == self._standalone_q0(workload, events)
+        assert sum(survivor.values()) > 0
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_retire_under_every_policy(self, policy):
+        workload = self._workload()
+        events = workload.events()
+        with ShardedEngine(self._registry(workload), n_shards=1, scheduler=policy) as engine:
+            for event in events[:10]:
+                engine.submit(event)
+            retired = engine.retire_query("q0")
+            for event in events[10:30]:
+                engine.submit(event)
+            assert set(engine.report().queries) == {"q1"}
+            assert retired.query_id == "q0"
+        # Retiring before any event was processed must work too.
+        with ShardedEngine(self._registry(workload), n_shards=1, scheduler=policy) as engine:
+            engine.retire_query("q1")
+            for event in events[:10]:
+                engine.submit(event)
+
+    @pytest.mark.parametrize("drain_mode", ("sync", "thread"))
+    def test_retire_query_through_engine(self, drain_mode):
+        """ShardedEngine.retire_query parks the worker before unwiring."""
+        workload = self._workload()
+        events = workload.events()
+        half = len(events) // 2
+        with ShardedEngine(
+            self._registry(workload), n_shards=1, drain_mode=drain_mode
+        ) as engine:
+            for event in events[:half]:
+                engine.submit(event)
+            retired = engine.retire_query("q1")
+            frozen_count = retired.collector.count
+            for event in events[half:]:
+                engine.submit(event)
+            engine.flush()
+            assert retired.collector.count == frozen_count
+            assert set(engine.report().queries) == {"q0"}
+            survivor = engine.results_for("q0").multiset()
+        assert survivor == self._standalone_q0(workload, events)
+
+    def test_retire_unknown_or_pending_rejected(self, tuple_factory):
+        with ShardedEngine(self._registry(self._workload()), n_shards=1) as engine:
+            shard = engine.shards[0]
+            with pytest.raises(KeyError, match="hosts no query"):
+                shard.retire_plan("nope")
+            queue = shard.runtimes[0].templates[0].queue
+            queue.push(tuple_factory("A", 1.0, x=1))
+            with pytest.raises(RuntimeError, match="queued tuples"):
+                shard.retire_plan(shard.runtimes[0].query_id)
+            queue.pop()  # restore quiescence so close() is clean

@@ -217,26 +217,26 @@ class TestSchedulers:
             ReadyInput(op_b, PORT_LEFT, q2, depth=2, order=1),
         ]
 
-    def test_fifo_picks_oldest(self, context):
+    def test_fifo_picks_oldest(self, context, pick):
         ready = self._ready(context)
-        assert FIFOScheduler().select(ready) == 1
+        assert pick(FIFOScheduler(), ready) == 1
 
-    def test_round_robin_cycles(self, context):
+    def test_round_robin_cycles(self, context, pick):
         ready = self._ready(context)
         scheduler = RoundRobinScheduler()
-        assert [scheduler.select(ready) for _ in range(4)] == [0, 1, 0, 1]
+        assert [pick(scheduler, ready) for _ in range(4)] == [0, 1, 0, 1]
 
-    def test_priority_prefers_downstream(self, context):
+    def test_priority_prefers_downstream(self, context, pick):
         ready = self._ready(context)
-        assert PriorityScheduler(prefer_downstream=True).select(ready) == 0
-        assert PriorityScheduler(prefer_downstream=False).select(ready) == 1
+        assert pick(PriorityScheduler(prefer_downstream=True), ready) == 0
+        assert pick(PriorityScheduler(prefer_downstream=False), ready) == 1
 
-    def test_jit_aware_boosts_producer(self, context):
+    def test_jit_aware_boosts_producer(self, context, pick):
         ready = self._ready(context)
         scheduler = JITAwareScheduler(boost_steps=2)
-        assert scheduler.select(ready) == 1  # falls back to FIFO
+        assert pick(scheduler, ready) == 1  # falls back to FIFO
         scheduler.notify_feedback(producer=ready[0].operator, consumer=ready[1].operator, kind="resume")
-        assert scheduler.select(ready) == 0  # boosted producer wins
+        assert pick(scheduler, ready) == 0  # boosted producer wins
 
     def test_factory(self):
         assert build_scheduler("fifo").name == "fifo"

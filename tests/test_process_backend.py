@@ -267,15 +267,6 @@ class TestDrainModeSelection:
         with pytest.raises(ValueError, match="drain_mode"):
             ShardedEngine(_registry(workload), drain_mode="fibers")
 
-    def test_threaded_flag_conflicts_with_other_mode(self, workload):
-        with pytest.raises(ValueError, match="conflicts"):
-            ShardedEngine(_registry(workload), threaded=True, drain_mode="process")
-
-    def test_threaded_flag_still_selects_thread_mode(self, workload):
-        with ShardedEngine(_registry(workload), threaded=True) as engine:
-            assert engine.drain_mode == "thread"
-            assert engine.threaded is True
-
     def test_bad_scheduler_fails_eagerly_in_parent(self, workload):
         with pytest.raises(ValueError):
             ShardedEngine(_registry(workload), drain_mode="process", scheduler="nope")

@@ -1,33 +1,34 @@
-"""Indexed-vs-select scheduler equivalence, and the scheduler bugfix suite.
+"""Scheduler correctness: golden schedules, a linear-scan differential, policy rules.
 
-The indexed scheduler interface (deltas + ``pop_next``) must reproduce the
-legacy sorted-``select`` path *bit-identically* — same result sequences,
-same modelled costs — under every policy, on single-plan queued engines and
-on (threaded) sharded multi-plan domains.  The deterministic matrix here is
-the tier-1 smoke for that property; the hypothesis sweep (``slow``) explores
-random plan shapes nightly.
-
-Also covered: the three scheduler bugfixes of ISSUE 4 —
-
-* a *suspension* boosts the handling (receiving side's downstream) operator,
-  not the producer;
-* a boost only decays when the boosted operator is actually served, so it
-  cannot expire before the operator runs once, and among several boosted
-  ready inputs the oldest head timestamp wins;
-* the round-robin rotation keys on the stable registration ``order`` (not
-  ``id(operator)``) and ``retire`` evicts records of retired plans.
+* ``GOLDEN`` pins the schedule every policy produces — per-shard pop order,
+  per-query result sequences, ``cpu_units`` and the scheduler-step count — on
+  a single queued plan and on 1- and 2-shard engines (sync and thread drains,
+  with and without shared sub-plans).  The digests were recorded at the last
+  commit that still carried the sorted-``select`` drain, where both drains
+  produced them; a change that moves one changed a scheduling decision.
+* The shipped heap policies must pop in exactly the order of the test-only
+  :class:`helpers.LinearScanScheduler` (``min()`` over a plain dict), driven
+  through the same drain loop via ``scheduler=``.  Deterministic cases are
+  tier-1; the hypothesis sweep (``slow``) explores random workloads nightly.
+* The §III-B rules the policies implement: a *suspension* boosts the handling
+  (downstream) operator, a *resumption* the producer; a boost decays only when
+  the boosted operator is served, and the oldest boosted head wins; round
+  robin rotates over stable registration orders and ``retire`` evicts them.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ExecutionMode, ReadyStrategy, SchedulerStrategy, run_workload
-from repro.engine.engine import resolve_scheduler_strategy
+from helpers import LinearScanScheduler, StubOperator, ready_input, record_pops
+from repro.engine import ExecutionMode, run_workload
+from repro.engine.results import result_key
+from repro.metrics import CostKind
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
-from repro.operators.queues import InterOperatorQueue
 from repro.plans.builder import (
     PLAN_LEFT_DEEP,
     STRATEGY_JIT,
@@ -37,7 +38,7 @@ from repro.plans.builder import (
 from repro.plans.query import ContinuousQuery
 from repro.scheduler import (
     JITAwareScheduler,
-    ReadyInput,
+    PriorityScheduler,
     RoundRobinScheduler,
     build_scheduler,
 )
@@ -46,449 +47,274 @@ from repro.streams.tuples import AtomicTuple
 
 ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
+#: name -> (n_shards, drain_mode, share_subplans); "single" is one queued plan.
+SHARDED_CONFIGS = {
+    f"{n_shards}{'-shared' if share else ''}-{drain_mode}": (n_shards, drain_mode, share)
+    for n_shards, drain_mode in ((1, "sync"), (2, "sync"), (2, "thread"))
+    for share in (False, True)
+}
 
-# ------------------------------------------------------------------ helpers
+#: (policy, config without its drain mode) -> digest: a thread drain must
+#: reproduce the sync schedule exactly.
+GOLDEN = {
+    ("fifo", "single"): "f71f77d8107827e0615067ff36ea94824c96f2d5a5aa444a4c72f8ed73bf2059",
+    ("fifo", "1"): "fa8759494ab65e683283e0cb596de3dde9220289efcd7ac16b26435caccbb6af",
+    ("fifo", "1-shared"): "d393a4f6ea596189c6b15c65d4c6f21d9624a7d4522d7a4d85679eb012a6da52",
+    ("fifo", "2"): "85d9a6fb24db40c6717773740b0d10d8d466f01c75acf247b9f3f774126bc1e4",
+    ("fifo", "2-shared"): "ff416c9c2e32b2c1d7fb0d8e8d53efc0e35abf7a2aaca25b6afda97eab040ecc",
+    ("round_robin", "single"): "13e5c9b8ef35c2cdd88828649edf0722b0330e80e7e217683daa971d3eb0be0d",
+    ("round_robin", "1"): "eaba2ef39086d750e222ec79f090f70d7075a562bbe425779b7d173297505ebc",
+    ("round_robin", "1-shared"): "43e3705d94bd057d79d44c6774e453cfe03665e6273e41efdf127e4544f92a32",
+    ("round_robin", "2"): "332c12c7fc9d90ddea4c9e0287a71b2ca4ffa0b385ef2c0a76a2a46e6bed6bb9",
+    ("round_robin", "2-shared"): "43e6dda03ec349b7bb7896e05694372db23b37790b9eedfc1ffc061f149001b2",
+    ("priority", "single"): "f7e9c235f705a8bf108683152c6e39db691fd6caf7b4e27e4a2e40932241f32e",
+    ("priority", "1"): "b0a4da2274a14f53e8647670bacb656ff94051f6cfcaeb8509f1116c99e74a00",
+    ("priority", "1-shared"): "802790b61f70620ae2dd280ea934621e36067e0ad39b0167fb78e8e0993dc6a4",
+    ("priority", "2"): "f15a3104af1ac7717cfee5e577e8135ea1953130772a018626c2e0a866dc849b",
+    ("priority", "2-shared"): "18cbe359ca44dd28332e2c7d7bf30af9644e4d999e4533a20a273c52ca3f5582",
+    ("jit_aware", "single"): "f71f77d8107827e0615067ff36ea94824c96f2d5a5aa444a4c72f8ed73bf2059",
+    ("jit_aware", "1"): "86a18857885cb959218977ad94bb52b0206ab0a15c69b4f24adc548eaa2666e9",
+    ("jit_aware", "1-shared"): "ad95106f895d44f673a9d43f69f5acb6918f957315b44cf824db83e45c85eec5",
+    ("jit_aware", "2"): "9076942485091352b892877d759a2ec714d6c63e18d3267db511014b7df48c2a",
+    ("jit_aware", "2-shared"): "660f6aaa9c8d3b69212e60d09d0206394758b6c381aeee4414c10eb662b0c6df",
+}
 
 
-class _Op:
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"_Op({self.name})"
+# ------------------------------------------------------------------ recorded runs
 
 
-def _wire(scheduler, *inputs):
-    """Install engine-style readiness listeners feeding ``scheduler``."""
-    for item in inputs:
-        def listener(queue, nonempty, item=item):
-            if nonempty:
-                scheduler.on_ready(item)
-            else:
-                scheduler.on_unready(item)
-        item.queue.readiness_listener = listener
-
-
-def _serve(scheduler):
-    """One engine scheduling step against the indexed interface."""
-    item = scheduler.pop_next()
-    tup = item.queue.pop()
-    if item.queue:
-        scheduler.on_head_change(item)
-    return item, tup
-
-
-def _ready_input(context, name, ts, order, depth=0, operator=None):
-    queue = InterOperatorQueue(f"q{order}", context)
-    item = ReadyInput(
-        operator=operator if operator is not None else _Op(name),
-        port="left",
-        queue=queue,
-        depth=depth,
-        order=order,
+def _single_plan_run(scheduler, n_sources=4, rate=0.5, dmax=2, duration=60, seed=0):
+    """(pops per shard, results per query, cpu_units, scheduler steps)."""
+    workload = generate_clique_workload(
+        n_sources=n_sources, rate=rate, window_seconds=20, dmax=dmax,
+        duration=duration, seed=seed,
     )
-    queue.push(AtomicTuple(name, ts, {"x": 1}))
-    return item
-
-
-def _queued_run(query, events, window_length, policy, scheduler_strategy):
+    pops = []
     report = run_workload(
-        build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=STRATEGY_JIT),
-        events,
-        window_length,
+        build_xjoin_plan(
+            ContinuousQuery.from_workload(workload),
+            shape=PLAN_LEFT_DEEP,
+            strategy=STRATEGY_JIT,
+        ),
+        workload.events(),
+        workload.window.length,
         mode=ExecutionMode.QUEUED,
-        scheduler=build_scheduler(policy),
-        scheduler_strategy=scheduler_strategy,
+        scheduler=record_pops(scheduler, pops),
     )
-    return list(report.results.results), report.metrics.cpu_units
+    steps = report.metrics.counters.get(CostKind.SCHEDULER_STEP, 0)
+    return [pops], {"q": list(report.results.results)}, report.cpu_units, steps
 
 
-# ------------------------------------------------------------------ equivalence matrix
+def _sharded_run(make_scheduler, n_shards, drain_mode, share):
+    workload = generate_multi_query_workload(
+        n_queries=12, n_sources=4, rate=0.8, window_seconds=20, dmax=4,
+        duration=60, seed=3,
+    )
+    registry = QueryRegistry()
+    for index, query in enumerate(workload.queries()):
+        registry.register(query, strategy=STRATEGY_JIT if index % 2 else STRATEGY_REF)
+    pops = []
+
+    def factory():
+        # Shards build their schedulers in shard order.
+        pops.append([])
+        return record_pops(make_scheduler(), pops[-1])
+
+    with ShardedEngine(
+        registry,
+        n_shards=n_shards,
+        scheduler=factory,
+        drain_mode=drain_mode,
+        share_subplans=share,
+    ) as engine:
+        report = engine.run(workload.events())
+        results = {qid: list(engine.results_for(qid).results) for qid in registry.ids}
+        steps = sum(
+            shard.cost.counters.get(CostKind.SCHEDULER_STEP, 0) for shard in engine.shards
+        )
+    return pops, results, report.cpu_units, steps
 
 
-class TestIndexedSelectEquivalence:
-    """The tier-1 smoke matrix: indexed == select, policy by policy."""
+def _run(make_scheduler, config):
+    if config == "single":
+        return _single_plan_run(make_scheduler())
+    return _sharded_run(make_scheduler, *SHARDED_CONFIGS[config])
 
+
+def schedule_digest(run) -> str:
+    """sha256 over a canonical text of one recorded run (no ``hash()``, no
+    set order: ints, source names and ``repr`` of floats only)."""
+    pops, results, cpu_units, steps = run
+    lines = [f"pops {shard}: {' '.join(map(str, orders))}" for shard, orders in enumerate(pops)]
+    for query_id, tuples in results.items():
+        lines.append(f"results {query_id}:")
+        for tup in tuples:
+            components, ts = result_key(tup)
+            lines.append(" ".join(f"{src}#{seq}" for src, seq in components) + f" @{ts!r}")
+    lines.append(f"cpu_units {cpu_units!r}")
+    lines.append(f"scheduler_steps {steps}")
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+class TestGoldenSchedules:
+    """Every policy still produces the recorded schedule, bit for bit."""
+
+    @pytest.mark.parametrize("config", ("single",) + tuple(SHARDED_CONFIGS))
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_single_plan_identical_schedule(self, policy):
-        workload = generate_clique_workload(
-            n_sources=4, rate=0.5, window_seconds=20, dmax=2, duration=60, seed=0
-        )
-        query = ContinuousQuery.from_workload(workload)
-        events = workload.events()
-        runs = {
-            strategy: _queued_run(
-                query, events, workload.window.length, policy, strategy
-            )
-            for strategy in SchedulerStrategy.ALL
-        }
-        indexed_results, indexed_cpu = runs[SchedulerStrategy.INDEXED]
-        select_results, select_cpu = runs[SchedulerStrategy.SELECT]
-        assert indexed_results, f"{policy}: workload produced no results"
-        # Identical result *sequences* and identical modelled costs — i.e.
-        # the two drive modes made the same decision at every step.
-        assert indexed_results == select_results
-        assert indexed_cpu == select_cpu
-
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    @pytest.mark.parametrize("n_shards,threaded", ((1, False), (2, False), (2, True)))
-    def test_sharded_identical_sequences(self, policy, n_shards, threaded):
-        workload = generate_multi_query_workload(
-            n_queries=6, n_sources=4, rate=0.8, window_seconds=20, dmax=4,
-            duration=80, seed=3,
-        )
-        events = workload.events()
-        sequences = {}
-        for strategy in SchedulerStrategy.ALL:
-            registry = QueryRegistry()
-            for index, query in enumerate(workload.queries()):
-                registry.register(
-                    query, strategy=STRATEGY_JIT if index % 2 else STRATEGY_REF
-                )
-            with ShardedEngine(
-                registry,
-                n_shards=n_shards,
-                scheduler=policy,
-                scheduler_strategy=strategy,
-                threaded=threaded,
-            ) as engine:
-                engine.run(events)
-                sequences[strategy] = {
-                    query_id: list(engine.results_for(query_id).results)
-                    for query_id in registry.ids
-                }
-        assert sum(len(s) for s in sequences[SchedulerStrategy.INDEXED].values()) > 0
-        assert sequences[SchedulerStrategy.INDEXED] == sequences[SchedulerStrategy.SELECT]
-
-    def test_indexed_requires_incremental_ready_set(self):
-        with pytest.raises(ValueError, match="rescan"):
-            resolve_scheduler_strategy(
-                SchedulerStrategy.INDEXED, ReadyStrategy.RESCAN
-            )
-        with pytest.raises(ValueError, match="unknown scheduler strategy"):
-            resolve_scheduler_strategy("quantum", ReadyStrategy.INCREMENTAL)
-        assert (
-            resolve_scheduler_strategy(None, ReadyStrategy.INCREMENTAL)
-            == SchedulerStrategy.INDEXED
-        )
-        assert (
-            resolve_scheduler_strategy(None, ReadyStrategy.RESCAN)
-            == SchedulerStrategy.SELECT
-        )
+    def test_schedule_digest(self, policy, config):
+        run = _run(lambda: build_scheduler(policy), config)
+        assert sum(len(orders) for orders in run[0]) == run[3] > 0
+        assert sum(len(tuples) for tuples in run[1].values()) > 0
+        assert schedule_digest(run) == GOLDEN[policy, config.rsplit("-", 1)[0]]
 
 
-@pytest.mark.slow
-class TestEquivalenceSweep:
-    """Randomized plan shapes: indexed must track select exactly."""
+# ------------------------------------------------------------------ linear-scan differential
 
+
+#: name -> (heap policy factory, linear-scan reference factory)
+VARIANTS = {
+    policy: ((lambda p=policy: build_scheduler(p)), (lambda p=policy: LinearScanScheduler(p)))
+    for policy in ALL_POLICIES
+}
+VARIANTS["priority-upstream"] = (
+    lambda: PriorityScheduler(prefer_downstream=False),
+    lambda: LinearScanScheduler("priority", prefer_downstream=False),
+)
+VARIANTS["jit_aware-boost2"] = (
+    lambda: JITAwareScheduler(boost_steps=2),
+    lambda: LinearScanScheduler("jit_aware", boost_steps=2),
+)
+
+
+class TestLinearScanDifferential:
+    """Heap policies pop exactly what ``min()`` over the ready set pops."""
+
+    @pytest.mark.parametrize("config", ("single", "2-sync", "2-shared-thread"))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_same_pops_results_and_cost(self, variant, config):
+        indexed, linear = VARIANTS[variant]
+        assert _run(indexed, config) == _run(linear, config)
+
+    @pytest.mark.slow
     @settings(max_examples=25, deadline=None)
     @given(
         n_sources=st.integers(min_value=2, max_value=4),
         seed=st.integers(min_value=0, max_value=10_000),
         rate=st.sampled_from((0.5, 1.0, 2.0)),
         dmax=st.integers(min_value=2, max_value=8),
-        policy=st.sampled_from(ALL_POLICIES),
+        variant=st.sampled_from(sorted(VARIANTS)),
     )
-    def test_random_workloads(self, n_sources, seed, rate, dmax, policy):
-        workload = generate_clique_workload(
-            n_sources=n_sources,
-            rate=rate,
-            window_seconds=25,
-            dmax=dmax,
-            duration=50,
-            seed=seed,
-        )
-        query = ContinuousQuery.from_workload(workload)
-        events = workload.events()
-        indexed = _queued_run(
-            query, events, workload.window.length, policy, SchedulerStrategy.INDEXED
-        )
-        select = _queued_run(
-            query, events, workload.window.length, policy, SchedulerStrategy.SELECT
-        )
-        assert indexed == select
+    def test_random_workloads(self, n_sources, seed, rate, dmax, variant):
+        indexed, linear = VARIANTS[variant]
+        shape = dict(n_sources=n_sources, rate=rate, dmax=dmax, duration=50, seed=seed)
+        assert _single_plan_run(indexed(), **shape) == _single_plan_run(linear(), **shape)
+
+    def test_rotation_survives_unready_ready_churn(self, context):
+        # Every pop empties the served queue (on_unready) and the refill
+        # re-registers it (on_ready): rotation state must survive, and the
+        # heap rotation must track the linear scan's.
+        served = []
+        for scheduler in (RoundRobinScheduler(), LinearScanScheduler("round_robin")):
+            for i in range(3):
+                item = ready_input(context, f"S{i}", ts=float(i), order=i)
+                item.queue.readiness_listener = (
+                    lambda queue, nonempty, item=item, scheduler=scheduler: (
+                        scheduler.on_ready if nonempty else scheduler.on_unready
+                    )(item)
+                )
+                scheduler.on_ready(item)
+            served.append([])
+            for step in range(9):
+                chosen = scheduler.pop_next()
+                chosen.queue.pop()
+                served[-1].append(chosen.order)
+                chosen.queue.push(AtomicTuple("S", 10.0 + step, {"x": 1}))
+        assert served[0] == served[1] == [0, 1, 2] * 3
 
 
-# ------------------------------------------------------------------ bugfix: boost direction
+# ------------------------------------------------------------------ policy rules
 
 
-class TestSuspensionBoostDirection:
-    """§III-B: a suspension boosts the handling operator, not the producer."""
+class TestBoostDirection:
+    """§III-B: a suspension boosts the handling operator, a resumption the producer."""
 
-    def _producer_consumer(self, context):
+    def test_suspend_boosts_consumer(self, context, pick):
         # The producer's head is older, so plain FIFO (and the old
         # boost-the-producer bug) would pick the producer either way.
-        producer_item = _ready_input(context, "P", ts=1.0, order=0)
-        consumer_item = _ready_input(context, "C", ts=2.0, order=1)
-        return producer_item, consumer_item
-
-    def test_select_path_boosts_consumer_on_suspend(self, context):
-        producer_item, consumer_item = self._producer_consumer(context)
+        producer_item = ready_input(context, "P", ts=1.0, order=0)
+        consumer_item = ready_input(context, "C", ts=2.0, order=1)
         ready = (producer_item, consumer_item)
         scheduler = JITAwareScheduler(boost_steps=2)
-        assert scheduler.select(ready) == 0  # FIFO: producer's head is older
-        scheduler.notify_feedback(
-            producer_item.operator, consumer_item.operator, "suspend"
-        )
-        assert scheduler.select(ready) == 1  # the handling consumer jumps ahead
+        assert pick(scheduler, ready) == 0  # FIFO: producer's head is older
+        scheduler.notify_feedback(producer_item.operator, consumer_item.operator, "suspend")
+        assert pick(scheduler, ready) == 1  # the handling consumer jumps ahead
 
-    def test_select_path_boosts_producer_on_resume(self, context):
-        producer_item, consumer_item = self._producer_consumer(context)
-        # Flip the ages so FIFO would pick the consumer.
+    def test_resume_boosts_producer(self, context, pick):
         ready = (
-            _ready_input(context, "P", ts=5.0, order=0, operator=producer_item.operator),
-            _ready_input(context, "C", ts=2.0, order=1, operator=consumer_item.operator),
+            ready_input(context, "P", ts=5.0, order=0),
+            ready_input(context, "C", ts=2.0, order=1),
         )
         scheduler = JITAwareScheduler(boost_steps=2)
-        assert scheduler.select(ready) == 1
+        assert pick(scheduler, ready) == 1  # FIFO: consumer's head is older
         scheduler.notify_feedback(ready[0].operator, ready[1].operator, "resume")
-        assert scheduler.select(ready) == 0
-
-    def test_indexed_path_boosts_consumer_on_suspend(self, context):
-        scheduler = JITAwareScheduler(boost_steps=1)
-        producer_item = _ready_input(context, "P", ts=1.0, order=0)
-        consumer_item = _ready_input(context, "C", ts=2.0, order=1)
-        _wire(scheduler, producer_item, consumer_item)
-        scheduler.on_ready(producer_item)
-        scheduler.on_ready(consumer_item)
-        scheduler.notify_feedback(
-            producer_item.operator, consumer_item.operator, "suspend"
-        )
-        chosen, _tup = _serve(scheduler)
-        assert chosen is consumer_item
+        assert pick(scheduler, ready) == 0
 
 
 class TestBoostDecay:
     """A boost must survive until the boosted operator is actually served."""
 
-    def test_boost_survives_while_not_servable(self, context):
+    def test_boost_survives_while_not_servable(self, context, pick):
         scheduler = JITAwareScheduler(boost_steps=2)
-        producer, consumer = _Op("P"), _Op("C")
-        other_a = _ready_input(context, "A", ts=1.0, order=1)
-        other_b = _ready_input(context, "B", ts=2.0, order=2)
+        producer, consumer = StubOperator("P"), StubOperator("C")
+        other_a = ready_input(context, "A", ts=1.0, order=1)
+        other_b = ready_input(context, "B", ts=2.0, order=2)
         ready_without_producer = (other_a, other_b)
         scheduler.notify_feedback(producer, consumer, "resume")
         # Far more scheduling decisions than boost_steps pass without the
-        # producer having any ready input; the old per-select decay would
-        # have expired the boost before the producer ever ran.
+        # producer having any ready input; a per-decision decay would have
+        # expired the boost before the producer ever ran.
         for _ in range(10):
-            assert scheduler.select(ready_without_producer) == 0
-        producer_item = _ready_input(context, "P", ts=9.0, order=0, operator=producer)
+            assert pick(scheduler, ready_without_producer) == 0
+        producer_item = ready_input(context, "P", ts=9.0, order=0, operator=producer)
         ready = (producer_item,) + ready_without_producer
-        assert scheduler.select(ready) == 0  # still boosted: producer wins
-        assert scheduler.select(ready) == 0  # second (and last) boosted serving
-        assert scheduler.select(ready) == 1  # consumed: FIFO again
+        assert pick(scheduler, ready) == 0  # still boosted: producer wins
+        assert pick(scheduler, ready) == 0  # second (and last) boosted serving
+        assert pick(scheduler, ready) == 1  # consumed: FIFO again
 
-    def test_oldest_boosted_head_wins(self, context):
+    def test_oldest_boosted_head_wins(self, context, pick):
         # Two boosted operators ready at once: the oldest head runs first,
-        # not the lowest ready-list index (the old behaviour).
+        # not the lowest registration order.
         scheduler = JITAwareScheduler(boost_steps=4)
-        op_young, op_old = _Op("young"), _Op("old")
-        young = _ready_input(context, "Y", ts=3.0, order=0, operator=op_young)
-        old = _ready_input(context, "O", ts=1.5, order=1, operator=op_old)
-        scheduler.notify_feedback(op_young, _Op("x"), "resume")
-        scheduler.notify_feedback(op_old, _Op("x"), "resume")
-        assert scheduler.select((young, old)) == 1
-
-    def test_indexed_boost_survives_until_servable(self, context):
-        scheduler = JITAwareScheduler(boost_steps=1)
-        producer = _Op("P")
-        other = _ready_input(context, "A", ts=1.0, order=1)
-        _wire(scheduler, other)
-        scheduler.on_ready(other)
-        scheduler.notify_feedback(producer, _Op("C"), "resume")
-        for ts in (2.0, 3.0, 4.0):
-            chosen, _tup = _serve(scheduler)
-            assert chosen is other
-            other.queue.push(AtomicTuple("A", ts, {"x": 1}))
-        producer_item = _ready_input(context, "P", ts=9.0, order=0, operator=producer)
-        _wire(scheduler, producer_item)
-        scheduler.on_ready(producer_item)
-        chosen, _tup = _serve(scheduler)
-        assert chosen is producer_item  # boost outlived the idle stretch
-
-
-# ------------------------------------------------------------------ bugfix: round robin
+        op_young, op_old = StubOperator("young"), StubOperator("old")
+        young = ready_input(context, "Y", ts=3.0, order=0, operator=op_young)
+        old = ready_input(context, "O", ts=1.5, order=1, operator=op_old)
+        scheduler.notify_feedback(op_young, StubOperator("x"), "resume")
+        scheduler.notify_feedback(op_old, StubOperator("x"), "resume")
+        assert pick(scheduler, (young, old)) == 1
 
 
 class TestRoundRobinIdentity:
     """The rotation keys on the stable order, and retire evicts records."""
 
-    def test_same_operator_two_ports_rotate_independently(self, context):
-        operator = _Op("shared")
-        left = _ready_input(context, "L", ts=1.0, order=0, operator=operator)
-        right = _ready_input(context, "R", ts=2.0, order=1, operator=operator)
+    def test_same_operator_two_ports_rotate_independently(self, context, pick):
+        operator = StubOperator("shared")
+        left = ready_input(context, "L", ts=1.0, order=0, operator=operator)
+        right = ready_input(context, "R", ts=2.0, order=1, operator=operator)
         scheduler = RoundRobinScheduler()
-        picks = [scheduler.select((left, right)) for _ in range(4)]
-        assert picks == [0, 1, 0, 1]
+        assert [pick(scheduler, (left, right)) for _ in range(4)] == [0, 1, 0, 1]
 
-    def test_retire_evicts_history(self, context):
+    def test_retire_evicts_history(self, context, pick):
         scheduler = RoundRobinScheduler()
-        a = _ready_input(context, "A", ts=1.0, order=0)
-        b = _ready_input(context, "B", ts=2.0, order=1)
+        a = ready_input(context, "A", ts=1.0, order=0)
+        b = ready_input(context, "B", ts=2.0, order=1)
         for _ in range(3):
-            scheduler.select((a, b))
+            pick(scheduler, (a, b))
         assert set(scheduler._history) == {0, 1}
         scheduler.retire((b,))
         assert set(scheduler._history) == {0}
         # A later plan's input reuses nothing: fresh order, fresh record,
         # and the rotation stays fair across the churn.
-        c = _ready_input(context, "C", ts=3.0, order=2)
-        served = [((a, c)[scheduler.select((a, c))]).operator.name for _ in range(4)]
+        c = ready_input(context, "C", ts=3.0, order=2)
+        served = [(a, c)[pick(scheduler, (a, c))].operator.name for _ in range(4)]
         assert served.count("A") == served.count("C") == 2
         assert set(scheduler._history) == {0, 2}
-
-    def test_indexed_rotation_matches_select(self, context):
-        # Drive two fresh schedulers over the same arrival script through
-        # both interfaces; the serve orders must coincide.
-        def build(order_count):
-            items = [
-                _ready_input(context, f"S{i}", ts=float(i), order=i)
-                for i in range(order_count)
-            ]
-            return items
-
-        select_sched, indexed_sched = RoundRobinScheduler(), RoundRobinScheduler()
-        select_items = build(3)
-        indexed_items = build(3)
-        _wire(indexed_sched, *indexed_items)
-        for item in indexed_items:
-            indexed_sched.on_ready(item)
-        select_order, indexed_order = [], []
-        for step in range(9):
-            # Legacy path: every input stays continuously ready.
-            chosen = select_items[select_sched.select(tuple(select_items))]
-            select_order.append(chosen.order)
-            chosen.queue.pop()
-            chosen.queue.push(AtomicTuple("S", 10.0 + step, {"x": 1}))
-
-            # Indexed path: the pop empties the queue (on_unready) and the
-            # refill re-registers it (on_ready) — rotation state must survive.
-            chosen, _tup = _serve(indexed_sched)
-            indexed_order.append(chosen.order)
-            chosen.queue.push(AtomicTuple("S", 10.0 + step, {"x": 1}))
-        assert indexed_order == select_order
-
-
-# ------------------------------------------------------------------ shard retirement
-
-
-class TestShardPlanRetirement:
-    def _workload(self):
-        return generate_multi_query_workload(
-            n_queries=2, n_sources=3, rate=0.8, window_seconds=20, dmax=4,
-            duration=80, seed=7,
-        )
-
-    def test_retire_mid_run_preserves_survivor(self):
-        workload = self._workload()
-        events = workload.events()
-        half = len(events) // 2
-
-        registry = QueryRegistry()
-        for query in workload.queries():
-            registry.register(query)
-        with ShardedEngine(registry, n_shards=1, scheduler="round_robin") as engine:
-            shard = engine.shards[0]
-            for event in events[:half]:
-                engine.submit(event)
-            retired = shard.retire_plan("q1")
-            assert retired.query_id == "q1"
-            partial_count = retired.collector.count
-            for event in events[half:]:
-                engine.submit(event)
-            survivor = engine.results_for("q0").multiset()
-            # The retired plan processed nothing after retirement.
-            assert retired.collector.count == partial_count
-            assert len(shard.runtimes) == 1
-            # Scheduler history holds no retired identities (round robin
-            # keys on orders; q1's orders are gone).
-            live_orders = {t.order for t in shard.runtimes[0].templates}
-            assert set(shard.scheduler._history) <= live_orders
-            # The archived context no longer feeds the shard's scheduler.
-            assert (
-                shard.scheduler.notify_feedback
-                not in retired.context.feedback_listeners
-            )
-
-        # The survivor matches a standalone run exactly.
-        standalone_registry = QueryRegistry()
-        q0 = standalone_registry.register(workload.query(0), query_id="q0")
-        subscribed = [e for e in events if e.source in q0.sources]
-        report = run_workload(q0.build_plan(), subscribed, q0.query.window.length)
-        assert survivor == report.results.multiset()
-        assert sum(survivor.values()) > 0
-
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    @pytest.mark.parametrize("strategy", (None,) + SchedulerStrategy.ALL)
-    def test_retire_under_every_policy_and_strategy(self, policy, strategy):
-        """retire works for every policy whatever drive mode ran before it."""
-        workload = self._workload()
-        events = workload.events()
-        registry = QueryRegistry()
-        for query in workload.queries():
-            registry.register(query)
-        with ShardedEngine(
-            registry, n_shards=1, scheduler=policy, scheduler_strategy=strategy
-        ) as engine:
-            for event in events[:10]:
-                engine.submit(event)
-            retired = engine.retire_query("q0")
-            for event in events[10:30]:
-                engine.submit(event)
-            assert set(engine.report().queries) == {"q1"}
-            assert retired.query_id == "q0"
-        # Retiring before any event was processed must work too.
-        registry2 = QueryRegistry()
-        for query in workload.queries():
-            registry2.register(query)
-        with ShardedEngine(
-            registry2, n_shards=1, scheduler=policy, scheduler_strategy=strategy
-        ) as engine:
-            engine.retire_query("q1")
-            for event in events[:10]:
-                engine.submit(event)
-
-    @pytest.mark.parametrize("threaded", (False, True))
-    def test_retire_query_through_engine(self, threaded):
-        """ShardedEngine.retire_query parks the worker before unwiring."""
-        workload = self._workload()
-        events = workload.events()
-        half = len(events) // 2
-        registry = QueryRegistry()
-        for query in workload.queries():
-            registry.register(query)
-        with ShardedEngine(registry, n_shards=1, threaded=threaded) as engine:
-            for event in events[:half]:
-                engine.submit(event)
-            retired = engine.retire_query("q1")
-            frozen_count = retired.collector.count
-            for event in events[half:]:
-                engine.submit(event)
-            engine.flush()
-            report = engine.report()
-            assert retired.collector.count == frozen_count
-            assert set(report.queries) == {"q0"}
-            survivor = engine.results_for("q0").multiset()
-        standalone_registry = QueryRegistry()
-        q0 = standalone_registry.register(workload.query(0), query_id="q0")
-        subscribed = [e for e in events if e.source in q0.sources]
-        expected = run_workload(
-            q0.build_plan(), subscribed, q0.query.window.length
-        ).results.multiset()
-        assert survivor == expected
-
-    def test_retire_unknown_or_pending_rejected(self, tuple_factory):
-        workload = self._workload()
-        registry = QueryRegistry()
-        for query in workload.queries():
-            registry.register(query)
-        with ShardedEngine(registry, n_shards=1) as engine:
-            shard = engine.shards[0]
-            with pytest.raises(KeyError, match="hosts no query"):
-                shard.retire_plan("nope")
-            queue = shard.runtimes[0].templates[0].queue
-            queue.push(tuple_factory("A", 1.0, x=1))
-            with pytest.raises(RuntimeError, match="queued tuples"):
-                shard.retire_plan(shard.runtimes[0].query_id)
-            queue.pop()  # restore quiescence so close() is clean

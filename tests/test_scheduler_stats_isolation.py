@@ -17,32 +17,10 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import StubOperator, ready_input
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
-from repro.operators.queues import InterOperatorQueue
 from repro.plans.builder import STRATEGY_JIT
-from repro.scheduler import JITAwareScheduler, ReadyInput
-from repro.streams.tuples import AtomicTuple
-
-
-class _Op:
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"_Op({self.name})"
-
-
-def _ready_input(context, name, ts, order, operator=None):
-    queue = InterOperatorQueue(f"q{order}", context)
-    item = ReadyInput(
-        operator=operator if operator is not None else _Op(name),
-        port="left",
-        queue=queue,
-        depth=0,
-        order=order,
-    )
-    queue.push(AtomicTuple(name, ts, {"x": 1}))
-    return item
+from repro.scheduler import JITAwareScheduler
 
 
 def _workload():
@@ -64,18 +42,18 @@ def _registry(workload):
 class TestBoostRetirement:
     def test_retire_drops_the_operators_boost(self, context):
         scheduler = JITAwareScheduler(boost_steps=8)
-        boosted = _Op("retiring")
-        item = _ready_input(context, "R", ts=5.0, order=0, operator=boosted)
+        boosted = StubOperator("retiring")
+        item = ready_input(context, "R", ts=5.0, order=0, operator=boosted)
         scheduler.on_ready(item)
-        scheduler.notify_feedback(boosted, _Op("x"), "resume")
+        scheduler.notify_feedback(boosted, StubOperator("x"), "resume")
         assert scheduler._boosts
         scheduler.retire((item,))
         assert not scheduler._boosts
         assert scheduler.ready_count() == 0
         # Post-retire scheduling is pure FIFO: a fresh plan's operators win
         # by head age, never by a boost inherited from the retired plan.
-        young = _ready_input(context, "Y", ts=9.0, order=1)
-        old = _ready_input(context, "O", ts=1.0, order=2)
+        young = ready_input(context, "Y", ts=9.0, order=1)
+        old = ready_input(context, "O", ts=1.0, order=2)
         scheduler.on_ready(young)
         scheduler.on_ready(old)
         assert scheduler.pop_next() is old
@@ -83,25 +61,25 @@ class TestBoostRetirement:
     def test_partial_retire_keeps_live_ports_boost(self, context):
         """Retiring one input of a still-hosted operator keeps its boost."""
         scheduler = JITAwareScheduler(boost_steps=8)
-        operator = _Op("two-port")
-        left = _ready_input(context, "L", ts=1.0, order=0, operator=operator)
-        right = _ready_input(context, "R", ts=2.0, order=1, operator=operator)
+        operator = StubOperator("two-port")
+        left = ready_input(context, "L", ts=1.0, order=0, operator=operator)
+        right = ready_input(context, "R", ts=2.0, order=1, operator=operator)
         scheduler.on_ready(left)
         scheduler.on_ready(right)
-        scheduler.notify_feedback(operator, _Op("x"), "resume")
+        scheduler.notify_feedback(operator, StubOperator("x"), "resume")
         scheduler.retire((left,))
         assert id(operator) in scheduler._boosts
-        other = _ready_input(context, "A", ts=0.5, order=2)
+        other = ready_input(context, "A", ts=0.5, order=2)
         scheduler.on_ready(other)
         # The surviving port is still boosted ahead of the older FIFO head.
         assert scheduler.pop_next() is right
 
     def test_stats_are_domain_lifetime_totals(self, context):
         scheduler = JITAwareScheduler(boost_steps=1)
-        boosted = _Op("b")
-        item = _ready_input(context, "B", ts=1.0, order=0, operator=boosted)
+        boosted = StubOperator("b")
+        item = ready_input(context, "B", ts=1.0, order=0, operator=boosted)
         scheduler.on_ready(item)
-        scheduler.notify_feedback(boosted, _Op("x"), "resume")
+        scheduler.notify_feedback(boosted, StubOperator("x"), "resume")
         assert scheduler.pop_next() is item
         before = scheduler.stats()
         assert before == {"boosts_granted": 1, "boosted_servings": 1}
@@ -128,7 +106,7 @@ class TestRetiredContextIsolation:
             before = dict(shard.scheduler.stats())
             # A straggler (replayed/migrated runtime) firing feedback through
             # the archived context must not reach the live scheduler.
-            retired.context.notify_feedback(_Op("p"), _Op("c"), "suspend")
+            retired.context.notify_feedback(StubOperator("p"), StubOperator("c"), "suspend")
             assert shard.scheduler.stats() == before
             for event in events[half:]:
                 engine.submit(event)
@@ -154,7 +132,7 @@ class TestRetiredContextIsolation:
             assert shard.shared_subplans_active >= 1
             engine.retire_query("dup0")
             before = dict(shard.scheduler.stats())
-            shared.context.notify_feedback(_Op("p"), _Op("c"), "suspend")
+            shared.context.notify_feedback(StubOperator("p"), StubOperator("c"), "suspend")
             assert shard.scheduler.stats() == before
 
     def test_rehost_cycle_leaves_no_stale_boost_keys(self):

@@ -47,8 +47,8 @@ from repro.streams.generators import generate_clique_workload
 
 ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
-#: (n_shards, threaded) configurations the equivalence sweep covers.
-SHARD_CONFIGS = ((1, False), (3, False), (3, True))
+#: (n_shards, drain_mode) configurations the equivalence sweep covers.
+SHARD_CONFIGS = ((1, "sync"), (3, "sync"), (3, "thread"))
 
 
 @pytest.fixture(scope="module")
@@ -92,16 +92,16 @@ def standalone_multisets(sharing_workload, sharing_events):
 
 class TestSharingEquivalence:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    @pytest.mark.parametrize("n_shards,threaded", SHARD_CONFIGS)
+    @pytest.mark.parametrize("n_shards,drain_mode", SHARD_CONFIGS)
     def test_shared_matches_standalone_runs(
-        self, sharing_workload, sharing_events, standalone_multisets, policy, n_shards, threaded
+        self, sharing_workload, sharing_events, standalone_multisets, policy, n_shards, drain_mode
     ):
         registry = _registry(sharing_workload)
         with ShardedEngine(
             registry,
             n_shards=n_shards,
             scheduler=policy,
-            threaded=threaded,
+            drain_mode=drain_mode,
             share_subplans=True,
         ) as engine:
             engine.run(sharing_events)
@@ -112,7 +112,7 @@ class TestSharingEquivalence:
             assert hits == len(registry) - shared_active
             for query_id, expected in standalone_multisets.items():
                 assert engine.results_for(query_id).multiset() == expected, (
-                    f"{policy}/{n_shards} shard(s)/threaded={threaded}: "
+                    f"{policy}/{n_shards} shard(s)/{drain_mode}: "
                     f"query {query_id} diverged from its standalone run"
                 )
 

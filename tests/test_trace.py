@@ -67,7 +67,7 @@ def _registry(workload, copies=2):
     return registry
 
 
-def _run_shared(tracer, threaded=False):
+def _run_shared(tracer, drain_mode="sync"):
     """One shared-subplan sharded run through a block-policy server."""
     workload = _workload()
     engine = ShardedEngine(
@@ -75,7 +75,7 @@ def _run_shared(tracer, threaded=False):
         n_shards=2,
         scheduler="jit_aware",
         share_subplans=True,
-        threaded=threaded,
+        drain_mode=drain_mode,
     )
     server = StreamServer(
         engine, capacity=64, policy=OverloadPolicy.BLOCK, tracer=tracer
@@ -359,7 +359,7 @@ class TestThreadedPropagation:
     def test_worker_threads_join_the_ingestion_trace(self):
         """Trace contexts travel with events into shard worker threads."""
         tracer = Tracer(sample_rate=1.0, capacity=200_000, seed=0)
-        server, engine = _run_shared(tracer, threaded=True)
+        server, engine = _run_shared(tracer, drain_mode="thread")
         try:
             cats = {span["cat"] for span in tracer.ring.snapshot()}
             assert SpanKind.SHARD in cats

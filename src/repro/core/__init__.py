@@ -15,6 +15,8 @@ This sub-package implements the JIT feedback mechanism of Yang & Papadias
 * :mod:`repro.core.mns_buffer` -- the consumer-side buffer of detected MNSs.
 * :mod:`repro.core.blacklist` -- the producer-side blacklist of suspended
   tuples.
+* :mod:`repro.core.detection_gate` -- the per-port gate that rests MNS
+  detection while it costs more than its suspensions save.
 * :mod:`repro.core.production_control` -- classification of Type I / Type II
   MNSs and feedback decomposition helpers (Section IV-B).
 * :mod:`repro.core.jit_join` -- :class:`JITJoinOperator`, the binary window
@@ -25,6 +27,7 @@ This sub-package implements the JIT feedback mechanism of Yang & Papadias
 """
 
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
+from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import Feedback, FeedbackKind
 from repro.core.signature import MNSSignature
 from repro.core.cns_lattice import CNSLattice, LatticeNode
@@ -44,6 +47,7 @@ __all__ = [
     "DetectionMode",
     "JITConfig",
     "RetentionPolicy",
+    "DetectionGate",
     "Feedback",
     "FeedbackKind",
     "MNSSignature",

@@ -95,6 +95,13 @@ class BlacklistEntry:
     #: even after the local tuples expire.
     propagated_upstream: bool = False
     created_at: float = 0.0
+    #: The detection gate of the consumer port that detected the MNS (it
+    #: travels with the suspension feedback, so a propagated entry still
+    #: names the gate it started from); None when no gate asked for it.
+    gate: Optional[object] = None
+    #: How many of ``suspended`` an opposite probe would still meet under
+    #: REF: those inside the window as of the last purge, plus later ones.
+    hidden: int = 0
 
     @property
     def size_bytes(self) -> int:
@@ -134,6 +141,9 @@ class Blacklist:
         self._index: Dict[Tuple[Tuple[str, str], ...], Dict[Tuple[object, ...], List[MNSSignature]]] = {}
         #: Signatures that cannot be hash-matched (Ø).
         self._scan_signatures: List[MNSSignature] = []
+        #: Origin gate -> tuples it keeps suspended here: who is credited for
+        #: the probes that do not meet them, and in which proportion.
+        self.hidden: Dict[object, int] = {}
 
     # -- entry management ----------------------------------------------------------
 
@@ -152,12 +162,18 @@ class Blacklist:
         return self._entries.get(signature)
 
     def ensure_entry(
-        self, signature: MNSSignature, now: float, permanent: bool = False
+        self,
+        signature: MNSSignature,
+        now: float,
+        permanent: bool = False,
+        gate: Optional[object] = None,
     ) -> BlacklistEntry:
-        """Return the entry for ``signature``, creating it if necessary."""
+        """Return the entry for ``signature``, creating it (for ``gate``) if necessary."""
         entry = self._entries.get(signature)
         if entry is None:
-            entry = BlacklistEntry(signature=signature, permanent=permanent, created_at=now)
+            entry = BlacklistEntry(
+                signature=signature, permanent=permanent, created_at=now, gate=gate
+            )
             self._entries[signature] = entry
             self._index_signature(signature)
             self.context.memory.allocate(signature.size_bytes, self.MEMORY_CATEGORY)
@@ -193,6 +209,7 @@ class Blacklist:
             unmet_seqs=unmet_seqs,
         )
         entry.suspended.append(suspended)
+        self._count_hidden(entry, 1)
         self.context.memory.allocate(tup.size_bytes, self.MEMORY_CATEGORY)
         return suspended
 
@@ -202,6 +219,7 @@ class Blacklist:
         if entry is None:
             return None
         self._unindex_signature(signature)
+        self._count_hidden(entry, -entry.hidden)
         released = signature.size_bytes + sum(s.tuple.size_bytes for s in entry.suspended)
         self.context.memory.release(released, self.MEMORY_CATEGORY)
         return entry
@@ -293,6 +311,8 @@ class Blacklist:
         liveness chain toward the consumer's MNS buffer stays intact.
         """
         dropped = 0
+        purge_units = self.context.cost.weights.purge
+        horizon = self.context.window.purge_horizon(now)
         for signature in list(self._entries):
             entry = self._entries[signature]
             keep: List[SuspendedTuple] = []
@@ -305,6 +325,12 @@ class Blacklist:
                     self.context.memory.release(
                         suspended.tuple.size_bytes, self.MEMORY_CATEGORY
                     )
+            if entry.gate is not None and entry.suspended:
+                # One PURGE per tuple examined: upkeep of the gate's suspension.
+                entry.gate.spend(purge_units * len(entry.suspended))
+                # Past the window REF holds the tuple no more: nothing left to avoid.
+                live = sum(1 for suspended in keep if suspended.ts >= horizon)
+                self._count_hidden(entry, live - entry.hidden)
             entry.suspended = keep
             if (
                 not entry.suspended
@@ -321,6 +347,29 @@ class Blacklist:
     def memory_bytes(self) -> int:
         """Modelled bytes currently held by the blacklist."""
         return sum(e.size_bytes for e in self._entries.values())
+
+    # -- detection-gate ledger -----------------------------------------------------------------------
+
+    def _count_hidden(self, entry: BlacklistEntry, delta: int) -> None:
+        gate = entry.gate
+        if gate is None or not delta:
+            return
+        entry.hidden += delta
+        count = self.hidden.get(gate, 0) + delta
+        if count:
+            self.hidden[gate] = count
+        else:
+            del self.hidden[gate]
+
+    def book_upkeep(self, units: float) -> None:
+        """Book ``units`` spent keeping this blacklist on the origin gates.
+
+        Split in proportion to the tuples each gate keeps suspended here;
+        with none suspended there is nobody to book the (few) units on.
+        """
+        total = sum(self.hidden.values())
+        for gate, count in self.hidden.items():
+            gate.spend(units * count / total)
 
     # -- indexing internals ------------------------------------------------------------------------
 

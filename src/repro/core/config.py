@@ -7,6 +7,12 @@ producer may ignore feedback, Type II MNSs may be skipped, and so on.
 experiment harness can run ablations over them, and so the DOE baseline can
 be expressed as a particular configuration (Ø-only detection), exactly as the
 paper argues that "DOE is subsumed by JIT".
+
+One freedom is deliberately not a field here: *when* a port that is
+configured to detect actually does.  Each detecting port's
+:class:`~repro.core.detection_gate.DetectionGate` decides that from measured
+cost, epoch by epoch, so ``detection_mode`` names the detector a port uses
+while its gate is open, not a promise that it runs on every tuple.
 """
 
 from __future__ import annotations

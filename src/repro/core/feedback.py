@@ -14,8 +14,8 @@ A :class:`Feedback` is an immutable value object; the producer-side logic in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Tuple
 
 from repro.core.signature import MNSSignature
 
@@ -52,6 +52,10 @@ class Feedback:
     kind: str
     signatures: Tuple[MNSSignature, ...]
     permanent: bool = False
+    #: The detection gate of the consumer port that detected the MNSs
+    #: (suspensions only; bookkeeping, excluded from equality).  Relays pass
+    #: the message on unchanged, so it reaches every producer that acts on it.
+    origin: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in FeedbackKind.ALL:
@@ -67,10 +71,13 @@ class Feedback:
 
     @classmethod
     def suspend(
-        cls, signatures: Iterable[MNSSignature], permanent: bool = False
+        cls,
+        signatures: Iterable[MNSSignature],
+        permanent: bool = False,
+        origin: Optional[object] = None,
     ) -> "Feedback":
         """Build a ``<suspend, Π>`` message."""
-        return cls(FeedbackKind.SUSPEND, tuple(signatures), permanent=permanent)
+        return cls(FeedbackKind.SUSPEND, tuple(signatures), permanent=permanent, origin=origin)
 
     @classmethod
     def resume(cls, signatures: Iterable[MNSSignature]) -> "Feedback":
@@ -115,7 +122,8 @@ class Feedback:
         if len(self.signatures) == 1:
             return (self,)
         return tuple(
-            Feedback(self.kind, (sig,), permanent=self.permanent) for sig in self.signatures
+            Feedback(self.kind, (sig,), permanent=self.permanent, origin=self.origin)
+            for sig in self.signatures
         )
 
     def __str__(self) -> str:

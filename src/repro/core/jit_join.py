@@ -58,6 +58,18 @@ Implementation notes (all recorded in docs/JIT.md):
   watermarks stay exact because unscanned entries can never join the
   in-flight tuple either.  Without ``use_hash_index`` the nested loop and
   the state scan remain the only path.
+* Detection is gated by cost.  Step 2 feeds the detector, and step 4 runs,
+  only while the port's :class:`~repro.core.detection_gate.DetectionGate` is
+  open: each detecting port keeps a ledger of the units its detection spent
+  (cost-model deltas across the JIT-only sections below, never across an
+  ``emit``) against the units its suspensions saved (booked by the producers
+  that hold them, which is why a suspension names its origin gate all the way
+  up the chain).  While a gate rests the probe is the detector-free one, the
+  port's buffered MNSs are cancelled at the next purge of the JIT structures,
+  and what is still suspended drains through the resume paths; steps 1 and 3
+  run regardless.  The state indexes that detection and extraction built
+  retire once nothing has looked them up for a window
+  (:mod:`repro.operators.state`).
 """
 
 from __future__ import annotations
@@ -67,6 +79,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.config import JITConfig, RetentionPolicy
+from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import Feedback, FeedbackKind
 from repro.core.mns_buffer import MNSBuffer
 from repro.core.mns_detection import MNSDetector, build_detector
@@ -87,6 +100,10 @@ from repro.streams.tuples import StreamTuple
 
 __all__ = ["JITJoinOperator"]
 
+#: The kinds only an MNS detector charges: their delta across a stretch of the
+#: probe loop that emits nothing is what the detector cost there.
+_DETECTOR_KINDS = (CostKind.LATTICE_NODE, CostKind.BLOOM)
+
 
 @dataclass
 class _ActiveProbe:
@@ -104,6 +121,24 @@ class _ActiveProbe:
     def __post_init__(self) -> None:
         if self.scanned_seqs is None:
             self.scanned_seqs = set()
+
+
+@dataclass
+class _ProbeTally:
+    """What the regular probes of one arrival port have seen so far.
+
+    It prices the pairs a suspension hides from those probes, and an arrival
+    that never reaches the operator (docs/JIT.md, "When detection pays").
+    """
+
+    arrivals: int = 0
+    #: Opposite entries present when the probes started, summed.
+    offered: int = 0
+    #: Entries the probes examined: all offered under a nested loop, the
+    #: looked-up buckets under an index.
+    visited: int = 0
+    #: Results the probes emitted.
+    built: int = 0
 
 
 class JITJoinOperator(BinaryJoinOperator):
@@ -139,6 +174,19 @@ class JITJoinOperator(BinaryJoinOperator):
         #: Per input port, one opposite-state lookup per component (hash-indexed
         #: operators only): what an MNS-detecting probe visits instead of the state.
         self._component_lookups: Dict[str, Tuple[IndexLookup, ...]] = {}
+        #: Per input port, the gate that switches its MNS detection off while
+        #: it costs more than it saves (a test installs a scripted one here).
+        self.gates: Dict[str, DetectionGate] = {
+            PORT_LEFT: DetectionGate(),
+            PORT_RIGHT: DetectionGate(),
+        }
+        #: What each gate answered last, to count its rests and trials.
+        self._detecting: Dict[str, bool] = {PORT_LEFT: True, PORT_RIGHT: True}
+        #: Per arrival port, what its regular probes have seen (the ledger's prices).
+        self._probed: Dict[str, _ProbeTally] = {
+            PORT_LEFT: _ProbeTally(),
+            PORT_RIGHT: _ProbeTally(),
+        }
         self._active_probe: Optional[_ActiveProbe] = None
         self._pending_resume: Dict[Tuple[MNSSignature, ...], List[StreamTuple]] = {}
         self._last_jit_purge = float("-inf")
@@ -154,6 +202,8 @@ class JITJoinOperator(BinaryJoinOperator):
             "results_resumed": 0,
             "probes_aborted": 0,
             "suspensions_declined": 0,
+            "detection_rests": 0,
+            "detection_trials": 0,
         }
 
     # ------------------------------------------------------------------ wiring
@@ -256,10 +306,17 @@ class JITJoinOperator(BinaryJoinOperator):
 
         # Producer-side diversion: a new arrival similar to a suspended MNS is
         # parked (or dropped, for permanent suspensions) without any probing.
-        if self.config.divert_similar_arrivals and len(self.blacklists[port]):
-            entry = self.blacklists[port].match_arrival(tup)
+        cost = context.cost
+        blacklist = self.blacklists[port]
+        if self.config.divert_similar_arrivals and len(blacklist):
+            mark = cost.cpu_units
+            entry = blacklist.match_arrival(tup)
+            blacklist.book_upkeep(cost.cpu_units - mark)
             if entry is not None:
                 self.stats["tuples_diverted"] += 1
+                if entry.gate is not None:
+                    # The probe REF runs here met every opposite entry.
+                    entry.gate.avoid(self._hidden_pair_units(port) * len(self.states[opp]))
                 if resume_feedback is not None:
                     # The resumed partials still belong in the opposite state.
                     # ``t`` is parked with an empty watermark, so its eventual
@@ -267,9 +324,7 @@ class JITJoinOperator(BinaryJoinOperator):
                     # double-count.
                     self._restore_resumed(opposite_producer, resume_feedback, port, now)
                 if not entry.permanent:
-                    self.blacklists[port].add_suspended(
-                        entry.signature, tup, joined_upto_seq=-1, now=now
-                    )
+                    blacklist.add_suspended(entry.signature, tup, joined_upto_seq=-1, now=now)
                 return
 
         # Line 13 (hoisted): insert t into its own state.  Doing this before
@@ -284,15 +339,32 @@ class JITJoinOperator(BinaryJoinOperator):
         detector = self.detectors[port]
         own_producer = self.producer_of(port)
         should_detect = detector is not None and (
-            (own_producer is not None and own_producer.supports_production_control())
+            (
+                own_producer is not None
+                and own_producer.supports_production_control()
+                and self._gate_open(port, now)
+            )
             or self.config.detect_for_source_fed_ports
         )
+        # The suspended tuples this probe does not meet: credit whoever hid them.
+        hidden = self.blacklists[opp].hidden
+        if hidden:
+            pair_units = self._hidden_pair_units(port)
+            for gate, count in hidden.items():
+                gate.avoid(pair_units * count)
+        offered = len(self.states[opp])
+        emitted = self.emitted_count
         probe = _ActiveProbe(tuple=tup, port=port, own_seq=own_entry.seq)
         self._active_probe = probe
         opposite_live = self._probe_opposite(
             tup, port, now, detector if should_detect else None, probe
         )
         self._active_probe = None
+        tally = self._probed[port]
+        tally.arrivals += 1
+        tally.offered += offered
+        tally.visited += len(probe.scanned_seqs)
+        tally.built += self.emitted_count - emitted
 
         # Lines 14-17: retrieve and integrate the resumed partial results.
         if resume_feedback is not None and opposite_producer is not None:
@@ -306,7 +378,59 @@ class JITJoinOperator(BinaryJoinOperator):
         # as join partners (see docs/JIT.md on detection ordering), and it is
         # skipped when t itself was suspended mid-probe.
         if should_detect and not probe.aborted and own_producer is not None:
+            mark = cost.cpu_units
             self._finish_detection(tup, port, now, detector, opposite_live, own_producer)
+            self.gates[port].spend(cost.cpu_units - mark)
+
+    def _gate_open(self, port: str, now: float) -> bool:
+        """Ask ``port``'s gate whether to detect now; count its rests and trials."""
+        is_open = self.gates[port].open_at(now, self.require_context().window.length)
+        if is_open != self._detecting[port]:
+            self._detecting[port] = is_open
+            self.stats["detection_trials" if is_open else "detection_rests"] += 1
+        return is_open
+
+    def arrival_units(self, port: str) -> float:
+        """Modelled units one more arrival on ``port`` costs from here downstream.
+
+        Measured over the regular probes so far.  Probe work is bilinear in
+        the two inputs — every examined pair holds exactly one tuple of
+        ``port``, whichever side arrived later — so one arrival's share is
+        the operator's whole pair work divided by the arrivals on ``port``:
+        a probe step and a predicate evaluation per entry examined, and per
+        result its build plus what it costs the consumer in turn.
+        """
+        arrivals = self._probed[port].arrivals
+        if not arrivals:
+            return 0.0
+        visited = sum(tally.visited for tally in self._probed.values())
+        built = sum(tally.built for tally in self._probed.values())
+        insert = self.require_context().cost.weights.insert
+        return insert + self._probe_work_units(visited, built) / arrivals
+
+    def _probe_work_units(self, visited: int, built: int) -> float:
+        """Units of ``visited`` examined entries and ``built`` results, each
+        result priced at its build plus what it costs the consumer."""
+        weights = self.require_context().cost.weights
+        per_result = weights.result_build
+        if isinstance(self.consumer, JITJoinOperator):
+            per_result += self.consumer.arrival_units(self.consumer_port)
+        return (weights.probe_step + weights.predicate_eval) * visited + per_result * built
+
+    def _hidden_pair_units(self, port: str) -> float:
+        """Units REF spends on one (arrival on ``port``, opposite entry) pair
+        that JIT never forms because the entry is suspended or the arrival is
+        diverted (docs/JIT.md, "When detection pays").
+
+        Counted: the share of offered entries a probe examines (all of them
+        under a nested loop, the bucket under an index), at a probe step and
+        a predicate evaluation each.  Estimated: the results not built, at
+        this port's measured results per offered entry.
+        """
+        tally = self._probed[port]
+        if not tally.offered:
+            return 0.0
+        return self._probe_work_units(tally.visited, tally.built) / tally.offered
 
     def _probe_opposite(
         self,
@@ -341,6 +465,9 @@ class JITJoinOperator(BinaryJoinOperator):
         live_after = window.purge_horizon(now)
         floor_active = opposite_state.purge_floor is not None
         opposite_live = False
+        gate = self.gates[port]
+        detector_units = context.cost.units
+        mark = 0.0 if detector is None else detector_units(_DETECTOR_KINDS)
         if detector is None:
             candidates: Iterable[StateEntry] = self.probe_candidates(tup, opp)
         elif self.use_hash_index:
@@ -384,10 +511,15 @@ class JITJoinOperator(BinaryJoinOperator):
                     all_match = False
             detector.observe(tup, level1)
             if all_match:
+                # An emission runs the plan downstream: close the delta around it.
+                gate.spend(detector_units(_DETECTOR_KINDS) - mark)
                 self.emit(self.build_result(tup, entry.tuple))
+                mark = detector_units(_DETECTOR_KINDS)
                 if probe.aborted:
                     self.stats["probes_aborted"] += 1
                     break
+        if detector is not None:
+            gate.spend(detector_units(_DETECTOR_KINDS) - mark)
         return opposite_live
 
     def _integrate_resumed(
@@ -484,7 +616,9 @@ class JITJoinOperator(BinaryJoinOperator):
             new_signatures.append(signature)
         if not new_signatures:
             return
-        self._send_feedback(own_producer, Feedback.suspend(tuple(new_signatures)))
+        self._send_feedback(
+            own_producer, Feedback.suspend(tuple(new_signatures), origin=self.gates[port])
+        )
 
     # ------------------------------------------------------------------ feedback plumbing
 
@@ -500,6 +634,15 @@ class JITJoinOperator(BinaryJoinOperator):
         opposite_producer = self.producer_of(opp)
         if not len(self.mns_buffers[opp]) or opposite_producer is None:
             return None
+        cost = self.require_context().cost
+        mark = cost.cpu_units
+        feedback = self._resume_matched(tup, opp, opposite_producer)
+        self.gates[opp].spend(cost.cpu_units - mark)
+        return feedback
+
+    def _resume_matched(
+        self, tup: StreamTuple, opp: str, opposite_producer: Operator
+    ) -> Optional[Feedback]:
         matched = self.mns_buffers[opp].match(tup)
         if not matched or not opposite_producer.supports_production_control():
             return None
@@ -554,7 +697,9 @@ class JITJoinOperator(BinaryJoinOperator):
             signature = single.single()
             if single.kind == FeedbackKind.SUSPEND:
                 self.stats["suspensions_received"] += 1
-                self._suspend_production(signature, now, permanent=single.permanent)
+                self._suspend_production(
+                    signature, now, permanent=single.permanent, gate=single.origin
+                )
             elif single.kind == FeedbackKind.RESUME:
                 self.stats["resumptions_received"] += 1
                 results = self._resume_production(signature, now)
@@ -572,11 +717,15 @@ class JITJoinOperator(BinaryJoinOperator):
     # -- suspension ---------------------------------------------------------------
 
     def _suspend_production(
-        self, signature: MNSSignature, now: float, permanent: bool = False
+        self,
+        signature: MNSSignature,
+        now: float,
+        permanent: bool = False,
+        gate: Optional[DetectionGate] = None,
     ) -> None:
         side = classify_signature(signature, self.left_sources, self.right_sources)
         if side == SIDE_EMPTY:
-            self._suspend_all(signature, now)
+            self._suspend_all(signature, now, gate)
             return
         if side == SIDE_BOTH:
             # Type II MNS: only acted upon when enabled.  Declining to act is
@@ -592,13 +741,13 @@ class JITJoinOperator(BinaryJoinOperator):
             return
         port = PORT_LEFT if side == SIDE_LEFT else PORT_RIGHT
         blacklist = self.blacklists[port]
-        entry = blacklist.ensure_entry(signature, now, permanent=permanent)
+        entry = blacklist.ensure_entry(signature, now, permanent=permanent, gate=gate)
 
         # Propagate before handling (Section III-C rule (i)).
         if self.config.propagate_feedback and not permanent:
             upstream = self.producer_of(port)
             if upstream is not None and upstream.supports_production_control():
-                self._propagate(Feedback.suspend((signature,)), port)
+                self._propagate(Feedback.suspend((signature,), origin=entry.gate), port)
                 entry.propagated_upstream = True
 
         # Move (similar) super-tuples of the MNS from the state to the blacklist.
@@ -652,15 +801,17 @@ class JITJoinOperator(BinaryJoinOperator):
                 unmet_seqs=unmet_seqs,
             )
 
-    def _suspend_all(self, signature: MNSSignature, now: float) -> None:
+    def _suspend_all(
+        self, signature: MNSSignature, now: float, gate: Optional[DetectionGate] = None
+    ) -> None:
         """Ø suspension: park every new input until resumption (DOE behaviour)."""
         for port in self.ports:
-            self.blacklists[port].ensure_entry(signature, now)
+            self.blacklists[port].ensure_entry(signature, now, gate=gate)
         if self.config.propagate_feedback and self.config.propagate_empty_suspension:
             for port in self.ports:
                 upstream = self.producer_of(port)
                 if upstream is not None and upstream.supports_production_control():
-                    self._propagate(Feedback.suspend((signature,)), port)
+                    self._propagate(Feedback.suspend((signature,), origin=gate), port)
                     entry = self.blacklists[port].entry(signature)
                     if entry is not None:
                         entry.propagated_upstream = True
@@ -842,7 +993,9 @@ class JITJoinOperator(BinaryJoinOperator):
         whose resumption trigger no longer exists, silently losing results.
         Any partial results the cancellation returns are appended to the
         corresponding state (they need no trigger join: a matching partner
-        would have resumed the signature earlier).
+        would have resumed the signature earlier).  That argument does not
+        need the suspension to be dead, and while the port's detection gate
+        rests every buffered MNS is dropped this way, live or not.
         """
         context = self.require_context()
         interval = context.window.length * self.config.jit_structure_purge_interval
@@ -850,14 +1003,21 @@ class JITJoinOperator(BinaryJoinOperator):
             return
         self._last_jit_purge = now
         retention = self.retention_seconds
+        cost = context.cost
         for port in self.ports:
             self.blacklists[port].purge(now, retention)
             producer = self.producer_of(port)
-            if producer is None:
+            if producer is None or not len(self.mns_buffers[port]):
                 continue
-            dead = self.mns_buffers[port].purge(
-                lambda sig, _p=producer: _p.suspension_alive(sig, now)
-            )
+            mark = cost.cpu_units
+            if self._detecting[port]:
+                dead = self.mns_buffers[port].purge(
+                    lambda sig, _p=producer: _p.suspension_alive(sig, now)
+                )
+            else:
+                # The port's gate rests: its suspensions were judged not worth
+                # their upkeep, so all of them are handed back now.
+                dead = self.mns_buffers[port].purge(lambda sig: False)
             for entry in dead:
                 if not producer.supports_production_control():
                     continue
@@ -868,6 +1028,7 @@ class JITJoinOperator(BinaryJoinOperator):
                     opp_detector = self.detectors[opposite_port(port)]
                     if opp_detector is not None:
                         opp_detector.note_opposite_insert(partial)
+            self.gates[port].spend(cost.cpu_units - mark)
 
     # ------------------------------------------------------------------ diagnostics
 

@@ -20,7 +20,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from repro.context import ExecutionContext
 from repro.core.signature import MNSSignature
 from repro.metrics import CostKind
-from repro.operators.predicates import AttributeRef, JoinCondition
+from repro.operators.predicates import COMPARATORS, AttributeRef, JoinCondition
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["MNSBufferEntry", "MNSBuffer"]
@@ -181,8 +181,6 @@ class MNSBuffer:
         return matched
 
     def _checks_hold(self, entry: MNSBufferEntry, tup: StreamTuple) -> bool:
-        from repro.operators.predicates import COMPARATORS
-
         for opp_ref, comparator, value in entry.partner_checks:
             self.context.cost.charge(CostKind.PREDICATE_EVAL)
             if not tup.covers(opp_ref.source):

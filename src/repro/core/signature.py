@@ -20,6 +20,7 @@ the DOE baseline [21]).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from repro.streams.tuples import StreamTuple
@@ -112,13 +113,18 @@ class MNSSignature:
         """The covered sources as a frozenset."""
         return frozenset(self.sources)
 
-    @property
+    # ``template`` and ``key`` are read on every index, unindex and
+    # extraction of the signature, so each is computed once per instance
+    # (``cached_property`` writes the instance ``__dict__`` directly, which a
+    # frozen dataclass allows; neither takes part in equality or hashing).
+
+    @cached_property
     def template(self) -> Tuple[Tuple[str, str], ...]:
         """The ``(source, attribute)`` pairs of the items: what a hash index
         that finds this signature's (similar) super-tuples is built over."""
         return tuple((source, attr) for source, attr, _value in self.items)
 
-    @property
+    @cached_property
     def key(self) -> Tuple[object, ...]:
         """The item values, in :attr:`template` order."""
         return tuple(value for _source, _attr, value in self.items)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 __all__ = ["CostKind", "CostWeights", "CostModel", "MemoryModel", "MetricsReport"]
 
@@ -108,6 +108,9 @@ class CostModel:
 
     def __init__(self, weights: Optional[CostWeights] = None) -> None:
         self.weights = weights or CostWeights()
+        #: ``kind -> weight``, built once: ``CostWeights`` is frozen and
+        #: :attr:`cpu_units` is read on hot paths (the JIT detection gates).
+        self._weight_of: Dict[str, float] = self.weights.as_dict()
         self.counters: Dict[str, int] = {kind: 0 for kind in CostKind.ALL}
         self._wall_start: Optional[float] = None
         self.wall_seconds: float = 0.0
@@ -122,7 +125,12 @@ class CostModel:
     @property
     def cpu_units(self) -> float:
         """Total weighted cost units accumulated so far."""
-        return sum(self.weights.weight(kind) * count for kind, count in self.counters.items())
+        return self.units(self.counters)
+
+    def units(self, kinds: Iterable[str]) -> float:
+        """Weighted cost units accumulated so far by ``kinds`` alone."""
+        counters, weight_of = self.counters, self._weight_of
+        return sum(weight_of[kind] * counters[kind] for kind in kinds)
 
     def count(self, kind: str) -> int:
         """Return the raw counter for ``kind``."""

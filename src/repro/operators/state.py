@@ -31,13 +31,18 @@ lazily once removed entries accumulate.
 equi-join key of a hash-indexed join is registered when the state is built;
 every other index (a component's share of the join key for MNS-detecting
 probes, an MNS signature's template for suspension extraction) is built from
-the present entries the first time it is looked up and kept for the state's
-lifetime — their number is bounded by the plan's static conditions, so
-nothing is evicted.  Buckets hold present entries only, in insertion order.
-The charging rule, the same for every index:
+the present entries the first time it is looked up, and *retired* by the
+first purge that finds it has not been looked up for one window of stream
+time: it leaves the registry, stops being maintained, and is built again —
+at the build charge below — if it is ever asked for again.  One window is
+the ski-rental break-even: a window of maintenance hashes one ``HASH`` per
+tuple the state holds, which is what a rebuild costs.  The equi-join key
+index is never retired.  Buckets hold present entries only, in insertion
+order.  The charging rule, the same for every index:
 
 * build — one ``HASH`` per present entry (nothing for an index registered on
-  an empty state, nothing for an index never asked for);
+  an empty state, nothing for an index never asked for), on the first lookup
+  and on every lookup that follows a retirement;
 * maintenance — one ``HASH`` per insert per index in the registry;
 * lookup — one ``HASH``, then one ``PROBE_STEP`` per entry returned
   (:meth:`OperatorState.probe_index`) or one ``BLACKLIST_SCAN`` per entry
@@ -151,6 +156,9 @@ class OperatorState:
         self._heap_counter = 0
         #: The index registry (see the module docstring for the charging rule).
         self._indexes: Dict[IndexTemplate, _Index] = {}
+        #: Stream time of the last lookup of each lazily built index; the
+        #: up-front equi-key index is not in here and so never retires.
+        self._last_lookup: Dict[IndexTemplate, float] = {}
         if key_template:
             self._register(key_template)
         self._next_seq = 0
@@ -245,8 +253,12 @@ class OperatorState:
 
         The caller computes the horizon (typically ``now - w``); when a purge
         floor is set (JIT's delayed purge), tuples at or above the floor are
-        retained regardless of the horizon.
+        retained regardless of the horizon.  Lazily built indexes last looked
+        up before the horizon are retired.
         """
+        if self._last_lookup:
+            for template in [t for t, at in self._last_lookup.items() if at < horizon]:
+                del self._indexes[template], self._last_lookup[template]
         if self.purge_floor is not None:
             horizon = min(horizon, self.purge_floor)
         removed: List[StateEntry] = []
@@ -345,15 +357,19 @@ class OperatorState:
         an entry.
         """
         cost = self.context.cost
-        try:
+        lazy = template in self._last_lookup
+        if template in self._indexes:
             _key_of, buckets = self._indexes[template]
-        except KeyError:
+        else:
+            lazy = True
             key_of, buckets = self._register(template)
             for entry in self._entries:
                 if not entry.removed:
                     buckets.setdefault(key_of(entry.tuple), []).append(entry)
             if self._active_count:
                 cost.charge(CostKind.HASH, self._active_count)
+        if lazy:
+            self._last_lookup[template] = self.context.now
         cost.charge(CostKind.HASH)
         return buckets.get(key, ())
 

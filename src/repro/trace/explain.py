@@ -10,7 +10,8 @@ events flowed through it:
   evaluations, hash lookups, result builds),
 * the virtual-time window the operator was active over,
 * JIT suspension totals (``stats`` of each JIT join: MNS detected,
-  suspensions/resumptions sent and received, results resumed),
+  suspensions/resumptions sent and received, results resumed, how often its
+  detection gates rested and re-opened),
 * tee fan-out and per-subscriber delivery counts on shared subtrees.
 
 The report reads only the tracer and the plan — it never touches queues or
@@ -38,6 +39,8 @@ _JIT_STAT_KEYS = (
     "results_resumed",
     "tuples_diverted",
     "probes_aborted",
+    "detection_rests",
+    "detection_trials",
 )
 
 
@@ -108,6 +111,12 @@ def _annotate(
         )
         if shown:
             notes.append(f"jit: {shown}")
+    for port, gate in getattr(operator, "gates", {}).items():
+        if gate.spent_units or gate.avoided_units:
+            notes.append(
+                f"gate {port}: {'resting' if gate.resting else 'open'} "
+                f"spent={gate.spent_units:.0f} avoided={gate.avoided_units:.0f}"
+            )
     if isinstance(operator, TeeOperator):
         deliveries = " ".join(
             f"{sub.query_id}={sub.delivered}" for sub in operator.subscribers

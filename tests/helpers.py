@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import FeedbackKind
+from repro.core.jit_join import JITJoinOperator
 from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.streams.tuples import AtomicTuple
@@ -11,6 +13,31 @@ from repro.streams.tuples import AtomicTuple
 def make_tuple(source: str, ts: float, seq: int = 0, **attrs: object) -> AtomicTuple:
     """Build an atomic tuple from keyword attribute values."""
     return AtomicTuple(source, ts, attrs, seq=seq)
+
+
+class ScriptedGate(DetectionGate):
+    """A detection gate that follows a script instead of its ledger.
+
+    ``slots`` are consecutive stretches of stream time, ``slot_windows``
+    windows long each, cycled: True detects, False rests.  The default pins
+    the gate open — the paper's behaviour.  ``spend`` / ``avoid`` still book.
+    """
+
+    def __init__(self, slots=(True,), slot_windows: float = 1.0) -> None:
+        super().__init__()
+        self.slots = tuple(slots)
+        self.slot_windows = slot_windows
+
+    def open_at(self, now: float, window: float) -> bool:
+        return self.slots[int(now / (window * self.slot_windows)) % len(self.slots)]
+
+
+def script_gates(plan, make_gate=ScriptedGate) -> None:
+    """Replace every detection gate of ``plan`` (call before running it)."""
+    for operator in plan.join_operators:
+        if isinstance(operator, JITJoinOperator):
+            for port in operator.ports:
+                operator.gates[port] = make_gate()
 
 
 class StubOperator:

@@ -1,0 +1,359 @@
+"""Cost-gated MNS detection (docs/JIT.md, "When detection pays").
+
+* the gate's rule in isolation: open, rest, trial, doubling rests, reset;
+* the mechanism on an indexed clique, where detection cannot pay: the gate
+  rests, JIT's cost falls towards REF's, and the indexes nothing asks for any
+  more leave the registry;
+* the paper's left-deep plan, where it pays: with the gates pinned open the
+  counters recorded at the commit before the gate are reproduced to the unit
+  (the ledger charges nothing), and with live gates the top join — whose
+  suspensions are the saving — never rests;
+* Section III under toggling: whatever schedule a gate follows, JIT's results
+  are REF's, in timestamp order, and every JIT structure drains.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
+from repro.core.detection_gate import DetectionGate
+from repro.core.jit_join import JITJoinOperator
+from repro.engine import ExecutionMode, run_workload
+from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
+from repro.plans.builder import (
+    PLAN_BUSHY,
+    PLAN_LEFT_DEEP,
+    STRATEGY_JIT,
+    STRATEGY_REF,
+    build_xjoin_plan,
+)
+from repro.plans.query import ContinuousQuery
+from repro.scheduler import build_scheduler
+from repro.streams.generators import generate_clique_workload
+
+from helpers import ScriptedGate, script_gates
+
+W = 10.0  # window length used by the rule tests
+
+
+def _jit_operators(plan):
+    return [op for op in plan.join_operators if isinstance(op, JITJoinOperator)]
+
+
+# ------------------------------------------------------------------ the rule
+
+
+class TestGateRule:
+    def _epoch(self, gate, start, spent, avoided):
+        """Book one epoch's sums, then consult the gate at the epoch's end."""
+        gate.spend(spent)
+        gate.avoid(avoided)
+        return gate.open_at(start + W, W)
+
+    def test_starts_open_and_stays_open_while_detection_pays(self):
+        gate = DetectionGate()
+        assert gate.open_at(0.0, W)
+        assert self._epoch(gate, 0.0, spent=5.0, avoided=9.0)
+        assert self._epoch(gate, W, spent=5.0, avoided=5.0)  # a tie is not a loss
+        assert self._epoch(gate, 2 * W, spent=0.0, avoided=0.0)  # nor is an idle epoch
+        assert not gate.resting
+        assert (gate.spent_units, gate.avoided_units) == (10.0, 14.0)
+
+    def test_epochs_are_judged_on_their_own_sums(self):
+        gate = DetectionGate()
+        gate.open_at(0.0, W)
+        assert self._epoch(gate, 0.0, spent=1.0, avoided=100.0)
+        # The surplus of the first epoch does not carry over.
+        assert not self._epoch(gate, W, spent=2.0, avoided=1.0)
+
+    def test_nothing_is_decided_inside_an_epoch(self):
+        gate = DetectionGate()
+        gate.open_at(0.0, W)
+        gate.spend(50.0)
+        assert gate.open_at(W - 0.5, W)
+        assert not gate.open_at(W, W)
+
+    def test_rests_double_with_each_failed_trial_and_reset_on_success(self):
+        gate = DetectionGate()
+        gate.open_at(0.0, W)
+        now = 0.0
+        for rest in (1, 2, 4, 8):
+            assert not self._epoch(gate, now, spent=3.0, avoided=1.0)  # fails: rest begins
+            now += W
+            assert not gate.open_at(now + rest * W - 0.5, W)  # still resting
+            assert gate.open_at(now + rest * W, W)  # the trial epoch
+            now += rest * W
+        assert self._epoch(gate, now, spent=1.0, avoided=2.0)  # the trial pays
+        now += W
+        assert not self._epoch(gate, now, spent=3.0, avoided=1.0)
+        assert gate.open_at(now + 2 * W, W)  # back to a rest of one window
+
+    def test_what_is_booked_during_a_rest_does_not_count_against_the_trial(self):
+        gate = DetectionGate()
+        gate.open_at(0.0, W)
+        assert not self._epoch(gate, 0.0, spent=3.0, avoided=1.0)
+        gate.spend(100.0)  # the drain of what was suspended
+        assert gate.open_at(2 * W, W)
+        assert self._epoch(gate, 2 * W, spent=1.0, avoided=2.0)
+
+
+# ------------------------------------------------------------------ where it cannot pay
+
+
+class TestGateOnIndexedClique:
+    """Three sources, 30-tuple windows, hash indexes: all REF has left to save
+    is the intermediate results themselves, and there are next to none."""
+
+    WINDOW = 30.0
+
+    def _run(self, windows, strategy, gates=None):
+        workload = generate_clique_workload(
+            n_sources=3, rate=1.0, window_seconds=self.WINDOW, dmax=400,
+            duration=windows * self.WINDOW, seed=5,
+        )
+        plan = build_xjoin_plan(
+            ContinuousQuery.from_workload(workload), shape=PLAN_LEFT_DEEP,
+            strategy=strategy, use_hash_index=True,
+        )
+        if gates is not None:
+            script_gates(plan, gates)
+        return run_workload(plan, workload.events(), self.WINDOW), plan
+
+    def test_gate_rests_within_two_windows(self):
+        _report, plan = self._run(2, STRATEGY_JIT)
+        consumer = _jit_operators(plan)[-1]
+        gate = consumer.gates["left"]
+        assert gate.resting
+        assert consumer.stats["detection_rests"] == 1
+        assert 0 <= gate.avoided_units < gate.spent_units
+
+    def test_cost_falls_towards_ref_and_retired_indexes_leave_the_registry(self):
+        ref, _ = self._run(16, STRATEGY_REF)
+        pinned, _ = self._run(16, STRATEGY_JIT, gates=ScriptedGate)
+        jit, plan = self._run(16, STRATEGY_JIT)
+        assert jit.results.multiset() == ref.results.multiset()
+        assert jit.results.temporally_ordered
+        # Open, rest 1, trial, rest 2, trial, rest 4, trial, rest: detection ran
+        # in four windows of sixteen, and each of them leaves a tail to drain.
+        consumer = _jit_operators(plan)[-1]
+        assert (consumer.stats["detection_rests"], consumer.stats["detection_trials"]) == (4, 3)
+        assert pinned.cpu_units > 1.7 * ref.cpu_units
+        assert jit.cpu_units <= 1.3 * ref.cpu_units
+        # The last rest began more than a window ago: every index that was
+        # built for detection or extraction has retired, the join key stays.
+        for operator in plan.join_operators:
+            for state in operator.states.values():
+                assert not state._last_lookup
+                assert len(state._indexes) == 1
+
+    def test_the_longer_it_runs_the_less_the_trials_weigh(self):
+        ref, _ = self._run(64, STRATEGY_REF)
+        jit, _ = self._run(64, STRATEGY_JIT)
+        assert jit.results.multiset() == ref.results.multiset()
+        assert jit.cpu_units <= 1.15 * ref.cpu_units
+
+
+# ------------------------------------------------------------------ where it pays
+
+
+#: JIT counters of the paper's left-deep default (Table III; the end-to-end
+#: benchmark's recipe: seed 7, three windows, WINDOW retention), recorded at
+#: the commit before the gate existed.  scale -> (cpu_units, peak memory
+#: bytes, non-zero cost counters, non-zero per-operator stats).
+PAPER_GOLDEN = {
+    0.2: (
+        380800.0,
+        78856,
+        {
+            "predicate_eval": 121523, "probe_step": 133697, "result_build": 457,
+            "insert": 1968, "purge": 5246, "hash": 3706, "lattice_node": 61628,
+            "feedback_message": 306, "blacklist_scan": 81291,
+        },
+        {
+            "Op1": {
+                "suspensions_received": 176, "resumptions_received": 106,
+                "tuples_diverted": 262, "tuples_blacklisted": 503, "probes_aborted": 73,
+            },
+            "Op2": {
+                "mns_detected": 120, "suspensions_sent": 176, "resumptions_sent": 106,
+                "suspensions_received": 86, "resumptions_received": 14,
+                "tuples_diverted": 89, "tuples_blacklisted": 487, "results_resumed": 5,
+                "probes_aborted": 26,
+            },
+            "Op3": {"mns_detected": 86, "suspensions_sent": 86, "resumptions_sent": 14},
+        },
+    ),
+    0.3: (
+        649574.0,
+        111240,
+        {
+            "predicate_eval": 198658, "probe_step": 200593, "result_build": 680,
+            "insert": 2687, "purge": 10164, "hash": 5959, "lattice_node": 109427,
+            "feedback_message": 356, "blacklist_scan": 173660,
+        },
+        {
+            "Op1": {
+                "suspensions_received": 197, "resumptions_received": 121,
+                "tuples_diverted": 529, "tuples_blacklisted": 647, "probes_aborted": 81,
+            },
+            "Op2": {
+                "mns_detected": 123, "suspensions_sent": 197, "resumptions_sent": 121,
+                "suspensions_received": 110, "resumptions_received": 12,
+                "tuples_diverted": 233, "tuples_blacklisted": 837, "results_resumed": 3,
+                "probes_aborted": 35,
+            },
+            "Op3": {"mns_detected": 110, "suspensions_sent": 110, "resumptions_sent": 12},
+        },
+    ),
+}
+
+
+class TestGateOnThePaperPlan:
+    def _run(self, scale, gates=None):
+        workload = scaled_workload(
+            LEFT_DEEP_DEFAULTS, scale=scale, duration_windows=3.0, seed=7
+        )
+        plan = build_xjoin_plan(
+            ContinuousQuery.from_workload(workload), shape=PLAN_LEFT_DEEP,
+            strategy=STRATEGY_JIT,
+            jit_config=JITConfig(retention_policy=RetentionPolicy.WINDOW),
+        )
+        if gates is not None:
+            script_gates(plan, gates)
+        return run_workload(plan, workload.events(), workload.window.length), plan
+
+    @pytest.mark.parametrize("scale", sorted(PAPER_GOLDEN))
+    def test_pinned_open_reproduces_the_counters_before_the_gate(self, scale):
+        cpu_units, peak_bytes, counters, stats = PAPER_GOLDEN[scale]
+        report, plan = self._run(scale, gates=ScriptedGate)
+        assert report.metrics.cpu_units == cpu_units
+        assert report.metrics.peak_memory_bytes == peak_bytes
+        assert {k: v for k, v in report.metrics.counters.items() if v} == counters
+        assert {
+            op.name: {k: v for k, v in op.stats.items() if v} for op in _jit_operators(plan)
+        } == stats
+
+    @pytest.mark.parametrize("scale", sorted(PAPER_GOLDEN))
+    def test_the_gate_stays_open_where_jit_pays(self, scale):
+        cpu_units = PAPER_GOLDEN[scale][0]
+        report, plan = self._run(scale)
+        top = _jit_operators(plan)[-1]
+        gate = top.gates["left"]
+        assert top.name == "Op3" and top.stats["mns_detected"] > 0
+        assert top.stats["detection_rests"] == 0 and not gate.resting
+        assert gate.avoided_units > 2 * gate.spent_units
+        # A gate below may rest (Op2's does once its blacklist upkeep outgrows
+        # what it saves); it may only make the run cheaper.
+        assert report.metrics.cpu_units <= cpu_units
+
+
+# ------------------------------------------------------------------ Section III under toggling
+
+
+def _drained(plan, context, window) -> bool:
+    """Advance past every retention horizon and purge: nothing may be left."""
+    context.clock.advance_to(context.now + 10 * window)
+    operators = _jit_operators(plan)
+    for _ in operators:  # a cancellation reaches one level further up per pass
+        for operator in reversed(operators):
+            operator._last_jit_purge = float("-inf")
+            operator._maybe_purge_jit_structures(context.now)
+    return all(
+        not len(op.blacklists[port]) and not len(op.mns_buffers[port])
+        for op in operators
+        for port in op.ports
+    )
+
+
+def _assert_toggling_preserves_results(
+    n_sources, shape, mode, use_hash_index, schedules, slot_windows, seed, dmax=4, config=None
+):
+    workload = generate_clique_workload(
+        n_sources=n_sources, rate=1.0, window_seconds=20, dmax=dmax, duration=90, seed=seed
+    )
+    query = ContinuousQuery.from_workload(workload)
+    events = workload.events()
+    window = workload.window.length
+    ref = run_workload(
+        build_xjoin_plan(query, shape=shape, strategy=STRATEGY_REF, use_hash_index=use_hash_index),
+        events, window,
+    )
+    plan = build_xjoin_plan(
+        query, shape=shape, strategy=STRATEGY_JIT, use_hash_index=use_hash_index,
+        jit_config=config,
+    )
+    if schedules is not None:  # None keeps the shipped, ledger-driven gates
+        scripts = iter(schedules * 8)
+        script_gates(plan, lambda: ScriptedGate(next(scripts), slot_windows))
+    kwargs = {}
+    if mode == ExecutionMode.QUEUED:
+        kwargs = dict(mode=mode, scheduler=build_scheduler("jit_aware"))
+    jit = run_workload(plan, events, window, **kwargs)
+    assert jit.results.multiset() == ref.results.multiset()
+    assert jit.results.temporally_ordered
+    assert _drained(plan, plan.root.require_context(), window)
+    return sum(op.stats["detection_rests"] for op in _jit_operators(plan))
+
+
+#: Gate scripts: one tuple of open/rest slots per gate, handed out in turn.
+FLIPPING = ((True, False), (False, True, True), (True, True, False, False))
+
+
+class TestToggleProperty:
+    @pytest.mark.parametrize("use_hash_index", (False, True), ids=("nested", "indexed"))
+    @pytest.mark.parametrize("mode", (ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED))
+    @pytest.mark.parametrize("shape", (PLAN_LEFT_DEEP, PLAN_BUSHY))
+    @pytest.mark.parametrize("n_sources", (2, 3, 4))
+    def test_scripted_schedules(self, n_sources, shape, mode, use_hash_index):
+        rests = _assert_toggling_preserves_results(
+            n_sources, shape, mode, use_hash_index, FLIPPING, slot_windows=0.4, seed=17
+        )
+        if n_sources > 2:
+            assert rests > 0  # the schedule did toggle a detecting port
+
+    @pytest.mark.parametrize("use_hash_index", (False, True), ids=("nested", "indexed"))
+    def test_the_shipped_rule_rests_and_retries(self, use_hash_index):
+        # No script: 4.5 windows are enough for a rest and a trial.
+        rests = _assert_toggling_preserves_results(
+            4, PLAN_LEFT_DEEP, ExecutionMode.SYNCHRONOUS, use_hash_index,
+            schedules=None, slot_windows=1.0, seed=17,
+        )
+        assert rests > 0
+
+
+@pytest.mark.slow
+class TestTogglePropertySweep:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n_sources=st.integers(min_value=2, max_value=4),
+        shape=st.sampled_from((PLAN_LEFT_DEEP, PLAN_BUSHY)),
+        mode=st.sampled_from((ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED)),
+        use_hash_index=st.booleans(),
+        schedules=st.lists(
+            st.lists(st.booleans(), min_size=1, max_size=8).map(tuple),
+            min_size=1, max_size=4,
+        ).map(tuple),
+        slot_windows=st.sampled_from((0.1, 0.3, 0.5, 1.0, 1.5)),
+        seed=st.integers(min_value=0, max_value=100_000),
+        dmax=st.sampled_from((2, 4, 8, 40)),
+        config=st.builds(
+            JITConfig,
+            detection_mode=st.sampled_from(
+                (DetectionMode.LATTICE, DetectionMode.BLOOM, DetectionMode.EMPTY_ONLY)
+            ),
+            max_mns_arity=st.integers(min_value=1, max_value=3),
+            handle_type2=st.booleans(),
+            propagate_empty_suspension=st.booleans(),
+        ),
+    )
+    def test_arbitrary_schedules(
+        self, n_sources, shape, mode, use_hash_index, schedules, slot_windows, seed, dmax,
+        config,
+    ):
+        _assert_toggling_preserves_results(
+            n_sources, shape, mode, use_hash_index, schedules, slot_windows, seed, dmax,
+            config,
+        )

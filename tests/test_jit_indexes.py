@@ -35,7 +35,7 @@ from repro.plans.query import ContinuousQuery
 from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 
-from helpers import make_tuple
+from helpers import make_tuple, script_gates
 
 X = (("A", "x"),)
 Y = (("A", "y"),)
@@ -82,6 +82,37 @@ class TestIndexRegistry:
         assert [e.tuple.get("x") for e in matches] == [7]
         assert _hashes(context) == 3  # the lookup only: nothing left to build
         assert context.cost.count(CostKind.PROBE_STEP) == 1
+
+    def test_unused_lazy_index_retires_after_a_window_and_rebuilds_at_the_build_charge(
+        self, context
+    ):
+        state = OperatorState("S", context, key_template=X)
+        for i in range(4):
+            state.insert(make_tuple("A", 100.0 + i, seq=i, x=i, y=i % 2))
+        assert _hashes(context) == 4  # the join-key index only
+        context.clock.advance_to(10.0)
+        state.probe_index([(Y, (0,))])
+        assert _hashes(context) == 4 + 4 + 1  # build + lookup
+        state.purge(horizon=10.0)  # purge passes ``now - w``: looked up exactly a window ago
+        assert set(state._indexes) == {X, Y}
+        state.insert(make_tuple("A", 104.0, seq=4, x=4, y=0))
+        assert _hashes(context) == 9 + 2  # both maintained
+        context.clock.advance_to(30.0)
+        state.probe_index([(Y, (0,))])
+        assert _hashes(context) == 11 + 1  # a lookup renews the lease
+        state.purge(horizon=29.0)
+        assert set(state._indexes) == {X, Y}
+        state.purge(horizon=30.5)  # not asked for during one window: retired
+        assert set(state._indexes) == {X} and not state._last_lookup
+        state.insert(make_tuple("A", 105.0, seq=5, x=5, y=0))
+        assert _hashes(context) == 12 + 1  # no longer maintained
+        context.clock.advance_to(500.0)
+        state.purge(horizon=99.0)
+        assert set(state._indexes) == {X}  # the join-key index never retires
+        rebuilt = state.probe_index([(Y, (0,))])
+        assert _hashes(context) == 13 + 6 + 1  # rebuilt over the 6 present entries
+        assert rebuilt == _brute(state, Y, (0,)) and len(rebuilt) == 4
+        assert set(state._indexes) == {X, Y}
 
     def test_buckets_stay_correct_and_ordered_across_every_mutation(self, context):
         state = OperatorState("S", context)
@@ -193,6 +224,9 @@ def _jit_run(query, events, window, shape, config, mode, use_hash_index):
         query, shape=shape, strategy=STRATEGY_JIT, jit_config=config,
         use_hash_index=use_hash_index,
     )
+    # Pinned open: the two runs pay differently for the same decisions, so
+    # live gates would rest at different times and the decisions diverge.
+    script_gates(plan)
     kwargs = {}
     if mode == ExecutionMode.QUEUED:
         kwargs = dict(mode=mode, scheduler=build_scheduler("jit_aware"))

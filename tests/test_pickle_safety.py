@@ -16,10 +16,12 @@ import pickle
 
 import pytest
 
+from repro.core.jit_join import JITJoinOperator
+from repro.engine import run_workload
 from repro.engine.results import result_key
 from repro.multi import QueryRegistry, ShardedEngine
 from repro.multi.workload import generate_multi_query_workload
-from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
+from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.trace import TraceContext
 
 
@@ -128,3 +130,34 @@ def test_trace_context_roundtrips():
         clone = _roundtrip(ctx)
         assert clone.trace_id == ctx.trace_id
         assert clone.sampled == ctx.sampled
+
+
+def test_operator_carrying_a_used_detection_gate_roundtrips(workload):
+    """Plans are built inside the workers, so an operator ships unattached; the
+    gate it carries is plain data and must survive with its sums and its
+    place in the rest/trial schedule."""
+    query = next(q for q in workload.queries() if len(q.sources) >= 3)
+    events = [e for e in workload.events() if e.source in query.sources]
+    plan = build_xjoin_plan(query, strategy=STRATEGY_JIT, use_hash_index=True)
+    run_workload(plan, events, query.window.length)
+    used = next(
+        gate
+        for operator in plan.join_operators
+        for gate in operator.gates.values()
+        if gate.spent_units
+    )
+    assert used.spent_units > 0 and used.avoided_units >= 0
+    fresh = build_xjoin_plan(query, strategy=STRATEGY_JIT).join_operators[-1]
+    assert isinstance(fresh, JITJoinOperator)
+    fresh.gates["left"] = used
+    clone = _roundtrip(fresh)
+    gate = clone.gates["left"]
+    assert vars(gate) == vars(used)
+    # Both continue the schedule identically from where it stood.
+    window = query.window.length
+    for step in range(1, 9):
+        assert gate.open_at(70.0 + step * window, window) == used.open_at(
+            70.0 + step * window, window
+        )
+        gate.spend(step)
+        used.spend(step)

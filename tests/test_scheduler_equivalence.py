@@ -3,9 +3,12 @@
 * ``GOLDEN`` pins the schedule every policy produces — per-shard pop order,
   per-query result sequences, ``cpu_units`` and the scheduler-step count — on
   a single queued plan and on 1- and 2-shard engines (sync and thread drains,
-  with and without shared sub-plans).  The digests were recorded at the last
-  commit that still carried the sorted-``select`` drain, where both drains
-  produced them; a change that moves one changed a scheduling decision.
+  with and without shared sub-plans).  The digests were first recorded at the
+  last commit that still carried the sorted-``select`` drain, where both
+  drains produced them, and re-recorded when cost-gated MNS detection changed
+  what the JIT plans of these populations charge and pop (the per-query
+  result sequences inside every digest did not move; CHANGES.md, PR 17).  A
+  change that moves one changed a scheduling decision or a modelled cost.
 * The shipped heap policies must pop in exactly the order of the test-only
   :class:`helpers.LinearScanScheduler` (``min()`` over a plain dict), driven
   through the same drain loop via ``scheduler=``.  Deterministic cases are
@@ -57,26 +60,26 @@ SHARDED_CONFIGS = {
 #: (policy, config without its drain mode) -> digest: a thread drain must
 #: reproduce the sync schedule exactly.
 GOLDEN = {
-    ("fifo", "single"): "f71f77d8107827e0615067ff36ea94824c96f2d5a5aa444a4c72f8ed73bf2059",
-    ("fifo", "1"): "fa8759494ab65e683283e0cb596de3dde9220289efcd7ac16b26435caccbb6af",
-    ("fifo", "1-shared"): "d393a4f6ea596189c6b15c65d4c6f21d9624a7d4522d7a4d85679eb012a6da52",
-    ("fifo", "2"): "85d9a6fb24db40c6717773740b0d10d8d466f01c75acf247b9f3f774126bc1e4",
-    ("fifo", "2-shared"): "ff416c9c2e32b2c1d7fb0d8e8d53efc0e35abf7a2aaca25b6afda97eab040ecc",
-    ("round_robin", "single"): "13e5c9b8ef35c2cdd88828649edf0722b0330e80e7e217683daa971d3eb0be0d",
-    ("round_robin", "1"): "eaba2ef39086d750e222ec79f090f70d7075a562bbe425779b7d173297505ebc",
-    ("round_robin", "1-shared"): "43e3705d94bd057d79d44c6774e453cfe03665e6273e41efdf127e4544f92a32",
-    ("round_robin", "2"): "332c12c7fc9d90ddea4c9e0287a71b2ca4ffa0b385ef2c0a76a2a46e6bed6bb9",
-    ("round_robin", "2-shared"): "43e6dda03ec349b7bb7896e05694372db23b37790b9eedfc1ffc061f149001b2",
-    ("priority", "single"): "f7e9c235f705a8bf108683152c6e39db691fd6caf7b4e27e4a2e40932241f32e",
-    ("priority", "1"): "b0a4da2274a14f53e8647670bacb656ff94051f6cfcaeb8509f1116c99e74a00",
-    ("priority", "1-shared"): "802790b61f70620ae2dd280ea934621e36067e0ad39b0167fb78e8e0993dc6a4",
-    ("priority", "2"): "f15a3104af1ac7717cfee5e577e8135ea1953130772a018626c2e0a866dc849b",
-    ("priority", "2-shared"): "18cbe359ca44dd28332e2c7d7bf30af9644e4d999e4533a20a273c52ca3f5582",
-    ("jit_aware", "single"): "f71f77d8107827e0615067ff36ea94824c96f2d5a5aa444a4c72f8ed73bf2059",
-    ("jit_aware", "1"): "86a18857885cb959218977ad94bb52b0206ab0a15c69b4f24adc548eaa2666e9",
-    ("jit_aware", "1-shared"): "ad95106f895d44f673a9d43f69f5acb6918f957315b44cf824db83e45c85eec5",
-    ("jit_aware", "2"): "9076942485091352b892877d759a2ec714d6c63e18d3267db511014b7df48c2a",
-    ("jit_aware", "2-shared"): "660f6aaa9c8d3b69212e60d09d0206394758b6c381aeee4414c10eb662b0c6df",
+    ("fifo", "single"): "600e8a3c28daaf50318ad1d184daa877f3504a258e97ebf35cd16cf97c7de64e",
+    ("fifo", "1"): "814de56b03a55aaba59eb17968f7a250c4a40b32cc7499a890fa768341699ce0",
+    ("fifo", "1-shared"): "9268b49fa27f9aac591a33ae948131a8cd226fc5be1f266c61e4138fff9fcf9d",
+    ("fifo", "2"): "a89a8816f408d4a26750b71f1e5668b39fe010149faaaf5661bb193a3dc56ce1",
+    ("fifo", "2-shared"): "61b4cc1bdd302f639920c03e2b8a1e4aaccb16bf185ae1c83f382818a3f9d042",
+    ("round_robin", "single"): "3c466efdb95cf5b9d463bce7b7b8f00faba486f486f2cf60148eca7e9aa30110",
+    ("round_robin", "1"): "1b185080563797c1406f51bbf38ee3543a8326eec5df4258e4df03800d55cba4",
+    ("round_robin", "1-shared"): "3484a5f81fdcecc41ac8da47fb51ba69f0fd63576c267098e1d4cc0c5755e5d6",
+    ("round_robin", "2"): "f9e43f8156ba4bb0d6cf94ce31005a08a1ca4dca66db380021ad2789bf37351a",
+    ("round_robin", "2-shared"): "19570e387c06a26dce1e80107306a59e041e8080be4fb7aafbfedf8796b73413",
+    ("priority", "single"): "15ad283f2a0de006c69a854c51b59414421dcd0bf913bb991a23c24acdd33b85",
+    ("priority", "1"): "554a4b27c45bbad34a4da6ce7592b4a762a5ee4bd0b72eb58726c2e94e5ce9e8",
+    ("priority", "1-shared"): "f1632877e6d846c5e10d5f431a894e2045080ab6edb14888792673f52025a407",
+    ("priority", "2"): "b00e5146d3a72f6d665714332aacb5963c297a3f220b7011046cf47f2d307dc3",
+    ("priority", "2-shared"): "c301206cddebceaafce160b045fab1bc6e0f77c488fee7b9f6c09e91d7bfa4d3",
+    ("jit_aware", "single"): "600e8a3c28daaf50318ad1d184daa877f3504a258e97ebf35cd16cf97c7de64e",
+    ("jit_aware", "1"): "b60f83751c2c3e968cbe9bb58fff2d698b5c14a156b077118e765edbf57740e3",
+    ("jit_aware", "1-shared"): "4c9eb44b7e7465f5b2b3b07df91f296210862a46b861ffd24c5da2fd527eabf3",
+    ("jit_aware", "2"): "3a9fa36a0e7304df7ebd0429a098cd6a2f1704219020dde67747fc961b7f3899",
+    ("jit_aware", "2-shared"): "8967600c0e20e841c2472b9b9c29999d944d773e47afe7b8347e25389de0f1a2",
 }
 
 

@@ -441,8 +441,9 @@ class TestExplainAnalyze:
         assert "steps=" in text
         assert "charges:" in text
         assert "virtual window:" in text
-        # JIT joins surface their suspension counters.
+        # JIT joins surface their suspension counters and their gates' ledgers.
         assert "jit:" in text
+        assert "gate left: " in text and " spent=" in text and " avoided=" in text
 
     def test_shared_subtree_report_is_namespaced(self, traced_shared):
         """Shared-subtree profiles do not merge with same-named operators."""

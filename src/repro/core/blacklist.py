@@ -15,12 +15,35 @@ exact REF-equivalence (see docs/JIT.md):
 
 * :meth:`Blacklist.min_live_ts` feeds the *delayed purge floor* of the
   opposite operator state, and
-* :meth:`Blacklist.is_alive` tells the consumer whether an MNS entry must be
-  kept because suspended super-tuples still exist somewhere upstream.
+* :meth:`BlacklistEntry.max_ts` tells the consumer (through
+  ``JITJoinOperator.suspension_alive``) whether an MNS entry must be kept
+  because suspended super-tuples still exist somewhere upstream.
+
+**Nothing here is a scan of the blacklist.**  Every question asked per event
+or per suspension is answered from an order the tuples arrive in anyway:
+
+* an entry's ``suspended`` list is in timestamp order until an append breaks
+  it (an older tuple suspended again), so its oldest and newest tuple sit at
+  the ends and :meth:`Blacklist.purge` stops at the first survivor; an entry
+  whose order broke is flagged and scanned in full until a purge finds it in
+  order again;
+* the *seated* tuples of an entry (those extracted from the state, which
+  carry an ``original_seq``) are also kept in ``seats``, in watermark order:
+  watermarks are read off a counter that only grows, so appending in
+  suspension order is that order, and the rare seat whose watermark falls
+  below the last one's goes to ``loose`` instead.
+  :meth:`Blacklist.unmet_exceptions_for` walks ``loose`` and the prefix of
+  ``seats`` (docs/JIT.md, "Watermark exceptions").
+
+Neither order costs anything to keep, and none of it is charged to the
+:class:`~repro.metrics.MemoryModel` (the rule of :mod:`repro.operators.state`:
+the model counts stored tuples).  ``BLACKLIST_SCAN`` and ``PURGE`` are still
+one per suspended tuple examined.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -32,7 +55,11 @@ from repro.streams.tuples import StreamTuple
 __all__ = ["SuspendedTuple", "BlacklistEntry", "Blacklist"]
 
 
-@dataclass
+def _ts(suspended: "SuspendedTuple") -> float:
+    return suspended.tuple.ts
+
+
+@dataclass(slots=True)
 class SuspendedTuple:
     """A tuple parked in the blacklist.
 
@@ -81,11 +108,12 @@ class SuspendedTuple:
         return opposite_seq <= self.joined_upto_seq and opposite_seq not in self.unmet_seqs
 
 
-@dataclass
+@dataclass(slots=True)
 class BlacklistEntry:
     """All suspended tuples sharing one MNS signature."""
 
     signature: MNSSignature
+    #: Every suspended tuple, in suspension order (the order resumption replays).
     suspended: List[SuspendedTuple] = field(default_factory=list)
     #: True when the suspension came from a consumer that will never resume
     #: (selection / static-join consumers); such tuples are simply dropped.
@@ -102,21 +130,46 @@ class BlacklistEntry:
     #: How many of ``suspended`` an opposite probe would still meet under
     #: REF: those inside the window as of the last purge, plus later ones.
     hidden: int = 0
+    #: The seated members of ``suspended`` (those with an ``original_seq``),
+    #: in suspension order, which is non-decreasing ``joined_upto_seq`` ...
+    seats: List[SuspendedTuple] = field(default_factory=list)
+    #: ... except for the seated tuples that would have broken that order:
+    #: their watermark is below that of the last seat taken before them.
+    loose: List[SuspendedTuple] = field(default_factory=list)
+    #: False once an append broke the timestamp order of ``suspended``.
+    ts_ordered: bool = True
+    #: Modelled bytes of the signature plus the suspended tuples.
+    size_bytes: int = field(init=False)
 
-    @property
-    def size_bytes(self) -> int:
-        """Modelled bytes of the entry's suspended tuples plus the signature."""
-        return self.signature.size_bytes + sum(s.tuple.size_bytes for s in self.suspended)
+    def __post_init__(self) -> None:
+        self.size_bytes = self.signature.size_bytes + sum(
+            s.tuple.size_bytes for s in self.suspended
+        )
 
-    def min_ts(self) -> Optional[float]:
+    def min_ts(self) -> float:
         """Earliest timestamp among signature and suspended tuples."""
-        candidates = [self.signature.ts] + [s.ts for s in self.suspended]
-        return min(candidates) if candidates else None
+        return min(self.signature.ts, self._end_ts(0, min))
 
-    def max_ts(self) -> Optional[float]:
+    def max_ts(self) -> float:
         """Latest timestamp among signature and suspended tuples."""
-        candidates = [self.signature.ts] + [s.ts for s in self.suspended]
-        return max(candidates) if candidates else None
+        return max(self.signature.ts, self._end_ts(-1, max))
+
+    def _end_ts(self, end: int, pick) -> float:
+        if not self.suspended:
+            return self.signature.ts
+        if self.ts_ordered:
+            return self.suspended[end].tuple.ts
+        return pick(map(_ts, self.suspended))
+
+
+def _expired_prefix(ordered: List[SuspendedTuple], now: float, retention: float) -> int:
+    """How many leading tuples of a timestamp-ordered list are past retention."""
+    count = 0
+    for suspended in ordered:
+        if suspended.tuple.ts + retention > now:
+            break
+        count += 1
+    return count
 
 
 class Blacklist:
@@ -144,6 +197,14 @@ class Blacklist:
         #: Origin gate -> tuples it keeps suspended here: who is credited for
         #: the probes that do not meet them, and in which proportion.
         self.hidden: Dict[object, int] = {}
+        #: Suspended tuples over all entries.
+        self.suspended_count = 0
+        #: Sequence number -> how many seated tuples list it in ``unmet_seqs``.
+        self._excepted: Dict[int, int] = {}
+        #: :meth:`min_live_ts`, kept by every add; once something has left the
+        #: blacklist it is not known until recomputed from the entries' ends.
+        self._min_live: Optional[float] = None
+        self._min_live_known = True
 
     # -- entry management ----------------------------------------------------------
 
@@ -176,6 +237,7 @@ class Blacklist:
             )
             self._entries[signature] = entry
             self._index_signature(signature)
+            self._note_ts(signature.ts)
             self.context.memory.allocate(signature.size_bytes, self.MEMORY_CATEGORY)
         elif permanent:
             entry.permanent = True
@@ -208,8 +270,22 @@ class Blacklist:
             met_seqs=met_seqs,
             unmet_seqs=unmet_seqs,
         )
+        if entry.suspended and tup.ts < entry.suspended[-1].tuple.ts:
+            entry.ts_ordered = False
         entry.suspended.append(suspended)
+        if original_seq is not None:
+            seats = entry.seats
+            if seats and joined_upto_seq < seats[-1].joined_upto_seq:
+                entry.loose.append(suspended)
+            else:
+                seats.append(suspended)
+            excepted = self._excepted
+            for seq in unmet_seqs:
+                excepted[seq] = excepted.get(seq, 0) + 1
+        self.suspended_count += 1
+        self._note_ts(tup.ts)
         self._count_hidden(entry, 1)
+        entry.size_bytes += tup.size_bytes
         self.context.memory.allocate(tup.size_bytes, self.MEMORY_CATEGORY)
         return suspended
 
@@ -220,9 +296,22 @@ class Blacklist:
             return None
         self._unindex_signature(signature)
         self._count_hidden(entry, -entry.hidden)
-        released = signature.size_bytes + sum(s.tuple.size_bytes for s in entry.suspended)
-        self.context.memory.release(released, self.MEMORY_CATEGORY)
+        self._unseat(entry.seats)
+        self._unseat(entry.loose)
+        self.suspended_count -= len(entry.suspended)
+        self._min_live_known = False
+        self.context.memory.release(entry.size_bytes, self.MEMORY_CATEGORY)
         return entry
+
+    def _unseat(self, seated: Iterable[SuspendedTuple]) -> None:
+        """``seated`` leave the blacklist: so do the exceptions they listed."""
+        excepted = self._excepted
+        for suspended in seated:
+            for seq in suspended.unmet_seqs:
+                if excepted[seq] == 1:
+                    del excepted[seq]
+                else:
+                    excepted[seq] -= 1
 
     # -- matching new arrivals ---------------------------------------------------------
 
@@ -264,15 +353,31 @@ class Blacklist:
         here that has not met it must be excluded from the new suspension's
         watermark, otherwise neither side's resumption would ever produce the
         pair (see docs/JIT.md, "Watermark exceptions").
+
+        Only seated tuples can be an exception, and of those only the ones
+        suspended before ``own_seq`` arrived (``joined_upto_seq < own_seq``):
+        every ``loose`` seat and the prefix of ``seats`` up to the first one
+        past it.  The one case that reaches further is an ``own_seq`` that
+        was itself suspended here-opposite before and re-inserted: a later
+        seat may list it in ``unmet_seqs``, so then every seat is examined.
+        One ``BLACKLIST_SCAN`` per suspended tuple examined.
         """
         unmet = set()
+        examined = 0
+        fresh = own_seq not in self._excepted
         for entry in self._entries.values():
-            for suspended in entry.suspended:
-                self.context.cost.charge(CostKind.BLACKLIST_SCAN)
-                if suspended.original_seq is None:
-                    continue
+            for suspended in entry.loose:
+                examined += 1
                 if not suspended.has_met(own_seq):
                     unmet.add(suspended.original_seq)
+            for suspended in entry.seats:
+                examined += 1
+                if fresh and suspended.joined_upto_seq >= own_seq:
+                    break
+                if not suspended.has_met(own_seq):
+                    unmet.add(suspended.original_seq)
+        if examined:
+            self.context.cost.charge(CostKind.BLACKLIST_SCAN, examined)
         return frozenset(unmet)
 
     # -- liveness / purging ------------------------------------------------------------------
@@ -283,25 +388,15 @@ class Blacklist:
         The opposite operator state must not purge tuples newer than this
         minus one window, otherwise resumption would miss results.
         """
-        values = [m for e in self._entries.values() if (m := e.min_ts()) is not None]
-        return min(values) if values else None
+        if not self._min_live_known:
+            self._min_live = min((e.min_ts() for e in self._entries.values()), default=None)
+            self._min_live_known = True
+        return self._min_live
 
-    def is_alive(self, signature: MNSSignature, now: float, retention: float) -> bool:
-        """True while ``signature``'s suspension can still matter.
-
-        It matters while it has suspended tuples within the retention horizon,
-        or while an upstream producer (to which the suspension was propagated)
-        may still hold suspended super-tuples.
-        """
-        entry = self._entries.get(signature)
-        if entry is None:
-            return False
-        if entry.permanent:
-            return True
-        latest = entry.max_ts()
-        if latest is not None and latest + retention > now:
-            return True
-        return entry.propagated_upstream
+    def _note_ts(self, ts: float) -> None:
+        """A signature or tuple stamped ``ts`` joined the blacklist."""
+        if self._min_live_known and (self._min_live is None or ts < self._min_live):
+            self._min_live = ts
 
     def purge(self, now: float, retention: float) -> int:
         """Drop suspended tuples (and empty, dead entries) past the retention horizon.
@@ -309,29 +404,36 @@ class Blacklist:
         Returns the number of suspended tuples dropped.  Entries whose
         suspension was propagated upstream are kept even when empty, so the
         liveness chain toward the consumer's MNS buffer stays intact.
+
+        One ``PURGE`` per suspended tuple examined, booked on the entry's
+        gate: the dropped ones and the first survivor of an entry in
+        timestamp order, every tuple of an entry whose order broke.
         """
         dropped = 0
-        purge_units = self.context.cost.weights.purge
+        cost = self.context.cost
+        purge_units = cost.weights.purge
         horizon = self.context.window.purge_horizon(now)
         for signature in list(self._entries):
             entry = self._entries[signature]
-            keep: List[SuspendedTuple] = []
-            for suspended in entry.suspended:
-                self.context.cost.charge(CostKind.PURGE)
-                if suspended.ts + retention > now:
-                    keep.append(suspended)
-                else:
-                    dropped += 1
-                    self.context.memory.release(
-                        suspended.tuple.size_bytes, self.MEMORY_CATEGORY
-                    )
-            if entry.gate is not None and entry.suspended:
-                # One PURGE per tuple examined: upkeep of the gate's suspension.
-                entry.gate.spend(purge_units * len(entry.suspended))
-                # Past the window REF holds the tuple no more: nothing left to avoid.
-                live = sum(1 for suspended in keep if suspended.ts >= horizon)
-                self._count_hidden(entry, live - entry.hidden)
-            entry.suspended = keep
+            if entry.suspended:
+                gone, examined = self._drop_expired(entry, now, retention)
+                cost.charge(CostKind.PURGE, examined)
+                if gone:
+                    dropped += len(gone)
+                    self._unseat(gone)
+                    released = sum(s.tuple.size_bytes for s in gone)
+                    entry.size_bytes -= released
+                    self.context.memory.release(released, self.MEMORY_CATEGORY)
+                if entry.gate is not None:
+                    # One PURGE per tuple examined: upkeep of the gate's suspension.
+                    entry.gate.spend(purge_units * examined)
+                    # Past the window REF holds the tuple no more: nothing left to avoid.
+                    kept = entry.suspended
+                    if entry.ts_ordered:
+                        live = len(kept) - bisect_left(kept, horizon, key=_ts)
+                    else:
+                        live = sum(1 for s in kept if s.tuple.ts >= horizon)
+                    self._count_hidden(entry, live - entry.hidden)
             if (
                 not entry.suspended
                 and not entry.propagated_upstream
@@ -341,7 +443,39 @@ class Blacklist:
                 self._entries.pop(signature)
                 self._unindex_signature(signature)
                 self.context.memory.release(signature.size_bytes, self.MEMORY_CATEGORY)
+        self.suspended_count -= dropped
+        self._min_live_known = False
         return dropped
+
+    @staticmethod
+    def _drop_expired(
+        entry: BlacklistEntry, now: float, retention: float
+    ) -> Tuple[List[SuspendedTuple], int]:
+        """Take the tuples past retention out of ``entry``'s lists.
+
+        Returns them and the number of suspended tuples examined to find them.
+        """
+        suspended = entry.suspended
+        if entry.ts_ordered:
+            held = len(suspended)
+            gone = suspended[: _expired_prefix(suspended, now, retention)]
+            if gone:
+                del suspended[: len(gone)]
+                # Subsequences of ``suspended``: what expired leads them too.
+                for seated in (entry.seats, entry.loose):
+                    del seated[: _expired_prefix(seated, now, retention)]
+            return gone, min(len(gone) + 1, held)
+
+        def alive(s: SuspendedTuple) -> bool:
+            return s.tuple.ts + retention > now
+
+        gone = [s for s in suspended if not alive(s)]
+        if gone:
+            entry.suspended = kept = [s for s in suspended if alive(s)]
+            entry.seats = [s for s in entry.seats if alive(s)]
+            entry.loose = [s for s in entry.loose if alive(s)]
+            entry.ts_ordered = all(a.tuple.ts <= b.tuple.ts for a, b in zip(kept, kept[1:]))
+        return gone, len(suspended)
 
     @property
     def memory_bytes(self) -> int:
@@ -394,5 +528,7 @@ class Blacklist:
                 self._index[template].pop(key, None)
 
     def __repr__(self) -> str:
-        suspended = sum(len(e.suspended) for e in self._entries.values())
-        return f"Blacklist({self.name!r}, entries={len(self._entries)}, suspended={suspended})"
+        return (
+            f"Blacklist({self.name!r}, entries={len(self._entries)}, "
+            f"suspended={self.suspended_count})"
+        )

@@ -274,8 +274,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 continue
             if entry.permanent:
                 return False
-            latest = entry.max_ts()
-            if latest is not None and latest + retention > now:
+            if entry.max_ts() + retention > now:
                 return True
             if entry.propagated_upstream:
                 upstream = self.producer_of(port)
@@ -1036,6 +1035,6 @@ class JITJoinOperator(BinaryJoinOperator):
     def suspended_counts(self) -> Tuple[int, int]:
         """Number of suspended tuples on the (left, right) blacklists."""
         return (
-            sum(len(e.suspended) for e in self.blacklists[PORT_LEFT].entries()),
-            sum(len(e.suspended) for e in self.blacklists[PORT_RIGHT].entries()),
+            self.blacklists[PORT_LEFT].suspended_count,
+            self.blacklists[PORT_RIGHT].suspended_count,
         )

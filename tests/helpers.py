@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+from repro.core.blacklist import Blacklist
 from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import FeedbackKind
 from repro.core.jit_join import JITJoinOperator
+from repro.metrics import CostKind
 from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.streams.tuples import AtomicTuple
@@ -38,6 +42,60 @@ def script_gates(plan, make_gate=ScriptedGate) -> None:
         if isinstance(operator, JITJoinOperator):
             for port in operator.ports:
                 operator.gates[port] = make_gate()
+
+
+def scan_unmet_exceptions(blacklist: Blacklist, own_seq: int):
+    """The reference for ``Blacklist.unmet_exceptions_for``: the scan it replaced.
+
+    Every suspended tuple of every entry is examined and asked ``has_met``.
+    Returns the set and the number of tuples examined (what the scan charged
+    in ``BLACKLIST_SCAN``); charges nothing itself.
+    """
+    unmet, examined = set(), 0
+    for entry in blacklist.entries():
+        for suspended in entry.suspended:
+            examined += 1
+            if suspended.original_seq is not None and not suspended.has_met(own_seq):
+                unmet.add(suspended.original_seq)
+    return frozenset(unmet), examined
+
+
+def checked_unmet_exceptions(
+    blacklist: Blacklist, own_seq: int, ask=Blacklist.unmet_exceptions_for
+):
+    """Ask ``blacklist`` and the scan; they must agree, the scan examining no less.
+
+    Returns ``(answer, examined, scanned)``.
+    """
+    expected, scanned = scan_unmet_exceptions(blacklist, own_seq)
+    counters = blacklist.context.cost.counters
+    before = counters[CostKind.BLACKLIST_SCAN]
+    answer = ask(blacklist, own_seq)
+    examined = counters[CostKind.BLACKLIST_SCAN] - before
+    assert answer == expected, (blacklist.name, own_seq, sorted(answer), sorted(expected))
+    assert examined <= scanned, (blacklist.name, own_seq, examined, scanned)
+    return answer, examined, scanned
+
+
+@contextmanager
+def blacklists_checked_against_scan():
+    """Check every ``unmet_exceptions_for`` call made inside against the scan.
+
+    Yields the list of ``(examined, scanned)`` pairs, one per call.
+    """
+    calls = []
+    shipped = Blacklist.unmet_exceptions_for
+
+    def checked(blacklist, own_seq):
+        answer, examined, scanned = checked_unmet_exceptions(blacklist, own_seq, shipped)
+        calls.append((examined, scanned))
+        return answer
+
+    Blacklist.unmet_exceptions_for = checked
+    try:
+        yield calls
+    finally:
+        Blacklist.unmet_exceptions_for = shipped
 
 
 class StubOperator:

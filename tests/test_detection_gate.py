@@ -9,7 +9,8 @@
   (the ledger charges nothing), and with live gates the top join — whose
   suspensions are the saving — never rests;
 * Section III under toggling: whatever schedule a gate follows, JIT's results
-  are REF's, in timestamp order, and every JIT structure drains.
+  are REF's, in timestamp order, and every JIT structure drains — and every
+  answer a blacklist gives on the way is the one a scan of it would give.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.plans.query import ContinuousQuery
 from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 
-from helpers import ScriptedGate, script_gates
+from helpers import ScriptedGate, blacklists_checked_against_scan, script_gates
 
 W = 10.0  # window length used by the rule tests
 
@@ -140,7 +141,7 @@ class TestGateOnIndexedClique:
         # in four windows of sixteen, and each of them leaves a tail to drain.
         consumer = _jit_operators(plan)[-1]
         assert (consumer.stats["detection_rests"], consumer.stats["detection_trials"]) == (4, 3)
-        assert pinned.cpu_units > 1.7 * ref.cpu_units
+        assert pinned.cpu_units > 1.6 * ref.cpu_units
         assert jit.cpu_units <= 1.3 * ref.cpu_units
         # The last rest began more than a window ago: every index that was
         # built for detection or extraction has retired, the join key stays.
@@ -161,16 +162,20 @@ class TestGateOnIndexedClique:
 
 #: JIT counters of the paper's left-deep default (Table III; the end-to-end
 #: benchmark's recipe: seed 7, three windows, WINDOW retention), recorded at
-#: the commit before the gate existed.  scale -> (cpu_units, peak memory
-#: bytes, non-zero cost counters, non-zero per-operator stats).
+#: the commit before the gate existed; ``blacklist_scan``, ``purge`` and with
+#: them ``cpu_units`` were recorded again when the blacklist stopped scanning
+#: itself (0.2: 81 291 / 5 246 / 380 800 before, 0.3: 173 660 / 10 164 /
+#: 649 574), every other number is the one from before the gate.  scale ->
+#: (cpu_units, peak memory bytes, non-zero cost counters, non-zero
+#: per-operator stats).
 PAPER_GOLDEN = {
     0.2: (
-        380800.0,
+        346181.0,
         78856,
         {
             "predicate_eval": 121523, "probe_step": 133697, "result_build": 457,
-            "insert": 1968, "purge": 5246, "hash": 3706, "lattice_node": 61628,
-            "feedback_message": 306, "blacklist_scan": 81291,
+            "insert": 1968, "purge": 2856, "hash": 3706, "lattice_node": 61628,
+            "feedback_message": 306, "blacklist_scan": 49062,
         },
         {
             "Op1": {
@@ -187,12 +192,12 @@ PAPER_GOLDEN = {
         },
     ),
     0.3: (
-        649574.0,
+        553085.0,
         111240,
         {
             "predicate_eval": 198658, "probe_step": 200593, "result_build": 680,
-            "insert": 2687, "purge": 10164, "hash": 5959, "lattice_node": 109427,
-            "feedback_message": 356, "blacklist_scan": 173660,
+            "insert": 2687, "purge": 5261, "hash": 5959, "lattice_node": 109427,
+            "feedback_message": 356, "blacklist_scan": 82074,
         },
         {
             "Op1": {
@@ -291,7 +296,8 @@ def _assert_toggling_preserves_results(
     kwargs = {}
     if mode == ExecutionMode.QUEUED:
         kwargs = dict(mode=mode, scheduler=build_scheduler("jit_aware"))
-    jit = run_workload(plan, events, window, **kwargs)
+    with blacklists_checked_against_scan():
+        jit = run_workload(plan, events, window, **kwargs)
     assert jit.results.multiset() == ref.results.multiset()
     assert jit.results.temporally_ordered
     assert _drained(plan, plan.root.require_context(), window)

@@ -395,14 +395,6 @@ class TestBlacklist:
         bl.purge(now=100.0, retention=50.0)
         assert sig in bl
 
-    def test_is_alive(self, context):
-        bl = Blacklist("bl", context)
-        sig = self._sig(ts=0.0)
-        bl.add_suspended(sig, make_tuple("A", 0.0, y=9), 0, 0.0)
-        assert bl.is_alive(sig, now=30.0, retention=60.0)
-        assert not bl.is_alive(sig, now=120.0, retention=60.0)
-        assert not bl.is_alive(self._sig(y=5), now=0.0, retention=60.0)
-
     def test_empty_signature_diverts_everything(self, context):
         bl = Blacklist("bl", context)
         bl.ensure_entry(MNSSignature.empty(), now=0.0)

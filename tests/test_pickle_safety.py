@@ -16,13 +16,19 @@ import pickle
 
 import pytest
 
+from repro.context import ExecutionContext
+from repro.core.blacklist import Blacklist
 from repro.core.jit_join import JITJoinOperator
+from repro.core.signature import MNSSignature
 from repro.engine import run_workload
 from repro.engine.results import result_key
 from repro.multi import QueryRegistry, ShardedEngine
 from repro.multi.workload import generate_multi_query_workload
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
+from repro.streams.time import Window
 from repro.trace import TraceContext
+
+from helpers import make_tuple
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +167,29 @@ def test_operator_carrying_a_used_detection_gate_roundtrips(workload):
         )
         gate.spend(step)
         used.spend(step)
+
+
+def test_slotted_blacklist_records_roundtrip():
+    """``SuspendedTuple`` and ``BlacklistEntry`` carry no ``__dict__`` (the seat
+    order adds list slots, not objects); a popped entry — what a resumption
+    hands on — survives with its tuples, seat order and byte count."""
+    blacklist = Blacklist("bl", ExecutionContext(window=Window(60.0)))
+    signature = MNSSignature.from_components(make_tuple("A", 1.0, y=9), ("A",), [("A", "y")])
+    blacklist.add_suspended(
+        signature, make_tuple("A", 1.0, y=9), joined_upto_seq=5, now=1.0, original_seq=2,
+        unmet_seqs=frozenset({1}),
+    )
+    blacklist.add_suspended(
+        signature, make_tuple("A", 2.0, y=9), joined_upto_seq=-1, now=2.0, original_seq=3,
+        met_seqs=frozenset({4}),
+    )
+    blacklist.add_suspended(signature, make_tuple("A", 3.0, y=9), joined_upto_seq=-1, now=3.0)
+    entry = blacklist.pop_entry(signature)
+    assert not hasattr(entry, "__dict__") and not hasattr(entry.suspended[0], "__dict__")
+    clone = _roundtrip(entry)
+    assert clone == entry
+    assert [s.original_seq for s in clone.seats] == [2]
+    assert [s.original_seq for s in clone.loose] == [3]
+    assert clone.seats[0] is clone.suspended[0] and clone.loose[0] is clone.suspended[1]
+    assert (clone.size_bytes, clone.min_ts(), clone.max_ts()) == (entry.size_bytes, 1.0, 3.0)
+    assert clone.suspended[1].has_met(4) and not clone.suspended[0].has_met(1)

@@ -7,8 +7,12 @@
   last commit that still carried the sorted-``select`` drain, where both
   drains produced them, and re-recorded when cost-gated MNS detection changed
   what the JIT plans of these populations charge and pop (the per-query
-  result sequences inside every digest did not move; CHANGES.md, PR 17).  A
-  change that moves one changed a scheduling decision or a modelled cost.
+  result sequences inside every digest did not move; CHANGES.md, PR 17), and
+  the four ``single`` ones again when the blacklist stopped scanning itself
+  (``cpu_units`` 145163.5 -> 145146.5, pops and result sequences unmoved; the
+  sharded populations suspend too little for the two to differ; CHANGES.md,
+  PR 19).  A change that moves one changed a scheduling decision or a
+  modelled cost.
 * The shipped heap policies must pop in exactly the order of the test-only
   :class:`helpers.LinearScanScheduler` (``min()`` over a plain dict), driven
   through the same drain loop via ``scheduler=``.  Deterministic cases are
@@ -60,22 +64,22 @@ SHARDED_CONFIGS = {
 #: (policy, config without its drain mode) -> digest: a thread drain must
 #: reproduce the sync schedule exactly.
 GOLDEN = {
-    ("fifo", "single"): "600e8a3c28daaf50318ad1d184daa877f3504a258e97ebf35cd16cf97c7de64e",
+    ("fifo", "single"): "8de04f8686816bfd4fe3a1f23d72b66feb40b94e04aa203490e0e777bd87b051",
     ("fifo", "1"): "814de56b03a55aaba59eb17968f7a250c4a40b32cc7499a890fa768341699ce0",
     ("fifo", "1-shared"): "9268b49fa27f9aac591a33ae948131a8cd226fc5be1f266c61e4138fff9fcf9d",
     ("fifo", "2"): "a89a8816f408d4a26750b71f1e5668b39fe010149faaaf5661bb193a3dc56ce1",
     ("fifo", "2-shared"): "61b4cc1bdd302f639920c03e2b8a1e4aaccb16bf185ae1c83f382818a3f9d042",
-    ("round_robin", "single"): "3c466efdb95cf5b9d463bce7b7b8f00faba486f486f2cf60148eca7e9aa30110",
+    ("round_robin", "single"): "2b3ade304491757c579c9cec3c02dd1f31c2b8ddd6ce2b4ecfe5a148becc764e",
     ("round_robin", "1"): "1b185080563797c1406f51bbf38ee3543a8326eec5df4258e4df03800d55cba4",
     ("round_robin", "1-shared"): "3484a5f81fdcecc41ac8da47fb51ba69f0fd63576c267098e1d4cc0c5755e5d6",
     ("round_robin", "2"): "f9e43f8156ba4bb0d6cf94ce31005a08a1ca4dca66db380021ad2789bf37351a",
     ("round_robin", "2-shared"): "19570e387c06a26dce1e80107306a59e041e8080be4fb7aafbfedf8796b73413",
-    ("priority", "single"): "15ad283f2a0de006c69a854c51b59414421dcd0bf913bb991a23c24acdd33b85",
+    ("priority", "single"): "edf7fa6f7ac0fb76d389b8f13d6edadaf3efd92694d5bf8ee8a62bd243f6308b",
     ("priority", "1"): "554a4b27c45bbad34a4da6ce7592b4a762a5ee4bd0b72eb58726c2e94e5ce9e8",
     ("priority", "1-shared"): "f1632877e6d846c5e10d5f431a894e2045080ab6edb14888792673f52025a407",
     ("priority", "2"): "b00e5146d3a72f6d665714332aacb5963c297a3f220b7011046cf47f2d307dc3",
     ("priority", "2-shared"): "c301206cddebceaafce160b045fab1bc6e0f77c488fee7b9f6c09e91d7bfa4d3",
-    ("jit_aware", "single"): "600e8a3c28daaf50318ad1d184daa877f3504a258e97ebf35cd16cf97c7de64e",
+    ("jit_aware", "single"): "8de04f8686816bfd4fe3a1f23d72b66feb40b94e04aa203490e0e777bd87b051",
     ("jit_aware", "1"): "b60f83751c2c3e968cbe9bb58fff2d698b5c14a156b077118e765edbf57740e3",
     ("jit_aware", "1-shared"): "4c9eb44b7e7465f5b2b3b07df91f296210862a46b861ffd24c5da2fd527eabf3",
     ("jit_aware", "2"): "3a9fa36a0e7304df7ebd0429a098cd6a2f1704219020dde67747fc961b7f3899",

@@ -31,7 +31,7 @@ The process worker protocol (plain picklable tuples over a
 ====================================  =======================================
 parent -> worker                      worker -> parent
 ====================================  =======================================
-``("host", entry)``                   ``("hosted", query_id, snapshot)``
+``("host", token, entries)``          ``("hosted", token, snapshot)``
 ``("retire", query_id)``              ``("retired", query_id, consumes, snap)``
 ``("evt", event, ctx, watermark)``    ``("ack", n, results, susp, res)``
 ``("batch", events, ctx, watermark)``
@@ -41,22 +41,28 @@ parent -> worker                      worker -> parent
 anything failing on the worker        ``("err", shard_id, traceback)``
 ====================================  =======================================
 
+A ``host`` frame carries a shard's whole ordered list of registrations — all
+of them at construction and on ``restart_worker``, one on ``add_query`` — and
+``hosted`` is the only reply a worker sends before its first event: there is
+no separate start-up handshake.
+
 Acks are coalesced: a worker under sustained load batches its
 acknowledgements (and the result tuples riding on them) until the command
-pipe goes idle or a flush barrier arrives, so reply traffic amortizes over
-bursts exactly like the thread backend's buffer-grab does.
+pipe is empty or a flush barrier arrives, so reply traffic amortizes over
+bursts exactly like the thread backend's buffer-grab does, and results leave
+the worker as soon as it has nothing else to read.
 """
 
 from __future__ import annotations
 
-import os
+import pickle
 import signal
 import threading
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import multiprocessing as _mp
 
@@ -64,7 +70,7 @@ from repro.engine.results import ResultCollector
 from repro.metrics import MetricsReport
 from repro.multi.clock import SharedVirtualClock
 from repro.multi.registry import RegisteredQuery
-from repro.multi.shard import ShardEngine
+from repro.multi.shard import PlanRuntime, ShardEngine
 from repro.scheduler import OperatorScheduler, build_scheduler
 from repro.streams.sources import StreamEvent
 
@@ -121,6 +127,12 @@ def make_scheduler(scheduler: Union[str, Callable[[], object]]) -> OperatorSched
     )
 
 
+#: What ``host`` takes on every backend: shard id -> that shard's
+#: registrations, in the order the shard must host them (registration order:
+#: shared-subplan grafting and scheduler tie-breaks depend on it).
+Placements = Mapping[int, Sequence[RegisteredQuery]]
+
+
 # ----------------------------------------------------------------- inline
 
 
@@ -132,8 +144,12 @@ class InlineBackend:
     def __init__(self, shards: Sequence[ShardEngine]) -> None:
         self.shards = list(shards)
 
-    def host(self, shard_id: int, entry: RegisteredQuery):
-        return self.shards[shard_id].host(entry)
+    def host(self, placements: Placements) -> Dict[str, PlanRuntime]:
+        return {
+            entry.query_id: self.shards[shard_id].host(entry)
+            for shard_id, entries in placements.items()
+            for entry in entries
+        }
 
     def retire(self, shard_id: int, query_id: str):
         shard = self.shards[shard_id]
@@ -266,23 +282,20 @@ class _ShardWorker(threading.Thread):
         self.join()
 
 
-class ThreadBackend:
-    """``drain_mode="thread"``: one daemon worker thread per shard."""
+class ThreadBackend(InlineBackend):
+    """``drain_mode="thread"``: one daemon worker thread per shard.
+
+    The shards are the same local objects the inline backend holds, so
+    hosting, retiring and reading them are inherited; only the driving is new.
+    """
 
     kind = "thread"
 
     def __init__(self, shards: Sequence[ShardEngine]) -> None:
-        self.shards = list(shards)
+        super().__init__(shards)
         self.workers = [_ShardWorker(shard) for shard in self.shards]
         for worker in self.workers:
             worker.start()
-
-    def host(self, shard_id: int, entry: RegisteredQuery):
-        return self.shards[shard_id].host(entry)
-
-    def retire(self, shard_id: int, query_id: str):
-        shard = self.shards[shard_id]
-        return shard.retire_plan(query_id), shard.consumes
 
     def dispatch(self, shard_id, item, trace_ctx=None, watermark=0.0) -> None:
         self.workers[shard_id].enqueue(item, trace_ctx)
@@ -294,24 +307,11 @@ class ThreadBackend:
     def barrier_shard(self, shard_id: int) -> None:
         self.workers[shard_id].wait_idle()
 
-    def metrics(self, shard_id: int) -> MetricsReport:
-        return self.shards[shard_id].metrics()
-
-    def attach_tracer(self, tracer) -> None:
-        for shard in self.shards:
-            shard.attach_tracer(tracer)
-
     def worker_liveness(self) -> Dict[int, int]:
         return {
             worker.shard.shard_id: int(worker.is_alive() and worker.error is None)
             for worker in self.workers
         }
-
-    def worker_restarts(self) -> Dict[int, int]:
-        return {shard.shard_id: 0 for shard in self.shards}
-
-    def add_feedback_delta_listener(self, listener) -> None:
-        pass
 
     def close(self) -> None:
         """Stop every worker; re-raise the first stored failure afterwards.
@@ -495,26 +495,6 @@ class ProcessShardProxy:
         )
 
 
-def _empty_snapshot() -> Dict[str, object]:
-    return {
-        "queue_count": 0,
-        "queue_depth": 0,
-        "events_processed": 0,
-        "results_produced": 0,
-        "shared_subplans_active": 0,
-        "shared_subplan_hits": 0,
-        "sources": (),
-        "cost_counters": {},
-        "scheduler_stats": {},
-        "metrics": None,
-        "watermark": 0.0,
-        "ready_queues": 0,
-        "max_starvation_age": 0.0,
-        "mns_open": 0,
-        "mns_oldest_ts": None,
-    }
-
-
 # -- the worker process side ------------------------------------------------
 
 
@@ -571,18 +551,20 @@ class _WorkerState:
         self._counted_contexts.add(id(context))
         context.add_feedback_listener(self._count_feedback)
 
-    def host(self, entry: RegisteredQuery) -> None:
-        runtime = self.shard.host(entry)
-        query_id = entry.query_id
-        collector = runtime.collector
+    def host(self, entries: Sequence[RegisteredQuery]) -> None:
+        """Host one ``host`` frame's registrations, in the order given."""
         fresh = self.fresh_results
+        for entry in entries:
+            runtime = self.shard.host(entry)
 
-        def sink(tup, _qid=query_id, _add=collector.add, _out=fresh) -> None:
-            _add(tup)
-            _out.append((_qid, tup))
+            def sink(
+                tup, _qid=entry.query_id, _add=runtime.collector.add, _out=fresh
+            ) -> None:
+                _add(tup)
+                _out.append((_qid, tup))
 
-        runtime.set_result_sink(sink)
-        self._watch_context(runtime.context)
+            runtime.set_result_sink(sink)
+            self._watch_context(runtime.context)
         for shared in self.shard.shared_subplans():
             self._watch_context(shared.context)
 
@@ -681,32 +663,32 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
     signal.signal(signal.SIGTERM, _on_sigterm)
     try:
         state = _WorkerState(spec)
-        conn.send(("ready", state.snapshot()))
         while True:
-            # Poll with a timeout so a SIGTERM between commands is noticed;
-            # ship any coalesced acknowledgement while the pipe is idle.
             if shutdown["flag"]:
                 break
-            if not conn.poll(0.05):
+            if not conn.poll(0):
+                # Nothing left to read: what has accumulated (results
+                # included) leaves now, not after an idle tick.  Back-to-back
+                # commands keep the pipe non-empty and the acks coalesced.
                 if state.events_since_ack or state.fresh_results:
                     conn.send(("ack",) + state.take_ack())
-                continue
+                # Wait with a timeout so a SIGTERM between commands is noticed.
+                if not conn.poll(0.05):
+                    continue
             try:
                 msg = conn.recv()
             except EOFError:
                 shutdown["reason"] = "eof"
                 break
             op = msg[0]
-            if op == "evt":
-                state.events_since_ack += state.process(msg[1], msg[2], msg[3])
-            elif op == "batch":
+            if op in ("evt", "batch"):
                 state.events_since_ack += state.process(msg[1], msg[2], msg[3])
             elif op == "flush":
                 conn.send(("ack",) + state.take_ack())
                 conn.send(("flushed", msg[1], state.snapshot(), state.take_trace()))
             elif op == "host":
-                state.host(msg[1])
-                conn.send(("hosted", msg[1].query_id, state.snapshot()))
+                state.host(msg[2])
+                conn.send(("hosted", msg[1], state.snapshot()))
             elif op == "retire":
                 consumes = state.retire(msg[1])
                 conn.send(("ack",) + state.take_ack())
@@ -773,12 +755,13 @@ class _WorkerHandle:
         #: ``last_progress`` stops advancing.
         self.acked_events = 0
         self.last_progress = time.monotonic()
-        self.snapshot: Dict[str, object] = _empty_snapshot()
+        #: The worker's last shipped telemetry (empty until its first reply;
+        #: every reader defaults a missing key).
+        self.snapshot: Dict[str, object] = {}
         self.alive = False
         self.graceful_exit: Optional[str] = None
         self.error: Optional[ShardWorkerError] = None
         self.replies: Dict[object, Tuple] = {}
-        self.ready = False
         self.proc = None
         self.conn = None
         self.reader: Optional[threading.Thread] = None
@@ -786,6 +769,8 @@ class _WorkerHandle:
     # -- lifecycle ----------------------------------------------------------
 
     def spawn(self) -> None:
+        """Start the worker process and its reader thread, without waiting:
+        the first ``hosted`` reply is the proof that the worker came up."""
         ctx = self.backend.mp_context
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
@@ -799,7 +784,6 @@ class _WorkerHandle:
         self.alive = True
         self.graceful_exit = None
         self.error = None
-        self.ready = False
         self.in_flight = 0
         self.acked_events = 0
         self.last_progress = time.monotonic()
@@ -807,19 +791,6 @@ class _WorkerHandle:
             target=self._read_loop, name=f"shard-{self.shard_id}-reader", daemon=True
         )
         self.reader.start()
-        self.wait_ready()
-
-    def wait_ready(self, timeout: float = 30.0) -> None:
-        with self.cond:
-            self.cond.wait_for(
-                lambda: self.ready or self.error is not None or not self.alive,
-                timeout=timeout,
-            )
-            self._raise_if_failed()
-            if not self.ready:
-                raise ShardWorkerError(
-                    f"shard {self.shard_id} worker did not come up within {timeout}s"
-                )
 
     # -- receiving ----------------------------------------------------------
 
@@ -866,13 +837,10 @@ class _WorkerHandle:
                 self.replies[token] = msg
                 self.cond.notify_all()
             return True
-        if op in ("hosted", "retired", "ready"):
+        if op in ("hosted", "retired"):
             with self.cond:
                 self.snapshot = msg[-1]
-                if op == "ready":
-                    self.ready = True
-                else:
-                    self.replies[(op, msg[1])] = msg
+                self.replies[(op, msg[1])] = msg
                 self.cond.notify_all()
             return True
         if op == "err":
@@ -919,6 +887,10 @@ class _WorkerHandle:
     def request(self, msg: Tuple, reply_key) -> Tuple:
         """Send a command and block for its tagged reply."""
         self.send(msg)
+        return self.await_reply(reply_key)
+
+    def await_reply(self, reply_key) -> Tuple:
+        """Block until the reply tagged ``reply_key`` arrives or the worker fails."""
         with self.cond:
             self.cond.wait_for(
                 lambda: reply_key in self.replies
@@ -933,12 +905,11 @@ class _WorkerHandle:
             )
 
     def barrier(self) -> None:
-        token = self.backend.next_token()
-        reply = self.request(("flush", token), token)
         # A barrier also waits out the in-flight count: the coalesced ack
-        # always precedes the flushed reply on the pipe, so by now it is 0
+        # always precedes the flushed reply on the pipe, so by then it is 0
         # unless an err raced in.
-        del reply
+        token = self.backend.next_token()
+        self.request(("flush", token), token)
 
     # -- teardown -----------------------------------------------------------
 
@@ -970,14 +941,35 @@ class _WorkerHandle:
         )
 
 
+def _tracer_spec(tracer) -> Dict[str, object]:
+    """What a worker needs to build its own ring on the parent's epoch."""
+    return {
+        "sample_rate": tracer.sample_rate,
+        "capacity": tracer.ring.capacity,
+        "seed": tracer.seed,
+        "enabled": tracer.enabled,
+        "epoch": tracer._epoch,
+    }
+
+
+def _first_unpicklable(entries: Sequence[RegisteredQuery]) -> Optional[str]:
+    for entry in entries:
+        try:
+            pickle.dumps(entry)
+        except Exception:
+            return entry.query_id
+    return None
+
+
 class ProcessBackend:
     """``drain_mode="process"``: one worker process per shard.
 
     Workers are forked at construction (falling back to the platform's
-    default start method where fork is unavailable), fed pickled commands
-    over duplex pipes, and read by one parent reader thread each.  Shipped
-    result tuples are delivered to the mirror runtimes' sinks in emission
-    order; telemetry snapshots refresh at every host/retire/flush barrier.
+    default start method where fork is unavailable), all of them before any
+    is waited for, fed pickled commands over duplex pipes, and read by one
+    parent reader thread each.  Shipped result tuples are delivered to the
+    mirror runtimes' sinks in emission order; telemetry snapshots refresh at
+    every host/retire/flush barrier.
     """
 
     kind = "process"
@@ -1053,28 +1045,44 @@ class ProcessBackend:
 
     # -- the backend interface ----------------------------------------------
 
-    def host(self, shard_id: int, entry: RegisteredQuery) -> RemotePlanRuntime:
-        self._send_host(shard_id, entry)
-        self._hosted[shard_id].append(entry)
-        runtime = RemotePlanRuntime(
-            registered=entry,
-            shard_id=shard_id,
-            collector=ResultCollector(keep_tuples=self._keep_results),
-        )
-        self._runtimes[entry.query_id] = runtime
-        return runtime
+    def host(self, placements: Placements) -> Dict[str, RemotePlanRuntime]:
+        self._ship(placements)
+        hosted: Dict[str, RemotePlanRuntime] = {}
+        for shard_id, entries in placements.items():
+            self._hosted[shard_id].extend(entries)
+            for entry in entries:
+                hosted[entry.query_id] = RemotePlanRuntime(
+                    registered=entry,
+                    shard_id=shard_id,
+                    collector=ResultCollector(keep_tuples=self._keep_results),
+                )
+        self._runtimes.update(hosted)
+        return hosted
 
-    def _send_host(self, shard_id: int, entry: RegisteredQuery) -> None:
-        try:
-            self.handles[shard_id].request(("host", entry), ("hosted", entry.query_id))
-        except ShardWorkerError:
-            raise
-        except Exception as exc:
-            raise ShardWorkerError(
-                f"could not ship query {entry.query_id!r} to shard {shard_id}: "
-                f"{exc} (process mode needs picklable registrations; see "
-                "tests/test_pickle_safety.py)"
-            ) from exc
+    def _ship(self, placements: Placements) -> None:
+        """Send one ``host`` frame per placed shard, then collect every reply.
+
+        All frames go out before any reply is awaited, so the workers unpickle
+        and build their plans concurrently; a worker that fails inside its
+        frame surfaces here with its traceback.
+        """
+        awaited = []
+        for shard_id, entries in placements.items():
+            handle, token = self.handles[shard_id], self.next_token()
+            try:
+                handle.send(("host", token, entries))
+            except ShardWorkerError:
+                raise
+            except Exception as exc:
+                # The frame is pickled whole, before a byte is written.
+                raise ShardWorkerError(
+                    f"could not ship query {_first_unpicklable(entries)!r} to "
+                    f"shard {shard_id}: {exc} (process mode needs picklable "
+                    "registrations; see tests/test_pickle_safety.py)"
+                ) from exc
+            awaited.append((handle, ("hosted", token)))
+        for handle, reply_key in awaited:
+            handle.await_reply(reply_key)
 
     def retire(self, shard_id: int, query_id: str):
         reply = self.handles[shard_id].request(
@@ -1109,13 +1117,7 @@ class ProcessBackend:
 
     def attach_tracer(self, tracer) -> None:
         self.tracer = tracer
-        spec = {
-            "sample_rate": tracer.sample_rate,
-            "capacity": tracer.ring.capacity,
-            "seed": tracer.seed,
-            "enabled": tracer.enabled,
-            "epoch": tracer._epoch,
-        }
+        spec = _tracer_spec(tracer)
         for handle in self.handles:
             handle.send(("tracer", spec))
 
@@ -1145,7 +1147,8 @@ class ProcessBackend:
         self._feedback_listeners.append(listener)
 
     def restart_worker(self, shard_id: int) -> None:
-        """Respawn one worker and re-host its queries.
+        """Respawn one worker and re-host its queries, the way construction
+        does: one ``host`` frame carrying the shard's current list.
 
         Serving availability, not state recovery: the replacement starts
         with empty windows, so results already collected stay intact but
@@ -1156,20 +1159,8 @@ class ProcessBackend:
         handle.shutdown()
         handle.spawn()
         if self.tracer is not None:
-            handle.send(
-                (
-                    "tracer",
-                    {
-                        "sample_rate": self.tracer.sample_rate,
-                        "capacity": self.tracer.ring.capacity,
-                        "seed": self.tracer.seed,
-                        "enabled": self.tracer.enabled,
-                        "epoch": self.tracer._epoch,
-                    },
-                )
-            )
-        for entry in self._hosted[shard_id]:
-            self._send_host(shard_id, entry)
+            handle.send(("tracer", _tracer_spec(self.tracer)))
+        self._ship({shard_id: self._hosted[shard_id]})
         self._restarts[shard_id] += 1
 
     def close(self) -> None:

@@ -222,8 +222,17 @@ class ShardedEngine:
         #: (affinity) never reset mid-lifetime.
         self._placed = 0
         self._runtimes: Dict[str, PlanRuntime] = {}
-        for entry in registry:
-            self._host_entry(entry)
+        try:
+            # Every shard is named, so every worker of a buffered backend has
+            # confirmed its (possibly empty) list before this returns.
+            self._host_entries(registry, also_confirm=range(n_shards))
+        except BaseException:
+            # All or nothing: no worker outlives a failed construction.
+            try:
+                self._backend.close()
+            except ShardWorkerError:
+                pass
+            raise
         self.events_ingested = 0
         self._pending: List[StreamEvent] = []
         self._pending_ts: Optional[float] = None
@@ -253,20 +262,27 @@ class ShardedEngine:
         self.tracer = tracer
         self._backend.attach_tracer(tracer)
 
-    def _host_entry(self, entry) -> PlanRuntime:
-        """Place, host and route one registration (shared by init/add_query)."""
-        shard_id = self._place(entry, self._placed, self.n_shards)
-        if not 0 <= shard_id < self.n_shards:
-            raise ValueError(
-                f"partitioner placed {entry.query_id!r} on shard {shard_id}, "
-                f"outside [0, {self.n_shards})"
-            )
-        self._placed += 1
-        runtime = self._backend.host(shard_id, entry)
-        self._runtimes[entry.query_id] = runtime
-        for source in entry.sources:
-            self.router.subscribe(source, shard_id)
-        return runtime
+    def _host_entries(self, entries, also_confirm: Iterable[int] = ()) -> None:
+        """Place ``entries``, host every shard's ordered list in one backend
+        call (``also_confirm`` shards take part even with nothing placed on
+        them), then route."""
+        entries = list(entries)
+        placements: Dict[int, List] = {shard_id: [] for shard_id in also_confirm}
+        for entry in entries:
+            shard_id = self._place(entry, self._placed, self.n_shards)
+            if not 0 <= shard_id < self.n_shards:
+                raise ValueError(
+                    f"partitioner placed {entry.query_id!r} on shard {shard_id}, "
+                    f"outside [0, {self.n_shards})"
+                )
+            self._placed += 1
+            placements.setdefault(shard_id, []).append(entry)
+        hosted = self._backend.host(placements)
+        for entry in entries:
+            runtime = hosted[entry.query_id]
+            self._runtimes[entry.query_id] = runtime
+            for source in entry.sources:
+                self.router.subscribe(source, runtime.shard_id)
 
     # -- push-based ingestion -------------------------------------------------
 
@@ -433,7 +449,8 @@ class ShardedEngine:
             raise ValueError(f"query {entry.query_id!r} is already hosted")
         self._flush_pending()
         self._backend.barrier()
-        return self._host_entry(entry)
+        self._host_entries([entry])
+        return self._runtimes[entry.query_id]
 
     def retire_query(self, query_id: str) -> PlanRuntime:
         """Stop serving one registered query and return its archived runtime.

@@ -80,8 +80,10 @@ class MultiQueryWorkload:
 
     def query(self, k: int) -> ContinuousQuery:
         """Build standing query ``k``: a sub-clique join of its source subset."""
+        return self._query(k, self.base.pair_columns, self.base.catalog())
+
+    def _query(self, k: int, pair_columns, catalog) -> ContinuousQuery:
         sources = self.query_sources(k)
-        pair_columns = self.base.pair_columns
         conditions = []
         for a, b in combinations(sources, 2):
             left, right = sorted((a, b))
@@ -91,12 +93,17 @@ class MultiQueryWorkload:
             sources=sources,
             window=self.base.window,
             predicate=JoinPredicate.equi(conditions),
-            catalog=self.base.catalog(),
+            catalog=catalog,
         )
 
     def queries(self) -> List[ContinuousQuery]:
-        """All ``n_queries`` standing queries, in registration order."""
-        return [self.query(k) for k in range(self.n_queries)]
+        """All ``n_queries`` standing queries, in registration order.
+
+        They share one catalog object (it is only ever read once a query is
+        built), so a pickled frame of registrations carries it once.
+        """
+        pair_columns, catalog = self.base.pair_columns, self.base.catalog()
+        return [self._query(k, pair_columns, catalog) for k in range(self.n_queries)]
 
     def events(self) -> List[StreamEvent]:
         """The shared, merged, time-ordered arrival sequence."""

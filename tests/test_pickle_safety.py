@@ -1,11 +1,13 @@
 """Pickle-safety audit for everything the process backend ships over pipes.
 
 ``drain_mode="process"`` serializes four classes of payload between the
-parent and its shard workers: routed event micro-batches (parent → worker),
-hosted-plan commands carrying :class:`RegisteredQuery` entries (parent →
-worker), per-query result tuples riding on acknowledgements (worker →
-parent), and telemetry snapshots — :class:`MetricsReport`, cost counters,
-scheduler stats — shipped at every flush barrier (worker → parent).  A type
+parent and its shard workers: routed event micro-batches (parent → worker);
+``host`` frames, each a shard's whole ordered list of
+:class:`RegisteredQuery` entries pickled as one object, so what the entries
+share (their catalog) travels once per frame (parent → worker); per-query
+result tuples riding on acknowledgements (worker → parent); and telemetry
+snapshots — :class:`MetricsReport`, cost counters, scheduler stats — shipped
+with every ``hosted``/``retired``/``flushed`` reply (worker → parent).  A type
 that silently stops pickling (a lambda predicate, an unpicklable cached
 attribute, a thread lock stored on a dataclass) would surface as a runtime
 crash deep inside a worker; this audit pins the contract at the type level
@@ -101,6 +103,16 @@ def test_every_registration_roundtrips(registry):
         # remote shard groups by it (including the cached copy a registry
         # lookup may already have materialized on the instance).
         assert clone.subplan_signature() == entry.subplan_signature()
+
+
+def test_a_host_frame_roundtrips_with_one_shared_catalog(registry):
+    entries = list(registry)
+    frame = _roundtrip(("host", ("barrier", 1), entries))
+    assert [clone.query_id for clone in frame[2]] == [entry.query_id for entry in entries]
+    # The workload's queries share one catalog; so do their clones, which is
+    # what keeps a 64-registration frame a fraction of 64 single ones.
+    assert len({id(clone.query.catalog) for clone in frame[2]}) == 1
+    assert len(pickle.dumps(entries)) < sum(len(pickle.dumps(e)) for e in entries) / 2
 
 
 def test_every_result_tuple_roundtrips(sync_run):

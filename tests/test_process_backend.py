@@ -7,16 +7,23 @@ per-query **result sequences** (not just counts) of a
 ``drain_mode="process"`` run must be bit-identical to the synchronous mode
 under every scheduler policy, with and without sub-plan sharing.
 
+The start-up half pins what construction costs and guarantees: one ``host``
+frame per worker carrying its registrations in registration order, one
+worker-side snapshot per frame, nothing left for the first ``submit``, and
+no worker left behind by a construction that fails.
+
 The lifecycle half pins the failure contract: a crashed worker surfaces as
 a :class:`~repro.multi.backend.ShardWorkerError` naming the shard instead
 of a hang, SIGTERM produces a graceful drain-and-exit, and
-``restart_worker`` brings a replacement up (counted by the
-``serve_shard_worker_restarts_total`` telemetry family) without losing
-already-collected results.
+``restart_worker`` brings a replacement up the way construction does
+(counted by the ``serve_shard_worker_restarts_total`` telemetry family)
+without losing already-collected results.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -27,6 +34,7 @@ from repro.multi import (
     ShardedEngine,
     ShardWorkerError,
 )
+from repro.multi.backend import _ShardSpec, _worker_main, _WorkerHandle, _WorkerState
 from repro.multi.workload import MultiQueryWorkload, generate_multi_query_workload
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
 
@@ -67,6 +75,40 @@ def _result_sequences(report):
 def _run(workload, events, drain_mode, **kwargs):
     with ShardedEngine(_registry(workload), drain_mode=drain_mode, **kwargs) as engine:
         return engine.run_batch(events)
+
+
+def _submitted(workload, events, **kwargs):
+    """Result sequences of a sync engine fed ``events`` one ``submit`` at a time."""
+    with ShardedEngine(_registry(workload), **kwargs) as engine:
+        return _result_sequences(engine.run(events))
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """Every ``(shard_id, message)`` the parent sends its workers, in order."""
+    sent = []
+    real_send = _WorkerHandle.send
+
+    def recording_send(handle, msg, events=0):
+        sent.append((handle.shard_id, msg))
+        return real_send(handle, msg, events)
+
+    monkeypatch.setattr(_WorkerHandle, "send", recording_send)
+    return sent
+
+
+def _ids_on(engine, shard_id):
+    """The ids hosted on one shard, in registration order."""
+    return [
+        qid for qid in engine.registry.ids if engine.runtime_for(qid).shard_id == shard_id
+    ]
+
+
+def _shard_workers():
+    """Worker processes, worker threads and reader threads alive right now."""
+    return set(multiprocessing.active_children()) | {
+        thread for thread in threading.enumerate() if thread.name.startswith("shard-")
+    }
 
 
 class TestProcessSyncEquivalence:
@@ -111,6 +153,145 @@ class TestProcessSyncEquivalence:
         sync = _run(workload, events, "sync", n_shards=1)
         proc = _run(workload, events, "process", n_shards=1)
         assert _result_sequences(proc) == _result_sequences(sync)
+
+
+class TestBornHosting:
+    @pytest.fixture(scope="class")
+    def population(self):
+        """The benchmark's population: 128 sub-clique queries over 4 streams."""
+        return generate_multi_query_workload(
+            n_queries=128, n_sources=4, rate=1.0, window_seconds=30.0, dmax=400,
+            duration=10, seed=5,
+        )
+
+    def test_one_hosting_frame_per_worker_and_none_later(self, population, frames):
+        registry = _registry(population)
+        event = population.events()[0]
+        with ShardedEngine(registry, n_shards=2) as sync:
+            hosted = [(shard.queue_count, shard.sources) for shard in sync.shards]
+        with ShardedEngine(registry, n_shards=2, drain_mode="process") as engine:
+            assert [(shard, msg[0]) for shard, msg in frames] == [(0, "host"), (1, "host")]
+            # Each frame is the shard's registrations in registration order.
+            for shard_id, msg in frames:
+                assert [entry.query_id for entry in msg[2]] == _ids_on(engine, shard_id)
+            # Nothing is deferred: every worker has already reported all of
+            # its queries hosted, and the first submit is only the event.
+            assert [(s.queue_count, s.sources) for s in engine.shards] == hosted
+            del frames[:]
+            engine.submit(event)
+            receivers = engine.router.shards_for(event.source)
+            assert [(shard, msg[0]) for shard, msg in frames] == [
+                (shard, "evt") for shard in receivers
+            ]
+
+    def test_worker_hosts_a_frame_in_order_under_one_snapshot(
+        self, population, monkeypatch
+    ):
+        """The worker loop itself, run in this process over a real pipe."""
+        entries = list(_registry(population))[::2]
+        snapshots = []
+        real_snapshot = _WorkerState.snapshot
+
+        def counting_snapshot(state):
+            snapshots.append([runtime.query_id for runtime in state.shard.runtimes])
+            return real_snapshot(state)
+
+        monkeypatch.setattr(_WorkerState, "snapshot", counting_snapshot)
+        parent, child = multiprocessing.Pipe(duplex=True)
+        feeder = threading.Thread(
+            target=lambda: (parent.send(("host", "t", entries)), parent.send(("close",)))
+        )
+        on_sigterm = signal.getsignal(signal.SIGTERM)
+        feeder.start()
+        try:
+            _worker_main(_ShardSpec(0, "fifo", False), child)
+        finally:
+            signal.signal(signal.SIGTERM, on_sigterm)
+        feeder.join(10.0)
+        replies = [parent.recv()]
+        while replies[-1][0] not in ("bye", "err"):
+            replies.append(parent.recv())
+        parent.close()
+        assert [reply[:2] for reply in replies] == [("hosted", "t"), ("bye", "close")]
+        assert replies[0][2]["queue_count"] > len(entries)
+        # One snapshot for 64 registrations, taken after the last was hosted.
+        assert snapshots == [[entry.query_id for entry in entries]]
+
+
+class TestFailedConstruction:
+    """Whatever goes wrong before ``ShardedEngine(...)`` returns, every worker
+    it started is shut down: no child process, no reader or worker thread."""
+
+    @staticmethod
+    def _registry(workload, spoil) -> QueryRegistry:
+        registry = QueryRegistry()
+        for index, query in enumerate(workload.queries()[:6]):
+            if index == 3:
+                spoil(registry, query)
+            else:
+                registry.register(query)
+        return registry
+
+    @staticmethod
+    def _unpicklable(registry, query) -> None:
+        # A cached attribute that does not pickle; only process mode minds.
+        object.__setattr__(registry.register(query), "_hook", lambda: None)
+
+    @staticmethod
+    def _unbuildable(registry, query) -> None:
+        # Pickles fine; fails where the plan is built (process: in the worker).
+        registry.register(query, shape="no-such-shape")
+
+    def test_unpicklable_registration_is_named(self, workload):
+        before = _shard_workers()
+        with pytest.raises(ShardWorkerError, match="could not ship query 'q3' to shard 1"):
+            ShardedEngine(
+                self._registry(workload, self._unpicklable), n_shards=2, drain_mode="process"
+            )
+        assert _shard_workers() == before
+
+    def test_plan_build_failure_arrives_with_the_workers_traceback(self, workload):
+        before = _shard_workers()
+        with pytest.raises(ShardWorkerError, match="shard 1 worker failed") as failure:
+            ShardedEngine(
+                self._registry(workload, self._unbuildable), n_shards=2, drain_mode="process"
+            )
+        assert "Traceback" in str(failure.value)
+        assert "no-such-shape" in str(failure.value)
+        assert _shard_workers() == before
+
+    def test_thread_workers_are_stopped_too(self, workload):
+        before = _shard_workers()
+        with pytest.raises(ValueError, match="no-such-shape"):
+            ShardedEngine(
+                self._registry(workload, self._unbuildable), n_shards=2, drain_mode="thread"
+            )
+        assert _shard_workers() == before
+
+
+class TestResultShipping:
+    def test_results_leave_a_busy_worker_without_a_flush(self, workload, events):
+        """Paced traffic never leaves the pipe idle for the worker's 50 ms
+        tick, and ``flush`` is never called: results must still arrive, the
+        first of them while the stream is running.  No timing bound."""
+        expected = {
+            qid: len(keys) for qid, keys in _submitted(workload, events, n_shards=2).items()
+        }
+        assert sum(expected.values()) > 0
+        with ShardedEngine(_registry(workload), n_shards=2, drain_mode="process") as engine:
+            def counts():
+                return {qid: engine.results_for(qid).count for qid in expected}
+
+            seen_mid_stream = False
+            for event in events:
+                engine.submit(event)
+                time.sleep(0.004)
+                seen_mid_stream = seen_mid_stream or any(counts().values())
+            assert seen_mid_stream
+            deadline = time.monotonic() + 60.0
+            while counts() != expected and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert counts() == expected
 
 
 class TestLiveLifecycleOps:
@@ -198,28 +379,37 @@ class TestWorkerLifecycle:
         except ShardWorkerError:
             pass
 
-    def test_restart_worker_restores_service(self, workload, events):
+    def test_restart_worker_restores_service(self, workload, events, frames):
+        cut = len(events) // 2
         with ShardedEngine(_registry(workload), n_shards=2, drain_mode="process") as engine:
-            cut = len(events) // 2
             for event in events[:cut]:
                 engine.submit(event)
             engine.flush()
-            before = {
-                qid: report.result_count
-                for qid, report in engine.report().queries.items()
-            }
+            on_shard_0 = _ids_on(engine, 0)
+            del frames[:]
             engine.restart_worker(0)
+            # Restart is start-up: one frame, the shard's list in hosting order.
+            assert [(shard, msg[0]) for shard, msg in frames] == [(0, "host")]
+            assert [entry.query_id for entry in frames[0][1][2]] == on_shard_0
             assert engine.worker_liveness() == {0: 1, 1: 1}
             assert engine.worker_restarts() == {0: 1, 1: 0}
             for event in events[cut:]:
                 engine.submit(event)
             engine.flush()
             after = engine.report()
-            # Results collected before the restart survive on the mirrors;
-            # shard-1 queries keep accumulating normally.
-            for qid, report in after.queries.items():
-                assert report.result_count >= before[qid]
             assert after.events_ingested == len(events)
+        # Results collected before the restart survive on the mirrors and the
+        # replacement starts with empty windows: a restarted shard's queries
+        # read like a run of the first half followed by a fresh run of the
+        # second; shard-1 queries never notice.
+        head = _submitted(workload, events[:cut], n_shards=2)
+        tail = _submitted(workload, events[cut:], n_shards=2)
+        whole = _submitted(workload, events, n_shards=2)
+        assert 0 < len(on_shard_0) < len(whole)
+        assert _result_sequences(after) == {
+            qid: head[qid] + tail[qid] if qid in on_shard_0 else whole[qid]
+            for qid in whole
+        }
 
     def test_restart_is_process_mode_only(self, workload):
         for mode in ("sync", "thread"):

@@ -87,6 +87,12 @@ class SuspendedTuple:
         tuple has *not* met, because the corresponding opposite tuples were
         themselves blacklisted during this tuple's entire residency in the
         state.  Resumption joins them despite the watermark.
+    joined_upto_order:
+        The watermark again, as a position: every opposite entry whose
+        ``order`` stamp is at or below it has a sequence number at or below
+        ``joined_upto_seq`` and was in the state at suspension, so resumption
+        starts its scan behind it.  ``-1`` (with every ``-1`` watermark)
+        means scan everything.
     """
 
     tuple: StreamTuple
@@ -95,6 +101,7 @@ class SuspendedTuple:
     original_seq: Optional[int] = None
     met_seqs: FrozenSet[int] = frozenset()
     unmet_seqs: FrozenSet[int] = frozenset()
+    joined_upto_order: int = -1
 
     @property
     def ts(self) -> float:
@@ -253,6 +260,7 @@ class Blacklist:
         original_seq: Optional[int] = None,
         met_seqs: FrozenSet[int] = frozenset(),
         unmet_seqs: FrozenSet[int] = frozenset(),
+        joined_upto_order: int = -1,
     ) -> Optional[SuspendedTuple]:
         """Park ``tup`` under ``signature``'s entry.
 
@@ -269,6 +277,7 @@ class Blacklist:
             original_seq=original_seq,
             met_seqs=met_seqs,
             unmet_seqs=unmet_seqs,
+            joined_upto_order=joined_upto_order,
         )
         if entry.suspended and tup.ts < entry.suspended[-1].tuple.ts:
             entry.ts_ordered = False

@@ -13,7 +13,9 @@ two properties that ``Identify_MNS`` (Figure 8) exploits:
 
 The lattice object is reusable across inputs of the same shape: the detector
 resets node states, feeds one ``observe`` call per opposite-state tuple with
-the level-1 match outcomes, and finally asks for the surviving minimal nodes.
+the match outcomes of the components still pending, and finally asks for the
+surviving minimal nodes.  Once every node is dead there is nothing left to
+feed: the caller's scan goes on without the lattice.
 """
 
 from __future__ import annotations
@@ -29,25 +31,27 @@ __all__ = ["LatticeNode", "CNSLattice"]
 class LatticeNode:
     """One node of the CNS lattice: a non-empty subset of input components."""
 
-    __slots__ = ("sources", "level", "children", "alive", "matched")
+    __slots__ = ("sources", "components", "level", "children")
 
-    def __init__(self, sources: FrozenSet[str], children: Sequence["LatticeNode"]) -> None:
-        self.sources = sources
-        self.level = len(sources)
+    def __init__(self, components: Sequence[str], children: Sequence["LatticeNode"]) -> None:
+        #: The node's components, in the lattice's (sorted) component order.
+        self.components: Tuple[str, ...] = tuple(components)
+        self.sources: FrozenSet[str] = frozenset(components)
+        self.level = len(self.components)
         self.children: Tuple["LatticeNode", ...] = tuple(children)
-        #: False once the node has matched some opposite tuple ("dead" in the
-        #: paper's terminology) — a dead node can no longer become an MNS.
-        self.alive = True
-        #: Per-opposite-tuple scratch flag.
-        self.matched = False
 
     def __repr__(self) -> str:
-        status = "alive" if self.alive else "dead"
-        return f"LatticeNode({''.join(sorted(self.sources))}, {status})"
+        return f"LatticeNode({''.join(self.components)})"
 
 
 class CNSLattice:
     """The CNS lattice over a fixed set of input components.
+
+    A node is alive until it has matched some opposite tuple; a dead node can
+    no longer become an MNS, so nothing looks at it again: :meth:`observe`
+    visits (and charges) the alive nodes only, and :attr:`pending` names the
+    components some alive node still contains — the only ones whose match
+    outcome the caller still has to compute.
 
     Parameters
     ----------
@@ -72,19 +76,19 @@ class CNSLattice:
         self._nodes_by_level: Dict[int, List[LatticeNode]] = {}
         self._node_index: Dict[FrozenSet[str], LatticeNode] = {}
         self._build()
+        self.reset()
 
     def _build(self) -> None:
         for level in range(1, self.max_level + 1):
             nodes: List[LatticeNode] = []
             for subset in combinations(self.components, level):
-                key = frozenset(subset)
                 children = [
                     self._node_index[frozenset(child)]
                     for child in combinations(subset, level - 1)
                     if level > 1
                 ]
-                node = LatticeNode(key, children)
-                self._node_index[key] = node
+                node = LatticeNode(subset, children)
+                self._node_index[node.sources] = node
                 nodes.append(node)
             self._nodes_by_level[level] = nodes
 
@@ -111,63 +115,60 @@ class CNSLattice:
 
     def reset(self) -> None:
         """Mark every node alive, ready to evaluate a new input tuple."""
-        for node in self._node_index.values():
-            node.alive = True
-            node.matched = False
+        #: The alive nodes, level by level; shrinks as nodes die.
+        self._alive: List[LatticeNode] = list(self._node_index.values())
+        #: Components (in order) that some alive node contains.
+        self.pending: Tuple[str, ...] = self.components
 
     def observe(
-        self, level1_matches: Mapping[str, bool], cost: Optional[CostModel] = None
+        self, matches: Mapping[str, bool], cost: Optional[CostModel] = None
     ) -> None:
         """Process one opposite-state tuple.
 
         Parameters
         ----------
-        level1_matches:
-            For each component source, whether the component matched the
-            opposite tuple (all conditions relating them hold).  This is
-            computed by the caller, which typically shares the predicate
-            evaluations with its join probe (the "combined with a nested loop
-            join" optimization of Section IV-A).
+        matches:
+            For each :attr:`pending` component, whether it matched the
+            opposite tuple (all conditions relating them hold); other
+            components may be left out.  This is computed by the caller,
+            which typically shares the predicate evaluations with its join
+            probe (the "combined with a nested loop join" optimization of
+            Section IV-A).
         cost:
-            Optional cost model charged one lattice-node visit per node.
+            Optional cost model charged one lattice-node visit per alive node.
+
+        An alive node matches iff all of its own components do (property
+        (ii) read off the components, not off the children: a dead child is
+        no longer visited, so it has no outcome for this tuple).
         """
-        level1 = self._nodes_by_level.get(1, ())
-        for node in level1:
-            (source,) = tuple(node.sources)
-            node.matched = bool(level1_matches.get(source, False))
-            if cost is not None:
-                cost.charge(CostKind.LATTICE_NODE)
-        for level in range(2, self.max_level + 1):
-            for node in self._nodes_by_level.get(level, ()):
-                node.matched = all(child.matched for child in node.children)
-                if cost is not None:
-                    cost.charge(CostKind.LATTICE_NODE)
-        for node in self._node_index.values():
-            if node.matched:
-                node.alive = False
+        alive = self._alive
+        if not alive:
+            return
+        if cost is not None:
+            cost.charge(CostKind.LATTICE_NODE, len(alive))
+        survivors: List[LatticeNode] = []
+        for node in alive:
+            for component in node.components:
+                if not matches[component]:
+                    survivors.append(node)
+                    break
+        if len(survivors) < len(alive):
+            self._alive = survivors
+            self.pending = tuple(
+                c for c in self.components if any(c in node.sources for node in survivors)
+            )
 
     def surviving_mns(self, cost: Optional[CostModel] = None) -> List[FrozenSet[str]]:
-        """Return the minimal alive nodes — the MNSs (Lines 11-14 of Figure 8)."""
+        """Return the minimal alive nodes — the MNSs (Lines 11-14 of Figure 8).
+
+        Charges one lattice-node visit per alive node.
+        """
+        if cost is not None and self._alive:
+            cost.charge(CostKind.LATTICE_NODE, len(self._alive))
         mns: List[FrozenSet[str]] = []
-        status: Dict[FrozenSet[str], str] = {}
-        for node in self._nodes_by_level.get(1, ()):
-            if cost is not None:
-                cost.charge(CostKind.LATTICE_NODE)
-            if node.alive:
+        # Level order: a strict subset comes first, and an alive node with an
+        # alive strict subset has a minimal one below it (property (i)).
+        for node in self._alive:
+            if not any(smaller < node.sources for smaller in mns):
                 mns.append(node.sources)
-                status[node.sources] = "mns"
-            else:
-                status[node.sources] = "dead"
-        for level in range(2, self.max_level + 1):
-            for node in self._nodes_by_level.get(level, ()):
-                if cost is not None:
-                    cost.charge(CostKind.LATTICE_NODE)
-                child_status = [status[c.sources] for c in node.children]
-                if any(s in ("mns", "non-minimal") for s in child_status):
-                    status[node.sources] = "non-minimal"
-                elif node.alive:
-                    mns.append(node.sources)
-                    status[node.sources] = "mns"
-                else:
-                    status[node.sources] = "dead"
         return mns

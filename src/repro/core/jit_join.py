@@ -58,6 +58,13 @@ Implementation notes (all recorded in docs/JIT.md):
   watermarks stay exact because unscanned entries can never join the
   in-flight tuple either.  Without ``use_hash_index`` the nested loop and
   the state scan remain the only path.
+* The three nested-loop scans examine only what can still change their
+  answer (docs/JIT.md, "Where a scan starts and stops"): a detecting probe
+  evaluates per component only while some alive lattice node contains the
+  component and is the detector-free loop once none is left; a regular probe
+  starts at the opposite state's live cursor, behind what a purge floor
+  retains; a resumed tuple's replay starts behind the order stamp recorded
+  beside its watermark.  Which entries join, and in which order, is unchanged.
 * Detection is gated by cost.  Step 2 feeds the detector, and step 4 runs,
   only while the port's :class:`~repro.core.detection_gate.DetectionGate` is
   open: each detecting port keeps a ledger of the units its detection spent
@@ -104,6 +111,12 @@ __all__ = ["JITJoinOperator"]
 #: probe loop that emits nothing is what the detector cost there.
 _DETECTOR_KINDS = (CostKind.LATTICE_NODE, CostKind.BLOOM)
 
+#: A port's local conditions, split for one stretch of a detecting probe: per
+#: component the detector still needs an outcome for, and all the others'.
+_SplitConditions = Tuple[
+    Tuple[Tuple[str, Tuple[JoinCondition, ...]], ...], Tuple[JoinCondition, ...]
+]
+
 
 @dataclass
 class _ActiveProbe:
@@ -111,7 +124,8 @@ class _ActiveProbe:
 
     tuple: StreamTuple
     port: str
-    own_seq: int
+    #: The probing tuple's entry in its own state (inserted before the probe).
+    own: StateEntry
     #: Sequence numbers (in the probed, opposite state) of the entries this
     #: probe has already scanned.  Needed because re-inserted resumed tuples
     #: make the scan order non-monotone in sequence numbers.
@@ -132,7 +146,8 @@ class _ProbeTally:
     """
 
     arrivals: int = 0
-    #: Opposite entries present when the probes started, summed.
+    #: Opposite entries a nested loop would visit (those REF holds too, not
+    #: the ones a purge floor retains), counted when the probes started, summed.
     offered: int = 0
     #: Entries the probes examined: all offered under a nested loop, the
     #: looked-up buckets under an index.
@@ -204,6 +219,7 @@ class JITJoinOperator(BinaryJoinOperator):
             "suspensions_declined": 0,
             "detection_rests": 0,
             "detection_trials": 0,
+            "detections_settled": 0,
         }
 
     # ------------------------------------------------------------------ wiring
@@ -314,8 +330,8 @@ class JITJoinOperator(BinaryJoinOperator):
             if entry is not None:
                 self.stats["tuples_diverted"] += 1
                 if entry.gate is not None:
-                    # The probe REF runs here met every opposite entry.
-                    entry.gate.avoid(self._hidden_pair_units(port) * len(self.states[opp]))
+                    # The probe REF runs here met every opposite entry it holds.
+                    entry.gate.avoid(self._hidden_pair_units(port) * self.states[opp].live_count)
                 if resume_feedback is not None:
                     # The resumed partials still belong in the opposite state.
                     # ``t`` is parked with an empty watermark, so its eventual
@@ -351,9 +367,9 @@ class JITJoinOperator(BinaryJoinOperator):
             pair_units = self._hidden_pair_units(port)
             for gate, count in hidden.items():
                 gate.avoid(pair_units * count)
-        offered = len(self.states[opp])
+        offered = self.states[opp].live_count
         emitted = self.emitted_count
-        probe = _ActiveProbe(tuple=tup, port=port, own_seq=own_entry.seq)
+        probe = _ActiveProbe(tuple=tup, port=port, own=own_entry)
         self._active_probe = probe
         opposite_live = self._probe_opposite(
             tup, port, now, detector if should_detect else None, probe
@@ -444,6 +460,12 @@ class JITJoinOperator(BinaryJoinOperator):
         Returns whether the opposite state held a live tuple when the probe
         started (False is the Ø case; only meaningful with a detector).
 
+        The detector is fed only while it asks to be: per entry, the
+        components some alive lattice node still contains are evaluated in
+        full, the others only while the entry can still join, and once no
+        node is alive the loop is REF's.  Which entries are visited, which
+        join and in which order does not depend on it.
+
         When the operator keeps hash indexes (``use_hash_index``) the scan is
         replaced by index lookups.  Without detection, one lookup on the
         equi-join key: entries with a different key can never satisfy the
@@ -459,67 +481,118 @@ class JITJoinOperator(BinaryJoinOperator):
         window = context.window
         opp = opposite_port(port)
         opposite_state = self.states[opp]
-        conds_by_source = self._conditions_by_source[port]
-        components = tuple(conds_by_source)
-        live_after = window.purge_horizon(now)
-        floor_active = opposite_state.purge_floor is not None
+        # While a purge floor retains expired tuples, the probe sees live ones only.
+        floored = opposite_state.purge_floor is not None
+        horizon = window.purge_horizon(now) if floored else None
         opposite_live = False
         gate = self.gates[port]
         detector_units = context.cost.units
-        mark = 0.0 if detector is None else detector_units(_DETECTOR_KINDS)
+        #: The components whose outcome the detector still needs.
+        pending: Tuple[str, ...] = ()
         if detector is None:
-            candidates: Iterable[StateEntry] = self.probe_candidates(tup, opp)
-        elif self.use_hash_index:
-            detector.start(tup)
-            opposite_live = opposite_state.has_live(live_after if floor_active else None)
-            candidates = opposite_state.probe_index(
-                [lookup.probe(tup) for lookup in self._component_lookups[port]]
-            )
+            candidates: Iterable[StateEntry] = self.probe_candidates(tup, opp, horizon)
         else:
             detector.start(tup)
-            candidates = opposite_state.probe()
+            pending = detector.pending
+            if self.use_hash_index:
+                opposite_live = opposite_state.has_live(horizon)
+                candidates = opposite_state.probe_index(
+                    [lookup.probe(tup) for lookup in self._component_lookups[port]]
+                )
+            else:
+                candidates = opposite_state.probe(horizon)
+        if pending:
+            conditions = self._split_conditions(port, pending)
+            outcomes: Dict[str, bool] = {}
+            mark = detector_units(_DETECTOR_KINDS)
         for entry in candidates:
             if entry.removed:
                 continue
-            if floor_active and entry.ts < live_after:
+            other = entry.tuple
+            if floored and other.ts < horizon:
                 continue
             probe.scanned_seqs.add(entry.seq)
             opposite_live = True
-            if detector is None:
+            joins = window.joinable(tup.ts, other.ts)
+            if pending:
+                # Detection-integrated evaluation: per-component match outcomes.
+                joins = self._match_components(tup, other, conditions, outcomes, joins)
+                detector.observe(tup, outcomes)
+                if detector.pending != pending:
+                    pending = detector.pending
+                    conditions = self._split_conditions(port, pending)
+                    if not pending:
+                        self.stats["detections_settled"] += 1
+                if joins or not pending:
+                    # An emission runs the plan downstream, and a detector with
+                    # no node left alive has left the probe: close the delta.
+                    gate.spend(detector_units(_DETECTOR_KINDS) - mark)
+            elif joins:
                 # REF-style short-circuit evaluation.
-                if window.joinable(tup.ts, entry.ts) and self.evaluate_conditions(
-                    tup, entry.tuple
-                ):
-                    self.emit(self.build_result(tup, entry.tuple))
-                    if probe.aborted:
-                        self.stats["probes_aborted"] += 1
-                        break
-                continue
-            # Detection-integrated evaluation: per-component match outcomes.
-            level1: Dict[str, bool] = {}
-            all_match = window.joinable(tup.ts, entry.ts)
-            for source in components:
-                matched = True
-                for cond in conds_by_source[source]:
-                    context.cost.charge(CostKind.PREDICATE_EVAL)
-                    if not cond.evaluate(tup, entry.tuple):
-                        matched = False
-                        break
-                level1[source] = matched
-                if not matched:
-                    all_match = False
-            detector.observe(tup, level1)
-            if all_match:
-                # An emission runs the plan downstream: close the delta around it.
-                gate.spend(detector_units(_DETECTOR_KINDS) - mark)
-                self.emit(self.build_result(tup, entry.tuple))
-                mark = detector_units(_DETECTOR_KINDS)
+                joins = self.evaluate_conditions(tup, other)
+            if joins:
+                self.emit(self.build_result(tup, other))
+                if pending:
+                    mark = detector_units(_DETECTOR_KINDS)
                 if probe.aborted:
                     self.stats["probes_aborted"] += 1
                     break
-        if detector is not None:
+        if pending:
             gate.spend(detector_units(_DETECTOR_KINDS) - mark)
         return opposite_live
+
+    def _split_conditions(self, port: str, pending: Sequence[str]) -> _SplitConditions:
+        """``port``'s local conditions, split around the ``pending`` components."""
+        by_source = self._conditions_by_source[port]
+        return (
+            tuple([(source, by_source[source]) for source in pending]),
+            tuple(
+                [
+                    cond
+                    for source, conds in by_source.items()
+                    if source not in pending
+                    for cond in conds
+                ]
+            ),
+        )
+
+    def _match_components(
+        self,
+        tup: StreamTuple,
+        other: StreamTuple,
+        conditions: _SplitConditions,
+        outcomes: Dict[str, bool],
+        joins: bool,
+    ) -> bool:
+        """Evaluate the local conditions over a pair, component by component.
+
+        Every pending component gets its outcome written to ``outcomes``
+        whatever the others came to (its own conditions short-circuit among
+        themselves).  The rest, the conditions of the components no alive
+        lattice node contains, are evaluated only while the pair can still
+        join (``joins``: inside the window, nothing failed so far) — REF's
+        short-circuit.  Returns whether the pair joins; one
+        ``PREDICATE_EVAL`` per condition evaluated.
+        """
+        pending, rest = conditions
+        evaluated = 0
+        for source, conds in pending:
+            matched = True
+            for cond in conds:
+                evaluated += 1
+                if not cond.evaluate(tup, other):
+                    matched = joins = False
+                    break
+            outcomes[source] = matched
+        if joins:
+            for cond in rest:
+                evaluated += 1
+                if not cond.evaluate(tup, other):
+                    joins = False
+                    break
+        if evaluated:
+            self.require_context().cost.charge(CostKind.PREDICATE_EVAL, evaluated)
+        return joins
 
     def _integrate_resumed(
         self,
@@ -536,32 +609,25 @@ class JITJoinOperator(BinaryJoinOperator):
         is emitted, so any suspension triggered by that emission computes a
         watermark that already covers the partial.
         """
-        context = self.require_context()
-        window = context.window
-        opp = opposite_port(port)
-        opposite_state = self.states[opp]
-        conds_by_source = self._conditions_by_source[port]
-        components = tuple(conds_by_source)
+        window = self.require_context().window
+        opposite_state = self.states[opposite_port(port)]
         port_detector = self.detectors[port]
+        pending: Tuple[str, ...] = () if detector is None else detector.pending
+        conditions = self._split_conditions(port, pending)
+        outcomes: Dict[str, bool] = {}
         for partial in resumed:
-            level1: Dict[str, bool] = {}
-            all_match = window.joinable(tup.ts, partial.ts)
-            for source in components:
-                matched = True
-                for cond in conds_by_source[source]:
-                    context.cost.charge(CostKind.PREDICATE_EVAL)
-                    if not cond.evaluate(tup, partial):
-                        matched = False
-                        break
-                level1[source] = matched
-                if not matched:
-                    all_match = False
-            if detector is not None:
-                detector.observe(tup, level1)
+            joins = self._match_components(
+                tup, partial, conditions, outcomes, window.joinable(tup.ts, partial.ts)
+            )
+            if pending:
+                detector.observe(tup, outcomes)
+                if detector.pending != pending:
+                    pending = detector.pending
+                    conditions = self._split_conditions(port, pending)
             partial_entry = opposite_state.insert(partial, now)
             if port_detector is not None:
                 port_detector.note_opposite_insert(partial)
-            if all_match and not own_entry.removed and not partial_entry.removed:
+            if joins and not own_entry.removed and not partial_entry.removed:
                 self.emit(self.build_result(tup, partial))
                 self.stats["results_resumed"] += 1
 
@@ -753,6 +819,7 @@ class JITJoinOperator(BinaryJoinOperator):
         state = self.states[port]
         opposite_state = self.states[opposite_port(port)]
         default_watermark = opposite_state.next_seq - 1
+        default_order = opposite_state.last_order
         probe = self._active_probe
         # With hash indexes the super-tuples sit in the bucket of the signature's
         # (source, attribute) template; a coverage-only signature has no such
@@ -767,23 +834,25 @@ class JITJoinOperator(BinaryJoinOperator):
             self.stats["tuples_blacklisted"] += 1
             if detector is not None:
                 detector.note_opposite_remove(removed.tuple)
-            watermark = default_watermark
+            # The watermark twice: as a sequence number, and as the order
+            # stamp of the last opposite entry it covers.
+            watermark, upto_order = default_watermark, default_order
             met_seqs: frozenset = frozenset()
             if probe is not None and not probe.aborted:
                 if probe.port == port and removed.tuple is probe.tuple:
                     # The tuple being probed right now: it has only met the
                     # opposite entries the probe already scanned.
-                    watermark = -1
+                    watermark = upto_order = -1
                     met_seqs = frozenset(probe.scanned_seqs)
                     probe.aborted = True
                 elif probe.port == opposite_port(port):
                     # An opposite-side entry extracted while a probe scans its
                     # state: it has met the in-flight tuple only if the probe
-                    # already scanned it.
-                    if removed.seq in probe.scanned_seqs:
-                        watermark = probe.own_seq
-                    else:
-                        watermark = probe.own_seq - 1
+                    # already scanned it.  Whatever entered that state before
+                    # the in-flight tuple has a lower sequence number.
+                    behind = 0 if removed.seq in probe.scanned_seqs else 1
+                    watermark = probe.own.seq - behind
+                    upto_order = probe.own.order - behind
             # Opposite tuples currently suspended were absent from the state,
             # so the covering watermark must not claim they were met.
             unmet_seqs: frozenset = frozenset()
@@ -798,6 +867,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 original_seq=removed.seq,
                 met_seqs=met_seqs,
                 unmet_seqs=unmet_seqs,
+                joined_upto_order=upto_order,
             )
 
     def _suspend_all(
@@ -851,17 +921,7 @@ class JITJoinOperator(BinaryJoinOperator):
 
         if entry is not None:
             for suspended in entry.suspended:
-                results.extend(
-                    self._join_resumed(
-                        suspended.tuple,
-                        port,
-                        suspended.joined_upto_seq,
-                        now,
-                        met_seqs=suspended.met_seqs,
-                        unmet_seqs=suspended.unmet_seqs,
-                        original_seq=suspended.original_seq,
-                    )
-                )
+                results.extend(self._replay(suspended, port, now))
         for partial in upstream_new:
             results.extend(self._join_resumed(partial, port, -1, now))
         return results
@@ -886,20 +946,23 @@ class JITJoinOperator(BinaryJoinOperator):
             backlog.sort(key=lambda item: item[0])
             for _ts, item in backlog:
                 if isinstance(item, SuspendedTuple):
-                    results.extend(
-                        self._join_resumed(
-                            item.tuple,
-                            port,
-                            item.joined_upto_seq,
-                            now,
-                            met_seqs=item.met_seqs,
-                            unmet_seqs=item.unmet_seqs,
-                            original_seq=item.original_seq,
-                        )
-                    )
+                    results.extend(self._replay(item, port, now))
                 else:
                     results.extend(self._join_resumed(item, port, -1, now))
         return results
+
+    def _replay(self, suspended: SuspendedTuple, port: str, now: float) -> List[StreamTuple]:
+        """Resume one blacklisted tuple from where its suspension stopped it."""
+        return self._join_resumed(
+            suspended.tuple,
+            port,
+            suspended.joined_upto_seq,
+            now,
+            met_seqs=suspended.met_seqs,
+            unmet_seqs=suspended.unmet_seqs,
+            original_seq=suspended.original_seq,
+            joined_upto_order=suspended.joined_upto_order,
+        )
 
     def _join_resumed(
         self,
@@ -910,8 +973,16 @@ class JITJoinOperator(BinaryJoinOperator):
         met_seqs: frozenset = frozenset(),
         unmet_seqs: frozenset = frozenset(),
         original_seq: Optional[int] = None,
+        joined_upto_order: int = -1,
     ) -> List[StreamTuple]:
         """Join a resumed tuple with the opposite-state partners it has not met.
+
+        The scan starts behind ``joined_upto_order``, the last opposite entry
+        the watermark covered when the tuple was suspended: everything up to
+        it was in the state then and would be skipped by the watermark below.
+        An entry behind it can still be one the tuple has met (extracted and
+        re-inserted since, under its old sequence number but a fresh order
+        stamp), so the sequence filters apply to the suffix unchanged.
 
         The tuple is re-inserted into its own state afterwards — under its
         original sequence number when it had one — so later arrivals and
@@ -938,13 +1009,13 @@ class JITJoinOperator(BinaryJoinOperator):
         if resume_feedback is not None:
             self._restore_resumed(self.producer_of(opp), resume_feedback, port, now)
         produced: List[StreamTuple] = []
-        candidates = self.probe_candidates(tup, opp)
+        candidates = self.probe_candidates(tup, opp, after_order=joined_upto_order)
         for entry in candidates:
             if entry.removed or entry.seq in met_seqs:
                 continue
             if entry.seq <= watermark and entry.seq not in unmet_seqs:
                 continue
-            if not window.joinable(tup.ts, entry.ts):
+            if not window.joinable(tup.ts, entry.tuple.ts):
                 continue
             if self.evaluate_conditions(tup, entry.tuple):
                 produced.append(self.build_result(tup, entry.tuple))

@@ -5,11 +5,13 @@ discusses:
 
 * :class:`LatticeMNSDetector` — the full ``Identify_MNS`` algorithm
   (Figure 8) over the CNS lattice, integrated with the consumer's probe: the
-  join computes, for every opposite-state tuple it visits, which level-1
-  components match, and feeds those outcomes to the detector.  Under a
-  nested loop that is exactly the "combined with a nested loop join"
-  optimization; a hash-indexed join visits only the tuples that match at
-  least one component, since a tuple matching none kills no lattice node
+  join computes, for every opposite-state tuple it visits, which of the
+  components some alive node still contains match, and feeds those outcomes
+  to the detector; once every node is dead the detector drops out of the
+  probe (docs/JIT.md, "Where a scan starts and stops").  Under a nested loop
+  that is the "combined with a nested loop join" optimization; a
+  hash-indexed join visits only the tuples that match at least one
+  component, since a tuple matching none kills no lattice node
   (docs/JIT.md, "Just-in-time state indexes").
 * :class:`BloomMNSDetector` — the Bloom-filter alternative: one filter per
   equi-join attribute of the opposite state; a component whose value is
@@ -76,11 +78,19 @@ class MNSDetector:
 
     # -- probe-integrated protocol ------------------------------------------------
 
+    #: The components whose match outcome :meth:`observe` can still use, in
+    #: component order.  While it is non-empty the probe computes exactly
+    #: these outcomes per opposite tuple and calls :meth:`observe`; once it
+    #: is empty the probe is the detector-free one.  Only the lattice
+    #: detector ever asks for outcomes.
+    pending: Tuple[str, ...] = ()
+
     def start(self, tup: StreamTuple) -> None:
         """Begin detection for a new input tuple."""
 
-    def observe(self, tup: StreamTuple, level1_matches: Mapping[str, bool]) -> None:
-        """Record the per-component match outcome against one opposite tuple.
+    def observe(self, tup: StreamTuple, matches: Mapping[str, bool]) -> None:
+        """Record the match outcome of every :attr:`pending` component against
+        one opposite tuple.
 
         An outcome with no matching component may be left out: it must not
         change what :meth:`finish` returns.
@@ -123,9 +133,11 @@ class LatticeMNSDetector(MNSDetector):
 
     def start(self, tup: StreamTuple) -> None:
         self.lattice.reset()
+        self.pending = self.lattice.pending
 
-    def observe(self, tup: StreamTuple, level1_matches: Mapping[str, bool]) -> None:
-        self.lattice.observe(level1_matches, cost=self.context.cost)
+    def observe(self, tup: StreamTuple, matches: Mapping[str, bool]) -> None:
+        self.lattice.observe(matches, cost=self.context.cost)
+        self.pending = self.lattice.pending
 
     def finish(self, tup: StreamTuple) -> List[MNSSignature]:
         return [

@@ -157,22 +157,27 @@ class BinaryJoinOperator(Operator):
         }
 
     def probe_candidates(
-        self, tup: StreamTuple, probe_port: str, live_only_after: Optional[float] = None
+        self,
+        tup: StreamTuple,
+        probe_port: str,
+        live_only_after: Optional[float] = None,
+        after_order: int = 0,
     ) -> Iterable[StateEntry]:
         """Entries of ``probe_port``'s state eligible to join ``tup``.
 
         The single place that decides between the hash index and a scan:
         with ``use_hash_index`` (which implies all-equi local conditions)
         only key-equal entries are returned — REF-equivalent, since entries
-        with a different key cannot satisfy the conditions.  Callers must
-        still re-check ``removed`` (and any live horizon) per entry, as the
-        probe may mutate the state re-entrantly.
+        with a different key cannot satisfy the conditions.  The two bounds
+        are those of :meth:`OperatorState.probe` and only narrow a scan, so
+        callers must still re-check ``removed`` (and any live horizon or
+        watermark) per entry, as the probe may mutate the state re-entrantly.
         """
         state = self.states[probe_port]
         lookup = self._key_lookups.get(probe_port)
         if lookup is not None:
             return state.probe_index((lookup.probe(tup),))
-        return state.probe(live_only_after=live_only_after)
+        return state.probe(live_only_after, after_order)
 
     # -- processing ---------------------------------------------------------------
 

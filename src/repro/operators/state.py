@@ -21,9 +21,17 @@ The state also supports the operations JIT needs on top of the baseline:
   some of this state's tuples, those tuples are retained past their normal
   expiry (see docs/JIT.md, "Delayed purge under suspension").
 
-Internally the entry list is append-only and in insertion order; purging uses
-a timestamp min-heap and marks entries as removed, and the list is compacted
-lazily once removed entries accumulate.
+Internally the entry list is append-only and in insertion order (so sorted by
+``StateEntry.order``); purging uses a timestamp min-heap and marks entries as
+removed, and the list is compacted lazily once removed entries accumulate.
+That order costs nothing to keep and lets a scan start where its work starts:
+while a purge floor retains expired tuples, ``purge`` moves a *live cursor*
+past the leading entries below the horizon and a regular probe begins there;
+a resumed tuple's replay bisects to the order stamp recorded when it was
+suspended.  A probe walks the list it found up to the length it found:
+appends land behind that length and a compaction binds a new list, so an
+emission that re-enters the state mid-probe changes nothing the probe sees
+except ``removed`` flags (docs/JIT.md, "Where a scan starts and stops").
 
 **Just-in-time indexes.**  The state keeps one registry of hash indexes,
 ``template -> key -> entries``, where a template is a tuple of
@@ -55,7 +63,9 @@ the model counts stored tuples, and the equi-key index never was either.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
@@ -71,6 +81,8 @@ IndexKey = Tuple[object, ...]
 
 #: One member of a state's registry: its key function and its buckets.
 _Index = Tuple[Callable[[StreamTuple], IndexKey], Dict[IndexKey, List["StateEntry"]]]
+
+_order_of = attrgetter("order")
 
 
 def key_function(template: IndexTemplate) -> Callable[[StreamTuple], IndexKey]:
@@ -163,6 +175,11 @@ class OperatorState:
             self._register(key_template)
         self._next_seq = 0
         self._active_count = 0
+        #: The live cursor: every entry before this index of ``_entries`` is
+        #: removed or was below the horizon of a purge made under a floor.
+        self._live_start = 0
+        #: Present entries before the cursor (retained past their expiry).
+        self._retained = 0
         #: Lowest timestamp that purging is allowed to remove; JIT raises this
         #: floor while suspended tuples elsewhere still need this state's
         #: contents.  ``None`` means no floor (purge normally).
@@ -200,9 +217,19 @@ class OperatorState:
         return any(e.ts >= horizon for e in reversed(self._entries) if not e.removed)
 
     @property
+    def live_count(self) -> int:
+        """Present entries from the live cursor on: what a regular probe is offered."""
+        return self._active_count - self._retained
+
+    @property
     def next_seq(self) -> int:
         """The sequence number the next inserted tuple will receive."""
         return self._next_seq
+
+    @property
+    def last_order(self) -> int:
+        """The ``order`` stamp of the newest entry ever inserted (0 before any)."""
+        return self._heap_counter
 
     @property
     def memory_bytes(self) -> int:
@@ -253,13 +280,23 @@ class OperatorState:
 
         The caller computes the horizon (typically ``now - w``); when a purge
         floor is set (JIT's delayed purge), tuples at or above the floor are
-        retained regardless of the horizon.  Lazily built indexes last looked
-        up before the horizon are retired.
+        retained regardless of the horizon, and the live cursor moves past
+        the leading entries below it (horizons only grow, so they stay below
+        every later one).  Lazily built indexes last looked up before the
+        horizon are retired.
         """
         if self._last_lookup:
             for template in [t for t, at in self._last_lookup.items() if at < horizon]:
                 del self._indexes[template], self._last_lookup[template]
         if self.purge_floor is not None:
+            entries, start = self._entries, self._live_start
+            while start < len(entries):
+                if not entries[start].removed:
+                    if entries[start].tuple.ts >= horizon:
+                        break
+                    self._retained += 1
+                start += 1
+            self._live_start = start
             horizon = min(horizon, self.purge_floor)
         removed: List[StateEntry] = []
         while self._expiry_heap and self._expiry_heap[0][0] < horizon:
@@ -273,23 +310,38 @@ class OperatorState:
         self._maybe_compact()
         return removed
 
-    def probe(self, live_only_after: Optional[float] = None) -> Iterator[StateEntry]:
-        """Iterate present entries in insertion order, charging one probe step each.
+    def probe(
+        self, live_only_after: Optional[float] = None, after_order: int = 0
+    ) -> Iterator[StateEntry]:
+        """Iterate present entries in insertion order, charging one probe step
+        per entry yielded.  The entries are those present when the probe
+        starts, minus the ones removed before it reaches them.
 
         Parameters
         ----------
         live_only_after:
-            When given, entries with ``ts < live_only_after`` are skipped
-            without charge.  Used when a purge floor keeps formally-expired
-            tuples around for JIT resumption: the regular probe must not see
-            them, otherwise REF-equivalence would be violated.
+            The horizon of the purge just made (or a later one).  When given,
+            entries with ``ts < live_only_after`` are skipped without charge
+            — the scan starts at the live cursor and filters the rest.  Used
+            when a purge floor keeps formally-expired tuples around for JIT
+            resumption: the regular probe must not see them, otherwise
+            REF-equivalence would be violated.
+        after_order:
+            Entries whose ``order`` stamp is at or below this are skipped
+            without charge (the scan bisects to the first one above it).
         """
-        for entry in list(self._entries):
+        entries = self._entries
+        start = 0 if live_only_after is None else self._live_start
+        if after_order > 0:
+            start = max(start, bisect_right(entries, after_order, key=_order_of))
+        charge = self.context.cost.charge
+        for index in range(start, len(entries)):
+            entry = entries[index]
             if entry.removed:
                 continue
-            if live_only_after is not None and entry.ts < live_only_after:
+            if live_only_after is not None and entry.tuple.ts < live_only_after:
                 continue
-            self.context.cost.charge(CostKind.PROBE_STEP)
+            charge(CostKind.PROBE_STEP)
             yield entry
 
     def probe_index(
@@ -384,6 +436,9 @@ class OperatorState:
             return
         entry.removed = True
         self._active_count -= 1
+        start = self._live_start
+        if start and (start == len(self._entries) or entry.order < self._entries[start].order):
+            self._retained -= 1
         for key_of, buckets in self._indexes.values():
             key = key_of(entry.tuple)
             bucket = buckets.get(key)
@@ -400,6 +455,7 @@ class OperatorState:
         """Drop removed entries from the list once they dominate it."""
         if len(self._entries) > 32 and self._active_count < len(self._entries) // 2:
             self._entries = [e for e in self._entries if not e.removed]
+            self._live_start = self._retained
 
     def __repr__(self) -> str:
         return f"OperatorState({self.name!r}, size={self._active_count})"

@@ -32,6 +32,7 @@ __all__ = ["explain_analyze", "explain_operator_lines"]
 #: JIT join ``stats`` keys worth surfacing, in display order.
 _JIT_STAT_KEYS = (
     "mns_detected",
+    "detections_settled",
     "suspensions_sent",
     "suspensions_received",
     "resumptions_sent",

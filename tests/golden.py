@@ -1,0 +1,243 @@
+"""The recorded runs behind the golden tests, and the tool that re-records them.
+
+``golden.json`` pins, bit for bit, what two families of deterministic runs do:
+
+* ``schedules`` — every scheduling policy on a single queued JIT plan and on
+  1- and 2-shard engines, with and without shared sub-plans.  Each record is
+  three parts so that a mismatch says *what* moved: ``schedule`` (sha256 over
+  the per-shard pop order and the per-query result sequences: a scheduling
+  decision or a result), ``cpu_units`` (a modelled cost) and ``steps`` (the
+  scheduler-step count).  A thread drain must reproduce the sync record.
+* ``paper`` — the paper's left-deep default (Table III; the end-to-end
+  benchmark's recipe: seed 7, three windows, WINDOW retention) under JIT with
+  every detection gate pinned open, the paper's always-detect algorithm:
+  ``cpu_units``, peak memory bytes, the non-zero cost counters and the
+  non-zero per-operator ``stats``.
+
+The tests (``test_scheduler_equivalence.py::TestGoldenSchedules``,
+``test_detection_gate.py::TestGateOnThePaperPlan``) compare a fresh run with
+the file.  After a change that is *meant* to move a cost::
+
+    PYTHONPATH=src python -m tests.golden --check    # list what moved, exit 1 if anything did
+    PYTHONPATH=src python -m tests.golden --record   # the same list, then rewrite golden.json
+
+and the list goes into CHANGES.md: a cost-only change moves ``cpu_units`` (and
+the cost counters it names) and leaves every ``schedule`` digest, ``steps``
+and ``stats`` entry alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, Iterator, List, Tuple
+
+from repro.core.config import JITConfig, RetentionPolicy
+from repro.core.jit_join import JITJoinOperator
+from repro.engine import ExecutionMode, run_workload
+from repro.engine.results import result_key
+from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
+from repro.metrics import CostKind
+from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
+from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
+from repro.plans.query import ContinuousQuery
+from repro.scheduler import build_scheduler
+from repro.streams.generators import generate_clique_workload
+
+try:  # under pytest, tests/ itself is on sys.path
+    from helpers import ScriptedGate, record_pops, script_gates
+except ImportError:  # python -m tests.golden, from the repo root
+    from tests.helpers import ScriptedGate, record_pops, script_gates
+
+GOLDEN_FILE = Path(__file__).with_name("golden.json")
+
+ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
+
+#: name -> (n_shards, drain_mode, share_subplans); "single" is one queued plan.
+SHARDED_CONFIGS = {
+    f"{n_shards}{'-shared' if share else ''}-{drain_mode}": (n_shards, drain_mode, share)
+    for n_shards, drain_mode in ((1, "sync"), (2, "sync"), (2, "thread"))
+    for share in (False, True)
+}
+
+PAPER_SCALES = (0.2, 0.3)
+
+
+def load() -> dict:
+    """The committed records."""
+    return json.loads(GOLDEN_FILE.read_text())
+
+
+# ------------------------------------------------------------------ schedules
+
+
+def single_plan_run(scheduler, n_sources=4, rate=0.5, dmax=2, duration=60, seed=0):
+    """(pops per shard, results per query, cpu_units, scheduler steps)."""
+    workload = generate_clique_workload(
+        n_sources=n_sources, rate=rate, window_seconds=20, dmax=dmax,
+        duration=duration, seed=seed,
+    )
+    pops = []
+    report = run_workload(
+        build_xjoin_plan(
+            ContinuousQuery.from_workload(workload),
+            shape=PLAN_LEFT_DEEP,
+            strategy=STRATEGY_JIT,
+        ),
+        workload.events(),
+        workload.window.length,
+        mode=ExecutionMode.QUEUED,
+        scheduler=record_pops(scheduler, pops),
+    )
+    steps = report.metrics.counters.get(CostKind.SCHEDULER_STEP, 0)
+    return [pops], {"q": list(report.results.results)}, report.cpu_units, steps
+
+
+def sharded_run(make_scheduler, n_shards, drain_mode, share):
+    workload = generate_multi_query_workload(
+        n_queries=12, n_sources=4, rate=0.8, window_seconds=20, dmax=4,
+        duration=60, seed=3,
+    )
+    registry = QueryRegistry()
+    for index, query in enumerate(workload.queries()):
+        registry.register(query, strategy=STRATEGY_JIT if index % 2 else STRATEGY_REF)
+    pops = []
+
+    def factory():
+        # Shards build their schedulers in shard order.
+        pops.append([])
+        return record_pops(make_scheduler(), pops[-1])
+
+    with ShardedEngine(
+        registry,
+        n_shards=n_shards,
+        scheduler=factory,
+        drain_mode=drain_mode,
+        share_subplans=share,
+    ) as engine:
+        report = engine.run(workload.events())
+        results = {qid: list(engine.results_for(qid).results) for qid in registry.ids}
+        steps = sum(
+            shard.cost.counters.get(CostKind.SCHEDULER_STEP, 0) for shard in engine.shards
+        )
+    return pops, results, report.cpu_units, steps
+
+
+def run(make_scheduler, config):
+    if config == "single":
+        return single_plan_run(make_scheduler())
+    return sharded_run(make_scheduler, *SHARDED_CONFIGS[config])
+
+
+def schedule_record(recorded) -> dict:
+    """The three parts of one recorded run.  ``schedule`` is a sha256 over a
+    canonical text (no ``hash()``, no set order: ints, source names and
+    ``repr`` of floats only) of the pops and the result sequences."""
+    pops, results, cpu_units, steps = recorded
+    lines = [f"pops {shard}: {' '.join(map(str, orders))}" for shard, orders in enumerate(pops)]
+    for query_id, tuples in results.items():
+        lines.append(f"results {query_id}:")
+        for tup in tuples:
+            components, ts = result_key(tup)
+            lines.append(" ".join(f"{src}#{seq}" for src, seq in components) + f" @{ts!r}")
+    return {
+        "schedule": hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest(),
+        "cpu_units": cpu_units,
+        "steps": steps,
+    }
+
+
+def schedule_key(policy: str, config: str) -> str:
+    """The record a (policy, config) run must reproduce: the drain mode is not
+    part of it."""
+    return f"{policy}/{config.rsplit('-', 1)[0]}"
+
+
+# ------------------------------------------------------------------ the paper plan
+
+
+def jit_operators(plan) -> List[JITJoinOperator]:
+    return [op for op in plan.join_operators if isinstance(op, JITJoinOperator)]
+
+
+def paper_run(scale: float, gates=None):
+    """The paper's left-deep default under JIT at ``scale``: (report, plan)."""
+    workload = scaled_workload(LEFT_DEEP_DEFAULTS, scale=scale, duration_windows=3.0, seed=7)
+    plan = build_xjoin_plan(
+        ContinuousQuery.from_workload(workload), shape=PLAN_LEFT_DEEP,
+        strategy=STRATEGY_JIT,
+        jit_config=JITConfig(retention_policy=RetentionPolicy.WINDOW),
+    )
+    if gates is not None:
+        script_gates(plan, gates)
+    return run_workload(plan, workload.events(), workload.window.length), plan
+
+
+def paper_record(scale: float) -> dict:
+    """What the pinned-open run at ``scale`` charged, held and decided."""
+    report, plan = paper_run(scale, gates=ScriptedGate)
+    return {
+        "cpu_units": report.metrics.cpu_units,
+        "peak_memory_bytes": report.metrics.peak_memory_bytes,
+        "counters": {k: v for k, v in report.metrics.counters.items() if v},
+        "stats": {
+            op.name: {k: v for k, v in op.stats.items() if v} for op in jit_operators(plan)
+        },
+    }
+
+
+# ------------------------------------------------------------------ the tool
+
+
+def record_all() -> dict:
+    return {
+        "schedules": {
+            schedule_key(policy, config): schedule_record(
+                run(lambda: build_scheduler(policy), config)
+            )
+            for policy in ALL_POLICIES
+            for config in ("single", "1-sync", "1-shared-sync", "2-sync", "2-shared-sync")
+        },
+        "paper": {str(scale): paper_record(scale) for scale in PAPER_SCALES},
+    }
+
+
+def _leaves(node, path: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...], object]]:
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def moved(before: dict, after: dict) -> List[str]:
+    """One line per leaf that differs between two sets of records."""
+    old, new = dict(_leaves(before)), dict(_leaves(after))
+    return [
+        f"{' '.join(path)}: {old.get(path, 'absent')} -> {new.get(path, 'absent')}"
+        for path in sorted(old.keys() | new.keys())
+        if old.get(path) != new.get(path)
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--check", action="store_true", help="list what moved; exit 1 if anything did")
+    action.add_argument("--record", action="store_true", help="list what moved, then rewrite golden.json")
+    args = parser.parse_args(argv)
+    before = load() if GOLDEN_FILE.exists() else {}
+    after = record_all()
+    lines = moved(before, after)
+    print("\n".join(lines) if lines else "nothing moved")
+    if args.record:
+        GOLDEN_FILE.write_text(json.dumps(after, indent=1, sort_keys=True) + "\n")
+        return 0
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

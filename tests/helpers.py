@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import combinations
 
 from repro.core.blacklist import Blacklist
 from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import FeedbackKind
 from repro.core.jit_join import JITJoinOperator
+from repro.core.mns_detection import LatticeMNSDetector
 from repro.metrics import CostKind
 from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
-from repro.streams.tuples import AtomicTuple
+from repro.streams.tuples import AtomicTuple, join_tuples
 
 
 def make_tuple(source: str, ts: float, seq: int = 0, **attrs: object) -> AtomicTuple:
@@ -96,6 +98,111 @@ def blacklists_checked_against_scan():
         yield calls
     finally:
         Blacklist.unmet_exceptions_for = shipped
+
+
+class UnprunedLattice:
+    """The reference for ``CNSLattice``: ``Identify_MNS`` with every node visited
+    for every opposite tuple, dead or not — what ``observe`` did before dead
+    nodes left it.  ``observe_all`` takes the outcome of every component;
+    ``visited`` counts the node visits (what it charged in ``LATTICE_NODE``).
+    """
+
+    def __init__(self, components, max_level=None):
+        names = sorted(set(components))
+        top = len(names) if max_level is None else min(max_level, len(names))
+        self.nodes = [
+            frozenset(subset)
+            for level in range(1, top + 1)
+            for subset in combinations(names, level)
+        ]
+        self.alive = set(self.nodes)
+        self.visited = 0
+
+    def observe_all(self, row):
+        self.visited += len(self.nodes)
+        self.alive -= {node for node in self.nodes if all(row[name] for name in node)}
+
+    def surviving_mns(self):
+        return [
+            node for node in self.nodes
+            if node in self.alive and not any(other < node for other in self.alive)
+        ]
+
+
+class UnprunedDetector(LatticeMNSDetector):
+    """The reference for the pruned detecting probe: a lattice detector that
+    keeps every component pending for the whole scan and visits every node
+    for every opposite tuple.  Installed in ``operator.detectors[port]`` it
+    makes ``_probe_opposite`` evaluate every component's conditions against
+    every entry — the probe as it ran before dead nodes left it."""
+
+    def start(self, tup):
+        self.reference = UnprunedLattice(self.components, self.lattice.max_level)
+        self.pending = self.components
+
+    def observe(self, tup, matches):
+        self.reference.observe_all(matches)
+        self.context.cost.charge(CostKind.LATTICE_NODE, len(self.reference.nodes))
+
+    def finish(self, tup):
+        self.context.cost.charge(CostKind.LATTICE_NODE, len(self.reference.nodes))
+        return [self.signature_for(tup, node) for node in self.reference.surviving_mns()]
+
+
+@contextmanager
+def replays_checked_against_full_scan():
+    """Check every ``JITJoinOperator._join_resumed`` call made inside against
+    the scan it replaced: every present opposite entry, told apart by the
+    sequence watermark, ``met_seqs`` and ``unmet_seqs`` alone.  The partials
+    produced must be equal, in order, and the call must visit no more
+    entries than are present.
+
+    Yields the list of ``(visited, present)`` pairs, one per call.
+    """
+    calls = []
+    shipped = JITJoinOperator._join_resumed
+
+    def checked(
+        self, tup, port, watermark, now, met_seqs=frozenset(), unmet_seqs=frozenset(),
+        original_seq=None, joined_upto_order=-1,
+    ):
+        scans = []
+        candidates = self.probe_candidates
+
+        def recording(probing, probe_port, **bounds):
+            present = self.states[probe_port].entries()
+            visited = list(candidates(probing, probe_port, **bounds))
+            scans.append((visited, present))
+            return visited
+
+        self.probe_candidates = recording
+        try:
+            produced = shipped(
+                self, tup, port, watermark, now, met_seqs, unmet_seqs, original_seq,
+                joined_upto_order,
+            )
+        finally:
+            del self.probe_candidates
+        ((visited, present),) = scans
+        joinable = self.require_context().window.joinable
+        expected = [
+            join_tuples(tup, entry.tuple)
+            for entry in present
+            if entry.seq not in met_seqs
+            and (entry.seq > watermark or entry.seq in unmet_seqs)
+            and joinable(tup.ts, entry.tuple.ts)
+            and all(cond.evaluate(tup, entry.tuple) for cond in self.local_conditions)
+        ]
+        assert produced == expected, (self.name, port, watermark, joined_upto_order)
+        assert len(visited) <= len(present)
+        calls.append((len(visited), len(present)))
+        return produced
+
+    JITJoinOperator._join_resumed = checked
+    try:
+        yield calls
+    finally:
+        JITJoinOperator._join_resumed = shipped
 
 
 class StubOperator:

@@ -11,8 +11,11 @@
 * the cost shape: a query examines the seats suspended before ``own_seq``
   and one more, a purge the tuples it drops and one more;
 * the paper's left-deep plan: every ``unmet_exceptions_for`` call of a whole
-  run agrees with the scan (the toggle matrix of ``test_detection_gate.py``
-  runs under the same check).
+  run agrees with the scan, and every resumed tuple's replay — which starts
+  behind the order stamp its suspension recorded — produces what the full
+  scan under the sequence watermark produces
+  (:func:`helpers.replays_checked_against_full_scan`; the toggle matrix of
+  ``test_detection_gate.py`` runs under the same two checks).
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from helpers import (
     blacklists_checked_against_scan,
     checked_unmet_exceptions,
     make_tuple,
+    replays_checked_against_full_scan,
     script_gates,
 )
 
@@ -436,12 +440,18 @@ class TestPaperPlanDifferential:
         )
         script_gates(plan)  # pinned open: every port suspends for the whole run
         with blacklists_checked_against_scan() as calls:
-            jit = run_workload(plan, events, window)
+            with replays_checked_against_full_scan() as replays:
+                jit = run_workload(plan, events, window)
         assert jit.results.multiset() == ref.results.multiset()
         assert jit.results.temporally_ordered
         examined = sum(call[0] for call in calls)
         scanned = sum(call[1] for call in calls)
         assert len(calls) > 500 and 0 < 3 * examined < scanned
+        # A seated tuple's replay starts behind what it had met: it visits a
+        # fraction of the state; a diverted arrival's visits all of it.
+        visited = sum(replay[0] for replay in replays)
+        present = sum(replay[1] for replay in replays)
+        assert len(replays) > 300 and 0 < visited < 0.7 * present
         for operator in plan.join_operators:
             for blacklist in operator.blacklists.values():
                 _assert_bookkeeping_matches_a_recount(blacklist)

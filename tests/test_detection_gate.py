@@ -5,12 +5,13 @@
   rests, JIT's cost falls towards REF's, and the indexes nothing asks for any
   more leave the registry;
 * the paper's left-deep plan, where it pays: with the gates pinned open the
-  counters recorded at the commit before the gate are reproduced to the unit
-  (the ledger charges nothing), and with live gates the top join — whose
-  suspensions are the saving — never rests;
+  recorded counters (``golden.json``) are reproduced to the unit (the ledger
+  charges nothing), and with live gates the top join — whose suspensions are
+  the saving — never rests;
 * Section III under toggling: whatever schedule a gate follows, JIT's results
   are REF's, in timestamp order, and every JIT structure drains — and every
-  answer a blacklist gives on the way is the one a scan of it would give.
+  answer a blacklist gives on the way is the one a scan of it would give, and
+  every replay of a resumed tuple produces what the full scan would.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
+from repro.core.config import DetectionMode, JITConfig
 from repro.core.detection_gate import DetectionGate
-from repro.core.jit_join import JITJoinOperator
 from repro.engine import ExecutionMode, run_workload
-from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
 from repro.plans.builder import (
     PLAN_BUSHY,
     PLAN_LEFT_DEEP,
@@ -35,13 +34,16 @@ from repro.plans.query import ContinuousQuery
 from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 
-from helpers import ScriptedGate, blacklists_checked_against_scan, script_gates
+import golden
+from golden import jit_operators as _jit_operators
+from helpers import (
+    ScriptedGate,
+    blacklists_checked_against_scan,
+    replays_checked_against_full_scan,
+    script_gates,
+)
 
 W = 10.0  # window length used by the rule tests
-
-
-def _jit_operators(plan):
-    return [op for op in plan.join_operators if isinstance(op, JITJoinOperator)]
 
 
 # ------------------------------------------------------------------ the rule
@@ -160,91 +162,19 @@ class TestGateOnIndexedClique:
 # ------------------------------------------------------------------ where it pays
 
 
-#: JIT counters of the paper's left-deep default (Table III; the end-to-end
-#: benchmark's recipe: seed 7, three windows, WINDOW retention), recorded at
-#: the commit before the gate existed; ``blacklist_scan``, ``purge`` and with
-#: them ``cpu_units`` were recorded again when the blacklist stopped scanning
-#: itself (0.2: 81 291 / 5 246 / 380 800 before, 0.3: 173 660 / 10 164 /
-#: 649 574), every other number is the one from before the gate.  scale ->
-#: (cpu_units, peak memory bytes, non-zero cost counters, non-zero
-#: per-operator stats).
-PAPER_GOLDEN = {
-    0.2: (
-        346181.0,
-        78856,
-        {
-            "predicate_eval": 121523, "probe_step": 133697, "result_build": 457,
-            "insert": 1968, "purge": 2856, "hash": 3706, "lattice_node": 61628,
-            "feedback_message": 306, "blacklist_scan": 49062,
-        },
-        {
-            "Op1": {
-                "suspensions_received": 176, "resumptions_received": 106,
-                "tuples_diverted": 262, "tuples_blacklisted": 503, "probes_aborted": 73,
-            },
-            "Op2": {
-                "mns_detected": 120, "suspensions_sent": 176, "resumptions_sent": 106,
-                "suspensions_received": 86, "resumptions_received": 14,
-                "tuples_diverted": 89, "tuples_blacklisted": 487, "results_resumed": 5,
-                "probes_aborted": 26,
-            },
-            "Op3": {"mns_detected": 86, "suspensions_sent": 86, "resumptions_sent": 14},
-        },
-    ),
-    0.3: (
-        553085.0,
-        111240,
-        {
-            "predicate_eval": 198658, "probe_step": 200593, "result_build": 680,
-            "insert": 2687, "purge": 5261, "hash": 5959, "lattice_node": 109427,
-            "feedback_message": 356, "blacklist_scan": 82074,
-        },
-        {
-            "Op1": {
-                "suspensions_received": 197, "resumptions_received": 121,
-                "tuples_diverted": 529, "tuples_blacklisted": 647, "probes_aborted": 81,
-            },
-            "Op2": {
-                "mns_detected": 123, "suspensions_sent": 197, "resumptions_sent": 121,
-                "suspensions_received": 110, "resumptions_received": 12,
-                "tuples_diverted": 233, "tuples_blacklisted": 837, "results_resumed": 3,
-                "probes_aborted": 35,
-            },
-            "Op3": {"mns_detected": 110, "suspensions_sent": 110, "resumptions_sent": 12},
-        },
-    ),
-}
-
-
 class TestGateOnThePaperPlan:
-    def _run(self, scale, gates=None):
-        workload = scaled_workload(
-            LEFT_DEEP_DEFAULTS, scale=scale, duration_windows=3.0, seed=7
-        )
-        plan = build_xjoin_plan(
-            ContinuousQuery.from_workload(workload), shape=PLAN_LEFT_DEEP,
-            strategy=STRATEGY_JIT,
-            jit_config=JITConfig(retention_policy=RetentionPolicy.WINDOW),
-        )
-        if gates is not None:
-            script_gates(plan, gates)
-        return run_workload(plan, workload.events(), workload.window.length), plan
+    """``golden.json``'s ``paper`` records: the Table III left-deep default under
+    JIT with every gate pinned open (``tests/golden.py`` says how they are
+    recorded and what a change is allowed to move)."""
 
-    @pytest.mark.parametrize("scale", sorted(PAPER_GOLDEN))
+    @pytest.mark.parametrize("scale", golden.PAPER_SCALES)
     def test_pinned_open_reproduces_the_counters_before_the_gate(self, scale):
-        cpu_units, peak_bytes, counters, stats = PAPER_GOLDEN[scale]
-        report, plan = self._run(scale, gates=ScriptedGate)
-        assert report.metrics.cpu_units == cpu_units
-        assert report.metrics.peak_memory_bytes == peak_bytes
-        assert {k: v for k, v in report.metrics.counters.items() if v} == counters
-        assert {
-            op.name: {k: v for k, v in op.stats.items() if v} for op in _jit_operators(plan)
-        } == stats
+        assert golden.paper_record(scale) == golden.load()["paper"][str(scale)]
 
-    @pytest.mark.parametrize("scale", sorted(PAPER_GOLDEN))
+    @pytest.mark.parametrize("scale", golden.PAPER_SCALES)
     def test_the_gate_stays_open_where_jit_pays(self, scale):
-        cpu_units = PAPER_GOLDEN[scale][0]
-        report, plan = self._run(scale)
+        pinned_units = golden.load()["paper"][str(scale)]["cpu_units"]
+        report, plan = golden.paper_run(scale)
         top = _jit_operators(plan)[-1]
         gate = top.gates["left"]
         assert top.name == "Op3" and top.stats["mns_detected"] > 0
@@ -252,7 +182,7 @@ class TestGateOnThePaperPlan:
         assert gate.avoided_units > 2 * gate.spent_units
         # A gate below may rest (Op2's does once its blacklist upkeep outgrows
         # what it saves); it may only make the run cheaper.
-        assert report.metrics.cpu_units <= cpu_units
+        assert report.metrics.cpu_units <= pinned_units
 
 
 # ------------------------------------------------------------------ Section III under toggling
@@ -296,7 +226,7 @@ def _assert_toggling_preserves_results(
     kwargs = {}
     if mode == ExecutionMode.QUEUED:
         kwargs = dict(mode=mode, scheduler=build_scheduler("jit_aware"))
-    with blacklists_checked_against_scan():
+    with blacklists_checked_against_scan(), replays_checked_against_full_scan():
         jit = run_workload(plan, events, window, **kwargs)
     assert jit.results.multiset() == ref.results.multiset()
     assert jit.results.temporally_ordered

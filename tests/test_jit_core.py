@@ -1,15 +1,25 @@
 """Unit tests for the JIT core: signatures, feedback, lattice, detection,
-MNS buffer, blacklist and production-control helpers."""
+MNS buffer, blacklist and production-control helpers.
+
+Two of them are differentials against the unpruned ``Identify_MNS`` kept in
+``helpers.py`` (docs/JIT.md, "Where a scan starts and stops"): the lattice
+whose dead nodes leave ``observe`` against :class:`helpers.UnprunedLattice`,
+and the detecting probe that stops evaluating settled components against the
+same probe driven by :class:`helpers.UnprunedDetector`.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.context import ExecutionContext
 from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.cns_lattice import CNSLattice
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
 from repro.core.feedback import Feedback, FeedbackKind
+from repro.core.jit_join import JITJoinOperator
 from repro.core.mns_buffer import MNSBuffer
 from repro.core.mns_detection import (
     BloomMNSDetector,
@@ -26,10 +36,13 @@ from repro.core.production_control import (
     split_signature,
 )
 from repro.core.signature import MNSSignature
-from repro.operators.predicates import AttributeRef, EquiJoinCondition
+from repro.metrics import CostKind, CostModel
+from repro.operators.base import PORT_LEFT, PORT_RIGHT
+from repro.operators.predicates import AttributeRef, EquiJoinCondition, JoinPredicate
+from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
 
-from helpers import make_tuple
+from helpers import UnprunedDetector, UnprunedLattice, make_tuple
 
 
 # --------------------------------------------------------------------------- signatures
@@ -116,6 +129,37 @@ class TestFeedback:
 # --------------------------------------------------------------------------- CNS lattice
 
 
+_LATTICE_CASES = dict(
+    components=st.integers(min_value=1, max_value=4),
+    max_level=st.integers(min_value=1, max_value=4),
+    rows=st.lists(st.lists(st.booleans(), min_size=4, max_size=4), max_size=8),
+)
+
+
+def _check_lattice_against_the_unpruned_one(components, max_level, rows):
+    names = [f"s{i}" for i in range(components)]
+    lattice = CNSLattice(names, max_level=max_level)
+    reference = UnprunedLattice(names, max_level=max_level)
+    cost = CostModel()
+    lattice.reset()
+    for row in rows:
+        outcome = dict(zip(names, row))
+        alive = len(reference.alive)
+        before = cost.count(CostKind.LATTICE_NODE)
+        # Only the pending components' outcomes exist: reading any other raises.
+        lattice.observe({name: outcome[name] for name in lattice.pending}, cost)
+        reference.observe_all(outcome)
+        # Exactly the alive nodes were visited, each charged once.
+        assert cost.count(CostKind.LATTICE_NODE) - before == alive
+        assert {node.sources for node in lattice._alive} == reference.alive
+        assert set(lattice.pending) == set().union(*reference.alive)
+        assert lattice.pending == tuple(n for n in names if n in lattice.pending)
+    assert lattice.surviving_mns() == reference.surviving_mns()
+    assert cost.count(CostKind.LATTICE_NODE) <= reference.visited
+    lattice.reset()
+    assert lattice.pending == tuple(names) and len(lattice._alive) == lattice.size
+
+
 class TestCNSLattice:
     def test_structure_matches_figure7(self):
         lattice = CNSLattice(["a", "b", "c", "d"])
@@ -171,6 +215,19 @@ class TestCNSLattice:
             CNSLattice(["a"], max_level=0)
         with pytest.raises(KeyError):
             CNSLattice(["a", "b"]).node({"z"})
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_LATTICE_CASES)
+    def test_dead_nodes_leave_observe_and_nothing_else_changes(
+        self, components, max_level, rows
+    ):
+        _check_lattice_against_the_unpruned_one(components, max_level, rows)
+
+    @pytest.mark.slow
+    @settings(max_examples=5000, deadline=None, derandomize=True)
+    @given(**_LATTICE_CASES)
+    def test_dead_nodes_leave_observe_sweep(self, components, max_level, rows):
+        _check_lattice_against_the_unpruned_one(components, max_level, rows)
 
 
 # --------------------------------------------------------------------------- detectors
@@ -229,6 +286,21 @@ class TestDetectors:
         ab = join_tuples(make_tuple("A", 1.0, y=9), make_tuple("B", 1.0, z=5))
         assert detector.finish(ab) == []
 
+    def test_only_the_lattice_detector_asks_for_component_outcomes(self, context):
+        args = (["A", "B"], {"A": [("A", "y")], "B": [("B", "z")]}, context)
+        ab = join_tuples(make_tuple("A", 1.0, y=9), make_tuple("B", 1.0, z=5))
+        lattice = LatticeMNSDetector(*args)
+        assert lattice.pending == ()  # nothing to feed before start()
+        lattice.start(ab)
+        assert lattice.pending == ("A", "B")
+        lattice.observe(ab, {"A": True, "B": False})
+        assert lattice.pending == ("B",)
+        lattice.observe(ab, {"B": True})
+        assert lattice.pending == () and lattice.finish(ab) == []
+        for other in (BloomMNSDetector(*args, _abc_conditions()), EmptyStateDetector(*args)):
+            other.start(ab)
+            assert other.pending == ()
+
     def test_build_detector_modes(self, context):
         args = (["A"], {"A": [("A", "y")]}, {"A": _abc_conditions()["A"]}, context)
         assert isinstance(
@@ -244,6 +316,74 @@ class TestDetectors:
         )
         assert build_detector(JITConfig(detection_mode=DetectionMode.NONE), *args[:3], context) is None
         assert build_detector(JITConfig(), [], {}, {}, context) is None
+
+
+# --------------------------------------------------------------------------- the detecting probe
+
+
+class TestDetectingProbe:
+    """AB x C on ``A.y = C.y and B.z = C.z``: one AB tuple probes ten C entries.
+    Entry 1 matches A only, entry 2 nothing, entry 3 B only — both level-1
+    nodes are dead after entry 3, and the other seven entries get REF's
+    short-circuit."""
+
+    #: (y, z) of the ten C entries; the probing AB tuple carries y = z = 1.
+    ENTRIES = ((1, 0), (0, 0), (0, 1), (1, 1), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (0, 1))
+
+    def _probe(self, unpruned: bool):
+        context = ExecutionContext(window=Window(60.0))
+        operator = JITJoinOperator(
+            "Op", {"A", "B"}, {"C"},
+            JoinPredicate.equi([(("A", "y"), ("C", "y")), (("B", "z"), ("C", "z"))]),
+            config=JITConfig(detect_for_source_fed_ports=True),
+        )
+        operator.attach(context)
+        results = []
+        operator.result_sink = results.append
+        if unpruned:
+            shipped = operator.detectors[PORT_LEFT]
+            operator.detectors[PORT_LEFT] = UnprunedDetector(
+                shipped.components, shipped.attr_pairs_by_source, context
+            )
+        for seq, (y, z) in enumerate(self.ENTRIES):
+            operator.process(make_tuple("C", 1.0, seq=seq, y=y, z=z), PORT_RIGHT)
+        before = context.cost.snapshot()
+        ab = join_tuples(make_tuple("A", 2.0, y=1), make_tuple("B", 2.0, z=1))
+        operator.process(ab, PORT_LEFT)
+        charged = {
+            kind: count - before[kind]
+            for kind, count in context.cost.snapshot().items()
+            if count != before[kind]
+        }
+        return charged, [r.component("C").seq for r in results], operator
+
+    def test_settled_components_leave_the_probe(self):
+        charged, joined, operator = self._probe(unpruned=False)
+        assert joined == [3, 6, 8]
+        assert operator.stats["detections_settled"] == 1
+        assert charged == {
+            CostKind.INSERT: 1,
+            CostKind.PROBE_STEP: 10,
+            # Entries 1-3: A and B / B alone / B then A.  Entries 4-10, REF's
+            # short-circuit over (A.y = C.y, B.z = C.z): 2 where y matches, else 1.
+            CostKind.PREDICATE_EVAL: (2 + 1 + 2) + (2 + 1 + 2 + 2 + 1 + 2 + 1),
+            # Two alive nodes at entry 1, one at entries 2 and 3, none after.
+            CostKind.LATTICE_NODE: 2 + 1 + 1,
+            CostKind.RESULT_BUILD: 3,
+        }
+
+    def test_results_and_their_order_are_those_of_the_unpruned_probe(self):
+        charged, joined, operator = self._probe(unpruned=False)
+        reference, reference_joined, reference_operator = self._probe(unpruned=True)
+        assert joined == reference_joined
+        assert reference_operator.stats["detections_settled"] == 0
+        # The unpruned probe: both components against every entry, both nodes
+        # visited per entry (a source-fed port has no producer to report to,
+        # so finish() never runs).
+        assert reference[CostKind.PREDICATE_EVAL] == 2 * 10
+        assert reference[CostKind.LATTICE_NODE] == 2 * 10
+        for kind in (CostKind.PROBE_STEP, CostKind.RESULT_BUILD, CostKind.INSERT):
+            assert charged[kind] == reference[kind]
 
 
 # --------------------------------------------------------------------------- config

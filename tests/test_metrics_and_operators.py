@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.context import ExecutionContext
 from repro.metrics import CostKind, CostModel, CostWeights, MemoryModel, MetricsReport
@@ -234,6 +238,134 @@ class TestOperatorState:
         assert len(state) == 10
         assert [e.tuple.get("x") for e in state.probe()] == list(range(90, 100))
         del entries
+
+    def test_a_regular_probe_starts_behind_what_a_floor_retains(self, context):
+        state = OperatorState("S", context)
+        for i in range(6):
+            state.insert(make_tuple("A", float(i), seq=i, x=i))
+        state.purge_floor = 0.0
+        assert state.purge(horizon=4.0) == []
+        assert (len(state), state.live_count) == (6, 2)
+        before = context.cost.count(CostKind.PROBE_STEP)
+        assert [e.tuple.seq for e in state.probe(live_only_after=4.0)] == [4, 5]
+        assert context.cost.count(CostKind.PROBE_STEP) - before == 2
+        assert [e.tuple.seq for e in state.probe()] == list(range(6))  # a replay sees all
+        state.purge_floor = None
+        assert len(state.purge(horizon=4.0)) == 4
+        assert (len(state), state.live_count) == (2, 2)
+
+    def test_probe_after_an_order_stamp(self, context):
+        state = OperatorState("S", context)
+        entries = [state.insert(make_tuple("A", 0.0, seq=i, x=i)) for i in range(5)]
+        state.remove_entry(entries[1])
+        again = state.insert(entries[1].tuple, seq=entries[1].seq)  # old seq, fresh order
+        assert state.last_order == again.order > entries[4].order
+        before = context.cost.count(CostKind.PROBE_STEP)
+        assert list(state.probe(after_order=entries[2].order)) == [entries[3], entries[4], again]
+        assert context.cost.count(CostKind.PROBE_STEP) - before == 3
+        assert list(state.probe(after_order=state.last_order)) == []
+        assert len(list(state.probe(after_order=-1))) == 5
+
+
+class _RecordingList(list):
+    """A list that remembers which positions were read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, index):
+        self.read.append(index)
+        return super().__getitem__(index)
+
+
+_STATE_STEPS = st.one_of(
+    st.tuples(st.just("insert"), st.floats(min_value=0.0, max_value=25.0)),  # how far back
+    st.tuples(st.just("advance"), st.floats(min_value=0.5, max_value=8.0)),
+    st.tuples(st.just("floor"), st.one_of(st.none(), st.floats(min_value=0.0, max_value=20.0))),
+    st.tuples(st.just("purge"), st.none()),
+    st.tuples(st.just("extract"), st.integers(min_value=2, max_value=5)),
+    st.tuples(st.just("reenter"), st.integers(min_value=1, max_value=6)),
+)
+
+
+class TestLiveCursor:
+    """The cursor differential: whatever happened to the state, a regular probe
+    is the full scan filtered by the horizon, and it neither reads nor charges
+    what sits before the cursor."""
+
+    WINDOW = 10.0
+
+    @staticmethod
+    def _check(state, horizon, floor_purged):
+        cost = state.context.cost
+        expected = [e for e in state.entries() if e.ts >= horizon]
+        leading = next(
+            (i for i, e in enumerate(state._entries) if not e.removed and e.ts >= horizon),
+            len(state._entries),
+        )
+        recording = state._entries = _RecordingList(state._entries)
+        before = cost.count(CostKind.PROBE_STEP)
+        assert list(state.probe(live_only_after=horizon)) == expected
+        assert cost.count(CostKind.PROBE_STEP) - before == len(expected)
+        assert state._live_start <= leading
+        if floor_purged:
+            # The purge just made moved the cursor to the first live entry.
+            assert all(index >= leading for index in recording.read)
+        retained = [e for e in state._entries[: state._live_start] if not e.removed]
+        assert state.live_count == len(state) - len(retained)
+        assert all(e.ts < horizon for e in retained)
+        for stamp in (0, state.last_order // 2, state.last_order):
+            before = cost.count(CostKind.PROBE_STEP)
+            behind = [e for e in state.entries() if e.order > stamp]
+            assert list(state.probe(after_order=stamp)) == behind
+            assert cost.count(CostKind.PROBE_STEP) - before == len(behind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(_STATE_STEPS, min_size=1, max_size=60))
+    def test_probe_is_the_full_scan_filtered_by_the_horizon(self, steps):
+        self._play(steps)
+
+    @pytest.mark.slow
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(steps=st.lists(_STATE_STEPS, min_size=1, max_size=120))
+    def test_probe_is_the_full_scan_sweep(self, steps):
+        self._play(steps)
+
+    def _play(self, steps):
+        context = ExecutionContext(window=Window(self.WINDOW))
+        state = OperatorState("S", context)
+        now, horizon, serial = 30.0, float("-inf"), 0
+        for action, argument in steps:
+            floor_purged = False
+            if action == "insert":
+                # Out-of-order timestamps: a resumed partial enters late and old.
+                state.insert(make_tuple("A", now - argument, seq=serial, x=serial), now=now)
+                serial += 1
+            elif action == "advance":
+                now += argument
+            elif action == "floor":
+                state.purge_floor = None if argument is None else now - self.WINDOW - argument
+            elif action == "purge":
+                horizon = now - self.WINDOW
+                state.purge(horizon)
+                floor_purged = state.purge_floor is not None
+            elif action == "extract":
+                state.extract(lambda t: t.get("x") % argument == 0)
+            else:  # a probe in flight while an emission re-enters the state
+                probe = state.probe(live_only_after=horizon)
+                snapshot = [e for e in state.entries() if e.ts >= horizon]
+                taken = list(islice(probe, argument))  # the probe has begun
+                assert taken == snapshot[: len(taken)]
+                for _ in range(40):  # later appends ...
+                    state.insert(make_tuple("A", now, seq=serial, x=serial), now=now)
+                    serial += 1
+                # ... and removals, enough of them to compact the list unless
+                # survivors of earlier rounds dominate it
+                state.extract(lambda t: t.get("x") % 7 != 0)
+                rest = snapshot[len(taken):]
+                assert list(probe) == [e for e in rest if not e.removed]
+            self._check(state, horizon, floor_purged)
 
 
 # --------------------------------------------------------------------------- bloom filters

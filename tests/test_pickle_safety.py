@@ -184,12 +184,13 @@ def test_operator_carrying_a_used_detection_gate_roundtrips(workload):
 def test_slotted_blacklist_records_roundtrip():
     """``SuspendedTuple`` and ``BlacklistEntry`` carry no ``__dict__`` (the seat
     order adds list slots, not objects); a popped entry — what a resumption
-    hands on — survives with its tuples, seat order and byte count."""
+    hands on — survives with its tuples, seat order, byte count and the order
+    stamp each replay starts behind."""
     blacklist = Blacklist("bl", ExecutionContext(window=Window(60.0)))
     signature = MNSSignature.from_components(make_tuple("A", 1.0, y=9), ("A",), [("A", "y")])
     blacklist.add_suspended(
         signature, make_tuple("A", 1.0, y=9), joined_upto_seq=5, now=1.0, original_seq=2,
-        unmet_seqs=frozenset({1}),
+        unmet_seqs=frozenset({1}), joined_upto_order=8,
     )
     blacklist.add_suspended(
         signature, make_tuple("A", 2.0, y=9), joined_upto_seq=-1, now=2.0, original_seq=3,
@@ -205,3 +206,4 @@ def test_slotted_blacklist_records_roundtrip():
     assert clone.seats[0] is clone.suspended[0] and clone.loose[0] is clone.suspended[1]
     assert (clone.size_bytes, clone.min_ts(), clone.max_ts()) == (entry.size_bytes, 1.0, 3.0)
     assert clone.suspended[1].has_met(4) and not clone.suspended[0].has_met(1)
+    assert [s.joined_upto_order for s in clone.suspended] == [8, -1, -1]

@@ -443,6 +443,7 @@ class TestExplainAnalyze:
         assert "virtual window:" in text
         # JIT joins surface their suspension counters and their gates' ledgers.
         assert "jit:" in text
+        assert "mns_detected=" in text and " detections_settled=" in text
         assert "gate left: " in text and " spent=" in text and " avoided=" in text
 
     def test_shared_subtree_report_is_namespaced(self, traced_shared):

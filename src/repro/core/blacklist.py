@@ -1,14 +1,14 @@
 """The producer-side blacklist of suspended tuples (Section IV-B).
 
-When a producer receives a suspension feedback for an MNS ``s``, it scans the
-corresponding operator state, moves every (similar) super-tuple of ``s`` into
-the blacklist, and thereafter diverts new arrivals that match ``s`` straight
-into the blacklist as well.  Each blacklisted tuple remembers how far through
-the opposite state it had already been joined (its *watermark*), so that a
-later resumption produces exactly the partial results that were skipped — no
-more, no less.  The Ø signature suspends the operator wholesale; its
-blacklist entry acts as a pending-input buffer that is replayed on resumption
-(the DOE behaviour).
+When a producer receives a suspension feedback for an MNS ``s``, it moves
+every (similar) super-tuple of ``s`` from the corresponding operator state
+into the blacklist, and thereafter diverts new arrivals that match ``s``
+straight into the blacklist as well.  Each blacklisted tuple remembers how
+far through the opposite state it had already been joined (its *watermark*),
+so that a later resumption produces exactly the partial results that were
+skipped — no more, no less.  The Ø signature suspends the operator
+wholesale; its blacklist entry acts as a pending-input buffer that is
+replayed on resumption (the DOE behaviour).
 
 The blacklist is also the source of two quantities the JIT join needs for
 exact REF-equivalence (see docs/JIT.md):
@@ -19,37 +19,37 @@ exact REF-equivalence (see docs/JIT.md):
   ``JITJoinOperator.suspension_alive``) whether an MNS entry must be kept
   because suspended super-tuples still exist somewhere upstream.
 
-**Nothing here is a scan of the blacklist.**  Every question asked per event
-or per suspension is answered from an order the tuples arrive in anyway:
+**Watermark exceptions are decided at the pair.**  A watermark claims every
+opposite entry at or below it was met, which is false for an opposite tuple
+that sat in the opposite blacklist itself when this one was suspended and
+had not met it.  Nothing is computed for such pairs at suspension: a
+:class:`SuspendedTuple` is a *record* stamped with the operator's moments
+(``created``; ``ended`` once its replay re-inserted the tuple) and linked to
+the record its tuple had come from before (``previous``), and the replay
+asks :meth:`SuspendedTuple.met` about the few opposite entries the
+watermark covers although they entered the state after the suspension
+(docs/JIT.md, "Watermark exceptions").
 
-* an entry's ``suspended`` list is in timestamp order until an append breaks
-  it (an older tuple suspended again), so its oldest and newest tuple sit at
-  the ends and :meth:`Blacklist.purge` stops at the first survivor; an entry
-  whose order broke is flagged and scanned in full until a purge finds it in
-  order again;
-* the *seated* tuples of an entry (those extracted from the state, which
-  carry an ``original_seq``) are also kept in ``seats``, in watermark order:
-  watermarks are read off a counter that only grows, so appending in
-  suspension order is that order, and the rare seat whose watermark falls
-  below the last one's goes to ``loose`` instead.
-  :meth:`Blacklist.unmet_exceptions_for` walks ``loose`` and the prefix of
-  ``seats`` (docs/JIT.md, "Watermark exceptions").
-
-Neither order costs anything to keep, and none of it is charged to the
-:class:`~repro.metrics.MemoryModel` (the rule of :mod:`repro.operators.state`:
-the model counts stored tuples).  ``BLACKLIST_SCAN`` and ``PURGE`` are still
-one per suspended tuple examined.
+**Nothing here is a scan of the blacklist.**  An entry's ``suspended`` list
+is in timestamp order until an append breaks it (an older tuple suspended
+again), so its oldest and newest tuple sit at the ends and
+:meth:`Blacklist.purge` stops at the first survivor; an entry whose order
+broke is flagged and scanned in full until a purge finds it in order again.
+None of it is charged to the :class:`~repro.metrics.MemoryModel` (the rule of
+:mod:`repro.operators.state`: the model counts stored tuples).
+``BLACKLIST_SCAN`` is one per record a pair test examines, ``PURGE`` one per
+suspended tuple a purge examines.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.context import ExecutionContext
 from repro.core.signature import MNSSignature
-from repro.metrics import CostKind
+from repro.metrics import CostKind, CostModel
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["SuspendedTuple", "BlacklistEntry", "Blacklist"]
@@ -82,17 +82,23 @@ class SuspendedTuple:
         Exact set of opposite-state sequence numbers (beyond the watermark)
         the tuple has already been joined with.  Only non-empty for a tuple
         whose probe was interrupted mid-way by the suspension.
-    unmet_seqs:
-        Opposite-state sequence numbers at or below the watermark that the
-        tuple has *not* met, because the corresponding opposite tuples were
-        themselves blacklisted during this tuple's entire residency in the
-        state.  Resumption joins them despite the watermark.
     joined_upto_order:
         The watermark again, as a position: every opposite entry whose
         ``order`` stamp is at or below it has a sequence number at or below
         ``joined_upto_seq`` and was in the state at suspension, so resumption
         starts its scan behind it.  ``-1`` (with every ``-1`` watermark)
         means scan everything.
+    created:
+        The operator's moment when this record was made: how many records
+        the operator had made, this one included.
+    ended:
+        The operator's moment when the replay of this record re-inserted the
+        tuple (None until then): a record made after that has a larger
+        ``created``, one made before it a ``created`` of at most this.
+    previous:
+        The record the tuple was re-inserted from before it was extracted
+        into this one (``StateEntry.came_from``), None the first time: the
+        tuple's earlier suspensions, newest first.
     """
 
     tuple: StreamTuple
@@ -100,19 +106,49 @@ class SuspendedTuple:
     suspended_at: float
     original_seq: Optional[int] = None
     met_seqs: FrozenSet[int] = frozenset()
-    unmet_seqs: FrozenSet[int] = frozenset()
     joined_upto_order: int = -1
+    created: int = 0
+    ended: Optional[int] = None
+    previous: Optional["SuspendedTuple"] = None
 
     @property
     def ts(self) -> float:
         """Timestamp of the suspended tuple."""
         return self.tuple.ts
 
-    def has_met(self, opposite_seq: int) -> bool:
-        """True if this suspended tuple has already been joined with ``opposite_seq``."""
-        if opposite_seq in self.met_seqs:
-            return True
-        return opposite_seq <= self.joined_upto_seq and opposite_seq not in self.unmet_seqs
+    def met(self, other_seq: int, chain: Optional["SuspendedTuple"], cost: CostModel) -> bool:
+        """True if this suspended tuple has already been joined with the
+        opposite entry ``other_seq``, whose tuple was re-inserted by the
+        replay of ``chain`` (docs/JIT.md, "Watermark exceptions").
+
+        Named in ``met_seqs``, the pair met; past the watermark, it did not.
+        At or below it the watermark is wrong only if the other tuple sat in
+        the opposite blacklist when this record was made: its record then is
+        the newest on ``chain`` made before this one, and if it had been
+        re-inserted by then (or was never seated) the pair met.  If not, the
+        two were suspended at once, and this one met the other iff the other
+        had met this one when it was suspended — the same question one step
+        back in time.  One ``BLACKLIST_SCAN`` per record examined on a chain.
+        """
+        record, examined = self, 0
+        try:
+            while True:
+                if other_seq in record.met_seqs:
+                    return True
+                if other_seq > record.joined_upto_seq:
+                    return False
+                while chain is not None and not chain.created < record.created:
+                    examined += 1
+                    chain = chain.previous
+                if chain is None:
+                    return True
+                examined += 1
+                if chain.original_seq is None or chain.ended < record.created:
+                    return True
+                record, other_seq, chain = chain, record.original_seq, record.previous
+        finally:
+            if examined:
+                cost.charge(CostKind.BLACKLIST_SCAN, examined)
 
 
 @dataclass(slots=True)
@@ -137,12 +173,6 @@ class BlacklistEntry:
     #: How many of ``suspended`` an opposite probe would still meet under
     #: REF: those inside the window as of the last purge, plus later ones.
     hidden: int = 0
-    #: The seated members of ``suspended`` (those with an ``original_seq``),
-    #: in suspension order, which is non-decreasing ``joined_upto_seq`` ...
-    seats: List[SuspendedTuple] = field(default_factory=list)
-    #: ... except for the seated tuples that would have broken that order:
-    #: their watermark is below that of the last seat taken before them.
-    loose: List[SuspendedTuple] = field(default_factory=list)
     #: False once an append broke the timestamp order of ``suspended``.
     ts_ordered: bool = True
     #: Modelled bytes of the signature plus the suspended tuples.
@@ -206,8 +236,6 @@ class Blacklist:
         self.hidden: Dict[object, int] = {}
         #: Suspended tuples over all entries.
         self.suspended_count = 0
-        #: Sequence number -> how many seated tuples list it in ``unmet_seqs``.
-        self._excepted: Dict[int, int] = {}
         #: :meth:`min_live_ts`, kept by every add; once something has left the
         #: blacklist it is not known until recomputed from the entries' ends.
         self._min_live: Optional[float] = None
@@ -259,10 +287,12 @@ class Blacklist:
         permanent: bool = False,
         original_seq: Optional[int] = None,
         met_seqs: FrozenSet[int] = frozenset(),
-        unmet_seqs: FrozenSet[int] = frozenset(),
         joined_upto_order: int = -1,
+        created: int = 0,
+        previous: Optional[SuspendedTuple] = None,
     ) -> Optional[SuspendedTuple]:
-        """Park ``tup`` under ``signature``'s entry.
+        """Park ``tup`` under ``signature``'s entry; the record's fields are
+        the keyword arguments of the same names.
 
         Permanent suspensions drop the tuple instead of storing it (the
         consumer will never ask for it back), returning None.
@@ -276,21 +306,13 @@ class Blacklist:
             suspended_at=now,
             original_seq=original_seq,
             met_seqs=met_seqs,
-            unmet_seqs=unmet_seqs,
             joined_upto_order=joined_upto_order,
+            created=created,
+            previous=previous,
         )
         if entry.suspended and tup.ts < entry.suspended[-1].tuple.ts:
             entry.ts_ordered = False
         entry.suspended.append(suspended)
-        if original_seq is not None:
-            seats = entry.seats
-            if seats and joined_upto_seq < seats[-1].joined_upto_seq:
-                entry.loose.append(suspended)
-            else:
-                seats.append(suspended)
-            excepted = self._excepted
-            for seq in unmet_seqs:
-                excepted[seq] = excepted.get(seq, 0) + 1
         self.suspended_count += 1
         self._note_ts(tup.ts)
         self._count_hidden(entry, 1)
@@ -305,22 +327,10 @@ class Blacklist:
             return None
         self._unindex_signature(signature)
         self._count_hidden(entry, -entry.hidden)
-        self._unseat(entry.seats)
-        self._unseat(entry.loose)
         self.suspended_count -= len(entry.suspended)
         self._min_live_known = False
         self.context.memory.release(entry.size_bytes, self.MEMORY_CATEGORY)
         return entry
-
-    def _unseat(self, seated: Iterable[SuspendedTuple]) -> None:
-        """``seated`` leave the blacklist: so do the exceptions they listed."""
-        excepted = self._excepted
-        for suspended in seated:
-            for seq in suspended.unmet_seqs:
-                if excepted[seq] == 1:
-                    del excepted[seq]
-                else:
-                    excepted[seq] -= 1
 
     # -- matching new arrivals ---------------------------------------------------------
 
@@ -353,41 +363,6 @@ class Blacklist:
         if not candidates:
             return None
         return min(candidates, key=lambda e: e.created_at)
-
-    def unmet_exceptions_for(self, own_seq: int) -> FrozenSet[int]:
-        """Original sequence numbers of suspended tuples that never met ``own_seq``.
-
-        Called by the *opposite* side when one of its tuples (with state
-        sequence ``own_seq``) is being suspended: any tuple currently parked
-        here that has not met it must be excluded from the new suspension's
-        watermark, otherwise neither side's resumption would ever produce the
-        pair (see docs/JIT.md, "Watermark exceptions").
-
-        Only seated tuples can be an exception, and of those only the ones
-        suspended before ``own_seq`` arrived (``joined_upto_seq < own_seq``):
-        every ``loose`` seat and the prefix of ``seats`` up to the first one
-        past it.  The one case that reaches further is an ``own_seq`` that
-        was itself suspended here-opposite before and re-inserted: a later
-        seat may list it in ``unmet_seqs``, so then every seat is examined.
-        One ``BLACKLIST_SCAN`` per suspended tuple examined.
-        """
-        unmet = set()
-        examined = 0
-        fresh = own_seq not in self._excepted
-        for entry in self._entries.values():
-            for suspended in entry.loose:
-                examined += 1
-                if not suspended.has_met(own_seq):
-                    unmet.add(suspended.original_seq)
-            for suspended in entry.seats:
-                examined += 1
-                if fresh and suspended.joined_upto_seq >= own_seq:
-                    break
-                if not suspended.has_met(own_seq):
-                    unmet.add(suspended.original_seq)
-        if examined:
-            self.context.cost.charge(CostKind.BLACKLIST_SCAN, examined)
-        return frozenset(unmet)
 
     # -- liveness / purging ------------------------------------------------------------------
 
@@ -429,7 +404,6 @@ class Blacklist:
                 cost.charge(CostKind.PURGE, examined)
                 if gone:
                     dropped += len(gone)
-                    self._unseat(gone)
                     released = sum(s.tuple.size_bytes for s in gone)
                     entry.size_bytes -= released
                     self.context.memory.release(released, self.MEMORY_CATEGORY)
@@ -460,7 +434,7 @@ class Blacklist:
     def _drop_expired(
         entry: BlacklistEntry, now: float, retention: float
     ) -> Tuple[List[SuspendedTuple], int]:
-        """Take the tuples past retention out of ``entry``'s lists.
+        """Take the tuples past retention out of ``entry``.
 
         Returns them and the number of suspended tuples examined to find them.
         """
@@ -470,9 +444,6 @@ class Blacklist:
             gone = suspended[: _expired_prefix(suspended, now, retention)]
             if gone:
                 del suspended[: len(gone)]
-                # Subsequences of ``suspended``: what expired leads them too.
-                for seated in (entry.seats, entry.loose):
-                    del seated[: _expired_prefix(seated, now, retention)]
             return gone, min(len(gone) + 1, held)
 
         def alive(s: SuspendedTuple) -> bool:
@@ -481,8 +452,6 @@ class Blacklist:
         gone = [s for s in suspended if not alive(s)]
         if gone:
             entry.suspended = kept = [s for s in suspended if alive(s)]
-            entry.seats = [s for s in entry.seats if alive(s)]
-            entry.loose = [s for s in entry.loose if alive(s)]
             entry.ts_ordered = all(a.tuple.ts <= b.tuple.ts for a, b in zip(kept, kept[1:]))
         return gone, len(suspended)
 

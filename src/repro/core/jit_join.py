@@ -52,12 +52,20 @@ Implementation notes (all recorded in docs/JIT.md):
   of the input, the bucket of that component's conditions and visit the
   union of the buckets in insertion order: an entry outside every bucket
   matches no component, so it can neither kill a lattice node nor join.
-  ``Suspend_Production`` extracts the super-tuples of an MNS from the bucket
-  of the signature's ``(source, attribute)`` template.  Results, detected
-  MNSs and suspensions are those of the nested loop; mid-probe suspension
-  watermarks stay exact because unscanned entries can never join the
-  in-flight tuple either.  Without ``use_hash_index`` the nested loop and
-  the state scan remain the only path.
+  Results, detected MNSs and suspensions are those of the nested loop;
+  mid-probe suspension watermarks stay exact because unscanned entries can
+  never join the in-flight tuple either.  Without ``use_hash_index`` the
+  probes are nested loops.
+* ``Suspend_Production`` extracts the super-tuples of an MNS from the
+  bucket of the signature's ``(source, attribute)`` template, on every plan:
+  the state builds that index when an extraction first asks for it and
+  retires it when none has for a window.  Only a signature without items
+  scans the state.
+* Watermark exceptions are decided at the pair, by the replay: an opposite
+  entry the watermark covers although it entered the state after the
+  suspension is asked about with :meth:`SuspendedTuple.met`, which reads
+  the records both tuples were suspended under, stamped with this
+  operator's moments (docs/JIT.md, "Watermark exceptions").
 * The three nested-loop scans examine only what can still change their
   answer (docs/JIT.md, "Where a scan starts and stops"): a detecting probe
   evaluates per component only while some alive lattice node contains the
@@ -82,7 +90,7 @@ Implementation notes (all recorded in docs/JIT.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.config import JITConfig, RetentionPolicy
@@ -203,6 +211,9 @@ class JITJoinOperator(BinaryJoinOperator):
             PORT_RIGHT: _ProbeTally(),
         }
         self._active_probe: Optional[_ActiveProbe] = None
+        #: How many blacklist records this operator has made, over both ports:
+        #: the clock of ``SuspendedTuple.created`` and ``.ended``.
+        self._moment = 0
         self._pending_resume: Dict[Tuple[MNSSignature, ...], List[StreamTuple]] = {}
         self._last_jit_purge = float("-inf")
         #: Statistics exposed to the experiment harness and tests.
@@ -339,7 +350,10 @@ class JITJoinOperator(BinaryJoinOperator):
                     # double-count.
                     self._restore_resumed(opposite_producer, resume_feedback, port, now)
                 if not entry.permanent:
-                    blacklist.add_suspended(entry.signature, tup, joined_upto_seq=-1, now=now)
+                    self._moment += 1
+                    blacklist.add_suspended(
+                        entry.signature, tup, joined_upto_seq=-1, now=now, created=self._moment
+                    )
                 return
 
         # Line 13 (hoisted): insert t into its own state.  Doing this before
@@ -821,15 +835,12 @@ class JITJoinOperator(BinaryJoinOperator):
         default_watermark = opposite_state.next_seq - 1
         default_order = opposite_state.last_order
         probe = self._active_probe
-        # With hash indexes the super-tuples sit in the bucket of the signature's
-        # (source, attribute) template; a coverage-only signature has no such
-        # template and keeps the scan.
-        lookup = None
-        if self.use_hash_index and signature.items:
-            lookup = (signature.template, signature.key)
+        # The super-tuples sit in the bucket of the signature's (source,
+        # attribute) template; a coverage-only signature has no such template
+        # and keeps the scan.
+        lookup = (signature.template, signature.key) if signature.items else None
         extracted = state.extract(signature.matches_super, lookup)
         detector = self.detectors[opposite_port(port)]
-        opposite_blacklist = self.blacklists[opposite_port(port)]
         for removed in extracted:
             self.stats["tuples_blacklisted"] += 1
             if detector is not None:
@@ -853,11 +864,7 @@ class JITJoinOperator(BinaryJoinOperator):
                     behind = 0 if removed.seq in probe.scanned_seqs else 1
                     watermark = probe.own.seq - behind
                     upto_order = probe.own.order - behind
-            # Opposite tuples currently suspended were absent from the state,
-            # so the covering watermark must not claim they were met.
-            unmet_seqs: frozenset = frozenset()
-            if watermark >= 0 and len(opposite_blacklist):
-                unmet_seqs = opposite_blacklist.unmet_exceptions_for(removed.seq)
+            self._moment += 1
             blacklist.add_suspended(
                 signature,
                 removed.tuple,
@@ -866,8 +873,9 @@ class JITJoinOperator(BinaryJoinOperator):
                 permanent=permanent,
                 original_seq=removed.seq,
                 met_seqs=met_seqs,
-                unmet_seqs=unmet_seqs,
                 joined_upto_order=upto_order,
+                created=self._moment,
+                previous=removed.came_from,
             )
 
     def _suspend_all(
@@ -921,9 +929,9 @@ class JITJoinOperator(BinaryJoinOperator):
 
         if entry is not None:
             for suspended in entry.suspended:
-                results.extend(self._replay(suspended, port, now))
+                results.extend(self._join_resumed(suspended.tuple, port, now, suspended))
         for partial in upstream_new:
-            results.extend(self._join_resumed(partial, port, -1, now))
+            results.extend(self._join_resumed(partial, port, now))
         return results
 
     def _resume_all(self, signature: MNSSignature, now: float) -> List[StreamTuple]:
@@ -946,52 +954,39 @@ class JITJoinOperator(BinaryJoinOperator):
             backlog.sort(key=lambda item: item[0])
             for _ts, item in backlog:
                 if isinstance(item, SuspendedTuple):
-                    results.extend(self._replay(item, port, now))
+                    results.extend(self._join_resumed(item.tuple, port, now, item))
                 else:
-                    results.extend(self._join_resumed(item, port, -1, now))
+                    results.extend(self._join_resumed(item, port, now))
         return results
-
-    def _replay(self, suspended: SuspendedTuple, port: str, now: float) -> List[StreamTuple]:
-        """Resume one blacklisted tuple from where its suspension stopped it."""
-        return self._join_resumed(
-            suspended.tuple,
-            port,
-            suspended.joined_upto_seq,
-            now,
-            met_seqs=suspended.met_seqs,
-            unmet_seqs=suspended.unmet_seqs,
-            original_seq=suspended.original_seq,
-            joined_upto_order=suspended.joined_upto_order,
-        )
 
     def _join_resumed(
         self,
         tup: StreamTuple,
         port: str,
-        watermark: int,
         now: float,
-        met_seqs: frozenset = frozenset(),
-        unmet_seqs: frozenset = frozenset(),
-        original_seq: Optional[int] = None,
-        joined_upto_order: int = -1,
+        record: Optional[SuspendedTuple] = None,
     ) -> List[StreamTuple]:
         """Join a resumed tuple with the opposite-state partners it has not met.
 
-        The scan starts behind ``joined_upto_order``, the last opposite entry
-        the watermark covered when the tuple was suspended: everything up to
-        it was in the state then and would be skipped by the watermark below.
-        An entry behind it can still be one the tuple has met (extracted and
-        re-inserted since, under its old sequence number but a fresh order
-        stamp), so the sequence filters apply to the suffix unchanged.
+        ``record`` is the tuple's blacklist record; without one (a partial
+        resumed upstream) the tuple has met nothing.  The scan starts behind
+        ``record.joined_upto_order``, the last opposite entry the watermark
+        covered when the tuple was suspended: everything up to it was in the
+        state then and would be skipped by the watermark below.  An entry
+        behind it that the watermark covers was re-inserted since, under its
+        old sequence number but a fresh order stamp, from a suspension of its
+        own; whether the two met is the record's pair test
+        (:meth:`SuspendedTuple.met`, docs/JIT.md, "Watermark exceptions").
 
         The tuple is re-inserted into its own state afterwards — under its
         original sequence number when it had one — so later arrivals and
-        later resumptions on the other side treat it consistently.
+        later resumptions on the other side treat it consistently; the new
+        entry remembers ``record`` and the record the moment it ended.
 
         With ``use_hash_index`` the partner scan becomes an index lookup on
-        the equi-join key, combined with the same watermark / met-sequence
-        filters as the nested loop; entries with a different key would fail
-        the equi conditions anyway, so skipping them is REF-equivalent.
+        the equi-join key, combined with the same filters as the nested
+        loop; entries with a different key would fail the equi conditions
+        anyway, so skipping them is REF-equivalent.
 
         Like a fresh arrival, the replayed tuple first probes the opposite
         MNS buffer (Process_Input lines 4-9): re-entering the state makes it
@@ -1004,22 +999,32 @@ class JITJoinOperator(BinaryJoinOperator):
         context = self.require_context()
         window = context.window
         opp = opposite_port(port)
-        opposite_state = self.states[opp]
         resume_feedback = self._probe_mns_buffer(tup, opp)
         if resume_feedback is not None:
             self._restore_resumed(self.producer_of(opp), resume_feedback, port, now)
+        watermark = upto_order = -1
+        met_seqs: FrozenSet[int] = frozenset()
+        if record is not None:
+            watermark, upto_order = record.joined_upto_seq, record.joined_upto_order
+            met_seqs = record.met_seqs
         produced: List[StreamTuple] = []
-        candidates = self.probe_candidates(tup, opp, after_order=joined_upto_order)
-        for entry in candidates:
+        for entry in self.probe_candidates(tup, opp, after_order=upto_order):
             if entry.removed or entry.seq in met_seqs:
                 continue
-            if entry.seq <= watermark and entry.seq not in unmet_seqs:
+            # An index lookup returns entries at or before the stamp too.
+            if entry.seq <= watermark and (
+                entry.order <= upto_order or record.met(entry.seq, entry.came_from, context.cost)
+            ):
                 continue
             if not window.joinable(tup.ts, entry.tuple.ts):
                 continue
             if self.evaluate_conditions(tup, entry.tuple):
                 produced.append(self.build_result(tup, entry.tuple))
-        self.states[port].insert(tup, now, seq=original_seq)
+        if record is None:
+            self.states[port].insert(tup, now)
+        else:
+            self.states[port].insert(tup, now, seq=record.original_seq).came_from = record
+            record.ended = self._moment
         detector = self.detectors[opp]
         if detector is not None:
             detector.note_opposite_insert(tup)

@@ -38,15 +38,16 @@ except ``removed`` flags (docs/JIT.md, "Where a scan starts and stops").
 ``(source, attribute)`` pairs and a key the tuple of their values.  The
 equi-join key of a hash-indexed join is registered when the state is built;
 every other index (a component's share of the join key for MNS-detecting
-probes, an MNS signature's template for suspension extraction) is built from
-the present entries the first time it is looked up, and *retired* by the
-first purge that finds it has not been looked up for one window of stream
-time: it leaves the registry, stops being maintained, and is built again —
-at the build charge below — if it is ever asked for again.  One window is
-the ski-rental break-even: a window of maintenance hashes one ``HASH`` per
-tuple the state holds, which is what a rebuild costs.  The equi-join key
-index is never retired.  Buckets hold present entries only, in insertion
-order.  The charging rule, the same for every index:
+probes, an MNS signature's template for suspension extraction, on
+nested-loop plans too) is built from the present entries the first time it
+is looked up, and *retired* by the first purge that finds it has not been
+looked up for one window of stream time: it leaves the registry, stops being
+maintained, and is built again — at the build charge below — if it is ever
+asked for again.  One window is the ski-rental break-even: a window of
+maintenance hashes one ``HASH`` per tuple the state holds, which is what a
+rebuild costs.  The equi-join key index is never retired.  Buckets hold
+present entries only, in insertion order.  The charging rule, the same for
+every index:
 
 * build — one ``HASH`` per present entry (nothing for an index registered on
   an empty state, nothing for an index never asked for), on the first lookup
@@ -98,7 +99,7 @@ def key_function(template: IndexTemplate) -> Callable[[StreamTuple], IndexKey]:
     return lambda tup: tuple([tup.value(source, attr) for source, attr in template])
 
 
-@dataclass
+@dataclass(slots=True)
 class StateEntry:
     """A tuple stored in an operator state, with bookkeeping.
 
@@ -120,6 +121,9 @@ class StateEntry:
         blacklist, ...).  Probe loops skip removed entries, which also guards
         against entries removed re-entrantly by a JIT feedback arriving while
         a probe over a snapshot is still running.
+    came_from:
+        The JIT blacklist record (``repro.core.blacklist.SuspendedTuple``)
+        whose replay re-inserted this tuple; None for every other insert.
     """
 
     tuple: StreamTuple
@@ -127,6 +131,7 @@ class StateEntry:
     inserted_at: float
     order: int = 0
     removed: bool = False
+    came_from: Optional[object] = None
 
     @property
     def ts(self) -> float:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from repro.core.blacklist import Blacklist
+from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import FeedbackKind
 from repro.core.jit_join import JITJoinOperator
@@ -46,58 +47,77 @@ def script_gates(plan, make_gate=ScriptedGate) -> None:
                 operator.gates[port] = make_gate()
 
 
-def scan_unmet_exceptions(blacklist: Blacklist, own_seq: int):
-    """The reference for ``Blacklist.unmet_exceptions_for``: the scan it replaced.
+class EagerExceptions:
+    """The reference for ``SuspendedTuple.met``: the exception sets the operator
+    used to compute when a record was made, and the ``has_met`` that read them.
 
-    Every suspended tuple of every entry is examined and asked ``has_met``.
-    Returns the set and the number of tuples examined (what the scan charged
-    in ``BLACKLIST_SCAN``); charges nothing itself.
+    ``note(record, opposite)`` lists every seated tuple of the ``opposite``
+    blacklist that has not met the record's tuple (the scan the deleted
+    ``Blacklist.unmet_exceptions_for`` replaced; only for a record with a
+    watermark), ``has_met(record, seq)`` is the deleted
+    ``SuspendedTuple.has_met`` over those lists.  ``scanned`` counts the
+    suspended tuples the scans examined.  Every record noted is kept alive,
+    so no ``id`` is reused.
     """
-    unmet, examined = set(), 0
-    for entry in blacklist.entries():
-        for suspended in entry.suspended:
-            examined += 1
-            if suspended.original_seq is not None and not suspended.has_met(own_seq):
-                unmet.add(suspended.original_seq)
-    return frozenset(unmet), examined
 
+    def __init__(self) -> None:
+        self.unmet = {}
+        self.records = []
+        self.scanned = 0
 
-def checked_unmet_exceptions(
-    blacklist: Blacklist, own_seq: int, ask=Blacklist.unmet_exceptions_for
-):
-    """Ask ``blacklist`` and the scan; they must agree, the scan examining no less.
+    def note(self, record, opposite) -> None:
+        unmet = set()
+        if record.joined_upto_seq >= 0:
+            for entry in opposite.entries():
+                for other in entry.suspended:
+                    self.scanned += 1
+                    if other.original_seq is not None and not self.has_met(
+                        other, record.original_seq
+                    ):
+                        unmet.add(other.original_seq)
+        self.unmet[id(record)] = frozenset(unmet)
+        self.records.append(record)
 
-    Returns ``(answer, examined, scanned)``.
-    """
-    expected, scanned = scan_unmet_exceptions(blacklist, own_seq)
-    counters = blacklist.context.cost.counters
-    before = counters[CostKind.BLACKLIST_SCAN]
-    answer = ask(blacklist, own_seq)
-    examined = counters[CostKind.BLACKLIST_SCAN] - before
-    assert answer == expected, (blacklist.name, own_seq, sorted(answer), sorted(expected))
-    assert examined <= scanned, (blacklist.name, own_seq, examined, scanned)
-    return answer, examined, scanned
+    def has_met(self, record, seq) -> bool:
+        if seq in record.met_seqs:
+            return True
+        return seq <= record.joined_upto_seq and seq not in self.unmet[id(record)]
 
 
 @contextmanager
-def blacklists_checked_against_scan():
-    """Check every ``unmet_exceptions_for`` call made inside against the scan.
+def eager_exceptions():
+    """Note every blacklist record made inside in a fresh ``EagerExceptions``,
+    against the opposite blacklist of the operator suspending; yields it."""
+    shadow = EagerExceptions()
+    suspending = []
+    shipped_suspend = JITJoinOperator._suspend_production
+    shipped_add = Blacklist.add_suspended
 
-    Yields the list of ``(examined, scanned)`` pairs, one per call.
-    """
-    calls = []
-    shipped = Blacklist.unmet_exceptions_for
+    def suspend(self, *args, **kwargs):
+        suspending.append(self)
+        try:
+            return shipped_suspend(self, *args, **kwargs)
+        finally:
+            suspending.pop()
 
-    def checked(blacklist, own_seq):
-        answer, examined, scanned = checked_unmet_exceptions(blacklist, own_seq, shipped)
-        calls.append((examined, scanned))
-        return answer
+    def add(blacklist, *args, **kwargs):
+        record = shipped_add(blacklist, *args, **kwargs)
+        if record is not None:
+            opposite = None
+            if record.joined_upto_seq >= 0:  # only a suspension hands out watermarks
+                (opposite,) = [
+                    other for other in suspending[-1].blacklists.values() if other is not blacklist
+                ]
+            shadow.note(record, opposite)
+        return record
 
-    Blacklist.unmet_exceptions_for = checked
+    JITJoinOperator._suspend_production = suspend
+    Blacklist.add_suspended = add
     try:
-        yield calls
+        yield shadow
     finally:
-        Blacklist.unmet_exceptions_for = shipped
+        JITJoinOperator._suspend_production = shipped_suspend
+        Blacklist.add_suspended = shipped_add
 
 
 class UnprunedLattice:
@@ -149,60 +169,76 @@ class UnprunedDetector(LatticeMNSDetector):
         return [self.signature_for(tup, node) for node in self.reference.surviving_mns()]
 
 
+@dataclass
+class ReplayChecks:
+    """What ``replays_checked_against_full_scan`` saw."""
+
+    #: The eager exception sets of every record made.
+    shadow: EagerExceptions
+    #: One ``(visited, present)`` per replay.
+    replays: list = field(default_factory=list)
+    #: One ``(met, examined)`` per pair test: its answer and the records it examined.
+    pairs: list = field(default_factory=list)
+
+
 @contextmanager
 def replays_checked_against_full_scan():
     """Check every ``JITJoinOperator._join_resumed`` call made inside against
     the scan it replaced: every present opposite entry, told apart by the
-    sequence watermark, ``met_seqs`` and ``unmet_seqs`` alone.  The partials
-    produced must be equal, in order, and the call must visit no more
-    entries than are present.
-
-    Yields the list of ``(visited, present)`` pairs, one per call.
+    eager exception sets alone (``EagerExceptions.has_met``).  The partials
+    produced must be equal, in order, the call must visit no more entries
+    than are present, and every answer of ``SuspendedTuple.met`` must be the
+    eager sets' answer.  Yields a ``ReplayChecks``.
     """
-    calls = []
-    shipped = JITJoinOperator._join_resumed
+    shipped_join = JITJoinOperator._join_resumed
+    shipped_met = SuspendedTuple.met
 
-    def checked(
-        self, tup, port, watermark, now, met_seqs=frozenset(), unmet_seqs=frozenset(),
-        original_seq=None, joined_upto_order=-1,
-    ):
-        scans = []
-        candidates = self.probe_candidates
+    with eager_exceptions() as shadow:
+        checks = ReplayChecks(shadow)
 
-        def recording(probing, probe_port, **bounds):
-            present = self.states[probe_port].entries()
-            visited = list(candidates(probing, probe_port, **bounds))
-            scans.append((visited, present))
-            return visited
+        def met(record, other_seq, chain, cost):
+            before = cost.counters[CostKind.BLACKLIST_SCAN]
+            answer = shipped_met(record, other_seq, chain, cost)
+            assert answer == shadow.has_met(record, other_seq), (record.original_seq, other_seq)
+            checks.pairs.append((answer, cost.counters[CostKind.BLACKLIST_SCAN] - before))
+            return answer
 
-        self.probe_candidates = recording
+        def checked(self, tup, port, now, record=None):
+            scans = []
+            candidates = self.probe_candidates
+
+            def recording(probing, probe_port, **bounds):
+                present = self.states[probe_port].entries()
+                visited = list(candidates(probing, probe_port, **bounds))
+                scans.append((visited, present))
+                return visited
+
+            self.probe_candidates = recording
+            try:
+                produced = shipped_join(self, tup, port, now, record)
+            finally:
+                del self.probe_candidates
+            ((visited, present),) = scans
+            joinable = self.require_context().window.joinable
+            expected = [
+                join_tuples(tup, entry.tuple)
+                for entry in present
+                if (record is None or not shadow.has_met(record, entry.seq))
+                and joinable(tup.ts, entry.tuple.ts)
+                and all(cond.evaluate(tup, entry.tuple) for cond in self.local_conditions)
+            ]
+            assert produced == expected, (self.name, port, record and record.original_seq)
+            assert len(visited) <= len(present)
+            checks.replays.append((len(visited), len(present)))
+            return produced
+
+        JITJoinOperator._join_resumed = checked
+        SuspendedTuple.met = met
         try:
-            produced = shipped(
-                self, tup, port, watermark, now, met_seqs, unmet_seqs, original_seq,
-                joined_upto_order,
-            )
+            yield checks
         finally:
-            del self.probe_candidates
-        ((visited, present),) = scans
-        joinable = self.require_context().window.joinable
-        expected = [
-            join_tuples(tup, entry.tuple)
-            for entry in present
-            if entry.seq not in met_seqs
-            and (entry.seq > watermark or entry.seq in unmet_seqs)
-            and joinable(tup.ts, entry.tuple.ts)
-            and all(cond.evaluate(tup, entry.tuple) for cond in self.local_conditions)
-        ]
-        assert produced == expected, (self.name, port, watermark, joined_upto_order)
-        assert len(visited) <= len(present)
-        calls.append((len(visited), len(present)))
-        return produced
-
-    JITJoinOperator._join_resumed = checked
-    try:
-        yield calls
-    finally:
-        JITJoinOperator._join_resumed = shipped
+            JITJoinOperator._join_resumed = shipped_join
+            SuspendedTuple.met = shipped_met
 
 
 class StubOperator:

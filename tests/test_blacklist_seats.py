@@ -1,27 +1,25 @@
-"""The blacklist answers without scanning itself (docs/JIT.md, "Watermark exceptions").
+"""Watermark exceptions are decided at the pair (docs/JIT.md, "Watermark exceptions").
 
 * a state machine plays both sides of one join — arrivals, suspensions under
   every watermark the operator hands out (default, ``-1`` with ``met_seqs``,
   the in-flight probe's ``own_seq`` and ``own_seq - 1``), diverted arrivals,
-  resumptions that re-seat tuples under their original sequence number,
-  purges — and after every step asks both blacklists about every sequence
-  number in sight: the answer must be the scan's
-  (:func:`helpers.scan_unmet_exceptions`), for no more tuples examined, and
-  every maintained bound and count must equal its recomputation from scratch;
-* the cost shape: a query examines the seats suspended before ``own_seq``
-  and one more, a purge the tuples it drops and one more;
-* the paper's left-deep plan: every ``unmet_exceptions_for`` call of a whole
-  run agrees with the scan, and every resumed tuple's replay — which starts
-  behind the order stamp its suspension recorded — produces what the full
-  scan under the sequence watermark produces
-  (:func:`helpers.replays_checked_against_full_scan`; the toggle matrix of
-  ``test_detection_gate.py`` runs under the same two checks).
+  resumptions that re-insert tuples under their original sequence number,
+  purges — stamping every record with the operator's moments, and after every
+  step asks every suspended tuple about every present opposite entry: the
+  pair test (``SuspendedTuple.met``) must give the answer of the exception
+  sets the operator used to compute eagerly (:class:`helpers.EagerExceptions`),
+  examining no record beyond the two tuples' histories, and every maintained
+  bound and count must equal its recomputation from scratch;
+* the cost shape: a pair the watermark decides examines no record, one
+  step back in time examines one record per tuple history it reads, and a
+  purge examines the tuples it drops and one more;
+* the paper's left-deep plan: every replay of a whole run produces what the
+  full scan under the eager exception sets produces, and every pair test on
+  the way gives their answer (:func:`helpers.replays_checked_against_full_scan`;
+  the toggle matrix of ``test_detection_gate.py`` runs under the same check).
 """
 
 from __future__ import annotations
-
-import random
-from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -35,7 +33,7 @@ from hypothesis.stateful import (
 )
 
 from repro.context import ExecutionContext
-from repro.core.blacklist import Blacklist
+from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.config import JITConfig, RetentionPolicy
 from repro.core.detection_gate import DetectionGate
 from repro.core.jit_join import JITJoinOperator
@@ -55,8 +53,7 @@ from repro.streams.generators import generate_clique_workload
 from repro.streams.time import Window
 
 from helpers import (
-    blacklists_checked_against_scan,
-    checked_unmet_exceptions,
+    EagerExceptions,
     make_tuple,
     replays_checked_against_full_scan,
     script_gates,
@@ -68,6 +65,14 @@ RETENTION = 30.0  # longer than the window, so a purge keeps tuples REF has drop
 
 def _signature(y, ts=0.0):
     return MNSSignature.from_components(make_tuple("A", ts, y=y), ("A",), [("A", "y")])
+
+
+def _history(record):
+    """How many records a pair test can read on ``record``'s chain."""
+    count = 0
+    while record is not None:
+        count, record = count + 1, record.previous
+    return count
 
 
 def _assert_bookkeeping_matches_a_recount(blacklist: Blacklist) -> None:
@@ -82,7 +87,6 @@ def _assert_bookkeeping_matches_a_recount(blacklist: Blacklist) -> None:
         e.signature.size_bytes + sum(s.tuple.size_bytes for s in e.suspended) for e in entries
     )
     assert blacklist.memory_bytes == held
-    excepted = Counter()
     for entry in entries:
         own = [entry.signature.ts] + [s.tuple.ts for s in entry.suspended]
         assert (entry.min_ts(), entry.max_ts()) == (min(own), max(own))
@@ -91,21 +95,14 @@ def _assert_bookkeeping_matches_a_recount(blacklist: Blacklist) -> None:
         )
         stamps = [s.tuple.ts for s in entry.suspended]
         assert entry.ts_ordered or stamps != sorted(stamps)
-        seated = [s for s in entry.suspended if s.original_seq is not None]
-        assert sorted(map(id, entry.seats + entry.loose)) == sorted(map(id, seated))
-        marks = [s.joined_upto_seq for s in entry.seats]
-        assert marks == sorted(marks)
-        for suspended in seated:
-            excepted.update(suspended.unmet_seqs)
-    assert blacklist._excepted == dict(excepted)
-    hidden = Counter()
+    hidden = {}
     for entry in entries:
-        hidden[entry.gate] += entry.hidden
+        hidden[entry.gate] = hidden.get(entry.gate, 0) + entry.hidden
     assert blacklist.hidden == {gate: count for gate, count in hidden.items() if count}
 
 
 class _Side:
-    """One input of the join: its state (seq -> tuple) and its blacklist."""
+    """One input of the join: its state (seq -> (tuple, came_from)) and its blacklist."""
 
     def __init__(self, name: str, context: ExecutionContext) -> None:
         self.name = name
@@ -115,11 +112,11 @@ class _Side:
         #: The origin of every suspension on this side: it books ``hidden``.
         self.gate = DetectionGate()
 
-    def insert(self, tup, seq=None) -> int:
+    def insert(self, tup, seq=None, came_from=None) -> int:
         if seq is None:
             seq = self.next_seq
         self.next_seq = max(self.next_seq, seq + 1)
-        self.state[seq] = tup
+        self.state[seq] = (tup, came_from)
         return seq
 
 
@@ -132,10 +129,24 @@ class BlacklistMachine(RuleBasedStateMachine):
         self.sides = (_Side("left", self.context), _Side("right", self.context))
         self.now = 0.0
         self.serial = 0
+        #: The operator's moment: how many records it has made.
+        self.moment = 0
+        self.eager = EagerExceptions()
 
     def _tuple(self, y, ts=None):
         self.serial += 1
         return make_tuple("A", self.now if ts is None else ts, seq=self.serial, y=y)
+
+    def _park(self, side, signature, tup, watermark, opposite=None, **fields):
+        """Make a record, as ``add_suspended`` does for the operator, and note
+        its eager exception set against ``opposite``'s blacklist."""
+        self.moment += 1
+        record = side.blacklist.add_suspended(
+            signature, tup, joined_upto_seq=watermark, now=self.now, created=self.moment,
+            **fields,
+        )
+        if record is not None:
+            self.eager.note(record, opposite and opposite.blacklist)
 
     # -- what the operator does ----------------------------------------------------
 
@@ -160,9 +171,7 @@ class BlacklistMachine(RuleBasedStateMachine):
             if entry is None:
                 own.insert(tup)
             elif not entry.permanent:
-                own.blacklist.add_suspended(
-                    entry.signature, tup, joined_upto_seq=-1, now=self.now
-                )
+                self._park(own, entry.signature, tup, -1)
 
     @rule(
         side=st.integers(0, 1),
@@ -188,33 +197,32 @@ class BlacklistMachine(RuleBasedStateMachine):
         default = opposite.next_seq - 1
         in_flight = max(own.state, default=None) if probing == "own" else None
         probe_seq = max(opposite.state, default=None) if probing == "opposite" else None
-        extracted = [seq for seq, tup in own.state.items() if tup.value("A", "y") == y]
+        extracted = [seq for seq, (tup, _) in own.state.items() if tup.value("A", "y") == y]
         for position, seq in enumerate(extracted):
-            tup = own.state.pop(seq)
+            tup, came_from = own.state.pop(seq)
             watermark, met = default, frozenset()
             if seq == in_flight:
                 watermark = -1
                 met = frozenset(list(opposite.state)[:scanned])
             elif probe_seq is not None:
                 watermark = probe_seq if position < scanned else probe_seq - 1
-            unmet = frozenset()
-            if watermark >= 0 and len(opposite.blacklist):
-                unmet, _examined, _scanned = checked_unmet_exceptions(opposite.blacklist, seq)
-            own.blacklist.add_suspended(
-                signature, tup, joined_upto_seq=watermark, now=self.now, permanent=permanent,
-                original_seq=seq, met_seqs=met, unmet_seqs=unmet,
+            self._park(
+                own, signature, tup, watermark, opposite, permanent=permanent,
+                original_seq=seq, met_seqs=met, previous=came_from,
             )
 
     @rule(side=st.integers(0, 1), pick=st.integers(0, 50))
     def resume(self, side, pick):
-        """A resumption: seated tuples return under their original sequence number."""
+        """A resumption: every record's tuple returns, a seated one under its
+        original sequence number, and its record ends now."""
         own = self.sides[side]
         entries = own.blacklist.entries()
         if not entries:
             return
         entry = own.blacklist.pop_entry(entries[pick % len(entries)].signature)
-        for suspended in entry.suspended:
-            own.insert(suspended.tuple, suspended.original_seq)
+        for record in entry.suspended:
+            own.insert(record.tuple, record.original_seq, came_from=record)
+            record.ended = self.moment
 
     @rule(step=st.sampled_from((0.0, 4.0, 11.0, 25.0)))
     def purge(self, step):
@@ -226,7 +234,7 @@ class BlacklistMachine(RuleBasedStateMachine):
             held = side.blacklist.suspended_count
             dropped = side.blacklist.purge(self.now, RETENTION)
             assert dropped <= counters[CostKind.PURGE] - before <= held
-            side.state = {seq: t for seq, t in side.state.items() if t.ts >= horizon}
+            side.state = {seq: kept for seq, kept in side.state.items() if kept[0].ts >= horizon}
             for entry in side.blacklist.entries():
                 assert all(s.tuple.ts + RETENTION > self.now for s in entry.suspended)
                 assert entry.hidden == sum(1 for s in entry.suspended if s.tuple.ts >= horizon)
@@ -235,27 +243,31 @@ class BlacklistMachine(RuleBasedStateMachine):
     @rule(side=st.integers(0, 1), stale=st.floats(0.0, 28.0))
     def suspend_an_older_tuple_again(self, side, stale):
         """What breaks an entry's timestamp order: an old tuple joins it late."""
-        own = self.sides[side]
+        own, opposite = self.sides[side], self.sides[1 - side]
         entries = own.blacklist.entries()
         if not entries or entries[0].permanent:
             return
         tup = self._tuple(entries[0].signature.items[0][2], ts=max(0.0, self.now - stale))
         seq = own.insert(tup)
         del own.state[seq]
-        own.blacklist.add_suspended(
-            entries[0].signature, tup, joined_upto_seq=self.sides[1 - side].next_seq - 1,
-            now=self.now, original_seq=seq,
+        self._park(
+            own, entries[0].signature, tup, opposite.next_seq - 1, opposite, original_seq=seq
         )
 
     # -- what must hold after every step ------------------------------------------------
 
     @invariant()
-    def every_question_has_the_scans_answer(self):
+    def every_pair_test_has_the_eager_answer(self):
+        counters = self.context.cost.counters
         for side, opposite in (self.sides, self.sides[::-1]):
-            # Fresh and re-seated sequence numbers of the opposite state, the
-            # numbers of tuples suspended there, and one never handed out.
-            for own_seq in range(-1, opposite.next_seq + 2):
-                checked_unmet_exceptions(side.blacklist, own_seq)
+            for entry in side.blacklist.entries():
+                for record in entry.suspended:
+                    for seq, (_tup, came_from) in opposite.state.items():
+                        before = counters[CostKind.BLACKLIST_SCAN]
+                        answer = record.met(seq, came_from, self.context.cost)
+                        examined = counters[CostKind.BLACKLIST_SCAN] - before
+                        assert answer == self.eager.has_met(record, seq), (record.created, seq)
+                        assert examined <= _history(came_from) + _history(record.previous)
 
     @invariant()
     def every_bound_and_count_equals_its_recount(self):
@@ -269,7 +281,7 @@ class BlacklistMachine(RuleBasedStateMachine):
 
 class TestBlacklistMachine(BlacklistMachine.TestCase):
     settings = settings(
-        max_examples=40, stateful_step_count=30, deadline=None, derandomize=True
+        max_examples=60, stateful_step_count=40, deadline=None, derandomize=True
     )
 
 
@@ -281,77 +293,67 @@ class TestBlacklistMachineSweep(BlacklistMachine.TestCase):
 # ------------------------------------------------------------------ the cost shape
 
 
+def _record(original_seq, watermark, created, previous=None, met_seqs=frozenset()):
+    return SuspendedTuple(
+        tuple=make_tuple("A", 1.0, y=1), joined_upto_seq=watermark, suspended_at=1.0,
+        original_seq=original_seq, met_seqs=met_seqs, created=created, previous=previous,
+    )
+
+
 class TestCostShape:
     def _charged(self, context, kind, call):
         before = context.cost.counters[kind]
         result = call()
         return result, context.cost.counters[kind] - before
 
-    def test_a_query_examines_the_seats_before_own_seq_and_one_more(self, context):
-        blacklist = Blacklist("bl", context)
-        rng = random.Random(5)
-        seated = 0
-        for position in range(1050):
-            y = position % 8
-            if position % 21:  # 1 000 diverted arrivals around 50 seated tuples
-                blacklist.add_suspended(
-                    _signature(y), make_tuple("A", float(position), y=y), -1, now=0.0
-                )
-                continue
-            seated += 1
-            blacklist.add_suspended(
-                _signature(y), make_tuple("A", float(position), y=y),
-                joined_upto_seq=100 + position, now=0.0, original_seq=position,
-            )
-        assert (blacklist.suspended_count, seated) == (1050, 50)
-        for own_seq in [0, 100, 101, 1200] + [rng.randrange(100, 1200) for _ in range(20)]:
-            answer, examined, scanned = checked_unmet_exceptions(blacklist, own_seq)
-            assert scanned == 1050
-            # Eight entries, each walked to its first seat past own_seq.
-            assert len(answer) <= examined <= min(50, len(answer) + 8)
+    def _met(self, context, record, other_seq, chain):
+        return self._charged(
+            context, CostKind.BLACKLIST_SCAN, lambda: record.met(other_seq, chain, context.cost)
+        )
 
-    def test_one_entry_one_stop(self, context):
-        blacklist = Blacklist("bl", context)
-        signature = _signature(y=1)
-        for position in range(1000):
-            blacklist.add_suspended(signature, make_tuple("A", 1.0, y=1), -1, now=1.0)
-        for seq in range(50):
-            blacklist.add_suspended(
-                signature, make_tuple("A", 1.0, y=1), joined_upto_seq=2 * seq, now=1.0,
-                original_seq=seq,
-            )
-        answer, examined, scanned = checked_unmet_exceptions(blacklist, 41)
-        assert (len(answer), examined, scanned) == (21, 22, 1050)
-        assert checked_unmet_exceptions(blacklist, 500)[1] == 50
+    def test_the_watermark_and_met_seqs_decide_without_examining(self, context):
+        chain = _record(4, watermark=2, created=1)
+        chain.ended = 1
+        record = _record(7, watermark=5, created=3, met_seqs=frozenset({8}))
+        assert self._met(context, record, 8, chain) == (True, 0)
+        assert self._met(context, record, 9, chain) == (False, 0)
+        # Never re-inserted from a suspension: it was in the state all along.
+        assert self._met(context, record, 4, None) == (True, 0)
 
-    def test_a_dip_goes_loose_and_is_always_examined(self, context):
-        blacklist = Blacklist("bl", context)
-        signature = _signature(y=1)
-        for seq, watermark in enumerate((8, 8, 7, 7, -1, 9)):
-            blacklist.add_suspended(
-                signature, make_tuple("A", 1.0, y=1), joined_upto_seq=watermark, now=1.0,
-                original_seq=seq, met_seqs=frozenset({3}) if watermark < 0 else frozenset(),
-            )
-        entry = blacklist.entry(signature)
-        assert [s.original_seq for s in entry.seats] == [0, 1, 5]
-        assert [s.original_seq for s in entry.loose] == [2, 3, 4]
-        assert checked_unmet_exceptions(blacklist, 3)[:2] == (frozenset(), 4)
-        assert checked_unmet_exceptions(blacklist, 8)[:2] == (frozenset({2, 3, 4}), 4)
-        assert checked_unmet_exceptions(blacklist, 9)[:2] == (frozenset({0, 1, 2, 3, 4}), 6)
+    def test_a_partner_back_in_the_state_before_the_suspension_met(self, context):
+        # y (seq 4) was suspended and re-inserted; x was suspended after that.
+        y = _record(4, watermark=6, created=1)
+        y.ended = 1
+        x = _record(7, watermark=9, created=2)
+        assert self._met(context, x, 4, y) == (True, 1)
 
-    def test_a_reseated_own_seq_reaches_past_the_prefix(self, context):
-        blacklist = Blacklist("bl", context)
-        signature = _signature(y=1)
-        for seq in range(10):
-            blacklist.add_suspended(
-                signature, make_tuple("A", 1.0, y=1), joined_upto_seq=20 + seq, now=1.0,
-                original_seq=seq, unmet_seqs=frozenset({4}) if seq == 7 else frozenset(),
-            )
-        # 4 was suspended opposite while seat 7 was taken, and is back in its state.
-        assert checked_unmet_exceptions(blacklist, 4)[:2] == (frozenset({7}), 10)
-        assert checked_unmet_exceptions(blacklist, 5)[:2] == (frozenset(), 1)
-        blacklist.pop_entry(signature)
-        assert not blacklist._excepted
+    def test_a_partner_suspended_at_the_same_time_is_asked_in_turn(self, context):
+        # y (seq 4) is suspended before x (seq 7) arrives; x probes a state
+        # without y and is suspended; y's replay re-inserts it while x is
+        # still parked (no record made in between: the same moment).
+        y = _record(4, watermark=6, created=1)
+        x = _record(7, watermark=9, created=2)
+        y.ended = 2
+        assert self._met(context, x, 4, y) == (False, 1)
+        # Had y been back before x was suspended, they would have met.
+        y.ended = 1
+        assert self._met(context, x, 4, y) == (True, 1)
+
+    def test_the_question_walks_back_through_both_histories(self, context):
+        # x (seq 7) is suspended before y (seq 4) arrives (x1); y is suspended
+        # while x is parked (y1); x comes back and is suspended again (x2,
+        # after x1); y comes back; now x2's replay meets y.
+        x1 = _record(7, watermark=3, created=1)
+        y1 = _record(4, watermark=9, created=2)
+        x1.ended = 2
+        x2 = _record(7, watermark=9, created=3, previous=x1)
+        y1.ended = 3
+        # x2 -> y1 (suspended at once) -> x1 (suspended at once) -> 4 > 3.
+        assert self._met(context, x2, 4, y1) == (False, 2)
+        # Newer records of y on the chain are stepped over, one examined each.
+        y2 = _record(4, watermark=9, created=5, previous=y1)
+        y2.ended = 6
+        assert self._met(context, x2, 4, y2) == (False, 3)
 
     def test_purge_stops_at_the_first_survivor(self, context):
         blacklist = Blacklist("bl", context)
@@ -425,7 +427,7 @@ def test_suspension_alive_is_the_one_liveness_test():
 
 class TestPaperPlanDifferential:
     @pytest.mark.parametrize("seed", (7, 11))
-    def test_every_query_of_a_run_has_the_scans_answer(self, seed):
+    def test_every_replay_of_a_run_has_the_eager_answer(self, seed):
         workload = scaled_workload(
             LEFT_DEEP_DEFAULTS, scale=0.3, duration_windows=3.0, seed=seed
         )
@@ -439,19 +441,22 @@ class TestPaperPlanDifferential:
             jit_config=JITConfig(retention_policy=RetentionPolicy.WINDOW),
         )
         script_gates(plan)  # pinned open: every port suspends for the whole run
-        with blacklists_checked_against_scan() as calls:
-            with replays_checked_against_full_scan() as replays:
-                jit = run_workload(plan, events, window)
+        with replays_checked_against_full_scan() as checks:
+            jit = run_workload(plan, events, window)
         assert jit.results.multiset() == ref.results.multiset()
         assert jit.results.temporally_ordered
-        examined = sum(call[0] for call in calls)
-        scanned = sum(call[1] for call in calls)
-        assert len(calls) > 500 and 0 < 3 * examined < scanned
         # A seated tuple's replay starts behind what it had met: it visits a
         # fraction of the state; a diverted arrival's visits all of it.
-        visited = sum(replay[0] for replay in replays)
-        present = sum(replay[1] for replay in replays)
-        assert len(replays) > 300 and 0 < visited < 0.7 * present
+        visited = sum(replay[0] for replay in checks.replays)
+        present = sum(replay[1] for replay in checks.replays)
+        assert len(checks.replays) > 300 and 0 < visited < 0.7 * present
+        # Pairs are asked about only where a replay reaches them, real
+        # exceptions among them, and each reads a record or two.
+        assert len(checks.pairs) > 50
+        assert 0 < sum(1 for met, _ in checks.pairs if not met) < len(checks.pairs)
+        examined = sum(examined for _, examined in checks.pairs)
+        assert len(checks.pairs) <= examined <= 3 * len(checks.pairs)
+        assert 20 * examined < checks.shadow.scanned
         for operator in plan.join_operators:
             for blacklist in operator.blacklists.values():
                 _assert_bookkeeping_matches_a_recount(blacklist)

@@ -540,26 +540,38 @@ class TestBlacklist:
         bl.ensure_entry(MNSSignature.empty(), now=0.0)
         assert bl.match_arrival(make_tuple("A", 1.0, y=42)) is not None
 
-    def test_unmet_exceptions(self, context):
+    def test_a_record_carries_its_moments_and_history(self, context):
         bl = Blacklist("bl", context)
         sig = self._sig(y=9)
-        # A suspended tuple that met opposite seqs <= 5 only.
-        bl.add_suspended(sig, make_tuple("A", 1.0, y=9), joined_upto_seq=5, now=1.0, original_seq=2)
-        assert bl.unmet_exceptions_for(3) == frozenset()
-        assert bl.unmet_exceptions_for(9) == frozenset({2})
+        first = bl.add_suspended(
+            sig, make_tuple("A", 1.0, y=9), joined_upto_seq=5, now=1.0, original_seq=2,
+            created=3,
+        )
+        again = bl.add_suspended(
+            sig, make_tuple("A", 1.0, y=9), joined_upto_seq=8, now=2.0, original_seq=2,
+            created=6, previous=first,
+        )
+        assert (first.created, first.ended, first.previous) == (3, None, None)
+        assert (again.created, again.previous) == (6, first)
 
-    def test_suspended_tuple_has_met(self):
+    def test_suspended_tuple_met(self, context):
         s = SuspendedTuple(
             tuple=make_tuple("A", 1.0, y=9),
             joined_upto_seq=5,
             suspended_at=1.0,
+            original_seq=7,
             met_seqs=frozenset({8}),
-            unmet_seqs=frozenset({2}),
+            created=4,
         )
-        assert s.has_met(4)
-        assert not s.has_met(2)
-        assert s.has_met(8)
-        assert not s.has_met(9)
+        # 2 came back from a suspension that overlapped this one's: not met.
+        other = SuspendedTuple(
+            tuple=make_tuple("B", 1.0, y=9), joined_upto_seq=-1, suspended_at=0.5,
+            original_seq=2, created=3, ended=4,
+        )
+        assert s.met(4, None, context.cost)
+        assert not s.met(2, other, context.cost)
+        assert s.met(8, other, context.cost)
+        assert not s.met(9, None, context.cost)
 
 
 # --------------------------------------------------------------------------- production control

@@ -19,13 +19,14 @@ import pickle
 import pytest
 
 from repro.context import ExecutionContext
-from repro.core.blacklist import Blacklist
+from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.jit_join import JITJoinOperator
 from repro.core.signature import MNSSignature
 from repro.engine import run_workload
 from repro.engine.results import result_key
 from repro.multi import QueryRegistry, ShardedEngine
 from repro.multi.workload import generate_multi_query_workload
+from repro.operators.state import OperatorState
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.streams.time import Window
 from repro.trace import TraceContext
@@ -182,28 +183,50 @@ def test_operator_carrying_a_used_detection_gate_roundtrips(workload):
 
 
 def test_slotted_blacklist_records_roundtrip():
-    """``SuspendedTuple`` and ``BlacklistEntry`` carry no ``__dict__`` (the seat
-    order adds list slots, not objects); a popped entry — what a resumption
-    hands on — survives with its tuples, seat order, byte count and the order
-    stamp each replay starts behind."""
-    blacklist = Blacklist("bl", ExecutionContext(window=Window(60.0)))
+    """``SuspendedTuple``, ``BlacklistEntry`` and ``StateEntry`` carry no
+    ``__dict__``; a popped entry — what a resumption hands on — survives with
+    its tuples, byte count, the order stamp each replay starts behind, and
+    the moments and history the pair test reads, shared where they were
+    shared: a state entry re-inserted from a record, and the record it is
+    extracted into next, point at the same one."""
+    context = ExecutionContext(window=Window(60.0))
+    blacklist = Blacklist("bl", context)
+    state = OperatorState("S_A", context)
     signature = MNSSignature.from_components(make_tuple("A", 1.0, y=9), ("A",), [("A", "y")])
-    blacklist.add_suspended(
+    first = blacklist.add_suspended(
         signature, make_tuple("A", 1.0, y=9), joined_upto_seq=5, now=1.0, original_seq=2,
-        unmet_seqs=frozenset({1}), joined_upto_order=8,
+        joined_upto_order=8, created=1,
+    )
+    blacklist.pop_entry(signature)
+    back = state.insert(first.tuple, seq=first.original_seq)
+    back.came_from, first.ended = first, 3
+    blacklist.add_suspended(
+        signature, first.tuple, joined_upto_seq=9, now=2.0, original_seq=2, created=4,
+        previous=back.came_from,
     )
     blacklist.add_suspended(
         signature, make_tuple("A", 2.0, y=9), joined_upto_seq=-1, now=2.0, original_seq=3,
-        met_seqs=frozenset({4}),
+        met_seqs=frozenset({4}), created=5,
     )
-    blacklist.add_suspended(signature, make_tuple("A", 3.0, y=9), joined_upto_seq=-1, now=3.0)
+    blacklist.add_suspended(
+        signature, make_tuple("A", 3.0, y=9), joined_upto_seq=-1, now=3.0, created=6
+    )
     entry = blacklist.pop_entry(signature)
-    assert not hasattr(entry, "__dict__") and not hasattr(entry.suspended[0], "__dict__")
-    clone = _roundtrip(entry)
-    assert clone == entry
-    assert [s.original_seq for s in clone.seats] == [2]
-    assert [s.original_seq for s in clone.loose] == [3]
-    assert clone.seats[0] is clone.suspended[0] and clone.loose[0] is clone.suspended[1]
+    for slotted in (entry, entry.suspended[0], back):
+        assert not hasattr(slotted, "__dict__")
+    clone, state_clone = _roundtrip((entry, back))
+    assert clone == entry and state_clone == back
     assert (clone.size_bytes, clone.min_ts(), clone.max_ts()) == (entry.size_bytes, 1.0, 3.0)
-    assert clone.suspended[1].has_met(4) and not clone.suspended[0].has_met(1)
-    assert [s.joined_upto_order for s in clone.suspended] == [8, -1, -1]
+    assert [s.joined_upto_order for s in clone.suspended] == [-1, -1, -1]
+    assert [(s.created, s.ended) for s in clone.suspended] == [(4, None), (5, None), (6, None)]
+    earlier = clone.suspended[0].previous
+    assert (earlier.created, earlier.ended, earlier.joined_upto_order) == (1, 3, 8)
+    assert earlier is state_clone.came_from
+    assert clone.suspended[1].met(4, None, context.cost)
+    # An opposite tuple parked from before the first suspension to after the
+    # second: whether the two met is read off the cloned history.
+    opposite = SuspendedTuple(
+        tuple=make_tuple("B", 1.0, y=9), joined_upto_seq=3, suspended_at=0.5,
+        original_seq=7, created=2, ended=5,
+    )
+    assert not clone.suspended[0].met(7, opposite, context.cost)

@@ -10,9 +10,8 @@ hot path:
   are all served from the state's indexes.
 * **Multi-query sharding** — a population of standing queries over shared
   streams served by the :class:`~repro.multi.ShardedEngine`: 1-shard vs.
-  N-shard throughput per drain mode (sync, thread-per-shard,
-  process-per-shard).  ``--suite multi`` writes its numbers to
-  ``BENCH_multi.json``.
+  N-shard throughput per drain mode (sync, process-per-shard).
+  ``--suite multi`` writes its numbers to ``BENCH_multi.json``.
 * **Sub-plan sharing** — multi-query common subexpression elimination: the
   128-query clique workload served with ``share_subplans`` on vs. off,
   swept across overlap ratios (source counts), with the per-shard
@@ -41,11 +40,11 @@ Run directly::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py [--events 10000]
     PYTHONPATH=src python benchmarks/bench_throughput.py --suite multi \
-        [--queries 128] [--shards 1,2,4,8] [--drain-modes sync,thread,process] \
+        [--queries 128] [--shards 1,2,4,8] [--drain-modes sync,process] \
         [--multi-events 6000] [--json PATH]
 
 or through pytest (wall-clock numbers are printed; the ≥3x indexed-probe
-speedup on the 10k-event workload and the N-shard-threaded ≥ 1-shard
+speedup on the 10k-event workload and the core-gated N-shard-process
 multi-query acceptance are asserted)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py -q -s
@@ -64,6 +63,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine import ExecutionMode, run_workload
 from repro.engine.results import result_multiset
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
+from repro.multi.backend import DRAIN_MODES
 from repro.plans.builder import (
     PLAN_LEFT_DEEP,
     STRATEGY_JIT,
@@ -203,23 +203,19 @@ def _multi_registry(workload, strategy: str) -> QueryRegistry:
     return registry
 
 
-#: ``drain_mode`` -> the label suffix the sharding table uses for it.
-_DRAIN_LABELS = {"sync": "sync", "thread": "threaded", "process": "process"}
-
-
 def bench_multi_query(
     n_queries: int = DEFAULT_QUERIES,
     n_events: int = DEFAULT_MULTI_EVENTS,
     shard_counts: Tuple[int, ...] = (1, 2, 4, 8),
     strategy: str = STRATEGY_REF,
     repeats: int = 2,
-    drain_modes: Tuple[str, ...] = ("sync", "thread", "process"),
+    drain_modes: Tuple[str, ...] = DRAIN_MODES,
 ) -> Dict[str, object]:
     """The sharded multi-query serving benchmark.
 
     ``n_queries`` standing neighborhood queries over 4 shared streams are
     served by the :class:`ShardedEngine` at each (shard count × drain mode)
-    point — inline, thread-per-shard, and process-per-shard workers.  Few
+    point — inline and process-per-shard workers.  Few
     sources under many queries puts ~``n_queries/4`` subscribers on every
     stream, so a single scheduler domain sees ready-sets that big on every
     arrival — the regime where scheduling cost dominates and sharding splits
@@ -244,7 +240,7 @@ def bench_multi_query(
     shard_counts = tuple(sorted(set(shard_counts) | {1}))
     drain_modes = tuple(drain_modes)
     for mode in drain_modes:
-        if mode not in _DRAIN_LABELS:
+        if mode not in DRAIN_MODES:
             raise ValueError(f"unknown drain mode {mode!r}")
     if "sync" not in drain_modes:
         drain_modes = ("sync",) + drain_modes
@@ -267,7 +263,7 @@ def bench_multi_query(
         for mode in drain_modes:
             variants.append(
                 (
-                    f"{shards}-shard/{_DRAIN_LABELS[mode]}",
+                    f"{shards}-shard/{mode}",
                     dict(n_shards=shards, drain_mode=mode),
                 )
             )
@@ -304,18 +300,6 @@ def bench_multi_query(
         "cpu_cores": cpu_cores,
         "ok": True,
     }
-    threaded_labels = [label for label in sharding if label.endswith("/threaded")]
-    if threaded_labels:
-        best_threaded_label = max(
-            threaded_labels, key=lambda label: sharding[label]["events_per_sec"]
-        )
-        best_threaded = sharding[best_threaded_label]["events_per_sec"]
-        acceptance.update(
-            best_threaded_label=best_threaded_label,
-            best_threaded_events_per_sec=best_threaded,
-            threaded_vs_one_shard=best_threaded / one_shard,
-            threaded_ok=best_threaded >= one_shard,
-        )
     process_labels = [label for label in sharding if label.endswith("/process")]
     if process_labels:
         best_process_label = max(
@@ -338,9 +322,7 @@ def bench_multi_query(
             process_target=process_target,
             process_ok=best_process >= process_target * one_shard,
         )
-    acceptance["ok"] = bool(
-        acceptance.get("threaded_ok", True) and acceptance.get("process_ok", True)
-    )
+    acceptance["ok"] = bool(acceptance.get("process_ok", True))
     return {
         "config": {
             "n_queries": n_queries,
@@ -1043,12 +1025,6 @@ def _format_multi(table: Dict[str, object]) -> str:
             f"(wall {row['wall_seconds']:.2f}s, <= {row['max_queues_per_shard']} queues/shard)"
         )
     acceptance = table["acceptance"]
-    if "best_threaded_label" in acceptance:
-        lines.append(
-            f"  acceptance: {acceptance['best_threaded_label']} vs 1-shard/sync = "
-            f"{acceptance['threaded_vs_one_shard']:.2f}x "
-            f"({'OK' if acceptance.get('threaded_ok', True) else 'FAIL'})"
-        )
     if "best_process_label" in acceptance:
         target = acceptance["process_target"]
         verdict = "OK" if acceptance["process_ok"] else "FAIL"
@@ -1088,19 +1064,14 @@ def test_indexed_probe_speedup():
 
 
 def test_multi_query_shard_scaling():
-    """Acceptance (ISSUES 3 and 9): on the 128-query workload, the best
-    N-shard threaded configuration must serve events at least as fast as one
-    shard; the process drain mode must hit its core-count-scaled scaling
-    target (≥3x over 1-shard sync with 8+ cores — recorded without a gate on
+    """Acceptance: on the 128-query workload, the best N-shard process
+    configuration must hit its core-count-scaled scaling target (≥3x over
+    1-shard sync with 8+ cores — recorded without a gate on
     a single core, where no parallel speedup is physically possible)."""
     table = bench_multi_query(DEFAULT_QUERIES, DEFAULT_MULTI_EVENTS)
     print()
     print(_format_multi(table))
     acceptance = table["acceptance"]
-    assert acceptance["threaded_ok"], (
-        f"N-shard threaded ({acceptance['best_threaded_events_per_sec']:,.0f} ev/s) "
-        f"slower than 1-shard ({acceptance['one_shard_sync_events_per_sec']:,.0f} ev/s)"
-    )
     assert acceptance["process_ok"], (
         f"N-shard process ({acceptance['best_process_events_per_sec']:,.0f} ev/s) "
         f"missed its {acceptance['process_target']:.1f}x target over 1-shard "
@@ -1209,9 +1180,9 @@ def main(argv: Optional[List[str]] = None) -> None:
     )
     parser.add_argument(
         "--drain-modes",
-        default="sync,thread,process",
+        default="sync,process",
         help="comma-separated drain modes for the multi-query suite "
-        "(sync, thread, process); sync is always included as the baseline",
+        "(sync, process); sync is always included as the baseline",
     )
     parser.add_argument(
         "--multi-strategy",

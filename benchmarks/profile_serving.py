@@ -139,7 +139,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     )
     parser.add_argument(
         "--drain-mode",
-        choices=("sync", "thread", "process"),
+        choices=("sync", "process"),
         default=None,
         help="shard worker backend (default sync; 'process' profiles "
         "the parent-side pipe/dispatch path, workers live in their own "

@@ -86,9 +86,7 @@ def main() -> None:
         print("  ", entry.describe())
     print()
 
-    # Serve them on two shards; events are *pushed* as they occur.  (Set
-    # drain_mode="thread" for the thread-per-shard drain mode — results
-    # are identical either way.)
+    # Serve them on two shards; events are *pushed* as they occur.
     events = merge_sources(sources, duration=600.0)
     with ShardedEngine(registry, n_shards=2, scheduler="jit_aware") as engine:
         start = time.perf_counter()

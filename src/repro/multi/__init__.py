@@ -17,10 +17,10 @@ sources" items.
   push-based ``submit`` / ``ingest_async`` ingestion with micro-batching,
   per-query demultiplexed result sinks, and aggregated reports.
 * :mod:`repro.multi.backend` — the worker backends behind
-  ``ShardedEngine(drain_mode=...)``: :class:`InlineBackend` (``"sync"``),
-  :class:`ThreadBackend` (``"thread"``), and :class:`ProcessBackend`
-  (``"process"``), which runs each shard in a worker process fed pickled
-  micro-batches over a pipe and scales with cores (``docs/SCALING.md``).
+  ``ShardedEngine(drain_mode=...)``: :class:`InlineBackend` (``"sync"``)
+  and :class:`ProcessBackend` (``"process"``), which runs each shard in a
+  worker process fed pickled micro-batches over a pipe and scales with
+  cores (``docs/SCALING.md``).
 * :mod:`repro.multi.partition` — query-to-shard placement policies.
 * :mod:`repro.multi.workload` — many-queries-over-shared-streams workload
   generation for benchmarks and tests.
@@ -45,7 +45,6 @@ from repro.multi.backend import (
     InlineBackend,
     ProcessBackend,
     ShardWorkerError,
-    ThreadBackend,
 )
 from repro.multi.clock import SharedVirtualClock, ShardClock
 from repro.multi.partition import (
@@ -74,7 +73,6 @@ __all__ = [
     "MultiRunReport",
     "QueryReport",
     "InlineBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "ShardWorkerError",
     "Partitioner",

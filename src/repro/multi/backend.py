@@ -7,9 +7,6 @@ goes (router) and *what* every shard hosts (partitioner + registry); a
 * :class:`InlineBackend` (``drain_mode="sync"``) — the submitting thread
   drains each receiving shard before returning.  Fully deterministic; the
   mode the equivalence tests anchor on.
-* :class:`ThreadBackend` (``drain_mode="thread"``) — one worker thread per
-  shard with an ingestion buffer; shards drain concurrently under the GIL.
-  Buys isolation and overlap with blocking sources, not CPU scale-out.
 * :class:`ProcessBackend` (``drain_mode="process"``) — one worker *process*
   per shard, fed pickled event micro-batches over a pipe.  Each worker owns
   a full :class:`~repro.multi.shard.ShardEngine` plus its own
@@ -17,13 +14,12 @@ goes (router) and *what* every shard hosts (partitioner + registry); a
   global ingestion watermark as a plain number with every command, and the
   worker demultiplexes per-query results, feedback/MNS stats, telemetry
   snapshots and (when tracing) spans back over the same pipe.  This is the
-  mode that actually scales with cores — the interpreter's GIL serializes
-  the thread backend (see ``docs/SCALING.md``).
+  mode that scales with cores (see ``docs/SCALING.md``).
 
-The contract every backend honours, which is what keeps per-query results
-bit-identical across all three modes: each shard processes **its own feed
-in arrival order**, and plans never span shards — a backend changes *when*
-and *where* work happens, never *what* is computed.
+The contract both backends honour, which is what keeps per-query results
+bit-identical across the two modes: each shard processes **its own feed in
+arrival order**, and plans never span shards — a backend changes *when* and
+*where* work happens, never *what* is computed.
 
 The process worker protocol (plain picklable tuples over a
 ``multiprocessing.Pipe``):
@@ -49,8 +45,7 @@ no separate start-up handshake.
 Acks are coalesced: a worker under sustained load batches its
 acknowledgements (and the result tuples riding on them) until the command
 pipe is empty or a flush barrier arrives, so reply traffic amortizes over
-bursts exactly like the thread backend's buffer-grab does, and results leave
-the worker as soon as it has nothing else to read.
+bursts, and results leave the worker as soon as it has nothing else to read.
 """
 
 from __future__ import annotations
@@ -60,9 +55,8 @@ import signal
 import threading
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import multiprocessing as _mp
 
@@ -72,12 +66,10 @@ from repro.multi.clock import SharedVirtualClock
 from repro.multi.registry import RegisteredQuery
 from repro.multi.shard import PlanRuntime, ShardEngine
 from repro.scheduler import OperatorScheduler, build_scheduler
-from repro.streams.sources import StreamEvent
 
 __all__ = [
     "ShardWorkerError",
     "InlineBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "RemotePlanRuntime",
     "make_scheduler",
@@ -86,11 +78,11 @@ __all__ = [
 ]
 
 #: The drain modes a :class:`~repro.multi.sharded.ShardedEngine` accepts.
-DRAIN_MODES = ("sync", "thread", "process")
+DRAIN_MODES = ("sync", "process")
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker (thread or process) failed or went away.
+    """A shard worker process failed or went away.
 
     The message always names the shard, so an operator reading a crash log
     (or a test asserting on it) knows which worker to look at.
@@ -191,146 +183,6 @@ class InlineBackend:
 
     def close(self) -> None:
         pass
-
-
-# ----------------------------------------------------------------- thread
-
-
-class _ShardWorker(threading.Thread):
-    """Worker thread draining one shard's ingestion buffer.
-
-    The router enqueues events (or same-timestamp batches) in arrival order;
-    the worker grabs the whole buffer under the lock and processes it
-    outside, so lock traffic is amortized over bursts rather than paid per
-    event.  A failure poisons the worker: the error is re-raised on the next
-    ``enqueue``/``wait_idle`` so ingestion never silently loses events.
-    """
-
-    def __init__(self, shard: ShardEngine) -> None:
-        super().__init__(name=f"shard-{shard.shard_id}", daemon=True)
-        self.shard = shard
-        self._cond = threading.Condition()
-        #: Buffered (event-or-batch, trace context) pairs.  The trace context
-        #: travels with the item across the thread boundary so the worker can
-        #: re-activate it — head-based sampling decided at ingestion must
-        #: hold on the draining thread (``None`` when no tracer is attached).
-        self._buffer: Deque[
-            Tuple[Union[StreamEvent, List[StreamEvent]], Optional[object]]
-        ] = deque()
-        self._busy = False
-        self._stopping = False
-        self.error: Optional[BaseException] = None
-
-    def enqueue(
-        self,
-        item: Union[StreamEvent, List[StreamEvent]],
-        trace_ctx: Optional[object] = None,
-    ) -> None:
-        with self._cond:
-            if self.error is not None:
-                raise ShardWorkerError(
-                    f"shard {self.shard.shard_id} worker already failed"
-                ) from self.error
-            if self._stopping:
-                raise ShardWorkerError(
-                    f"shard {self.shard.shard_id} worker is stopped"
-                )
-            self._buffer.append((item, trace_ctx))
-            self._cond.notify_all()
-
-    def run(self) -> None:  # pragma: no cover - exercised via threaded tests
-        while True:
-            with self._cond:
-                while not self._buffer and not self._stopping:
-                    self._cond.wait()
-                if not self._buffer and self._stopping:
-                    return
-                chunk = list(self._buffer)
-                self._buffer.clear()
-                self._busy = True
-            try:
-                for item, trace_ctx in chunk:
-                    if isinstance(item, list):
-                        self.shard.process_batch(item, trace_ctx=trace_ctx)
-                    else:
-                        self.shard.process_event(item, trace_ctx=trace_ctx)
-            except BaseException as exc:
-                with self._cond:
-                    self.error = exc
-                    self._busy = False
-                    self._buffer.clear()
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                self._busy = False
-                self._cond.notify_all()
-
-    def wait_idle(self) -> None:
-        """Block until the buffer is empty and no chunk is being processed."""
-        with self._cond:
-            while (self._buffer or self._busy) and self.error is None:
-                self._cond.wait()
-            if self.error is not None:
-                raise ShardWorkerError(
-                    f"shard {self.shard.shard_id} worker failed"
-                ) from self.error
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()
-        self.join()
-
-
-class ThreadBackend(InlineBackend):
-    """``drain_mode="thread"``: one daemon worker thread per shard.
-
-    The shards are the same local objects the inline backend holds, so
-    hosting, retiring and reading them are inherited; only the driving is new.
-    """
-
-    kind = "thread"
-
-    def __init__(self, shards: Sequence[ShardEngine]) -> None:
-        super().__init__(shards)
-        self.workers = [_ShardWorker(shard) for shard in self.shards]
-        for worker in self.workers:
-            worker.start()
-
-    def dispatch(self, shard_id, item, trace_ctx=None, watermark=0.0) -> None:
-        self.workers[shard_id].enqueue(item, trace_ctx)
-
-    def barrier(self) -> None:
-        for worker in self.workers:
-            worker.wait_idle()
-
-    def barrier_shard(self, shard_id: int) -> None:
-        self.workers[shard_id].wait_idle()
-
-    def worker_liveness(self) -> Dict[int, int]:
-        return {
-            worker.shard.shard_id: int(worker.is_alive() and worker.error is None)
-            for worker in self.workers
-        }
-
-    def close(self) -> None:
-        """Stop every worker; re-raise the first stored failure afterwards.
-
-        A worker that died mid-run poisons ``enqueue``/``wait_idle``, but a
-        caller that never flushes after its last submit would otherwise exit
-        cleanly with truncated results — so the first stored worker error is
-        surfaced here after every thread has been joined.
-        """
-        error: Optional[BaseException] = None
-        for worker in self.workers:
-            worker.stop()
-            if error is None and worker.error is not None:
-                error = ShardWorkerError(
-                    f"shard {worker.shard.shard_id} worker failed"
-                )
-                error.__cause__ = worker.error
-        if error is not None:
-            raise error
 
 
 # ----------------------------------------------------------------- process

@@ -8,11 +8,12 @@ and MNS horizons — must stay mutually consistent.  Two rules make that so:
   clock only ever advances to the timestamp of an event the router has
   already observed, so a purge floor computed on one shard can never exceed
   ``watermark - w`` while another shard still has pre-watermark work queued.
-* Shards may **lag** the watermark (the thread-per-shard mode drains shards
-  concurrently), but a lagging shard's clock is exactly the clock a
-  standalone engine would have after the same prefix of its subscribed
-  events — purge and MNS decisions are therefore identical to standalone
-  execution, which is what the result-equivalence tests assert.
+* Shards may **lag** the watermark (process-mode workers drain their
+  pipes behind the ingesting parent), but a lagging shard's clock is
+  exactly the clock a standalone engine would have after the same prefix
+  of its subscribed events — purge and MNS decisions are therefore
+  identical to standalone execution, which is what the result-equivalence
+  tests assert.
 
 :class:`SharedVirtualClock` owns the watermark and hands out one
 :class:`ShardClock` view per shard; ``min_progress`` reports the horizon
@@ -57,10 +58,10 @@ class SharedVirtualClock:
     """Global ingestion watermark plus per-shard clock views.
 
     The router calls :meth:`observe` with each submitted event's timestamp
-    (single-threaded, in stream order); shard threads advance their own
-    :class:`ShardClock` views as they drain.  Reading the watermark is
-    lock-free (a float read is atomic under the GIL); updating it takes a
-    lock so multiple ingestion threads remain safe.
+    (in stream order); shards advance their own :class:`ShardClock` views
+    as they drain.  Reading the watermark is lock-free (a float read is
+    atomic under the GIL); updating it takes a lock so a serving
+    front-end's ``flush`` racing a closing source stays safe.
     """
 
     def __init__(self) -> None:

@@ -20,15 +20,14 @@ Isolation and sharing are deliberately split:
   tuples, the same clock values and the same randomness as it would alone.
 * **Per shard** — the scheduler (and its ready-set), the
   :class:`~repro.multi.clock.ShardClock` view, and the cost/memory models,
-  so a shard is also the unit of metrics aggregation and of concurrency in
-  the thread-per-shard mode.
+  so a shard is also the unit of metrics aggregation and, in process mode,
+  of concurrency.
 
-Scheduler deltas are thread-safe by construction in the threaded mode: a
-shard's queues are only pushed and popped inside ``process_event`` /
-``process_batch``, which run exclusively on that shard's worker thread, so
+A shard's queues are only pushed and popped inside ``process_event`` /
+``process_batch``, and each shard is driven by exactly one thread — the
+submitting thread inline, the worker's command loop in process mode — so
 every ``on_ready`` / ``on_unready`` / ``pop_next`` of a scheduler domain is
-issued by one thread (the ingestion thread only appends to the worker's
-buffer).
+issued by one thread.
 
 With ``share_subplans=True`` the shard adds common-subexpression sharing:
 queries whose registrations reduce to the same canonical sub-plan signature
@@ -371,9 +370,9 @@ class ShardEngine:
         listener) when its *last* subscriber retires.
 
         Like every other mutation of a shard, this must run on the thread
-        that drives the shard: in the thread-per-shard mode go through
-        :meth:`~repro.multi.sharded.ShardedEngine.retire_query`, which
-        parks the shard's worker at an idle barrier first.
+        that drives the shard, between drains; through a sharded engine go
+        via :meth:`~repro.multi.sharded.ShardedEngine.retire_query`, which
+        brings the shard to a barrier first.
         """
         runtime = next(
             (r for r in self.runtimes if r.query_id == query_id), None
@@ -440,9 +439,9 @@ class ShardEngine:
     def queue_depth(self) -> int:
         """Tuples currently sitting in this shard's inter-operator queues.
 
-        Non-zero between drains (thread-per-shard mode mid-flight, or while
-        a drain is in progress); the serving layer's telemetry samples it as
-        the per-shard queue-depth gauge.
+        Non-zero only while a drain is in progress (every drain runs to
+        completion); the serving layer's telemetry samples it as the
+        per-shard queue-depth gauge.
         """
         return sum(len(item.queue) for item in self._ready_meta)
 
@@ -455,8 +454,8 @@ class ShardEngine:
         """Advance this shard's clock, deliver one routed event, drain.
 
         ``trace_ctx`` carries the trace context opened at ingestion when the
-        event crossed a thread boundary to get here (thread-per-shard mode);
-        it is activated on this thread for the duration of the call so the
+        event crossed a process boundary to get here (process mode); it is
+        activated on this thread for the duration of the call so the
         drain's spans join the ingesting event's trace.
         """
         tracer = self.tracer

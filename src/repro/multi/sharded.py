@@ -24,18 +24,15 @@ the same entry point as a single-plan engine.
 * ``"sync"`` (default, :class:`~repro.multi.backend.InlineBackend`):
   ``submit`` drains each receiving shard before returning.  Fully
   deterministic — the mode the equivalence tests anchor on.
-* ``"thread"`` (:class:`~repro.multi.backend.ThreadBackend`): each shard
-  owns a worker thread with an ingestion buffer; ``submit`` enqueues and
-  returns, shards drain concurrently, and :meth:`flush` is the barrier.
-  GIL-bound — isolation, not CPU scale-out.
 * ``"process"`` (:class:`~repro.multi.backend.ProcessBackend`): each shard
   runs in a worker *process* fed pickled event micro-batches over a pipe,
   with results, feedback stats, telemetry snapshots and trace spans
-  demultiplexed back to the parent.  The mode that scales with cores; see
+  demultiplexed back to the parent; ``submit`` ships and returns, and
+  :meth:`flush` is the barrier.  The mode that scales with cores; see
   ``docs/SCALING.md``.
 
-Every mode preserves the invariant that makes per-query results
-bit-identical across all three: each shard processes its own feed in
+Both modes preserve the invariant that makes per-query results
+bit-identical across them: each shard processes its own feed in
 arrival order and plans never span shards, so a backend changes *when* and
 *where* work happens, never *what* is computed (asserted by the test
 suite under all four scheduler policies).
@@ -56,7 +53,6 @@ from repro.multi.backend import (
     InlineBackend,
     ProcessBackend,
     ShardWorkerError,
-    ThreadBackend,
     make_scheduler,
     resolve_drain_mode,
 )
@@ -91,7 +87,7 @@ class MultiRunReport:
 
     n_queries: int
     n_shards: int
-    #: The drain mode that produced this report ("sync", "thread", "process").
+    #: The drain mode that produced this report ("sync" or "process").
     drain_mode: str
     events_ingested: int
     queries: Dict[str, QueryReport]
@@ -151,8 +147,7 @@ class ShardedEngine:
         Whether per-query collectors retain result tuples.
     drain_mode:
         How shards are driven: ``"sync"`` (inline, also what ``None``
-        means), ``"thread"`` (thread-per-shard) or ``"process"``
-        (process-per-shard workers fed over pipes).
+        means) or ``"process"`` (process-per-shard workers fed over pipes).
     partitioner:
         Query placement policy (callable or name, see
         :mod:`repro.multi.partition`).  With ``share_subplans`` and no
@@ -195,10 +190,10 @@ class ShardedEngine:
             )
             #: Process mode: parent-side proxies over worker-shipped
             #: telemetry snapshots (the live ShardEngines exist only in the
-            #: workers); sync/thread: the local ShardEngines themselves.
+            #: workers); sync: the local ShardEngines themselves.
             self.shards = self._backend.proxies
         else:
-            shards = [
+            self.shards = [
                 ShardEngine(
                     shard_id=index,
                     scheduler=make_scheduler(scheduler),
@@ -208,11 +203,7 @@ class ShardedEngine:
                 )
                 for index in range(n_shards)
             ]
-            self.shards = shards
-            if drain_mode == "thread":
-                self._backend = ThreadBackend(shards)
-            else:
-                self._backend = InlineBackend(shards)
+            self._backend = InlineBackend(self.shards)
         if partitioner is None and share_subplans:
             # Same-signature queries can only share when co-located.
             partitioner = "signature"
@@ -223,8 +214,8 @@ class ShardedEngine:
         self._placed = 0
         self._runtimes: Dict[str, PlanRuntime] = {}
         try:
-            # Every shard is named, so every worker of a buffered backend has
-            # confirmed its (possibly empty) list before this returns.
+            # Every shard is named, so every process worker has confirmed its
+            # (possibly empty) list before this returns.
             self._host_entries(registry, also_confirm=range(n_shards))
         except BaseException:
             # All or nothing: no worker outlives a failed construction.
@@ -254,9 +245,8 @@ class ShardedEngine:
         head-based sampling draw happens on the ingestion thread, so it is
         deterministic for a given workload and seed) and propagates the
         trace context with the event into every subscribed shard — across
-        the worker thread or process boundary in the buffered modes.  In
-        process mode each worker runs its own span ring on the parent's
-        epoch; its spans merge back (labelled with a worker id) at every
+        the process boundary in process mode, where each worker runs its
+        own span ring on the parent's epoch; its spans merge back (labelled with a worker id) at every
         flush barrier, so one Chrome trace covers the whole fleet.
         """
         self.tracer = tracer
@@ -289,9 +279,9 @@ class ShardedEngine:
     def submit(self, event: StreamEvent) -> None:
         """Push one event into the engine.
 
-        Synchronous mode drains every receiving shard before returning; the
-        buffered modes hand the event to the subscribed shard workers and
-        return immediately (:meth:`flush` is the barrier).
+        Synchronous mode drains every receiving shard before returning;
+        process mode ships the event to the subscribed shard workers and
+        returns immediately (:meth:`flush` is the barrier).
         """
         self._check_open()
         self._flush_pending()
@@ -300,18 +290,13 @@ class ShardedEngine:
     def ingest_async(self, event: StreamEvent) -> None:
         """Push one event without waiting for its processing.
 
-        In thread mode this is exactly :meth:`submit` (the per-shard buffer
-        already decouples the submitter).  In sync and process modes,
-        same-timestamp arrivals are micro-batched at the ingestion boundary
+        Same-timestamp arrivals are micro-batched at the ingestion boundary
         (the ``run_batch`` policy): the pending batch is processed when the
         next timestamp begins or on :meth:`flush`, amortizing clock advances
         and drain loops — and, in process mode, pickling and pipe writes —
         across the batch.
         """
         self._check_open()
-        if self.drain_mode == "thread":
-            self._dispatch_event(event)
-            return
         if self._pending and event.ts != self._pending_ts:
             self._flush_pending()
         self._pending.append(event)
@@ -326,10 +311,11 @@ class ShardedEngine:
     def flush(self) -> None:
         """Process buffered arrivals and wait until every shard is idle.
 
-        The backend barrier: thread workers park at their idle condition;
-        process workers answer a flush round-trip whose reply carries fresh
-        telemetry snapshots (and buffered trace spans) — so after ``flush``
-        every result of every prior submit is in its collector, in order.
+        The backend barrier: a no-op inline, where every dispatch has already
+        drained; process workers answer a flush round-trip whose reply
+        carries fresh telemetry snapshots (and buffered trace spans) — so
+        after ``flush`` every result of every prior submit is in its
+        collector, in order.
         """
         self._check_open()
         self._flush_pending()
@@ -370,8 +356,8 @@ class ShardedEngine:
         ctx = tracer.begin_trace(event, fanout=len(shard_ids))
         try:
             # The context rides along explicitly: the inline backend ignores
-            # it (it is already active on this thread); thread and process
-            # workers re-activate it so the head-based sampling decision
+            # it (it is already active on this thread); process workers
+            # re-activate it so the head-based sampling decision
             # made at ingestion holds wherever the event is drained.
             for shard_id in shard_ids:
                 backend.dispatch(shard_id, event, ctx, watermark)
@@ -455,10 +441,9 @@ class ShardedEngine:
     def retire_query(self, query_id: str) -> PlanRuntime:
         """Stop serving one registered query and return its archived runtime.
 
-        Buffered ingestion is flushed and the owning shard's worker is
-        parked at its idle barrier before the plan is unwired, so the
-        retirement never races the drain loop (shard state, including the
-        scheduler, is only ever touched by one thread at a time; on a
+        Buffered ingestion is flushed and the owning shard brought to its
+        barrier before the plan is unwired, so the retirement never races
+        the drain loop (inline, the submitting thread does both; on a
         process worker the command pipe's FIFO order gives the same
         guarantee).  The router's subscription bookkeeping is decremented
         too, so ``fair_shed`` weights and per-shard fan-out track the live
@@ -481,12 +466,13 @@ class ShardedEngine:
             )
         return retired
 
-    # -- worker lifecycle (buffered backends) ----------------------------------
+    # -- worker lifecycle (process mode) ---------------------------------------
 
     def worker_liveness(self) -> Dict[int, int]:
         """Per-shard worker liveness (1 = running, 0 = exited/failed).
 
-        Inline shards are always 1: the submitting thread *is* the worker.
+        Inline shards are always 1: the submitting thread *is* the worker;
+        a process worker reads 0 once it has crashed or exited.
         """
         return self._backend.worker_liveness()
 
@@ -515,7 +501,7 @@ class ShardedEngine:
         workers acknowledge batches; the serving layer uses this to keep
         ``serve_suspensions_total``/``serve_resumptions_total`` live when
         the contexts producing the feedback are in other processes.  A no-op
-        on the local backends, whose contexts are observed directly.
+        inline, where the contexts are observed directly.
         """
         self._backend.add_feedback_delta_listener(listener)
 
@@ -527,13 +513,11 @@ class ShardedEngine:
         Uniform across drain modes.  In process mode each entry is the
         proxy's :meth:`~repro.multi.backend.ProcessShardProxy.health_stats`
         — live parent-side heartbeat (``last_progress``, ``in_flight``)
-        plus the worker's last shipped snapshot.  On the local backends the
-        facts are computed directly from the live :class:`ShardEngine`
-        (reads only; safe to sample while thread workers drain, at the cost
-        of momentarily stale ages).  ``last_progress``/``mns_oldest_ts`` are
-        ``None`` where the concept does not apply locally — an inline shard
-        cannot stall independently of its caller, and local MNS ages are
-        tracked by the monitor's own feedback listeners.
+        plus the worker's last shipped snapshot.  Inline, the facts are
+        computed directly from the live :class:`ShardEngine` (reads only);
+        ``last_progress``/``mns_oldest_ts`` are ``None`` there, because an
+        inline shard cannot stall independently of its caller and local MNS
+        ages are tracked by the monitor's own feedback listeners.
         """
         stats: Dict[int, Dict[str, object]] = {}
         for shard_id, shard in enumerate(self.shards):
@@ -626,7 +610,7 @@ class ShardedEngine:
         cleanly with truncated results — so ``close`` re-raises the first
         stored worker error (as a
         :class:`~repro.multi.backend.ShardWorkerError` naming the shard)
-        after every worker thread has been joined or worker process reaped.
+        after every worker process has been reaped.
         """
         if self._closed:
             return

@@ -12,9 +12,9 @@ costs O(log ready).
 
 A scheduler never mutates queues or operators.  Scheduler instances are
 stateful (rotations, boosts, heaps) and belong to exactly one scheduler
-domain — one queued engine or one shard; in the thread-per-shard mode every
-delta and every ``pop_next`` of a domain is issued by that shard's worker
-thread only, so no locking is needed inside the policies.
+domain — one queued engine or one shard.  Every delta and every
+``pop_next`` of a domain is issued by the one thread driving it, so no
+locking is needed inside the policies.
 """
 
 from __future__ import annotations

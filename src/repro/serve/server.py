@@ -26,7 +26,7 @@ through the engines' feedback listeners.  Latency is *virtual*: the lag
 between the server's ingestion watermark (the newest accepted timestamp)
 and a result's timestamp at the moment it is emitted — the serving-layer
 counterpart of the :class:`~repro.multi.clock.SharedVirtualClock`
-watermark, measurable identically in sync, threaded and buffered modes.
+watermark, measurable identically in the sync and process drain modes.
 
 The server fronts either a :class:`~repro.multi.ShardedEngine` or a queued
 single-plan :class:`~repro.engine.engine.ExecutionEngine`; both expose the
@@ -134,13 +134,13 @@ METRIC_DOC: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     ),
     "serve_shard_worker_alive": (
         "gauge", ("shard",),
-        "Shard worker liveness: 1 while the worker thread/process is running "
+        "Shard worker liveness: 1 while the worker process is running "
         "and healthy (inline shards always read 1 — the submitter is the worker).",
     ),
     "serve_shard_worker_restarts_total": (
         "gauge", ("shard",),
         "Process workers respawned via restart_worker, per shard (0 for the "
-        "sync/thread drain modes).",
+        "sync drain mode).",
     ),
     "serve_uptime_seconds": (
         "gauge", (), "Wall-clock seconds since the server was constructed."

@@ -285,8 +285,8 @@ class Histogram(_Metric):
         self._sorted: List[float] = []
         self._fifo: List[float] = []
         self._fifo_start = 0
-        # Result sinks on different shard worker threads observe into the
-        # same histogram; the window mutation must be atomic.
+        # Result sinks on different process workers' reader threads observe
+        # into the same histogram; the window mutation must be atomic.
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:

@@ -67,10 +67,10 @@ class TraceContext:
     """The per-trace sampling decision, propagated along the causal path.
 
     One context is created per ingested event and travels with it — through
-    the router, into the shard workers' buffers in the thread-per-shard
-    mode — so every span of the event's processing lands in the same trace
-    and the head-based sampling decision is honoured across shard (and
-    thread) boundaries.
+    the router, into every subscribed shard and across the pipe to process
+    workers — so every span of the event's processing lands in the same
+    trace and the head-based sampling decision is honoured across shard
+    (and process) boundaries.
     """
 
     __slots__ = ("trace_id", "sampled")
@@ -271,9 +271,9 @@ class Tracer:
     def activate(self, ctx: Optional[TraceContext]) -> Optional[TraceContext]:
         """Make ``ctx`` current on *this* thread; returns the previous one.
 
-        Shard workers call this when they dequeue an event whose trace
-        context travelled with it, so spans recorded on the worker thread
-        join the right trace.
+        Shard workers call this when they receive an event whose trace
+        context travelled with it, so spans recorded on the worker join the
+        right trace.
         """
         previous = getattr(self._local, "ctx", None)
         self._local.ctx = ctx

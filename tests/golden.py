@@ -7,7 +7,7 @@
   three parts so that a mismatch says *what* moved: ``schedule`` (sha256 over
   the per-shard pop order and the per-query result sequences: a scheduling
   decision or a result), ``cpu_units`` (a modelled cost) and ``steps`` (the
-  scheduler-step count).  A thread drain must reproduce the sync record.
+  scheduler-step count).
 * ``paper`` — the paper's left-deep default (Table III; the end-to-end
   benchmark's recipe: seed 7, three windows, WINDOW retention) under JIT with
   every detection gate pinned open, the paper's always-detect algorithm:
@@ -56,10 +56,11 @@ GOLDEN_FILE = Path(__file__).with_name("golden.json")
 
 ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
-#: name -> (n_shards, drain_mode, share_subplans); "single" is one queued plan.
+#: name -> (n_shards, share_subplans), run in the sync drain mode; "single"
+#: is one queued plan.
 SHARDED_CONFIGS = {
-    f"{n_shards}{'-shared' if share else ''}-{drain_mode}": (n_shards, drain_mode, share)
-    for n_shards, drain_mode in ((1, "sync"), (2, "sync"), (2, "thread"))
+    f"{n_shards}{'-shared' if share else ''}-sync": (n_shards, share)
+    for n_shards in (1, 2)
     for share in (False, True)
 }
 
@@ -96,7 +97,7 @@ def single_plan_run(scheduler, n_sources=4, rate=0.5, dmax=2, duration=60, seed=
     return [pops], {"q": list(report.results.results)}, report.cpu_units, steps
 
 
-def sharded_run(make_scheduler, n_shards, drain_mode, share):
+def sharded_run(make_scheduler, n_shards, share):
     workload = generate_multi_query_workload(
         n_queries=12, n_sources=4, rate=0.8, window_seconds=20, dmax=4,
         duration=60, seed=3,
@@ -115,7 +116,6 @@ def sharded_run(make_scheduler, n_shards, drain_mode, share):
         registry,
         n_shards=n_shards,
         scheduler=factory,
-        drain_mode=drain_mode,
         share_subplans=share,
     ) as engine:
         report = engine.run(workload.events())
@@ -151,8 +151,8 @@ def schedule_record(recorded) -> dict:
 
 
 def schedule_key(policy: str, config: str) -> str:
-    """The record a (policy, config) run must reproduce: the drain mode is not
-    part of it."""
+    """The record a (policy, config) run must reproduce: the config's
+    ``-sync`` suffix is not part of it."""
     return f"{policy}/{config.rsplit('-', 1)[0]}"
 
 
@@ -199,7 +199,7 @@ def record_all() -> dict:
                 run(lambda: build_scheduler(policy), config)
             )
             for policy in ALL_POLICIES
-            for config in ("single", "1-sync", "1-shared-sync", "2-sync", "2-shared-sync")
+            for config in ("single",) + tuple(SHARDED_CONFIGS)
         },
         "paper": {str(scale): paper_record(scale) for scale in PAPER_SCALES},
     }

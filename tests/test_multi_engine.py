@@ -1,8 +1,9 @@
 """Tests for the sharded multi-query engine (repro.multi).
 
 The central property: K queries served through a :class:`ShardedEngine` —
-with 1 shard, N shards, and the thread-per-shard mode, under every scheduler
-policy — produce exactly the same per-query results as K independent
+with 1 shard and N shards, inline and on worker processes, under every
+scheduler policy — produce exactly
+the same per-query results as K independent
 :class:`ExecutionEngine` runs.  Plus unit coverage for the registry, the
 shared virtual clock, the router, the partitioners, the push-based ingestion
 paths, and the reusable ``run_workload`` entry point.
@@ -33,7 +34,7 @@ from repro.streams.time import Window
 ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
 #: (n_shards, drain_mode) configurations the equivalence sweep covers.
-SHARD_CONFIGS = ((1, "sync"), (3, "sync"), (3, "thread"))
+SHARD_CONFIGS = ((1, "sync"), (2, "sync"), (3, "sync"), (2, "process"))
 
 
 @pytest.fixture(scope="module")
@@ -115,11 +116,11 @@ class TestShardedEquivalence:
             for query_id, expected in standalone_multisets.items():
                 assert engine.results_for(query_id).multiset() == expected
 
-    def test_threaded_runs_are_deterministic(self, shared_workload, shared_events):
+    def test_process_runs_are_deterministic(self, shared_workload, shared_events):
         counts = []
         for _ in range(2):
             with ShardedEngine(
-                _registry(shared_workload), n_shards=3, drain_mode="thread"
+                _registry(shared_workload), n_shards=3, drain_mode="process"
             ) as engine:
                 counts.append(engine.run(shared_events).result_counts())
         assert counts[0] == counts[1]
@@ -326,13 +327,12 @@ class TestShardedEngineAPI:
 
     def test_worker_failure_surfaces_on_close(self, shared_workload, shared_events):
         """A worker that dies mid-run must not let close() succeed silently."""
-        engine = ShardedEngine(_registry(shared_workload), n_shards=2, drain_mode="thread")
+        engine = ShardedEngine(_registry(shared_workload), n_shards=2, drain_mode="process")
         engine.submit(shared_events[0])
         engine.flush()
-        # Sabotage shard 0's drain so its worker dies on the next event.
-        engine.shards[0]._drain = lambda: (_ for _ in ()).throw(RuntimeError("boom"))
-        for event in shared_events[1:10]:
-            engine.submit(event)
+        # An event ahead of the watermark the worker is told about: its shard
+        # clock refuses to run ahead, so the worker dies on it, unflushed.
+        engine._backend.dispatch(0, shared_events[-1], None, watermark=0.0)
         with pytest.raises(RuntimeError, match="worker failed"):
             engine.close()
         engine.close()  # already closed: stays a no-op, raises nothing
@@ -495,9 +495,10 @@ class TestShardPlanRetirement:
             for event in events[:10]:
                 engine.submit(event)
 
-    @pytest.mark.parametrize("drain_mode", ("sync", "thread"))
+    @pytest.mark.parametrize("drain_mode", ("sync", "process"))
     def test_retire_query_through_engine(self, drain_mode):
-        """ShardedEngine.retire_query parks the worker before unwiring."""
+        """ShardedEngine.retire_query brings the shard to a barrier before
+        unwiring."""
         workload = self._workload()
         events = workload.events()
         half = len(events) // 2

@@ -105,7 +105,7 @@ def _ids_on(engine, shard_id):
 
 
 def _shard_workers():
-    """Worker processes, worker threads and reader threads alive right now."""
+    """Worker processes and their reader threads alive right now."""
     return set(multiprocessing.active_children()) | {
         thread for thread in threading.enumerate() if thread.name.startswith("shard-")
     }
@@ -220,7 +220,7 @@ class TestBornHosting:
 
 class TestFailedConstruction:
     """Whatever goes wrong before ``ShardedEngine(...)`` returns, every worker
-    it started is shut down: no child process, no reader or worker thread."""
+    it started is shut down: no child process, no reader thread."""
 
     @staticmethod
     def _registry(workload, spoil) -> QueryRegistry:
@@ -258,14 +258,6 @@ class TestFailedConstruction:
             )
         assert "Traceback" in str(failure.value)
         assert "no-such-shape" in str(failure.value)
-        assert _shard_workers() == before
-
-    def test_thread_workers_are_stopped_too(self, workload):
-        before = _shard_workers()
-        with pytest.raises(ValueError, match="no-such-shape"):
-            ShardedEngine(
-                self._registry(workload, self._unbuildable), n_shards=2, drain_mode="thread"
-            )
         assert _shard_workers() == before
 
 
@@ -332,7 +324,7 @@ class TestLiveLifecycleOps:
 
 class TestWorkerLifecycle:
     def test_liveness_and_restarts_all_modes(self, workload):
-        for mode in ("sync", "thread", "process"):
+        for mode in ("sync", "process"):
             with ShardedEngine(_registry(workload), n_shards=2, drain_mode=mode) as engine:
                 assert engine.worker_liveness() == {0: 1, 1: 1}
                 assert engine.worker_restarts() == {0: 0, 1: 0}
@@ -412,10 +404,9 @@ class TestWorkerLifecycle:
         }
 
     def test_restart_is_process_mode_only(self, workload):
-        for mode in ("sync", "thread"):
-            with ShardedEngine(_registry(workload), n_shards=1, drain_mode=mode) as engine:
-                with pytest.raises(RuntimeError, match="process-mode"):
-                    engine.restart_worker(0)
+        with ShardedEngine(_registry(workload), n_shards=1, drain_mode="sync") as engine:
+            with pytest.raises(RuntimeError, match="process-mode"):
+                engine.restart_worker(0)
 
 
 class TestWorkerTracing:
@@ -453,9 +444,11 @@ class TestWorkerTracing:
 
 
 class TestDrainModeSelection:
-    def test_unknown_mode_rejected(self, workload):
-        with pytest.raises(ValueError, match="drain_mode"):
-            ShardedEngine(_registry(workload), drain_mode="fibers")
+    @pytest.mark.parametrize("mode", ("fibers", "thread"))
+    def test_unknown_mode_rejected(self, workload, mode):
+        with pytest.raises(ValueError, match="drain_mode") as rejected:
+            ShardedEngine(_registry(workload), drain_mode=mode)
+        assert "'sync'" in str(rejected.value) and "'process'" in str(rejected.value)
 
     def test_bad_scheduler_fails_eagerly_in_parent(self, workload):
         with pytest.raises(ValueError):

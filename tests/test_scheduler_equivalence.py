@@ -1,9 +1,9 @@
 """Scheduler correctness: golden schedules, a linear-scan differential, policy rules.
 
 * ``golden.json`` pins what every policy produces on a single queued plan and
-  on 1- and 2-shard engines (sync and thread drains, with and without shared
-  sub-plans), in three parts: the schedule (per-shard pop order + per-query
-  result sequences, one digest), ``cpu_units`` and the scheduler-step count.
+  on 1- and 2-shard sync engines (with and without shared sub-plans), in
+  three parts: the schedule (per-shard pop order + per-query result
+  sequences, one digest), ``cpu_units`` and the scheduler-step count.
   A mismatch names the part, so "a scheduling decision changed" and "a
   modelled cost moved" are different failures; ``python -m tests.golden
   --check|--record`` (``tests/golden.py``) lists what moved and re-records.
@@ -72,7 +72,7 @@ VARIANTS["jit_aware-boost2"] = (
 class TestLinearScanDifferential:
     """Heap policies pop exactly what ``min()`` over the ready set pops."""
 
-    @pytest.mark.parametrize("config", ("single", "2-sync", "2-shared-thread"))
+    @pytest.mark.parametrize("config", ("single", "2-sync", "2-shared-sync"))
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_same_pops_results_and_cost(self, variant, config):
         indexed, linear = VARIANTS[variant]

@@ -2,7 +2,7 @@
 
 The bedrock invariant: with ``share_subplans=True`` every query's result
 multiset is bit-identical to its standalone unshared run — under every
-scheduler policy, shard count, and drain mode.  On top of that, unit coverage
+scheduler policy, shard count and drain mode.  On top of that, unit coverage
 for signature canonicalization, overlay (selection/projection) grafting,
 per-subscriber tee accounting, refcounted retirement, and a hypothesis sweep
 asserting that arbitrary register/retire interleavings never leave orphan
@@ -48,7 +48,7 @@ from repro.streams.generators import generate_clique_workload
 ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
 #: (n_shards, drain_mode) configurations the equivalence sweep covers.
-SHARD_CONFIGS = ((1, "sync"), (3, "sync"), (3, "thread"))
+SHARD_CONFIGS = ((1, "sync"), (2, "sync"), (3, "sync"), (2, "process"))
 
 
 @pytest.fixture(scope="module")

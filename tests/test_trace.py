@@ -7,7 +7,6 @@ Covers the tracing subsystem end to end:
 * Chrome trace-event export (schema-validated, on a traced
   ``share_subplans=True`` sharded run: tee fan-out spans naming every
   subscriber, MNS suspend/resume async pairs balanced),
-* trace-context propagation across threaded shard workers,
 * the ``trace_*`` telemetry families bridged through the serving layer,
 * ``explain_analyze`` report content (per-plan profile namespacing), and
 * the observation-only guarantee: a traced run produces the same result
@@ -67,7 +66,7 @@ def _registry(workload, copies=2):
     return registry
 
 
-def _run_shared(tracer, drain_mode="sync"):
+def _run_shared(tracer):
     """One shared-subplan sharded run through a block-policy server."""
     workload = _workload()
     engine = ShardedEngine(
@@ -75,7 +74,6 @@ def _run_shared(tracer, drain_mode="sync"):
         n_shards=2,
         scheduler="jit_aware",
         share_subplans=True,
-        drain_mode=drain_mode,
     )
     server = StreamServer(
         engine, capacity=64, policy=OverloadPolicy.BLOCK, tracer=tracer
@@ -350,28 +348,6 @@ class TestChromeTraceExport:
                     ]
                 }
             )
-
-
-# -------------------------------------------------- threaded propagation
-
-
-class TestThreadedPropagation:
-    def test_worker_threads_join_the_ingestion_trace(self):
-        """Trace contexts travel with events into shard worker threads."""
-        tracer = Tracer(sample_rate=1.0, capacity=200_000, seed=0)
-        server, engine = _run_shared(tracer, drain_mode="thread")
-        try:
-            cats = {span["cat"] for span in tracer.ring.snapshot()}
-            assert SpanKind.SHARD in cats
-            assert SpanKind.OPERATOR_STEP in cats
-            shard_spans = [
-                s for s in tracer.ring.snapshot() if s["cat"] == SpanKind.SHARD
-            ]
-            # Worker-side spans carry the ingestion-side trace ids.
-            assert all(s["args"]["trace_id"] >= 0 for s in shard_spans)
-            validate_chrome_trace(tracer.chrome_trace())
-        finally:
-            server.close()
 
 
 # ------------------------------------------------------- observation only

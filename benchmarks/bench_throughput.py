@@ -807,10 +807,12 @@ def bench_health(
     bound — an idle monitor costs at most 2% events/sec versus
     unmonitored — is recorded in ``BENCH_health.json``.
 
-    The monitor's per-event hot path amounts to a few thousand
-    feedback-listener calls per run, far inside the wall-clock noise of
-    a shared machine, so naive per-variant timing cannot resolve a 2%
-    bound.  Instead every variant keeps its own server and the *same*
+    An idle monitor adds nothing to the per-event path — no feedback
+    listener (the shards count their own feedback, monitored or not),
+    only the serving sink's progress cell, which every variant pays —
+    so any difference is far inside the wall-clock noise of a shared
+    machine, and naive per-variant timing cannot resolve a 2% bound.
+    Instead every variant keeps its own server and the *same*
     event stream is fed to all of them in small interleaved batches
     (order rotated per batch, garbage collector pinned outside the
     clocks): machine drift slower than a batch hits every variant

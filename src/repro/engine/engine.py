@@ -256,8 +256,7 @@ class ExecutionEngine:
         self.mode = mode
         self.scheduler = scheduler if scheduler is not None else build_scheduler("fifo")
         self.collector = ResultCollector(keep_tuples=keep_results)
-        #: Arrivals processed so far (same meaning as the shard counter, so
-        #: serving telemetry can compute steps-per-event for either engine).
+        #: Arrivals processed so far.
         self.events_processed = 0
         #: Optional flight recorder (see :meth:`attach_tracer`).
         self.tracer = None
@@ -265,9 +264,8 @@ class ExecutionEngine:
             plan.attach(context)
         plan.set_result_sink(self.collector.add)
         self._input_queues: Dict[Tuple[int, str], InterOperatorQueue] = {}
-        self._ready_meta: List[ReadyInput] = []
         if mode == ExecutionMode.QUEUED:
-            self._input_queues, self._ready_meta = wire_queued_plan(
+            self._input_queues, _templates = wire_queued_plan(
                 plan, context, self.scheduler
             )
             context.add_feedback_listener(self.scheduler.notify_feedback)
@@ -293,25 +291,14 @@ class ExecutionEngine:
     # -- execution ------------------------------------------------------------------
 
     def submit(self, event: StreamEvent) -> None:
-        """Push one event (serving-front-end alias for :meth:`process_event`).
-
-        Gives the single-plan engine the same push-ingestion verbs as
-        :class:`~repro.multi.ShardedEngine`, so :class:`repro.serve.
-        StreamServer` can front either engine through one code path.
-        """
+        """Push one event: :meth:`process_event` under the push-ingestion
+        name :class:`~repro.multi.ShardedEngine` uses, so one driver loop
+        (``submit`` per event, then ``flush``) runs either engine."""
         self.process_event(event)
 
     def flush(self) -> None:
-        """Serving-front-end barrier: a no-op for the single-plan engine.
-
-        Every ``process_event`` drains to completion before returning, so
-        there is never buffered work to wait for.
-        """
-
-    @property
-    def queue_depth(self) -> int:
-        """Tuples currently in the inter-operator queues (0 in sync mode)."""
-        return sum(len(item.queue) for item in self._ready_meta)
+        """The push-ingestion barrier: a no-op here, because every
+        ``process_event`` drains to completion before returning."""
 
     def process_event(self, event: StreamEvent) -> None:
         """Advance the clock and push one arrival into the plan."""

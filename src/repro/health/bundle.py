@@ -85,7 +85,7 @@ def collect_bundle(monitor, reason: str, trace_limit: int = 256) -> Dict[str, ob
         telemetry = server.exposition()
         tracer = server.tracer
     if tracer is None:
-        tracer = getattr(monitor.engine, "tracer", None)
+        tracer = monitor.engine.tracer
     watchdog_state: Optional[Dict[str, object]] = None
     if monitor.watchdog is not None:
         watchdog = monitor.watchdog

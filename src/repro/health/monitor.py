@@ -2,9 +2,10 @@
 
 :class:`HealthMonitor` attaches to a :class:`~repro.serve.server.
 StreamServer` (the full surface: per-query progress, latency quantiles,
-buffer state) or directly to a :class:`~repro.multi.ShardedEngine` /
-:class:`~repro.engine.engine.ExecutionEngine` (shard-level health only —
-per-query result progress is recorded by the serving sink).  It derives:
+buffer state) or directly to a :class:`~repro.multi.ShardedEngine`
+(shard-level health only — per-query result progress is recorded by the
+serving sink).  Every shard number is read from the shard's own
+``health_stats()``; the monitor adds no listener anywhere.  It derives:
 
 * :meth:`lag_table` — per-query watermark lag (ingestion watermark minus
   last-emitted result timestamp, in virtual seconds), wall-clock
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 from statistics import median_low
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.feedback import FeedbackKind
 from repro.health.watchdog import StallDiagnosis, StallWatchdog
+from repro.multi.sharded import ShardedEngine
 
 __all__ = [
     "QuerySLO",
@@ -53,8 +54,6 @@ SLO_OK = 0
 SLO_WARNING = 1
 SLO_BREACH = 2
 SLO_STATE_NAMES = {SLO_OK: "ok", SLO_WARNING: "warning", SLO_BREACH: "breach"}
-
-_SUSPENSION_KINDS = (FeedbackKind.SUSPEND, FeedbackKind.MARK)
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class HealthMonitor:
     target:
         A :class:`~repro.serve.server.StreamServer` (attaches itself via
         ``attach_health`` so the ``health_*`` telemetry families go live),
-        or a bare engine.
+        or a bare :class:`~repro.multi.ShardedEngine`.
     slos:
         Optional ``query_id -> QuerySLO`` bounds; queries without an entry
         always read ``ok``.
@@ -124,20 +123,17 @@ class HealthMonitor:
         else:
             self.server = None
             self.engine = target
+        if not isinstance(self.engine, ShardedEngine):
+            raise TypeError(
+                f"cannot monitor {type(self.engine).__name__}; expected a "
+                "StreamServer or a ShardedEngine"
+            )
         self.slos: Dict[str, QuerySLO] = dict(slos or {})
         self.bundle_dir = bundle_dir
         self._started = time.perf_counter()
         self._states: Dict[str, int] = {}
         self._breaches: Dict[str, int] = {}
         self._reasons: Dict[str, Tuple[str, ...]] = {}
-        #: Open MNS suspensions of *local* (in-process) shard contexts:
-        #: shard label -> (producer id, consumer id) edge -> suspension
-        #: watermarks, oldest first.  Feedback listeners only hand over the
-        #: endpoints of a message, so a resumption clears the edge's oldest
-        #: open suspension — the conservative reading.  Process-mode shards
-        #: track the same structure worker-side and ship the aggregate.
-        self._mns_open: Dict[str, Dict[Tuple[int, int], List[float]]] = {}
-        self._listeners: List[Tuple[object, object]] = []
         self._bundle_lock = threading.Lock()
         self._pending_bundle_reasons: List[str] = []
         self.bundles_written = 0
@@ -148,56 +144,10 @@ class HealthMonitor:
                 self.engine, deadline=stall_deadline, on_stall=self._on_stall
             )
         self._closed = False
-        self._attach_feedback_listeners()
         if self.server is not None:
             self.server.attach_health(self)
 
     # -- wiring ------------------------------------------------------------
-
-    def _attach_feedback_listeners(self) -> None:
-        """Observe suspension/resumption flow on every local plan context.
-
-        Process-mode runtimes have no local context (``None``); their MNS
-        state arrives pre-aggregated in the worker snapshots instead.
-        """
-        for label, context in self._local_contexts():
-            listener = self._make_mns_listener(label)
-            context.add_feedback_listener(listener)
-            self._listeners.append((context, listener))
-
-    def _local_contexts(self):
-        engine = self.engine
-        runtimes = getattr(engine, "_runtimes", None)
-        if runtimes is None:
-            context = getattr(engine, "context", None)
-            if context is not None:
-                yield "0", context
-            return
-        for runtime in runtimes.values():
-            if runtime.context is not None:
-                yield str(runtime.shard_id), runtime.context
-        for shard in getattr(engine, "shards", ()):
-            shared_subplans = getattr(shard, "shared_subplans", None)
-            if shared_subplans is None:
-                continue
-            for shared in shared_subplans():
-                yield str(shard.shard_id), shared.context
-
-    def _make_mns_listener(self, label: str):
-        edges = self._mns_open.setdefault(label, {})
-
-        def listener(producer, consumer, kind) -> None:
-            edge = (id(producer), id(consumer))
-            if kind in _SUSPENSION_KINDS:
-                edges.setdefault(edge, []).append(self.watermark)
-            else:
-                opened = edges.get(edge)
-                if opened:
-                    opened.pop(0)
-                    if not opened:
-                        del edges[edge]
-
-        return listener
 
     def _on_stall(self, diagnosis: StallDiagnosis) -> None:
         """Watchdog transition hook: queue a bundle capture."""
@@ -216,19 +166,13 @@ class HealthMonitor:
 
         The server's ingestion watermark (newest *accepted* timestamp)
         when fronted — accepted-but-undelivered events already count
-        against freshness, which is the point of the serving SLO.  Bare
-        engines fall back to their own clock.
+        against freshness, which is the point of the serving SLO.  A bare
+        engine falls back to its own ingestion watermark.
         """
         server = self.server
         if server is not None and server.ingest_watermark != float("-inf"):
             return server.ingest_watermark
-        clock = getattr(self.engine, "clock", None)
-        if clock is not None and hasattr(clock, "watermark"):
-            return clock.watermark
-        context = getattr(self.engine, "context", None)
-        if context is not None:
-            return context.clock.now
-        return 0.0
+        return self.engine.clock.watermark
 
     @property
     def uptime_seconds(self) -> float:
@@ -240,16 +184,10 @@ class HealthMonitor:
         """Per-query ``[last_result_ts, results, wall_of_last_result]``."""
         if self.server is not None:
             return self.server.query_progress
-        runtimes = getattr(self.engine, "_runtimes", None)
-        if runtimes is not None:
-            return {
-                query_id: [None, runtime.collector.count, None]
-                for query_id, runtime in runtimes.items()
-            }
-        collector = getattr(self.engine, "collector", None)
-        if collector is not None:
-            return {"plan": [None, collector.count, None]}
-        return {}
+        return {
+            query_id: [None, runtime.collector.count, None]
+            for query_id, runtime in self.engine.runtimes.items()
+        }
 
     def _p95_latency(self) -> Optional[float]:
         if self.server is None:
@@ -308,69 +246,33 @@ class HealthMonitor:
 
     # -- the shard table ---------------------------------------------------
 
-    def _worker_health(self) -> Dict[int, Dict[str, object]]:
-        health_fn = getattr(self.engine, "worker_health", None)
-        if health_fn is not None:
-            return health_fn()
-        # A single queued engine: the submitter is the worker.
-        engine = self.engine
-        watermark = self.watermark
-        ages = engine.scheduler.starvation_ages(watermark)
-        return {
-            0: {
-                "alive": True,
-                "in_flight": 0,
-                "acked_events": engine.events_processed,
-                "last_progress": None,
-                "watermark": watermark,
-                "ready_queues": len(ages),
-                "max_starvation_age": max(ages.values(), default=0.0),
-                "mns_open": None,
-                "mns_oldest_ts": None,
-            }
-        }
-
-    def _local_mns(self, label: str) -> Tuple[int, Optional[float]]:
-        edges = self._mns_open.get(label, {})
-        oldest = min((opened[0] for opened in edges.values() if opened), default=None)
-        return sum(len(opened) for opened in edges.values()), oldest
-
     def shard_table(self) -> Dict[int, Dict[str, object]]:
         """Per-shard progress, starvation, MNS ages, and stall verdicts."""
         watermark = self.watermark
-        shards = getattr(self.engine, "shards", None)
-        if shards is None:
-            shards = [self.engine]
-        restarts = {}
-        restarts_fn = getattr(self.engine, "worker_restarts", None)
-        if restarts_fn is not None:
-            restarts = restarts_fn()
+        shards = self.engine.shards
+        restarts = self.engine.worker_restarts()
         verdicts = self.watchdog.stalled_shards() if self.watchdog else {}
         table: Dict[int, Dict[str, object]] = {}
-        for shard_id, stats in self._worker_health().items():
-            mns_open = stats.get("mns_open")
-            mns_oldest_ts = stats.get("mns_oldest_ts")
-            if mns_open is None:
-                mns_open, mns_oldest_ts = self._local_mns(str(shard_id))
-            mns_oldest_age = (
-                max(0.0, watermark - mns_oldest_ts) if mns_oldest_ts is not None else 0.0
-            )
-            shard = shards[shard_id] if shard_id < len(shards) else None
+        for shard_id, stats in self.engine.worker_health().items():
+            oldest_ts = stats["mns_oldest_ts"]
+            shard = shards[shard_id]
             diagnosis = verdicts.get(shard_id)
             table[shard_id] = {
-                "alive": bool(stats.get("alive", True)),
-                "in_flight": int(stats.get("in_flight", 0)),
-                "watermark": float(stats.get("watermark", watermark)),
-                "ready_queues": int(stats.get("ready_queues", 0)),
-                "max_starvation_age": float(stats.get("max_starvation_age", 0.0)),
-                "mns_open": int(mns_open),
-                "mns_oldest_age": mns_oldest_age,
-                "queue_depth": getattr(shard, "queue_depth", 0),
-                "queue_count": getattr(shard, "queue_count", 0),
-                "events_processed": getattr(shard, "events_processed", 0),
-                "results_produced": getattr(shard, "results_produced", 0),
-                "scheduler_stats": dict(shard.scheduler.stats()) if shard else {},
-                "worker_restarts": int(restarts.get(shard_id, 0)),
+                "alive": bool(stats["alive"]),
+                "in_flight": stats["in_flight"],
+                "watermark": float(stats["watermark"]),
+                "ready_queues": stats["ready_queues"],
+                "max_starvation_age": float(stats["max_starvation_age"]),
+                "mns_open": stats["mns_open"],
+                "mns_oldest_age": (
+                    max(0.0, watermark - oldest_ts) if oldest_ts is not None else 0.0
+                ),
+                "queue_depth": shard.queue_depth,
+                "queue_count": shard.queue_count,
+                "events_processed": shard.events_processed,
+                "results_produced": shard.results_produced,
+                "scheduler_stats": dict(shard.scheduler.stats()),
+                "worker_restarts": restarts[shard_id],
                 "stall": diagnosis.describe() if diagnosis is not None else None,
             }
         return table
@@ -556,34 +458,27 @@ class HealthMonitor:
             }
         if family == "health_worker_stalled":
             verdicts = self.watchdog.stalled_shards() if self.watchdog else {}
-            shards = getattr(self.engine, "shards", None) or [self.engine]
             return {
                 str(index): 1.0 if index in verdicts else 0.0
-                for index in range(len(shards))
+                for index in range(self.engine.n_shards)
             }
         if family == "health_worker_stalls_total":
             totals = dict(self.watchdog.stalls_total) if self.watchdog else {}
-            shards = getattr(self.engine, "shards", None) or [self.engine]
             return {
-                str(index): float(totals.get(index, 0)) for index in range(len(shards))
+                str(index): float(totals.get(index, 0))
+                for index in range(self.engine.n_shards)
             }
         raise KeyError(f"unknown health telemetry family {family!r}")
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the watchdog and detach feedback listeners (idempotent)."""
+        """Stop the watchdog (idempotent)."""
         if self._closed:
             return
         self._closed = True
         if self.watchdog is not None:
             self.watchdog.stop()
-        for context, listener in self._listeners:
-            try:
-                context.remove_feedback_listener(listener)
-            except Exception:
-                pass
-        self._listeners.clear()
 
     def __enter__(self) -> "HealthMonitor":
         return self

@@ -64,10 +64,9 @@ class StallWatchdog:
     Parameters
     ----------
     engine:
-        A :class:`~repro.multi.ShardedEngine` (any drain mode; only the
-        process backend exposes heartbeats, other modes are trivially
-        never stalled) or any object with a compatible
-        ``worker_health()``.
+        A :class:`~repro.multi.ShardedEngine` (either drain mode; only
+        process workers have an independent heartbeat, so inline shards
+        are trivially never stalled).
     deadline:
         Maximum wall seconds from stall onset to a surfaced diagnosis.
         A worker is flagged once its heartbeat is older than
@@ -110,13 +109,10 @@ class StallWatchdog:
         Safe to call from any thread; never blocks on a worker (all
         inputs are parent-side state the reader threads maintain).
         """
-        health_fn = getattr(self.engine, "worker_health", None)
-        if health_fn is None:
-            return dict(self.diagnoses)
         now = time.monotonic()
         flag_after = self.deadline / 2.0
         fresh: Dict[int, StallDiagnosis] = {}
-        for shard_id, stats in health_fn().items():
+        for shard_id, stats in self.engine.worker_health().items():
             verdict = self._judge(shard_id, stats, now, flag_after)
             if verdict is not None:
                 fresh[shard_id] = verdict
@@ -141,9 +137,9 @@ class StallWatchdog:
     def _judge(
         shard_id: int, stats: Dict[str, object], now: float, flag_after: float
     ) -> Optional[StallDiagnosis]:
-        in_flight = int(stats.get("in_flight", 0))
-        acked = int(stats.get("acked_events", 0))
-        if not stats.get("alive", True):
+        in_flight = stats["in_flight"]
+        acked = stats["acked_events"]
+        if not stats["alive"]:
             return StallDiagnosis(
                 shard_id=shard_id,
                 kind=WORKER_DEAD,
@@ -155,15 +151,15 @@ class StallWatchdog:
                 in_flight=in_flight,
                 acked_events=acked,
             )
-        last_progress = stats.get("last_progress")
+        last_progress = stats["last_progress"]
         if last_progress is None or in_flight <= 0:
-            # Inline/thread shards (no independent heartbeat) and idle
-            # workers cannot stall: nothing is owed.
+            # Inline shards (no independent heartbeat) and idle workers
+            # cannot stall: nothing is owed.
             return None
-        silence = now - float(last_progress)
+        silence = now - last_progress
         if silence <= flag_after:
             return None
-        watermark = stats.get("watermark", 0.0)
+        watermark = stats["watermark"]
         return StallDiagnosis(
             shard_id=shard_id,
             kind=WORKER_STALLED,

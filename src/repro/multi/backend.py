@@ -12,9 +12,10 @@ goes (router) and *what* every shard hosts (partitioner + registry); a
   a full :class:`~repro.multi.shard.ShardEngine` plus its own
   :class:`~repro.multi.clock.SharedVirtualClock`; the parent ships the
   global ingestion watermark as a plain number with every command, and the
-  worker demultiplexes per-query results, feedback/MNS stats, telemetry
-  snapshots and (when tracing) spans back over the same pipe.  This is the
-  mode that scales with cores (see ``docs/SCALING.md``).
+  worker ships per-query results and its shard's suspension/resumption
+  counts on acknowledgements, :meth:`~repro.multi.shard.ShardEngine.snapshot`
+  on barrier replies and (when tracing) spans back over the same pipe.  This
+  is the mode that scales with cores (see ``docs/SCALING.md``).
 
 The contract both backends honour, which is what keeps per-query results
 bit-identical across the two modes: each shard processes **its own feed in
@@ -176,11 +177,6 @@ class InlineBackend:
     def worker_restarts(self) -> Dict[int, int]:
         return {shard.shard_id: 0 for shard in self.shards}
 
-    def add_feedback_delta_listener(self, listener) -> None:
-        # Local contexts deliver feedback in-process; there are no shipped
-        # deltas for this backend to relay.
-        pass
-
     def close(self) -> None:
         pass
 
@@ -248,7 +244,7 @@ class _SchedulerSnapshot:
         self._handle = handle
 
     def stats(self) -> Dict[str, float]:
-        return dict(self._handle.snapshot.get("scheduler_stats", {}))
+        return dict(self._handle.snapshot["scheduler_stats"])
 
 
 class _CostSnapshot:
@@ -258,18 +254,43 @@ class _CostSnapshot:
         self._handle = handle
 
     def count(self, kind: str) -> int:
-        return int(self._handle.snapshot.get("cost_counters", {}).get(kind, 0))
+        return self._handle.snapshot["cost_counters"].get(kind, 0)
+
+
+def _shipped(key: str) -> property:
+    return property(
+        lambda self: self._handle.snapshot[key],
+        doc=f"``{key}`` of the worker's last shipped snapshot.",
+    )
+
+
+def _acked(key: str) -> property:
+    return property(
+        lambda self: getattr(self._handle, key),
+        doc=f"``{key}``, summed over the worker's acknowledgements.",
+    )
 
 
 class ProcessShardProxy:
     """The parent-side face of one worker process's shard.
 
-    Exposes the read surface :class:`~repro.serve.server.StreamServer` and
-    the benchmarks sample on a local :class:`ShardEngine` — queue depth,
-    events processed, sharing counters, cost/scheduler stats, ``metrics()``
-    — backed by the worker's last shipped telemetry snapshot plus the live
-    in-flight count (events dispatched but not yet acknowledged).
+    Exposes the read surface of a local :class:`ShardEngine` under the same
+    names — :meth:`snapshot` and its fields, ``cost``/``scheduler``,
+    ``metrics()``, :meth:`health_stats`, and the live
+    ``suspensions_total``/``resumptions_total`` — backed by the worker's
+    last shipped :meth:`ShardEngine.snapshot` (refreshed at every host,
+    retire and flush reply), the counts its acknowledgements carry, and the
+    live in-flight count (events dispatched but not yet acknowledged).
     """
+
+    queue_count = _shipped("queue_count")
+    events_processed = _shipped("events_processed")
+    results_produced = _shipped("results_produced")
+    shared_subplans_active = _shipped("shared_subplans_active")
+    shared_subplan_hits = _shipped("shared_subplan_hits")
+    sources = _shipped("sources")
+    suspensions_total = _acked("suspensions_total")
+    resumptions_total = _acked("resumptions_total")
 
     def __init__(self, handle: "_WorkerHandle") -> None:
         self._handle = handle
@@ -280,46 +301,19 @@ class ProcessShardProxy:
     @property
     def queue_depth(self) -> int:
         """Worker-reported inter-operator depth plus unacknowledged events."""
-        snap = self._handle.snapshot
-        return int(snap.get("queue_depth", 0)) + self._handle.in_flight
+        return self._handle.snapshot["queue_depth"] + self._handle.in_flight
 
-    @property
-    def queue_count(self) -> int:
-        return int(self._handle.snapshot.get("queue_count", 0))
-
-    @property
-    def events_processed(self) -> int:
-        return int(self._handle.snapshot.get("events_processed", 0))
-
-    @property
-    def results_produced(self) -> int:
-        return int(self._handle.snapshot.get("results_produced", 0))
-
-    @property
-    def shared_subplans_active(self) -> int:
-        return int(self._handle.snapshot.get("shared_subplans_active", 0))
-
-    @property
-    def shared_subplan_hits(self) -> int:
-        return int(self._handle.snapshot.get("shared_subplan_hits", 0))
-
-    @property
-    def sources(self) -> Tuple[str, ...]:
-        return tuple(self._handle.snapshot.get("sources", ()))
-
-    def consumes(self, source: str) -> bool:
-        return source in self._handle.snapshot.get("sources", ())
+    def snapshot(self) -> Dict[str, object]:
+        """The worker's last shipped :meth:`ShardEngine.snapshot`."""
+        return dict(self._handle.snapshot)
 
     def metrics(self) -> MetricsReport:
-        report = self._handle.snapshot.get("metrics")
-        if report is None:
-            return MetricsReport(cpu_units=0.0, peak_memory_bytes=0, wall_seconds=0.0)
-        return report
+        return self._handle.snapshot["metrics"]
 
     def health_stats(self) -> Dict[str, object]:
         """Heartbeat + progress facts for the health monitor's watchdog.
 
-        Combines the worker's last shipped snapshot (watermark, starvation
+        Combines the worker's last shipped progress (watermark, starvation
         and MNS ages — refreshed at every barrier/flush) with the live
         parent-side heartbeat: ``last_progress`` is the wall instant of the
         worker's last pipe message of any kind, ``in_flight`` the events
@@ -327,17 +321,12 @@ class ProcessShardProxy:
         with ``in_flight > 0`` and a stale ``last_progress``.
         """
         handle = self._handle
-        snap = handle.snapshot
         return {
             "alive": handle.is_alive(),
             "in_flight": handle.in_flight,
             "acked_events": handle.acked_events,
             "last_progress": handle.last_progress,
-            "watermark": float(snap.get("watermark", 0.0)),
-            "ready_queues": int(snap.get("ready_queues", 0)),
-            "max_starvation_age": float(snap.get("max_starvation_age", 0.0)),
-            "mns_open": int(snap.get("mns_open", 0)),
-            "mns_oldest_ts": snap.get("mns_oldest_ts"),
+            **handle.snapshot["progress"],
         }
 
     def __repr__(self) -> str:
@@ -369,39 +358,10 @@ class _WorkerState:
         #: Per-query result tuples produced since the last acknowledgement.
         self.fresh_results: List[Tuple[str, object]] = []
         self.events_since_ack = 0
-        self.suspensions_since_ack = 0
-        self.resumptions_since_ack = 0
+        #: The shard's feedback totals as of the last acknowledgement; each
+        #: ack carries the difference.
+        self.feedback_acked = (0, 0)
         self.mns_closed_shipped = 0
-        self._counted_contexts: set = set()
-        #: Open MNS suspensions, keyed per (producer, consumer) edge: the
-        #: watermark at which each still-unresumed suspension arrived, in
-        #: arrival order.  Listeners only see the edge (not the signature),
-        #: so a resumption closes the edge's oldest open suspension — the
-        #: conservative reading for the "oldest suspension age" the health
-        #: monitor derives from the snapshot.
-        self.open_suspensions: Dict[Tuple[int, int], List[float]] = {}
-
-    # feedback kinds that count as suspensions (mirrors the serving layer)
-    _SUSPENSION_KINDS = ("suspend", "mark")
-
-    def _count_feedback(self, producer, consumer, kind, feedback=None) -> None:
-        edge = (id(producer), id(consumer))
-        if kind in self._SUSPENSION_KINDS:
-            self.suspensions_since_ack += 1
-            self.open_suspensions.setdefault(edge, []).append(self.clock.watermark)
-        else:
-            self.resumptions_since_ack += 1
-            opened = self.open_suspensions.get(edge)
-            if opened:
-                opened.pop(0)
-                if not opened:
-                    del self.open_suspensions[edge]
-
-    def _watch_context(self, context) -> None:
-        if id(context) in self._counted_contexts:
-            return
-        self._counted_contexts.add(id(context))
-        context.add_feedback_listener(self._count_feedback)
 
     def host(self, entries: Sequence[RegisteredQuery]) -> None:
         """Host one ``host`` frame's registrations, in the order given."""
@@ -416,9 +376,6 @@ class _WorkerState:
                 _out.append((_qid, tup))
 
             runtime.set_result_sink(sink)
-            self._watch_context(runtime.context)
-        for shared in self.shard.shared_subplans():
-            self._watch_context(shared.context)
 
     def retire(self, query_id: str) -> Dict[str, bool]:
         retired = self.shard.retire_plan(query_id)
@@ -452,43 +409,18 @@ class _WorkerState:
         self.shard.attach_tracer(tracer)
 
     def take_ack(self) -> Tuple[int, List[Tuple[str, object]], int, int]:
+        totals = (self.shard.suspensions_total, self.shard.resumptions_total)
+        acked = self.feedback_acked
         payload = (
             self.events_since_ack,
             self.fresh_results[:],
-            self.suspensions_since_ack,
-            self.resumptions_since_ack,
+            totals[0] - acked[0],
+            totals[1] - acked[1],
         )
         self.events_since_ack = 0
         self.fresh_results.clear()
-        self.suspensions_since_ack = 0
-        self.resumptions_since_ack = 0
+        self.feedback_acked = totals
         return payload
-
-    def snapshot(self) -> Dict[str, object]:
-        shard = self.shard
-        watermark = self.clock.watermark
-        ages = shard.scheduler.starvation_ages(watermark)
-        oldest_suspended = min(
-            (opened[0] for opened in self.open_suspensions.values() if opened),
-            default=None,
-        )
-        return {
-            "queue_count": shard.queue_count,
-            "queue_depth": shard.queue_depth,
-            "events_processed": shard.events_processed,
-            "results_produced": shard.results_produced,
-            "shared_subplans_active": shard.shared_subplans_active,
-            "shared_subplan_hits": shard.shared_subplan_hits,
-            "sources": shard.sources,
-            "cost_counters": shard.cost.snapshot(),
-            "scheduler_stats": dict(shard.scheduler.stats()),
-            "metrics": shard.metrics(),
-            "watermark": watermark,
-            "ready_queues": len(ages),
-            "max_starvation_age": max(ages.values(), default=0.0),
-            "mns_open": sum(len(opened) for opened in self.open_suspensions.values()),
-            "mns_oldest_ts": oldest_suspended,
-        }
 
     def take_trace(self):
         """Spans/profiles recorded since the last shipment (None untraced)."""
@@ -515,6 +447,7 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
     signal.signal(signal.SIGTERM, _on_sigterm)
     try:
         state = _WorkerState(spec)
+        snapshot = state.shard.snapshot
         while True:
             if shutdown["flag"]:
                 break
@@ -537,14 +470,14 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
                 state.events_since_ack += state.process(msg[1], msg[2], msg[3])
             elif op == "flush":
                 conn.send(("ack",) + state.take_ack())
-                conn.send(("flushed", msg[1], state.snapshot(), state.take_trace()))
+                conn.send(("flushed", msg[1], snapshot(), state.take_trace()))
             elif op == "host":
                 state.host(msg[2])
-                conn.send(("hosted", msg[1], state.snapshot()))
+                conn.send(("hosted", msg[1], snapshot()))
             elif op == "retire":
                 consumes = state.retire(msg[1])
                 conn.send(("ack",) + state.take_ack())
-                conn.send(("retired", msg[1], consumes, state.snapshot()))
+                conn.send(("retired", msg[1], consumes, snapshot()))
             elif op == "tracer":
                 state.attach_tracer(msg[1])
             elif op == "stall":
@@ -573,7 +506,7 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
                 state.events_since_ack += state.process(msg[1], msg[2], msg[3])
             elif msg[0] == "flush":
                 conn.send(("ack",) + state.take_ack())
-                conn.send(("flushed", msg[1], state.snapshot(), state.take_trace()))
+                conn.send(("flushed", msg[1], snapshot(), state.take_trace()))
         if state.events_since_ack or state.fresh_results:
             conn.send(("ack",) + state.take_ack())
         conn.send(("bye", shutdown["reason"]))
@@ -607,8 +540,12 @@ class _WorkerHandle:
         #: ``last_progress`` stops advancing.
         self.acked_events = 0
         self.last_progress = time.monotonic()
-        #: The worker's last shipped telemetry (empty until its first reply;
-        #: every reader defaults a missing key).
+        #: The shard's feedback counts, summed over every acknowledgement
+        #: (kept across restarts, like any counter).
+        self.suspensions_total = 0
+        self.resumptions_total = 0
+        #: The worker's last shipped :meth:`ShardEngine.snapshot` (the
+        #: ``hosted`` reply construction waits for sets the first one).
         self.snapshot: Dict[str, object] = {}
         self.alive = False
         self.graceful_exit: Optional[str] = None
@@ -673,8 +610,8 @@ class _WorkerHandle:
         if op == "ack":
             _, n_events, results, susp, res = msg
             self.backend.deliver_results(results)
-            if susp or res:
-                self.backend.fire_feedback_deltas(self.shard_id, susp, res)
+            self.suspensions_total += susp
+            self.resumptions_total += res
             with self.cond:
                 self.in_flight = max(0, self.in_flight - n_events)
                 self.acked_events += n_events
@@ -847,7 +784,6 @@ class ProcessBackend:
             shard_id: [] for shard_id in range(n_shards)
         }
         self._restarts: Dict[int, int] = {shard_id: 0 for shard_id in range(n_shards)}
-        self._feedback_listeners: List[Callable[[int, int, int], None]] = []
         self.tracer = None
         self.handles = [_WorkerHandle(self, shard_id) for shard_id in range(n_shards)]
         self.proxies = [ProcessShardProxy(handle) for handle in self.handles]
@@ -880,10 +816,6 @@ class ProcessBackend:
             runtime = self._runtimes.get(query_id)
             if runtime is not None:
                 runtime._deliver(tup)
-
-    def fire_feedback_deltas(self, shard_id: int, susp: int, res: int) -> None:
-        for listener in self._feedback_listeners:
-            listener(shard_id, susp, res)
 
     def merge_trace(self, shard_id: int, payload) -> None:
         tracer = self.tracer
@@ -990,13 +922,6 @@ class ProcessBackend:
         clears, restoring the accounting.  Never used on the serving path.
         """
         self.handles[shard_id].send(("stall", float(seconds)), events=1)
-
-    def add_feedback_delta_listener(
-        self, listener: Callable[[int, int, int], None]
-    ) -> None:
-        """Register ``listener(shard_id, suspensions, resumptions)`` for the
-        feedback/MNS deltas workers ship with their acknowledgements."""
-        self._feedback_listeners.append(listener)
 
     def restart_worker(self, shard_id: int) -> None:
         """Respawn one worker and re-host its queries, the way construction

@@ -19,9 +19,12 @@ Isolation and sharing are deliberately split:
   equivalence with standalone engines follows: a hosted plan sees the same
   tuples, the same clock values and the same randomness as it would alone.
 * **Per shard** — the scheduler (and its ready-set), the
-  :class:`~repro.multi.clock.ShardClock` view, and the cost/memory models,
-  so a shard is also the unit of metrics aggregation and, in process mode,
-  of concurrency.
+  :class:`~repro.multi.clock.ShardClock` view, the cost/memory models and
+  the feedback counts (suspensions, resumptions, open suspensions), so a
+  shard is also the unit of metrics aggregation and, in process mode, of
+  concurrency.  :meth:`ShardEngine.snapshot` and
+  :meth:`ShardEngine.health_stats` are the one read surface the serving and
+  health layers sample; a process worker ships the same snapshot.
 
 A shard's queues are only pushed and popped inside ``process_event`` /
 ``process_batch``, and each shard is driven by exactly one thread — the
@@ -48,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
+from repro.core.feedback import FeedbackKind
 from repro.engine.engine import drain_ready, wire_queued_plan
 from repro.engine.results import ResultCollector
 from repro.metrics import CostModel, MemoryModel, MetricsReport
@@ -62,6 +66,8 @@ from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.streams.sources import StreamEvent
 
 __all__ = ["PlanRuntime", "SharedSubplan", "ShardEngine"]
+
+_SUSPENSION_KINDS = (FeedbackKind.SUSPEND, FeedbackKind.MARK)
 
 
 @dataclass
@@ -184,6 +190,16 @@ class ShardEngine:
         self._next_order = 0
         #: Source name -> input queues of every hosted plan consuming it.
         self._routes: Dict[str, List[InterOperatorQueue]] = {}
+        #: Feedback messages delivered on any hosted context (§III-B):
+        #: suspensions count suspend + mark, resumptions resume + unmark.
+        self.suspensions_total = 0
+        self.resumptions_total = 0
+        #: Open suspensions per (producer id, consumer id) edge: the shard
+        #: clock's ``now`` at each still-unresumed suspension, oldest first.
+        #: Listeners see only the edge, not the signature, so a resumption
+        #: closes the edge's oldest open suspension — the conservative
+        #: reading for the oldest-suspension age.
+        self._open_suspensions: Dict[Tuple[int, int], List[float]] = {}
         #: Optional flight recorder (see :meth:`attach_tracer`).
         self.tracer = None
 
@@ -201,6 +217,32 @@ class ShardEngine:
         for shared in self._shared.values():
             shared.context.tracer = tracer
             shared.context.trace_shard = self.shard_id
+
+    # -- feedback ------------------------------------------------------------
+
+    def _observe(self, context: ExecutionContext) -> None:
+        """Make ``context``'s feedback reach the scheduler and the counts."""
+        context.add_feedback_listener(self.scheduler.notify_feedback)
+        context.add_feedback_listener(self._note_feedback)
+
+    def _unobserve(self, context: ExecutionContext) -> None:
+        context.remove_feedback_listener(self.scheduler.notify_feedback)
+        context.remove_feedback_listener(self._note_feedback)
+
+    def _note_feedback(self, producer, consumer, kind) -> None:
+        # Stamped with the shard clock, which a process worker advances
+        # exactly as the inline shard does: both modes record equal values.
+        edge = (id(producer), id(consumer))
+        if kind in _SUSPENSION_KINDS:
+            self.suspensions_total += 1
+            self._open_suspensions.setdefault(edge, []).append(self.clock.now)
+        else:
+            self.resumptions_total += 1
+            opened = self._open_suspensions.get(edge)
+            if opened:
+                opened.pop(0)
+                if not opened:
+                    del self._open_suspensions[edge]
 
     # -- hosting -------------------------------------------------------------
 
@@ -278,7 +320,7 @@ class ShardEngine:
             plan, context, queue_prefix=f"{registered.query_id}:"
         )
         self._register_routes(plan, queues)
-        context.add_feedback_listener(self.scheduler.notify_feedback)
+        self._observe(context)
         runtime = PlanRuntime(
             registered=registered,
             plan=plan,
@@ -302,10 +344,10 @@ class ShardEngine:
                 plan, context, queue_prefix=f"shared-{key}:"
             )
             self._register_routes(plan, queues)
-            # One listener for the whole subtree: a shared operator's
-            # jit_aware boosts and MNS suspensions act once on behalf of
-            # every subscriber, not once per grafted query.
-            context.add_feedback_listener(self.scheduler.notify_feedback)
+            # Observed once for the whole subtree: a shared operator's
+            # jit_aware boosts and MNS suspensions act (and count) once on
+            # behalf of every subscriber, not once per grafted query.
+            self._observe(context)
             assert isinstance(plan.root, TeeOperator)
             shared = SharedSubplan(
                 signature=signature,
@@ -336,7 +378,7 @@ class ShardEngine:
             shared.tee.add_subscriber(
                 registered.query_id, queue=queues[(id(bottom), PORT_INPUT)]
             )
-            context.add_feedback_listener(self.scheduler.notify_feedback)
+            self._observe(context)
             overlay_templates = tuple(templates)
         else:
             shared.tee.add_subscriber(registered.query_id, sink=collector.add)
@@ -367,7 +409,7 @@ class ShardEngine:
         A query served by a shared subtree only detaches its tee
         subscription and private overlay; the subtree itself is reference
         counted and torn down (queues, routes, scheduler state, feedback
-        listener) when its *last* subscriber retires.
+        listeners) when its *last* subscriber retires.
 
         Like every other mutation of a shard, this must run on the thread
         that drives the shard, between drains; through a sharded engine go
@@ -400,14 +442,12 @@ class ShardEngine:
             shared.subscribers.remove(query_id)
             if not shared.subscribers:
                 self._unwire(shared.templates)
-                shared.context.remove_feedback_listener(
-                    self.scheduler.notify_feedback
-                )
+                self._unobserve(shared.context)
                 del self._shared[shared.signature]
-        # The archived context must stop feeding this shard's scheduler:
-        # a replayed/migrated runtime would otherwise boost operators of a
-        # domain it no longer belongs to (id-reuse aliasing included).
-        runtime.context.remove_feedback_listener(self.scheduler.notify_feedback)
+        # The archived context must stop feeding this shard's scheduler and
+        # counts: a replayed/migrated runtime would otherwise boost operators
+        # of a domain it no longer belongs to (id-reuse aliasing included).
+        self._unobserve(runtime.context)
         return runtime
 
     @property
@@ -526,6 +566,57 @@ class ShardEngine:
         return MetricsReport.from_models(
             self.cost, self.memory, results_produced=self.results_produced
         )
+
+    def _progress(self) -> Dict[str, object]:
+        """Progress facts: the shard clock, starvation, open suspensions."""
+        now = self.clock.now
+        ages = self.scheduler.starvation_ages(now)
+        open_suspensions = self._open_suspensions.values()
+        return {
+            "watermark": now,
+            "ready_queues": len(ages),
+            "max_starvation_age": max(ages.values(), default=0.0),
+            "mns_open": sum(len(opened) for opened in open_suspensions),
+            "mns_oldest_ts": min(
+                (opened[0] for opened in open_suspensions), default=None
+            ),
+        }
+
+    def snapshot(self) -> Dict[str, object]:
+        """Every counter the serving and health layers read, as plain data.
+
+        A process worker ships exactly this dict with every
+        ``hosted``/``retired``/``flushed`` reply, so the parent-side
+        :class:`~repro.multi.backend.ProcessShardProxy` reads what a local
+        shard would report.
+        """
+        return {
+            "queue_count": self.queue_count,
+            "queue_depth": self.queue_depth,
+            "events_processed": self.events_processed,
+            "results_produced": self.results_produced,
+            "shared_subplans_active": self.shared_subplans_active,
+            "shared_subplan_hits": self.shared_subplan_hits,
+            "sources": self.sources,
+            "cost_counters": self.cost.snapshot(),
+            "scheduler_stats": dict(self.scheduler.stats()),
+            "metrics": self.metrics(),
+            "progress": self._progress(),
+        }
+
+    def health_stats(self) -> Dict[str, object]:
+        """Heartbeat and progress facts for the health monitor's watchdog.
+
+        A local shard is driven by its caller, so it is alive, owes nothing
+        and has no independent heartbeat (``last_progress`` is ``None``).
+        """
+        return {
+            "alive": True,
+            "in_flight": 0,
+            "acked_events": self.events_processed,
+            "last_progress": None,
+            **self._progress(),
+        }
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,7 @@ the same entry point as a single-plan engine.
   deterministic — the mode the equivalence tests anchor on.
 * ``"process"`` (:class:`~repro.multi.backend.ProcessBackend`): each shard
   runs in a worker *process* fed pickled event micro-batches over a pipe,
-  with results, feedback stats, telemetry snapshots and trace spans
+  with results, feedback counts, shard snapshots and trace spans
   demultiplexed back to the parent; ``submit`` ships and returns, and
   :meth:`flush` is the barrier.  The mode that scales with cores; see
   ``docs/SCALING.md``.
@@ -494,51 +494,15 @@ class ShardedEngine:
             )
         restart(shard_id)
 
-    def add_feedback_delta_listener(self, listener) -> None:
-        """Observe worker-shipped feedback deltas (process mode).
-
-        ``listener(shard_id, suspensions, resumptions)`` fires as process
-        workers acknowledge batches; the serving layer uses this to keep
-        ``serve_suspensions_total``/``serve_resumptions_total`` live when
-        the contexts producing the feedback are in other processes.  A no-op
-        inline, where the contexts are observed directly.
-        """
-        self._backend.add_feedback_delta_listener(listener)
-
     # -- health introspection ---------------------------------------------------
 
     def worker_health(self) -> Dict[int, Dict[str, object]]:
-        """Per-shard heartbeat and progress facts for the health monitor.
-
-        Uniform across drain modes.  In process mode each entry is the
-        proxy's :meth:`~repro.multi.backend.ProcessShardProxy.health_stats`
-        — live parent-side heartbeat (``last_progress``, ``in_flight``)
-        plus the worker's last shipped snapshot.  Inline, the facts are
-        computed directly from the live :class:`ShardEngine` (reads only);
-        ``last_progress``/``mns_oldest_ts`` are ``None`` there, because an
-        inline shard cannot stall independently of its caller and local MNS
-        ages are tracked by the monitor's own feedback listeners.
-        """
-        stats: Dict[int, Dict[str, object]] = {}
-        for shard_id, shard in enumerate(self.shards):
-            health = getattr(shard, "health_stats", None)
-            if health is not None:
-                stats[shard_id] = health()
-                continue
-            watermark = self.clock.watermark
-            ages = shard.scheduler.starvation_ages(watermark)
-            stats[shard_id] = {
-                "alive": True,
-                "in_flight": 0,
-                "acked_events": shard.events_processed,
-                "last_progress": None,
-                "watermark": watermark,
-                "ready_queues": len(ages),
-                "max_starvation_age": max(ages.values(), default=0.0),
-                "mns_open": None,
-                "mns_oldest_ts": None,
-            }
-        return stats
+        """Per-shard heartbeat and progress facts for the health monitor:
+        each shard's ``health_stats()``, the same keys in either drain mode
+        (see :meth:`~repro.multi.shard.ShardEngine.health_stats`)."""
+        return {
+            index: shard.health_stats() for index, shard in enumerate(self.shards)
+        }
 
     def inject_worker_stall(self, shard_id: int, seconds: float) -> None:
         """Wedge one process worker for ``seconds`` (chaos/test hook).
@@ -556,6 +520,11 @@ class ShardedEngine:
         inject(shard_id, seconds)
 
     # -- results and reporting ------------------------------------------------
+
+    @property
+    def runtimes(self) -> Dict[str, PlanRuntime]:
+        """Every hosted query's runtime, by query id, in hosting order."""
+        return dict(self._runtimes)
 
     def runtime_for(self, query_id: str) -> PlanRuntime:
         """The live runtime (plan, context, collector) of one query."""

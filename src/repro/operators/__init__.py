@@ -9,9 +9,9 @@ assumes and that JIT (in :mod:`repro.core`) is built on:
 * :mod:`repro.operators.base` -- the operator/port/wiring framework.
 * :mod:`repro.operators.queues` -- inter-operator queues (scheduled mode).
 * :mod:`repro.operators.join` -- the REF binary window join.
-* :mod:`repro.operators.selection`, :mod:`projection`, :mod:`static_join`,
-  :mod:`aggregate` -- unary operators used in Section V's extensions and the
-  example applications.
+* :mod:`repro.operators.selection`, :mod:`projection`, :mod:`aggregate` --
+  unary operators used in Section V's extensions and the example
+  applications.
 * :mod:`repro.operators.mjoin`, :mod:`repro.operators.eddy` -- the M-Join and
   Eddy plan styles of Figure 2.
 """
@@ -37,7 +37,6 @@ from repro.operators.predicates import (
 from repro.operators.queues import InterOperatorQueue
 from repro.operators.selection import SelectionOperator
 from repro.operators.projection import ProjectionOperator
-from repro.operators.static_join import StaticJoinOperator
 from repro.operators.tee import TeeOperator, TeeSubscriber
 from repro.operators.aggregate import AggregateFunction, WindowAggregateOperator
 from repro.operators.state import OperatorState, StateEntry
@@ -62,7 +61,6 @@ __all__ = [
     "InterOperatorQueue",
     "SelectionOperator",
     "ProjectionOperator",
-    "StaticJoinOperator",
     "TeeOperator",
     "TeeSubscriber",
     "AggregateFunction",

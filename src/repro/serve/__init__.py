@@ -1,7 +1,6 @@
 """repro.serve — the production serving layer.
 
-Wraps an engine (:class:`~repro.multi.ShardedEngine` or a queued
-:class:`~repro.engine.engine.ExecutionEngine`) with bounded backpressure
+Wraps a :class:`~repro.multi.ShardedEngine` with bounded backpressure
 ingestion, explicit load shedding, admission control, and Prometheus-style
 telemetry.  See ``docs/SERVING.md`` for the metric catalog and policy
 guidance, and ``examples/serving_backpressure.py`` for an end-to-end tour.

@@ -21,43 +21,44 @@ overload no policy; the server adds, in order, on every submitted event:
 Telemetry is always on: a :class:`~repro.serve.telemetry.TelemetryRegistry`
 (owned or shared) carries counters for every accept/shed/reject/delivery,
 pull-gauges over the live buffer and shard queues, an ingest→emit latency
-histogram with p50/p95/p99, and MNS suspension/resumption rates observed
-through the engines' feedback listeners.  Latency is *virtual*: the lag
+histogram with p50/p95/p99, and the MNS suspension/resumption totals each
+shard counts where its feedback is delivered.  Latency is *virtual*: the lag
 between the server's ingestion watermark (the newest accepted timestamp)
 and a result's timestamp at the moment it is emitted — the serving-layer
 counterpart of the :class:`~repro.multi.clock.SharedVirtualClock`
 watermark, measurable identically in the sync and process drain modes.
 
-The server fronts either a :class:`~repro.multi.ShardedEngine` or a queued
-single-plan :class:`~repro.engine.engine.ExecutionEngine`; both expose the
-``submit``/``flush`` verbs and per-shard structure the server needs.
+The server fronts a :class:`~repro.multi.ShardedEngine` and reads every
+shard through one surface — a local :class:`~repro.multi.shard.ShardEngine`
+or a process worker's :class:`~repro.multi.backend.ProcessShardProxy`, which
+answer to the same names.  A single plan is served as a one-query registry
+on one sync shard.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.core.feedback import FeedbackKind
-from repro.engine.engine import ExecutionEngine
+from repro.multi.sharded import ShardedEngine
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.buffers import (
     OFFER_BLOCKED,
     BoundedIngestionBuffer,
     OverloadPolicy,
 )
-from repro.serve.telemetry import (
-    DEFAULT_LATENCY_BUCKETS,
-    TelemetryRegistry,
-)
+from repro.serve.telemetry import TelemetryRegistry
 from repro.streams.sources import StreamEvent
 
 __all__ = ["ServingReport", "StreamServer", "METRIC_DOC"]
 
 #: Every metric family the server registers: name -> (kind, labels, meaning).
-#: ``docs/SERVING.md`` renders this catalog and the telemetry tests assert
-#: each entry exists in the exposition — keep all three in sync.
+#: The only place a family's kind, labels and help live: the server
+#: registers from it, ``docs/SERVING.md`` renders it (a test parses the two
+#: tables against each other) and the telemetry tests assert each entry
+#: exists in the exposition.
 METRIC_DOC: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "serve_ingested_total": (
         "counter", ("source",), "Events accepted into the ingestion buffer."
@@ -99,10 +100,10 @@ METRIC_DOC: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "serve_result_latency_quantile{quantile=\"0.5|0.95|0.99\"}).",
     ),
     "serve_suspensions_total": (
-        "counter", ("shard",), "MNS suspension feedback messages (suspend + mark)."
+        "gauge", ("shard",), "MNS suspension feedback messages (suspend + mark)."
     ),
     "serve_resumptions_total": (
-        "counter", ("shard",), "MNS resumption feedback messages (resume + unmark)."
+        "gauge", ("shard",), "MNS resumption feedback messages (resume + unmark)."
     ),
     "serve_suspension_rate_per_second": (
         "gauge", (), "Suspension messages per wall-clock second since start."
@@ -270,8 +271,7 @@ class StreamServer:
     Parameters
     ----------
     engine:
-        A :class:`~repro.multi.ShardedEngine` or a queued
-        :class:`~repro.engine.engine.ExecutionEngine` to front.
+        The :class:`~repro.multi.ShardedEngine` to front.
     capacity:
         Bound of the ingestion buffer.
     policy:
@@ -297,7 +297,7 @@ class StreamServer:
 
     def __init__(
         self,
-        engine,
+        engine: ShardedEngine,
         capacity: int = 1024,
         policy: str = OverloadPolicy.BLOCK,
         telemetry: Optional[TelemetryRegistry] = None,
@@ -305,6 +305,11 @@ class StreamServer:
         drain_batch: int = 64,
         tracer=None,
     ) -> None:
+        if not isinstance(engine, ShardedEngine):
+            raise TypeError(
+                f"cannot serve {type(engine).__name__}; expected a ShardedEngine "
+                "(serve a single plan as a one-query registry on one shard)"
+            )
         if drain_batch < 1:
             raise ValueError(f"drain_batch must be positive, got {drain_batch}")
         self.engine = engine
@@ -320,9 +325,8 @@ class StreamServer:
         self._offered_at: Dict[int, float] = {}
         self.telemetry = telemetry if telemetry is not None else TelemetryRegistry()
         self._started = time.perf_counter()
-        self._shards = self._discover_shards()
         self.buffer = BoundedIngestionBuffer(
-            capacity, policy, weight_fn=self._subscriber_weight_fn()
+            capacity, policy, weight_fn=engine.router.subscriber_count
         )
         #: Newest accepted event timestamp — the serving-side watermark the
         #: latency histogram measures emission against.
@@ -339,338 +343,145 @@ class StreamServer:
         self._health = None
         self._closed = False
         self._register_metrics()
-        self._instrument_results()
-        self._instrument_feedback()
-
-    # -- engine shape discovery ----------------------------------------------
-
-    def _discover_shards(self) -> List[object]:
-        """The per-shard objects (ShardEngine list, or the engine itself)."""
-        shards = getattr(self.engine, "shards", None)
-        if shards is not None:
-            return list(shards)
-        if isinstance(self.engine, ExecutionEngine):
-            return [self.engine]
-        raise TypeError(
-            f"cannot serve {type(self.engine).__name__}; expected a ShardedEngine "
-            "or an ExecutionEngine"
-        )
-
-    def _subscriber_weight_fn(self):
-        router = getattr(self.engine, "router", None)
-        if router is None:
-            return None
-        return router.subscriber_count
-
-    def _runtime_sinks(self) -> Iterable[Tuple[object, object]]:
-        """Yield ``(sink_host, collector)`` for every hosted query.
-
-        The host is whatever exposes ``set_result_sink`` for that query: the
-        per-query :class:`~repro.multi.shard.PlanRuntime` (which routes to
-        its private plan or its shared-tee subscription) for sharded
-        engines, or the plan itself for a single-plan engine.
-        """
-        runtimes = getattr(self.engine, "_runtimes", None)
-        if runtimes is not None:
-            for runtime in runtimes.values():
-                yield runtime, runtime.collector
-        else:
-            yield self.engine.plan, self.engine.collector
-
-    def _feedback_contexts(self) -> Iterable[Tuple[str, object]]:
-        """Yield ``(shard_label, context)`` for every hosted plan context.
-
-        Shared sub-plan contexts are included once per subtree — their
-        feedback acts on behalf of every subscriber, so counting it once
-        matches the execution semantics (and avoids double-counting).
-        """
-        runtimes = getattr(self.engine, "_runtimes", None)
-        if runtimes is not None:
-            for runtime in runtimes.values():
-                if runtime.context is None:
-                    # Process-mode mirror: the live context is in the worker;
-                    # its feedback arrives as shipped deltas instead (see
-                    # _instrument_feedback).
-                    continue
-                yield str(runtime.shard_id), runtime.context
-            for shard in self._shards:
-                shared_subplans = getattr(shard, "shared_subplans", None)
-                if shared_subplans is None:
-                    continue
-                for shared in shared_subplans():
-                    yield str(shard.shard_id), shared.context
-        else:
-            yield "0", self.engine.context
+        for runtime in engine.runtimes.values():
+            self._instrument(runtime)
 
     # -- telemetry wiring ------------------------------------------------------
 
     def _register_metrics(self) -> None:
-        registry = self.telemetry
-        self._ingested = registry.counter(
-            "serve_ingested_total", METRIC_DOC["serve_ingested_total"][2], ("source",)
-        )
-        self._delivered = registry.counter(
-            "serve_delivered_total", METRIC_DOC["serve_delivered_total"][2], ("source",)
-        )
-        self._shed = registry.counter(
-            "serve_shed_total", METRIC_DOC["serve_shed_total"][2], ("policy", "source")
-        )
-        self._rejected = registry.counter(
-            "serve_rejected_total", METRIC_DOC["serve_rejected_total"][2]
-        )
-        self._results = registry.counter(
-            "serve_results_total", METRIC_DOC["serve_results_total"][2]
-        )
-        self._backpressure = registry.counter(
-            "serve_backpressure_engagements_total",
-            METRIC_DOC["serve_backpressure_engagements_total"][2],
-        )
-        self.latency = registry.histogram(
-            "serve_result_latency",
-            METRIC_DOC["serve_result_latency"][2],
-            buckets=DEFAULT_LATENCY_BUCKETS,
-        )
-        self._suspensions = registry.counter(
-            "serve_suspensions_total", METRIC_DOC["serve_suspensions_total"][2], ("shard",)
-        )
-        self._resumptions = registry.counter(
-            "serve_resumptions_total", METRIC_DOC["serve_resumptions_total"][2], ("shard",)
-        )
-        registry.gauge(
-            "serve_events_per_second",
-            METRIC_DOC["serve_events_per_second"][2],
-            callback=lambda: self.delivered_total / max(1e-9, self.uptime_seconds),
-        )
-        registry.gauge(
-            "serve_buffer_occupancy",
-            METRIC_DOC["serve_buffer_occupancy"][2],
-            ("source",),
-            callback=lambda: dict(self.buffer.occupancy) or {"": 0},
-        )
-        registry.gauge(
-            "serve_buffer_capacity",
-            METRIC_DOC["serve_buffer_capacity"][2],
-            callback=lambda: self.buffer.capacity,
-        )
-        registry.gauge(
-            "serve_shard_queue_depth",
-            METRIC_DOC["serve_shard_queue_depth"][2],
-            ("shard",),
-            callback=self.shard_queue_depths,
-        )
-        registry.gauge(
-            "serve_ingest_watermark",
-            METRIC_DOC["serve_ingest_watermark"][2],
-            callback=lambda: self.ingest_watermark
-            if self.ingest_watermark != float("-inf")
-            else 0.0,
-        )
-        registry.gauge(
-            "serve_suspension_rate_per_second",
-            METRIC_DOC["serve_suspension_rate_per_second"][2],
-            callback=lambda: self._suspensions.total / max(1e-9, self.uptime_seconds),
-        )
-        registry.gauge(
-            "serve_resumption_rate_per_second",
-            METRIC_DOC["serve_resumption_rate_per_second"][2],
-            callback=lambda: self._resumptions.total / max(1e-9, self.uptime_seconds),
-        )
-        registry.gauge(
-            "serve_scheduler_steps_total",
-            METRIC_DOC["serve_scheduler_steps_total"][2],
-            ("shard",),
-            callback=lambda: {
-                str(index): self._shard_cost(shard).count("scheduler_step")
-                for index, shard in enumerate(self._shards)
-            },
-        )
-        registry.gauge(
-            "serve_scheduler_boosts_granted_total",
-            METRIC_DOC["serve_scheduler_boosts_granted_total"][2],
-            ("shard",),
-            callback=lambda: self._scheduler_stat("boosts_granted"),
-        )
-        registry.gauge(
-            "serve_scheduler_boosted_servings_total",
-            METRIC_DOC["serve_scheduler_boosted_servings_total"][2],
-            ("shard",),
-            callback=lambda: self._scheduler_stat("boosted_servings"),
-        )
-        registry.gauge(
-            "serve_shared_subplans_active",
-            METRIC_DOC["serve_shared_subplans_active"][2],
-            ("shard",),
-            callback=lambda: {
-                str(index): float(getattr(shard, "shared_subplans_active", 0))
-                for index, shard in enumerate(self._shards)
-            },
-        )
-        registry.gauge(
-            "serve_shared_subplan_hits_total",
-            METRIC_DOC["serve_shared_subplan_hits_total"][2],
-            ("shard",),
-            callback=lambda: {
-                str(index): float(getattr(shard, "shared_subplan_hits", 0))
-                for index, shard in enumerate(self._shards)
-            },
-        )
-        registry.gauge(
-            "serve_shard_steps_per_event",
-            METRIC_DOC["serve_shard_steps_per_event"][2],
-            ("shard",),
-            callback=lambda: {
-                str(index): self._shard_cost(shard).count("scheduler_step")
-                / max(1, getattr(shard, "events_processed", 0))
-                for index, shard in enumerate(self._shards)
-            },
-        )
-        registry.gauge(
-            "serve_shard_worker_alive",
-            METRIC_DOC["serve_shard_worker_alive"][2],
-            ("shard",),
-            callback=lambda: self._worker_stat("worker_liveness", default=1.0),
-        )
-        registry.gauge(
-            "serve_shard_worker_restarts_total",
-            METRIC_DOC["serve_shard_worker_restarts_total"][2],
-            ("shard",),
-            callback=lambda: self._worker_stat("worker_restarts", default=0.0),
-        )
-        registry.gauge(
-            "serve_uptime_seconds",
-            METRIC_DOC["serve_uptime_seconds"][2],
-            callback=lambda: self.uptime_seconds,
-        )
-        for family, stat_key in (
-            ("trace_traces_total", "traces_started"),
-            ("trace_traces_sampled_total", "traces_sampled"),
-            ("trace_spans_recorded_total", "spans_recorded"),
-            ("trace_spans_dropped_total", "spans_dropped"),
-            ("trace_buffer_occupancy", "spans_retained"),
-            ("trace_mns_spans_open", "mns_spans_open"),
-            ("trace_sample_rate", "sample_rate"),
-        ):
-            registry.gauge(
-                family,
-                METRIC_DOC[family][2],
-                callback=lambda key=stat_key: self._trace_stat(key),
-            )
-        registry.gauge(
-            "trace_buffer_capacity",
-            METRIC_DOC["trace_buffer_capacity"][2],
-            callback=lambda: float(self.tracer.ring.capacity)
-            if self.tracer is not None
-            else 0.0,
-        )
-        registry.gauge(
-            "health_monitor_attached",
-            METRIC_DOC["health_monitor_attached"][2],
-            callback=lambda: 1.0 if self._health is not None else 0.0,
-        )
-        registry.gauge(
-            "health_bundles_written_total",
-            METRIC_DOC["health_bundles_written_total"][2],
-            callback=lambda: self._health_stat("health_bundles_written_total", 0.0),
-        )
-        for family in (
-            "health_query_lag",
-            "health_query_staleness_seconds",
-            "health_query_results_total",
-            "health_query_slo_state",
-            "health_slo_breaches_total",
-        ):
-            registry.gauge(
-                family,
-                METRIC_DOC[family][2],
-                ("query",),
-                callback=lambda name=family: self._health_stat(name, {}),
-            )
-        for family in (
-            "health_shard_ready_queues",
-            "health_shard_starvation_age",
-            "health_shard_mns_open",
-            "health_shard_mns_oldest_age",
-            "health_worker_stalled",
-            "health_worker_stalls_total",
-        ):
-            registry.gauge(
-                family,
-                METRIC_DOC[family][2],
-                ("shard",),
-                callback=lambda name=family: self._health_stat(name, {}),
-            )
+        """Register every :data:`METRIC_DOC` family as the catalog states it.
 
-    def _health_stat(self, family: str, default):
-        """Delegate one ``health_*`` family to the attached monitor.
-
-        Without a monitor the labeled families render as empty (header
-        only) and the scalars read zero — registration is unconditional so
-        the METRIC_DOC <-> registry sync tests cover the whole catalog.
+        Kind, labels and help come from the catalog alone; a gauge's value
+        comes from :meth:`_gauge_callbacks`, keyed by family name.
         """
-        if self._health is None:
-            return default
-        return self._health.telemetry_stat(family)
+        callbacks = self._gauge_callbacks()
+        families = {}
+        for name, (kind, labels, meaning) in METRIC_DOC.items():
+            if kind == "counter":
+                families[name] = self.telemetry.counter(name, meaning, labels)
+            elif kind == "histogram":
+                families[name] = self.telemetry.histogram(name, meaning)
+            else:
+                families[name] = self.telemetry.gauge(
+                    name, meaning, labels, callback=callbacks[name]
+                )
+        self._ingested = families["serve_ingested_total"]
+        self._delivered = families["serve_delivered_total"]
+        self._shed = families["serve_shed_total"]
+        self._rejected = families["serve_rejected_total"]
+        self._results = families["serve_results_total"]
+        self._backpressure = families["serve_backpressure_engagements_total"]
+        self.latency = families["serve_result_latency"]
+
+    def _gauge_callbacks(self) -> Dict[str, Callable[[], object]]:
+        """What every gauge family reads, by family name."""
+        engine = self.engine
+        shards = engine.shards
+
+        def per_shard(read) -> Callable[[], Dict[str, float]]:
+            return lambda: {
+                str(index): float(read(shard)) for index, shard in enumerate(shards)
+            }
+
+        def per_second(total) -> Callable[[], float]:
+            return lambda: total() / max(1e-9, self.uptime_seconds)
+
+        def steps(shard) -> int:
+            return shard.cost.count("scheduler_step")
+
+        def scheduler_stat(key: str):
+            return per_shard(lambda shard: shard.scheduler.stats().get(key, 0))
+
+        def trace_stat(key: str) -> Callable[[], float]:
+            return lambda: (
+                float(self.tracer.stats()[key]) if self.tracer is not None else 0.0
+            )
+
+        def health_stat(family: str, default) -> Callable[[], object]:
+            # Delegated to the attached monitor; without one the labelled
+            # families render header-only and the scalars read zero.
+            return lambda: (
+                self._health.telemetry_stat(family)
+                if self._health is not None
+                else default
+            )
+
+        callbacks = {
+            "serve_events_per_second": per_second(lambda: self.delivered_total),
+            "serve_buffer_occupancy": lambda: dict(self.buffer.occupancy) or {"": 0},
+            "serve_buffer_capacity": lambda: self.buffer.capacity,
+            "serve_shard_queue_depth": self.shard_queue_depths,
+            "serve_ingest_watermark": lambda: (
+                self.ingest_watermark if self.ingest_watermark != float("-inf") else 0.0
+            ),
+            "serve_suspensions_total": per_shard(attrgetter("suspensions_total")),
+            "serve_resumptions_total": per_shard(attrgetter("resumptions_total")),
+            "serve_suspension_rate_per_second": per_second(
+                lambda: sum(shard.suspensions_total for shard in shards)
+            ),
+            "serve_resumption_rate_per_second": per_second(
+                lambda: sum(shard.resumptions_total for shard in shards)
+            ),
+            "serve_scheduler_steps_total": per_shard(steps),
+            "serve_scheduler_boosts_granted_total": scheduler_stat("boosts_granted"),
+            "serve_scheduler_boosted_servings_total": scheduler_stat(
+                "boosted_servings"
+            ),
+            "serve_shared_subplans_active": per_shard(
+                attrgetter("shared_subplans_active")
+            ),
+            "serve_shared_subplan_hits_total": per_shard(
+                attrgetter("shared_subplan_hits")
+            ),
+            "serve_shard_steps_per_event": per_shard(
+                lambda shard: steps(shard) / max(1, shard.events_processed)
+            ),
+            "serve_shard_worker_alive": lambda: {
+                str(shard_id): float(alive)
+                for shard_id, alive in engine.worker_liveness().items()
+            },
+            "serve_shard_worker_restarts_total": lambda: {
+                str(shard_id): float(restarts)
+                for shard_id, restarts in engine.worker_restarts().items()
+            },
+            "serve_uptime_seconds": lambda: self.uptime_seconds,
+            "trace_traces_total": trace_stat("traces_started"),
+            "trace_traces_sampled_total": trace_stat("traces_sampled"),
+            "trace_spans_recorded_total": trace_stat("spans_recorded"),
+            "trace_spans_dropped_total": trace_stat("spans_dropped"),
+            "trace_buffer_occupancy": trace_stat("spans_retained"),
+            "trace_buffer_capacity": lambda: (
+                float(self.tracer.ring.capacity) if self.tracer is not None else 0.0
+            ),
+            "trace_sample_rate": trace_stat("sample_rate"),
+            "trace_mns_spans_open": trace_stat("mns_spans_open"),
+        }
+        for name, (_kind, labels, _meaning) in METRIC_DOC.items():
+            if name.startswith("health_"):
+                callbacks[name] = health_stat(name, {} if labels else 0.0)
+        return callbacks
 
     def attach_health(self, monitor) -> None:
         """Attach a :class:`~repro.health.HealthMonitor` (one at a time).
 
         Called by the monitor's constructor; the ``health_*`` gauge
         callbacks start delegating to it immediately.  :meth:`close` stops
-        the monitor (its watchdog thread and feedback listeners) with the
-        server.
+        the monitor (its watchdog thread) with the server.
         """
         self._health = monitor
 
-    def _trace_stat(self, key: str) -> float:
-        if self.tracer is None:
-            return 0.0
-        return float(self.tracer.stats()[key])
-
-    def _worker_stat(self, method: str, default: float) -> Dict[str, float]:
-        """Per-shard worker liveness/restarts from the wrapped engine.
-
-        Engines without worker lifecycle introspection (a bare
-        ``ExecutionEngine``) read the default for every shard: the
-        submitting thread is the worker, so it is alive by construction
-        and never restarted.
-        """
-        fn = getattr(self.engine, method, None)
-        if fn is None:
-            return {
-                str(index): default for index, _shard in enumerate(self._shards)
-            }
-        return {str(shard_id): float(value) for shard_id, value in fn().items()}
-
-    @staticmethod
-    def _shard_cost(shard):
-        cost = getattr(shard, "cost", None)
-        if cost is not None:
-            return cost
-        return shard.context.cost
-
-    def _scheduler_stat(self, key: str) -> Dict[str, float]:
-        return {
-            str(index): float(shard.scheduler.stats().get(key, 0))
-            for index, shard in enumerate(self._shards)
-        }
-
-    def _instrument_results(self) -> None:
-        """Wrap every hosted plan's result sink with latency observation.
+    def _instrument(self, runtime) -> None:
+        """Wrap one hosted query's result sink with latency observation.
 
         The collector's ``add`` still runs first and unchanged, so result
         state (sequences, ordering checks) is bit-identical to an
         uninstrumented run; the wrapper only *observes*.
         """
-        for host, collector in self._runtime_sinks():
-            registered = getattr(host, "registered", None)
-            query_id = registered.query_id if registered is not None else "plan"
-            host.set_result_sink(self._make_sink(collector.add, query_id))
-
-    def _make_sink(self, inner_add, query_id: str):
         observe = self.latency.observe
         results_inc = self._results.inc
         now = time.perf_counter
-        cell = self.query_progress.setdefault(query_id, [None, 0, None])
+        cell = self.query_progress.setdefault(runtime.query_id, [None, 0, None])
+        inner_add = runtime.collector.add
 
         def sink(tup) -> None:
             inner_add(tup)
@@ -681,49 +492,33 @@ class StreamServer:
             cell[1] += 1
             cell[2] = now()
 
-        return sink
+        runtime.set_result_sink(sink)
 
-    def _instrument_feedback(self) -> None:
-        suspension_kinds = (FeedbackKind.SUSPEND, FeedbackKind.MARK)
-        for shard_label, context in self._feedback_contexts():
-            suspend_child = self._suspensions.labels(shard=shard_label)
-            resume_child = self._resumptions.labels(shard=shard_label)
+    # -- hosted queries --------------------------------------------------------
 
-            def listener(
-                producer,
-                consumer,
-                kind,
-                _suspend=suspend_child,
-                _resume=resume_child,
-            ) -> None:
-                if kind in suspension_kinds:
-                    _suspend.inc()
-                else:
-                    _resume.inc()
+    def add_query(self, entry):
+        """Host one more registered query and serve its results.
 
-            context.add_feedback_listener(listener)
+        Delegates to :meth:`ShardedEngine.add_query`, then instruments the
+        new runtime like the ones hosted at construction, so its results
+        reach ``serve_results_total``, the latency histogram and the health
+        monitor's lag table.
+        """
+        runtime = self.engine.add_query(entry)
+        self._instrument(runtime)
+        return runtime
 
-        # Process-mode workers count feedback in their own contexts and ship
-        # per-shard (suspensions, resumptions) deltas with every
-        # acknowledgement; each delivery is counted exactly once in exactly
-        # one place, so the totals match what direct listeners would see.
-        add_delta = getattr(self.engine, "add_feedback_delta_listener", None)
-        if add_delta is not None:
-            # Materialize the per-shard children up front so a shard that
-            # never suspends still renders a zero sample, exactly like the
-            # direct-listener wiring above does.
-            for index, _shard in enumerate(self._shards):
-                self._suspensions.labels(shard=str(index))
-                self._resumptions.labels(shard=str(index))
+    def retire_query(self, query_id: str):
+        """Stop serving one query; its progress cell leaves with it.
 
-            def delta_listener(shard_id, suspensions, resumptions) -> None:
-                label = str(shard_id)
-                if suspensions:
-                    self._suspensions.labels(shard=label).inc(suspensions)
-                if resumptions:
-                    self._resumptions.labels(shard=label).inc(resumptions)
-
-            add_delta(delta_listener)
+        Delegates to :meth:`ShardedEngine.retire_query` (which unwires the
+        query, instrumented sink included) and drops the query's
+        ``query_progress`` cell, so a retired query does not linger in the
+        lag table with a lag that only grows.
+        """
+        retired = self.engine.retire_query(query_id)
+        self.query_progress.pop(query_id, None)
+        return retired
 
     # -- live introspection ----------------------------------------------------
 
@@ -755,12 +550,13 @@ class StreamServer:
     def shard_queue_depths(self) -> Dict[str, int]:
         """Live inter-operator queue depth per shard label."""
         return {
-            str(index): shard.queue_depth for index, shard in enumerate(self._shards)
+            str(index): shard.queue_depth
+            for index, shard in enumerate(self.engine.shards)
         }
 
     def shard_queue_depth_total(self) -> int:
         """Summed inter-operator queue depth across every shard."""
-        return sum(shard.queue_depth for shard in self._shards)
+        return sum(shard.queue_depth for shard in self.engine.shards)
 
     def exposition(self) -> str:
         """The Prometheus text exposition of every serving metric."""
@@ -827,7 +623,7 @@ class StreamServer:
     # -- results and lifecycle -------------------------------------------------
 
     def results_for(self, query_id: str):
-        """Per-query result collector (sharded engines only)."""
+        """Per-query result collector."""
         return self.engine.results_for(query_id)
 
     def report(self) -> ServingReport:
@@ -861,9 +657,7 @@ class StreamServer:
             self._closed = True
             if self._health is not None:
                 self._health.close()
-            close = getattr(self.engine, "close", None)
-            if close is not None:
-                close()
+            self.engine.close()
 
     def __enter__(self) -> "StreamServer":
         return self

@@ -21,6 +21,8 @@ import time
 
 import pytest
 
+from repro.context import ExecutionContext
+from repro.engine import ExecutionEngine
 from repro.health import (
     BUNDLE_SCHEMA_VERSION,
     HealthMonitor,
@@ -38,6 +40,7 @@ from repro.health import (
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
 from repro.serve import OverloadPolicy, StreamServer
+from repro.streams.time import Window
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +379,18 @@ class TestBundles:
 
 
 class TestBareEngineAttachment:
+    @pytest.mark.parametrize("kind", ("object", "execution-engine"))
+    def test_rejects_unmonitorable_engine(self, workload, kind):
+        """Only a StreamServer or a ShardedEngine is monitored."""
+        if kind == "object":
+            target = object()
+        else:
+            entry = next(iter(_registry(workload)))
+            context = ExecutionContext(window=Window(entry.query.window.length))
+            target = ExecutionEngine(entry.build_plan(), context)
+        with pytest.raises(TypeError, match="ShardedEngine"):
+            HealthMonitor(target)
+
     def test_monitor_over_sharded_engine_without_server(self, workload):
         engine = ShardedEngine(_registry(workload), n_shards=2)
         monitor = HealthMonitor(engine)

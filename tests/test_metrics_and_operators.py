@@ -26,9 +26,8 @@ from repro.operators.projection import ProjectionOperator
 from repro.operators.queues import InterOperatorQueue
 from repro.operators.selection import SelectionOperator
 from repro.operators.state import OperatorState, key_function
-from repro.operators.static_join import StaticJoinOperator
 from repro.streams.time import Window
-from repro.streams.tuples import AtomicTuple, join_tuples
+from repro.streams.tuples import join_tuples
 
 from helpers import make_tuple
 
@@ -498,29 +497,6 @@ class TestProjectionOperator:
     def test_requires_columns(self):
         with pytest.raises(ValueError):
             ProjectionOperator("P", [])
-
-
-class TestStaticJoinOperator:
-    def _relation(self):
-        return [AtomicTuple("R", 0.0, {"y": v}, seq=i) for i, v in enumerate([1, 2, 3])]
-
-    def test_joins_against_relation(self, context):
-        pred = JoinPredicate.equi([(("A", "y"), ("R", "y"))])
-        op = StaticJoinOperator("SJ", self._relation(), pred, stream_sources={"A"})
-        out = _attach(op, context)
-        context.clock.advance_to(1.0)
-        op.process(make_tuple("A", 1.0, y=2), PORT_INPUT)
-        op.process(make_tuple("A", 1.0, y=9), PORT_INPUT)
-        assert len(out) == 1
-        assert op.matched_inputs == 1 and op.unmatched_inputs == 1
-
-    def test_relation_validation(self):
-        pred = JoinPredicate.equi([(("A", "y"), ("R", "y"))])
-        with pytest.raises(ValueError):
-            StaticJoinOperator("SJ", [], pred, stream_sources={"A"})
-        mixed = [AtomicTuple("R", 0.0, {"y": 1}), AtomicTuple("Q", 0.0, {"y": 1})]
-        with pytest.raises(ValueError):
-            StaticJoinOperator("SJ", mixed, pred, stream_sources={"A"})
 
 
 class TestAggregateOperator:

@@ -5,9 +5,10 @@ parent and its shard workers: routed event micro-batches (parent → worker);
 ``host`` frames, each a shard's whole ordered list of
 :class:`RegisteredQuery` entries pickled as one object, so what the entries
 share (their catalog) travels once per frame (parent → worker); per-query
-result tuples riding on acknowledgements (worker → parent); and telemetry
-snapshots — :class:`MetricsReport`, cost counters, scheduler stats — shipped
-with every ``hosted``/``retired``/``flushed`` reply (worker → parent).  A type
+result tuples riding on acknowledgements (worker → parent); and shard
+snapshots (``ShardEngine.snapshot()``: :class:`MetricsReport`, cost
+counters, scheduler stats, progress) shipped with every
+``hosted``/``retired``/``flushed`` reply (worker → parent).  A type
 that silently stops pickling (a lambda predicate, an unpicklable cached
 attribute, a thread lock stored on a dataclass) would surface as a runtime
 crash deep inside a worker; this audit pins the contract at the type level
@@ -56,22 +57,7 @@ def sync_run(registry, workload):
     """One synchronous run whose artifacts the round-trips below audit."""
     with ShardedEngine(registry, n_shards=2) as engine:
         report = engine.run_batch(workload.events())
-        shards = engine.shards
-        snapshots = [
-            {
-                "queue_count": shard.queue_count,
-                "queue_depth": shard.queue_depth,
-                "events_processed": shard.events_processed,
-                "results_produced": shard.results_produced,
-                "shared_subplans_active": shard.shared_subplans_active,
-                "shared_subplan_hits": shard.shared_subplan_hits,
-                "sources": shard.sources,
-                "cost_counters": shard.cost.snapshot(),
-                "scheduler_stats": dict(shard.scheduler.stats()),
-                "metrics": shard.metrics(),
-            }
-            for shard in shards
-        ]
+        snapshots = [shard.snapshot() for shard in engine.shards]
     return report, snapshots
 
 

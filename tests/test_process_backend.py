@@ -34,7 +34,8 @@ from repro.multi import (
     ShardedEngine,
     ShardWorkerError,
 )
-from repro.multi.backend import _ShardSpec, _worker_main, _WorkerHandle, _WorkerState
+from repro.multi.backend import _ShardSpec, _worker_main, _WorkerHandle
+from repro.multi.shard import ShardEngine
 from repro.multi.workload import MultiQueryWorkload, generate_multi_query_workload
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
 
@@ -190,13 +191,13 @@ class TestBornHosting:
         """The worker loop itself, run in this process over a real pipe."""
         entries = list(_registry(population))[::2]
         snapshots = []
-        real_snapshot = _WorkerState.snapshot
+        real_snapshot = ShardEngine.snapshot
 
-        def counting_snapshot(state):
-            snapshots.append([runtime.query_id for runtime in state.shard.runtimes])
-            return real_snapshot(state)
+        def counting_snapshot(shard):
+            snapshots.append([runtime.query_id for runtime in shard.runtimes])
+            return real_snapshot(shard)
 
-        monkeypatch.setattr(_WorkerState, "snapshot", counting_snapshot)
+        monkeypatch.setattr(ShardEngine, "snapshot", counting_snapshot)
         parent, child = multiprocessing.Pipe(duplex=True)
         feeder = threading.Thread(
             target=lambda: (parent.send(("host", "t", entries)), parent.send(("close",)))

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.context import ExecutionContext
-from repro.engine import ExecutionEngine, ExecutionMode, run_workload
+from repro.engine import ExecutionEngine
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
 from repro.serve import (
@@ -212,28 +212,6 @@ class TestStreamServerEquivalence:
             # Not just the multiset — the emission *sequence* is unchanged.
             assert list(collector.results) == sequences[query_id]
 
-    def test_serves_single_plan_execution_engine(self):
-        workload = _workload()
-        events = workload.events()
-        entry = next(iter(_registry(workload)))
-        subscribed = [e for e in events if e.source in entry.sources]
-        expected = run_workload(
-            entry.build_plan(), subscribed, entry.query.window.length
-        ).results.multiset()
-
-        registry_entry = next(iter(_registry(workload)))
-        context = ExecutionContext(window=Window(registry_entry.query.window.length))
-        engine = ExecutionEngine(registry_entry.build_plan(), context)
-        server = StreamServer(engine, capacity=4, policy=OverloadPolicy.BLOCK)
-        for event in subscribed:
-            server.submit(event)
-        server.flush()
-        assert engine.collector.multiset() == expected
-        parsed = parse_exposition(server.exposition())
-        assert get_metric_value(parsed, "serve_results_total") == len(
-            engine.collector.multiset()
-        )
-
 
 class TestAdmission:
     def test_accept_all_admits(self):
@@ -316,9 +294,18 @@ class TestServerLifecycle:
         with pytest.raises(ValueError):
             StreamServer(engine, drain_batch=0)
 
-    def test_rejects_unservable_engine(self):
-        with pytest.raises(TypeError):
-            StreamServer(object())
+    @pytest.mark.parametrize("kind", ("object", "execution-engine"))
+    def test_rejects_unservable_engine(self, kind):
+        """Only a ShardedEngine is served; a single plan is a one-query
+        registry on one shard, not a bare ExecutionEngine."""
+        if kind == "object":
+            engine = object()
+        else:
+            entry = next(iter(_registry(_workload())))
+            context = ExecutionContext(window=Window(entry.query.window.length))
+            engine = ExecutionEngine(entry.build_plan(), context)
+        with pytest.raises(TypeError, match="ShardedEngine"):
+            StreamServer(engine)
 
     def test_report_accounts_every_event(self):
         server, workload = self._server(policy=OverloadPolicy.DROP_OLDEST)

@@ -433,7 +433,7 @@ class TestHealthFamilies:
 
     def test_every_family_exists_in_range(self, monitored):
         server, _monitor, parsed = monitored
-        n_queries = len(server.engine._runtimes)
+        n_queries = len(server.engine.runtimes)
         assert parsed["health_monitor_attached"][()] == 1.0
         assert parsed["health_bundles_written_total"][()] == 0.0
         ranges = {
@@ -464,8 +464,8 @@ class TestHealthFamilies:
         assert breaches["q1"] >= 1.0
 
     def test_local_mns_open_matches_feedback_counters(self, monitored):
-        """The monitor's edge-tracked open suspensions must reconcile with
-        the serve-layer suspension/resumption counters, per shard."""
+        """The shard's edge-tracked open suspensions must reconcile with
+        its suspension/resumption totals, per shard."""
         _server, _monitor, parsed = monitored
         for shard in ("0", "1"):
             suspended = parsed["serve_suspensions_total"].get((("shard", shard),), 0.0)

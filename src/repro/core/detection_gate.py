@@ -18,11 +18,14 @@ stream time:
   part is counted and which is estimated).
 
 The gate starts open — the paper's behaviour.  An epoch that ends with
-``avoided < spent`` puts it to rest; a rest is followed by one trial epoch;
-each consecutive failed trial doubles the next rest (1, 2, 4, ... windows)
-and a trial that pays resets it.  While the gate rests the operator probes
-as if it had no detector, and what it suspended earlier drains through the
-ordinary resume and cancel paths.
+``avoided < spent`` puts it to rest; a rest is followed by one trial epoch,
+and a trial that pays resets the schedule.  A rest lasts as long as the loss
+was deep, ``floor(spent / avoided)`` windows, or double the last rest
+(1, 2, 4, ... windows) if that is longer: an epoch that lost k-fold only
+pays once what its suspensions save grows k-fold, and a narrow loss
+(under 2x) or one that saved nothing keeps the doubling schedule.  While
+the gate rests the operator probes as if it had no detector, and what it
+suspended earlier drains through the ordinary resume and cancel paths.
 
 The decision is a function of the counters alone, so it is deterministic,
 and the gate's own arithmetic is not charged to the cost model.  The object
@@ -76,12 +79,23 @@ class DetectionGate:
         return not self.resting
 
     def _next_epoch_windows(self) -> int:
-        """Close the current epoch; return the length of the next in windows."""
+        """Close the current epoch; return the length of the next in windows.
+
+        An open epoch that lost, ``avoided < spent``, starts a rest of
+        ``max(doubled, floor(spent / avoided))`` windows: a loss by a factor
+        k turns into a win only if what suspensions save grows k-fold, so
+        the gate waits k windows for that.  With ``avoided == 0`` there is
+        no factor to scale by and the rest is the doubled one alone.
+        """
         if self.resting:
             self.resting = False  # the trial epoch
             return 1
-        if self.avoided_units - self._avoided_mark < self.spent_units - self._spent_mark:
+        spent = self.spent_units - self._spent_mark
+        avoided = self.avoided_units - self._avoided_mark
+        if avoided < spent:
             self._rest_windows = 2 * self._rest_windows or 1
+            if avoided > 0:
+                self._rest_windows = max(self._rest_windows, int(spent / avoided))
             self.resting = True
             return self._rest_windows
         self._rest_windows = 0

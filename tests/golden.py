@@ -1,6 +1,6 @@
 """The recorded runs behind the golden tests, and the tool that re-records them.
 
-``golden.json`` pins, bit for bit, what two families of deterministic runs do:
+``golden.json`` pins, bit for bit, what three families of deterministic runs do:
 
 * ``schedules`` — every scheduling policy on a single queued JIT plan and on
   1- and 2-shard engines, with and without shared sub-plans.  Each record is
@@ -13,10 +13,14 @@
   every detection gate pinned open, the paper's always-detect algorithm:
   ``cpu_units``, peak memory bytes, the non-zero cost counters and the
   non-zero per-operator ``stats``.
+* ``gates`` — the same plan at scale 0.3 on seeds 7 and 11, and an indexed
+  clique over 16 windows, with live detection gates: every epoch each gate
+  closed (``tests/helpers.py::GateEpoch``: its end, spent and avoided units,
+  decision and rest), so a moved gate decision is named epoch by epoch.
 
 The tests (``test_scheduler_equivalence.py::TestGoldenSchedules``,
-``test_detection_gate.py::TestGateOnThePaperPlan``) compare a fresh run with
-the file.  After a change that is *meant* to move a cost::
+``test_detection_gate.py::TestGateOnThePaperPlan`` and ``::TestLiveGateRecords``)
+compare a fresh run with the file.  After a change that is *meant* to move a cost::
 
     PYTHONPATH=src python -m tests.golden --check    # list what moved, exit 1 if anything did
     PYTHONPATH=src python -m tests.golden --record   # the same list, then rewrite golden.json
@@ -32,6 +36,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
@@ -48,9 +53,9 @@ from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 
 try:  # under pytest, tests/ itself is on sys.path
-    from helpers import ScriptedGate, record_pops, script_gates
+    from helpers import ScriptedGate, gate_epochs, record_pops, script_gates
 except ImportError:  # python -m tests.golden, from the repo root
-    from tests.helpers import ScriptedGate, record_pops, script_gates
+    from tests.helpers import ScriptedGate, gate_epochs, record_pops, script_gates
 
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
 
@@ -163,17 +168,29 @@ def jit_operators(plan) -> List[JITJoinOperator]:
     return [op for op in plan.join_operators if isinstance(op, JITJoinOperator)]
 
 
-def paper_run(scale: float, gates=None):
-    """The paper's left-deep default under JIT at ``scale``: (report, plan)."""
-    workload = scaled_workload(LEFT_DEEP_DEFAULTS, scale=scale, duration_windows=3.0, seed=7)
+def paper_setup(scale: float, seed: int = 7):
+    """The paper's left-deep default under JIT at ``scale``: (plan, events, window)."""
+    workload = scaled_workload(LEFT_DEEP_DEFAULTS, scale=scale, duration_windows=3.0, seed=seed)
     plan = build_xjoin_plan(
         ContinuousQuery.from_workload(workload), shape=PLAN_LEFT_DEEP,
         strategy=STRATEGY_JIT,
         jit_config=JITConfig(retention_policy=RetentionPolicy.WINDOW),
     )
+    return plan, workload.events(), workload.window.length
+
+
+def run_setup(setup, gates=None):
+    """Run a (plan, events, window), its gates scripted by ``gates`` if
+    given: (report, plan)."""
+    plan, events, window = setup
     if gates is not None:
         script_gates(plan, gates)
-    return run_workload(plan, workload.events(), workload.window.length), plan
+    return run_workload(plan, events, window), plan
+
+
+def paper_run(scale: float, gates=None, seed: int = 7):
+    """The paper's left-deep default under JIT at ``scale``: (report, plan)."""
+    return run_setup(paper_setup(scale, seed), gates)
 
 
 def paper_record(scale: float) -> dict:
@@ -186,6 +203,46 @@ def paper_record(scale: float) -> dict:
         "stats": {
             op.name: {k: v for k, v in op.stats.items() if v} for op in jit_operators(plan)
         },
+    }
+
+
+# ------------------------------------------------------------------ live gates
+
+#: The indexed clique's window, in seconds (30 tuples per source at rate 1).
+INDEXED_CLIQUE_WINDOW = 30.0
+
+
+def indexed_clique_setup(windows: int, strategy=STRATEGY_JIT):
+    """Three sources, 30-tuple windows, hash indexes, ``windows`` windows
+    long — a population where detection cannot pay: (plan, events, window)."""
+    workload = generate_clique_workload(
+        n_sources=3, rate=1.0, window_seconds=INDEXED_CLIQUE_WINDOW, dmax=400,
+        duration=windows * INDEXED_CLIQUE_WINDOW, seed=5,
+    )
+    plan = build_xjoin_plan(
+        ContinuousQuery.from_workload(workload), shape=PLAN_LEFT_DEEP,
+        strategy=strategy, use_hash_index=True,
+    )
+    return plan, workload.events(), INDEXED_CLIQUE_WINDOW
+
+
+#: The live-gate runs whose every epoch is recorded: name -> fresh setup.
+GATE_RUNS = {
+    "paper-0.3-seed7": lambda: paper_setup(0.3, seed=7),
+    "paper-0.3-seed11": lambda: paper_setup(0.3, seed=11),
+    "indexed-clique-16": lambda: indexed_clique_setup(16),
+}
+
+
+def gate_record(name: str) -> dict:
+    """Every epoch each live gate of run ``name`` closed, per ``Op.port``."""
+    with gate_epochs() as log:
+        _report, plan = run_setup(GATE_RUNS[name]())
+    return {
+        f"{op.name}.{port}": [asdict(epoch) for epoch in log[gate]]
+        for op in jit_operators(plan)
+        for port, gate in op.gates.items()
+        if gate in log
     }
 
 
@@ -202,6 +259,7 @@ def record_all() -> dict:
             for config in ("single",) + tuple(SHARDED_CONFIGS)
         },
         "paper": {str(scale): paper_record(scale) for scale in PAPER_SCALES},
+        "gates": {name: gate_record(name) for name in GATE_RUNS},
     }
 
 
@@ -209,6 +267,9 @@ def _leaves(node, path: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...],
     if isinstance(node, dict):
         for key, child in node.items():
             yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _leaves(child, path + (str(index),))
     else:
         yield path, node
 

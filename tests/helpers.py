@@ -11,6 +11,7 @@ from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import FeedbackKind
 from repro.core.jit_join import JITJoinOperator
 from repro.core.mns_detection import LatticeMNSDetector
+from repro.engine import run_workload
 from repro.metrics import CostKind
 from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
@@ -45,6 +46,115 @@ def script_gates(plan, make_gate=ScriptedGate) -> None:
         if isinstance(operator, JITJoinOperator):
             for port in operator.ports:
                 operator.gates[port] = make_gate()
+
+
+@dataclass(frozen=True)
+class GateEpoch:
+    """One epoch of a live ``DetectionGate``, as it was closed."""
+
+    #: The stream time the epoch was due to end at.
+    end: float
+    #: Units booked on the gate during the epoch.
+    spent: float
+    avoided: float
+    #: "open" (it paid, or tied), "rest" (it lost) or "trial" (a rest ended).
+    decision: str
+    #: The rest it started, in windows; 0 unless ``decision`` is "rest".
+    rest: int
+
+
+@contextmanager
+def gate_epochs():
+    """Record every epoch close of every live ``DetectionGate`` inside.
+
+    Yields a dict gate -> list of ``GateEpoch``, in the order they closed.
+    A scripted gate closes no epochs, so it is not in the log.
+    """
+    log = {}
+    shipped = DetectionGate._next_epoch_windows
+
+    def closing(gate):
+        end, was_resting = gate._epoch_end, gate.resting
+        spent = gate.spent_units - gate._spent_mark
+        avoided = gate.avoided_units - gate._avoided_mark
+        windows = shipped(gate)
+        decision = "trial" if was_resting else "rest" if gate.resting else "open"
+        rest = windows if gate.resting else 0
+        log.setdefault(gate, []).append(GateEpoch(end, spent, avoided, decision, rest))
+        return windows
+
+    DetectionGate._next_epoch_windows = closing
+    try:
+        yield log
+    finally:
+        DetectionGate._next_epoch_windows = shipped
+
+
+@dataclass(frozen=True)
+class AuditedWindow:
+    """One window of stream time in ``audit_avoided``'s two runs."""
+
+    start: float
+    #: What the audited gate booked, pinned open.
+    spent: float
+    avoided: float
+    #: What the whole plan cost with the audited gate pinned open / shut.
+    open_units: float
+    shut_units: float
+
+    @property
+    def actual(self) -> float:
+        """What the gate's suspensions really saved: the units the shut run
+        cost beyond the open run's, once the open run's detection (``spent``)
+        is taken out of it."""
+        return self.shut_units - (self.open_units - self.spent)
+
+
+def audit_avoided(setup, gate: str):
+    """The counterfactual behind ``DetectionGate.avoided_units``.
+
+    ``setup()`` makes a fresh (plan, events, window).  It runs twice with
+    every gate pinned open, the second time with ``gate`` (``"Op3.left"``)
+    pinned shut: the only difference is whether that port detects.  Returns
+    one ``AuditedWindow`` per window of stream time from the first event.
+    """
+    name, port = gate.split(".")
+
+    def run(shut):
+        plan, events, window = setup()
+        script_gates(plan)
+        (operator,) = [op for op in plan.join_operators if op.name == name]
+        if shut:
+            operator.gates[port] = ScriptedGate((False,))
+        audited = operator.gates[port]
+        marks = []
+
+        def mark(at):
+            cost = plan.root.require_context().cost
+            marks.append((at, cost.cpu_units, audited.spent_units, audited.avoided_units))
+
+        def metered():
+            for event in events:
+                if not marks:
+                    mark(event.ts)
+                while event.ts >= marks[-1][0] + window:
+                    mark(marks[-1][0] + window)
+                yield event
+            mark(float("inf"))
+
+        run_workload(plan, metered(), window)
+        return marks
+
+    opened, shut = run(False), run(True)
+    return [
+        AuditedWindow(
+            start=start, spent=spent_end - spent, avoided=avoided_end - avoided,
+            open_units=open_end - open_units, shut_units=shut_end - shut_units,
+        )
+        for (start, open_units, spent, avoided), (_, open_end, spent_end, avoided_end),
+        (_, shut_units, _, _), (_, shut_end, _, _)
+        in zip(opened, opened[1:], shut, shut[1:])
+    ]
 
 
 class EagerExceptions:

@@ -1,6 +1,6 @@
 """Execution-core throughput benchmarks: events/sec, wall-clock.
 
-Unlike the ``bench_figNN`` scripts, which report the paper's *modelled* cost
+Unlike ``bench_figures.py``, which reports the paper's *modelled* cost
 units, this benchmark measures real wall-clock throughput of the execution
 hot path:
 

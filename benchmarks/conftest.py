@@ -1,18 +1,13 @@
-"""Shared helpers for the figure-reproduction benchmarks.
+"""Shared fixtures for the pytest-benchmark runs under ``benchmarks/``.
 
-Each ``bench_figNN.py`` regenerates one figure of the paper's evaluation
-section: it sweeps the figure's Table III parameter, runs REF and JIT on the
-same workload, prints the series (CPU cost units and peak memory) in the same
-layout as the paper's plots, and reports the total sweep time through
-pytest-benchmark.
+``bench_ablations.py`` sweeps the JIT ablations at a scale that can be
+adjusted without editing code::
 
-The sweep scale can be adjusted without editing code::
-
-    REPRO_BENCH_SCALE=0.1 pytest benchmarks/ --benchmark-only
+    REPRO_BENCH_SCALE=0.1 pytest benchmarks/bench_ablations.py --benchmark-only
 
 Larger scales use longer windows (closer to the paper's setting) and make the
-JIT-vs-REF gap wider, at the cost of longer runs; the default keeps the whole
-benchmark suite in the range of a few minutes.
+JIT-vs-REF gap wider, at the cost of longer runs.  The paper's figures run at
+the one scale ``BENCH_figures.json`` is recorded at (``bench_figures.py``).
 """
 
 from __future__ import annotations
@@ -27,5 +22,5 @@ DEFAULT_SCALE = 0.06
 
 @pytest.fixture(scope="session")
 def bench_scale() -> float:
-    """Scale factor for all figure sweeps (override with REPRO_BENCH_SCALE)."""
+    """Scale factor for the ablation sweeps (override with REPRO_BENCH_SCALE)."""
     return float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))

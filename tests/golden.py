@@ -17,10 +17,17 @@
   clique over 16 windows, with live detection gates: every epoch each gate
   closed (``tests/helpers.py::GateEpoch``: its end, spent and avoided units,
   decision and rest), so a moved gate decision is named epoch by epoch.
+* ``differential`` — nested-loop JIT plans with every gate pinned open:
+  cliques of 2-4 sources, left-deep and bushy, synchronous and queued, two
+  seeds, and the paper plan at scale 0.3 on seeds 3, 7 and 11.  Each record
+  is the non-zero per-operator ``stats``, a sha256 over the result sequence,
+  the peak memory bytes and ``cpu_units``, so "pinned open, nothing but units
+  moved" is a ``--check`` that names ``cpu_units`` leaves only.
 
 The tests (``test_scheduler_equivalence.py::TestGoldenSchedules``,
-``test_detection_gate.py::TestGateOnThePaperPlan`` and ``::TestLiveGateRecords``)
-compare a fresh run with the file.  After a change that is *meant* to move a cost::
+``test_detection_gate.py::TestGateOnThePaperPlan`` and ``::TestLiveGateRecords``,
+``test_jit_indexes.py::TestPinnedOpenDifferential``) compare a fresh run with
+the file.  After a change that is *meant* to move a cost::
 
     PYTHONPATH=src python -m tests.golden --check    # list what moved, exit 1 if anything did
     PYTHONPATH=src python -m tests.golden --record   # the same list, then rewrite golden.json
@@ -37,6 +44,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
@@ -47,7 +55,13 @@ from repro.engine.results import result_key
 from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
 from repro.metrics import CostKind
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
-from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
+from repro.plans.builder import (
+    PLAN_BUSHY,
+    PLAN_LEFT_DEEP,
+    STRATEGY_JIT,
+    STRATEGY_REF,
+    build_xjoin_plan,
+)
 from repro.plans.query import ContinuousQuery
 from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
@@ -137,19 +151,26 @@ def run(make_scheduler, config):
     return sharded_run(make_scheduler, *SHARDED_CONFIGS[config])
 
 
-def schedule_record(recorded) -> dict:
-    """The three parts of one recorded run.  ``schedule`` is a sha256 over a
+def digest(lines: List[str], results: Dict[str, list]) -> str:
+    """A sha256 over ``lines`` and the per-query result sequences, as a
     canonical text (no ``hash()``, no set order: ints, source names and
-    ``repr`` of floats only) of the pops and the result sequences."""
-    pops, results, cpu_units, steps = recorded
-    lines = [f"pops {shard}: {' '.join(map(str, orders))}" for shard, orders in enumerate(pops)]
+    ``repr`` of floats only)."""
+    lines = list(lines)
     for query_id, tuples in results.items():
         lines.append(f"results {query_id}:")
         for tup in tuples:
             components, ts = result_key(tup)
             lines.append(" ".join(f"{src}#{seq}" for src, seq in components) + f" @{ts!r}")
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+def schedule_record(recorded) -> dict:
+    """The three parts of one recorded run.  ``schedule`` digests the pops
+    and the result sequences."""
+    pops, results, cpu_units, steps = recorded
+    pop_lines = [f"pops {shard}: {' '.join(map(str, orders))}" for shard, orders in enumerate(pops)]
     return {
-        "schedule": hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest(),
+        "schedule": digest(pop_lines, results),
         "cpu_units": cpu_units,
         "steps": steps,
     }
@@ -168,6 +189,11 @@ def jit_operators(plan) -> List[JITJoinOperator]:
     return [op for op in plan.join_operators if isinstance(op, JITJoinOperator)]
 
 
+def jit_stats(plan) -> dict:
+    """The non-zero ``stats`` of every JIT operator of ``plan``."""
+    return {op.name: {k: v for k, v in op.stats.items() if v} for op in jit_operators(plan)}
+
+
 def paper_setup(scale: float, seed: int = 7):
     """The paper's left-deep default under JIT at ``scale``: (plan, events, window)."""
     workload = scaled_workload(LEFT_DEEP_DEFAULTS, scale=scale, duration_windows=3.0, seed=seed)
@@ -179,13 +205,13 @@ def paper_setup(scale: float, seed: int = 7):
     return plan, workload.events(), workload.window.length
 
 
-def run_setup(setup, gates=None):
-    """Run a (plan, events, window), its gates scripted by ``gates`` if
-    given: (report, plan)."""
+def run_setup(setup, gates=None, mode=ExecutionMode.SYNCHRONOUS):
+    """Run a (plan, events, window) in ``mode``, its gates scripted by
+    ``gates`` if given: (report, plan)."""
     plan, events, window = setup
     if gates is not None:
         script_gates(plan, gates)
-    return run_workload(plan, events, window), plan
+    return run_workload(plan, events, window, mode=mode), plan
 
 
 def paper_run(scale: float, gates=None, seed: int = 7):
@@ -200,9 +226,7 @@ def paper_record(scale: float) -> dict:
         "cpu_units": report.metrics.cpu_units,
         "peak_memory_bytes": report.metrics.peak_memory_bytes,
         "counters": {k: v for k, v in report.metrics.counters.items() if v},
-        "stats": {
-            op.name: {k: v for k, v in op.stats.items() if v} for op in jit_operators(plan)
-        },
+        "stats": jit_stats(plan),
     }
 
 
@@ -246,6 +270,50 @@ def gate_record(name: str) -> dict:
     }
 
 
+# ------------------------------------------------------------------ the differential
+
+
+def clique_setup(n_sources: int, shape: str, seed: int):
+    """A nested-loop JIT clique, 30-tuple windows over four: (plan, events, window)."""
+    workload = generate_clique_workload(
+        n_sources=n_sources, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=seed,
+    )
+    plan = build_xjoin_plan(
+        ContinuousQuery.from_workload(workload), shape=shape, strategy=STRATEGY_JIT,
+    )
+    return plan, workload.events(), workload.window.length
+
+
+#: The pinned-open nested-loop runs: name -> (fresh setup, execution mode).
+DIFFERENTIAL_RUNS = {
+    **{
+        f"clique-{n_sources}-{shape}-{mode}-seed{seed}": (
+            partial(clique_setup, n_sources, shape, seed), mode
+        )
+        for n_sources in (2, 3, 4)
+        for shape in (PLAN_LEFT_DEEP, PLAN_BUSHY)
+        for mode in (ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED)
+        for seed in (1, 2)
+    },
+    **{
+        f"paper-0.3-seed{seed}": (partial(paper_setup, 0.3, seed), ExecutionMode.SYNCHRONOUS)
+        for seed in (3, 7, 11)
+    },
+}
+
+
+def differential_record(name: str) -> dict:
+    """What the pinned-open run ``name`` decided, emitted, held and cost."""
+    setup, mode = DIFFERENTIAL_RUNS[name]
+    report, plan = run_setup(setup(), gates=ScriptedGate, mode=mode)
+    return {
+        "stats": jit_stats(plan),
+        "results": digest([], {"q": report.results.results}),
+        "peak_memory_bytes": report.metrics.peak_memory_bytes,
+        "cpu_units": report.metrics.cpu_units,
+    }
+
+
 # ------------------------------------------------------------------ the tool
 
 
@@ -260,6 +328,7 @@ def record_all() -> dict:
         },
         "paper": {str(scale): paper_record(scale) for scale in PAPER_SCALES},
         "gates": {name: gate_record(name) for name in GATE_RUNS},
+        "differential": {name: differential_record(name) for name in DIFFERENTIAL_RUNS},
     }
 
 

@@ -42,6 +42,7 @@ from repro.operators.predicates import AttributeRef, EquiJoinCondition, JoinPred
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
 
+import golden
 from helpers import UnprunedDetector, UnprunedLattice, make_tuple
 
 
@@ -384,6 +385,16 @@ class TestDetectingProbe:
         assert reference[CostKind.LATTICE_NODE] == 2 * 10
         for kind in (CostKind.PROBE_STEP, CostKind.RESULT_BUILD, CostKind.INSERT):
             assert charged[kind] == reference[kind]
+
+
+class TestPinnedOpenDifferential:
+    """``golden.json``'s ``differential`` records: nested-loop JIT plans with
+    every gate pinned open keep their per-operator ``stats``, result sequence,
+    peak bytes and ``cpu_units``."""
+
+    @pytest.mark.parametrize("name", golden.DIFFERENTIAL_RUNS)
+    def test_record_is_reproduced(self, name):
+        assert golden.differential_record(name) == golden.load()["differential"][name]
 
 
 # --------------------------------------------------------------------------- config

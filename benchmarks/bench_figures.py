@@ -22,13 +22,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict
 
 import pytest
 
 from repro.experiments import figures
 from repro.experiments.figures import FigureResult
-from repro.experiments.reporting import format_figure
+from repro.experiments.reporting import format_figure, moved
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
 
 BENCH_FILE = Path(__file__).with_name("BENCH_figures.json")
@@ -70,27 +70,6 @@ def record_all(show: bool = False) -> dict:
             print(format_figure(result))
         records[f"figure{number}"] = figure_record(result)
     return {"scale": SCALE, "figures": records}
-
-
-def _leaves(node, path: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...], object]]:
-    if isinstance(node, dict):
-        for key, child in node.items():
-            yield from _leaves(child, path + (key,))
-    elif isinstance(node, list):
-        for index, child in enumerate(node):
-            yield from _leaves(child, path + (str(index),))
-    else:
-        yield path, node
-
-
-def moved(before: dict, after: dict) -> List[str]:
-    """One line per number that differs between two sets of figures."""
-    old, new = dict(_leaves(before)), dict(_leaves(after))
-    return [
-        f"{' '.join(path)}: {old.get(path, 'absent')} -> {new.get(path, 'absent')}"
-        for path in sorted(old.keys() | new.keys())
-        if old.get(path) != new.get(path)
-    ]
 
 
 def load() -> Dict[str, object]:

@@ -131,9 +131,10 @@ class CNSLattice:
             For each :attr:`pending` component, whether it matched the
             opposite tuple (all conditions relating them hold); other
             components may be left out.  This is computed by the caller,
-            which typically shares the predicate evaluations with its join
-            probe (the "combined with a nested loop join" optimization of
-            Section IV-A).
+            which shares the predicate evaluations with its join probe (the
+            "combined with a nested loop join" optimization of Section
+            IV-A), or stands for an index lookup's answer: a tuple that
+            matches one component alone.
         cost:
             Optional cost model charged one lattice-node visit per alive node.
 

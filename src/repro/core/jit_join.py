@@ -8,8 +8,9 @@
 1. probes ``t`` against the MNS buffer of the *opposite* port and, on a hit,
    sends a resumption feedback to the opposite producer;
 2. probes ``t`` against the opposite operator state, emitting join results,
-   while simultaneously feeding the configured MNS detector (the "combined
-   with a nested loop join" optimization of Section IV-A);
+   after the configured MNS detector has settled what index lookups can
+   answer, and feeding it the rest per entry (the paper's "combined with a
+   nested loop join" of Section IV-A);
 3. retrieves the postponed partial results from the opposite producer, joins
    them with ``t`` and appends them to the opposite state;
 4. stores newly detected MNSs in its MNS buffer and sends a suspension
@@ -55,7 +56,10 @@ Implementation notes (all recorded in docs/JIT.md):
   Results, detected MNSs and suspensions are those of the nested loop;
   mid-probe suspension watermarks stay exact because unscanned entries can
   never join the in-flight tuple either.  Without ``use_hash_index`` the
-  probes are nested loops.
+  probes are nested loops, and a detecting probe first settles each
+  component with equi conditions by an existence lookup in the opposite
+  state's index on them, so that its scan is REF's (docs/JIT.md, "Where a
+  scan starts and stops").
 * ``Suspend_Production`` extracts the super-tuples of an MNS from the
   bucket of the signature's ``(source, attribute)`` template, on every plan:
   the state builds that index when an extraction first asks for it and
@@ -68,8 +72,9 @@ Implementation notes (all recorded in docs/JIT.md):
   operator's moments (docs/JIT.md, "Watermark exceptions").
 * The three nested-loop scans examine only what can still change their
   answer (docs/JIT.md, "Where a scan starts and stops"): a detecting probe
-  evaluates per component only while some alive lattice node contains the
-  component and is the detector-free loop once none is left; a regular probe
+  evaluates per component only what no lookup settled while some alive
+  lattice node contains the component, and is the detector-free loop once
+  nothing is left; a regular probe
   starts at the opposite state's live cursor, behind what a purge floor
   retains; a resumed tuple's replay starts behind the order stamp recorded
   beside its watermark.  Which entries join, and in which order, is unchanged.
@@ -194,9 +199,10 @@ class JITJoinOperator(BinaryJoinOperator):
         self.blacklists: Dict[str, Blacklist] = {}
         self.detectors: Dict[str, Optional[MNSDetector]] = {}
         self._conditions_by_source: Dict[str, Dict[str, Tuple[JoinCondition, ...]]] = {}
-        #: Per input port, one opposite-state lookup per component (hash-indexed
-        #: operators only): what an MNS-detecting probe visits instead of the state.
-        self._component_lookups: Dict[str, Tuple[IndexLookup, ...]] = {}
+        #: Per input port, one opposite-state lookup per component whose
+        #: conditions are all equalities: what an MNS-detecting probe settles
+        #: components with (nested loop) or visits instead of the state (hash index).
+        self._component_lookups: Dict[str, Dict[str, IndexLookup]] = {}
         #: Per input port, the gate that switches its MNS detection off while
         #: it costs more than it saves (a test installs a scripted one here).
         self.gates: Dict[str, DetectionGate] = {
@@ -254,11 +260,12 @@ class JITJoinOperator(BinaryJoinOperator):
                     for c in conds
                 )
             self._conditions_by_source[port] = conds_by_source
-            if self.use_hash_index:
-                opposite_sources = self.input_sources(opposite_port(port))
-                self._component_lookups[port] = tuple(
-                    IndexLookup(conds, opposite_sources) for conds in conds_by_source.values()
-                )
+            opposite_sources = self.input_sources(opposite_port(port))
+            self._component_lookups[port] = {
+                source: IndexLookup(conds, opposite_sources)
+                for source, conds in conds_by_source.items()
+                if all(c.is_equi for c in conds)
+            }
             self.mns_buffers[port] = MNSBuffer(
                 name=f"{self.name}.{port}.mns",
                 context=context,
@@ -474,11 +481,16 @@ class JITJoinOperator(BinaryJoinOperator):
         Returns whether the opposite state held a live tuple when the probe
         started (False is the Ø case; only meaningful with a detector).
 
-        The detector is fed only while it asks to be: per entry, the
-        components some alive lattice node still contains are evaluated in
-        full, the others only while the entry can still join, and once no
-        node is alive the loop is REF's.  Which entries are visited, which
-        join and in which order does not depend on it.
+        On a nested-loop join the detector first settles what lookups answer
+        (:meth:`_settle`): whether any live opposite entry matches each
+        pending component with equi conditions.  A matched component's node
+        dies before the scan; an unmatched one is False for every entry the
+        scan visits.  The scan feeds the detector only what is left (nodes
+        above level 1, non-equi components) and only while it asks to be:
+        per entry, those components are evaluated in full, the others only
+        while the entry can still join, and once none is left the loop is
+        REF's.  Which entries are visited, which join and in which order
+        does not depend on it.
 
         When the operator keeps hash indexes (``use_hash_index``) the scan is
         replaced by index lookups.  Without detection, one lookup on the
@@ -501,23 +513,28 @@ class JITJoinOperator(BinaryJoinOperator):
         opposite_live = False
         gate = self.gates[port]
         detector_units = context.cost.units
-        #: The components whose outcome the detector still needs.
+        #: The components whose outcome the scan computes per entry, and those
+        #: settled unmatched before it.
         pending: Tuple[str, ...] = ()
+        unmatched: Tuple[str, ...] = ()
         if detector is None:
             candidates: Iterable[StateEntry] = self.probe_candidates(tup, opp, horizon)
         else:
             detector.start(tup)
-            pending = detector.pending
             if self.use_hash_index:
                 opposite_live = opposite_state.has_live(horizon)
                 candidates = opposite_state.probe_index(
-                    [lookup.probe(tup) for lookup in self._component_lookups[port]]
+                    [lookup.probe(tup) for lookup in self._component_lookups[port].values()]
                 )
             else:
+                if detector.pending:
+                    unmatched = self._settle(tup, port, detector, horizon)
                 candidates = opposite_state.probe(horizon)
+            asked = detector.pending
+            pending = tuple([c for c in asked if c not in unmatched])
         if pending:
             conditions = self._split_conditions(port, pending)
-            outcomes: Dict[str, bool] = {}
+            outcomes: Dict[str, bool] = dict.fromkeys(unmatched, False)
             mark = detector_units(_DETECTOR_KINDS)
         for entry in candidates:
             if entry.removed:
@@ -532,10 +549,11 @@ class JITJoinOperator(BinaryJoinOperator):
                 # Detection-integrated evaluation: per-component match outcomes.
                 joins = self._match_components(tup, other, conditions, outcomes, joins)
                 detector.observe(tup, outcomes)
-                if detector.pending != pending:
-                    pending = detector.pending
+                if detector.pending != asked:
+                    asked = detector.pending
+                    pending = tuple([c for c in asked if c not in unmatched])
                     conditions = self._split_conditions(port, pending)
-                    if not pending:
+                    if not asked:
                         self.stats["detections_settled"] += 1
                 if joins or not pending:
                     # An emission runs the plan downstream, and a detector with
@@ -554,6 +572,38 @@ class JITJoinOperator(BinaryJoinOperator):
         if pending:
             gate.spend(detector_units(_DETECTOR_KINDS) - mark)
         return opposite_live
+
+    def _settle(
+        self,
+        tup: StreamTuple,
+        port: str,
+        detector: MNSDetector,
+        horizon: Optional[float],
+    ) -> Tuple[str, ...]:
+        """Settle ``detector``'s pending components from the opposite state's
+        indexes before a nested-loop probe; return those found unmatched.
+
+        A lookup asks :meth:`OperatorState.any_live` of the component's
+        index, so it sees what the scan would: the present entries, live
+        ones only while a purge floor is set.  Its units are the port's
+        detection spend.
+        """
+        lookups = self._component_lookups[port]
+        opposite_state = self.states[opposite_port(port)]
+
+        def matched(component: str) -> Optional[bool]:
+            lookup = lookups.get(component)
+            if lookup is None:
+                return None
+            return opposite_state.any_live(*lookup.probe(tup), horizon)
+
+        cost = self.require_context().cost
+        mark = cost.cpu_units
+        unmatched = detector.settle(tup, matched)
+        self.gates[port].spend(cost.cpu_units - mark)
+        if not detector.pending:
+            self.stats["detections_settled"] += 1
+        return unmatched
 
     def _split_conditions(self, port: str, pending: Sequence[str]) -> _SplitConditions:
         """``port``'s local conditions, split around the ``pending`` components."""

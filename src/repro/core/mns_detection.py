@@ -4,15 +4,17 @@ Three detectors are provided, corresponding to the options the paper
 discusses:
 
 * :class:`LatticeMNSDetector` — the full ``Identify_MNS`` algorithm
-  (Figure 8) over the CNS lattice, integrated with the consumer's probe: the
-  join computes, for every opposite-state tuple it visits, which of the
-  components some alive node still contains match, and feeds those outcomes
-  to the detector; once every node is dead the detector drops out of the
-  probe (docs/JIT.md, "Where a scan starts and stops").  Under a nested loop
-  that is the "combined with a nested loop join" optimization; a
-  hash-indexed join visits only the tuples that match at least one
-  component, since a tuple matching none kills no lattice node
-  (docs/JIT.md, "Just-in-time state indexes").
+  (Figure 8) over the CNS lattice, driven by the consumer's probe.  On a
+  nested-loop join each component is first *settled* by an existence lookup
+  in the opposite state's index on its conditions (:meth:`MNSDetector.settle`);
+  what no lookup answers — nodes above level 1, components with non-equi
+  conditions — the join computes, for every opposite-state tuple it visits,
+  for the components some alive node still contains, and feeds those
+  outcomes to the detector; once every node is dead or settled the probe is
+  REF's (docs/JIT.md, "Where a scan starts and stops").  A hash-indexed join
+  visits only the tuples that match at least one component, since a tuple
+  matching none kills no lattice node (docs/JIT.md, "Just-in-time state
+  indexes").
 * :class:`BloomMNSDetector` — the Bloom-filter alternative: one filter per
   equi-join attribute of the opposite state; a component whose value is
   definitely absent from some filter is an MNS.  Cheaper, but may miss MNSs
@@ -28,7 +30,7 @@ shares that rule (Figure 8, line 2).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
 from repro.core.cns_lattice import CNSLattice
@@ -88,6 +90,20 @@ class MNSDetector:
     def start(self, tup: StreamTuple) -> None:
         """Begin detection for a new input tuple."""
 
+    def settle(
+        self, tup: StreamTuple, matched: Callable[[str], Optional[bool]]
+    ) -> Tuple[str, ...]:
+        """Settle :attr:`pending` components by lookup, before the probe.
+
+        ``matched(component)`` says whether any opposite entry the probe is
+        about to visit matches the component, or None where no index answers
+        that.  Returns the components found unmatched: their outcome is False
+        for every one of those entries, so the probe need not compute it.
+        They stay pending, since an entry that arrives later (a resumed
+        partial result) can still match them.
+        """
+        return ()
+
     def observe(self, tup: StreamTuple, matches: Mapping[str, bool]) -> None:
         """Record the match outcome of every :attr:`pending` component against
         one opposite tuple.
@@ -134,6 +150,21 @@ class LatticeMNSDetector(MNSDetector):
     def start(self, tup: StreamTuple) -> None:
         self.lattice.reset()
         self.pending = self.lattice.pending
+
+    def settle(
+        self, tup: StreamTuple, matched: Callable[[str], Optional[bool]]
+    ) -> Tuple[str, ...]:
+        """A matched component is observed as an entry that matches it
+        alone: that kills its level-1 node and nothing above it, whose
+        components may have matched different entries."""
+        unmatched: List[str] = []
+        for component in self.pending:
+            found = matched(component)
+            if found:
+                self.observe(tup, {c: c == component for c in self.pending})
+            elif found is not None:
+                unmatched.append(component)
+        return tuple(unmatched)
 
     def observe(self, tup: StreamTuple, matches: Mapping[str, bool]) -> None:
         self.lattice.observe(matches, cost=self.context.cost)

@@ -3,9 +3,9 @@
 Each ``figureNN`` function reproduces one figure of Section VI: it sweeps the
 figure's parameter over the Table III range, runs JIT and REF on the same
 workload, and returns both panels — total CPU cost (panel a) and peak memory
-(panel b) — as series per strategy.  The benchmark files in ``benchmarks/``
-call these functions and print the resulting tables; EXPERIMENTS.md records
-one committed set of numbers next to the paper's qualitative claims.
+(panel b) — as series per strategy.  ``benchmarks/bench_figures.py`` calls
+these functions, prints the resulting tables and checks them bit for bit
+against the numbers committed in ``benchmarks/BENCH_figures.json``.
 """
 
 from __future__ import annotations

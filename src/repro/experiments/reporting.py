@@ -3,19 +3,21 @@
 The benchmark harness prints, for every figure, the same rows the paper
 plots: the swept parameter on the left, then one column per strategy and
 metric.  The formatting is deliberately simple fixed-width text so that the
-output of ``pytest benchmarks/ --benchmark-only`` can be pasted directly into
-EXPERIMENTS.md.
+output of ``benchmarks/bench_figures.py`` can be pasted directly into
+EXPERIMENTS.md.  :func:`moved` names every number that differs between two
+sets of committed records (``benchmarks/BENCH_figures.json``,
+``tests/golden.json``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.experiments.figures import FigureResult
 from repro.experiments.runner import SweepPoint
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
 
-__all__ = ["format_sweep_table", "format_figure"]
+__all__ = ["format_sweep_table", "format_figure", "moved"]
 
 
 def _fmt(value: float) -> str:
@@ -69,3 +71,25 @@ def format_figure(result: FigureResult) -> str:
         f"JIT memory saving per point:      {savings}"
     )
     return f"{title}\n{table}\n{summary}\n"
+
+
+def _leaves(node, path: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...], object]]:
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _leaves(child, path + (str(index),))
+    else:
+        yield path, node
+
+
+def moved(before: dict, after: dict) -> List[str]:
+    """One line per leaf that differs between two sets of committed records
+    (nested dicts and lists, as JSON holds them), named by its path."""
+    old, new = dict(_leaves(before)), dict(_leaves(after))
+    return [
+        f"{' '.join(path)}: {old.get(path, 'absent')} -> {new.get(path, 'absent')}"
+        for path in sorted(old.keys() | new.keys())
+        if old.get(path) != new.get(path)
+    ]

@@ -38,7 +38,7 @@ except ``removed`` flags (docs/JIT.md, "Where a scan starts and stops").
 ``(source, attribute)`` pairs and a key the tuple of their values.  The
 equi-join key of a hash-indexed join is registered when the state is built;
 every other index (a component's share of the join key for MNS-detecting
-probes, an MNS signature's template for suspension extraction, on
+probes, an MNS signature's template for suspension extraction, both on
 nested-loop plans too) is built from the present entries the first time it
 is looked up, and *retired* by the first purge that finds it has not been
 looked up for one window of stream time: it leaves the registry, stops being
@@ -54,7 +54,8 @@ every index:
   and on every lookup that follows a retirement;
 * maintenance — one ``HASH`` per insert per index in the registry;
 * lookup — one ``HASH``, then one ``PROBE_STEP`` per entry returned
-  (:meth:`OperatorState.probe_index`) or one ``BLACKLIST_SCAN`` per entry
+  (:meth:`OperatorState.probe_index`) or examined
+  (:meth:`OperatorState.any_live`), or one ``BLACKLIST_SCAN`` per entry
   examined (:meth:`OperatorState.extract`).
 
 Index structures are not charged to the :class:`~repro.metrics.MemoryModel`:
@@ -371,6 +372,28 @@ class OperatorState:
         if matches:
             self.context.cost.charge(CostKind.PROBE_STEP, len(matches))
         return matches
+
+    def any_live(
+        self, template: IndexTemplate, key: IndexKey, horizon: Optional[float] = None
+    ) -> bool:
+        """Whether a present entry with ``key`` under ``template`` has
+        ``ts >= horizon`` (``None``: whether there is a present entry at all).
+
+        The existence lookup of an MNS-detecting probe.  The bucket is walked
+        newest first, since the entries a purge floor retains sit at its
+        front, and only up to the first live entry: one ``PROBE_STEP`` per
+        entry examined, after the lookup's ``HASH``.
+        """
+        examined = 0
+        found = False
+        for entry in reversed(self._bucket(template, key)):
+            examined += 1
+            if horizon is None or entry.tuple.ts >= horizon:
+                found = True
+                break
+        if examined:
+            self.context.cost.charge(CostKind.PROBE_STEP, examined)
+        return found
 
     # -- JIT support ----------------------------------------------------------
 

@@ -26,7 +26,7 @@
 
 The tests (``test_scheduler_equivalence.py::TestGoldenSchedules``,
 ``test_detection_gate.py::TestGateOnThePaperPlan`` and ``::TestLiveGateRecords``,
-``test_jit_indexes.py::TestPinnedOpenDifferential``) compare a fresh run with
+``test_jit_core.py::TestPinnedOpenDifferential``) compare a fresh run with
 the file.  After a change that is *meant* to move a cost::
 
     PYTHONPATH=src python -m tests.golden --check    # list what moved, exit 1 if anything did
@@ -46,13 +46,14 @@ import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List
 
 from repro.core.config import JITConfig, RetentionPolicy
 from repro.core.jit_join import JITJoinOperator
 from repro.engine import ExecutionMode, run_workload
 from repro.engine.results import result_key
 from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
+from repro.experiments.reporting import moved
 from repro.metrics import CostKind
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 from repro.plans.builder import (
@@ -274,7 +275,7 @@ def gate_record(name: str) -> dict:
 
 
 def clique_setup(n_sources: int, shape: str, seed: int):
-    """A nested-loop JIT clique, 30-tuple windows over four: (plan, events, window)."""
+    """A nested-loop JIT clique over four 30-tuple windows: (plan, events, window)."""
     workload = generate_clique_workload(
         n_sources=n_sources, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=seed,
     )
@@ -330,27 +331,6 @@ def record_all() -> dict:
         "gates": {name: gate_record(name) for name in GATE_RUNS},
         "differential": {name: differential_record(name) for name in DIFFERENTIAL_RUNS},
     }
-
-
-def _leaves(node, path: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...], object]]:
-    if isinstance(node, dict):
-        for key, child in node.items():
-            yield from _leaves(child, path + (key,))
-    elif isinstance(node, list):
-        for index, child in enumerate(node):
-            yield from _leaves(child, path + (str(index),))
-    else:
-        yield path, node
-
-
-def moved(before: dict, after: dict) -> List[str]:
-    """One line per leaf that differs between two sets of records."""
-    old, new = dict(_leaves(before)), dict(_leaves(after))
-    return [
-        f"{' '.join(path)}: {old.get(path, 'absent')} -> {new.get(path, 'absent')}"
-        for path in sorted(old.keys() | new.keys())
-        if old.get(path) != new.get(path)
-    ]
 
 
 def main(argv=None) -> int:

@@ -260,15 +260,19 @@ class UnprunedLattice:
 
 
 class UnprunedDetector(LatticeMNSDetector):
-    """The reference for the pruned detecting probe: a lattice detector that
-    keeps every component pending for the whole scan and visits every node
-    for every opposite tuple.  Installed in ``operator.detectors[port]`` it
-    makes ``_probe_opposite`` evaluate every component's conditions against
-    every entry — the probe as it ran before dead nodes left it."""
+    """The reference for the settled, pruned detecting probe: a lattice
+    detector that settles nothing by lookup, keeps every component pending
+    for the whole scan and visits every node for every opposite tuple.
+    Installed in ``operator.detectors[port]`` it makes ``_probe_opposite``
+    evaluate every component's conditions against every entry — the probe
+    as it ran before lookups settled components and dead nodes left it."""
 
     def start(self, tup):
         self.reference = UnprunedLattice(self.components, self.lattice.max_level)
         self.pending = self.components
+
+    def settle(self, tup, matched):
+        return ()
 
     def observe(self, tup, matches):
         self.reference.observe_all(matches)

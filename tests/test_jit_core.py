@@ -4,8 +4,10 @@ MNS buffer, blacklist and production-control helpers.
 Two of them are differentials against the unpruned ``Identify_MNS`` kept in
 ``helpers.py`` (docs/JIT.md, "Where a scan starts and stops"): the lattice
 whose dead nodes leave ``observe`` against :class:`helpers.UnprunedLattice`,
-and the detecting probe that stops evaluating settled components against the
-same probe driven by :class:`helpers.UnprunedDetector`.
+and the detecting probe whose lookups settle the components before a REF
+scan against the full per-entry scan driven by
+:class:`helpers.UnprunedDetector`.  ``TestPinnedOpenDifferential`` replays
+``golden.json``'s pinned-open nested-loop records.
 """
 
 from __future__ import annotations
@@ -36,9 +38,14 @@ from repro.core.production_control import (
     split_signature,
 )
 from repro.core.signature import MNSSignature
+from repro.engine import ExecutionEngine
+from repro.engine.results import result_multiset
 from repro.metrics import CostKind, CostModel
 from repro.operators.base import PORT_LEFT, PORT_RIGHT
 from repro.operators.predicates import AttributeRef, EquiJoinCondition, JoinPredicate
+from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
+from repro.plans.query import ContinuousQuery
+from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
 
@@ -324,14 +331,15 @@ class TestDetectors:
 
 class TestDetectingProbe:
     """AB x C on ``A.y = C.y and B.z = C.z``: one AB tuple probes ten C entries.
-    Entry 1 matches A only, entry 2 nothing, entry 3 B only — both level-1
-    nodes are dead after entry 3, and the other seven entries get REF's
-    short-circuit."""
+    Before the scan each component is settled by one lookup in the C state's
+    index on its condition, built on first use; the scan is then REF's
+    short-circuit over (A.y = C.y, B.z = C.z): 2 evaluations where y matches,
+    else 1 — 15 over the ten entries, whatever the probing tuple's z."""
 
-    #: (y, z) of the ten C entries; the probing AB tuple carries y = z = 1.
+    #: (y, z) of the ten C entries; the probing AB tuple carries y = 1.
     ENTRIES = ((1, 0), (0, 0), (0, 1), (1, 1), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (0, 1))
 
-    def _probe(self, unpruned: bool):
+    def _probe(self, unpruned: bool, z: int = 1):
         context = ExecutionContext(window=Window(60.0))
         operator = JITJoinOperator(
             "Op", {"A", "B"}, {"C"},
@@ -346,45 +354,134 @@ class TestDetectingProbe:
             operator.detectors[PORT_LEFT] = UnprunedDetector(
                 shipped.components, shipped.attr_pairs_by_source, context
             )
-        for seq, (y, z) in enumerate(self.ENTRIES):
-            operator.process(make_tuple("C", 1.0, seq=seq, y=y, z=z), PORT_RIGHT)
+        for seq, (y, c_z) in enumerate(self.ENTRIES):
+            operator.states[PORT_RIGHT].insert(make_tuple("C", 1.0, seq=seq, y=y, z=c_z))
         before = context.cost.snapshot()
-        ab = join_tuples(make_tuple("A", 2.0, y=1), make_tuple("B", 2.0, z=1))
+        ab = join_tuples(make_tuple("A", 2.0, y=1), make_tuple("B", 2.0, z=z))
         operator.process(ab, PORT_LEFT)
         charged = {
             kind: count - before[kind]
             for kind, count in context.cost.snapshot().items()
             if count != before[kind]
         }
-        return charged, [r.component("C").seq for r in results], operator
+        return charged, [r.component("C").seq for r in results], operator, ab
 
-    def test_settled_components_leave_the_probe(self):
-        charged, joined, operator = self._probe(unpruned=False)
+    def test_lookups_settle_both_components_before_the_scan(self):
+        charged, joined, operator, _ab = self._probe(unpruned=False)
         assert joined == [3, 6, 8]
         assert operator.stats["detections_settled"] == 1
+        assert operator.detectors[PORT_LEFT].pending == ()
         assert charged == {
             CostKind.INSERT: 1,
-            CostKind.PROBE_STEP: 10,
-            # Entries 1-3: A and B / B alone / B then A.  Entries 4-10, REF's
-            # short-circuit over (A.y = C.y, B.z = C.z): 2 where y matches, else 1.
-            CostKind.PREDICATE_EVAL: (2 + 1 + 2) + (2 + 1 + 2 + 2 + 1 + 2 + 1),
-            # Two alive nodes at entry 1, one at entries 2 and 3, none after.
-            CostKind.LATTICE_NODE: 2 + 1 + 1,
+            # Two indexes built over the ten entries, then one lookup each.
+            CostKind.HASH: 2 * 10 + 2,
+            # One entry per lookup (each bucket's newest is live), then the scan.
+            CostKind.PROBE_STEP: 1 + 1 + 10,
+            CostKind.PREDICATE_EVAL: 15,
+            # A's lookup finds a partner with two nodes alive, B's with one.
+            CostKind.LATTICE_NODE: 2 + 1,
             CostKind.RESULT_BUILD: 3,
         }
+        # A second probe looks the built indexes up again: one HASH each.
+        before = operator.require_context().cost.count(CostKind.HASH)
+        again = join_tuples(make_tuple("A", 3.0, y=0), make_tuple("B", 3.0, z=0))
+        operator.process(again, PORT_LEFT)
+        assert operator.require_context().cost.count(CostKind.HASH) == before + 2
 
-    def test_results_and_their_order_are_those_of_the_unpruned_probe(self):
-        charged, joined, operator = self._probe(unpruned=False)
-        reference, reference_joined, reference_operator = self._probe(unpruned=True)
+    def test_an_unmatched_component_stays_pending_and_leaves_the_scan(self):
+        charged, joined, operator, ab = self._probe(unpruned=False, z=7)
+        assert joined == []
+        assert operator.stats["detections_settled"] == 0
+        detector = operator.detectors[PORT_LEFT]
+        assert detector.pending == ("B",)  # a resumed partial may still match B
+        assert [sig.items for sig in detector.finish(ab)] == [(("B", "z", 7),)]
+        assert charged == {
+            CostKind.INSERT: 1,
+            CostKind.HASH: 2 * 10 + 2,
+            # B's lookup finds no bucket: it examines nothing.
+            CostKind.PROBE_STEP: 1 + 10,
+            CostKind.PREDICATE_EVAL: 15,
+            CostKind.LATTICE_NODE: 2,
+        }
+
+    @pytest.mark.parametrize("z", [1, 7])
+    def test_results_and_their_order_are_those_of_the_unpruned_probe(self, z):
+        charged, joined, operator, ab = self._probe(unpruned=False, z=z)
+        reference, reference_joined, reference_operator, _ab = self._probe(unpruned=True, z=z)
         assert joined == reference_joined
         assert reference_operator.stats["detections_settled"] == 0
-        # The unpruned probe: both components against every entry, both nodes
-        # visited per entry (a source-fed port has no producer to report to,
-        # so finish() never runs).
+        detector, unpruned = operator.detectors[PORT_LEFT], reference_operator.detectors[PORT_LEFT]
+        assert detector.finish(ab) == unpruned.finish(ab)
+        # The unpruned probe: no lookup, both components against every entry,
+        # both nodes visited per entry (a source-fed port has no producer to
+        # report to, so the probe itself never calls finish()).
+        assert CostKind.HASH not in reference
         assert reference[CostKind.PREDICATE_EVAL] == 2 * 10
         assert reference[CostKind.LATTICE_NODE] == 2 * 10
-        for kind in (CostKind.PROBE_STEP, CostKind.RESULT_BUILD, CostKind.INSERT):
-            assert charged[kind] == reference[kind]
+        assert reference[CostKind.PROBE_STEP] == 10
+        for kind in (CostKind.RESULT_BUILD, CostKind.INSERT):
+            assert charged.get(kind) == reference.get(kind)
+
+    def test_a_partner_the_lookup_found_may_leave_before_the_scan_reaches_it(self):
+        """The one ordering trap.  Op2 (AB x C) probes its C state [j, e] with
+        a1b1: A's lookup finds e (its bucket's newest entry), B's finds j.  The
+        scan joins j first; that emission reaches Op3 (ABC x D on C.w = D.w), which
+        finds no D with w = 5, suspends {C.w = 5} at Op2, and Op2 extracts j
+        and e — e before the scan reaches it.
+
+        Which way detection goes: a lookup reads the state as it stood when
+        the probe began, so it can only find more partners than the scan
+        meets; a component it finds matched the scan might find unmatched,
+        and the lookup then declines that MNS, which is always legal.  Here
+        it declines none,
+        because nothing leaves a state mid-probe except through an emission,
+        and an emitted entry has matched every component: every lattice node
+        was dead before e left.  Results equal REF's and the unpruned
+        probe's, and Op2 detects what the unpruned probe detects."""
+        predicate = JoinPredicate.equi([
+            (("A", "x"), ("B", "x")), (("A", "y"), ("C", "y")),
+            (("B", "z"), ("C", "z")), (("C", "w"), ("D", "w")),
+        ])
+        query = ContinuousQuery(
+            sources=("A", "B", "C", "D"), window=Window(60.0), predicate=predicate
+        )
+        events = [
+            StreamEvent(ts, source, AtomicTuple(source, ts, attrs, seq=seq))
+            for ts, source, seq, attrs in (
+                (0.0, "D", 0, {"w": 99}),
+                (1.0, "C", 0, {"y": 1, "z": 1, "w": 5}),  # j: joins a1b1
+                (2.0, "C", 1, {"y": 1, "z": 0, "w": 5}),  # e: matches A only
+                (3.0, "A", 0, {"x": 1, "y": 1}),
+                (4.0, "B", 0, {"x": 1, "z": 1}),
+                (5.0, "D", 1, {"w": 5}),
+            )
+        ]
+
+        def run(strategy, unpruned=False):
+            plan = build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=strategy)
+            engine = ExecutionEngine(plan, ExecutionContext(window=Window(60.0)))
+            if unpruned:
+                op2 = plan.operator_named("Op2")
+                shipped = op2.detectors[PORT_LEFT]
+                op2.detectors[PORT_LEFT] = UnprunedDetector(
+                    shipped.components, shipped.attr_pairs_by_source, op2.require_context()
+                )
+            return engine.run(events).results.results, plan
+
+        ref, _ = run(STRATEGY_REF)
+        settled, plan = run(STRATEGY_JIT)
+        unpruned, unpruned_plan = run(STRATEGY_JIT, unpruned=True)
+        assert len(ref) == 1 and settled == unpruned
+        assert result_multiset(settled) == result_multiset(ref)
+        op2 = plan.operator_named("Op2")
+        assert op2.stats["tuples_blacklisted"] == 2  # j and e, mid-probe
+        assert op2._probed[PORT_LEFT].visited == 1  # the scan met j only
+        assert op2.stats["mns_detected"] == 0
+        assert op2.stats["detections_settled"] == 1  # the lookups killed both nodes
+        reference = unpruned_plan.operator_named("Op2").stats  # never settles
+        assert {k: v for k, v in op2.stats.items() if k != "detections_settled"} == {
+            k: v for k, v in reference.items() if k != "detections_settled"
+        }
 
 
 class TestPinnedOpenDifferential:

@@ -181,6 +181,25 @@ class TestIndexRegistry:
         state.extract(lambda t: False)
         assert context.cost.count(CostKind.BLACKLIST_SCAN) == 4 + 18  # the scan: every entry
 
+    def test_any_live_walks_its_bucket_newest_first_to_the_first_live_entry(self, context):
+        state = OperatorState("S", context)
+        for i in range(6):
+            state.insert(make_tuple("A", float(i), seq=i, x=i % 2, y=i))
+        def steps():
+            return context.cost.count(CostKind.PROBE_STEP)
+
+        assert state.any_live(X, (0,))  # present is enough without a horizon
+        assert (_hashes(context), steps()) == (6 + 1, 1)  # build + lookup; entry 4 examined
+        assert state.any_live(X, (1,), horizon=4.5)  # entry 5
+        assert (_hashes(context), steps()) == (8, 2)
+        assert not state.any_live(X, (0,), horizon=4.5)  # entries 4, 2 and 0: none live
+        assert (_hashes(context), steps()) == (9, 5)
+        assert not state.any_live(X, (7,))  # no bucket: the lookup alone
+        assert (_hashes(context), steps()) == (10, 5)
+        state.remove_entry(state.entries()[5])
+        assert not state.any_live(X, (1,), horizon=4.5)  # entries 3 and 1
+        assert (_hashes(context), steps()) == (11, 7)
+
     def test_indexes_are_not_charged_to_the_memory_model(self, context):
         state = OperatorState("S", context)
         tup = make_tuple("A", 0.0, x=1, y=2)

@@ -3,7 +3,7 @@
 These quantify design choices the paper leaves open (the detection modes
 are described in ``docs/JIT.md``):
 
-* MNS detection mode (full lattice vs Bloom screening vs Ø-only, i.e. DOE),
+* MNS detection mode (full lattice vs Ø-only, i.e. DOE),
 * plan style (X-Join tree vs M-Join vs Eddy) for the same query, and
 * execution mode / operator-scheduling policy (Section III-B).
 """
@@ -31,7 +31,7 @@ def _print_runs(title, runs):
 
 
 def test_detection_mode_ablation(benchmark, bench_scale):
-    """Compare lattice, Bloom and Ø-only (DOE) detection against REF."""
+    """Compare lattice and Ø-only (DOE) detection against REF."""
     setting = BUSHY_DEFAULTS.with_overrides(n_sources=4)
     runs = benchmark.pedantic(
         lambda: detection_mode_ablation(setting, scale=bench_scale), rounds=1, iterations=1

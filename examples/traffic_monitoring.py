@@ -8,7 +8,7 @@ incident location shortly after it was reported, and additionally maintains a
 per-segment vehicle count with the windowed aggregate operator.
 
 It demonstrates the public API pieces beyond the clique-join benchmarks:
-hand-built queries, JIT joins with a custom configuration, and the
+hand-built queries, JIT joins under the default configuration, and the
 aggregation operator.
 
 Run with::
@@ -25,7 +25,6 @@ from repro import (
     STRATEGY_REF,
     AttributeRef,
     ContinuousQuery,
-    JITConfig,
     JoinPredicate,
     SourceSchema,
     StreamSource,
@@ -87,11 +86,7 @@ def run_correlation(events) -> None:
     print(" ", query.describe(), "\n")
     reports = {}
     for strategy in (STRATEGY_REF, STRATEGY_JIT):
-        plan = build_xjoin_plan(
-            query,
-            strategy=strategy,
-            jit_config=JITConfig(detection_mode="bloom"),  # cheap screening is enough here
-        )
+        plan = build_xjoin_plan(query, strategy=strategy)
         reports[strategy] = run_workload(plan, events, window_length=WINDOW_SECONDS)
         print(reports[strategy].summary())
     ref, jit = reports[STRATEGY_REF], reports[STRATEGY_JIT]

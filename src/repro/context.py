@@ -12,7 +12,6 @@ the engine, which itself imports the operator layer.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -44,16 +43,12 @@ class ExecutionContext:
     memory:
         The memory model tracking modelled bytes in states, blacklists, MNS
         buffers and queues.
-    rng:
-        A context-owned random generator for components that need randomness
-        (e.g. Bloom-filter hash seeds); seeded for reproducibility.
     """
 
     window: Window
     clock: SimulationClock = field(default_factory=SimulationClock)
     cost: CostModel = field(default_factory=CostModel)
     memory: MemoryModel = field(default_factory=MemoryModel)
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
     #: Observers of the feedback flow (Section III-B): the queued engine
     #: registers its scheduler here so policies like ``jit_aware`` can boost
     #: the producer that just received a resumption.  Feedback itself remains

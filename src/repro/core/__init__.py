@@ -10,8 +10,8 @@ This sub-package implements the JIT feedback mechanism of Yang & Papadias
 * :mod:`repro.core.cns_lattice` -- the candidate non-demanded sub-tuple
   lattice of Section IV-A (Figure 7).
 * :mod:`repro.core.mns_detection` -- the ``Identify_MNS`` algorithm
-  (Figure 8), its Bloom-filter approximation, and the Ø-only detector that
-  reduces JIT to the DOE baseline.
+  (Figure 8), whose components index lookups settle, and the Ø-only
+  detector that reduces JIT to the DOE baseline.
 * :mod:`repro.core.mns_buffer` -- the consumer-side buffer of detected MNSs.
 * :mod:`repro.core.blacklist` -- the producer-side blacklist of suspended
   tuples.
@@ -32,7 +32,6 @@ from repro.core.feedback import Feedback, FeedbackKind
 from repro.core.signature import MNSSignature
 from repro.core.cns_lattice import CNSLattice, LatticeNode
 from repro.core.mns_detection import (
-    BloomMNSDetector,
     EmptyStateDetector,
     LatticeMNSDetector,
     MNSDetector,
@@ -55,7 +54,6 @@ __all__ = [
     "LatticeNode",
     "MNSDetector",
     "LatticeMNSDetector",
-    "BloomMNSDetector",
     "EmptyStateDetector",
     "build_detector",
     "MNSBuffer",

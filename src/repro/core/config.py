@@ -1,8 +1,9 @@
 """Configuration of the JIT feedback mechanism.
 
 The paper repeatedly stresses that JIT is an optimization with "a high degree
-of flexibility" (end of Section IV): a consumer may detect only some MNSs, a
-producer may ignore feedback, Type II MNSs may be skipped, and so on.
+of flexibility" (end of Section IV): a consumer may detect only some MNSs
+(only the narrow ones, or only Ø), a producer may ignore feedback, Type II
+MNSs may be skipped, and so on.
 :class:`JITConfig` gathers those degrees of freedom in one place so the
 experiment harness can run ablations over them, and so the DOE baseline can
 be expressed as a particular configuration (Ø-only detection), exactly as the
@@ -28,14 +29,12 @@ class DetectionMode:
 
     #: Full CNS-lattice detection (``Identify_MNS``, Figure 8).
     LATTICE = "lattice"
-    #: Bloom-filter screening of single components: cheaper, may miss MNSs.
-    BLOOM = "bloom"
     #: Only the Ø MNS (opposite state empty) — this is the DOE baseline [21].
     EMPTY_ONLY = "empty_only"
     #: No detection at all — the operator degenerates to the REF join.
     NONE = "none"
 
-    ALL = (LATTICE, BLOOM, EMPTY_ONLY, NONE)
+    ALL = (LATTICE, EMPTY_ONLY, NONE)
 
 
 class RetentionPolicy:
@@ -84,8 +83,6 @@ class JITConfig:
         cascading suspension).
     retention_policy:
         See :class:`RetentionPolicy`.
-    bloom_bits / bloom_hashes:
-        Sizing of the Bloom filters used by ``DetectionMode.BLOOM``.
     detect_for_source_fed_ports:
         Whether MNS detection runs for inputs fed directly by a raw source.
         Such detection cannot help (there is no producer to control), so the
@@ -103,8 +100,6 @@ class JITConfig:
     propagate_feedback: bool = True
     propagate_empty_suspension: bool = False
     retention_policy: str = RetentionPolicy.EXACT
-    bloom_bits: int = 4096
-    bloom_hashes: int = 3
     detect_for_source_fed_ports: bool = False
     jit_structure_purge_interval: float = 0.125
 

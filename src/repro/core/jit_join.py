@@ -122,7 +122,7 @@ __all__ = ["JITJoinOperator"]
 
 #: The kinds only an MNS detector charges: their delta across a stretch of the
 #: probe loop that emits nothing is what the detector cost there.
-_DETECTOR_KINDS = (CostKind.LATTICE_NODE, CostKind.BLOOM)
+_DETECTOR_KINDS = (CostKind.LATTICE_NODE,)
 
 #: A port's local conditions, split for one stretch of a detecting probe: per
 #: component the detector still needs an outcome for, and all the others'.
@@ -277,7 +277,6 @@ class JITJoinOperator(BinaryJoinOperator):
                 self.config,
                 components=tuple(conds_by_source),
                 attr_pairs_by_source=attr_pairs,
-                conditions_by_source=conds_by_source,
                 context=context,
             )
 
@@ -367,9 +366,6 @@ class JITJoinOperator(BinaryJoinOperator):
         # the probe does not change which results are produced but makes the
         # watermarks of re-entrant suspensions exact.
         own_entry = self.insert_into_state(tup, port, now)
-        opp_detector = self.detectors[opp]
-        if opp_detector is not None:
-            opp_detector.note_opposite_insert(tup)
 
         # Line 10 (+ Identify_MNS interleaved): probe the opposite state.
         detector = self.detectors[port]
@@ -675,7 +671,6 @@ class JITJoinOperator(BinaryJoinOperator):
         """
         window = self.require_context().window
         opposite_state = self.states[opposite_port(port)]
-        port_detector = self.detectors[port]
         pending: Tuple[str, ...] = () if detector is None else detector.pending
         conditions = self._split_conditions(port, pending)
         outcomes: Dict[str, bool] = {}
@@ -689,8 +684,6 @@ class JITJoinOperator(BinaryJoinOperator):
                     pending = detector.pending
                     conditions = self._split_conditions(port, pending)
             partial_entry = opposite_state.insert(partial, now)
-            if port_detector is not None:
-                port_detector.note_opposite_insert(partial)
             if joins and not own_entry.removed and not partial_entry.removed:
                 self.emit(self.build_result(tup, partial))
                 self.stats["results_resumed"] += 1
@@ -806,14 +799,11 @@ class JITJoinOperator(BinaryJoinOperator):
 
         Used when the triggering arrival was itself diverted: its blacklist
         replay will join the partials later, so they only need to be restored
-        into the state (and the detectors' Bloom filters) here.
+        into the state here.
         """
         opposite_state = self.states[opposite_port(port)]
-        port_detector = self.detectors[port]
         for partial in producer.produce_suspended(resume_feedback):
             opposite_state.insert(partial, now)
-            if port_detector is not None:
-                port_detector.note_opposite_insert(partial)
 
     # ------------------------------------------------------------------ producer side
 
@@ -890,11 +880,8 @@ class JITJoinOperator(BinaryJoinOperator):
         # and keeps the scan.
         lookup = (signature.template, signature.key) if signature.items else None
         extracted = state.extract(signature.matches_super, lookup)
-        detector = self.detectors[opposite_port(port)]
         for removed in extracted:
             self.stats["tuples_blacklisted"] += 1
-            if detector is not None:
-                detector.note_opposite_remove(removed.tuple)
             # The watermark twice: as a sequence number, and as the order
             # stamp of the last opposite entry it covers.
             watermark, upto_order = default_watermark, default_order
@@ -1075,24 +1062,9 @@ class JITJoinOperator(BinaryJoinOperator):
         else:
             self.states[port].insert(tup, now, seq=record.original_seq).came_from = record
             record.ended = self._moment
-        detector = self.detectors[opp]
-        if detector is not None:
-            detector.note_opposite_insert(tup)
         return produced
 
     # ------------------------------------------------------------------ maintenance
-
-    def purge(self, now: float) -> None:
-        """Purge both states, keeping the detectors' Bloom filters in sync."""
-        horizon = self.require_context().window.purge_horizon(now)
-        for port in self.ports:
-            removed = self.states[port].purge(horizon)
-            if not removed:
-                continue
-            detector = self.detectors[opposite_port(port)]
-            if detector is not None:
-                for entry in removed:
-                    detector.note_opposite_remove(entry.tuple)
 
     def _update_purge_floors(self) -> None:
         """Recompute the delayed-purge floors from suspended work on each side."""
@@ -1150,9 +1122,6 @@ class JITJoinOperator(BinaryJoinOperator):
                 self._send_feedback(producer, cancel)
                 for partial in producer.produce_suspended(cancel):
                     self.states[port].insert(partial, now)
-                    opp_detector = self.detectors[opposite_port(port)]
-                    if opp_detector is not None:
-                        opp_detector.note_opposite_insert(partial)
             self.gates[port].spend(cost.cpu_units - mark)
 
     # ------------------------------------------------------------------ diagnostics

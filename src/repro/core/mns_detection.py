@@ -1,7 +1,6 @@
 """MNS detection on the consumer side (Section IV-A).
 
-Three detectors are provided, corresponding to the options the paper
-discusses:
+Two detectors are provided:
 
 * :class:`LatticeMNSDetector` — the full ``Identify_MNS`` algorithm
   (Figure 8) over the CNS lattice, driven by the consumer's probe.  On a
@@ -15,13 +14,15 @@ discusses:
   visits only the tuples that match at least one component, since a tuple
   matching none kills no lattice node (docs/JIT.md, "Just-in-time state
   indexes").
-* :class:`BloomMNSDetector` — the Bloom-filter alternative: one filter per
-  equi-join attribute of the opposite state; a component whose value is
-  definitely absent from some filter is an MNS.  Cheaper, but may miss MNSs
-  (never the other way round, so correctness is unaffected).
 * :class:`EmptyStateDetector` — detects nothing beyond the Ø case (which the
   consumer handles before probing); with it, JIT degenerates to the DOE
   baseline [21].
+
+The paper's Bloom-filter alternative is not implemented: a filter answers
+"might an opposite entry match this component?" approximately and must be
+updated on every insert and removal, while the settling lookup answers it
+exactly from an index built only when asked (docs/JIT.md, "When detection
+pays", measures the two over Figures 10-17).
 
 The Ø MNS (opposite state empty) is detected by the consumer itself before
 the probe, independently of the configured detector, because every detector
@@ -30,21 +31,17 @@ shares that rule (Figure 8, line 2).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
 from repro.core.cns_lattice import CNSLattice
 from repro.core.config import DetectionMode, JITConfig
 from repro.core.signature import MNSSignature
-from repro.metrics import CostKind
-from repro.operators.bloom import CountingBloomFilter
-from repro.operators.predicates import AttributeRef, JoinCondition
 from repro.streams.tuples import StreamTuple
 
 __all__ = [
     "MNSDetector",
     "LatticeMNSDetector",
-    "BloomMNSDetector",
     "EmptyStateDetector",
     "build_detector",
 ]
@@ -116,14 +113,6 @@ class MNSDetector:
         """Return the MNS signatures detected for ``tup`` (opposite state non-empty)."""
         return []
 
-    # -- opposite-state maintenance hooks (Bloom detection) --------------------------
-
-    def note_opposite_insert(self, tup: StreamTuple) -> None:
-        """Called when a tuple is inserted into the opposite state."""
-
-    def note_opposite_remove(self, tup: StreamTuple) -> None:
-        """Called when a tuple leaves the opposite state."""
-
     # -- helpers -----------------------------------------------------------------------
 
     def signature_for(self, tup: StreamTuple, sources: FrozenSet[str]) -> MNSSignature:
@@ -177,80 +166,6 @@ class LatticeMNSDetector(MNSDetector):
         ]
 
 
-class BloomMNSDetector(MNSDetector):
-    """Bloom-filter screening of single components (Section IV-A, last part).
-
-    One counting Bloom filter is maintained per *opposite-side* attribute that
-    participates in an equi-join condition with this port.  A component of the
-    input whose value is definitely absent from any of its conditions'
-    filters has no join partner, hence is an MNS.  Only single-component
-    (level-1) MNSs can be detected this way.
-    """
-
-    def __init__(
-        self,
-        components: Sequence[str],
-        attr_pairs_by_source: Mapping[str, Sequence[Tuple[str, str]]],
-        context: ExecutionContext,
-        conditions_by_source: Mapping[str, Sequence[JoinCondition]],
-        num_bits: int = 4096,
-        num_hashes: int = 3,
-    ) -> None:
-        super().__init__(components, attr_pairs_by_source, context)
-        #: For each component source, the list of (this-side ref, opposite ref)
-        #: pairs of its equi-join conditions.
-        self._checks: Dict[str, List[Tuple[AttributeRef, AttributeRef]]] = {}
-        self._filters: Dict[AttributeRef, CountingBloomFilter] = {}
-        for source, conditions in conditions_by_source.items():
-            pairs: List[Tuple[AttributeRef, AttributeRef]] = []
-            for cond in conditions:
-                if not cond.is_equi:
-                    continue
-                this_ref = cond.left if cond.left.source == source else cond.right
-                opp_ref = cond.right if cond.left.source == source else cond.left
-                pairs.append((this_ref, opp_ref))
-                if opp_ref not in self._filters:
-                    self._filters[opp_ref] = CountingBloomFilter(num_bits, num_hashes)
-            self._checks[source] = pairs
-
-    def note_opposite_insert(self, tup: StreamTuple) -> None:
-        for opp_ref, bloom in self._filters.items():
-            if tup.covers(opp_ref.source):
-                bloom.add(opp_ref.value(tup))
-                self.context.cost.charge(CostKind.BLOOM)
-
-    def note_opposite_remove(self, tup: StreamTuple) -> None:
-        for opp_ref, bloom in self._filters.items():
-            if tup.covers(opp_ref.source):
-                try:
-                    bloom.remove(opp_ref.value(tup))
-                except ValueError:
-                    # The filter was created after this tuple entered the
-                    # state (e.g. detector swapped mid-run); ignore.
-                    pass
-                self.context.cost.charge(CostKind.BLOOM)
-
-    def finish(self, tup: StreamTuple) -> List[MNSSignature]:
-        out: List[MNSSignature] = []
-        for source in self.components:
-            if not tup.covers(source):
-                continue
-            for this_ref, opp_ref in self._checks.get(source, ()):
-                bloom = self._filters.get(opp_ref)
-                if bloom is None:
-                    continue
-                self.context.cost.charge(CostKind.BLOOM)
-                if bloom.definitely_absent(this_ref.value(tup)):
-                    out.append(self.signature_for(tup, frozenset({source})))
-                    break
-        return out
-
-    @property
-    def memory_bytes(self) -> int:
-        """Modelled size of all maintained filters."""
-        return sum(f.memory_bytes for f in self._filters.values())
-
-
 class EmptyStateDetector(MNSDetector):
     """Detects no MNSs beyond Ø; JIT with this detector behaves like DOE [21]."""
 
@@ -262,7 +177,6 @@ def build_detector(
     config: JITConfig,
     components: Sequence[str],
     attr_pairs_by_source: Mapping[str, Sequence[Tuple[str, str]]],
-    conditions_by_source: Mapping[str, Sequence[JoinCondition]],
     context: ExecutionContext,
 ) -> Optional[MNSDetector]:
     """Build the detector requested by ``config`` for one consumer input port.
@@ -275,15 +189,6 @@ def build_detector(
     if config.detection_mode == DetectionMode.LATTICE:
         return LatticeMNSDetector(
             components, attr_pairs_by_source, context, max_arity=config.max_mns_arity
-        )
-    if config.detection_mode == DetectionMode.BLOOM:
-        return BloomMNSDetector(
-            components,
-            attr_pairs_by_source,
-            context,
-            conditions_by_source,
-            num_bits=config.bloom_bits,
-            num_hashes=config.bloom_hashes,
         )
     if config.detection_mode == DetectionMode.EMPTY_ONLY:
         return EmptyStateDetector(components, attr_pairs_by_source, context)

@@ -7,7 +7,7 @@
 * :mod:`repro.experiments.figures` -- one entry point per figure of the
   evaluation section (``figure10`` ... ``figure17``).
 * :mod:`repro.experiments.ablations` -- additional sweeps not in the paper
-  (detection modes, plan styles, schedulers, cost-weight sensitivity).
+  (detection modes, plan styles, schedulers).
 * :mod:`repro.experiments.reporting` -- plain-text tables for all of the
   above, as printed by the benchmark harness and recorded in EXPERIMENTS.md.
 """

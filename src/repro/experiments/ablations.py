@@ -3,9 +3,9 @@
 These sweeps quantify design choices the paper leaves open (the detection
 modes are described in ``docs/JIT.md``):
 
-* :func:`detection_mode_ablation` — full CNS-lattice detection vs the cheap
-  Bloom-filter screening vs Ø-only detection (= the DOE baseline) vs no
-  detection (= REF), on the same workload.
+* :func:`detection_mode_ablation` — full CNS-lattice detection vs Ø-only
+  detection (= the DOE baseline) vs no detection (= REF), on the same
+  workload.
 * :func:`plan_style_ablation` — X-Join vs M-Join vs Eddy execution of the
   same query (the CPU/memory trade-off discussed in Section II).
 * :func:`scheduler_ablation` — synchronous execution vs queued execution
@@ -42,7 +42,7 @@ def detection_mode_ablation(
     """Compare MNS-detection modes on one workload.
 
     Returns one :class:`StrategyRun` per label: ``ref``, ``jit/lattice``,
-    ``jit/bloom``, ``jit/empty_only`` (DOE).
+    ``jit/empty_only`` (DOE).
     """
     workload = scaled_workload(setting, scale=scale)
     query = ContinuousQuery.from_workload(workload)
@@ -53,7 +53,7 @@ def detection_mode_ablation(
     report = run_workload(ref_plan, events, workload.window.length, keep_results=False)
     runs["ref"] = StrategyRun.from_report("ref", report)
 
-    for mode in (DetectionMode.LATTICE, DetectionMode.BLOOM, DetectionMode.EMPTY_ONLY):
+    for mode in (DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY):
         config = JITConfig(detection_mode=mode)
         plan = build_xjoin_plan(query, shape=shape, strategy=STRATEGY_JIT, jit_config=config)
         report = run_workload(plan, events, workload.window.length, keep_results=False)

@@ -8,7 +8,7 @@ preserve the quantities the paper actually compares:
 
 * :class:`CostModel` counts the primitive operations every execution strategy
   performs — predicate evaluations, state probes, partial-result
-  constructions, insertions, purges, hash/Bloom operations, CNS-lattice node
+  constructions, insertions, purges, hash operations, CNS-lattice node
   visits and feedback messages — and converts them into CPU *cost units*
   through a configurable weight table.  JIT's claimed advantage is precisely
   "fewer primitive operations for the same output", so ratios and trends of
@@ -43,7 +43,6 @@ class CostKind:
     INSERT = "insert"
     PURGE = "purge"
     HASH = "hash"
-    BLOOM = "bloom"
     LATTICE_NODE = "lattice_node"
     FEEDBACK_MESSAGE = "feedback_message"
     BLACKLIST_SCAN = "blacklist_scan"
@@ -57,7 +56,6 @@ class CostKind:
         INSERT,
         PURGE,
         HASH,
-        BLOOM,
         LATTICE_NODE,
         FEEDBACK_MESSAGE,
         BLACKLIST_SCAN,
@@ -73,9 +71,9 @@ class CostWeights:
     The defaults approximate the relative cost of the operations in a C++
     nested-loop join implementation: a probe step (fetch + compare) and a
     predicate evaluation are the unit, building and copying a result tuple is
-    a few units, and messages are cheap pointer passes.  The *shape* of the
-    reproduced figures is insensitive to moderate changes in these weights,
-    which the ablation benchmark verifies.
+    a few units, and messages are cheap pointer passes.  That the *shape* of
+    the reproduced figures survives moderate changes in these weights is
+    expected but unverified: no benchmark varies them.
     """
 
     predicate_eval: float = 1.0
@@ -84,7 +82,6 @@ class CostWeights:
     insert: float = 2.0
     purge: float = 1.0
     hash: float = 0.5
-    bloom: float = 0.25
     lattice_node: float = 0.5
     feedback_message: float = 2.0
     blacklist_scan: float = 1.0

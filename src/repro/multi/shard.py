@@ -14,10 +14,9 @@ hot-path code.
 Isolation and sharing are deliberately split:
 
 * **Per plan** — operators, queues, result collector, and an
-  :class:`~repro.context.ExecutionContext` carrying the query's own window
-  and a private rng seeded exactly like a standalone run.  Result
-  equivalence with standalone engines follows: a hosted plan sees the same
-  tuples, the same clock values and the same randomness as it would alone.
+  :class:`~repro.context.ExecutionContext` carrying the query's own
+  window.  Result equivalence with standalone engines follows: a hosted
+  plan sees the same tuples and the same clock values as it would alone.
 * **Per shard** — the scheduler (and its ready-set), the
   :class:`~repro.multi.clock.ShardClock` view, the cost/memory models and
   the feedback counts (suspensions, resumptions, open suspensions), so a
@@ -46,7 +45,6 @@ argument and ``tests/test_sharing_equivalence.py`` for the proof).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -252,9 +250,6 @@ class ShardEngine:
             clock=self.clock,
             cost=self.cost,
             memory=self.memory,
-            # Same seed a standalone run_workload context gets, so hosted
-            # plans draw identical randomness (Bloom seeds etc.).
-            rng=random.Random(0),
             tracer=self.tracer,
             trace_shard=self.shard_id,
         )

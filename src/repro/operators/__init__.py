@@ -5,7 +5,6 @@ assumes and that JIT (in :mod:`repro.core`) is built on:
 
 * :mod:`repro.operators.predicates` -- join and selection predicates.
 * :mod:`repro.operators.state` -- sliding-window operator states.
-* :mod:`repro.operators.bloom` -- Bloom filters.
 * :mod:`repro.operators.base` -- the operator/port/wiring framework.
 * :mod:`repro.operators.queues` -- inter-operator queues (scheduled mode).
 * :mod:`repro.operators.join` -- the REF binary window join.
@@ -23,7 +22,6 @@ from repro.operators.base import (
     Operator,
     UnaryOperator,
 )
-from repro.operators.bloom import BloomFilter, CountingBloomFilter
 from repro.operators.join import BinaryJoinOperator, opposite_port
 from repro.operators.predicates import (
     AttributeCompare,
@@ -47,8 +45,6 @@ __all__ = [
     "PORT_RIGHT",
     "Operator",
     "UnaryOperator",
-    "BloomFilter",
-    "CountingBloomFilter",
     "BinaryJoinOperator",
     "opposite_port",
     "AttributeCompare",

@@ -95,7 +95,7 @@ class JoinCondition:
 
     @property
     def is_equi(self) -> bool:
-        """True for pure equality conditions (eligible for hashing/Bloom filters)."""
+        """True for pure equality conditions (eligible for hashing)."""
         return False
 
 

@@ -363,9 +363,7 @@ class TestTogglePropertySweep:
         dmax=st.sampled_from((2, 4, 8, 40)),
         config=st.builds(
             JITConfig,
-            detection_mode=st.sampled_from(
-                (DetectionMode.LATTICE, DetectionMode.BLOOM, DetectionMode.EMPTY_ONLY)
-            ),
+            detection_mode=st.sampled_from((DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY)),
             max_mns_arity=st.integers(min_value=1, max_value=3),
             handle_type2=st.booleans(),
             propagate_empty_suspension=st.booleans(),

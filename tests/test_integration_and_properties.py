@@ -29,7 +29,6 @@ from repro.experiments import (
     scheduler_ablation,
     sweep_parameter,
 )
-from repro.operators.bloom import CountingBloomFilter
 from repro.operators.state import OperatorState
 from repro.plans.builder import (
     PLAN_BUSHY,
@@ -98,20 +97,6 @@ class TestStrategyEquivalence:
             reports[STRATEGY_JIT].cpu_units < reports[STRATEGY_REF].cpu_units
         ), "JIT should need fewer modelled CPU units than REF on a selective workload"
 
-    def test_bloom_detection_is_correct(self):
-        workload = generate_clique_workload(
-            n_sources=3, rate=1.0, window_seconds=50, dmax=6, duration=120, seed=3
-        )
-        reports = _run_all(
-            workload,
-            PLAN_LEFT_DEEP,
-            (STRATEGY_REF, STRATEGY_JIT),
-            jit_config=JITConfig(detection_mode=DetectionMode.BLOOM),
-        )
-        assert result_multiset(reports[STRATEGY_JIT].results.results) == result_multiset(
-            reports[STRATEGY_REF].results.results
-        )
-
     def test_mjoin_and_eddy_match_xjoin_without_expiry(self):
         # With a window longer than the run, all plan styles share the same
         # multiway window semantics, so their outputs must coincide exactly.
@@ -146,7 +131,7 @@ class TestStrategyEquivalence:
         )
         assert len(points) == 2 and all(p.runs[STRATEGY_REF].events > 0 for p in points)
         detection = detection_mode_ablation(LEFT_DEEP_DEFAULTS.with_overrides(n_sources=3), scale=0.03)
-        assert set(detection) == {"ref", "jit/lattice", "jit/bloom", "jit/empty_only"}
+        assert set(detection) == {"ref", "jit/lattice", "jit/empty_only"}
         styles = plan_style_ablation(LEFT_DEEP_DEFAULTS.with_overrides(n_sources=3), scale=0.03)
         assert "mjoin" in styles and "eddy" in styles
         schedulers = scheduler_ablation(LEFT_DEEP_DEFAULTS.with_overrides(n_sources=3), scale=0.03)
@@ -207,7 +192,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         params=bounded_workload_parameters(),
-        detection=st.sampled_from([DetectionMode.LATTICE, DetectionMode.BLOOM, DetectionMode.EMPTY_ONLY]),
+        detection=st.sampled_from([DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY]),
         divert=st.booleans(),
         propagate=st.booleans(),
     )
@@ -234,17 +219,6 @@ class TestPropertyEquivalence:
 
 
 class TestPropertyDataStructures:
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=60))
-    def test_counting_bloom_never_false_negative(self, values):
-        bloom = CountingBloomFilter(num_bits=256, num_hashes=3)
-        for v in values:
-            bloom.add(v)
-        assert all(bloom.might_contain(v) for v in values)
-        for v in values:
-            bloom.remove(v)
-        assert len(bloom) == 0
-
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(

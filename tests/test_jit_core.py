@@ -24,7 +24,6 @@ from repro.core.feedback import Feedback, FeedbackKind
 from repro.core.jit_join import JITJoinOperator
 from repro.core.mns_buffer import MNSBuffer
 from repro.core.mns_detection import (
-    BloomMNSDetector,
     EmptyStateDetector,
     LatticeMNSDetector,
     build_detector,
@@ -241,14 +240,6 @@ class TestCNSLattice:
 # --------------------------------------------------------------------------- detectors
 
 
-def _abc_conditions():
-    """Conditions of the top join of Figure 1: A.y = C.y and B.z = C.z."""
-    return {
-        "A": (EquiJoinCondition(AttributeRef("A", "y"), AttributeRef("C", "y")),),
-        "B": (EquiJoinCondition(AttributeRef("B", "z"), AttributeRef("C", "z")),),
-    }
-
-
 class TestDetectors:
     def test_lattice_detector_reports_unmatched_component(self, context):
         detector = LatticeMNSDetector(
@@ -261,33 +252,6 @@ class TestDetectors:
         assert len(signatures) == 1
         assert signatures[0].sources == ("A",)
         assert signatures[0].items == (("A", "y", 9),)
-
-    def test_bloom_detector_no_false_mns(self, context):
-        detector = BloomMNSDetector(
-            ["A", "B"],
-            {"A": [("A", "y")], "B": [("B", "z")]},
-            context,
-            _abc_conditions(),
-            num_bits=512,
-        )
-        c = make_tuple("C", 0.5, y=9, z=5)
-        detector.note_opposite_insert(c)
-        ab_match = join_tuples(make_tuple("A", 1.0, y=9), make_tuple("B", 1.0, z=5))
-        assert detector.finish(ab_match) == []
-        ab_miss = join_tuples(make_tuple("A", 1.0, y=1), make_tuple("B", 1.0, z=5))
-        sigs = detector.finish(ab_miss)
-        assert [s.sources for s in sigs] == [("A",)]
-
-    def test_bloom_detector_tracks_removals(self, context):
-        detector = BloomMNSDetector(
-            ["A"], {"A": [("A", "y")]}, context,
-            {"A": (_abc_conditions()["A"])}, num_bits=512,
-        )
-        c = make_tuple("C", 0.5, y=9, z=5)
-        detector.note_opposite_insert(c)
-        detector.note_opposite_remove(c)
-        ab = join_tuples(make_tuple("A", 1.0, y=9), make_tuple("B", 1.0, z=5))
-        assert len(detector.finish(ab)) == 1
 
     def test_empty_state_detector_reports_nothing(self, context):
         detector = EmptyStateDetector(["A"], {"A": [("A", "y")]}, context)
@@ -305,25 +269,19 @@ class TestDetectors:
         assert lattice.pending == ("B",)
         lattice.observe(ab, {"B": True})
         assert lattice.pending == () and lattice.finish(ab) == []
-        for other in (BloomMNSDetector(*args, _abc_conditions()), EmptyStateDetector(*args)):
-            other.start(ab)
-            assert other.pending == ()
+        empty_only = EmptyStateDetector(*args)
+        empty_only.start(ab)
+        assert empty_only.pending == ()
 
     def test_build_detector_modes(self, context):
-        args = (["A"], {"A": [("A", "y")]}, {"A": _abc_conditions()["A"]}, context)
+        args = (["A"], {"A": [("A", "y")]}, context)
+        assert isinstance(build_detector(JITConfig(), *args), LatticeMNSDetector)
         assert isinstance(
-            build_detector(JITConfig(), args[0], args[1], args[2], context), LatticeMNSDetector
-        )
-        assert isinstance(
-            build_detector(JITConfig(detection_mode=DetectionMode.BLOOM), *args[:3], context),
-            BloomMNSDetector,
-        )
-        assert isinstance(
-            build_detector(JITConfig(detection_mode=DetectionMode.EMPTY_ONLY), *args[:3], context),
+            build_detector(JITConfig(detection_mode=DetectionMode.EMPTY_ONLY), *args),
             EmptyStateDetector,
         )
-        assert build_detector(JITConfig(detection_mode=DetectionMode.NONE), *args[:3], context) is None
-        assert build_detector(JITConfig(), [], {}, {}, context) is None
+        assert build_detector(JITConfig(detection_mode=DetectionMode.NONE), *args) is None
+        assert build_detector(JITConfig(), [], {}, context) is None
 
 
 # --------------------------------------------------------------------------- the detecting probe
@@ -505,8 +463,11 @@ class TestJITConfig:
         assert JITConfig.paper_default().retention_policy == RetentionPolicy.EXACT
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            JITConfig(detection_mode="nope")
+        for mode in ("nope", "bloom"):
+            with pytest.raises(ValueError):
+                JITConfig(detection_mode=mode)
+        with pytest.raises(TypeError):
+            JITConfig(bloom_bits=4096)
         with pytest.raises(ValueError):
             JITConfig(retention_policy="sometimes")
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Unit tests for metrics, predicates, states, Bloom filters, queues and unary operators."""
+"""Unit tests for metrics, predicates, states, queues and unary operators."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.context import ExecutionContext
 from repro.metrics import CostKind, CostModel, CostWeights, MemoryModel, MetricsReport
 from repro.operators.aggregate import AggregateFunction, WindowAggregateOperator
 from repro.operators.base import PORT_INPUT, PORT_LEFT, PORT_RIGHT
-from repro.operators.bloom import BloomFilter, CountingBloomFilter
 from repro.operators.join import BinaryJoinOperator, opposite_port
 from repro.operators.predicates import (
     AttributeCompare,
@@ -365,54 +364,6 @@ class TestLiveCursor:
                 rest = snapshot[len(taken):]
                 assert list(probe) == [e for e in rest if not e.removed]
             self._check(state, horizon, floor_purged)
-
-
-# --------------------------------------------------------------------------- bloom filters
-
-
-class TestBloomFilters:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter(num_bits=256, num_hashes=3)
-        values = list(range(50))
-        bloom.add_all(values)
-        assert all(bloom.might_contain(v) for v in values)
-
-    def test_definitely_absent_for_fresh_filter(self):
-        bloom = BloomFilter(num_bits=64, num_hashes=2)
-        assert bloom.definitely_absent("anything")
-        bloom.add("anything")
-        assert not bloom.definitely_absent("anything")
-
-    def test_clear(self):
-        bloom = BloomFilter(num_bits=64)
-        bloom.add(1)
-        bloom.clear()
-        assert bloom.definitely_absent(1)
-        assert len(bloom) == 0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BloomFilter(num_bits=0)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(num_hashes=0)
-
-    def test_counting_filter_supports_removal(self):
-        bloom = CountingBloomFilter(num_bits=128, num_hashes=3)
-        bloom.add("a")
-        bloom.add("a")
-        bloom.remove("a")
-        assert bloom.might_contain("a")
-        bloom.remove("a")
-        assert bloom.definitely_absent("a")
-
-    def test_counting_filter_rejects_unknown_removal(self):
-        bloom = CountingBloomFilter(num_bits=128)
-        with pytest.raises(ValueError):
-            bloom.remove("never added")
-
-    def test_memory_model(self):
-        assert BloomFilter(num_bits=1024).memory_bytes == 128
-        assert CountingBloomFilter(num_bits=1024).memory_bytes == 512
 
 
 # --------------------------------------------------------------------------- queues

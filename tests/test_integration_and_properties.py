@@ -97,6 +97,20 @@ class TestStrategyEquivalence:
             reports[STRATEGY_JIT].cpu_units < reports[STRATEGY_REF].cpu_units
         ), "JIT should need fewer modelled CPU units than REF on a selective workload"
 
+    def test_wider_mns_detection_is_correct(self):
+        workload = generate_clique_workload(
+            n_sources=3, rate=1.0, window_seconds=50, dmax=6, duration=120, seed=3
+        )
+        reports = _run_all(
+            workload,
+            PLAN_LEFT_DEEP,
+            (STRATEGY_REF, STRATEGY_JIT),
+            jit_config=JITConfig(max_mns_arity=2, handle_type2=True),
+        )
+        assert result_multiset(reports[STRATEGY_JIT].results.results) == result_multiset(
+            reports[STRATEGY_REF].results.results
+        )
+
     def test_mjoin_and_eddy_match_xjoin_without_expiry(self):
         # With a window longer than the run, all plan styles share the same
         # multiway window semantics, so their outputs must coincide exactly.
@@ -219,6 +233,39 @@ class TestPropertyEquivalence:
 
 
 class TestPropertyDataStructures:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(("insert", "remove", "purge", "floor")), st.integers(0, 5)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.one_of(st.none(), st.floats(min_value=0, max_value=60)),
+    )
+    def test_any_live_agrees_with_a_scan(self, steps, horizon):
+        context = ExecutionContext(window=Window(30.0))
+        state = OperatorState("S", context)
+        template = (("A", "x"),)
+        purged_to = float("-inf")  # purge horizons only grow
+        for i, (action, value) in enumerate(steps):
+            if action == "insert":
+                state.insert(AtomicTuple("A", float(i), {"x": value}, seq=i), now=float(i))
+            elif action == "remove":
+                doomed = [e for e in state.entries() if e.tuple.get("x") == value]
+                if doomed:
+                    state.remove_entry(doomed[0])
+            elif action == "purge":
+                purged_to = max(purged_to, float(i - 4 * value))
+                state.purge(purged_to)
+            else:
+                state.purge_floor = None if value == 0 else float(i - 4 * value)
+            for key in range(6):
+                expected = any(
+                    e.tuple.get("x") == key and (horizon is None or e.ts >= horizon)
+                    for e in state.entries()
+                )
+                assert state.any_live(template, (key,), horizon) == expected
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(

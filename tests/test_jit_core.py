@@ -42,6 +42,7 @@ from repro.engine.results import result_multiset
 from repro.metrics import CostKind, CostModel
 from repro.operators.base import PORT_LEFT, PORT_RIGHT
 from repro.operators.predicates import AttributeRef, EquiJoinCondition, JoinPredicate
+from repro.operators.state import OperatorState
 from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
 from repro.streams.sources import StreamEvent
@@ -240,6 +241,20 @@ class TestCNSLattice:
 # --------------------------------------------------------------------------- detectors
 
 
+def _settle_against(detector, ab, opposite):
+    """Start ``detector`` on ``ab`` and settle it by lookups in the ``opposite``
+    C state, as a nested-loop JIT join does; the conditions are those of the
+    top join of Figure 1, A.y = C.y and B.z = C.z."""
+    lookups = {"A": ("y", ("A", "y")), "B": ("z", ("B", "z"))}
+
+    def matched(component):
+        attr, (source, own) = lookups[component]
+        return opposite.any_live((("C", attr),), (ab.value(source, own),))
+
+    detector.start(ab)
+    return detector.settle(ab, matched)
+
+
 class TestDetectors:
     def test_lattice_detector_reports_unmatched_component(self, context):
         detector = LatticeMNSDetector(
@@ -252,6 +267,30 @@ class TestDetectors:
         assert len(signatures) == 1
         assert signatures[0].sources == ("A",)
         assert signatures[0].items == (("A", "y", 9),)
+
+    def test_settled_lattice_detector_reports_no_false_mns(self, context):
+        opposite = OperatorState("C", context)
+        opposite.insert(make_tuple("C", 0.5, y=9, z=5))
+        detector = LatticeMNSDetector(
+            ["A", "B"], {"A": [("A", "y")], "B": [("B", "z")]}, context
+        )
+        ab_match = join_tuples(make_tuple("A", 1.0, y=9), make_tuple("B", 1.0, z=5))
+        assert _settle_against(detector, ab_match, opposite) == ()
+        assert detector.pending == () and detector.finish(ab_match) == []
+        ab_miss = join_tuples(make_tuple("A", 1.0, y=1), make_tuple("B", 1.0, z=5))
+        assert _settle_against(detector, ab_miss, opposite) == ("A",)
+        assert [s.sources for s in detector.finish(ab_miss)] == [("A",)]
+
+    def test_settled_lattice_detector_tracks_removals(self, context):
+        opposite = OperatorState("C", context)
+        c = opposite.insert(make_tuple("C", 0.5, y=9, z=5))
+        detector = LatticeMNSDetector(["A"], {"A": [("A", "y")]}, context)
+        ab = join_tuples(make_tuple("A", 1.0, y=9), make_tuple("B", 1.0, z=5))
+        assert _settle_against(detector, ab, opposite) == ()
+        assert detector.finish(ab) == []
+        opposite.remove_entry(c)
+        assert _settle_against(detector, ab, opposite) == ("A",)
+        assert [s.items for s in detector.finish(ab)] == [(("A", "y", 9),)]
 
     def test_empty_state_detector_reports_nothing(self, context):
         detector = EmptyStateDetector(["A"], {"A": [("A", "y")]}, context)

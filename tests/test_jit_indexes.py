@@ -234,7 +234,7 @@ class TestIndexRegistry:
 # ------------------------------------------------------------------ differential
 
 
-DETECTORS = (DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY)
+DETECTORS = DetectionMode.ALL
 SHAPES = (PLAN_LEFT_DEEP, PLAN_RIGHT_DEEP, PLAN_BUSHY)
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for metrics, predicates, states, queues and unary operators."""
+"""Unit tests for metrics, predicates, states, existence lookups, queues and unary operators."""
 
 from __future__ import annotations
 
@@ -364,6 +364,78 @@ class TestLiveCursor:
                 rest = snapshot[len(taken):]
                 assert list(probe) == [e for e in rest if not e.removed]
             self._check(state, horizon, floor_purged)
+
+
+# --------------------------------------------------------------------------- existence lookups
+
+
+class TestExistenceLookup:
+    """``OperatorState.any_live``: the exact answer to "might an opposite entry
+    match this component?" that settles MNS detection before a nested-loop
+    probe, served by an index built on first use and kept by the state's own
+    mutations (no per-insert hook feeds it)."""
+
+    Y = (("C", "y"),)
+
+    def test_no_false_negatives(self, context):
+        state = OperatorState("S", context)
+        for i in range(50):
+            state.insert(make_tuple("C", float(i), seq=i, y=i))
+        assert all(state.any_live(self.Y, (i,)) for i in range(50))
+
+    def test_no_false_positives(self, context):
+        state = OperatorState("S", context)
+        for i in range(0, 50, 2):
+            state.insert(make_tuple("C", float(i), seq=i, y=i))
+        assert not any(state.any_live(self.Y, (i,)) for i in range(-1, 51, 2))
+
+    def test_a_fresh_state_answers_with_the_lookup_alone(self, context):
+        state = OperatorState("S", context)
+        assert not state.any_live(self.Y, (1,))
+        assert not state.any_live(self.Y, (1,), horizon=0.0)
+        assert context.cost.count(CostKind.HASH) == 2  # nothing to build, one lookup each
+        assert context.cost.count(CostKind.PROBE_STEP) == 0
+
+    def test_removals_are_seen_entry_by_entry(self, context):
+        state = OperatorState("S", context)
+        first = state.insert(make_tuple("C", 0.0, seq=0, y=7))
+        second = state.insert(make_tuple("C", 1.0, seq=1, y=7))
+        assert state.any_live(self.Y, (7,))
+        state.remove_entry(first)
+        assert state.any_live(self.Y, (7,))  # the other y = 7 entry is still present
+        state.remove_entry(second)
+        assert not state.any_live(self.Y, (7,))
+
+    def test_purged_and_extracted_entries_are_gone(self, context):
+        state = OperatorState("S", context)
+        for i in range(6):
+            state.insert(make_tuple("C", float(i), seq=i, y=i % 2))
+        assert state.any_live(self.Y, (0,))  # builds the index over all six
+        state.purge(horizon=4.0)
+        assert [e.tuple.seq for e in state.entries()] == [4, 5]
+        assert state.any_live(self.Y, (0,)) and state.any_live(self.Y, (1,))
+        state.extract(lambda t: t.get("y") == 0, lookup=(self.Y, (0,)))
+        assert not state.any_live(self.Y, (0,))
+        assert state.any_live(self.Y, (1,))
+
+    def test_a_horizon_hides_what_a_purge_floor_retains(self, context):
+        state = OperatorState("S", context)
+        for i in range(6):
+            state.insert(make_tuple("C", float(i), seq=i, y=i))
+        state.purge_floor = 0.0
+        assert state.purge(horizon=4.0) == []
+        assert state.any_live(self.Y, (1,))  # retained: present, so a replay sees it
+        assert not state.any_live(self.Y, (1,), horizon=4.0)  # but not live
+        assert state.any_live(self.Y, (5,), horizon=4.0)
+
+    def test_a_two_attribute_component_needs_both_values(self, context):
+        state = OperatorState("S", context)
+        state.insert(make_tuple("C", 0.0, seq=0, y=1, z=2))
+        state.insert(make_tuple("C", 0.0, seq=1, y=2, z=1))
+        template = (("C", "y"), ("C", "z"))
+        assert state.any_live(template, (1, 2)) and state.any_live(template, (2, 1))
+        assert not state.any_live(template, (1, 1))
+        assert not state.any_live(template, (2, 2))
 
 
 # --------------------------------------------------------------------------- queues

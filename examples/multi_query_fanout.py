@@ -7,7 +7,9 @@ trade-confirmation joins, a three-way audit — registered in one
 :class:`~repro.multi.QueryRegistry` and served by a 2-shard
 :class:`~repro.multi.ShardedEngine`.  Events are *pushed* one at a time
 through the ingestion API as they occur (no pre-merged pull loop), and each
-query's results come back demultiplexed on its own sink.
+query's results come back demultiplexed on its own sink.  Each query's
+served results are then checked against the same query run alone through a
+synchronous engine over the same events.
 
 Run with::
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import time
 
+from repro.engine import run_workload
 from repro.multi import QueryRegistry, ShardedEngine
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
 from repro.streams.generators import UniformValueGenerator
@@ -108,6 +111,16 @@ def main() -> None:
             )
         print()
         print(report.summary())
+
+        # Sharding and push ingestion change where work runs, never results.
+        for entry in registry:
+            subscribed = [event for event in events if event.source in entry.sources]
+            alone = run_workload(entry.build_plan(), subscribed, entry.query.window.length)
+            assert engine.results_for(entry.query_id).multiset() == alone.results.multiset(), (
+                f"query {entry.query_id} diverged from its standalone run"
+            )
+    print()
+    print(f"All {len(registry)} queries match their standalone runs.")
 
 
 if __name__ == "__main__":

@@ -63,8 +63,8 @@ def main() -> None:
     print(f"Peak memory (KB) REF: {ref.peak_memory_kb:.1f}   JIT: {jit.peak_memory_kb:.1f}")
     print()
     print("Tip: the JIT advantage grows with the window length and arrival rate")
-    print("(the paper's Figures 10-17); see benchmarks/ and EXPERIMENTS.md for the")
-    print("full parameter sweeps.")
+    print("(the paper's Figures 10-17); see benchmarks/bench_figures.py and")
+    print("benchmarks/BENCH_figures.json for the full parameter sweeps.")
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ Quickstart::
     print(report.summary())
 
 See ``docs/JIT.md`` for the design notes of the JIT join, ``docs/SCALING.md``
-for the sharded multi-query engine and ``EXPERIMENTS.md`` for the
-paper-vs-measured comparison.
+for the sharded multi-query engine and ``benchmarks/bench_figures.py`` /
+``benchmarks/BENCH_figures.json`` for the committed figure numbers and the
+scale they were measured at.
 """
 
 from repro.context import ExecutionContext
@@ -64,8 +65,6 @@ from repro.plans import (
     PLAN_RIGHT_DEEP,
     ContinuousQuery,
     ExecutionPlan,
-    build_eddy_plan,
-    build_mjoin_plan,
     build_xjoin_plan,
     parse_cql,
 )
@@ -78,7 +77,6 @@ from repro.multi import (
     SharedVirtualClock,
     generate_multi_query_workload,
 )
-from repro.baselines import build_doe_plan, build_ref_plan
 
 __version__ = "1.0.0"
 
@@ -128,8 +126,6 @@ __all__ = [
     "STRATEGY_JIT",
     "STRATEGY_DOE",
     "build_xjoin_plan",
-    "build_mjoin_plan",
-    "build_eddy_plan",
     "parse_cql",
     # engine
     "ExecutionEngine",
@@ -143,7 +139,4 @@ __all__ = [
     "MultiRunReport",
     "SharedVirtualClock",
     "generate_multi_query_workload",
-    # baselines
-    "build_ref_plan",
-    "build_doe_plan",
 ]

@@ -4,10 +4,9 @@ The paper repeatedly stresses that JIT is an optimization with "a high degree
 of flexibility" (end of Section IV): a consumer may detect only some MNSs
 (only the narrow ones, or only Ø), a producer may ignore feedback, Type II
 MNSs may be skipped, and so on.
-:class:`JITConfig` gathers those degrees of freedom in one place so the
-experiment harness can run ablations over them, and so the DOE baseline can
-be expressed as a particular configuration (Ø-only detection), exactly as the
-paper argues that "DOE is subsumed by JIT".
+:class:`JITConfig` gathers those degrees of freedom in one place, so the
+DOE baseline can be expressed as a particular configuration (Ø-only
+detection), exactly as the paper argues that "DOE is subsumed by JIT".
 
 One freedom is deliberately not a field here: *when* a port that is
 configured to detect actually does.  Each detecting port's

@@ -6,10 +6,9 @@
   strategies and collect comparable metrics.
 * :mod:`repro.experiments.figures` -- one entry point per figure of the
   evaluation section (``figure10`` ... ``figure17``).
-* :mod:`repro.experiments.ablations` -- additional sweeps not in the paper
-  (detection modes, plan styles, schedulers).
 * :mod:`repro.experiments.reporting` -- plain-text tables for all of the
-  above, as printed by the benchmark harness and recorded in EXPERIMENTS.md.
+  above, as printed by ``benchmarks/bench_figures.py``, whose numbers are
+  committed in ``benchmarks/BENCH_figures.json``.
 """
 
 from repro.experiments.config import (
@@ -33,11 +32,6 @@ from repro.experiments.figures import (
     all_figures,
 )
 from repro.experiments.reporting import format_figure, format_sweep_table
-from repro.experiments.ablations import (
-    detection_mode_ablation,
-    plan_style_ablation,
-    scheduler_ablation,
-)
 
 __all__ = [
     "BUSHY_DEFAULTS",
@@ -61,7 +55,4 @@ __all__ = [
     "all_figures",
     "format_figure",
     "format_sweep_table",
-    "detection_mode_ablation",
-    "plan_style_ablation",
-    "scheduler_ablation",
 ]

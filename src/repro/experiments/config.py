@@ -7,7 +7,8 @@ are modelled operation counts, so the comparison is meaningful at any scale —
 therefore every experiment accepts a ``scale`` factor that multiplies the
 window length (and derives the run duration from the scaled window), while
 keeping the paper's arrival rates, source counts and value domains untouched.
-EXPERIMENTS.md records the scale used for the committed numbers.
+``benchmarks/bench_figures.py`` sets the scale of the committed numbers, and
+``benchmarks/BENCH_figures.json`` records it beside them.
 """
 
 from __future__ import annotations

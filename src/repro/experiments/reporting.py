@@ -2,11 +2,11 @@
 
 The benchmark harness prints, for every figure, the same rows the paper
 plots: the swept parameter on the left, then one column per strategy and
-metric.  The formatting is deliberately simple fixed-width text so that the
-output of ``benchmarks/bench_figures.py`` can be pasted directly into
-EXPERIMENTS.md.  :func:`moved` names every number that differs between two
-sets of committed records (``benchmarks/BENCH_figures.json``,
-``tests/golden.json``).
+metric.  The formatting is deliberately simple fixed-width text;
+``benchmarks/bench_figures.py`` prints it and commits the same numbers to
+``benchmarks/BENCH_figures.json``.  :func:`moved` names every number that
+differs between two sets of committed records
+(``benchmarks/BENCH_figures.json``, ``tests/golden.json``).
 """
 
 from __future__ import annotations

@@ -168,8 +168,7 @@ class MemoryModel:
     Components call :meth:`allocate` when a tuple enters a tracked container
     (operator state, blacklist, MNS buffer, inter-operator queue) and
     :meth:`release` when it leaves.  Per-category breakdowns make it possible
-    to attribute the peak to states vs. JIT structures, which the ablation
-    experiments report.
+    to attribute the peak to states vs. JIT structures.
     """
 
     def __init__(self) -> None:

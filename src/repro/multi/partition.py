@@ -6,20 +6,15 @@ and ``index`` its registration position.  Since every query lives entirely on
 one shard (plans never span shards), placement only affects load balance and
 event fan-out, never results.
 
-Two built-ins cover the common cases:
+Three built-ins cover the common cases:
 
 * :func:`round_robin_partition` — spread queries evenly by registration
   order; the default, and the best choice for uniform workloads.
 * :func:`hash_partition` — place by a stable hash of the query id, so a
   query keeps its shard when others are added or removed (useful when
   shard-local state such as warmed caches should survive re-registration).
-
-:class:`SourceAffinityPartition` is the throughput-oriented policy: it
-greedily clusters queries that share streams onto the same shard (with a
-load-balance guard), so the router fans each event out to few shards instead
-of broadcasting to all of them — ingestion cost then *drops* with the shard
-count instead of multiplying, which is what makes N shards faster than one
-on shared-stream populations (see ``benchmarks/bench_throughput.py``).
+* :func:`signature_partition` — co-locate queries that share a join
+  subtree, so the sharing layer can merge them.
 
 Cross-shard *re*-balancing of already-hosted queries is future work (see
 ROADMAP).
@@ -28,7 +23,7 @@ ROADMAP).
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Set
+from typing import Callable
 
 from repro.multi.registry import RegisteredQuery
 
@@ -37,7 +32,6 @@ __all__ = [
     "round_robin_partition",
     "hash_partition",
     "signature_partition",
-    "SourceAffinityPartition",
     "resolve_partitioner",
 ]
 
@@ -72,76 +66,21 @@ def signature_partition(entry: RegisteredQuery, index: int, n_shards: int) -> in
     return zlib.crc32(key) % n_shards
 
 
-class SourceAffinityPartition:
-    """Greedy source-affinity placement with a load-balance guard.
-
-    Each query goes to the shard that already hosts the most of its sources
-    (fewest *new* source subscriptions), restricted to shards whose query
-    load is within ``slack`` of the lightest shard so affinity cannot
-    degenerate into piling everything onto one shard.  Ties break toward the
-    lighter, lower-numbered shard, keeping placement deterministic.
-
-    The instance is stateful across the calls of one placement pass; it
-    resets itself when called with ``index == 0``, so the engine can reuse a
-    resolved instance for a fresh registry walk but one instance must not be
-    shared by concurrently-constructed engines.
-    """
-
-    def __init__(self, slack: int = 2) -> None:
-        if slack < 1:
-            raise ValueError(f"slack must be at least 1, got {slack}")
-        self.slack = slack
-        self._sources: List[Set[str]] = []
-        self._loads: List[int] = []
-
-    def __call__(self, entry: RegisteredQuery, index: int, n_shards: int) -> int:
-        if index == 0 or len(self._loads) != n_shards:
-            self._sources = [set() for _ in range(n_shards)]
-            self._loads = [0] * n_shards
-        lightest = min(self._loads)
-        best_id = -1
-        best_key = None
-        for shard_id in range(n_shards):
-            if self._loads[shard_id] > lightest + self.slack:
-                continue
-            new_sources = len(entry.sources - self._sources[shard_id])
-            key = (new_sources, self._loads[shard_id], shard_id)
-            if best_key is None or key < best_key:
-                best_id, best_key = shard_id, key
-        self._sources[best_id].update(entry.sources)
-        self._loads[best_id] += 1
-        return best_id
-
-
 _NAMED = {
     "round_robin": round_robin_partition,
     "hash": hash_partition,
     "signature": signature_partition,
-    "affinity": SourceAffinityPartition,
 }
 
 
 def resolve_partitioner(partitioner) -> Partitioner:
-    """Accept a partitioner callable, a class, or one of the built-in names.
-
-    Names map to fresh instances per call (``affinity`` is stateful), so
-    every engine resolves its own placement state.
-    """
+    """Accept a partitioner callable or one of the built-in names."""
     if partitioner is None:
         return round_robin_partition
-    if isinstance(partitioner, str):
-        try:
-            named = _NAMED[partitioner]
-        except KeyError:
-            raise ValueError(
-                f"unknown partitioner {partitioner!r}; expected a callable or one of "
-                f"{sorted(_NAMED)}"
-            ) from None
-        return named() if isinstance(named, type) else named
-    if isinstance(partitioner, type):
-        return partitioner()
     if callable(partitioner):
         return partitioner
+    if isinstance(partitioner, str) and partitioner in _NAMED:
+        return _NAMED[partitioner]
     raise ValueError(
         f"unknown partitioner {partitioner!r}; expected a callable or one of "
         f"{sorted(_NAMED)}"

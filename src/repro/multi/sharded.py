@@ -209,8 +209,7 @@ class ShardedEngine:
             partitioner = "signature"
         self._place = resolve_partitioner(partitioner)
         #: Queries placed so far — the registration index handed to the
-        #: partitioner, continued by :meth:`add_query` so stateful policies
-        #: (affinity) never reset mid-lifetime.
+        #: partitioner, continued by :meth:`add_query`.
         self._placed = 0
         self._runtimes: Dict[str, PlanRuntime] = {}
         try:

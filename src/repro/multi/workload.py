@@ -69,9 +69,7 @@ class MultiQueryWorkload:
         query ``k`` joins ``width`` consecutive sources starting at ``k mod
         n_sources``.  Neighborhoods overlap (every source serves many
         standing queries) but exhibit the locality real query populations
-        have — most queries touch streams of one domain — which is what
-        source-affinity placement exploits to keep per-event shard fan-out
-        low.
+        have: most queries touch streams of one domain.
         """
         width = self.sources_per_query[k % len(self.sources_per_query)]
         names = self.base.names

@@ -11,8 +11,6 @@ assumes and that JIT (in :mod:`repro.core`) is built on:
 * :mod:`repro.operators.selection`, :mod:`projection`, :mod:`aggregate` --
   unary operators used in Section V's extensions and the example
   applications.
-* :mod:`repro.operators.mjoin`, :mod:`repro.operators.eddy` -- the M-Join and
-  Eddy plan styles of Figure 2.
 """
 
 from repro.operators.base import (

@@ -199,16 +199,6 @@ class OperatorState:
     def __iter__(self) -> Iterator[StateEntry]:
         return (e for e in self._entries if not e.removed)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the state holds no tuples at all (live or retained).
-
-        Under an active purge floor the state may be non-empty while every
-        entry is formally expired; callers that need "no *live* tuples" —
-        e.g. the Ø-MNS check of the JIT join — must use :meth:`has_live`.
-        """
-        return self._active_count == 0
-
     def has_live(self, horizon: Optional[float] = None) -> bool:
         """True when at least one present entry has ``ts >= horizon``.
 

@@ -5,8 +5,7 @@
 * :mod:`repro.plans.plan` -- :class:`ExecutionPlan`, the wired operator tree
   plus source routing, ready to be driven by the execution engine.
 * :mod:`repro.plans.builder` -- builders for the plan shapes of Table II
-  (left-deep, right-deep, bushy) with REF, JIT or DOE operators, plus M-Join
-  and Eddy plans (Figure 2).
+  (left-deep, right-deep, bushy) with REF, JIT or DOE operators.
 * :mod:`repro.plans.cql` -- a small CQL-style front end for queries of the
   form shown in Figure 1a.
 * :mod:`repro.plans.signature` -- canonical sub-plan signatures used by the
@@ -19,8 +18,6 @@ from repro.plans.builder import (
     PLAN_BUSHY,
     PLAN_LEFT_DEEP,
     PLAN_RIGHT_DEEP,
-    build_eddy_plan,
-    build_mjoin_plan,
     build_overlay_plan,
     build_xjoin_plan,
     paper_plan_shape,
@@ -36,8 +33,6 @@ __all__ = [
     "PLAN_RIGHT_DEEP",
     "build_xjoin_plan",
     "build_overlay_plan",
-    "build_mjoin_plan",
-    "build_eddy_plan",
     "paper_plan_shape",
     "parse_cql",
     "subplan_signature",

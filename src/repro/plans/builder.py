@@ -1,4 +1,4 @@
-"""Plan builders for the paper's plan shapes (Table II, Figure 2).
+"""Plan builders for the paper's plan shapes (Table II).
 
 The evaluation section runs every query twice — with and without JIT — over
 two families of binary join trees (bushy and left-deep).  The builders here
@@ -9,8 +9,8 @@ construct those trees from a :class:`~repro.plans.query.ContinuousQuery`:
   ``shape`` argument selects left-deep, right-deep or bushy trees or a custom
   nested-tuple shape.
 * :func:`paper_plan_shape` -- the exact shapes listed in Table II.
-* :func:`build_mjoin_plan` / :func:`build_eddy_plan` -- the alternative
-  multi-way plan styles of Figure 2, used by the Section V extensions.
+* :func:`build_overlay_plan` -- the private selections / projection that sit
+  above a join subtree shared between queries.
 
 The builders also install the JIT plumbing that depends on the global plan
 structure: each JIT join's ``depth_to_root`` (used by the EXACT retention
@@ -41,8 +41,6 @@ __all__ = [
     "paper_plan_shape",
     "build_xjoin_plan",
     "build_overlay_plan",
-    "build_mjoin_plan",
-    "build_eddy_plan",
 ]
 
 #: Left-deep tree: ``(((A ⋈ B) ⋈ C) ⋈ D) ...`` (Table II, right column).
@@ -315,31 +313,3 @@ def _assign_depths(root: Operator) -> None:
 
     walk(root, 1)
 
-
-def build_mjoin_plan(
-    query: ContinuousQuery,
-    strategy: str = STRATEGY_REF,
-    jit_config: Optional[JITConfig] = None,
-) -> ExecutionPlan:
-    """Build an M-Join plan [23] (Figure 2a): no intermediate-result states.
-
-    Each source's arrivals traverse a linear path of half-join operators
-    against the other sources' states.  See :mod:`repro.operators.mjoin`.
-    """
-    from repro.operators.mjoin import build_mjoin_operators
-
-    return build_mjoin_operators(query, strategy=strategy, jit_config=jit_config)
-
-
-def build_eddy_plan(
-    query: ContinuousQuery,
-    strategy: str = STRATEGY_REF,
-    jit_config: Optional[JITConfig] = None,
-) -> ExecutionPlan:
-    """Build an Eddy plan [4] (Figure 2b): STeMs routed by an Eddy operator.
-
-    See :mod:`repro.operators.eddy`.
-    """
-    from repro.operators.eddy import build_eddy_operators
-
-    return build_eddy_operators(query, strategy=strategy, jit_config=jit_config)

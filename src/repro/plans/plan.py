@@ -34,7 +34,7 @@ class ExecutionPlan:
     routing:
         For each source name, the list of ``(operator, port)`` pairs its
         arrivals must be delivered to.  X-Join trees deliver each source to
-        exactly one port; M-Join and Eddy plans fan a source out to several.
+        exactly one port.
     description:
         Human-readable description (plan shape, strategy), used in reports.
     """

@@ -28,7 +28,6 @@ from repro.streams.sources import (
 from repro.streams.generators import (
     CliqueJoinWorkload,
     UniformValueGenerator,
-    ZipfValueGenerator,
     generate_clique_workload,
 )
 
@@ -51,6 +50,5 @@ __all__ = [
     "merge_sources",
     "CliqueJoinWorkload",
     "UniformValueGenerator",
-    "ZipfValueGenerator",
     "generate_clique_workload",
 ]

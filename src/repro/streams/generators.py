@@ -37,7 +37,6 @@ from repro.streams.time import Window
 
 __all__ = [
     "UniformValueGenerator",
-    "ZipfValueGenerator",
     "CliqueJoinWorkload",
     "generate_clique_workload",
     "source_names",
@@ -79,36 +78,6 @@ class UniformValueGenerator:
 
     def __call__(self, rng: random.Random, schema: SourceSchema) -> Dict[str, int]:
         return {a.name: rng.randint(self.low, self.high) for a in schema.attributes}
-
-
-@dataclass(frozen=True)
-class ZipfValueGenerator:
-    """Draw values from a truncated Zipf-like distribution over ``[1 .. high]``.
-
-    Not used by the paper's experiments, but provided for skew ablations: a
-    skewed value distribution concentrates join partners on a few hot values,
-    which changes how often MNSs are detected and resumed.
-    """
-
-    high: int
-    exponent: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.high < 1:
-            raise ValueError(f"high must be at least 1, got {self.high}")
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {self.exponent}")
-
-    def _weights(self) -> List[float]:
-        return [1.0 / ((rank + 1) ** self.exponent) for rank in range(self.high)]
-
-    def __call__(self, rng: random.Random, schema: SourceSchema) -> Dict[str, int]:
-        weights = self._weights()
-        values = list(range(1, self.high + 1))
-        return {
-            a.name: rng.choices(values, weights=weights, k=1)[0]
-            for a in schema.attributes
-        }
 
 
 @dataclass(frozen=True)

@@ -418,7 +418,7 @@ class TestHasLive:
         # A purge floor retains both entries past their expiry at t=100.
         state.purge_floor = 0.5
         state.purge(horizon=100.0)
-        assert not state.is_empty
+        assert len(state) == 2
         assert state.has_live(None)
         assert state.has_live(2.0)
         assert not state.has_live(2.5), "every entry is below the live horizon"

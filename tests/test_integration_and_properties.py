@@ -16,17 +16,15 @@ from hypothesis import strategies as st
 from repro.context import ExecutionContext
 from repro.core.cns_lattice import CNSLattice
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
-from repro.engine import run_workload
+from repro.engine import ExecutionMode, run_workload
 from repro.engine.results import result_multiset
 from repro.experiments import (
     BUSHY_DEFAULTS,
     LEFT_DEEP_DEFAULTS,
-    detection_mode_ablation,
+    compare_strategies,
     figure10,
     format_figure,
-    plan_style_ablation,
     scaled_workload,
-    scheduler_ablation,
     sweep_parameter,
 )
 from repro.operators.state import OperatorState
@@ -37,8 +35,6 @@ from repro.plans.builder import (
     STRATEGY_DOE,
     STRATEGY_JIT,
     STRATEGY_REF,
-    build_eddy_plan,
-    build_mjoin_plan,
     build_xjoin_plan,
 )
 from repro.plans.query import ContinuousQuery
@@ -111,27 +107,6 @@ class TestStrategyEquivalence:
             reports[STRATEGY_REF].results.results
         )
 
-    def test_mjoin_and_eddy_match_xjoin_without_expiry(self):
-        # With a window longer than the run, all plan styles share the same
-        # multiway window semantics, so their outputs must coincide exactly.
-        workload = generate_clique_workload(
-            n_sources=3, rate=1.0, window_seconds=500, dmax=6, duration=90, seed=4
-        )
-        query = ContinuousQuery.from_workload(workload)
-        events = workload.events()
-        xjoin = run_workload(
-            build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=STRATEGY_REF),
-            events,
-            workload.window.length,
-        )
-        mjoin = run_workload(build_mjoin_plan(query), events, workload.window.length)
-        eddy = run_workload(build_eddy_plan(query), events, workload.window.length)
-        ref = result_multiset(xjoin.results.results)
-        assert result_multiset(mjoin.results.results) == ref
-        assert result_multiset(eddy.results.results) == ref
-        # The paper's qualitative claim: M-Join trades memory for CPU.
-        assert mjoin.peak_memory_kb <= xjoin.peak_memory_kb
-
     def test_experiment_harness_runs_figure_end_to_end(self):
         result = figure10(scale=0.02, values=(10, 20))
         assert len(result.points) == 2
@@ -139,17 +114,25 @@ class TestStrategyEquivalence:
         text = format_figure(result)
         assert "Figure 10" in text and "speedup" in text
 
-    def test_sweep_and_ablations_smoke(self):
+    def test_sweep_smoke(self):
         points = sweep_parameter(
             LEFT_DEEP_DEFAULTS, "dmax", (30, 50), shape=PLAN_LEFT_DEEP, scale=0.03
         )
         assert len(points) == 2 and all(p.runs[STRATEGY_REF].events > 0 for p in points)
-        detection = detection_mode_ablation(LEFT_DEEP_DEFAULTS.with_overrides(n_sources=3), scale=0.03)
-        assert set(detection) == {"ref", "jit/lattice", "jit/empty_only"}
-        styles = plan_style_ablation(LEFT_DEEP_DEFAULTS.with_overrides(n_sources=3), scale=0.03)
-        assert "mjoin" in styles and "eddy" in styles
-        schedulers = scheduler_ablation(LEFT_DEEP_DEFAULTS.with_overrides(n_sources=3), scale=0.03)
-        assert "synchronous" in schedulers and "queued/fifo" in schedulers
+
+    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
+    def test_compare_strategies_checks_equivalence(self, mode):
+        workload = generate_clique_workload(
+            n_sources=4, rate=0.5, window_seconds=40, dmax=6, duration=100, seed=6
+        )
+        strategies = (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE)
+        runs = compare_strategies(
+            workload, PLAN_BUSHY, strategies=strategies, check_equivalence=True, mode=mode
+        )
+        assert tuple(runs) == strategies
+        counts = {run.result_count for run in runs.values()}
+        assert len(counts) == 1 and counts.pop() > 0
+        assert runs[STRATEGY_JIT].cpu_units < runs[STRATEGY_REF].cpu_units
 
     def test_scaled_workload_respects_boost(self):
         workload = scaled_workload(LEFT_DEEP_DEFAULTS, scale=0.05)

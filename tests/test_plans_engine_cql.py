@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import build_doe_plan, build_ref_plan
 from repro.context import ExecutionContext
+from repro.core.config import JITConfig
 from repro.core.jit_join import JITJoinOperator
 from repro.engine import ExecutionEngine, ExecutionMode, ResultCollector, run_workload
 from repro.engine.results import result_key, result_multiset
@@ -131,8 +131,12 @@ class TestPlanBuilder:
 
     def test_baseline_helpers(self):
         query = self._query(3)
-        assert build_ref_plan(query).description.startswith("xjoin")
-        assert all(isinstance(op, JITJoinOperator) for op in build_doe_plan(query).join_operators)
+        ref = build_xjoin_plan(query, strategy=STRATEGY_REF)
+        assert ref.description.startswith("xjoin")
+        assert not any(isinstance(op, JITJoinOperator) for op in ref.join_operators)
+        doe = build_xjoin_plan(query, strategy=STRATEGY_DOE)
+        assert all(isinstance(op, JITJoinOperator) for op in doe.join_operators)
+        assert all(op.config == JITConfig.doe() for op in doe.join_operators)
 
     def test_routing_covers_every_source(self):
         plan = build_xjoin_plan(self._query(5), shape=PLAN_BUSHY, strategy=STRATEGY_REF)

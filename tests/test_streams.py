@@ -15,7 +15,6 @@ from repro.streams.sources import (
 from repro.streams.generators import (
     CliqueJoinWorkload,
     UniformValueGenerator,
-    ZipfValueGenerator,
     generate_clique_workload,
     source_names,
 )
@@ -295,16 +294,6 @@ class TestValueGenerators:
             assert all(1 <= v <= 3 for v in values.values())
         with pytest.raises(ValueError):
             UniformValueGenerator(high=0)
-
-    def test_zipf_skews_to_small_values(self):
-        import random
-
-        gen = ZipfValueGenerator(high=10, exponent=1.5)
-        rng = random.Random(0)
-        schema = SourceSchema.of("A", ["x"])
-        draws = [gen(rng, schema)["x"] for _ in range(300)]
-        assert all(1 <= v <= 10 for v in draws)
-        assert draws.count(1) > draws.count(10)
 
 
 class TestCliqueWorkload:

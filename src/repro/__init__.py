@@ -2,9 +2,9 @@
 
 This package reimplements, in pure Python, the data stream management system
 (DSMS) substrate and the Just-In-Time (JIT) query-processing technique of
-Yang & Papadias (ICDE 2008), together with the REF and DOE baselines and the
-full experimental harness needed to regenerate the paper's evaluation
-figures.
+Yang & Papadias (ICDE 2008), together with the REF baseline, the DOE
+baseline (JIT with Ø-only detection, ``JITConfig.doe()``) and the full
+experimental harness needed to regenerate the paper's evaluation figures.
 
 Quickstart::
 

@@ -22,8 +22,11 @@ This sub-package implements the JIT feedback mechanism of Yang & Papadias
 * :mod:`repro.core.jit_join` -- :class:`JITJoinOperator`, the binary window
   join augmented with the full consumer- and producer-side JIT machinery
   (Figure 6).
-* :mod:`repro.core.config` -- :class:`JITConfig`, the knobs the paper leaves
-  open ("practical implementations ... have a high degree of flexibility").
+* :mod:`repro.core.config` -- :class:`JITConfig`, the choices the paper
+  leaves open ("practical implementations ... have a high degree of
+  flexibility"): which MNSs a consumer detects (the CNS lattice up to some
+  arity, acting on Type II MNSs or not, or Ø only, which is DOE) and how
+  long suspended state is kept.
 """
 
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy

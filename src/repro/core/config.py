@@ -1,12 +1,12 @@
 """Configuration of the JIT feedback mechanism.
 
-The paper repeatedly stresses that JIT is an optimization with "a high degree
-of flexibility" (end of Section IV): a consumer may detect only some MNSs
-(only the narrow ones, or only Ø), a producer may ignore feedback, Type II
-MNSs may be skipped, and so on.
-:class:`JITConfig` gathers those degrees of freedom in one place, so the
-DOE baseline can be expressed as a particular configuration (Ø-only
-detection), exactly as the paper argues that "DOE is subsumed by JIT".
+The paper stresses that JIT is an optimization with "a high degree of
+flexibility" (end of Section IV): a consumer may detect only some MNSs (only
+the narrow ones, or only Ø) and may decline to act on Type II MNSs.
+:class:`JITConfig` holds those choices and how long suspended state is kept.
+The DOE baseline [21] is one of them, Ø-only detection
+(:meth:`JITConfig.doe`), exactly as the paper argues that "DOE is subsumed by
+JIT"; under it an Ø suspension cascades to every upstream producer.
 
 One freedom is deliberately not a field here: *when* a port that is
 configured to detect actually does.  Each detecting port's
@@ -17,8 +17,7 @@ while its gate is open, not a promise that it runs on every tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 __all__ = ["DetectionMode", "RetentionPolicy", "JITConfig"]
 
@@ -28,7 +27,8 @@ class DetectionMode:
 
     #: Full CNS-lattice detection (``Identify_MNS``, Figure 8).
     LATTICE = "lattice"
-    #: Only the Ø MNS (opposite state empty) — this is the DOE baseline [21].
+    #: Only the Ø MNS (opposite state empty), whose suspension cascades to
+    #: every upstream producer — this is the DOE baseline [21].
     EMPTY_ONLY = "empty_only"
     #: No detection at all — the operator degenerates to the REF join.
     NONE = "none"
@@ -61,7 +61,8 @@ class JITConfig:
     Parameters
     ----------
     detection_mode:
-        MNS detection algorithm used on the consumer side.
+        MNS detection algorithm used on the consumer side (see
+        :class:`DetectionMode`).
     max_mns_arity:
         Largest number of components an MNS may span.  ``1`` (default)
         detects single-component MNSs and Ø; larger values climb the CNS
@@ -70,37 +71,14 @@ class JITConfig:
         Whether Type II MNSs are acted upon with mark-result feedback
         (Section IV-B).  When False they are detected (if ``max_mns_arity``
         allows) but not reported, which the paper explicitly allows.
-    divert_similar_arrivals:
-        Whether the producer diverts *new* arrivals matching a suspended
-        signature straight to the blacklist (the ``a2`` optimization of the
-        running example).
-    propagate_feedback:
-        Whether a producer that is itself a consumer relays feedback to its
-        own producers (Section III-C).
-    propagate_empty_suspension:
-        Whether Ø suspensions are propagated upstream as well (full DOE-style
-        cascading suspension).
     retention_policy:
         See :class:`RetentionPolicy`.
-    detect_for_source_fed_ports:
-        Whether MNS detection runs for inputs fed directly by a raw source.
-        Such detection cannot help (there is no producer to control), so the
-        default is False; enabling it is useful only for instrumentation.
-    jit_structure_purge_interval:
-        Minimum simulated-time gap, as a fraction of the window length,
-        between two purges of the JIT bookkeeping structures.  Purging them on
-        every event would dominate the cost model without changing results.
     """
 
     detection_mode: str = DetectionMode.LATTICE
     max_mns_arity: int = 1
     handle_type2: bool = False
-    divert_similar_arrivals: bool = True
-    propagate_feedback: bool = True
-    propagate_empty_suspension: bool = False
     retention_policy: str = RetentionPolicy.EXACT
-    detect_for_source_fed_ports: bool = False
-    jit_structure_purge_interval: float = 0.125
 
     def __post_init__(self) -> None:
         if self.detection_mode not in DetectionMode.ALL:
@@ -115,28 +93,10 @@ class JITConfig:
             )
         if self.max_mns_arity < 1:
             raise ValueError(f"max_mns_arity must be at least 1, got {self.max_mns_arity}")
-        if not 0 < self.jit_structure_purge_interval <= 1:
-            raise ValueError(
-                "jit_structure_purge_interval must be in (0, 1], got "
-                f"{self.jit_structure_purge_interval}"
-            )
 
-    # -- presets -----------------------------------------------------------------
-
-    @classmethod
-    def paper_default(cls) -> "JITConfig":
-        """The configuration used for the figure-reproduction benchmarks."""
-        return cls()
+    # -- preset ------------------------------------------------------------------
 
     @classmethod
     def doe(cls) -> "JITConfig":
         """Demand-driven operator execution [21]: Ø-only detection, cascaded."""
-        return cls(
-            detection_mode=DetectionMode.EMPTY_ONLY,
-            propagate_empty_suspension=True,
-        )
-
-    @classmethod
-    def disabled(cls) -> "JITConfig":
-        """A configuration under which the JIT join behaves exactly like REF."""
-        return cls(detection_mode=DetectionMode.NONE, divert_similar_arrivals=False)
+        return cls(detection_mode=DetectionMode.EMPTY_ONLY)

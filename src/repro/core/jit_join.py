@@ -47,12 +47,13 @@ Implementation notes (all recorded in docs/JIT.md):
   arrival replays later with an empty watermark and joins them exactly once.
 * Indexed paths: with ``use_hash_index`` (which implies all-equi local
   conditions) neither of JIT's two linear scans is one.  Probes that need
-  no MNS detection (source-fed ports under the default configuration, and
-  every ``_join_resumed`` replay) look up the opposite state's index on the
-  equi-join key.  Probes that feed the MNS detector look up, per component
-  of the input, the bucket of that component's conditions and visit the
-  union of the buckets in insertion order: an entry outside every bucket
-  matches no component, so it can neither kill a lattice node nor join.
+  no MNS detection (ports fed by a source, which has no production to
+  control, and every ``_join_resumed`` replay) look up the opposite state's
+  index on the equi-join key.  Probes that feed the MNS detector look up,
+  per component of the input, the bucket of that component's conditions and
+  visit the union of the buckets in insertion order: an entry outside every
+  bucket matches no component, so it can neither kill a lattice node nor
+  join.
   Results, detected MNSs and suspensions are those of the nested loop;
   mid-probe suspension watermarks stay exact because unscanned entries can
   never join the in-flight tuple either.  Without ``use_hash_index`` the
@@ -98,7 +99,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.blacklist import Blacklist, SuspendedTuple
-from repro.core.config import JITConfig, RetentionPolicy
+from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
 from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import Feedback, FeedbackKind
 from repro.core.mns_buffer import MNSBuffer
@@ -119,6 +120,11 @@ from repro.operators.state import StateEntry
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["JITJoinOperator"]
+
+#: Minimum simulated-time gap between two purges of the blacklists and MNS
+#: buffers, as a fraction of the window length: purging them on every event
+#: would dominate the cost model without changing results.
+_JIT_PURGE_INTERVAL = 0.125
 
 #: The kinds only an MNS detector charges: their delta across a stretch of the
 #: probe loop that emits nothing is what the detector cost there.
@@ -177,7 +183,7 @@ class JITJoinOperator(BinaryJoinOperator):
     name, left_sources, right_sources, predicate, use_hash_index:
         As in :class:`~repro.operators.join.BinaryJoinOperator`.
     config:
-        JIT behaviour knobs; defaults to :meth:`JITConfig.paper_default`.
+        JIT behaviour knobs; defaults to ``JITConfig()``.
     """
 
     def __init__(
@@ -190,7 +196,7 @@ class JITJoinOperator(BinaryJoinOperator):
         use_hash_index: bool = False,
     ) -> None:
         super().__init__(name, left_sources, right_sources, predicate, use_hash_index)
-        self.config = config or JITConfig.paper_default()
+        self.config = config or JITConfig()
         #: Number of join operators on the path from this operator to the plan
         #: root, inclusive.  Set by the plan builder; used by the EXACT
         #: retention policy.
@@ -340,7 +346,7 @@ class JITJoinOperator(BinaryJoinOperator):
         # parked (or dropped, for permanent suspensions) without any probing.
         cost = context.cost
         blacklist = self.blacklists[port]
-        if self.config.divert_similar_arrivals and len(blacklist):
+        if len(blacklist):
             mark = cost.cpu_units
             entry = blacklist.match_arrival(tup)
             blacklist.book_upkeep(cost.cpu_units - mark)
@@ -370,13 +376,11 @@ class JITJoinOperator(BinaryJoinOperator):
         # Line 10 (+ Identify_MNS interleaved): probe the opposite state.
         detector = self.detectors[port]
         own_producer = self.producer_of(port)
-        should_detect = detector is not None and (
-            (
-                own_producer is not None
-                and own_producer.supports_production_control()
-                and self._gate_open(port, now)
-            )
-            or self.config.detect_for_source_fed_ports
+        should_detect = (
+            detector is not None
+            and own_producer is not None
+            and own_producer.supports_production_control()
+            and self._gate_open(port, now)
         )
         # The suspended tuples this probe does not meet: credit whoever hid them.
         hidden = self.blacklists[opp].hidden
@@ -409,7 +413,7 @@ class JITJoinOperator(BinaryJoinOperator):
         # Detection is finished only now so that resumed partial results count
         # as join partners (see docs/JIT.md on detection ordering), and it is
         # skipped when t itself was suspended mid-probe.
-        if should_detect and not probe.aborted and own_producer is not None:
+        if should_detect and not probe.aborted:
             mark = cost.cpu_units
             self._finish_detection(tup, port, now, detector, opposite_live, own_producer)
             self.gates[port].spend(cost.cpu_units - mark)
@@ -863,7 +867,7 @@ class JITJoinOperator(BinaryJoinOperator):
         entry = blacklist.ensure_entry(signature, now, permanent=permanent, gate=gate)
 
         # Propagate before handling (Section III-C rule (i)).
-        if self.config.propagate_feedback and not permanent:
+        if not permanent:
             upstream = self.producer_of(port)
             if upstream is not None and upstream.supports_production_control():
                 self._propagate(Feedback.suspend((signature,), origin=entry.gate), port)
@@ -918,10 +922,12 @@ class JITJoinOperator(BinaryJoinOperator):
     def _suspend_all(
         self, signature: MNSSignature, now: float, gate: Optional[DetectionGate] = None
     ) -> None:
-        """Ø suspension: park every new input until resumption (DOE behaviour)."""
+        """Ø suspension: park every new input until resumption; under Ø-only
+        detection (DOE's cascading suspension) every upstream producer parks
+        its own as well."""
         for port in self.ports:
             self.blacklists[port].ensure_entry(signature, now, gate=gate)
-        if self.config.propagate_feedback and self.config.propagate_empty_suspension:
+        if self.config.detection_mode == DetectionMode.EMPTY_ONLY:
             for port in self.ports:
                 upstream = self.producer_of(port)
                 if upstream is not None and upstream.supports_production_control():
@@ -1095,7 +1101,7 @@ class JITJoinOperator(BinaryJoinOperator):
         rests every buffered MNS is dropped this way, live or not.
         """
         context = self.require_context()
-        interval = context.window.length * self.config.jit_structure_purge_interval
+        interval = context.window.length * _JIT_PURGE_INTERVAL
         if now - self._last_jit_purge < interval:
             return
         self._last_jit_purge = now

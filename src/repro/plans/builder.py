@@ -39,6 +39,7 @@ __all__ = [
     "STRATEGY_JIT",
     "STRATEGY_DOE",
     "paper_plan_shape",
+    "resolve_jit_config",
     "build_xjoin_plan",
     "build_overlay_plan",
 ]
@@ -107,6 +108,27 @@ def _shape_sources(shape: ShapeNode) -> List[str]:
     return _shape_sources(left) + _shape_sources(right)
 
 
+def resolve_jit_config(
+    strategy: str, jit_config: Optional[JITConfig]
+) -> Optional[JITConfig]:
+    """The configuration a join built under ``strategy`` carries.
+
+    REF carries none, DOE forces its preset, and JIT defaults to
+    ``JITConfig()`` when none is given.  The operators the builder makes and
+    :func:`~repro.plans.signature.subplan_signature` both read it from here.
+    """
+    if strategy == STRATEGY_REF:
+        return None
+    if strategy == STRATEGY_DOE:
+        return JITConfig.doe()
+    if strategy == STRATEGY_JIT:
+        return jit_config or JITConfig()
+    raise ValueError(
+        f"unknown strategy {strategy!r}; expected one of "
+        f"{(STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE)}"
+    )
+
+
 def _make_join(
     name: str,
     left_sources: Sequence[str],
@@ -116,18 +138,10 @@ def _make_join(
     jit_config: Optional[JITConfig],
     use_hash_index: bool,
 ) -> BinaryJoinOperator:
-    if strategy == STRATEGY_REF:
+    config = resolve_jit_config(strategy, jit_config)
+    if config is None:
         return BinaryJoinOperator(
             name, left_sources, right_sources, query.predicate, use_hash_index=use_hash_index
-        )
-    if strategy == STRATEGY_DOE:
-        config = JITConfig.doe()
-    elif strategy == STRATEGY_JIT:
-        config = jit_config or JITConfig.paper_default()
-    else:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of "
-            f"{(STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE)}"
         )
     return JITJoinOperator(
         name,

@@ -21,10 +21,10 @@ Canonicalization rules:
   mirroring the comparator when the sides swap — and the conjunction is
   sorted.  Multiplicity is preserved: a (redundant) duplicated condition
   changes per-probe cost, and the conservative choice is not to merge it.
-* The JIT configuration is resolved the way the plan builder resolves it
-  (REF ignores it entirely, DOE forces its preset, JIT defaults to the paper
-  configuration), so ``jit_config=None`` and an explicit
-  ``JITConfig.paper_default()`` registration share.
+* The JIT configuration is the one the plan builder installs
+  (:func:`~repro.plans.builder.resolve_jit_config`: REF carries none, DOE
+  forces its preset, JIT defaults to ``JITConfig()``), so ``jit_config=None``
+  and an explicit ``JITConfig()`` registration share.
 
 Selections and projections are deliberately *excluded*: the sharing layer
 keeps them in per-query private overlay plans above the shared subtree, so
@@ -47,11 +47,10 @@ from repro.plans.builder import (
     PLAN_BUSHY,
     PLAN_LEFT_DEEP,
     PLAN_RIGHT_DEEP,
-    STRATEGY_DOE,
-    STRATEGY_JIT,
     STRATEGY_REF,
     ShapeNode,
     paper_plan_shape,
+    resolve_jit_config,
 )
 from repro.plans.query import ContinuousQuery
 
@@ -100,27 +99,6 @@ def canonical_condition(condition: JoinCondition) -> Tuple:
     if left <= right:
         return ("theta", left, comparator, right)
     return ("theta", right, _MIRROR[comparator], left)
-
-
-def resolve_jit_config(
-    strategy: str, jit_config: Optional[JITConfig]
-) -> Optional[JITConfig]:
-    """The configuration the plan builder will actually install.
-
-    Mirrors :func:`repro.plans.builder.build_xjoin_plan`'s resolution: REF
-    carries no configuration at all, DOE forces its preset, and JIT defaults
-    to the paper configuration when none is given.
-    """
-    if strategy == STRATEGY_REF:
-        return None
-    if strategy == STRATEGY_DOE:
-        return JITConfig.doe()
-    if strategy == STRATEGY_JIT:
-        return jit_config or JITConfig.paper_default()
-    raise ValueError(
-        f"unknown strategy {strategy!r}; expected one of "
-        f"{(STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE)}"
-    )
 
 
 def subplan_signature(

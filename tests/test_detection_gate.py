@@ -366,7 +366,6 @@ class TestTogglePropertySweep:
             detection_mode=st.sampled_from((DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY)),
             max_mns_arity=st.integers(min_value=1, max_value=3),
             handle_type2=st.booleans(),
-            propagate_empty_suspension=st.booleans(),
         ),
     )
     def test_arbitrary_schedules(

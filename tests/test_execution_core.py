@@ -133,6 +133,12 @@ class TestReplayedTupleResumesRegression:
     re-enters the state — making it the missing partner of ``<A: A.x2=6>``
     — but a replay that skips the MNS-buffer probe never resumes the
     suspended ``A``, and the result ``a1·b3·c1·d2`` is lost.
+
+    That sequence was found with feedback relaying and arrival diversion
+    switched off; under the default configuration it no longer loses a
+    result without the probe.  ``DEFAULT_CONFIG_EVENTS`` does: the same
+    defect, reduced the same way from a 4-source clique (rate 1, 20-s
+    window, dmax 4, seed 8), loses its one result.
     """
 
     RAW_EVENTS = (
@@ -148,35 +154,43 @@ class TestReplayedTupleResumesRegression:
         ("D", 46.45106987117514, {"x3": 2, "x5": 4, "x6": 5}),
     )
 
-    def test_minimal_sequence_matches_ref(self):
-        from repro.core.config import DetectionMode, JITConfig
+    DEFAULT_CONFIG_EVENTS = (
+        ("C", 0.7417981820088779, {"x2": 3, "x4": 1, "x6": 1}),
+        ("B", 3.2436706775433684, {"x1": 2, "x4": 1, "x5": 3}),
+        ("B", 3.7133330856615516, {"x1": 4, "x4": 1, "x5": 1}),
+        ("B", 4.046122940037124, {"x1": 2, "x4": 2, "x5": 1}),
+        ("D", 4.0575135375666385, {"x3": 1, "x5": 2, "x6": 2}),
+        ("A", 5.1099968817167625, {"x1": 2, "x2": 3, "x3": 4}),
+        ("A", 6.164188150310329, {"x1": 2, "x2": 3, "x3": 3}),
+        ("D", 6.675897726095611, {"x3": 4, "x5": 1, "x6": 1}),
+        ("A", 16.085340833403805, {"x1": 4, "x2": 3, "x3": 4}),
+    )
 
+    @pytest.mark.parametrize(
+        "raw_events, window_seconds",
+        ((RAW_EVENTS, 80), (DEFAULT_CONFIG_EVENTS, 20)),
+        ids=("found", "default-config"),
+    )
+    def test_minimal_sequence_matches_ref(self, raw_events, window_seconds):
         workload = generate_clique_workload(
-            n_sources=4, rate=2.0, window_seconds=80, dmax=6, duration=100, seed=56
+            n_sources=4, rate=2.0, window_seconds=window_seconds, dmax=6, duration=100, seed=56
         )
         query = ContinuousQuery.from_workload(workload)
         events = []
         seqs: dict = {}
-        for source, ts, attrs in self.RAW_EVENTS:
+        for source, ts, attrs in raw_events:
             seqs[source] = seqs.get(source, 0) + 1
             events.append(
                 StreamEvent(
                     ts=ts, source=source, tuple=AtomicTuple(source, ts, attrs, seq=seqs[source])
                 )
             )
-        config = JITConfig(
-            detection_mode=DetectionMode.LATTICE,
-            divert_similar_arrivals=False,
-            propagate_feedback=False,
-        )
         ref = run_workload(
             build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=STRATEGY_REF),
             events,
             workload.window.length,
         )
-        jit = run_workload(
-            _jit_plan(query, jit_config=config), events, workload.window.length
-        )
+        jit = run_workload(_jit_plan(query), events, workload.window.length)
         assert result_multiset(jit.results.results) == result_multiset(ref.results.results)
         assert ref.result_count == 1
 

@@ -1,10 +1,12 @@
 """Integration tests and property-based tests.
 
-The central correctness property of the reproduction: JIT (under any
-configuration), DOE and REF executions of the same workload produce exactly
-the same result set, regardless of plan shape or execution mode.  Hypothesis
-drives randomized workloads and configurations against that invariant, plus
-invariants of the lower-level data structures.
+The central correctness property of the reproduction: within one plan shape,
+JIT (under any configuration), DOE and REF executions of the same workload
+produce exactly the same result set, in either execution mode.  Across plan
+shapes the result sets differ today (ROADMAP.md, item "One window semantics"),
+so no test here compares two shapes.  Hypothesis drives randomized workloads
+and configurations against that invariant, plus invariants of the
+lower-level data structures.
 """
 
 from __future__ import annotations
@@ -190,15 +192,13 @@ class TestPropertyEquivalence:
     @given(
         params=bounded_workload_parameters(),
         detection=st.sampled_from([DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY]),
-        divert=st.booleans(),
-        propagate=st.booleans(),
+        arity=st.integers(min_value=1, max_value=3),
+        handle_type2=st.booleans(),
     )
-    def test_any_jit_configuration_matches_ref(self, params, detection, divert, propagate):
+    def test_any_jit_configuration_matches_ref(self, params, detection, arity, handle_type2):
         workload = generate_clique_workload(**params)
         config = JITConfig(
-            detection_mode=detection,
-            divert_similar_arrivals=divert,
-            propagate_feedback=propagate,
+            detection_mode=detection, max_mns_arity=arity, handle_type2=handle_type2
         )
         reports = _run_all(workload, PLAN_LEFT_DEEP, (STRATEGY_REF, STRATEGY_JIT), jit_config=config)
         assert result_multiset(reports[STRATEGY_JIT].results.results) == result_multiset(

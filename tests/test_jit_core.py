@@ -12,6 +12,8 @@ scan against the full per-entry scan driven by
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -328,21 +330,25 @@ class TestDetectors:
 
 class TestDetectingProbe:
     """AB x C on ``A.y = C.y and B.z = C.z``: one AB tuple probes ten C entries.
-    Before the scan each component is settled by one lookup in the C state's
-    index on its condition, built on first use; the scan is then REF's
-    short-circuit over (A.y = C.y, B.z = C.z): 2 evaluations where y matches,
-    else 1 — 15 over the ten entries, whatever the probing tuple's z."""
+    Its AB input is fed by a real A x B join, the producer a detecting port
+    needs.  Before the scan each component is settled by one lookup in the C
+    state's index on its condition, built on first use; the scan is then
+    REF's short-circuit over (A.y = C.y, B.z = C.z): 2 evaluations where y
+    matches, else 1 — 15 over the ten entries, whatever the probing tuple's z."""
 
     #: (y, z) of the ten C entries; the probing AB tuple carries y = 1.
     ENTRIES = ((1, 0), (0, 0), (0, 1), (1, 1), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (0, 1))
 
     def _probe(self, unpruned: bool, z: int = 1):
         context = ExecutionContext(window=Window(60.0))
-        operator = JITJoinOperator(
-            "Op", {"A", "B"}, {"C"},
-            JoinPredicate.equi([(("A", "y"), ("C", "y")), (("B", "z"), ("C", "z"))]),
-            config=JITConfig(detect_for_source_fed_ports=True),
-        )
+        predicate = JoinPredicate.equi([(("A", "y"), ("C", "y")), (("B", "z"), ("C", "z"))])
+        producer = JITJoinOperator("AB", {"A"}, {"B"}, predicate)
+        producer.connect_source(PORT_LEFT, "A")
+        producer.connect_source(PORT_RIGHT, "B")
+        operator = JITJoinOperator("Op", {"A", "B"}, {"C"}, predicate)
+        operator.connect_producer(PORT_LEFT, producer)
+        operator.connect_source(PORT_RIGHT, "C")
+        producer.attach(context)
         operator.attach(context)
         results = []
         operator.result_sink = results.append
@@ -394,12 +400,19 @@ class TestDetectingProbe:
         assert [sig.items for sig in detector.finish(ab)] == [(("B", "z", 7),)]
         assert charged == {
             CostKind.INSERT: 1,
-            CostKind.HASH: 2 * 10 + 2,
+            # As above, plus the producer's lookup of {B.z = 7}'s
+            # super-tuples in the bucket of its B state's index on z.
+            CostKind.HASH: 2 * 10 + 2 + 1,
             # B's lookup finds no bucket: it examines nothing.
             CostKind.PROBE_STEP: 1 + 10,
             CostKind.PREDICATE_EVAL: 15,
-            CostKind.LATTICE_NODE: 2,
+            # The finish phase reads B's surviving node ...
+            CostKind.LATTICE_NODE: 2 + 1,
+            # ... and suspends it at the producer.
+            CostKind.FEEDBACK_MESSAGE: 1,
         }
+        assert operator.stats["suspensions_sent"] == 1
+        assert operator.producer_of(PORT_LEFT).stats["suspensions_received"] == 1
 
     @pytest.mark.parametrize("z", [1, 7])
     def test_results_and_their_order_are_those_of_the_unpruned_probe(self, z):
@@ -410,13 +423,16 @@ class TestDetectingProbe:
         detector, unpruned = operator.detectors[PORT_LEFT], reference_operator.detectors[PORT_LEFT]
         assert detector.finish(ab) == unpruned.finish(ab)
         # The unpruned probe: no lookup, both components against every entry,
-        # both nodes visited per entry (a source-fed port has no producer to
-        # report to, so the probe itself never calls finish()).
-        assert CostKind.HASH not in reference
+        # both nodes visited per entry and once more by the finish phase.
+        # Its only HASH is the producer's extraction of what it suspended
+        # ({B.z = 7} when z = 7, nothing when z = 1).
+        suspended = 1 if z == 7 else 0
+        assert reference.get(CostKind.HASH, 0) == suspended
+        assert reference.get(CostKind.FEEDBACK_MESSAGE, 0) == suspended
         assert reference[CostKind.PREDICATE_EVAL] == 2 * 10
-        assert reference[CostKind.LATTICE_NODE] == 2 * 10
+        assert reference[CostKind.LATTICE_NODE] == 2 * 10 + 2
         assert reference[CostKind.PROBE_STEP] == 10
-        for kind in (CostKind.RESULT_BUILD, CostKind.INSERT):
+        for kind in (CostKind.RESULT_BUILD, CostKind.INSERT, CostKind.FEEDBACK_MESSAGE):
             assert charged.get(kind) == reference.get(kind)
 
     def test_a_partner_the_lookup_found_may_leave_before_the_scan_reaches_it(self):
@@ -495,11 +511,13 @@ class TestPinnedOpenDifferential:
 
 
 class TestJITConfig:
-    def test_presets(self):
-        assert JITConfig.doe().detection_mode == DetectionMode.EMPTY_ONLY
-        assert JITConfig.doe().propagate_empty_suspension
-        assert JITConfig.disabled().detection_mode == DetectionMode.NONE
-        assert JITConfig.paper_default().retention_policy == RetentionPolicy.EXACT
+    def test_defaults_and_the_doe_preset(self):
+        assert [f.name for f in dataclasses.fields(JITConfig)] == [
+            "detection_mode", "max_mns_arity", "handle_type2", "retention_policy",
+        ]
+        assert JITConfig().detection_mode == DetectionMode.LATTICE
+        assert JITConfig().retention_policy == RetentionPolicy.EXACT
+        assert JITConfig.doe() == JITConfig(detection_mode=DetectionMode.EMPTY_ONLY)
 
     def test_validation(self):
         for mode in ("nope", "bloom"):
@@ -511,8 +529,6 @@ class TestJITConfig:
             JITConfig(retention_policy="sometimes")
         with pytest.raises(ValueError):
             JITConfig(max_mns_arity=0)
-        with pytest.raises(ValueError):
-            JITConfig(jit_structure_purge_interval=0)
 
 
 # --------------------------------------------------------------------------- MNS buffer

@@ -292,11 +292,21 @@ class TestIndexedJITDifferential:
         if detection == DetectionMode.LATTICE:
             assert suspensions > 0  # the comparison is not vacuous
 
-    def test_type2_and_cascaded_empty_suspension(self):
-        workload = generate_clique_workload(
-            n_sources=5, rate=1.0, window_seconds=20, dmax=10, duration=50, seed=4
-        )
-        config = JITConfig(max_mns_arity=3, handle_type2=True, propagate_empty_suspension=True)
+    @pytest.mark.parametrize(
+        "config, workload_params",
+        (
+            (
+                JITConfig(max_mns_arity=3, handle_type2=True),
+                dict(n_sources=5, rate=1.0, window_seconds=20, dmax=10),
+            ),
+            # Ø is detected only while a source's state is empty: sparser
+            # streams, and results to compare.
+            (JITConfig.doe(), dict(n_sources=4, rate=0.5, window_seconds=5, dmax=2)),
+        ),
+        ids=("lattice-type2", "empty-only-cascade"),
+    )
+    def test_type2_and_cascaded_empty_suspension(self, config, workload_params):
+        workload = generate_clique_workload(duration=50, seed=4, **workload_params)
         for shape in (PLAN_LEFT_DEEP, PLAN_BUSHY):
             assert (
                 _assert_indexed_equals_nested(workload, shape, config, ExecutionMode.SYNCHRONOUS)
@@ -318,11 +328,10 @@ class TestIndexedJITDifferentialSweep:
         shape=st.sampled_from(SHAPES),
         mode=st.sampled_from((ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED)),
         handle_type2=st.booleans(),
-        propagate_empty=st.booleans(),
     )
     def test_random_configurations(
         self, n_sources, rate, window_seconds, dmax, seed, arity, detection, shape, mode,
-        handle_type2, propagate_empty,
+        handle_type2,
     ):
         workload = generate_clique_workload(
             n_sources=n_sources, rate=rate, window_seconds=window_seconds, dmax=dmax,
@@ -332,7 +341,6 @@ class TestIndexedJITDifferentialSweep:
             detection_mode=detection,
             max_mns_arity=arity,
             handle_type2=handle_type2,
-            propagate_empty_suspension=propagate_empty,
         )
         _assert_indexed_equals_nested(workload, shape, config, mode)
 

@@ -169,6 +169,53 @@ class TestFivewayPropagation:
         assert mid.stats["resumptions_received"] >= 1
 
 
+class TestCascadedEmptySuspension:
+    """Ø-only detection is DOE [21]: its Ø suspension cascades upstream.
+
+    On ``((A ⋈ B) ⋈ C) ⋈ D``, a1·b1·c1 reaches Op3 while S_D is empty, so Op3
+    suspends Ø at Op2.  Op2 parks all its input either way; only under
+    ``EMPTY_ONLY`` does it also suspend Ø at Op1 and mark its own entry as
+    propagated, so that a resumption reaches Op1 too."""
+
+    @staticmethod
+    def _run(mode):
+        predicate = JoinPredicate.equi([
+            (("A", "x"), ("B", "x")), (("A", "y"), ("C", "y")), (("C", "z"), ("D", "z")),
+        ])
+        query = ContinuousQuery(
+            sources=("A", "B", "C", "D"), window=Window(300.0), predicate=predicate
+        )
+        plan = build_xjoin_plan(
+            query, shape=PLAN_LEFT_DEEP, strategy=STRATEGY_JIT,
+            jit_config=JITConfig(detection_mode=mode),
+        )
+        events = [_event("C", 0.0, 0, y=1, z=5), _event("B", 1.0, 0, x=1), _event("A", 2.0, 0, x=1, y=1)]
+        _run(plan, events)
+        return [plan.operator_named(name) for name in ("Op1", "Op2", "Op3")]
+
+    @staticmethod
+    def _empty_entries(op, port):
+        return [e for e in op.blacklists[port].entries() if e.signature.is_empty]
+
+    @pytest.mark.parametrize("mode", (DetectionMode.EMPTY_ONLY, DetectionMode.LATTICE))
+    def test_op3_suspends_empty_at_op2(self, mode):
+        _op1, op2, op3 = self._run(mode)
+        assert any(e.signature.is_empty for e in op3.mns_buffers[PORT_LEFT].entries())
+        assert len(self._empty_entries(op2, PORT_LEFT)) == 1
+
+    def test_empty_only_cascades_to_op1(self):
+        op1, op2, _op3 = self._run(DetectionMode.EMPTY_ONLY)
+        assert [e.propagated_upstream for e in self._empty_entries(op2, PORT_LEFT)] == [True]
+        assert len(self._empty_entries(op1, PORT_LEFT)) == 1
+        assert len(self._empty_entries(op1, PORT_RIGHT)) == 1
+
+    def test_lattice_keeps_it_at_op2(self):
+        op1, op2, _op3 = self._run(DetectionMode.LATTICE)
+        assert [e.propagated_upstream for e in self._empty_entries(op2, PORT_LEFT)] == [False]
+        assert self._empty_entries(op1, PORT_LEFT) == []
+        assert self._empty_entries(op1, PORT_RIGHT) == []
+
+
 class TestJITJoinOperatorUnit:
     def _operator(self, context, config=None):
         predicate = JoinPredicate.equi([(("A", "x"), ("B", "x"))])
@@ -184,7 +231,7 @@ class TestJITJoinOperatorUnit:
         ).supports_production_control()
 
     def test_detection_disabled_behaves_like_ref(self, context):
-        op = self._operator(context, JITConfig.disabled())
+        op = self._operator(context, JITConfig(detection_mode=DetectionMode.NONE))
         context.clock.advance_to(1.0)
         op.process(make_tuple("A", 1.0, x=1), PORT_LEFT)
         assert len(op.mns_buffers[PORT_LEFT]) == 0

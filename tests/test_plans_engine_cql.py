@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.context import ExecutionContext
-from repro.core.config import JITConfig
+from repro.core.config import DetectionMode, JITConfig
 from repro.core.jit_join import JITJoinOperator
 from repro.engine import ExecutionEngine, ExecutionMode, ResultCollector, run_workload
 from repro.engine.results import result_key, result_multiset
@@ -113,7 +113,9 @@ class TestPlanBuilder:
         doe = build_xjoin_plan(query, strategy=STRATEGY_DOE)
         assert all(type(op) is BinaryJoinOperator for op in ref.join_operators)
         assert all(isinstance(op, JITJoinOperator) for op in jit.join_operators)
-        assert all(op.config.propagate_empty_suspension for op in doe.join_operators)
+        assert all(
+            op.config.detection_mode == DetectionMode.EMPTY_ONLY for op in doe.join_operators
+        )
         with pytest.raises(ValueError):
             build_xjoin_plan(query, strategy="wishful")
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import JITConfig
+from repro.core.config import DetectionMode, JITConfig
 from repro.engine import run_workload
 from repro.multi import (
     QueryRegistry,
@@ -34,12 +34,15 @@ from repro.plans.builder import (
     PLAN_BUSHY,
     PLAN_LEFT_DEEP,
     PLAN_RIGHT_DEEP,
+    STRATEGY_DOE,
     STRATEGY_JIT,
     STRATEGY_REF,
+    build_xjoin_plan,
 )
 from repro.plans.query import ContinuousQuery
 from repro.plans.signature import (
     canonical_condition,
+    resolve_jit_config,
     signature_key,
     subplan_signature,
 )
@@ -227,14 +230,24 @@ class TestSignatureCanonicalization:
     def test_jit_config_resolution(self, sharing_workload):
         query = sharing_workload.query(0)
         implicit = subplan_signature(query, strategy=STRATEGY_JIT, jit_config=None)
-        explicit = subplan_signature(
-            query, strategy=STRATEGY_JIT, jit_config=JITConfig.paper_default()
-        )
+        explicit = subplan_signature(query, strategy=STRATEGY_JIT, jit_config=JITConfig())
         assert implicit == explicit
         # REF ignores the configuration entirely.
         assert subplan_signature(query, strategy=STRATEGY_REF) == subplan_signature(
-            query, strategy=STRATEGY_REF, jit_config=JITConfig.paper_default()
+            query, strategy=STRATEGY_REF, jit_config=JITConfig()
         )
+
+    @pytest.mark.parametrize("strategy", (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE))
+    @pytest.mark.parametrize(
+        "jit_config", (None, JITConfig(detection_mode=DetectionMode.NONE, max_mns_arity=2))
+    )
+    def test_the_built_operators_carry_the_resolved_config(
+        self, sharing_workload, strategy, jit_config
+    ):
+        query = sharing_workload.query(0)
+        plan = build_xjoin_plan(query, strategy=strategy, jit_config=jit_config)
+        resolved = resolve_jit_config(strategy, jit_config)
+        assert {getattr(op, "config", None) for op in plan.join_operators} == {resolved}
 
     def test_selections_and_projection_are_excluded(self, sharing_workload):
         query = sharing_workload.query(0)

@@ -134,7 +134,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--policy", choices=OverloadPolicy.ALL, default=OverloadPolicy.BLOCK)
     parser.add_argument(
         "--scheduler",
-        choices=("fifo", "round_robin", "priority", "jit_aware"),
+        choices=("fifo", "jit_aware"),
         default="jit_aware",
     )
     parser.add_argument(

@@ -23,9 +23,9 @@ Queued-mode hot-path design:
 * **One drain loop.**  :func:`drain_ready` — shared with the sharded engine's
   :class:`~repro.multi.shard.ShardEngine` — asks ``pop_next()`` per step,
   pops one tuple, reports the new head (``on_head_change``) and runs the
-  operator.  The policies answer from lazy heaps keyed on head timestamps
-  and served-order rotations, tie-breaking on the stable registration
-  index, so one scheduling step costs O(log ready).
+  operator.  The policies answer from lazy heaps keyed on head timestamps,
+  tie-breaking on the stable registration index, so one scheduling step
+  costs O(log ready).
 * **Feedback-aware scheduling.**  The engine registers its scheduler as a
   feedback listener on the execution context; operators notify the context
   whenever a suspension/resumption message is delivered, which lets
@@ -46,7 +46,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.context import ExecutionContext
 from repro.engine.results import ResultCollector
 from repro.metrics import CostKind, MetricsReport
-from repro.operators.base import Operator
 from repro.operators.queues import InterOperatorQueue
 from repro.plans.plan import ExecutionPlan
 from repro.scheduler import OperatorScheduler, ReadyInput, build_scheduler
@@ -57,7 +56,6 @@ __all__ = [
     "RunReport",
     "ExecutionEngine",
     "run_workload",
-    "plan_operator_depths",
     "wire_queued_plan",
     "drain_ready",
 ]
@@ -108,21 +106,6 @@ class RunReport:
 # -- queued-mode machinery (shared with the sharded multi-query engine) ----------
 
 
-def plan_operator_depths(plan: ExecutionPlan) -> Dict[int, int]:
-    """Depth of every operator of ``plan`` from its root (root = 0), by id."""
-    depths: Dict[int, int] = {}
-
-    def walk(operator: Operator, depth: int) -> None:
-        depths[id(operator)] = depth
-        for port in operator.ports:
-            child = operator.producers.get(port)
-            if child is not None:
-                walk(child, depth + 1)
-
-    walk(plan.root, 0)
-    return depths
-
-
 def wire_queued_plan(
     plan: ExecutionPlan,
     context: ExecutionContext,
@@ -140,7 +123,6 @@ def wire_queued_plan(
     the scheduler's delta methods pre-bound, so a transition costs one call
     and one branch — no lookup to recover the template.
     """
-    depths = plan_operator_depths(plan)
     on_ready = scheduler.on_ready
     on_unready = scheduler.on_unready
     input_queues: Dict[Tuple[int, str], InterOperatorQueue] = {}
@@ -155,7 +137,6 @@ def wire_queued_plan(
                 operator=operator,
                 port=port,
                 queue=queue,
-                depth=depths.get(id(operator), 0),
                 order=order_start + len(templates),
             )
             templates.append(item)

@@ -21,7 +21,7 @@ sources" items.
   and :class:`ProcessBackend` (``"process"``), which runs each shard in a
   worker process fed pickled micro-batches over a pipe and scales with
   cores (``docs/SCALING.md``).
-* :mod:`repro.multi.partition` — query-to-shard placement policies.
+* :mod:`repro.multi.partition` — query-to-shard placement.
 * :mod:`repro.multi.workload` — many-queries-over-shared-streams workload
   generation for benchmarks and tests.
 
@@ -47,13 +47,7 @@ from repro.multi.backend import (
     ShardWorkerError,
 )
 from repro.multi.clock import SharedVirtualClock, ShardClock
-from repro.multi.partition import (
-    Partitioner,
-    hash_partition,
-    resolve_partitioner,
-    round_robin_partition,
-    signature_partition,
-)
+from repro.multi.partition import round_robin_partition, signature_partition
 from repro.multi.registry import QueryRegistry, RegisteredQuery
 from repro.multi.router import StreamRouter
 from repro.multi.shard import PlanRuntime, ShardEngine, SharedSubplan
@@ -75,11 +69,8 @@ __all__ = [
     "InlineBackend",
     "ProcessBackend",
     "ShardWorkerError",
-    "Partitioner",
     "round_robin_partition",
-    "hash_partition",
     "signature_partition",
-    "resolve_partitioner",
     "MultiQueryWorkload",
     "generate_multi_query_workload",
 ]

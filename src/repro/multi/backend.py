@@ -1,7 +1,7 @@
 """Worker backends: how a sharded engine's shards are driven.
 
 The :class:`~repro.multi.sharded.ShardedEngine` decides *where* each event
-goes (router) and *what* every shard hosts (partitioner + registry); a
+goes (router) and *what* every shard hosts (placement + registry); a
 **worker backend** decides *how* the receiving shard is driven:
 
 * :class:`InlineBackend` (``drain_mode="sync"``) — the submitting thread

@@ -2,7 +2,7 @@
 
 :class:`ShardedEngine` serves every query of a
 :class:`~repro.multi.registry.QueryRegistry` over shared streams: a
-partitioner assigns each registered plan to one of N
+placement function assigns each registered plan to one of N
 :class:`~repro.multi.shard.ShardEngine` instances, a
 :class:`~repro.multi.router.StreamRouter` fans each incoming
 :class:`~repro.streams.sources.StreamEvent` out only to subscribed shards,
@@ -57,7 +57,7 @@ from repro.multi.backend import (
     resolve_drain_mode,
 )
 from repro.multi.clock import SharedVirtualClock
-from repro.multi.partition import resolve_partitioner
+from repro.multi.partition import round_robin_partition, signature_partition
 from repro.multi.registry import QueryRegistry
 from repro.multi.router import StreamRouter
 from repro.multi.shard import PlanRuntime, ShardEngine
@@ -148,15 +148,13 @@ class ShardedEngine:
     drain_mode:
         How shards are driven: ``"sync"`` (inline, also what ``None``
         means) or ``"process"`` (process-per-shard workers fed over pipes).
-    partitioner:
-        Query placement policy (callable or name, see
-        :mod:`repro.multi.partition`).  With ``share_subplans`` and no
-        explicit partitioner, placement defaults to ``"signature"`` so
-        queries that can share a subtree land on the same shard.
     share_subplans:
         Enable common-subexpression sharing on every shard: queries with
         equal canonical sub-plan signatures share one hosted join subtree
         (per-query results stay bit-identical; see ``docs/SHARING.md``).
+        It also sets placement (:mod:`repro.multi.partition`): with sharing,
+        queries are placed by signature so those that can share a subtree
+        land on the same shard; without it, round robin by registration.
     """
 
     def __init__(
@@ -166,7 +164,6 @@ class ShardedEngine:
         scheduler: Union[str, object] = "fifo",
         keep_results: bool = True,
         drain_mode: Optional[str] = None,
-        partitioner=None,
         share_subplans: bool = False,
     ) -> None:
         if n_shards < 1:
@@ -204,12 +201,10 @@ class ShardedEngine:
                 for index in range(n_shards)
             ]
             self._backend = InlineBackend(self.shards)
-        if partitioner is None and share_subplans:
-            # Same-signature queries can only share when co-located.
-            partitioner = "signature"
-        self._place = resolve_partitioner(partitioner)
+        # Same-signature queries can only share when co-located.
+        self._place = signature_partition if share_subplans else round_robin_partition
         #: Queries placed so far — the registration index handed to the
-        #: partitioner, continued by :meth:`add_query`.
+        #: placement function, continued by :meth:`add_query`.
         self._placed = 0
         self._runtimes: Dict[str, PlanRuntime] = {}
         try:
@@ -259,11 +254,6 @@ class ShardedEngine:
         placements: Dict[int, List] = {shard_id: [] for shard_id in also_confirm}
         for entry in entries:
             shard_id = self._place(entry, self._placed, self.n_shards)
-            if not 0 <= shard_id < self.n_shards:
-                raise ValueError(
-                    f"partitioner placed {entry.query_id!r} on shard {shard_id}, "
-                    f"outside [0, {self.n_shards})"
-                )
             self._placed += 1
             placements.setdefault(shard_id, []).append(entry)
         hosted = self._backend.host(placements)

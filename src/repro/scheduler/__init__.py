@@ -10,15 +10,14 @@ higher priority than its upstream operators.
 :class:`~repro.scheduler.scheduler.OperatorScheduler` is the interface: the
 engine pushes ready-set deltas (``on_ready`` / ``on_unready`` /
 ``on_head_change``) and asks ``pop_next()``, O(log ready) per step.  The
-four concrete policies live in :mod:`repro.scheduler.policies`.
+two concrete policies — ``fifo`` and the paper's ``jit_aware`` — live in
+:mod:`repro.scheduler.policies`.
 """
 
 from repro.scheduler.scheduler import OperatorScheduler, ReadyInput
 from repro.scheduler.policies import (
     FIFOScheduler,
     JITAwareScheduler,
-    PriorityScheduler,
-    RoundRobinScheduler,
     build_scheduler,
 )
 
@@ -26,8 +25,6 @@ __all__ = [
     "OperatorScheduler",
     "ReadyInput",
     "FIFOScheduler",
-    "RoundRobinScheduler",
-    "PriorityScheduler",
     "JITAwareScheduler",
     "build_scheduler",
 ]

@@ -1,6 +1,6 @@
 """Concrete operator-scheduling policies.
 
-Four policies implement the delta interface of
+Two policies implement the delta interface of
 :mod:`repro.scheduler.scheduler`, each over lazy-invalidation heaps so a
 scheduling step costs O(log ready):
 
@@ -8,13 +8,6 @@ scheduling step costs O(log ready):
   preserves global temporal order of processing (the default, and the policy
   whose results must match synchronous execution exactly).  A min-heap keyed
   on ``(head_ts, order)``.
-* :class:`RoundRobinScheduler` — serve the least-recently-served ready input
-  (a served-order rotation over stable identities).  A heap over
-  ``(last_served_step, first_sight_rank)`` records.
-* :class:`PriorityScheduler` — prefer operators closer to (or farther from)
-  the plan root, the classic "chain"-style static policy referenced by the
-  paper's related-work discussion of operator scheduling [9].
-  Depth-bucketed ``(head_ts, order)`` heaps under a lazy heap of depths.
 * :class:`JITAwareScheduler` — FIFO order plus the paper's Section III-B
   rules: after a resumption the producer is temporarily preferred over its
   consumer; after a suspension the handling (receiving) operator is
@@ -33,8 +26,6 @@ from repro.scheduler.scheduler import OperatorScheduler, ReadyInput
 
 __all__ = [
     "FIFOScheduler",
-    "RoundRobinScheduler",
-    "PriorityScheduler",
     "JITAwareScheduler",
     "build_scheduler",
 ]
@@ -98,7 +89,7 @@ class FIFOScheduler(OperatorScheduler):
     name = "fifo"
 
     def __init__(self) -> None:
-        self._ready: Dict[int, ReadyInput] = {}
+        super().__init__()
         self._heap = _LazyHeap()
 
     def on_ready(self, item: ReadyInput) -> None:
@@ -114,160 +105,6 @@ class FIFOScheduler(OperatorScheduler):
 
     def pop_next(self) -> ReadyInput:
         return self._ready[self._heap.pop_min()]
-
-    def ready_count(self) -> int:
-        return len(self._ready)
-
-    def retire(self, items: Iterable[ReadyInput]) -> None:
-        for item in items:
-            self.on_unready(item)
-
-
-class RoundRobinScheduler(OperatorScheduler):
-    """Cycle through ready inputs in turn.
-
-    The rotation is over *stable* identities — each input's registration
-    :attr:`~repro.scheduler.scheduler.ReadyInput.order` — not over positions
-    in a ready list: a raw cursor modulo a changing list length can land on
-    the same position every call and starve inputs, and keying on
-    ``id(operator)`` both grows without bound across plan churn and can
-    alias a new operator onto a stale serve record when CPython reuses the
-    id after garbage collection.  Every step serves the least-recently-served
-    ready identity (never-served identities first, in first-sight order),
-    which guarantees each continuously ready input is served once per
-    rotation no matter how the ready set churns between steps; ``retire``
-    evicts the records of retired plans.
-    """
-
-    name = "round_robin"
-
-    def __init__(self) -> None:
-        #: order -> (step at which it was last served, first-sight rank).
-        self._history: Dict[int, Tuple[int, int]] = {}
-        self._step = 0
-        #: Monotone rank source (``len(self._history)`` would collide after
-        #: eviction).
-        self._next_rank = 0
-        self._ready: Dict[int, ReadyInput] = {}
-        self._heap = _LazyHeap()
-        #: Ready orders awaiting their first-sight rank.  Ranks are assigned
-        #: in ascending-order batches at the next scheduling step, so rank
-        #: order never depends on the order in which queues happened to
-        #: become non-empty between two steps.
-        self._unranked: Set[int] = set()
-
-    def _rank(self, order: int) -> Tuple[int, int]:
-        record = self._history.get(order)
-        if record is None:
-            record = self._history[order] = (-1, self._next_rank)
-            self._next_rank += 1
-        return record
-
-    def _serve(self, order: int) -> None:
-        self._step += 1
-        self._history[order] = (self._step, self._history[order][1])
-
-    def on_ready(self, item: ReadyInput) -> None:
-        self._ready[item.order] = item
-        record = self._history.get(item.order)
-        if record is None:
-            self._unranked.add(item.order)
-        else:
-            self._heap.set(item.order, record)
-
-    def on_unready(self, item: ReadyInput) -> None:
-        self._ready.pop(item.order, None)
-        self._heap.discard(item.order)
-        self._unranked.discard(item.order)
-
-    def on_head_change(self, item: ReadyInput) -> None:
-        self._heap.set(item.order, self._history[item.order])
-
-    def pop_next(self) -> ReadyInput:
-        if self._unranked:
-            for order in sorted(self._unranked):
-                self._heap.set(order, self._rank(order))
-            self._unranked.clear()
-        order = self._heap.pop_min()
-        self._serve(order)
-        return self._ready[order]
-
-    def ready_count(self) -> int:
-        return len(self._ready)
-
-    def retire(self, items: Iterable[ReadyInput]) -> None:
-        for item in items:
-            self.on_unready(item)
-            self._history.pop(item.order, None)
-
-
-class PriorityScheduler(OperatorScheduler):
-    """Prefer operators by their distance from the plan root.
-
-    Parameters
-    ----------
-    prefer_downstream:
-        When True (default) operators nearer the root run first, which drains
-        intermediate results quickly and minimizes queue memory; when False
-        upstream operators run first, which maximizes batching.
-
-    Ready inputs are bucketed by (signed) depth — one lazy
-    ``(head_ts, order)`` heap per depth — under a lazy min-heap of the
-    depths that currently have ready inputs, so a head change only reorders
-    within its bucket.
-    """
-
-    name = "priority"
-
-    def __init__(self, prefer_downstream: bool = True) -> None:
-        self.prefer_downstream = prefer_downstream
-        self._ready: Dict[int, ReadyInput] = {}
-        self._buckets: Dict[int, _LazyHeap] = {}
-        self._depth_heap: List[int] = []
-        self._depths_queued: Set[int] = set()
-
-    def _signed_depth(self, item: ReadyInput) -> int:
-        return item.depth if self.prefer_downstream else -item.depth
-
-    def on_ready(self, item: ReadyInput) -> None:
-        self._ready[item.order] = item
-        depth = self._signed_depth(item)
-        bucket = self._buckets.get(depth)
-        if bucket is None:
-            bucket = self._buckets[depth] = _LazyHeap()
-        bucket.set(item.order, _fifo_key(item))
-        if depth not in self._depths_queued:
-            self._depths_queued.add(depth)
-            heappush(self._depth_heap, depth)
-
-    def on_unready(self, item: ReadyInput) -> None:
-        self._ready.pop(item.order, None)
-        # retire() funnels through here for items whose depth never became
-        # ready, so the bucket may not exist.
-        bucket = self._buckets.get(self._signed_depth(item))
-        if bucket is not None:
-            bucket.discard(item.order)
-
-    def on_head_change(self, item: ReadyInput) -> None:
-        self._buckets[self._signed_depth(item)].set(item.order, _fifo_key(item))
-
-    def pop_next(self) -> ReadyInput:
-        while True:
-            depth = self._depth_heap[0]
-            bucket = self._buckets[depth]
-            if len(bucket):
-                return self._ready[bucket.pop_min()]
-            # Lazily drop depths whose buckets drained; they re-enqueue on
-            # the next on_ready at that depth.
-            heappop(self._depth_heap)
-            self._depths_queued.discard(depth)
-
-    def ready_count(self) -> int:
-        return len(self._ready)
-
-    def retire(self, items: Iterable[ReadyInput]) -> None:
-        for item in items:
-            self.on_unready(item)
 
 
 class JITAwareScheduler(OperatorScheduler):
@@ -297,6 +134,7 @@ class JITAwareScheduler(OperatorScheduler):
     def __init__(self, boost_steps: int = 8) -> None:
         if boost_steps <= 0:
             raise ValueError(f"boost_steps must be positive, got {boost_steps}")
+        super().__init__()
         self.boost_steps = boost_steps
         #: Serving counters surfaced through :meth:`stats` (telemetry): how
         #: many boosts feedback granted and how many scheduling decisions
@@ -308,7 +146,6 @@ class JITAwareScheduler(OperatorScheduler):
         #: short-lived by construction (consumed within ``boost_steps``
         #: servings); ``retire`` drops any left by retired operators.
         self._boosts: Dict[int, int] = {}
-        self._ready: Dict[int, ReadyInput] = {}
         self._fifo_heap = _LazyHeap()
         #: The boosted priority band: ready inputs of boosted operators.
         self._boost_heap = _LazyHeap()
@@ -378,9 +215,6 @@ class JITAwareScheduler(OperatorScheduler):
             return item
         return self._ready[self._fifo_heap.pop_min()]
 
-    def ready_count(self) -> int:
-        return len(self._ready)
-
     def retire(self, items: Iterable[ReadyInput]) -> None:
         for item in items:
             self.on_unready(item)
@@ -397,15 +231,12 @@ class JITAwareScheduler(OperatorScheduler):
 
 _POLICIES = {
     FIFOScheduler.name: FIFOScheduler,
-    RoundRobinScheduler.name: RoundRobinScheduler,
-    PriorityScheduler.name: PriorityScheduler,
     JITAwareScheduler.name: JITAwareScheduler,
 }
 
 
 def build_scheduler(name: str = "fifo", **kwargs) -> OperatorScheduler:
-    """Build a scheduler by policy name (``fifo``, ``round_robin``, ``priority``,
-    ``jit_aware``).
+    """Build a scheduler by policy name (``fifo`` or ``jit_aware``).
 
     Keyword arguments are forwarded to the policy constructor — e.g.
     ``build_scheduler("jit_aware", boost_steps=16)`` for the boost-steps

@@ -7,11 +7,10 @@ queue becomes non-empty, :meth:`~OperatorScheduler.on_unready` when it
 empties, and :meth:`~OperatorScheduler.on_head_change` after each pop that
 leaves the queue non-empty — and asks :meth:`~OperatorScheduler.pop_next`
 for the next input to serve.  Policies maintain indexed structures (lazy
-heaps, served-order rotations) under those deltas, so one scheduling step
-costs O(log ready).
+heaps) under those deltas, so one scheduling step costs O(log ready).
 
 A scheduler never mutates queues or operators.  Scheduler instances are
-stateful (rotations, boosts, heaps) and belong to exactly one scheduler
+stateful (ready set, boosts, heaps) and belong to exactly one scheduler
 domain — one queued engine or one shard.  Every delta and every
 ``pop_next`` of a domain is issued by the one thread driving it, so no
 locking is needed inside the policies.
@@ -35,15 +34,12 @@ class ReadyInput:
     operator: Operator
     port: str
     queue: InterOperatorQueue
-    #: Distance of the operator from the plan root (root = 0); schedulers may
-    #: use it to prefer upstream or downstream work.
-    depth: int = 0
     #: Stable registration index of the (operator, port) pair within the
     #: scheduler domain.  Policies tie-break on it, so scheduling decisions
     #: are independent of the order in which queues happened to become
     #: non-empty.  Orders are unique within a domain and never reused, which
-    #: also makes them the stable identity for scheduler bookkeeping
-    #: (rotation histories etc.) — unlike ``id(operator)``, which CPython can
+    #: also makes them the stable identity for scheduler bookkeeping (the
+    #: ready map, heap keys) — unlike ``id(operator)``, which CPython can
     #: reuse after garbage collection.
     order: int = 0
 
@@ -66,9 +62,18 @@ class OperatorScheduler:
     ``on_head_change`` / ``on_unready`` re-registers or drops it.  A queue's
     head tuple only changes when the scheduler itself pops it, so keys
     computed at registration time stay valid until then.
+
+    The base class owns the ready set: ``_ready`` maps each ready input's
+    :attr:`ReadyInput.order` to the input.  A policy adds an input to it in
+    :meth:`on_ready` and removes it in :meth:`on_unready`; :meth:`ready_count`
+    and :meth:`ready_items` read it, so a policy implements only the four
+    delta and decision methods.
     """
 
     name = "base"
+
+    def __init__(self) -> None:
+        self._ready: Dict[int, ReadyInput] = {}
 
     # -- ready-set deltas and the scheduling decision -----------------------------
 
@@ -93,7 +98,7 @@ class OperatorScheduler:
 
     def ready_count(self) -> int:
         """Number of currently ready inputs."""
-        raise NotImplementedError
+        return len(self._ready)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -103,8 +108,11 @@ class OperatorScheduler:
         Long-lived multi-plan domains retire plans (live migration,
         deregistration); schedulers must drop ready entries *and* any
         per-identity history so domain state cannot grow without bound.
-        The default is a no-op for stateless policies.
+        The default drops each item through :meth:`on_unready`; a policy
+        with per-operator records extends it.
         """
+        for item in items:
+            self.on_unready(item)
 
     def notify_feedback(self, producer: Operator, consumer: Operator, kind: str) -> None:
         """Hook invoked by the engine when feedback flows between operators.
@@ -129,10 +137,8 @@ class OperatorScheduler:
     def ready_items(self) -> Tuple[ReadyInput, ...]:
         """The currently ready inputs.
 
-        Every policy keeps an ``order -> ReadyInput`` map of its ready set
-        in ``_ready``, which this surfaces for observers (the health
-        monitor, diagnostic bundles).  Pull-only: nothing here runs per
-        tuple.
+        Surfaces the ``_ready`` map for observers (the health monitor,
+        diagnostic bundles).  Pull-only: nothing here runs per tuple.
         """
         return tuple(self._ready.values())
 

@@ -2,9 +2,10 @@
 
 ``golden.json`` pins, bit for bit, what three families of deterministic runs do:
 
-* ``schedules`` — every scheduling policy on a single queued JIT plan and on
-  1- and 2-shard engines, with and without shared sub-plans.  Each record is
-  three parts so that a mismatch says *what* moved: ``schedule`` (sha256 over
+* ``schedules`` — both scheduling policies (``fifo``, ``jit_aware``) on a
+  single queued JIT plan and on 1- and 2-shard engines, with and without
+  shared sub-plans.  Each record is three parts so that a mismatch says
+  *what* moved: ``schedule`` (sha256 over
   the per-shard pop order and the per-query result sequences: a scheduling
   decision or a result), ``cpu_units`` (a modelled cost) and ``steps`` (the
   scheduler-step count).
@@ -74,7 +75,9 @@ except ImportError:  # python -m tests.golden, from the repo root
 
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
 
-ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
+#: The scheduler policies ``build_scheduler`` knows; every suite that sweeps
+#: policies imports this one tuple.
+ALL_POLICIES = ("fifo", "jit_aware")
 
 #: name -> (n_shards, share_subplans), run in the sync drain mode; "single"
 #: is one queued plan.

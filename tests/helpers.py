@@ -365,7 +365,7 @@ class StubOperator:
         return f"StubOperator({self.name})"
 
 
-def ready_input(context, name, ts, order, depth=0, operator=None) -> ReadyInput:
+def ready_input(context, name, ts, order, operator=None) -> ReadyInput:
     """A hand-built ready input whose queue holds one tuple stamped ``ts``."""
     queue = InterOperatorQueue(f"q{order}", context)
     queue.push(AtomicTuple(name, ts, {"x": 1}))
@@ -373,7 +373,6 @@ def ready_input(context, name, ts, order, depth=0, operator=None) -> ReadyInput:
         operator=operator if operator is not None else StubOperator(name),
         port="left",
         queue=queue,
-        depth=depth,
         order=order,
     )
 
@@ -403,14 +402,10 @@ class LinearScanScheduler(OperatorScheduler):
     shipped heap policies must pop in exactly this order.
     """
 
-    def __init__(self, policy: str, boost_steps: int = 8, prefer_downstream: bool = True):
+    def __init__(self, policy: str, boost_steps: int = 8):
+        super().__init__()
         self.name = policy
         self._key = getattr(self, f"_{policy}_key")
-        self._ready = {}
-        #: round_robin: order -> (step last served, first-sight rank).
-        self._history = {}
-        self._step = self._next_rank = 0
-        self._sign = 1 if prefer_downstream else -1
         #: jit_aware: id(operator) -> boosted servings left.
         self._boosts = {}
         self.boost_steps = boost_steps
@@ -418,12 +413,6 @@ class LinearScanScheduler(OperatorScheduler):
 
     def _fifo_key(self, item):
         return (item.head_ts, item.order)
-
-    def _priority_key(self, item):
-        return (self._sign * item.depth, item.head_ts, item.order)
-
-    def _round_robin_key(self, item):
-        return self._history[item.order]
 
     def _jit_aware_key(self, item):
         return (id(item.operator) not in self._boosts, item.head_ts, item.order)
@@ -437,17 +426,8 @@ class LinearScanScheduler(OperatorScheduler):
     def on_head_change(self, item):
         """Nothing to refresh: keys are recomputed at every pop."""
 
-    def ready_count(self):
-        return len(self._ready)
-
     def pop_next(self):
-        for order in sorted(self._ready):
-            if order not in self._history:
-                self._history[order] = (-1, self._next_rank)
-                self._next_rank += 1
         choice = min(self._ready.values(), key=self._key)
-        self._step += 1
-        self._history[choice.order] = (self._step, self._history[choice.order][1])
         op = id(choice.operator)
         if op in self._boosts:
             self.boosted_servings += 1
@@ -465,6 +445,5 @@ class LinearScanScheduler(OperatorScheduler):
     def retire(self, items):
         for item in items:
             self.on_unready(item)
-            self._history.pop(item.order, None)
             if all(i.operator is not item.operator for i in self._ready.values()):
                 self._boosts.pop(id(item.operator), None)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from helpers import ready_input
+from golden import ALL_POLICIES
 from repro.context import ExecutionContext
 from repro.core.jit_join import JITJoinOperator
 from repro.engine import ExecutionMode, run_workload
@@ -32,7 +32,6 @@ from repro.plans.builder import (
 from repro.plans.query import ContinuousQuery
 from repro.scheduler import (
     JITAwareScheduler,
-    RoundRobinScheduler,
     build_scheduler,
     policies,
 )
@@ -40,8 +39,6 @@ from repro.streams.generators import generate_clique_workload
 from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
-
-ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
 
 def _suspension_workload():
@@ -326,22 +323,6 @@ class TestIndexedJITProbes:
 
 
 # ------------------------------------------------------------------- schedulers
-
-
-class TestRoundRobinFairness:
-    def test_no_starvation_under_alternating_ready_lengths(self, context, pick):
-        # The old cursor-modulo implementation picked index 0 of [a, b]
-        # whenever the cursor happened to be even — which an interleaved
-        # singleton list guarantees — so b was never served.
-        a, b, c = (ready_input(context, f"op{i}", ts=1.0, order=i) for i in range(3))
-        scheduler = RoundRobinScheduler()
-        served = []
-        for _round in range(6):
-            served.append([a, b][pick(scheduler, [a, b])].operator.name)
-            served.append([c][pick(scheduler, [c])].operator.name)
-        assert "op1" in served, f"input b starved: {served}"
-        # Fair rotation: a and b are served equally often.
-        assert served.count("op0") == served.count("op1")
 
 
 class TestSchedulerStepScaling:

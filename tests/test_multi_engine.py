@@ -1,11 +1,10 @@
 """Tests for the sharded multi-query engine (repro.multi).
 
 The central property: K queries served through a :class:`ShardedEngine` —
-with 1 shard and N shards, inline and on worker processes, under every
-scheduler policy — produce exactly
-the same per-query results as K independent
-:class:`ExecutionEngine` runs.  Plus unit coverage for the registry, the
-shared virtual clock, the router, the partitioners, the push-based ingestion
+with 1 shard and N shards, inline and on worker processes, under both
+scheduler policies — produce exactly the same per-query results as K
+independent :class:`ExecutionEngine` runs.  Plus unit coverage for the registry, the
+shared virtual clock, the router, placement, the push-based ingestion
 paths, and the reusable ``run_workload`` entry point.
 """
 
@@ -13,7 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from golden import ALL_POLICIES
 from repro.engine import ExecutionMode, run_workload
+from repro.engine.results import result_key
 from repro.multi import (
     MultiQueryWorkload,
     QueryRegistry,
@@ -21,17 +22,14 @@ from repro.multi import (
     SharedVirtualClock,
     StreamRouter,
     generate_multi_query_workload,
-    hash_partition,
-    round_robin_partition,
 )
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
-from repro.scheduler import build_scheduler
+from repro.scheduler import OperatorScheduler, build_scheduler
 from repro.streams.generators import generate_clique_workload
 from repro.streams.schema import SourceSchema, StreamCatalog
 from repro.streams.time import Window
 
-ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
 #: (n_shards, drain_mode) configurations the equivalence sweep covers.
 SHARD_CONFIGS = ((1, "sync"), (2, "sync"), (3, "sync"), (2, "process"))
@@ -268,25 +266,6 @@ class TestRouterAndPartition:
             loads = [len(shard.runtimes) for shard in engine.shards]
         assert loads == [2, 2, 2, 2]
 
-    def test_hash_partition_is_stable(self, shared_workload):
-        entry = _registry(shared_workload).get("q0")
-        assert hash_partition(entry, 0, 4) == hash_partition(entry, 99, 4)
-        assert 0 <= hash_partition(entry, 0, 4) < 4
-
-    def test_partitioner_by_name(self, shared_workload, shared_events, standalone_multisets):
-        registry = _registry(shared_workload)
-        with ShardedEngine(registry, n_shards=3, partitioner="hash") as engine:
-            engine.run(shared_events)
-            for query_id, expected in standalone_multisets.items():
-                assert engine.results_for(query_id).multiset() == expected
-
-    def test_bad_partitioner_rejected(self, shared_workload):
-        registry = _registry(shared_workload)
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            ShardedEngine(registry, n_shards=2, partitioner="nope")
-        with pytest.raises(ValueError, match="outside"):
-            ShardedEngine(registry, n_shards=2, partitioner=lambda e, i, n: 7)
-
 
 class TestShardedEngineAPI:
     def test_events_for_unsubscribed_sources_are_counted_dropped(self, shared_workload):
@@ -306,10 +285,47 @@ class TestShardedEngineAPI:
         with pytest.raises(TypeError, match="factory"):
             ShardedEngine(registry, n_shards=2, scheduler=build_scheduler("fifo"))
 
+    @pytest.mark.parametrize("drain_mode", ("sync", "process"))
+    def test_policy_of_only_the_documented_methods(
+        self, shared_workload, shared_events, drain_mode
+    ):
+        """A policy that implements the four delta/decision methods over the
+        inherited ready map runs everywhere a shipped one does: it serves the
+        same results as ``fifo`` and the shard snapshot reads its ready set."""
+
+        class MinimalFIFO(OperatorScheduler):
+            def on_ready(self, item):
+                self._ready[item.order] = item
+
+            def on_unready(self, item):
+                self._ready.pop(item.order, None)
+
+            def on_head_change(self, item):
+                pass
+
+            def pop_next(self):
+                return min(self._ready.values(), key=lambda item: (item.head_ts, item.order))
+
+        runs = {}
+        for name, scheduler in (("fifo", "fifo"), ("minimal", MinimalFIFO)):
+            with ShardedEngine(
+                _registry(shared_workload), n_shards=2, scheduler=scheduler,
+                drain_mode=drain_mode,
+            ) as engine:
+                engine.run(shared_events)
+                progress = [shard.snapshot()["progress"] for shard in engine.shards]
+                runs[name] = {
+                    query_id: [result_key(t) for t in engine.results_for(query_id).results]
+                    for query_id in engine.report().queries
+                }
+            assert [p["ready_queues"] for p in progress] == [0, 0]
+        assert sum(map(len, runs["fifo"].values())) > 0
+        assert runs["minimal"] == runs["fifo"]
+
     def test_scheduler_factory_accepted(self, shared_workload, shared_events):
         registry = _registry(shared_workload)
         with ShardedEngine(
-            registry, n_shards=2, scheduler=lambda: build_scheduler("round_robin")
+            registry, n_shards=2, scheduler=lambda: build_scheduler("jit_aware")
         ) as engine:
             report = engine.run(shared_events)
         assert report.total_results > 0
@@ -451,11 +467,20 @@ class TestShardPlanRetirement:
         events = workload.events()
         half = len(events) // 2
         registry = self._registry(workload)
-        with ShardedEngine(registry, n_shards=1, scheduler="round_robin") as engine:
+        with ShardedEngine(registry, n_shards=1, scheduler="jit_aware") as engine:
             shard = engine.shards[0]
+            scheduler = shard.scheduler
             for event in events[:half]:
                 engine.submit(event)
+            # Boost one of q1's operators, so retirement has a boost to drop.
+            (q1,) = (runtime for runtime in shard.runtimes if runtime.query_id == "q1")
+            boosted = q1.templates[0].operator
+            scheduler.notify_feedback(producer=boosted, consumer=boosted, kind="resume")
+            assert id(boosted) in scheduler._boosts
             retired = shard.retire_plan("q1")
+            retired_orders = {t.order for t in retired.templates}
+            retired_ops = {id(t.operator) for t in retired.templates}
+            assert retired_orders and retired_ops
             assert retired.query_id == "q1"
             partial_count = retired.collector.count
             for event in events[half:]:
@@ -464,15 +489,19 @@ class TestShardPlanRetirement:
             # The retired plan processed nothing after retirement.
             assert retired.collector.count == partial_count
             assert len(shard.runtimes) == 1
-            # Scheduler history holds no retired identities (round robin
-            # keys on orders; q1's orders are gone).
-            live_orders = {t.order for t in shard.runtimes[0].templates}
-            assert set(shard.scheduler._history) <= live_orders
+            # The scheduler holds no retired identity: no order of q1 in the
+            # ready set or either heap, no operator of q1 in the per-operator
+            # index or the boosts.
+            for orders in (
+                scheduler._ready,
+                scheduler._fifo_heap._keys,
+                scheduler._boost_heap._keys,
+            ):
+                assert not retired_orders & set(orders)
+            assert not retired_ops & set(scheduler._by_op)
+            assert not retired_ops & set(scheduler._boosts)
             # The archived context no longer feeds the shard's scheduler.
-            assert (
-                shard.scheduler.notify_feedback
-                not in retired.context.feedback_listeners
-            )
+            assert scheduler.notify_feedback not in retired.context.feedback_listeners
         # The survivor matches a standalone run exactly.
         assert survivor == self._standalone_q0(workload, events)
         assert sum(survivor.values()) > 0

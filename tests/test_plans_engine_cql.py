@@ -28,15 +28,14 @@ from repro.plans.query import ContinuousQuery
 from repro.scheduler import (
     FIFOScheduler,
     JITAwareScheduler,
-    PriorityScheduler,
     ReadyInput,
-    RoundRobinScheduler,
     build_scheduler,
 )
 from repro.streams.generators import generate_clique_workload
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
 
+from golden import ALL_POLICIES
 from helpers import make_tuple
 
 
@@ -219,23 +218,13 @@ class TestSchedulers:
         q1.push(make_tuple("A", 5.0, x=1))
         q2.push(make_tuple("C", 1.0, x=1))
         return [
-            ReadyInput(op_a, PORT_LEFT, q1, depth=0, order=0),
-            ReadyInput(op_b, PORT_LEFT, q2, depth=2, order=1),
+            ReadyInput(op_a, PORT_LEFT, q1, order=0),
+            ReadyInput(op_b, PORT_LEFT, q2, order=1),
         ]
 
     def test_fifo_picks_oldest(self, context, pick):
         ready = self._ready(context)
         assert pick(FIFOScheduler(), ready) == 1
-
-    def test_round_robin_cycles(self, context, pick):
-        ready = self._ready(context)
-        scheduler = RoundRobinScheduler()
-        assert [pick(scheduler, ready) for _ in range(4)] == [0, 1, 0, 1]
-
-    def test_priority_prefers_downstream(self, context, pick):
-        ready = self._ready(context)
-        assert pick(PriorityScheduler(prefer_downstream=True), ready) == 0
-        assert pick(PriorityScheduler(prefer_downstream=False), ready) == 1
 
     def test_jit_aware_boosts_producer(self, context, pick):
         ready = self._ready(context)
@@ -284,7 +273,7 @@ class TestEngine:
         sync = run_workload(
             build_xjoin_plan(query, strategy=STRATEGY_JIT), events, small_workload.window.length
         )
-        for policy in ("fifo", "round_robin", "priority", "jit_aware"):
+        for policy in ALL_POLICIES:
             queued = run_workload(
                 build_xjoin_plan(query, strategy=STRATEGY_JIT),
                 events,

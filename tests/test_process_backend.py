@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+from golden import ALL_POLICIES
 from repro.engine.results import result_key
 from repro.multi import (
     QueryRegistry,
@@ -38,8 +39,6 @@ from repro.multi.backend import _ShardSpec, _worker_main, _WorkerHandle
 from repro.multi.shard import ShardEngine
 from repro.multi.workload import MultiQueryWorkload, generate_multi_query_workload
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
-
-ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,10 @@
 """Scheduler correctness: golden schedules, a linear-scan differential, policy rules.
 
-* ``golden.json`` pins what every policy produces on a single queued plan and
-  on 1- and 2-shard sync engines (with and without shared sub-plans), in
-  three parts: the schedule (per-shard pop order + per-query result
-  sequences, one digest), ``cpu_units`` and the scheduler-step count.
+* ``golden.json`` pins what both policies (``fifo``, ``jit_aware``) produce
+  on a single queued plan and on 1- and 2-shard sync engines (with and
+  without shared sub-plans), in three parts: the schedule (per-shard pop
+  order + per-query result sequences, one digest), ``cpu_units`` and the
+  scheduler-step count.
   A mismatch names the part, so "a scheduling decision changed" and "a
   modelled cost moved" are different failures; ``python -m tests.golden
   --check|--record`` (``tests/golden.py``) lists what moved and re-records.
@@ -13,8 +14,7 @@
   tier-1; the hypothesis sweep (``slow``) explores random workloads nightly.
 * The §III-B rules the policies implement: a *suspension* boosts the handling
   (downstream) operator, a *resumption* the producer; a boost decays only when
-  the boosted operator is served, and the oldest boosted head wins; round
-  robin rotates over stable registration orders and ``retire`` evicts them.
+  the boosted operator is served, and the oldest boosted head wins.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from hypothesis import strategies as st
 import golden
 from golden import ALL_POLICIES, SHARDED_CONFIGS
 from helpers import LinearScanScheduler, StubOperator, ready_input
-from repro.scheduler import (
-    JITAwareScheduler,
-    PriorityScheduler,
-    RoundRobinScheduler,
-    build_scheduler,
-)
+from repro.scheduler import JITAwareScheduler, build_scheduler
 from repro.streams.tuples import AtomicTuple
 
 
@@ -59,10 +54,6 @@ VARIANTS = {
     policy: ((lambda p=policy: build_scheduler(p)), (lambda p=policy: LinearScanScheduler(p)))
     for policy in ALL_POLICIES
 }
-VARIANTS["priority-upstream"] = (
-    lambda: PriorityScheduler(prefer_downstream=False),
-    lambda: LinearScanScheduler("priority", prefer_downstream=False),
-)
 VARIANTS["jit_aware-boost2"] = (
     lambda: JITAwareScheduler(boost_steps=2),
     lambda: LinearScanScheduler("jit_aware", boost_steps=2),
@@ -94,12 +85,14 @@ class TestLinearScanDifferential:
             linear(), **shape
         )
 
-    def test_rotation_survives_unready_ready_churn(self, context):
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_rotation_survives_unready_ready_churn(self, context, policy):
         # Every pop empties the served queue (on_unready) and the refill
-        # re-registers it (on_ready): rotation state must survive, and the
-        # heap rotation must track the linear scan's.
+        # re-registers it (on_ready) with a newer head: the heap policy must
+        # track the linear scan's pops through the churn, and the refilled
+        # heads make both rotate through the three inputs.
         served = []
-        for scheduler in (RoundRobinScheduler(), LinearScanScheduler("round_robin")):
+        for scheduler in (build_scheduler(policy), LinearScanScheduler(policy)):
             for i in range(3):
                 item = ready_input(context, f"S{i}", ts=float(i), order=i)
                 item.queue.readiness_listener = (
@@ -176,30 +169,3 @@ class TestBoostDecay:
         scheduler.notify_feedback(op_young, StubOperator("x"), "resume")
         scheduler.notify_feedback(op_old, StubOperator("x"), "resume")
         assert pick(scheduler, (young, old)) == 1
-
-
-class TestRoundRobinIdentity:
-    """The rotation keys on the stable order, and retire evicts records."""
-
-    def test_same_operator_two_ports_rotate_independently(self, context, pick):
-        operator = StubOperator("shared")
-        left = ready_input(context, "L", ts=1.0, order=0, operator=operator)
-        right = ready_input(context, "R", ts=2.0, order=1, operator=operator)
-        scheduler = RoundRobinScheduler()
-        assert [pick(scheduler, (left, right)) for _ in range(4)] == [0, 1, 0, 1]
-
-    def test_retire_evicts_history(self, context, pick):
-        scheduler = RoundRobinScheduler()
-        a = ready_input(context, "A", ts=1.0, order=0)
-        b = ready_input(context, "B", ts=2.0, order=1)
-        for _ in range(3):
-            pick(scheduler, (a, b))
-        assert set(scheduler._history) == {0, 1}
-        scheduler.retire((b,))
-        assert set(scheduler._history) == {0}
-        # A later plan's input reuses nothing: fresh order, fresh record,
-        # and the rotation stays fair across the churn.
-        c = ready_input(context, "C", ts=3.0, order=2)
-        served = [(a, c)[pick(scheduler, (a, c))].operator.name for _ in range(4)]
-        assert served.count("A") == served.count("C") == 2
-        assert set(scheduler._history) == {0, 2}

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from golden import ALL_POLICIES
 from repro.core.config import DetectionMode, JITConfig
 from repro.engine import run_workload
 from repro.multi import (
@@ -48,7 +49,6 @@ from repro.plans.signature import (
 )
 from repro.streams.generators import generate_clique_workload
 
-ALL_POLICIES = ("fifo", "round_robin", "priority", "jit_aware")
 
 #: (n_shards, drain_mode) configurations the equivalence sweep covers.
 SHARD_CONFIGS = ((1, "sync"), (2, "sync"), (3, "sync"), (2, "process"))

@@ -394,6 +394,27 @@ def record_pops(scheduler: OperatorScheduler, pops: list) -> OperatorScheduler:
     return scheduler
 
 
+class MinimalFIFOScheduler(OperatorScheduler):
+    """A policy that implements only the four delta and decision methods.
+
+    It keeps its ready inputs in the inherited ``_ready`` map and relies on
+    the base class for ``ready_count``, ``ready_items`` and ``retire`` — the
+    smallest policy the :class:`OperatorScheduler` contract admits.
+    """
+
+    def on_ready(self, item):
+        self._ready[item.order] = item
+
+    def on_unready(self, item):
+        self._ready.pop(item.order, None)
+
+    def on_head_change(self, item):
+        pass
+
+    def pop_next(self):
+        return min(self._ready.values(), key=lambda item: (item.head_ts, item.order))
+
+
 class LinearScanScheduler(OperatorScheduler):
     """The scheduling reference: the delta interface over one plain dict.
 

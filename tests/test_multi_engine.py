@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from golden import ALL_POLICIES
+from helpers import MinimalFIFOScheduler
 from repro.engine import ExecutionMode, run_workload
 from repro.engine.results import result_key
 from repro.multi import (
@@ -23,9 +24,10 @@ from repro.multi import (
     StreamRouter,
     generate_multi_query_workload,
 )
+from repro.multi.partition import round_robin_partition, signature_partition
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
-from repro.scheduler import OperatorScheduler, build_scheduler
+from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 from repro.streams.schema import SourceSchema, StreamCatalog
 from repro.streams.time import Window
@@ -266,6 +268,43 @@ class TestRouterAndPartition:
             loads = [len(shard.runtimes) for shard in engine.shards]
         assert loads == [2, 2, 2, 2]
 
+    @pytest.mark.parametrize("share", (False, True), ids=("unshared", "shared"))
+    @pytest.mark.parametrize("n_shards", (1, 2, 3, 4))
+    def test_placement_is_derived_from_sharing(self, shared_workload, n_shards, share):
+        registry = _registry(shared_workload)
+        place = signature_partition if share else round_robin_partition
+        with ShardedEngine(registry, n_shards=n_shards, share_subplans=share) as engine:
+            placed = {qid: engine.runtime_for(qid).shard_id for qid in registry.ids}
+        assert placed == {
+            entry.query_id: place(entry, index, n_shards)
+            for index, entry in enumerate(registry)
+        }
+
+    def test_shared_placement_colocates_each_share_group(self, shared_workload):
+        registry = QueryRegistry()
+        for query in shared_workload.queries():
+            registry.register(query)  # one strategy, so equal joins share
+        groups = [ids for ids in registry.share_groups().values() if len(ids) > 1]
+        assert groups
+        with ShardedEngine(registry, n_shards=4, share_subplans=True) as engine:
+            for ids in groups:
+                assert len({engine.runtime_for(qid).shard_id for qid in ids}) == 1
+
+    @pytest.mark.parametrize("share", (False, True), ids=("unshared", "shared"))
+    def test_add_query_continues_the_placement_index(self, shared_workload, share):
+        # A query added to a live engine is placed as if it had been
+        # registered last: its index is the count of queries placed so far.
+        registry = QueryRegistry()
+        queries = shared_workload.queries()
+        for query in queries[:5]:
+            registry.register(query)
+        place = signature_partition if share else round_robin_partition
+        with ShardedEngine(registry, n_shards=3, share_subplans=share) as engine:
+            for index, query in enumerate(queries[5:], start=5):
+                entry = registry.register(query)
+                runtime = engine.add_query(entry)
+                assert runtime.shard_id == place(entry, index, 3)
+
 
 class TestShardedEngineAPI:
     def test_events_for_unsubscribed_sources_are_counted_dropped(self, shared_workload):
@@ -292,22 +331,8 @@ class TestShardedEngineAPI:
         """A policy that implements the four delta/decision methods over the
         inherited ready map runs everywhere a shipped one does: it serves the
         same results as ``fifo`` and the shard snapshot reads its ready set."""
-
-        class MinimalFIFO(OperatorScheduler):
-            def on_ready(self, item):
-                self._ready[item.order] = item
-
-            def on_unready(self, item):
-                self._ready.pop(item.order, None)
-
-            def on_head_change(self, item):
-                pass
-
-            def pop_next(self):
-                return min(self._ready.values(), key=lambda item: (item.head_ts, item.order))
-
         runs = {}
-        for name, scheduler in (("fifo", "fifo"), ("minimal", MinimalFIFO)):
+        for name, scheduler in (("fifo", "fifo"), ("minimal", MinimalFIFOScheduler)):
             with ShardedEngine(
                 _registry(shared_workload), n_shards=2, scheduler=scheduler,
                 drain_mode=drain_mode,

@@ -4,10 +4,12 @@ Wraps a :class:`~repro.multi.ShardedEngine` with bounded backpressure
 ingestion, explicit load shedding, admission control, and Prometheus-style
 telemetry.  See ``docs/SERVING.md`` for the metric catalog and policy
 guidance, and ``examples/serving_backpressure.py`` for an end-to-end tour.
+
+:class:`~repro.serve.aio.AsyncStreamServer` is loaded on first access, so a
+synchronous server never imports asyncio.
 """
 
 from repro.serve.admission import AdmissionPolicy, DepthLimitAdmission, accept_all
-from repro.serve.aio import AsyncStreamServer
 from repro.serve.buffers import (
     OFFER_ACCEPTED,
     OFFER_BLOCKED,
@@ -53,3 +55,15 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_QUANTILES",
 ]
+
+
+def __getattr__(name: str):
+    if name == "AsyncStreamServer":
+        from repro.serve.aio import AsyncStreamServer
+
+        return AsyncStreamServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -82,7 +82,7 @@ class SourceSchema:
         """Modelled size in bytes of one tuple of this source.
 
         A fixed 16-byte header (timestamp + bookkeeping) plus each attribute's
-        modelled size.  Used by :class:`repro.engine.metrics.MemoryModel`.
+        modelled size.  Used by :class:`repro.metrics.MemoryModel`.
         """
         return 16 + sum(a.size_bytes for a in self.attributes)
 

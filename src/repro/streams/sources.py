@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamEvent:
     """One arrival: a tuple plus the source it came from.
 
@@ -172,24 +172,21 @@ class StreamSource:
         execution strategies.
         """
         rng = self._rng()
+        schema, name = self.schema, self.name
+        attribute_names = schema.attribute_names
+        size_bytes = schema.tuple_size_bytes
         out: List[StreamEvent] = []
         seq = 0
         for ts in self.arrivals.timestamps(duration, rng):
-            values = dict(self.value_generator(rng, self.schema))
-            missing = [a for a in self.schema.attribute_names if a not in values]
+            values = self.value_generator(rng, schema)
+            missing = [a for a in attribute_names if a not in values]
             if missing:
                 raise ValueError(
-                    f"value generator for source {self.name!r} did not produce "
+                    f"value generator for source {name!r} did not produce "
                     f"attributes {missing}"
                 )
-            tup = AtomicTuple(
-                self.name,
-                ts,
-                values,
-                seq=seq,
-                size_bytes=self.schema.tuple_size_bytes,
-            )
-            out.append(StreamEvent(ts=ts, source=self.name, tuple=tup))
+            tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=size_bytes)
+            out.append(StreamEvent(ts=ts, source=name, tuple=tup))
             seq += 1
         return out
 

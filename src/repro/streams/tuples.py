@@ -28,6 +28,10 @@ __all__ = ["AtomicTuple", "CompositeTuple", "StreamTuple", "join_tuples"]
 class AtomicTuple:
     """A single record from one streaming source.
 
+    The attribute mapping is stored once, as a private dict copy; the hash
+    is computed from its sorted items at construction, and ``repr`` sorts
+    them again when asked.
+
     Parameters
     ----------
     source:
@@ -45,7 +49,7 @@ class AtomicTuple:
         Modelled storage footprint.  Defaults to ``16 + 8 * len(attrs)``.
     """
 
-    __slots__ = ("source", "ts", "seq", "_attrs", "_items", "size_bytes", "_hash")
+    __slots__ = ("source", "ts", "seq", "_attrs", "size_bytes", "_hash")
 
     def __init__(
         self,
@@ -61,11 +65,10 @@ class AtomicTuple:
         self.ts = float(ts)
         self.seq = int(seq)
         self._attrs: Dict[str, object] = dict(attrs)
-        self._items: Tuple[Tuple[str, object], ...] = tuple(sorted(self._attrs.items()))
         self.size_bytes = (
             int(size_bytes) if size_bytes is not None else 16 + 8 * len(self._attrs)
         )
-        self._hash = hash((self.source, self.seq, self.ts, self._items))
+        self._hash = hash((self.source, self.seq, self.ts, tuple(sorted(self._attrs.items()))))
 
     # -- tuple interface ---------------------------------------------------
 
@@ -132,14 +135,14 @@ class AtomicTuple:
             self.source == other.source
             and self.seq == other.seq
             and self.ts == other.ts
-            and self._items == other._items
+            and self._attrs == other._attrs
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        attrs = ", ".join(f"{k}={v}" for k, v in self._items)
+        attrs = ", ".join(f"{k}={v}" for k, v in sorted(self._attrs.items()))
         return f"{self.source}#{self.seq}(ts={self.ts:g}, {attrs})"
 
 

@@ -71,6 +71,7 @@ def test_every_routed_event_roundtrips(workload):
     for event in events:
         clone = _roundtrip(event)
         assert clone == event
+        assert hash(clone.tuple) == hash(event.tuple)
         assert (clone.source, clone.ts, clone.tuple.seq) == (
             event.source, event.ts, event.tuple.seq
         )

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
+from repro.multi import generate_multi_query_workload
 from repro.streams.schema import Attribute, SourceSchema, StreamCatalog
 from repro.streams.sources import (
     PeriodicArrivals,
     PoissonArrivals,
     ScriptedArrivals,
+    StreamEvent,
     StreamSource,
     merge_sources,
 )
@@ -156,6 +166,33 @@ class TestTuples:
         c = AtomicTuple("A", 1.0, {"x": 2}, seq=0)
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+    def test_hash_is_the_sorted_items_formula(self):
+        t = AtomicTuple("A", 4.5, {"y": 2, "x": 1}, seq=3)
+        assert hash(t) == hash(("A", 3, 4.5, (("x", 1), ("y", 2))))
+
+    def test_insertion_order_does_not_matter(self):
+        a = AtomicTuple("A", 1.0, {"x": 1, "y": 2}, seq=0)
+        b = AtomicTuple("A", 1.0, {"y": 2, "x": 1}, seq=0)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) == "A#0(ts=1, x=1, y=2)"
+
+    def test_attributes_are_stored_once(self):
+        assert "_items" not in AtomicTuple.__slots__
+        assert not hasattr(AtomicTuple("A", 1.0, {"x": 1}), "__dict__")
+
+    def test_stream_event_is_slotted_and_frozen(self):
+        event = StreamEvent(ts=1.0, source="A", tuple=AtomicTuple("A", 1.0, {"x": 1}))
+        assert hasattr(StreamEvent, "__slots__")
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.ts = 2.0
+
+    def test_stream_event_pickles(self):
+        event = StreamEvent(ts=1.5, source="A", tuple=AtomicTuple("A", 1.5, {"y": 2, "x": 1}, seq=4))
+        clone = pickle.loads(pickle.dumps(event))
+        assert clone == event
+        assert hash(clone.tuple) == hash(event.tuple)
 
     def test_composite_from_join(self):
         a = AtomicTuple("A", 1.0, {"x": 1})
@@ -351,3 +388,61 @@ class TestCliqueWorkload:
         wl = generate_clique_workload(3, 1.0, 30, 5, 10, seed=7)
         text = wl.describe()
         assert "N=3" in text and "dmax=5" in text and "seed=7" in text
+
+
+# --------------------------------------------------------------------------- pinned streams
+
+
+def _stream_digest(events):
+    """sha256 over every event's ``(repr(ts), source, seq, sorted attrs, size_bytes)``."""
+    digest = hashlib.sha256()
+    for event in events:
+        t = event.tuple
+        key = (repr(event.ts), event.source, t.seq, sorted(t.attrs.items()), t.size_bytes)
+        digest.update(repr(key).encode())
+    return len(events), digest.hexdigest()
+
+
+#: Three generator calls and the digest of every event they produce.  A
+#: generator change that moves one timestamp, value, sequence number or
+#: modelled size shows here first.
+PINNED_STREAMS = {
+    # clique128's population (benchmarks/e2e), short.
+    "multi_query": (
+        lambda: generate_multi_query_workload(
+            n_queries=128, n_sources=4, rate=1.0, window_seconds=30.0, dmax=400,
+            duration=100, seed=7,
+        ),
+        (369, "4e1c3fdfc41d37c428379cb6caeb7557a6307fefacd15f27912fd34f4c6a3901"),
+    ),
+    # Table III left-deep default: its last source draws from 100 * dmax.
+    "left_deep": (
+        lambda: scaled_workload(LEFT_DEEP_DEFAULTS, scale=0.06, duration_windows=3.0, seed=7),
+        (442, "ac16ad16612746ead08bb4e773a64b6450654a3475ca785bc6f9124bff8330d7"),
+    ),
+    "clique_rate_half": (
+        lambda: generate_clique_workload(
+            n_sources=3, rate=0.5, window_seconds=20, dmax=5, duration=120, seed=2
+        ),
+        (159, "7df8761ba87ee26a13454c17d51b6e118c4c0b8b266702ab0c825c0b35243c07"),
+    ),
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_generated_stream_is_pinned(self, name):
+        make, expected = PINNED_STREAMS[name]
+        assert _stream_digest(make().events()) == expected
+
+    def test_digest_does_not_depend_on_the_hash_seed(self):
+        script = (
+            "import test_streams as t\n"
+            "for name in sorted(t.PINNED_STREAMS):\n"
+            "    make, expected = t.PINNED_STREAMS[name]\n"
+            "    assert t._stream_digest(make().events()) == expected, name\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script], cwd=here, env=env, check=True)

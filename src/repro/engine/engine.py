@@ -30,17 +30,15 @@ Queued-mode hot-path design:
   feedback listener on the execution context; operators notify the context
   whenever a suspension/resumption message is delivered, which lets
   ``jit_aware`` apply the paper's Section III-B priority boosts.
-* **Micro-batch ingestion.**  :meth:`ExecutionEngine.process_batch` accepts
-  a group of same-timestamp arrivals and amortizes the clock advance and the
-  drain loop across the group; :meth:`ExecutionEngine.run_batch` segments an
-  event sequence into such groups.  Same-timestamp window joins commute, so
-  the result multiset is unchanged.
+* **One ingestion path.**  Every arrival enters through
+  :meth:`ExecutionEngine.process_event` (``submit``), which advances the
+  clock, delivers the tuple and drains to completion: the paper's
+  purge-probe-insert once per arrival.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
@@ -300,48 +298,6 @@ class ExecutionEngine:
             if tracer is not None:
                 tracer.end_trace(ctx)
 
-    def process_batch(self, events: Sequence[StreamEvent]) -> None:
-        """Process a micro-batch of same-timestamp arrivals.
-
-        The clock advance (and, in queued mode, the drain loop) runs once
-        for the whole batch instead of once per event.  Same-timestamp
-        window joins commute — whichever tuple of a matching pair is
-        processed second finds the other in the opposite state — so the
-        result multiset matches event-at-a-time processing.
-        """
-        if not events:
-            return
-        ts = events[0].ts
-        for event in events[1:]:
-            if event.ts != ts:
-                raise ValueError(
-                    f"process_batch needs same-timestamp events, got {ts} and {event.ts}"
-                )
-        self.context.clock.advance_to(ts)
-        self.events_processed += len(events)
-        # One trace covers the whole micro-batch: the batch shares a single
-        # drain, so per-event attribution inside it is not separable anyway.
-        tracer = self.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        ctx = (
-            tracer.begin_trace(events[0], fanout=len(events))
-            if tracer is not None
-            else None
-        )
-        try:
-            if self.mode == ExecutionMode.SYNCHRONOUS:
-                for event in events:
-                    self.plan.deliver(event.tuple, event.source)
-                return
-            for event in events:
-                for operator, port in self.plan.targets_for(event.source):
-                    self._input_queues[(id(operator), port)].push(event.tuple)
-            self._drain_queues()
-        finally:
-            if tracer is not None:
-                tracer.end_trace(ctx)
-
     def run(self, events: Iterable[StreamEvent]) -> RunReport:
         """Process every event and return the run report."""
         cost = self.context.cost
@@ -351,20 +307,6 @@ class ExecutionEngine:
             for event in events:
                 self.process_event(event)
                 count += 1
-        finally:
-            cost.stop_wall_clock()
-        return self._report(count)
-
-    def run_batch(self, events: Iterable[StreamEvent]) -> RunReport:
-        """Process every event, micro-batching same-timestamp arrivals."""
-        cost = self.context.cost
-        cost.start_wall_clock()
-        count = 0
-        try:
-            for _ts, group in groupby(events, key=lambda event: event.ts):
-                batch = list(group)
-                self.process_batch(batch)
-                count += len(batch)
         finally:
             cost.stop_wall_clock()
         return self._report(count)
@@ -387,7 +329,6 @@ def run_workload(
     mode: str = ExecutionMode.SYNCHRONOUS,
     scheduler: Optional[OperatorScheduler] = None,
     keep_results: bool = True,
-    batch: bool = False,
     engine=None,
 ):
     """Run ``events`` through a plan (or a pre-built engine) and report.
@@ -396,12 +337,11 @@ def run_workload(
     a window of ``window_length`` seconds is created around ``plan`` so
     repeated calls are independent; the remaining parameters mirror
     :class:`ExecutionEngine`.  With ``engine``, any object exposing
-    ``run(events)`` / ``run_batch(events)`` — a pre-built
+    ``run(events)`` — a pre-built
     :class:`ExecutionEngine` or a :class:`~repro.multi.ShardedEngine` — is
     driven as-is (``plan``, ``window_length`` and the construction parameters
     must then be omitted), so examples and the sharded multi-query path share
-    this one entry point.  ``batch=True`` ingests through ``run_batch``,
-    micro-batching same-timestamp arrivals.
+    this one entry point.
     """
     if engine is None:
         from repro.streams.time import Window
@@ -428,4 +368,4 @@ def run_workload(
         raise ValueError(
             "pass either a pre-built engine or plan/construction parameters, not both"
         )
-    return engine.run_batch(events) if batch else engine.run(events)
+    return engine.run(events)

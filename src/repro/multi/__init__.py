@@ -14,13 +14,13 @@ sources" items.
 * :mod:`repro.multi.router` — :class:`StreamRouter`, fanning each event out
   only to subscribed shards.
 * :mod:`repro.multi.sharded` — :class:`ShardedEngine`, the serving engine:
-  push-based ``submit`` / ``ingest_async`` ingestion with micro-batching,
+  push-based ``submit`` / ``flush`` ingestion, one call per arrival,
   per-query demultiplexed result sinks, and aggregated reports.
 * :mod:`repro.multi.backend` — the worker backends behind
   ``ShardedEngine(drain_mode=...)``: :class:`InlineBackend` (``"sync"``)
   and :class:`ProcessBackend` (``"process"``), which runs each shard in a
-  worker process fed pickled micro-batches over a pipe and scales with
-  cores (``docs/SCALING.md``).
+  worker process fed one pickled frame per routed event over a pipe and
+  scales with cores (``docs/SCALING.md``).
 * :mod:`repro.multi.partition` — query-to-shard placement.
 * :mod:`repro.multi.workload` — many-queries-over-shared-streams workload
   generation for benchmarks and tests.

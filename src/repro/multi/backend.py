@@ -8,8 +8,8 @@ goes (router) and *what* every shard hosts (placement + registry); a
   drains each receiving shard before returning.  Fully deterministic; the
   mode the equivalence tests anchor on.
 * :class:`ProcessBackend` (``drain_mode="process"``) — one worker *process*
-  per shard, fed pickled event micro-batches over a pipe.  Each worker owns
-  a full :class:`~repro.multi.shard.ShardEngine` plus its own
+  per shard, fed one pickled ``evt`` frame per routed event over a pipe.
+  Each worker owns a full :class:`~repro.multi.shard.ShardEngine` plus its own
   :class:`~repro.multi.clock.SharedVirtualClock`; the parent ships the
   global ingestion watermark as a plain number with every command, and the
   worker ships per-query results and its shard's suspension/resumption
@@ -31,7 +31,6 @@ parent -> worker                      worker -> parent
 ``("host", token, entries)``          ``("hosted", token, snapshot)``
 ``("retire", query_id)``              ``("retired", query_id, consumes, snap)``
 ``("evt", event, ctx, watermark)``    ``("ack", n, results, susp, res)``
-``("batch", events, ctx, watermark)``
 ``("flush", token)``                  ``("flushed", token, snap, trace)``
 ``("tracer", spec)``
 ``("close",)``                        ``("bye", reason)``
@@ -148,15 +147,11 @@ class InlineBackend:
         shard = self.shards[shard_id]
         return shard.retire_plan(query_id), shard.consumes
 
-    def dispatch(self, shard_id, item, trace_ctx=None, watermark=0.0) -> None:
+    def dispatch(self, shard_id, event, trace_ctx=None, watermark=0.0) -> None:
         # The trace context is already active on this thread (begin_trace
         # ran here), so it is not re-activated — same as the historical
         # synchronous path.
-        shard = self.shards[shard_id]
-        if isinstance(item, list):
-            shard.process_batch(item)
-        else:
-            shard.process_event(item)
+        self.shards[shard_id].process_event(event)
 
     def barrier(self) -> None:
         pass
@@ -384,13 +379,10 @@ class _WorkerState:
             for source in retired.registered.sources
         }
 
-    def process(self, item, trace_ctx, watermark: float) -> int:
+    def process(self, event, trace_ctx, watermark: float) -> None:
         self.clock.observe(watermark)
-        if isinstance(item, list):
-            self.shard.process_batch(item, trace_ctx=trace_ctx)
-            return len(item)
-        self.shard.process_event(item, trace_ctx=trace_ctx)
-        return 1
+        self.shard.process_event(event, trace_ctx=trace_ctx)
+        self.events_since_ack += 1
 
     def attach_tracer(self, spec: Dict[str, object]) -> None:
         # Imported lazily: the trace layer is optional on the hot path.
@@ -466,8 +458,8 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
                 shutdown["reason"] = "eof"
                 break
             op = msg[0]
-            if op in ("evt", "batch"):
-                state.events_since_ack += state.process(msg[1], msg[2], msg[3])
+            if op == "evt":
+                state.process(msg[1], msg[2], msg[3])
             elif op == "flush":
                 conn.send(("ack",) + state.take_ack())
                 conn.send(("flushed", msg[1], snapshot(), state.take_trace()))
@@ -502,8 +494,8 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
                 msg = conn.recv()
             except EOFError:
                 break
-            if msg[0] in ("evt", "batch"):
-                state.events_since_ack += state.process(msg[1], msg[2], msg[3])
+            if msg[0] == "evt":
+                state.process(msg[1], msg[2], msg[3])
             elif msg[0] == "flush":
                 conn.send(("ack",) + state.take_ack())
                 conn.send(("flushed", msg[1], snapshot(), state.take_trace()))
@@ -755,10 +747,11 @@ class ProcessBackend:
 
     Workers are forked at construction (falling back to the platform's
     default start method where fork is unavailable), all of them before any
-    is waited for, fed pickled commands over duplex pipes, and read by one
-    parent reader thread each.  Shipped result tuples are delivered to the
-    mirror runtimes' sinks in emission order; telemetry snapshots refresh at
-    every host/retire/flush barrier.
+    is waited for, fed pickled commands over duplex pipes — one ``evt``
+    frame per routed event — and read by one parent reader thread each.
+    Shipped result tuples are delivered to the mirror runtimes' sinks in
+    emission order; telemetry snapshots refresh at every host/retire/flush
+    barrier.
     """
 
     kind = "process"
@@ -879,15 +872,8 @@ class ProcessBackend:
         ]
         return runtime, lambda source: consumes_map.get(source, False)
 
-    def dispatch(self, shard_id, item, trace_ctx=None, watermark=0.0) -> None:
-        if isinstance(item, list):
-            self.handles[shard_id].send(
-                ("batch", item, trace_ctx, watermark), events=len(item)
-            )
-        else:
-            self.handles[shard_id].send(
-                ("evt", item, trace_ctx, watermark), events=1
-            )
+    def dispatch(self, shard_id, event, trace_ctx=None, watermark=0.0) -> None:
+        self.handles[shard_id].send(("evt", event, trace_ctx, watermark), events=1)
 
     def barrier(self) -> None:
         for handle in self.handles:

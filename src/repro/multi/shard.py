@@ -501,11 +501,16 @@ class ShardEngine:
             self._drain()
             self.events_processed += 1
             return
-        # With a live tracer an event is a micro-batch of one.
+        # With a live tracer the event takes the traced delivery.
         self.process_batch((event,), trace_ctx)
 
     def process_batch(self, events: Sequence[StreamEvent], trace_ctx=None) -> None:
-        """Deliver a micro-batch of same-timestamp routed events, drain once."""
+        """The traced delivery: deliver same-timestamp routed events, drain once.
+
+        :meth:`process_event` calls it with one event whenever a tracer is
+        attached and enabled; it activates ``trace_ctx`` and records one
+        shard span around the push and the drain.
+        """
         if not events:
             return
         ts = events[0].ts

@@ -9,11 +9,10 @@ placement function assigns each registered plan to one of N
 and a :class:`~repro.multi.clock.SharedVirtualClock` keeps window purge
 floors and MNS horizons consistent across shards.
 
-Ingestion is **push-based**: sources call :meth:`ShardedEngine.submit` (or
-:meth:`ingest_async`, which micro-batches same-timestamp arrivals at the
-ingestion boundary the way ``run_batch`` does) as events occur; there is no
-pre-merged pull loop.  The classic ``run(events)`` / ``run_batch(events)``
-drivers remain as conveniences built on the push API, so
+Ingestion is **push-based**: sources call :meth:`ShardedEngine.submit` as
+events occur, one call per arrival, and :meth:`ShardedEngine.flush` is the
+barrier; there is no pre-merged pull loop.  The classic ``run(events)``
+loop remains as a convenience built on the push API, so
 :func:`~repro.engine.engine.run_workload` can drive a sharded engine through
 the same entry point as a single-plan engine.
 
@@ -25,27 +24,24 @@ the same entry point as a single-plan engine.
   ``submit`` drains each receiving shard before returning.  Fully
   deterministic — the mode the equivalence tests anchor on.
 * ``"process"`` (:class:`~repro.multi.backend.ProcessBackend`): each shard
-  runs in a worker *process* fed pickled event micro-batches over a pipe,
-  with results, feedback counts, shard snapshots and trace spans
-  demultiplexed back to the parent; ``submit`` ships and returns, and
-  :meth:`flush` is the barrier.  The mode that scales with cores; see
-  ``docs/SCALING.md``.
+  runs in a worker *process* fed one pickled event frame per routed
+  arrival over a pipe, with results, feedback counts, shard snapshots and
+  trace spans demultiplexed back to the parent; ``submit`` ships and
+  returns, and :meth:`flush` is the barrier.  The mode that scales with
+  cores; see ``docs/SCALING.md``.
 
 Both modes preserve the invariant that makes per-query results
 bit-identical across them: each shard processes its own feed in
 arrival order and plans never span shards, so a backend changes *when* and
 *where* work happens, never *what* is computed (asserted by the test
-suite under all four scheduler policies).
+suite under both scheduler policies, ``fifo`` and ``jit_aware``).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.engine.results import ResultCollector
 from repro.metrics import MetricsReport
@@ -219,15 +215,6 @@ class ShardedEngine:
                 pass
             raise
         self.events_ingested = 0
-        self._pending: List[StreamEvent] = []
-        self._pending_ts: Optional[float] = None
-        #: Guards the pending micro-batch swap.  ``flush()`` may be called
-        #: from several threads (a serving front-end's barrier racing a
-        #: closing source); without the lock two flushes could both read
-        #: ``_pending`` before either clears it and dispatch the same batch
-        #: twice.  With it, exactly one caller takes the batch and a flush
-        #: of an empty buffer is a pure no-op.
-        self._pending_lock = threading.Lock()
         self._closed = False
         #: Optional flight recorder (see :meth:`attach_tracer`).
         self.tracer = None
@@ -273,32 +260,10 @@ class ShardedEngine:
         returns immediately (:meth:`flush` is the barrier).
         """
         self._check_open()
-        self._flush_pending()
         self._dispatch_event(event)
 
-    def ingest_async(self, event: StreamEvent) -> None:
-        """Push one event without waiting for its processing.
-
-        Same-timestamp arrivals are micro-batched at the ingestion boundary
-        (the ``run_batch`` policy): the pending batch is processed when the
-        next timestamp begins or on :meth:`flush`, amortizing clock advances
-        and drain loops — and, in process mode, pickling and pipe writes —
-        across the batch.
-        """
-        self._check_open()
-        if self._pending and event.ts != self._pending_ts:
-            self._flush_pending()
-        self._pending.append(event)
-        self._pending_ts = event.ts
-
-    def submit_batch(self, events: Sequence[StreamEvent]) -> None:
-        """Push a micro-batch of same-timestamp events."""
-        self._check_open()
-        self._flush_pending()
-        self._dispatch_batch(list(events))
-
     def flush(self) -> None:
-        """Process buffered arrivals and wait until every shard is idle.
+        """Wait until every shard has processed every submitted event.
 
         The backend barrier: a no-op inline, where every dispatch has already
         drained; process workers answer a flush round-trip whose reply
@@ -307,7 +272,6 @@ class ShardedEngine:
         collector, in order.
         """
         self._check_open()
-        self._flush_pending()
         self._backend.barrier()
 
     # -- internal dispatch ----------------------------------------------------
@@ -315,16 +279,6 @@ class ShardedEngine:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("the sharded engine is closed")
-
-    def _flush_pending(self) -> None:
-        # The swap happens under the lock; the dispatch (which drains shards
-        # in the synchronous mode) deliberately does not, so a slow drain
-        # cannot block a concurrent no-op flush of the now-empty buffer.
-        with self._pending_lock:
-            if not self._pending:
-                return
-            batch, self._pending, self._pending_ts = self._pending, [], None
-        self._dispatch_batch(batch)
 
     def _dispatch_event(self, event: StreamEvent) -> None:
         self.clock.observe(event.ts)
@@ -353,43 +307,6 @@ class ShardedEngine:
         finally:
             tracer.end_trace(ctx)
 
-    def _dispatch_batch(self, events: List[StreamEvent]) -> None:
-        if not events:
-            return
-        ts = events[0].ts
-        for event in events[1:]:
-            if event.ts != ts:
-                raise ValueError(
-                    f"submit_batch needs same-timestamp events, got {ts} and {event.ts}"
-                )
-        self.clock.observe(ts)
-        self.events_ingested += len(events)
-        per_shard: Dict[int, List[StreamEvent]] = {}
-        for event in events:
-            shard_ids = self.router.shards_for(event.source)
-            if not shard_ids:
-                self.router.dropped_events += 1
-                continue
-            for shard_id in shard_ids:
-                per_shard.setdefault(shard_id, []).append(event)
-        if not per_shard:
-            return
-        backend = self._backend
-        watermark = self.clock.watermark
-        # One trace covers the whole micro-batch (it shares one drain per
-        # shard); the head-based draw still happens once, at ingestion.
-        tracer = self.tracer
-        if tracer is None or not tracer.enabled:
-            for shard_id, shard_events in sorted(per_shard.items()):
-                backend.dispatch(shard_id, shard_events, None, watermark)
-            return
-        ctx = tracer.begin_trace(events[0], fanout=len(per_shard))
-        try:
-            for shard_id, shard_events in sorted(per_shard.items()):
-                backend.dispatch(shard_id, shard_events, ctx, watermark)
-        finally:
-            tracer.end_trace(ctx)
-
     # -- pull-style drivers (built on the push API) ---------------------------
 
     def run(self, events: Iterable[StreamEvent]) -> MultiRunReport:
@@ -400,29 +317,20 @@ class ShardedEngine:
         self.flush()
         return self.report(wall_seconds=time.perf_counter() - start)
 
-    def run_batch(self, events: Iterable[StreamEvent]) -> MultiRunReport:
-        """Like :meth:`run`, micro-batching same-timestamp arrivals."""
-        start = time.perf_counter()
-        for _ts, group in groupby(events, key=attrgetter("ts")):
-            self.submit_batch(list(group))
-        self.flush()
-        return self.report(wall_seconds=time.perf_counter() - start)
-
     # -- lifecycle of hosted queries ------------------------------------------
 
     def add_query(self, entry) -> PlanRuntime:
         """Host one more registered query on a live engine.
 
         The entry must already be registered (``registry.register`` returns
-        it); buffered ingestion is flushed first so the new query starts
-        observing the stream from a deterministic point.  With sharing
+        it); every shard is brought to its barrier first so the new query
+        starts observing the stream from a deterministic point.  With sharing
         enabled, the query grafts onto an existing subtree when its
         signature matches one already hosted on its shard.
         """
         self._check_open()
         if entry.query_id in self._runtimes:
             raise ValueError(f"query {entry.query_id!r} is already hosted")
-        self._flush_pending()
         self._backend.barrier()
         self._host_entries([entry])
         return self._runtimes[entry.query_id]
@@ -430,8 +338,8 @@ class ShardedEngine:
     def retire_query(self, query_id: str) -> PlanRuntime:
         """Stop serving one registered query and return its archived runtime.
 
-        Buffered ingestion is flushed and the owning shard brought to its
-        barrier before the plan is unwired, so the retirement never races
+        The owning shard is brought to its barrier before the plan is
+        unwired, so the retirement never races
         the drain loop (inline, the submitting thread does both; on a
         process worker the command pipe's FIFO order gives the same
         guarantee).  The router's subscription bookkeeping is decremented
@@ -443,7 +351,6 @@ class ShardedEngine:
         """
         self._check_open()
         runtime = self.runtime_for(query_id)
-        self._flush_pending()
         self._backend.barrier_shard(runtime.shard_id)
         retired, still_consumes = self._backend.retire(runtime.shard_id, query_id)
         del self._runtimes[query_id]
@@ -560,8 +467,7 @@ class ShardedEngine:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Flush buffered work, stop shard workers, and surface any worker
-        failure (idempotent).
+        """Stop shard workers and surface any worker failure (idempotent).
 
         A worker that died mid-run poisons the dispatch path, but a caller
         that never flushes after its last submit would otherwise exit
@@ -573,18 +479,7 @@ class ShardedEngine:
         if self._closed:
             return
         self._closed = True
-        error: Optional[BaseException] = None
-        try:
-            self._flush_pending()
-        except BaseException as exc:
-            error = exc
-        try:
-            self._backend.close()
-        except BaseException as exc:
-            if error is None:
-                error = exc
-        if error is not None:
-            raise error
+        self._backend.close()
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -1,7 +1,7 @@
 """The production serving front-end: bounded ingestion around an engine.
 
 :class:`StreamServer` is what stands between a hot source and the engine.
-Raw ``submit``/``ingest_async`` on the engines buffer unboundedly and give
+Calling an engine's ``submit`` directly buffers unboundedly and gives
 overload no policy; the server adds, in order, on every submitted event:
 
 1. **Admission** — the installed :data:`~repro.serve.admission.
@@ -148,7 +148,7 @@ METRIC_DOC: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     ),
     # -- flight-recorder bridge (repro.trace): all zero without a tracer ------
     "trace_traces_total": (
-        "gauge", (), "Traces opened at ingestion (one per submitted event/batch)."
+        "gauge", (), "Traces opened at ingestion (one per submitted event)."
     ),
     "trace_traces_sampled_total": (
         "gauge", (), "Traces selected by head-based sampling (spans recorded)."

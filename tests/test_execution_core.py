@@ -1,10 +1,11 @@
 """Tests for the high-throughput execution core.
 
-Covers queued-vs-synchronous equivalence, micro-batch ingestion, the
-hash-indexed JIT probe paths, feedback-aware scheduling, the round-robin
-fairness fix, flat per-step scheduling work across domain sizes, symmetric
-feedback statistics, and the regression for the divert-before-resume-probe
-result loss.
+Covers queued-vs-synchronous equivalence, timestamp ties on the one
+ingestion path (single-plan and sharded engines), the hash-indexed JIT
+probe paths, feedback-aware scheduling, the round-robin fairness fix, flat
+per-step scheduling work across domain sizes, symmetric feedback
+statistics, and the regression for the divert-before-resume-probe result
+loss.
 """
 
 from __future__ import annotations
@@ -216,55 +217,79 @@ class TestQueuedEquivalence:
         assert sum(s["resumptions_sent"] for s in stats) > 0
 
 
-class TestMicroBatching:
-    def _tied_events(self):
-        """Two equi-joined sources with several same-timestamp arrivals."""
-        events = []
-        seq = 0
-        for step in range(40):
-            ts = float(step)
-            for source in ("A", "B"):
-                for k in range(2):
-                    seq += 1
-                    events.append(
-                        StreamEvent(
-                            ts=ts,
-                            source=source,
-                            tuple=AtomicTuple(source, ts, {"x1": (seq + k) % 3}, seq=seq),
-                        )
+# ------------------------------------------------------------------- timestamp ties
+
+
+def _tied_events():
+    """Two equi-joined sources with several same-timestamp arrivals."""
+    events = []
+    seq = 0
+    for step in range(40):
+        ts = float(step)
+        for source in ("A", "B"):
+            for k in range(2):
+                seq += 1
+                events.append(
+                    StreamEvent(
+                        ts=ts,
+                        source=source,
+                        tuple=AtomicTuple(source, ts, {"x1": (seq + k) % 3}, seq=seq),
                     )
-        return events
+                )
+    return events
 
-    def _two_source_query(self):
-        workload = generate_clique_workload(
-            n_sources=2, rate=1.0, window_seconds=10, dmax=3, duration=40, seed=1
-        )
-        return ContinuousQuery.from_workload(workload)
 
-    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
-    @pytest.mark.parametrize("strategy", (STRATEGY_REF, STRATEGY_JIT))
-    def test_run_batch_matches_per_event(self, mode, strategy):
-        query = self._two_source_query()
-        events = self._tied_events()
-        per_event = run_workload(
-            build_xjoin_plan(query, strategy=strategy), events, 10.0, mode=mode
-        )
-        batched = run_workload(
-            build_xjoin_plan(query, strategy=strategy), events, 10.0, mode=mode, batch=True
-        )
-        assert per_event.result_count > 0
-        assert result_multiset(batched.results.results) == result_multiset(
-            per_event.results.results
-        )
-        assert batched.events_processed == per_event.events_processed
+def _two_source_query():
+    workload = generate_clique_workload(
+        n_sources=2, rate=1.0, window_seconds=10, dmax=3, duration=40, seed=1
+    )
+    return ContinuousQuery.from_workload(workload)
 
-    def test_process_batch_rejects_mixed_timestamps(self):
-        query = self._two_source_query()
-        plan = build_xjoin_plan(query)
-        engine = ExecutionEngine(plan, ExecutionContext(window=Window(10.0)))
-        events = self._tied_events()
-        with pytest.raises(ValueError):
-            engine.process_batch([events[0], events[-1]])
+
+#: Every engine the tied stream is fed through: a single-plan engine per
+#: execution mode and strategy, and a sharded engine per shard configuration
+#: and scheduler policy.
+TIE_CASES = [
+    pytest.param("engine", mode, strategy, id=f"engine-{mode}-{strategy}")
+    for mode in ExecutionMode.ALL
+    for strategy in (STRATEGY_REF, STRATEGY_JIT)
+] + [
+    pytest.param(
+        "sharded", (n_shards, drain_mode), policy, id=f"{n_shards}-{drain_mode}-{policy}"
+    )
+    for n_shards, drain_mode in ((1, "sync"), (2, "sync"), (3, "sync"), (2, "process"))
+    for policy in ALL_POLICIES
+]
+
+
+class TestTimestampTies:
+    @pytest.mark.parametrize("kind,layout,variant", TIE_CASES)
+    def test_tied_stream_matches_synchronous_ref(self, kind, layout, variant):
+        """Same-timestamp arrivals, one ``submit`` each, give the synchronous
+        REF run's results under every engine, and so exercise the
+        schedulers' equal-head tie-breaks."""
+        query = _two_source_query()
+        events = _tied_events()
+        ref = run_workload(build_xjoin_plan(query, strategy=STRATEGY_REF), events, 10.0)
+        expected = result_multiset(ref.results.results)
+        assert ref.result_count > 0
+        if kind == "engine":
+            report = run_workload(
+                build_xjoin_plan(query, strategy=variant), events, 10.0, mode=layout
+            )
+            assert result_multiset(report.results.results) == expected
+            return
+        n_shards, drain_mode = layout
+        registry = QueryRegistry()
+        for strategy in (STRATEGY_REF, STRATEGY_JIT, STRATEGY_REF):
+            registry.register(query, strategy=strategy)
+        with ShardedEngine(
+            registry, n_shards=n_shards, scheduler=variant, drain_mode=drain_mode
+        ) as engine:
+            report = engine.run(events)
+        assert report.events_ingested == len(events)
+        for query_id, query_report in report.queries.items():
+            assert result_multiset(query_report.results.results) == expected, query_id
 
 
 # ------------------------------------------------------------------- hash-indexed probes

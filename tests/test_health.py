@@ -394,7 +394,7 @@ class TestBareEngineAttachment:
     def test_monitor_over_sharded_engine_without_server(self, workload):
         engine = ShardedEngine(_registry(workload), n_shards=2)
         monitor = HealthMonitor(engine)
-        engine.run_batch(workload.events()[:200])
+        engine.run(workload.events()[:200])
         table = monitor.shard_table()
         assert set(table) == {0, 1}
         for row in table.values():

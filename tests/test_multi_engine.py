@@ -96,22 +96,12 @@ class TestShardedEquivalence:
             sum(ms.values()) for ms in standalone_multisets.values()
         )
 
-    @pytest.mark.parametrize("n_shards,drain_mode", SHARD_CONFIGS)
-    def test_run_batch_matches(
-        self, shared_workload, shared_events, standalone_multisets, n_shards, drain_mode
-    ):
-        registry = _registry(shared_workload)
-        with ShardedEngine(registry, n_shards=n_shards, drain_mode=drain_mode) as engine:
-            engine.run_batch(shared_events)
-            for query_id, expected in standalone_multisets.items():
-                assert engine.results_for(query_id).multiset() == expected
-
     def test_push_api_matches(self, shared_workload, shared_events, standalone_multisets):
-        """submit / ingest_async produce what run() produces."""
+        """submit per event, then flush, produces what run() produces."""
         registry = _registry(shared_workload)
         with ShardedEngine(registry, n_shards=2) as engine:
             for event in shared_events:
-                engine.ingest_async(event)
+                engine.submit(event)
             engine.flush()
             for query_id, expected in standalone_multisets.items():
                 assert engine.results_for(query_id).multiset() == expected
@@ -414,7 +404,7 @@ class TestRunWorkloadReuse:
     def test_sharded_engine_through_run_workload(self, shared_workload, shared_events):
         registry = _registry(shared_workload)
         with ShardedEngine(registry, n_shards=2) as engine:
-            report = run_workload(events=shared_events, engine=engine, batch=True)
+            report = run_workload(events=shared_events, engine=engine)
         assert report.events_ingested == len(shared_events)
 
     def test_engine_and_plan_are_exclusive(self, shared_workload, shared_events):

@@ -56,7 +56,7 @@ def registry(workload):
 def sync_run(registry, workload):
     """One synchronous run whose artifacts the round-trips below audit."""
     with ShardedEngine(registry, n_shards=2) as engine:
-        report = engine.run_batch(workload.events())
+        report = engine.run(workload.events())
         snapshots = [shard.snapshot() for shard in engine.shards]
     return report, snapshots
 

@@ -74,13 +74,7 @@ def _result_sequences(report):
 
 def _run(workload, events, drain_mode, **kwargs):
     with ShardedEngine(_registry(workload), drain_mode=drain_mode, **kwargs) as engine:
-        return engine.run_batch(events)
-
-
-def _submitted(workload, events, **kwargs):
-    """Result sequences of a sync engine fed ``events`` one ``submit`` at a time."""
-    with ShardedEngine(_registry(workload), **kwargs) as engine:
-        return _result_sequences(engine.run(events))
+        return engine.run(events)
 
 
 @pytest.fixture
@@ -139,15 +133,6 @@ class TestProcessSyncEquivalence:
         first = _run(workload, events, "process", n_shards=2)
         second = _run(workload, events, "process", n_shards=2)
         assert _result_sequences(first) == _result_sequences(second)
-
-    def test_ingest_async_micro_batching(self, workload, events):
-        sync = _run(workload, events, "sync", n_shards=2)
-        with ShardedEngine(_registry(workload), n_shards=2, drain_mode="process") as engine:
-            for event in events:
-                engine.ingest_async(event)
-            engine.flush()
-            proc = engine.report()
-        assert _result_sequences(proc) == _result_sequences(sync)
 
     def test_single_shard_matches_sync(self, workload, events):
         sync = _run(workload, events, "sync", n_shards=1)
@@ -218,6 +203,26 @@ class TestBornHosting:
         assert snapshots == [[entry.query_id for entry in entries]]
 
 
+class TestWorkerCommands:
+    def test_batch_frame_is_an_unknown_command(self, events):
+        """An event reaches a worker only in an ``evt`` frame: the worker
+        loop, run in this process over a real pipe, answers a ``batch``
+        frame with an ``err`` naming the unknown command."""
+        parent, child = multiprocessing.Pipe(duplex=True)
+        parent.send(("batch", events[:2], None, 0.0))
+        parent.send(("close",))
+        on_sigterm = signal.getsignal(signal.SIGTERM)
+        try:
+            _worker_main(_ShardSpec(0, "fifo", False), child)
+        finally:
+            signal.signal(signal.SIGTERM, on_sigterm)
+        assert parent.poll(10.0)
+        reply = parent.recv()
+        parent.close()
+        assert reply[:2] == ("err", 0)
+        assert "unknown worker command 'batch'" in reply[2]
+
+
 class TestFailedConstruction:
     """Whatever goes wrong before ``ShardedEngine(...)`` returns, every worker
     it started is shut down: no child process, no reader thread."""
@@ -266,9 +271,8 @@ class TestResultShipping:
         """Paced traffic never leaves the pipe idle for the worker's 50 ms
         tick, and ``flush`` is never called: results must still arrive, the
         first of them while the stream is running.  No timing bound."""
-        expected = {
-            qid: len(keys) for qid, keys in _submitted(workload, events, n_shards=2).items()
-        }
+        sync = _result_sequences(_run(workload, events, "sync", n_shards=2))
+        expected = {qid: len(keys) for qid, keys in sync.items()}
         assert sum(expected.values()) > 0
         with ShardedEngine(_registry(workload), n_shards=2, drain_mode="process") as engine:
             def counts():
@@ -394,9 +398,9 @@ class TestWorkerLifecycle:
         # replacement starts with empty windows: a restarted shard's queries
         # read like a run of the first half followed by a fresh run of the
         # second; shard-1 queries never notice.
-        head = _submitted(workload, events[:cut], n_shards=2)
-        tail = _submitted(workload, events[cut:], n_shards=2)
-        whole = _submitted(workload, events, n_shards=2)
+        head = _result_sequences(_run(workload, events[:cut], "sync", n_shards=2))
+        tail = _result_sequences(_run(workload, events[cut:], "sync", n_shards=2))
+        whole = _result_sequences(_run(workload, events, "sync", n_shards=2))
         assert 0 < len(on_shard_0) < len(whole)
         assert _result_sequences(after) == {
             qid: head[qid] + tail[qid] if qid in on_shard_0 else whole[qid]
@@ -417,7 +421,7 @@ class TestWorkerTracing:
             tracer = Tracer(sample_rate=1.0, capacity=50_000, seed=7)
             with ShardedEngine(_registry(workload), n_shards=2, drain_mode=mode) as engine:
                 engine.attach_tracer(tracer)
-                report = engine.run_batch(events[: len(events) // 2])
+                report = engine.run(events[: len(events) // 2])
             return tracer, report
 
         sync_tracer, sync_report = traced("sync")

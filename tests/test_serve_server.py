@@ -8,16 +8,12 @@ Covers the acceptance contract of the serving layer:
 * the ``block``-policy server is result-bit-identical to the raw engine;
 * the asyncio adapter applies genuine backpressure (the buffer never
   exceeds its bound) and accounts identically;
-* the admission hook rejects before buffering and is fully accounted;
-* regression: concurrent ``ShardedEngine.flush()`` calls dispatch a
-  pending micro-batch exactly once.
+* the admission hook rejects before buffering and is fully accounted.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-import time
 
 import pytest
 
@@ -314,49 +310,6 @@ class TestServerLifecycle:
         report = server.report()
         assert report.ingested == 100
         assert report.delivered + report.shed + len(server.buffer) == 100
-
-
-# --------------------------------------------------- flush-race regression
-
-
-class TestShardedFlushRace:
-    def test_concurrent_flushes_dispatch_pending_batch_once(self):
-        """Two racing flush() calls must not double-dispatch the pending
-        micro-batch (regression for the unlocked swap in _flush_pending)."""
-        workload = _workload()
-        engine = ShardedEngine(_registry(workload), n_shards=2)
-        dispatched = []
-        original = engine._dispatch_batch
-
-        def slow_dispatch(batch):
-            dispatched.append(list(batch))
-            time.sleep(0.01)  # widen the race window
-            original(batch)
-
-        engine._dispatch_batch = slow_dispatch
-        events = workload.events()
-        same_ts = [e for e in events if e.ts == events[0].ts] or events[:1]
-        for event in same_ts:
-            engine.ingest_async(event)
-
-        barrier = threading.Barrier(4)
-        errors = []
-
-        def racer():
-            try:
-                barrier.wait()
-                engine.flush()
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=racer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        total = sum(len(batch) for batch in dispatched)
-        assert total == len(same_ts), f"dispatched {total}, expected {len(same_ts)}"
 
 
 # -------------------------------------------------------------- async server

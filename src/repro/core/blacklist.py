@@ -15,7 +15,7 @@ exact REF-equivalence (see docs/JIT.md):
 
 * :meth:`Blacklist.min_live_ts` feeds the *delayed purge floor* of the
   opposite operator state, and
-* :meth:`BlacklistEntry.max_ts` tells the consumer (through
+* :meth:`BlacklistEntry.newest` tells the consumer (through
   ``JITJoinOperator.suspension_alive``) whether an MNS entry must be kept
   because suspended super-tuples still exist somewhere upstream.
 
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.context import ExecutionContext
 from repro.core.signature import MNSSignature
@@ -55,8 +56,8 @@ from repro.streams.tuples import StreamTuple
 __all__ = ["SuspendedTuple", "BlacklistEntry", "Blacklist"]
 
 
-def _ts(suspended: "SuspendedTuple") -> float:
-    return suspended.tuple.ts
+#: A suspended record's timestamp, its tuple's.
+_ts = attrgetter("tuple.ts")
 
 
 @dataclass(slots=True)
@@ -110,11 +111,6 @@ class SuspendedTuple:
     created: int = 0
     ended: Optional[int] = None
     previous: Optional["SuspendedTuple"] = None
-
-    @property
-    def ts(self) -> float:
-        """Timestamp of the suspended tuple."""
-        return self.tuple.ts
 
     def met(self, other_seq: int, chain: Optional["SuspendedTuple"], cost: CostModel) -> bool:
         """True if this suspended tuple has already been joined with the
@@ -185,28 +181,20 @@ class BlacklistEntry:
 
     def min_ts(self) -> float:
         """Earliest timestamp among signature and suspended tuples."""
-        return min(self.signature.ts, self._end_ts(0, min))
+        return min(self.signature.ts, self._end(0, min).ts)
 
-    def max_ts(self) -> float:
-        """Latest timestamp among signature and suspended tuples."""
-        return max(self.signature.ts, self._end_ts(-1, max))
+    def newest(self) -> Union[MNSSignature, StreamTuple]:
+        """The signature or suspended tuple with the latest timestamp: the
+        one the window retains longest."""
+        end = self._end(-1, max)
+        return end if end.ts > self.signature.ts else self.signature
 
-    def _end_ts(self, end: int, pick) -> float:
+    def _end(self, end: int, pick) -> Union[MNSSignature, StreamTuple]:
         if not self.suspended:
-            return self.signature.ts
+            return self.signature
         if self.ts_ordered:
-            return self.suspended[end].tuple.ts
-        return pick(map(_ts, self.suspended))
-
-
-def _expired_prefix(ordered: List[SuspendedTuple], now: float, retention: float) -> int:
-    """How many leading tuples of a timestamp-ordered list are past retention."""
-    count = 0
-    for suspended in ordered:
-        if suspended.tuple.ts + retention > now:
-            break
-        count += 1
-    return count
+            return self.suspended[end].tuple
+        return pick(self.suspended, key=_ts).tuple
 
 
 class Blacklist:
@@ -396,7 +384,8 @@ class Blacklist:
         dropped = 0
         cost = self.context.cost
         purge_units = cost.weights.purge
-        horizon = self.context.window.purge_horizon(now)
+        window = self.context.window
+        horizon = window.purge_horizon(now)
         for signature in list(self._entries):
             entry = self._entries[signature]
             if entry.suspended:
@@ -421,7 +410,7 @@ class Blacklist:
                 not entry.suspended
                 and not entry.propagated_upstream
                 and not entry.permanent
-                and signature.ts + retention <= now
+                and not window.retains(signature, now, retention)
             ):
                 self._entries.pop(signature)
                 self._unindex_signature(signature)
@@ -430,30 +419,35 @@ class Blacklist:
         self._min_live_known = False
         return dropped
 
-    @staticmethod
     def _drop_expired(
-        entry: BlacklistEntry, now: float, retention: float
+        self, entry: BlacklistEntry, now: float, retention: float
     ) -> Tuple[List[SuspendedTuple], int]:
-        """Take the tuples past retention out of ``entry``.
+        """Take the tuples the window no longer retains out of ``entry``.
 
-        Returns them and the number of suspended tuples examined to find them.
+        Returns them and the number of suspended tuples examined to find them:
+        up to the first one retained while the entry is in timestamp order,
+        every one otherwise.
         """
+        retains = self.context.window.retains
         suspended = entry.suspended
+        held = len(suspended)
         if entry.ts_ordered:
-            held = len(suspended)
-            gone = suspended[: _expired_prefix(suspended, now, retention)]
-            if gone:
-                del suspended[: len(gone)]
-            return gone, min(len(gone) + 1, held)
-
-        def alive(s: SuspendedTuple) -> bool:
-            return s.tuple.ts + retention > now
-
-        gone = [s for s in suspended if not alive(s)]
+            count = 0
+            for s in suspended:
+                if retains(s.tuple, now, retention):
+                    break
+                count += 1
+            gone = suspended[:count]
+            del suspended[:count]
+            return gone, min(count + 1, held)
+        kept: List[SuspendedTuple] = []
+        gone = []
+        for s in suspended:
+            (kept if retains(s.tuple, now, retention) else gone).append(s)
         if gone:
-            entry.suspended = kept = [s for s in suspended if alive(s)]
+            entry.suspended = kept
             entry.ts_ordered = all(a.tuple.ts <= b.tuple.ts for a, b in zip(kept, kept[1:]))
-        return gone, len(suspended)
+        return gone, held
 
     @property
     def memory_bytes(self) -> int:

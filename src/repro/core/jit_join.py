@@ -306,6 +306,7 @@ class JITJoinOperator(BinaryJoinOperator):
         an MNS entry must be kept; the check recurses upstream when the
         suspension was propagated.
         """
+        retains = self.require_context().window.retains
         retention = self.retention_seconds
         for port in self.ports:
             entry = self.blacklists[port].entry(signature)
@@ -313,7 +314,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 continue
             if entry.permanent:
                 return False
-            if entry.max_ts() + retention > now:
+            if retains(entry.newest(), now, retention):
                 return True
             if entry.propagated_upstream:
                 upstream = self.producer_of(port)
@@ -539,12 +540,12 @@ class JITJoinOperator(BinaryJoinOperator):
         for entry in candidates:
             if entry.removed:
                 continue
-            other = entry.tuple
-            if floored and other.ts < horizon:
+            if floored and entry.ts < horizon:
                 continue
+            other = entry.tuple
             probe.scanned_seqs.add(entry.seq)
             opposite_live = True
-            joins = window.joinable(tup.ts, other.ts)
+            joins = window.joins(tup, other)
             if pending:
                 # Detection-integrated evaluation: per-component match outcomes.
                 joins = self._match_components(tup, other, conditions, outcomes, joins)
@@ -680,7 +681,7 @@ class JITJoinOperator(BinaryJoinOperator):
         outcomes: Dict[str, bool] = {}
         for partial in resumed:
             joins = self._match_components(
-                tup, partial, conditions, outcomes, window.joinable(tup.ts, partial.ts)
+                tup, partial, conditions, outcomes, window.joins(tup, partial)
             )
             if pending:
                 detector.observe(tup, outcomes)
@@ -992,7 +993,7 @@ class JITJoinOperator(BinaryJoinOperator):
                     upstream_new = upstream.produce_suspended(resume)
             backlog: List[Tuple[float, object]] = []
             if entry is not None:
-                backlog.extend((s.ts, s) for s in entry.suspended)
+                backlog.extend((s.tuple.ts, s) for s in entry.suspended)
             backlog.extend((t.ts, t) for t in upstream_new)
             backlog.sort(key=lambda item: item[0])
             for _ts, item in backlog:
@@ -1059,7 +1060,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 entry.order <= upto_order or record.met(entry.seq, entry.came_from, context.cost)
             ):
                 continue
-            if not window.joinable(tup.ts, entry.tuple.ts):
+            if not window.joins(tup, entry.tuple):
                 continue
             if self.evaluate_conditions(tup, entry.tuple):
                 produced.append(self.build_result(tup, entry.tuple))
@@ -1074,7 +1075,7 @@ class JITJoinOperator(BinaryJoinOperator):
 
     def _update_purge_floors(self) -> None:
         """Recompute the delayed-purge floors from suspended work on each side."""
-        window = self.require_context().window.length
+        window = self.require_context().window
         for port in self.ports:
             opp = opposite_port(port)
             candidates: List[float] = []
@@ -1084,7 +1085,9 @@ class JITJoinOperator(BinaryJoinOperator):
             buffer_min = self.mns_buffers[opp].min_active_ts()
             if buffer_min is not None:
                 candidates.append(buffer_min)
-            self.states[port].purge_floor = (min(candidates) - window) if candidates else None
+            self.states[port].purge_floor = (
+                window.purge_horizon(min(candidates)) if candidates else None
+            )
 
     def _maybe_purge_jit_structures(self, now: float) -> None:
         """Periodically purge blacklists and MNS buffers (cheaply, not per event).

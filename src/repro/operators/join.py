@@ -231,7 +231,7 @@ class BinaryJoinOperator(Operator):
                 continue
             if live_after is not None and entry.ts < live_after:
                 continue
-            if not window.joinable(tup.ts, entry.ts):
+            if not window.joins(tup, entry.tuple):
                 continue
             if self.evaluate_conditions(tup, entry.tuple):
                 yield entry

@@ -108,6 +108,10 @@ class StateEntry:
     ----------
     tuple:
         The stored stream tuple.
+    ts:
+        The stamp the window rule expires the entry by (the tuple's ``ts``),
+        stored once at insert: every purge, probe and liveness test reads
+        it, and it keys the state's expiry heap.
     seq:
         State-local arrival sequence number: strictly increasing in insertion
         order.  JIT resume watermarks are expressed in these sequence numbers.
@@ -128,16 +132,12 @@ class StateEntry:
     """
 
     tuple: StreamTuple
+    ts: float
     seq: int
     inserted_at: float
     order: int = 0
     removed: bool = False
     came_from: Optional[object] = None
-
-    @property
-    def ts(self) -> float:
-        """Timestamp of the stored tuple."""
-        return self.tuple.ts
 
 
 class OperatorState:
@@ -259,9 +259,11 @@ class OperatorState:
         elif seq >= self._next_seq:
             self._next_seq = seq + 1
         self._heap_counter += 1
-        entry = StateEntry(tuple=tup, seq=seq, inserted_at=now, order=self._heap_counter)
+        entry = StateEntry(
+            tuple=tup, ts=tup.ts, seq=seq, inserted_at=now, order=self._heap_counter
+        )
         self._entries.append(entry)
-        heapq.heappush(self._expiry_heap, (tup.ts, self._heap_counter, entry))
+        heapq.heappush(self._expiry_heap, (entry.ts, self._heap_counter, entry))
         self._active_count += 1
         if self._indexes:
             for key_of, buckets in self._indexes.values():
@@ -274,7 +276,8 @@ class OperatorState:
     def purge(self, horizon: float) -> List[StateEntry]:
         """Remove and return entries with timestamp strictly below ``horizon``.
 
-        The caller computes the horizon (typically ``now - w``); when a purge
+        The caller asks the window for the horizon
+        (:meth:`~repro.streams.time.Window.purge_horizon`); when a purge
         floor is set (JIT's delayed purge), tuples at or above the floor are
         retained regardless of the horizon, and the live cursor moves past
         the leading entries below it (horizons only grow, so they stay below
@@ -288,7 +291,7 @@ class OperatorState:
             entries, start = self._entries, self._live_start
             while start < len(entries):
                 if not entries[start].removed:
-                    if entries[start].tuple.ts >= horizon:
+                    if entries[start].ts >= horizon:
                         break
                     self._retained += 1
                 start += 1
@@ -335,7 +338,7 @@ class OperatorState:
             entry = entries[index]
             if entry.removed:
                 continue
-            if live_only_after is not None and entry.tuple.ts < live_only_after:
+            if live_only_after is not None and entry.ts < live_only_after:
                 continue
             charge(CostKind.PROBE_STEP)
             yield entry
@@ -378,7 +381,7 @@ class OperatorState:
         found = False
         for entry in reversed(self._bucket(template, key)):
             examined += 1
-            if horizon is None or entry.tuple.ts >= horizon:
+            if horizon is None or entry.ts >= horizon:
                 found = True
                 break
         if examined:

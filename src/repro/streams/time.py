@@ -2,9 +2,22 @@
 
 The paper (Section II) adopts sliding-window semantics: every tuple ``t``
 carries a timestamp ``t.ts`` and is *alive* during ``[t.ts, t.ts + w)`` where
-``w`` is the window length.  Two tuples may join only if their timestamps are
-within ``w`` of each other, and a join result carries the maximum timestamp of
-its components.
+``w`` is the window length.  :class:`Window` is the one owner of that rule:
+every join, purge and suspension asks it one of three questions about a
+stamped thing (a tuple, an MNS signature):
+
+* may these two join? -- :meth:`Window.joins`, ``|a.ts - b.ts| <= w``;
+* below which stamp does a state entry expire? -- :meth:`Window.purge_horizon`,
+  ``now - w`` (also a JIT purge floor, at the oldest suspended stamp);
+* is suspended work still retained? -- :meth:`Window.retains`,
+  ``ts + retention > now``.
+
+The rule today: a composite tuple carries its newest component's stamp and
+lives one window past it, however old its oldest component is.  ROADMAP.md,
+item 2 "One window semantics", changes it by changing these bodies and the
+stamp ``OperatorState.insert`` stores, not their callers.  Keep each body's
+float arithmetic: at ``(ts, w, now) = (0.6, 0.1, 0.7)`` ``ts + w <= now``
+holds but ``ts < now - w`` does not.
 
 All timestamps are plain floats measured in **seconds of application time**.
 The execution engine advances a :class:`SimulationClock` to the timestamp of
@@ -14,11 +27,18 @@ each arriving tuple; nothing in the library reads the wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 __all__ = ["Timestamp", "Window", "SimulationClock", "seconds", "minutes"]
 
 #: Alias documenting that timestamps are floats in seconds of application time.
 Timestamp = float
+
+
+class Stamped(Protocol):
+    """Anything :class:`Window` can judge: it carries a timestamp ``ts``."""
+
+    ts: float
 
 
 def seconds(value: float) -> float:
@@ -57,35 +77,18 @@ class Window:
         """Build a window from a length expressed in minutes (paper units)."""
         return cls(minutes(length_minutes))
 
-    def contains(self, tuple_ts: float, now: float) -> bool:
-        """Return True if a tuple with timestamp ``tuple_ts`` is alive at ``now``.
-
-        A tuple is alive during ``[ts, ts + length)``.
-        """
-        return tuple_ts <= now < tuple_ts + self.length
-
-    def expired(self, tuple_ts: float, now: float) -> bool:
-        """Return True if a tuple with timestamp ``tuple_ts`` has expired at ``now``."""
-        return tuple_ts + self.length <= now
-
-    def expiry(self, tuple_ts: float) -> float:
-        """Return the instant at which a tuple with timestamp ``tuple_ts`` expires."""
-        return tuple_ts + self.length
-
-    def joinable(self, ts_a: float, ts_b: float) -> bool:
-        """Return True if two tuples with the given timestamps may join.
-
-        Section II: ``t`` and ``t'`` can join only if ``|t.ts - t'.ts| <= w``.
-        """
-        return abs(ts_a - ts_b) <= self.length
+    def joins(self, a: Stamped, b: Stamped) -> bool:
+        """May ``a`` and ``b`` join?  ``|a.ts - b.ts| <= w``, inclusive."""
+        return abs(a.ts - b.ts) <= self.length
 
     def purge_horizon(self, now: float) -> float:
-        """Timestamp below which state tuples are purged when processing at ``now``.
-
-        The purge step of the purge-probe-insert routine removes tuples whose
-        timestamp is earlier than ``now - w`` (Section II).
-        """
+        """The stamp below which a state entry has expired at ``now``; a
+        purge removes the entries strictly below it."""
         return now - self.length
+
+    def retains(self, stamped: Stamped, now: float, retention: float) -> bool:
+        """Is suspended ``stamped`` still inside ``retention`` seconds at ``now``?"""
+        return stamped.ts + retention > now
 
 
 @dataclass

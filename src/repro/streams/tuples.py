@@ -122,10 +122,6 @@ class AtomicTuple:
         """
         return isinstance(other, AtomicTuple) and other == self
 
-    def expires_at(self, window_length: float) -> float:
-        """Expiration instant under a window of ``window_length`` seconds."""
-        return self.ts + window_length
-
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -212,10 +208,6 @@ class CompositeTuple:
             if mine is None or mine != comp:
                 return False
         return True
-
-    def expires_at(self, window_length: float) -> float:
-        """Expiration instant under a window of ``window_length`` seconds."""
-        return self.ts + window_length
 
     # -- dunder ------------------------------------------------------------
 

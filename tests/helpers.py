@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -21,6 +22,50 @@ from repro.streams.tuples import AtomicTuple, join_tuples
 def make_tuple(source: str, ts: float, seq: int = 0, **attrs: object) -> AtomicTuple:
     """Build an atomic tuple from keyword attribute values."""
     return AtomicTuple(source, ts, attrs, seq=seq)
+
+
+def specification_results(query, events) -> Counter:
+    """What ``query`` defines over ``events``, by brute force: the multiset of
+    result keys (``repro.engine.results.result_key``) of every combination of
+    one event per source that satisfies every join condition and whose
+    stamps lie within one window, ``max ts - min ts <= w`` — inclusive, like
+    ``Window.joins``.
+
+    No plan, state, purge or horizon: nested loops over each source's events
+    in query order.  A partial combination already spanning more than ``w``
+    or failing a condition among its members is not extended, which changes
+    nothing the full combination would decide.  Selections and projections
+    are not modelled.
+    """
+    assert not query.selections and not query.projection
+    by_source = {source: [] for source in query.sources}
+    for event in events:
+        by_source[event.source].append(event.tuple)
+    conditions = query.predicate.conditions
+    results: Counter = Counter()
+    chosen = {}
+
+    def extend(position: int, oldest: float, newest: float) -> None:
+        if position == len(query.sources):
+            key = tuple(sorted((t.source, t.seq) for t in chosen.values()))
+            results[(key, newest)] += 1
+            return
+        source = query.sources[position]
+        for tup in by_source[source]:
+            low, high = min(oldest, tup.ts), max(newest, tup.ts)
+            if high - low > query.window.length:
+                continue
+            chosen[source] = tup
+            if all(
+                cond.evaluate(chosen[cond.left.source], chosen[cond.right.source])
+                for cond in conditions
+                if source in cond.sources and cond.sources <= chosen.keys()
+            ):
+                extend(position + 1, low, high)
+            del chosen[source]
+
+    extend(0, float("inf"), float("-inf"))
+    return results
 
 
 class ScriptedGate(DetectionGate):
@@ -333,12 +378,12 @@ def replays_checked_against_full_scan():
             finally:
                 del self.probe_candidates
             ((visited, present),) = scans
-            joinable = self.require_context().window.joinable
+            joins = self.require_context().window.joins
             expected = [
                 join_tuples(tup, entry.tuple)
                 for entry in present
                 if (record is None or not shadow.has_met(record, entry.seq))
-                and joinable(tup.ts, entry.tuple.ts)
+                and joins(tup, entry.tuple)
                 and all(cond.evaluate(tup, entry.tuple) for cond in self.local_conditions)
             ]
             assert produced == expected, (self.name, port, record and record.original_seq)

@@ -89,7 +89,7 @@ def _assert_bookkeeping_matches_a_recount(blacklist: Blacklist) -> None:
     assert blacklist.memory_bytes == held
     for entry in entries:
         own = [entry.signature.ts] + [s.tuple.ts for s in entry.suspended]
-        assert (entry.min_ts(), entry.max_ts()) == (min(own), max(own))
+        assert (entry.min_ts(), entry.newest().ts) == (min(own), max(own))
         assert entry.size_bytes == entry.signature.size_bytes + sum(
             s.tuple.size_bytes for s in entry.suspended
         )
@@ -381,7 +381,7 @@ class TestCostShape:
         for ts in (20.0, 30.0, 5.0, 40.0):  # 5.0: an older tuple suspended again
             blacklist.add_suspended(signature, make_tuple("A", ts, y=1), -1, now=40.0)
         entry = blacklist.entry(signature)
-        assert not entry.ts_ordered and (entry.min_ts(), entry.max_ts()) == (5.0, 50.0)
+        assert not entry.ts_ordered and (entry.min_ts(), entry.newest().ts) == (5.0, 50.0)
         assert blacklist.min_live_ts() == 5.0
         dropped, examined = self._charged(
             context, CostKind.PURGE, lambda: blacklist.purge(now=100.0, retention=90.0)

@@ -4,12 +4,17 @@ The central correctness property of the reproduction: within one plan shape,
 JIT (under any configuration), DOE and REF executions of the same workload
 produce exactly the same result set, in either execution mode.  Across plan
 shapes the result sets differ today (ROADMAP.md, item "One window semantics"),
-so no test here compares two shapes.  Hypothesis drives randomized workloads
-and configurations against that invariant, plus invariants of the
+so no test here compares two shapes.  Where the query's answer does not
+depend on the shape — two sources, one join — every strategy, mode and shape
+is also compared with the specification itself
+(``helpers.specification_results``).  Hypothesis drives randomized workloads
+and configurations against those invariants, plus invariants of the
 lower-level data structures.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,8 +46,11 @@ from repro.plans.builder import (
 )
 from repro.plans.query import ContinuousQuery
 from repro.streams.generators import generate_clique_workload
+from repro.streams.sources import PeriodicArrivals, merge_sources
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
+
+from helpers import script_gates, specification_results
 
 
 def _run_all(workload, shape, strategies, jit_config=None):
@@ -175,6 +183,90 @@ def bounded_workload_parameters(draw):
         duration=draw(st.sampled_from([60, 100])),
         seed=draw(st.integers(min_value=0, max_value=10_000)),
     )
+
+
+def _assert_engines_equal_the_specification(params, pinned_open, period=None):
+    """REF, JIT and DOE, synchronous and queued, left-deep and bushy, all emit
+    exactly the specification's results on ``params``' clique; JIT's and
+    DOE's gates are pinned open (the paper's behaviour) if ``pinned_open``.
+
+    With a ``period`` every source arrives every ``period`` seconds from 0
+    instead of at random: tuples then meet exactly one window apart whenever
+    the period divides the window, which is where the window is inclusive.
+    """
+    workload = generate_clique_workload(**params)
+    query = ContinuousQuery.from_workload(workload)
+    if period is None:
+        events = workload.events()
+    else:
+        sources = workload.sources()
+        for source in sources:
+            source.arrivals = PeriodicArrivals(period)
+        events = merge_sources(sources, workload.duration)
+    expected = specification_results(query, events)
+    for shape in (PLAN_LEFT_DEEP, PLAN_BUSHY):
+        for strategy in (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE):
+            for mode in ExecutionMode.ALL:
+                plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+                if pinned_open:
+                    script_gates(plan)
+                report = run_workload(plan, events, workload.window.length, mode=mode)
+                got = result_multiset(report.results.results)
+                assert got == expected, (shape, strategy, mode, sum(got.values()))
+    return expected, query, events
+
+
+@st.composite
+def two_source_parameters(draw):
+    """Random 2-source cliques, from empty to a few thousand results."""
+    return dict(
+        n_sources=2,
+        rate=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        window_seconds=draw(st.sampled_from([0.5, 5, 20, 30, 80])),
+        dmax=draw(st.integers(min_value=1, max_value=10)),
+        duration=draw(st.sampled_from([30, 60, 120])),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+
+
+#: Random arrivals (None), or every source every 0.5 / 1 / 2 seconds: each
+#: divides most of the drawn windows.
+_PERIODS = st.sampled_from([None, None, 0.5, 1.0, 2.0])
+
+
+class TestSpecification:
+    """Two sources: the answer is the query's, on every plan.  (With more
+    sources the shapes disagree today; ROADMAP.md, item "One window
+    semantics".)"""
+
+    @pytest.mark.parametrize("seed, count", [(1, 728), (2, 767)])
+    def test_differential_cliques_equal_the_specification(self, seed, count):
+        # The 2-source ``differential`` cliques of tests/golden.py.
+        params = dict(n_sources=2, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=seed)
+        expected, _query, _events = _assert_engines_equal_the_specification(params, True)
+        assert sum(expected.values()) == count
+
+    def test_pairs_exactly_one_window_apart_join(self):
+        params = dict(n_sources=2, rate=1.0, window_seconds=5, dmax=3, duration=40, seed=4)
+        expected, query, events = _assert_engines_equal_the_specification(
+            params, True, period=1.0
+        )
+        # Stamps are whole seconds: a 4.999-s window is a strict 5-s one.
+        strict = specification_results(dataclasses.replace(query, window=Window(4.999)), events)
+        assert sum(strict.values()) < sum(expected.values())
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(params=two_source_parameters(), pinned_open=st.booleans(), period=_PERIODS)
+    def test_two_source_cliques_equal_the_specification(self, params, pinned_open, period):
+        _assert_engines_equal_the_specification(params, pinned_open, period)
+
+
+@pytest.mark.slow
+class TestSpecificationSweep:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(params=two_source_parameters(), pinned_open=st.booleans(), period=_PERIODS)
+    def test_two_source_cliques_equal_the_specification(self, params, pinned_open, period):
+        _assert_engines_equal_the_specification(params, pinned_open, period)
 
 
 @pytest.mark.slow

@@ -203,7 +203,7 @@ def test_slotted_blacklist_records_roundtrip():
         assert not hasattr(slotted, "__dict__")
     clone, state_clone = _roundtrip((entry, back))
     assert clone == entry and state_clone == back
-    assert (clone.size_bytes, clone.min_ts(), clone.max_ts()) == (entry.size_bytes, 1.0, 3.0)
+    assert (clone.size_bytes, clone.min_ts(), clone.newest().ts) == (entry.size_bytes, 1.0, 3.0)
     assert [s.joined_upto_order for s in clone.suspended] == [-1, -1, -1]
     assert [(s.created, s.ended) for s in clone.suspended] == [(4, None), (5, None), (6, None)]
     earlier = clone.suspended[0].previous

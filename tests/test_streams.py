@@ -11,8 +11,11 @@ import sys
 
 import pytest
 
+from repro.context import ExecutionContext
+from repro.core.signature import MNSSignature
 from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
 from repro.multi import generate_multi_query_workload
+from repro.operators.state import OperatorState
 from repro.streams.schema import Attribute, SourceSchema, StreamCatalog
 from repro.streams.sources import (
     PeriodicArrivals,
@@ -35,6 +38,10 @@ from repro.streams.tuples import AtomicTuple, CompositeTuple, join_tuples
 # --------------------------------------------------------------------------- time
 
 
+def _at(ts: float) -> AtomicTuple:
+    return AtomicTuple("A", ts, {"x": 1})
+
+
 class TestWindow:
     def test_minutes_conversion(self):
         assert minutes(5) == 300.0
@@ -49,23 +56,60 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(-1)
 
-    def test_contains_and_expired(self):
-        w = Window(10)
-        assert w.contains(0.0, 5.0)
-        assert not w.contains(0.0, 10.0)
-        assert w.expired(0.0, 10.0)
-        assert not w.expired(0.0, 9.999)
+    # A tuple stamped ``ts`` is alive during ``[ts, ts + w)``; each boundary
+    # is checked on the method that answers it for the engine.
 
-    def test_expiry_and_horizon(self):
+    def test_joins_is_inclusive_at_exactly_one_window_and_symmetric(self):
         w = Window(10)
-        assert w.expiry(3.0) == 13.0
+        a, b, c = _at(0.0), _at(10.0), _at(10.5)
+        assert w.joins(a, b) and w.joins(b, a)
+        assert not w.joins(a, c) and not w.joins(c, a)
+        assert w.joins(b, c) and w.joins(a, a)
+        # Joins take composites too, by their stamp: the newest component's.
+        ab = join_tuples(a, AtomicTuple("B", 10.0, {"x": 1}))
+        assert w.joins(ab, c) and not w.joins(ab, _at(20.5))
+
+    def test_retains_until_one_retention_past_the_stamp(self):
+        w = Window(10)
+        t0, t3 = _at(0.0), _at(3.0)
+        assert w.retains(t0, 0.0, w.length) and w.retains(t0, 5.0, w.length)
+        assert w.retains(t0, 9.999, w.length)
+        assert not w.retains(t0, 10.0, w.length)
+        assert w.retains(t3, 12.999, w.length) and not w.retains(t3, 13.0, w.length)
+        # A longer retention (the EXACT policy's ``depth * w``) moves the instant.
+        assert w.retains(t0, 10.0, 2 * w.length) and not w.retains(t0, 20.0, 2 * w.length)
+        # MNS signatures are judged by their own stamp.
+        signature = MNSSignature.empty(ts=3.0)
+        assert w.retains(signature, 12.5, w.length) and not w.retains(signature, 13.0, w.length)
+
+    def test_purge_horizon_and_floor(self):
+        w = Window(10)
         assert w.purge_horizon(25.0) == 15.0
+        # The floor kept for suspended work stamped 3: everything from -7 on.
+        assert w.purge_horizon(3.0) == -7.0
 
-    def test_joinable_is_symmetric(self):
+    def test_purge_removes_entries_strictly_below_the_horizon(self):
         w = Window(10)
-        assert w.joinable(0.0, 10.0)
-        assert w.joinable(10.0, 0.0)
-        assert not w.joinable(0.0, 10.5)
+        state = OperatorState("S", ExecutionContext(window=w))
+        for ts in (2.0, 3.0, 4.0):
+            state.insert(_at(ts), now=ts)
+        # At 13 the horizon is 3: the entry stamped 3 sits on it and stays.
+        (gone,) = state.purge(w.purge_horizon(13.0))
+        assert gone.ts == 2.0 and [e.ts for e in state] == [3.0, 4.0]
+        (gone,) = state.purge(w.purge_horizon(13.5))
+        assert gone.ts == 3.0 and [e.ts for e in state] == [4.0]
+
+    def test_horizon_and_retention_keep_their_float_arithmetic(self):
+        # At (ts, w, now) = (0.6, 0.1, 0.7) ``ts + w <= now`` holds but
+        # ``ts < now - w`` does not: the state keeps the entry while the
+        # blacklist's retention has already run out.  Rewriting either rule
+        # in the other's arithmetic moves results.
+        w = Window(0.1)
+        state = OperatorState("S", ExecutionContext(window=w))
+        state.insert(_at(0.6), now=0.6)
+        assert state.purge(w.purge_horizon(0.7)) == [] and len(state) == 1
+        assert not w.retains(_at(0.6), 0.7, w.length)
+        assert w.joins(_at(0.6), _at(0.7)) and w.joins(_at(0.7), _at(0.6))
 
 
 class TestSimulationClock:
@@ -149,7 +193,6 @@ class TestTuples:
         assert t.get("y") == 2
         assert t.get("zz", -1) == -1
         assert t.covers("A") and not t.covers("B")
-        assert t.expires_at(10.0) == 13.0
 
     def test_atomic_tuple_errors(self):
         t = AtomicTuple("A", 3.0, {"x": 1})

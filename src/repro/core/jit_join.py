@@ -361,7 +361,7 @@ class JITJoinOperator(BinaryJoinOperator):
                     # ``t`` is parked with an empty watermark, so its eventual
                     # replay joins them exactly once — emitting here would
                     # double-count.
-                    self._restore_resumed(opposite_producer, resume_feedback, port, now)
+                    self._restore_resumed(opposite_producer, resume_feedback, port)
                 if not entry.permanent:
                     self._moment += 1
                     blacklist.add_suspended(
@@ -372,7 +372,7 @@ class JITJoinOperator(BinaryJoinOperator):
         # Line 13 (hoisted): insert t into its own state.  Doing this before
         # the probe does not change which results are produced but makes the
         # watermarks of re-entrant suspensions exact.
-        own_entry = self.insert_into_state(tup, port, now)
+        own_entry = self.insert_into_state(tup, port)
 
         # Line 10 (+ Identify_MNS interleaved): probe the opposite state.
         detector = self.detectors[port]
@@ -407,7 +407,7 @@ class JITJoinOperator(BinaryJoinOperator):
         if resume_feedback is not None and opposite_producer is not None:
             resumed = opposite_producer.produce_suspended(resume_feedback)
             self._integrate_resumed(
-                tup, port, now, resumed, own_entry, detector if should_detect else None
+                tup, port, resumed, own_entry, detector if should_detect else None
             )
 
         # Lines 11-12: report newly detected MNSs and send suspension feedback.
@@ -663,7 +663,6 @@ class JITJoinOperator(BinaryJoinOperator):
         self,
         tup: StreamTuple,
         port: str,
-        now: float,
         resumed: Sequence[StreamTuple],
         own_entry: StateEntry,
         detector: Optional[MNSDetector],
@@ -688,7 +687,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 if detector.pending != pending:
                     pending = detector.pending
                     conditions = self._split_conditions(port, pending)
-            partial_entry = opposite_state.insert(partial, now)
+            partial_entry = opposite_state.insert(partial)
             if joins and not own_entry.removed and not partial_entry.removed:
                 self.emit(self.build_result(tup, partial))
                 self.stats["results_resumed"] += 1
@@ -797,9 +796,7 @@ class JITJoinOperator(BinaryJoinOperator):
             self.stats["resumptions_sent"] += len(feedback.signatures)
         target.handle_feedback(feedback, self)
 
-    def _restore_resumed(
-        self, producer: Operator, resume_feedback: Feedback, port: str, now: float
-    ) -> None:
+    def _restore_resumed(self, producer: Operator, resume_feedback: Feedback, port: str) -> None:
         """Append resumed partials to the opposite state without joining them.
 
         Used when the triggering arrival was itself diverted: its blacklist
@@ -808,7 +805,7 @@ class JITJoinOperator(BinaryJoinOperator):
         """
         opposite_state = self.states[opposite_port(port)]
         for partial in producer.produce_suspended(resume_feedback):
-            opposite_state.insert(partial, now)
+            opposite_state.insert(partial)
 
     # ------------------------------------------------------------------ producer side
 
@@ -826,7 +823,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 )
             elif single.kind == FeedbackKind.RESUME:
                 self.stats["resumptions_received"] += 1
-                results = self._resume_production(signature, now)
+                results = self._resume_production(signature)
                 self._pending_resume.setdefault(feedback.signatures, []).extend(results)
             elif single.kind in (FeedbackKind.MARK, FeedbackKind.UNMARK):
                 # Type II mark/unmark handling is optional (Section IV-B); the
@@ -945,16 +942,16 @@ class JITJoinOperator(BinaryJoinOperator):
 
     # -- resumption ----------------------------------------------------------------
 
-    def _resume_production(self, signature: MNSSignature, now: float) -> List[StreamTuple]:
+    def _resume_production(self, signature: MNSSignature) -> List[StreamTuple]:
         side = classify_signature(signature, self.left_sources, self.right_sources)
         if side == SIDE_EMPTY:
-            return self._resume_all(signature, now)
+            return self._resume_all(signature)
         if side == SIDE_BOTH:
             return []
         port = PORT_LEFT if side == SIDE_LEFT else PORT_RIGHT
-        return self._resume_port(signature, port, now)
+        return self._resume_port(signature, port)
 
-    def _resume_port(self, signature: MNSSignature, port: str, now: float) -> List[StreamTuple]:
+    def _resume_port(self, signature: MNSSignature, port: str) -> List[StreamTuple]:
         """Produce the super-tuples of ``signature`` that were suppressed on ``port``."""
         blacklist = self.blacklists[port]
         entry = blacklist.pop_entry(signature)
@@ -973,12 +970,12 @@ class JITJoinOperator(BinaryJoinOperator):
 
         if entry is not None:
             for suspended in entry.suspended:
-                results.extend(self._join_resumed(suspended.tuple, port, now, suspended))
+                results.extend(self._join_resumed(suspended.tuple, port, suspended))
         for partial in upstream_new:
-            results.extend(self._join_resumed(partial, port, now))
+            results.extend(self._join_resumed(partial, port))
         return results
 
-    def _resume_all(self, signature: MNSSignature, now: float) -> List[StreamTuple]:
+    def _resume_all(self, signature: MNSSignature) -> List[StreamTuple]:
         """Resume a Ø suspension by replaying the buffered inputs in order."""
         results: List[StreamTuple] = []
         for port in (PORT_LEFT, PORT_RIGHT):
@@ -998,16 +995,15 @@ class JITJoinOperator(BinaryJoinOperator):
             backlog.sort(key=lambda item: item[0])
             for _ts, item in backlog:
                 if isinstance(item, SuspendedTuple):
-                    results.extend(self._join_resumed(item.tuple, port, now, item))
+                    results.extend(self._join_resumed(item.tuple, port, item))
                 else:
-                    results.extend(self._join_resumed(item, port, now))
+                    results.extend(self._join_resumed(item, port))
         return results
 
     def _join_resumed(
         self,
         tup: StreamTuple,
         port: str,
-        now: float,
         record: Optional[SuspendedTuple] = None,
     ) -> List[StreamTuple]:
         """Join a resumed tuple with the opposite-state partners it has not met.
@@ -1045,7 +1041,7 @@ class JITJoinOperator(BinaryJoinOperator):
         opp = opposite_port(port)
         resume_feedback = self._probe_mns_buffer(tup, opp)
         if resume_feedback is not None:
-            self._restore_resumed(self.producer_of(opp), resume_feedback, port, now)
+            self._restore_resumed(self.producer_of(opp), resume_feedback, port)
         watermark = upto_order = -1
         met_seqs: FrozenSet[int] = frozenset()
         if record is not None:
@@ -1065,9 +1061,9 @@ class JITJoinOperator(BinaryJoinOperator):
             if self.evaluate_conditions(tup, entry.tuple):
                 produced.append(self.build_result(tup, entry.tuple))
         if record is None:
-            self.states[port].insert(tup, now)
+            self.states[port].insert(tup)
         else:
-            self.states[port].insert(tup, now, seq=record.original_seq).came_from = record
+            self.states[port].insert(tup, seq=record.original_seq).came_from = record
             record.ended = self._moment
         return produced
 
@@ -1130,7 +1126,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 cancel = Feedback.resume((entry.signature,))
                 self._send_feedback(producer, cancel)
                 for partial in producer.produce_suspended(cancel):
-                    self.states[port].insert(partial, now)
+                    self.states[port].insert(partial)
             self.gates[port].spend(cost.cpu_units - mark)
 
     # ------------------------------------------------------------------ diagnostics

@@ -188,7 +188,7 @@ class BinaryJoinOperator(Operator):
         now = context.now
         self.purge(now)
         self._probe_and_emit(tup, port, now)
-        self.insert_into_state(tup, port, now)
+        self.insert_into_state(tup, port)
 
     def purge(self, now: float) -> None:
         """Purge both states of tuples older than ``now - w``."""
@@ -196,9 +196,9 @@ class BinaryJoinOperator(Operator):
         for state in self.states.values():
             state.purge(horizon)
 
-    def insert_into_state(self, tup: StreamTuple, port: str, now: float) -> StateEntry:
+    def insert_into_state(self, tup: StreamTuple, port: str) -> StateEntry:
         """Insert ``tup`` into the state of its own port."""
-        return self.states[port].insert(tup, now)
+        return self.states[port].insert(tup)
 
     def _probe_and_emit(self, tup: StreamTuple, port: str, now: float) -> int:
         """Probe the opposite state with ``tup``, emitting every join result.

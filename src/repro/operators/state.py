@@ -22,13 +22,19 @@ The state also supports the operations JIT needs on top of the baseline:
   expiry (see docs/JIT.md, "Delayed purge under suspension").
 
 Internally the entry list is append-only and in insertion order (so sorted by
-``StateEntry.order``); purging uses a timestamp min-heap and marks entries as
-removed, and the list is compacted lazily once removed entries accumulate.
-That order costs nothing to keep and lets a scan start where its work starts:
-while a purge floor retains expired tuples, ``purge`` moves a *live cursor*
-past the leading entries below the horizon and a regular probe begins there;
-a resumed tuple's replay bisects to the order stamp recorded when it was
-suspended.  A probe walks the list it found up to the length it found:
+``StateEntry.order``); removing an entry marks it removed, and the list is
+compacted lazily once removed entries accumulate.  Insertion order is stamp
+order except for *late* inserts, stamped below the newest stamp the state has
+held (a resumed tuple re-entering, say).  So purging advances a *head* over
+the list, removing what it passes, and stops at the first present entry at or
+above the horizon: every entry behind that one is at or above it too, except
+late inserts, and those alone also wait in a small ``(ts, order, entry)``
+min-heap for their purge.  The order costs nothing to keep and lets a scan
+start where its work starts: a probe starts at the head; while a purge floor
+retains expired tuples, ``purge`` moves a *live cursor* past the leading
+entries below the horizon and a regular probe begins there; a resumed tuple's
+replay bisects to the order stamp recorded when it was suspended.  A probe
+walks the list it found up to the length it found:
 appends land behind that length and a compaction binds a new list, so an
 emission that re-enters the state mid-probe changes nothing the probe sees
 except ``removed`` flags (docs/JIT.md, "Where a scan starts and stops").
@@ -64,9 +70,9 @@ the model counts stored tuples, and the equi-key index never was either.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -111,12 +117,10 @@ class StateEntry:
     ts:
         The stamp the window rule expires the entry by (the tuple's ``ts``),
         stored once at insert: every purge, probe and liveness test reads
-        it, and it keys the state's expiry heap.
+        it.
     seq:
         State-local arrival sequence number: strictly increasing in insertion
         order.  JIT resume watermarks are expressed in these sequence numbers.
-    inserted_at:
-        Simulated time at which the tuple entered the state.
     order:
         Position in the state's insertion order.  Unlike ``seq`` it is fresh
         on every insert, so a resumed tuple re-inserted under its original
@@ -134,7 +138,6 @@ class StateEntry:
     tuple: StreamTuple
     ts: float
     seq: int
-    inserted_at: float
     order: int = 0
     removed: bool = False
     came_from: Optional[object] = None
@@ -170,8 +173,13 @@ class OperatorState:
         self.context = context
         self.memory_category = memory_category
         self._entries: List[StateEntry] = []  # insertion order, lazily compacted
-        self._expiry_heap: List[Tuple[float, int, StateEntry]] = []
-        self._heap_counter = 0
+        #: Every entry before this index of ``_entries`` is removed.
+        self._head = 0
+        #: Late inserts (see the module docstring), keyed for their purge.
+        self._late: List[Tuple[float, int, StateEntry]] = []
+        #: The newest stamp the state has held: an insert below it is late.
+        self._newest = float("-inf")
+        self._last_order = 0
         #: The index registry (see the module docstring for the charging rule).
         self._indexes: Dict[IndexTemplate, _Index] = {}
         #: Stream time of the last lookup of each lazily built index; the
@@ -225,7 +233,7 @@ class OperatorState:
     @property
     def last_order(self) -> int:
         """The ``order`` stamp of the newest entry ever inserted (0 before any)."""
-        return self._heap_counter
+        return self._last_order
 
     @property
     def memory_bytes(self) -> int:
@@ -242,9 +250,7 @@ class OperatorState:
 
     # -- purge / probe / insert ----------------------------------------------
 
-    def insert(
-        self, tup: StreamTuple, now: Optional[float] = None, seq: Optional[int] = None
-    ) -> StateEntry:
+    def insert(self, tup: StreamTuple, seq: Optional[int] = None) -> StateEntry:
         """Insert ``tup`` into the state and return its entry.
 
         ``seq`` lets JIT re-insert a previously extracted tuple under its
@@ -252,18 +258,19 @@ class OperatorState:
         recorded against it stay meaningful.  New tuples omit it and receive
         the next sequence number.
         """
-        now = self.context.now if now is None else now
         if seq is None:
             seq = self._next_seq
             self._next_seq += 1
         elif seq >= self._next_seq:
             self._next_seq = seq + 1
-        self._heap_counter += 1
-        entry = StateEntry(
-            tuple=tup, ts=tup.ts, seq=seq, inserted_at=now, order=self._heap_counter
-        )
+        order = self._last_order = self._last_order + 1
+        ts = tup.ts
+        entry = StateEntry(tup, ts, seq, order)
         self._entries.append(entry)
-        heapq.heappush(self._expiry_heap, (entry.ts, self._heap_counter, entry))
+        if ts < self._newest:
+            heappush(self._late, (ts, order, entry))
+        else:
+            self._newest = ts
         self._active_count += 1
         if self._indexes:
             for key_of, buckets in self._indexes.values():
@@ -283,6 +290,10 @@ class OperatorState:
         the leading entries below it (horizons only grow, so they stay below
         every later one).  Lazily built indexes last looked up before the
         horizon are retired.
+
+        The head moves to the first present entry at or above the (floored)
+        horizon, removing what it passes; entries behind it below the
+        horizon are late inserts, and the side heap yields those.
         """
         if self._last_lookup:
             for template in [t for t, at in self._last_lookup.items() if at < horizon]:
@@ -298,12 +309,22 @@ class OperatorState:
             self._live_start = start
             horizon = min(horizon, self.purge_floor)
         removed: List[StateEntry] = []
-        while self._expiry_heap and self._expiry_heap[0][0] < horizon:
-            _ts, _seq, entry = heapq.heappop(self._expiry_heap)
-            if entry.removed:
-                continue
-            self._forget(entry)
-            removed.append(entry)
+        entries, head = self._entries, self._head
+        while head < len(entries):
+            entry = entries[head]
+            if not entry.removed:
+                if entry.ts >= horizon:
+                    break
+                self._forget(entry)
+                removed.append(entry)
+            head += 1
+        self._head = head
+        late = self._late
+        while late and late[0][0] < horizon:
+            entry = heappop(late)[2]
+            if not entry.removed:
+                self._forget(entry)
+                removed.append(entry)
         if removed:
             self.context.cost.charge(CostKind.PURGE, len(removed))
         self._maybe_compact()
@@ -330,7 +351,7 @@ class OperatorState:
             without charge (the scan bisects to the first one above it).
         """
         entries = self._entries
-        start = 0 if live_only_after is None else self._live_start
+        start = self._head if live_only_after is None else max(self._head, self._live_start)
         if after_order > 0:
             start = max(start, bisect_right(entries, after_order, key=_order_of))
         charge = self.context.cost.charge
@@ -476,6 +497,7 @@ class OperatorState:
         """Drop removed entries from the list once they dominate it."""
         if len(self._entries) > 32 and self._active_count < len(self._entries) // 2:
             self._entries = [e for e in self._entries if not e.removed]
+            self._head = 0
             self._live_start = self._retained
 
     def __repr__(self) -> str:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.streams.schema import SourceSchema
-from repro.streams.tuples import AtomicTuple
+from repro.streams.tuples import AtomicTuple, _laid_out, _reader, _restore_atomic
 
 __all__ = [
     "StreamEvent",
@@ -53,6 +54,18 @@ class StreamEvent:
             raise ValueError(
                 f"event timestamp {self.ts} differs from tuple timestamp {self.tuple.ts}"
             )
+
+    def __reduce__(self) -> tuple:
+        # The tuple's pickled state (``AtomicTuple.__reduce__``'s) rides
+        # inline, so pickling an event makes one Python call, not two.
+        t = self.tuple
+        state = (t.source, t.ts, t.seq, tuple(t._layout), t._values, t.size_bytes)
+        return _restore_event, (self.ts, self.source, state)
+
+
+def _restore_event(ts: float, source: str, state: tuple) -> StreamEvent:
+    """Rebuild a pickled :class:`StreamEvent`."""
+    return StreamEvent(ts, source, _restore_atomic(*state))
 
 
 class ArrivalProcess:
@@ -175,18 +188,25 @@ class StreamSource:
         schema, name = self.schema, self.name
         attribute_names = schema.attribute_names
         size_bytes = schema.tuple_size_bytes
+        # Values carrying exactly the schema's attributes (what every shipped
+        # generator draws) are read straight into the schema's layout.
+        layout, read = _reader(attribute_names)
+        exact = layout.keys()
         out: List[StreamEvent] = []
         seq = 0
         for ts in self.arrivals.timestamps(duration, rng):
             values = self.value_generator(rng, schema)
-            missing = [a for a in attribute_names if a not in values]
-            if missing:
-                raise ValueError(
-                    f"value generator for source {name!r} did not produce "
-                    f"attributes {missing}"
-                )
-            tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=size_bytes)
-            out.append(StreamEvent(ts=ts, source=name, tuple=tup))
+            if values.keys() == exact:
+                tup = _laid_out(name, float(ts), seq, layout, read(values), size_bytes)
+            else:
+                missing = [a for a in attribute_names if a not in values]
+                if missing:
+                    raise ValueError(
+                        f"value generator for source {name!r} did not produce "
+                        f"attributes {missing}"
+                    )
+                tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=size_bytes)
+            out.append(StreamEvent(ts, name, tup))
             seq += 1
         return out
 
@@ -202,5 +222,5 @@ def merge_sources(
     events: List[StreamEvent] = []
     for source in sources:
         events.extend(source.events(duration))
-    events.sort(key=lambda e: (e.ts, e.source, e.tuple.seq))
+    events.sort(key=attrgetter("ts", "source", "tuple.seq"))
     return events

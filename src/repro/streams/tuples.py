@@ -12,6 +12,16 @@ Both are immutable and hashable, which lets the test suite compare the exact
 result sets of different execution strategies (JIT vs REF vs DOE), and lets
 JIT structures (blacklists, MNS buffers) index tuples directly.
 
+An atomic tuple stores its attribute *values* only, as a tuple in
+sorted-name order.  The names live in a *layout*: one interned map from each
+name to its position per attribute set, shared by every tuple with that set
+(all the tuples of one source, typically).  Unpickling re-interns it, so a
+process worker's tuples share one layout too; an atomic tuple pickles as
+``(source, ts, seq, names, values, size_bytes)``, and a ``StreamEvent``
+carries that state inline.  A composite tuple stores its components alone,
+sorted by source, and finds one by scanning them: a join result has two to
+five.
+
 Timestamps follow the paper's convention (Section II): an atomic tuple's
 timestamp is its arrival time, and a composite tuple carries the maximum
 timestamp of its components — the earliest instant at which it could have
@@ -20,17 +30,61 @@ been assembled.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = ["AtomicTuple", "CompositeTuple", "StreamTuple", "join_tuples"]
+
+#: Name -> position in a tuple's values; one per attribute set, shared.
+_Layout = Dict[str, int]
+#: Reads a mapping's values in the order of a layout.
+_Reader = Callable[[Mapping[str, object]], Tuple[object, ...]]
+
+# Process-wide on purpose, like ``sys.intern``: sharing needs one table.
+# Both only grow, by one entry per attribute set or key order seen, and
+# nothing mutates a layout once registered.
+
+#: Sorted attribute names -> their interned layout.
+_LAYOUTS: Dict[Tuple[str, ...], _Layout] = {}
+#: Attribute names in a mapping's own order -> their layout and its reader.
+_READERS: Dict[Tuple[str, ...], Tuple[_Layout, _Reader]] = {}
+
+_source_of = attrgetter("source")
+
+
+def _layout(names: Tuple[str, ...]) -> _Layout:
+    """The interned layout of the sorted attribute names ``names``."""
+    layout = _LAYOUTS.get(names)
+    if layout is None:
+        layout = _LAYOUTS[names] = {name: position for position, name in enumerate(names)}
+    return layout
+
+
+def _reader(order: Tuple[str, ...]) -> Tuple[_Layout, _Reader]:
+    """The layout of the attribute names ``order`` and the reader of a
+    mapping's values in it, registered on first use."""
+    found = _READERS.get(order)
+    if found is None:
+        names = tuple(sorted(order))
+        if len(names) > 1:
+            read: _Reader = itemgetter(*names)
+        else:  # ``itemgetter`` returns a bare value for one name
+
+            def read(attrs: Mapping[str, object]) -> Tuple[object, ...]:
+                return tuple([attrs[name] for name in names])
+
+        found = _READERS[order] = (_layout(names), read)
+    return found
 
 
 class AtomicTuple:
     """A single record from one streaming source.
 
-    The attribute mapping is stored once, as a private dict copy; the hash
-    is computed from its sorted items at construction, and ``repr`` sorts
-    them again when asked.
+    The attributes are stored as a tuple of values in sorted-name order
+    beside the interned layout of their names (see the module docstring);
+    the hash is computed from the sorted items at construction.  A mapping
+    whose names come in an order seen before is read by that order's
+    cached reader, without sorting.
 
     Parameters
     ----------
@@ -49,7 +103,7 @@ class AtomicTuple:
         Modelled storage footprint.  Defaults to ``16 + 8 * len(attrs)``.
     """
 
-    __slots__ = ("source", "ts", "seq", "_attrs", "size_bytes", "_hash")
+    __slots__ = ("source", "ts", "seq", "_layout", "_values", "size_bytes", "_hash")
 
     def __init__(
         self,
@@ -62,13 +116,18 @@ class AtomicTuple:
         if not source:
             raise ValueError("source name must be non-empty")
         self.source = source
-        self.ts = float(ts)
-        self.seq = int(seq)
-        self._attrs: Dict[str, object] = dict(attrs)
-        self.size_bytes = (
-            int(size_bytes) if size_bytes is not None else 16 + 8 * len(self._attrs)
-        )
-        self._hash = hash((self.source, self.seq, self.ts, tuple(sorted(self._attrs.items()))))
+        self.ts = ts = float(ts)
+        self.seq = seq = int(seq)
+        order = tuple(attrs)
+        layout, read = _READERS.get(order) or _reader(order)
+        self._layout = layout
+        self._values = values = read(attrs)
+        self.size_bytes = int(size_bytes) if size_bytes is not None else 16 + 8 * len(values)
+        self._hash = hash((source, seq, ts, tuple(zip(layout, values))))
+
+    def __reduce__(self) -> tuple:
+        names = tuple(self._layout)
+        return _restore_atomic, (self.source, self.ts, self.seq, names, self._values, self.size_bytes)
 
     # -- tuple interface ---------------------------------------------------
 
@@ -83,9 +142,9 @@ class AtomicTuple:
         return (self,)
 
     @property
-    def attrs(self) -> Mapping[str, object]:
-        """Read-only view of the attribute mapping."""
-        return dict(self._attrs)
+    def attrs(self) -> Dict[str, object]:
+        """A copy of the attribute mapping, in sorted-name order."""
+        return dict(zip(self._layout, self._values))
 
     def component(self, source: str) -> "AtomicTuple":
         """Return the component originating from ``source``.
@@ -105,13 +164,14 @@ class AtomicTuple:
         if source != self.source:
             raise KeyError(f"tuple from {self.source!r} has no component for {source!r}")
         try:
-            return self._attrs[attr]
+            return self._values[self._layout[attr]]
         except KeyError:
             raise KeyError(f"tuple from {self.source!r} has no attribute {attr!r}") from None
 
     def get(self, attr: str, default: object = None) -> object:
         """Return attribute ``attr`` of this atomic tuple, or ``default``."""
-        return self._attrs.get(attr, default)
+        position = self._layout.get(attr)
+        return default if position is None else self._values[position]
 
     def contains(self, other: "StreamTuple") -> bool:
         """Return True if ``other`` is a sub-tuple of this tuple.
@@ -131,14 +191,15 @@ class AtomicTuple:
             self.source == other.source
             and self.seq == other.seq
             and self.ts == other.ts
-            and self._attrs == other._attrs
+            and self._layout is other._layout
+            and self._values == other._values
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        attrs = ", ".join(f"{k}={v}" for k, v in sorted(self._attrs.items()))
+        attrs = ", ".join(f"{k}={v}" for k, v in zip(self._layout, self._values))
         return f"{self.source}#{self.seq}(ts={self.ts:g}, {attrs})"
 
 
@@ -151,21 +212,24 @@ class CompositeTuple:
     shapes and execution strategies meaningful.
     """
 
-    __slots__ = ("_components", "_by_source", "ts", "size_bytes", "_hash")
+    __slots__ = ("_components", "ts", "size_bytes", "_hash")
 
     def __init__(self, components: Iterable[AtomicTuple]) -> None:
-        comps = tuple(sorted(components, key=lambda c: c.source))
+        comps = tuple(sorted(components, key=_source_of))
         if len(comps) < 2:
             raise ValueError("a composite tuple needs at least two components")
-        by_source: Dict[str, AtomicTuple] = {}
-        for comp in comps:
-            if comp.source in by_source:
-                raise ValueError(f"duplicate component for source {comp.source!r}")
-            by_source[comp.source] = comp
+        first = comps[0]
+        source, ts, size_bytes = first.source, first.ts, 16 + first.size_bytes
+        for comp in comps[1:]:
+            if comp.source == source:
+                raise ValueError(f"duplicate component for source {source!r}")
+            source = comp.source
+            if comp.ts > ts:
+                ts = comp.ts
+            size_bytes += comp.size_bytes
         self._components = comps
-        self._by_source = by_source
-        self.ts = max(c.ts for c in comps)
-        self.size_bytes = 16 + sum(c.size_bytes for c in comps)
+        self.ts = ts
+        self.size_bytes = size_bytes
         self._hash = hash(comps)
 
     # -- tuple interface ---------------------------------------------------
@@ -182,20 +246,27 @@ class CompositeTuple:
 
     def component(self, source: str) -> AtomicTuple:
         """Return the component originating from ``source``."""
-        try:
-            return self._by_source[source]
-        except KeyError:
-            raise KeyError(
-                f"composite tuple over {self.sources} has no component for {source!r}"
-            ) from None
+        for comp in self._components:
+            if comp.source == source:
+                return comp
+        raise KeyError(f"composite tuple over {self.sources} has no component for {source!r}")
 
     def covers(self, source: str) -> bool:
         """Return True if this tuple contains a component from ``source``."""
-        return source in self._by_source
+        for comp in self._components:
+            if comp.source == source:
+                return True
+        return False
 
     def value(self, source: str, attr: str) -> object:
         """Return the value of ``source.attr`` carried by this tuple."""
-        return self.component(source).value(source, attr)
+        for comp in self._components:
+            if comp.source == source:
+                position = comp._layout.get(attr)
+                if position is not None:
+                    return comp._values[position]
+                break
+        return self.component(source).value(source, attr)  # raises the KeyError
 
     def contains(self, other: "StreamTuple") -> bool:
         """Return True if ``other`` is a sub-tuple of this tuple.
@@ -203,9 +274,14 @@ class CompositeTuple:
         A sub-tuple is a tuple whose components are all components of this
         tuple (same atomic records, not merely equal attribute values).
         """
+        mine = self._components
         for comp in other.components:
-            mine = self._by_source.get(comp.source)
-            if mine is None or mine != comp:
+            for own in mine:
+                if own.source == comp.source:
+                    if own is not comp and own != comp:
+                        return False
+                    break
+            else:
                 return False
         return True
 
@@ -224,6 +300,43 @@ class CompositeTuple:
         return f"<{inner} ts={self.ts:g}>"
 
 
+def _laid_out(
+    source: str,
+    ts: float,
+    seq: int,
+    layout: _Layout,
+    values: Tuple[object, ...],
+    size_bytes: int,
+) -> AtomicTuple:
+    """Build an :class:`AtomicTuple` from values already in ``layout``'s order.
+
+    What ``AtomicTuple(...)`` builds, without its checks and conversions and
+    without looking the layout up: for callers that hold the layout already
+    (a source generating its stream, unpickling).
+    """
+    tup = object.__new__(AtomicTuple)
+    tup.source = source
+    tup.ts = ts
+    tup.seq = seq
+    tup._layout = layout
+    tup._values = values
+    tup.size_bytes = size_bytes
+    tup._hash = hash((source, seq, ts, tuple(zip(layout, values))))
+    return tup
+
+
+def _restore_atomic(
+    source: str,
+    ts: float,
+    seq: int,
+    names: Tuple[str, ...],
+    values: Tuple[object, ...],
+    size_bytes: int,
+) -> AtomicTuple:
+    """Rebuild a pickled :class:`AtomicTuple` onto the interned layout of ``names``."""
+    return _laid_out(source, ts, seq, _layout(names), values, size_bytes)
+
+
 #: Any tuple flowing through the plan: a source record or a partial result.
 StreamTuple = Union[AtomicTuple, CompositeTuple]
 
@@ -239,13 +352,10 @@ def join_tuples(left: StreamTuple, right: StreamTuple) -> CompositeTuple:
     ValueError
         If the two tuples share a source.
     """
-    components = list(left.components) + list(right.components)
-    seen = set()
-    for comp in components:
-        if comp.source in seen:
-            raise ValueError(
-                f"cannot join tuples that overlap on source {comp.source!r}: "
-                f"{left!r} and {right!r}"
-            )
-        seen.add(comp.source)
-    return CompositeTuple(components)
+    try:
+        return CompositeTuple(left.components + right.components)
+    except ValueError:
+        shared = sorted(set(left.sources) & set(right.sources))
+        raise ValueError(
+            f"cannot join tuples that overlap on source {shared[0]!r}: {left!r} and {right!r}"
+        ) from None

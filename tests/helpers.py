@@ -362,7 +362,7 @@ def replays_checked_against_full_scan():
             checks.pairs.append((answer, cost.counters[CostKind.BLACKLIST_SCAN] - before))
             return answer
 
-        def checked(self, tup, port, now, record=None):
+        def checked(self, tup, port, record=None):
             scans = []
             candidates = self.probe_candidates
 
@@ -374,7 +374,7 @@ def replays_checked_against_full_scan():
 
             self.probe_candidates = recording
             try:
-                produced = shipped_join(self, tup, port, now, record)
+                produced = shipped_join(self, tup, port, record)
             finally:
                 del self.probe_candidates
             ((visited, present),) = scans

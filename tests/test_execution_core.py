@@ -433,8 +433,8 @@ class TestFeedbackStats:
 class TestHasLive:
     def test_retained_entries_are_not_live(self, context):
         state = OperatorState("S", context)
-        state.insert(AtomicTuple("A", 1.0, {"x": 1}), now=1.0)
-        state.insert(AtomicTuple("A", 2.0, {"x": 2}), now=2.0)
+        state.insert(AtomicTuple("A", 1.0, {"x": 1}))
+        state.insert(AtomicTuple("A", 2.0, {"x": 2}))
         # A purge floor retains both entries past their expiry at t=100.
         state.purge_floor = 0.5
         state.purge(horizon=100.0)
@@ -446,7 +446,7 @@ class TestHasLive:
     def test_has_live_without_horizon_matches_emptiness(self, context):
         state = OperatorState("S", context)
         assert not state.has_live(None)
-        entry = state.insert(AtomicTuple("A", 1.0, {"x": 1}), now=1.0)
+        entry = state.insert(AtomicTuple("A", 1.0, {"x": 1}))
         assert state.has_live(None)
         state.remove_entry(entry)
         assert not state.has_live(None)

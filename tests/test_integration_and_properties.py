@@ -324,7 +324,7 @@ class TestPropertyDataStructures:
         purged_to = float("-inf")  # purge horizons only grow
         for i, (action, value) in enumerate(steps):
             if action == "insert":
-                state.insert(AtomicTuple("A", float(i), {"x": value}, seq=i), now=float(i))
+                state.insert(AtomicTuple("A", float(i), {"x": value}, seq=i))
             elif action == "remove":
                 doomed = [e for e in state.entries() if e.tuple.get("x") == value]
                 if doomed:
@@ -355,7 +355,7 @@ class TestPropertyDataStructures:
         state = OperatorState("S", context)
         arrivals = sorted(arrivals, key=lambda a: a[0])
         for i, (ts, value) in enumerate(arrivals):
-            state.insert(AtomicTuple("A", ts, {"x": value}, seq=i), now=ts)
+            state.insert(AtomicTuple("A", ts, {"x": value}, seq=i))
         state.purge(horizon)
         remaining = [e.ts for e in state.probe()]
         assert all(ts >= horizon for ts in remaining)

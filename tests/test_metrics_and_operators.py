@@ -157,7 +157,7 @@ class TestOperatorState:
     def test_purge_probe_insert_cycle(self, context):
         state = OperatorState("S_A", context)
         for i in range(5):
-            state.insert(make_tuple("A", float(i), seq=i, x=i), now=float(i))
+            state.insert(make_tuple("A", float(i), seq=i, x=i))
         assert len(state) == 5
         removed = state.purge(horizon=2.0)
         assert [e.tuple.seq for e in removed] == [0, 1]
@@ -183,7 +183,7 @@ class TestOperatorState:
 
     def test_purge_floor_retains_old_entries(self, context):
         state = OperatorState("S", context)
-        state.insert(make_tuple("A", 0.0, x=1), now=0.0)
+        state.insert(make_tuple("A", 0.0, x=1))
         state.purge_floor = 0.0
         removed = state.purge(horizon=100.0)
         assert removed == []
@@ -338,7 +338,7 @@ class TestLiveCursor:
             floor_purged = False
             if action == "insert":
                 # Out-of-order timestamps: a resumed partial enters late and old.
-                state.insert(make_tuple("A", now - argument, seq=serial, x=serial), now=now)
+                state.insert(make_tuple("A", now - argument, seq=serial, x=serial))
                 serial += 1
             elif action == "advance":
                 now += argument
@@ -356,7 +356,7 @@ class TestLiveCursor:
                 taken = list(islice(probe, argument))  # the probe has begun
                 assert taken == snapshot[: len(taken)]
                 for _ in range(40):  # later appends ...
-                    state.insert(make_tuple("A", now, seq=serial, x=serial), now=now)
+                    state.insert(make_tuple("A", now, seq=serial, x=serial))
                     serial += 1
                 # ... and removals, enough of them to compact the list unless
                 # survivors of earlier rounds dominate it
@@ -364,6 +364,101 @@ class TestLiveCursor:
                 rest = snapshot[len(taken):]
                 assert list(probe) == [e for e in rest if not e.removed]
             self._check(state, horizon, floor_purged)
+
+
+#: Half-second steps, so stamps often sit exactly on a horizon or a floor.
+_HALVES = st.integers(min_value=0, max_value=50).map(lambda k: k / 2)
+_EXPIRY_STEPS = st.one_of(
+    st.tuples(st.just("insert"), _HALVES),  # how far back
+    st.tuples(st.just("burst"), st.integers(min_value=1, max_value=40)),
+    st.tuples(st.just("reinsert"), st.integers(min_value=0, max_value=50)),
+    # Time moves, then the state purges: what a join does per arrival.
+    st.tuples(st.just("tick"), st.integers(min_value=1, max_value=16).map(lambda k: k / 2)),
+    st.tuples(st.just("floor"), st.one_of(st.none(), _HALVES)),
+    st.tuples(st.just("purge"), st.none()),
+    st.tuples(st.just("extract"), st.integers(min_value=1, max_value=5)),
+)
+
+
+class TestExactExpiry:
+    """Expiry against a brute-force model: purging walks the entry list from
+    its head and keeps late inserts in a side heap, and whatever arrives late
+    or leaves early, a purge removes exactly the present entries below
+    ``min(horizon, floor)``, charges one ``PURGE`` each, and leaves
+    ``live_count`` / ``has_live`` what their definitions say."""
+
+    WINDOW = 10.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(_EXPIRY_STEPS, min_size=1, max_size=80))
+    def test_purge_removes_exactly_what_expired(self, steps):
+        self._play(steps)
+
+    @pytest.mark.slow
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(steps=st.lists(_EXPIRY_STEPS, min_size=1, max_size=150))
+    def test_purge_removes_exactly_what_expired_sweep(self, steps):
+        self._play(steps)
+
+    def _play(self, steps):
+        context = ExecutionContext(window=Window(self.WINDOW))
+        cost, memory = context.cost, context.memory
+        state = OperatorState("S", context)
+        present = []  # the model: entries in insertion order
+        extracted = []  # candidates for a late re-insert under their old seq
+        # Entries stamped below this order stamp sit before the live cursor.
+        cursor = 0
+        now, horizon, serial = 30.0, float("-inf"), 0
+
+        def insert(tup, seq=None):
+            present.append(state.insert(tup, seq=seq))
+
+        for action, argument in steps:
+            if action == "insert":
+                insert(make_tuple("A", now - argument, seq=serial, x=serial))
+                serial += 1
+            elif action == "burst":
+                for _ in range(argument):
+                    insert(make_tuple("A", now, seq=serial, x=serial))
+                    serial += 1
+            elif action == "reinsert":
+                if extracted:
+                    entry = extracted.pop(argument % len(extracted))
+                    insert(entry.tuple, seq=entry.seq)
+            elif action == "floor":
+                state.purge_floor = None if argument is None else now - self.WINDOW - argument
+            elif action == "extract":
+                taken = state.extract(lambda t: t.get("x") % argument == 0)
+                assert {id(e) for e in taken} == {
+                    id(e) for e in present if e.tuple.get("x") % argument == 0
+                }
+                present = [e for e in present if not e.removed]
+                extracted.extend(taken)
+            else:
+                if action == "tick":
+                    now += argument
+                horizon = now - self.WINDOW
+                floor = state.purge_floor
+                if floor is not None:
+                    live = [e for e in present if e.order >= cursor and e.ts >= horizon]
+                    cursor = live[0].order if live else state.last_order + 1
+                cutoff = horizon if floor is None else min(horizon, floor)
+                expired = [e for e in present if e.ts < cutoff]
+                before = cost.count(CostKind.PURGE)
+                removed = state.purge(horizon)
+                assert sorted(id(e) for e in removed) == sorted(id(e) for e in expired)
+                assert cost.count(CostKind.PURGE) - before == len(expired)
+                present = [e for e in present if e.ts >= cutoff]
+                assert all(not e.removed for e in present)
+                assert all(e.ts < horizon for e in present if e.order < cursor)
+            assert [id(e) for e in state.entries()] == [id(e) for e in present]
+            assert len(state) == len(present)
+            assert memory.current_bytes == sum(e.tuple.size_bytes for e in present)
+            assert state.live_count == sum(1 for e in present if e.order >= cursor)
+            assert state.has_live() == bool(present)
+            for probe_horizon in (horizon, now - self.WINDOW, now - 2 * self.WINDOW):
+                expected = any(e.ts >= probe_horizon for e in present)
+                assert state.has_live(probe_horizon) == expected
 
 
 # --------------------------------------------------------------------------- existence lookups

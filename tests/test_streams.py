@@ -92,7 +92,7 @@ class TestWindow:
         w = Window(10)
         state = OperatorState("S", ExecutionContext(window=w))
         for ts in (2.0, 3.0, 4.0):
-            state.insert(_at(ts), now=ts)
+            state.insert(_at(ts))
         # At 13 the horizon is 3: the entry stamped 3 sits on it and stays.
         (gone,) = state.purge(w.purge_horizon(13.0))
         assert gone.ts == 2.0 and [e.ts for e in state] == [3.0, 4.0]
@@ -106,7 +106,7 @@ class TestWindow:
         # in the other's arithmetic moves results.
         w = Window(0.1)
         state = OperatorState("S", ExecutionContext(window=w))
-        state.insert(_at(0.6), now=0.6)
+        state.insert(_at(0.6))
         assert state.purge(w.purge_horizon(0.7)) == [] and len(state) == 1
         assert not w.retains(_at(0.6), 0.7, w.length)
         assert w.joins(_at(0.6), _at(0.7)) and w.joins(_at(0.7), _at(0.6))
@@ -282,6 +282,101 @@ class TestTuples:
             CompositeTuple([AtomicTuple("A", 1.0, {"x": 1})])
 
 
+class TestAttributeLayout:
+    """An atomic tuple holds its values; the names live in one interned
+    layout per attribute set, shared across tuples, pickles and processes."""
+
+    def test_tuples_of_one_attribute_set_share_one_layout(self):
+        a = AtomicTuple("A", 1.0, {"x": 1, "y": 2}, seq=0)
+        b = AtomicTuple("A", 2.0, {"y": 5, "x": 4}, seq=1)  # another order, same set
+        c = AtomicTuple("A", 3.0, {"x": 1}, seq=2)
+        assert a._layout is b._layout
+        assert c._layout is not a._layout
+
+    def test_a_pickled_tuple_shares_the_layout(self):
+        a = AtomicTuple("A", 1.0, {"x": 1, "y": 2}, seq=3)
+        event = StreamEvent(ts=1.0, source="A", tuple=a)
+        clone = pickle.loads(pickle.dumps(a))
+        assert clone == a and hash(clone) == hash(a) and clone._layout is a._layout
+        assert pickle.loads(pickle.dumps(event)).tuple._layout is a._layout
+        ab = join_tuples(a, AtomicTuple("B", 2.0, {"x": 1}))
+        assert pickle.loads(pickle.dumps(ab)).component("A")._layout is a._layout
+
+    def test_tuples_unpickled_in_another_process_share_the_layout(self):
+        frame = pickle.dumps([
+            StreamEvent(ts=1.0, source="A", tuple=AtomicTuple("A", 1.0, {"x": 1, "y": 2})),
+            AtomicTuple("A", 2.0, {"y": 3, "x": 4}, seq=1),
+        ])
+        script = (
+            "import pickle, sys\n"
+            "from repro.streams.tuples import AtomicTuple\n"
+            "event, tup = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = AtomicTuple('A', 3.0, {'x': 5, 'y': 6})\n"
+            "assert event.tuple._layout is tup._layout is fresh._layout\n"
+            "assert event.tuple.value('A', 'y') == 2 and tup.get('x') == 4\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", script], input=frame, env=env, check=True)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"x": 1, "y": 2, "z": 3}, {"z": 3, "x": 1, "y": 2}),
+            ({"v": 1}, {"v": 1}),
+            ({}, {}),
+        ],
+    )
+    def test_equality_hash_and_repr_ignore_insertion_order(self, first, second):
+        a = AtomicTuple("A", 1.0, first, seq=2)
+        b = AtomicTuple("A", 1.0, second, seq=2)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert hash(a) == hash(("A", 2, 1.0, tuple(sorted(first.items()))))
+        assert a.attrs == first and list(a.attrs) == sorted(first)
+
+    def test_attrs_is_a_copy(self):
+        a = AtomicTuple("A", 1.0, {"x": 1})
+        a.attrs["x"] = 9
+        assert a.get("x") == 1
+
+    def test_unknown_attributes(self):
+        a = AtomicTuple("A", 1.0, {"x": 1, "y": 2})
+        assert a.get("nope") is None and a.get("nope", 7) == 7
+        assert a.get("y", 7) == 2
+        with pytest.raises(KeyError, match="no attribute 'nope'"):
+            a.value("A", "nope")
+
+    def test_tuples_of_different_attribute_sets_differ(self):
+        assert AtomicTuple("A", 1.0, {"x": 1}) != AtomicTuple("A", 1.0, {"y": 1})
+
+    def test_composite_lookups_by_source(self):
+        a, b, c = (AtomicTuple(s, 1.0, {"x": 1}) for s in "ABC")
+        ac = join_tuples(c, a)
+        assert ac.sources == ("A", "C") and ac.component("C") is c
+        assert ac.covers("A") and not ac.covers("B")
+        with pytest.raises(KeyError, match="no component for 'B'"):
+            ac.component("B")
+        with pytest.raises(KeyError):
+            ac.value("B", "x")
+        assert ac.contains(a) and not ac.contains(b)
+        assert ac.contains(pickle.loads(pickle.dumps(a)))  # equal, not identical
+        assert not join_tuples(a, b).contains(ac)
+
+    def test_composite_rejects_a_duplicate_source(self):
+        a1 = AtomicTuple("A", 1.0, {"x": 1}, seq=0)
+        a2 = AtomicTuple("A", 2.0, {"x": 2}, seq=1)
+        b = AtomicTuple("B", 2.0, {"x": 2})
+        with pytest.raises(ValueError, match="duplicate component for source 'A'"):
+            CompositeTuple([a1, b, a2])
+
+    def test_join_overlap_error_names_both_operands(self):
+        a1 = AtomicTuple("A", 1.0, {"x": 1}, seq=0)
+        b = AtomicTuple("B", 2.0, {"x": 2})
+        a2 = AtomicTuple("A", 2.0, {"x": 2}, seq=1)
+        with pytest.raises(ValueError, match="overlap on source 'A'") as caught:
+            join_tuples(join_tuples(a1, b), a2)
+        assert "a0b0" in str(caught.value) and "A#1" in str(caught.value)
+
+
 # --------------------------------------------------------------------------- sources
 
 
@@ -354,8 +449,32 @@ class TestStreamSource:
             value_generator=lambda rng, schema: {"x": 1},
             seed=0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"attributes \['y'\]"):
             source.events(3.0)
+
+    def test_generated_tuples_are_the_constructor_s(self):
+        # Values with exactly the schema's attributes skip the constructor's
+        # layout lookup; what comes out must be what the constructor builds.
+        source = StreamSource(
+            schema=SourceSchema.of("A", ["y", "x", "z"]),
+            arrivals=ScriptedArrivals([1, 2.5, 4]),
+            value_generator=UniformValueGenerator(high=9),
+            seed=3,
+        )
+        for event in source.events(10.0):
+            t = event.tuple
+            built = AtomicTuple("A", event.ts, t.attrs, seq=t.seq, size_bytes=t.size_bytes)
+            assert (t, hash(t), repr(t)) == (built, hash(built), repr(built))
+            assert t._layout is built._layout and type(t.ts) is float
+
+    def test_extra_attributes_are_kept(self):
+        source = StreamSource(
+            schema=SourceSchema.of("A", ["x"]),
+            arrivals=PeriodicArrivals(1.0),
+            value_generator=lambda rng, schema: {"x": 1, "note": 2},
+            seed=0,
+        )
+        assert {e.tuple.get("note") for e in source.events(3.0)} == {2}
 
 
 # --------------------------------------------------------------------------- generators

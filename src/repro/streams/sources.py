@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.streams.schema import SourceSchema
-from repro.streams.tuples import AtomicTuple, _laid_out, _reader, _restore_atomic
+from repro.streams.tuples import AtomicTuple, _laid_out, _layout, _restore_atomic
 
 __all__ = [
     "StreamEvent",
@@ -189,14 +189,18 @@ class StreamSource:
         attribute_names = schema.attribute_names
         size_bytes = schema.tuple_size_bytes
         # Values carrying exactly the schema's attributes (what every shipped
-        # generator draws) are read straight into the schema's layout.
-        layout, read = _reader(attribute_names)
+        # generator draws) are read straight into the schema's layout.  With
+        # one name ``itemgetter`` returns a bare value, so such schemas (and
+        # attribute-less ones) go through the constructor.
+        names = tuple(sorted(attribute_names))
+        layout = _layout(names)
         exact = layout.keys()
+        read = itemgetter(*names) if len(names) > 1 else None
         out: List[StreamEvent] = []
         seq = 0
         for ts in self.arrivals.timestamps(duration, rng):
             values = self.value_generator(rng, schema)
-            if values.keys() == exact:
+            if read is not None and values.keys() == exact:
                 tup = _laid_out(name, float(ts), seq, layout, read(values), size_bytes)
             else:
                 missing = [a for a in attribute_names if a not in values]

@@ -30,24 +30,20 @@ been assembled.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = ["AtomicTuple", "CompositeTuple", "StreamTuple", "join_tuples"]
 
 #: Name -> position in a tuple's values; one per attribute set, shared.
 _Layout = Dict[str, int]
-#: Reads a mapping's values in the order of a layout.
-_Reader = Callable[[Mapping[str, object]], Tuple[object, ...]]
 
-# Process-wide on purpose, like ``sys.intern``: sharing needs one table.
-# Both only grow, by one entry per attribute set or key order seen, and
-# nothing mutates a layout once registered.
+# Process-wide on purpose, like ``sys.intern``: sharing needs one table.  It
+# only grows, by one entry per attribute set seen, and nothing mutates a
+# layout once registered.
 
 #: Sorted attribute names -> their interned layout.
 _LAYOUTS: Dict[Tuple[str, ...], _Layout] = {}
-#: Attribute names in a mapping's own order -> their layout and its reader.
-_READERS: Dict[Tuple[str, ...], Tuple[_Layout, _Reader]] = {}
 
 _source_of = attrgetter("source")
 
@@ -60,31 +56,12 @@ def _layout(names: Tuple[str, ...]) -> _Layout:
     return layout
 
 
-def _reader(order: Tuple[str, ...]) -> Tuple[_Layout, _Reader]:
-    """The layout of the attribute names ``order`` and the reader of a
-    mapping's values in it, registered on first use."""
-    found = _READERS.get(order)
-    if found is None:
-        names = tuple(sorted(order))
-        if len(names) > 1:
-            read: _Reader = itemgetter(*names)
-        else:  # ``itemgetter`` returns a bare value for one name
-
-            def read(attrs: Mapping[str, object]) -> Tuple[object, ...]:
-                return tuple([attrs[name] for name in names])
-
-        found = _READERS[order] = (_layout(names), read)
-    return found
-
-
 class AtomicTuple:
     """A single record from one streaming source.
 
     The attributes are stored as a tuple of values in sorted-name order
     beside the interned layout of their names (see the module docstring);
-    the hash is computed from the sorted items at construction.  A mapping
-    whose names come in an order seen before is read by that order's
-    cached reader, without sorting.
+    the hash is computed from the sorted items at construction.
 
     Parameters
     ----------
@@ -118,12 +95,12 @@ class AtomicTuple:
         self.source = source
         self.ts = ts = float(ts)
         self.seq = seq = int(seq)
-        order = tuple(attrs)
-        layout, read = _READERS.get(order) or _reader(order)
-        self._layout = layout
-        self._values = values = read(attrs)
+        items = tuple(sorted(attrs.items()))
+        names, values = zip(*items) if items else ((), ())
+        self._layout = _layout(names)
+        self._values = values
         self.size_bytes = int(size_bytes) if size_bytes is not None else 16 + 8 * len(values)
-        self._hash = hash((source, seq, ts, tuple(zip(layout, values))))
+        self._hash = hash((source, seq, ts, items))
 
     def __reduce__(self) -> tuple:
         names = tuple(self._layout)
@@ -260,13 +237,7 @@ class CompositeTuple:
 
     def value(self, source: str, attr: str) -> object:
         """Return the value of ``source.attr`` carried by this tuple."""
-        for comp in self._components:
-            if comp.source == source:
-                position = comp._layout.get(attr)
-                if position is not None:
-                    return comp._values[position]
-                break
-        return self.component(source).value(source, attr)  # raises the KeyError
+        return self.component(source).value(source, attr)
 
     def contains(self, other: "StreamTuple") -> bool:
         """Return True if ``other`` is a sub-tuple of this tuple.

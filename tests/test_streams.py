@@ -452,11 +452,13 @@ class TestStreamSource:
         with pytest.raises(ValueError, match=r"attributes \['y'\]"):
             source.events(3.0)
 
-    def test_generated_tuples_are_the_constructor_s(self):
-        # Values with exactly the schema's attributes skip the constructor's
-        # layout lookup; what comes out must be what the constructor builds.
+    @pytest.mark.parametrize("names", [["y", "x", "z"], ["x"], []])
+    def test_generated_tuples_are_the_constructor_s(self, names):
+        # Values with exactly the schema's attributes skip the constructor
+        # (schemas with one name or none go through it); either way what
+        # comes out must be what the constructor builds.
         source = StreamSource(
-            schema=SourceSchema.of("A", ["y", "x", "z"]),
+            schema=SourceSchema.of("A", names),
             arrivals=ScriptedArrivals([1, 2.5, 4]),
             value_generator=UniformValueGenerator(high=9),
             seed=3,

@@ -43,7 +43,7 @@ from repro.streams import (
 from repro.operators import (
     AttributeRef,
     BinaryJoinOperator,
-    EquiJoinCondition,
+    JoinCondition,
     JoinPredicate,
     SelectionOperator,
     SelectionPredicate,
@@ -101,7 +101,7 @@ __all__ = [
     "generate_clique_workload",
     # operators
     "AttributeRef",
-    "EquiJoinCondition",
+    "JoinCondition",
     "JoinPredicate",
     "SelectionPredicate",
     "BinaryJoinOperator",

@@ -45,11 +45,10 @@ Implementation notes (all recorded in docs/JIT.md):
   silently lost).  When the arrival is then diverted, the resumed partials
   are restored into the opposite state without being joined — the parked
   arrival replays later with an empty watermark and joins them exactly once.
-* Indexed paths: with ``use_hash_index`` (which implies all-equi local
-  conditions) neither of JIT's two linear scans is one.  Probes that need
-  no MNS detection (ports fed by a source, which has no production to
-  control, and every ``_join_resumed`` replay) look up the opposite state's
-  index on the equi-join key.  Probes that feed the MNS detector look up,
+* Indexed paths: with ``use_hash_index`` neither of JIT's two linear scans
+  is one.  Probes that need no MNS detection (ports fed by a source, which
+  has no production to control, and every ``_join_resumed`` replay) look up
+  the opposite state's index on the equi-join key.  Probes that feed the MNS detector look up,
   per component of the input, the bucket of that component's conditions and
   visit the union of the buckets in insertion order: an entry outside every
   bucket matches no component, so it can neither kill a lattice node nor
@@ -58,9 +57,9 @@ Implementation notes (all recorded in docs/JIT.md):
   mid-probe suspension watermarks stay exact because unscanned entries can
   never join the in-flight tuple either.  Without ``use_hash_index`` the
   probes are nested loops, and a detecting probe first settles each
-  component with equi conditions by an existence lookup in the opposite
-  state's index on them, so that its scan is REF's (docs/JIT.md, "Where a
-  scan starts and stops").
+  component by an existence lookup in the opposite state's index on its
+  conditions, so that its scan is REF's (docs/JIT.md, "Where a scan starts
+  and stops").
 * ``Suspend_Production`` extracts the super-tuples of an MNS from the
   bucket of the signature's ``(source, attribute)`` template, on every plan:
   the state builds that index when an extraction first asks for it and
@@ -270,7 +269,6 @@ class JITJoinOperator(BinaryJoinOperator):
             self._component_lookups[port] = {
                 source: IndexLookup(conds, opposite_sources)
                 for source, conds in conds_by_source.items()
-                if all(c.is_equi for c in conds)
             }
             self.mns_buffers[port] = MNSBuffer(
                 name=f"{self.name}.{port}.mns",
@@ -484,20 +482,19 @@ class JITJoinOperator(BinaryJoinOperator):
 
         On a nested-loop join the detector first settles what lookups answer
         (:meth:`_settle`): whether any live opposite entry matches each
-        pending component with equi conditions.  A matched component's node
-        dies before the scan; an unmatched one is False for every entry the
-        scan visits.  The scan feeds the detector only what is left (nodes
-        above level 1, non-equi components) and only while it asks to be:
-        per entry, those components are evaluated in full, the others only
-        while the entry can still join, and once none is left the loop is
-        REF's.  Which entries are visited, which join and in which order
+        pending component.  A matched component's node dies before the scan;
+        an unmatched one is False for every entry the scan visits.  The scan
+        feeds the detector only what is left (nodes above level 1) and only
+        while it asks to be: per entry, those components are evaluated in
+        full, the others only while the entry can still join, and once none
+        is left the loop is REF's.  Which entries are visited, which join and in which order
         does not depend on it.
 
         When the operator keeps hash indexes (``use_hash_index``) the scan is
         replaced by index lookups.  Without detection, one lookup on the
         equi-join key: entries with a different key can never satisfy the
-        (all-equi) local conditions.  With detection, one lookup per
-        component of ``tup`` on that component's conditions, and the union
+        local conditions.  With detection, one lookup per component of
+        ``tup`` on that component's conditions, and the union
         of the buckets is visited in insertion order exactly as the scan
         visits the state: an entry outside every bucket matches no
         component, so it kills no lattice node at any ``max_mns_arity`` and

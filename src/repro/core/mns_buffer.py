@@ -7,26 +7,28 @@ removed and a resumption feedback is sent to the producer.
 
 The buffer is keyed by :class:`~repro.core.signature.MNSSignature`, so a later
 *similar* sub-tuple (same join-attribute values) folds into the existing
-entry.  For equi-join conditions the probe is a hash lookup ("the MNS buffer
-may be organized as a hash table", Section III-A); non-equi conditions fall
-back to a linear scan.
+entry.  The probe is a hash lookup on the partner's join-attribute values
+("the MNS buffer may be organized as a hash table", Section III-A); only the
+Ø signature, which constrains no partner attribute, is matched by every
+tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
 from repro.core.signature import MNSSignature
 from repro.metrics import CostKind
-from repro.operators.predicates import COMPARATORS, AttributeRef, JoinCondition
+from repro.operators.predicates import AttributeRef, JoinCondition
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["MNSBufferEntry", "MNSBuffer"]
 
-#: (opposite-side attribute, comparator spelling, value recorded in the MNS).
-PartnerCheck = Tuple[AttributeRef, str, object]
+#: (opposite-side attribute, value recorded in the MNS): a matching partner
+#: carries that value in that attribute.
+PartnerCheck = Tuple[AttributeRef, object]
 
 
 @dataclass
@@ -38,8 +40,8 @@ class MNSBufferEntry:
     signature:
         The MNS's value-based identity.
     partner_checks:
-        The checks an incoming opposite-side tuple must satisfy to count as a
-        matching partner of the MNS.
+        The equalities an incoming opposite-side tuple must satisfy to count
+        as a matching partner of the MNS.
     detected_at:
         Simulated time of the first detection.
     """
@@ -52,11 +54,6 @@ class MNSBufferEntry:
     def size_bytes(self) -> int:
         """Modelled footprint of the entry."""
         return self.signature.size_bytes + 8 * len(self.partner_checks)
-
-    @property
-    def equi_only(self) -> bool:
-        """True if every partner check is an equality (hash-indexable)."""
-        return all(cmp in ("=", "==") for _ref, cmp, _val in self.partner_checks)
 
 
 class MNSBuffer:
@@ -91,8 +88,8 @@ class MNSBuffer:
         self._entries: Dict[MNSSignature, MNSBufferEntry] = {}
         #: Hash index: template (tuple of opposite refs) -> value key -> signatures.
         self._equi_index: Dict[Tuple[AttributeRef, ...], Dict[Tuple[object, ...], List[MNSSignature]]] = {}
-        #: Entries that cannot be hash-indexed (non-equi conditions or Ø).
-        self._scan_entries: List[MNSSignature] = []
+        #: Entries with no partner check (the Ø signature): every tuple matches.
+        self._unchecked: List[MNSSignature] = []
 
     # -- construction of partner checks ---------------------------------------------
 
@@ -113,8 +110,7 @@ class MNSBuffer:
                 # cannot be evaluated, so the condition is skipped (the match
                 # becomes more permissive, which only costs performance).
                 continue
-            comparator = getattr(cond, "comparator", "=")
-            checks.append((opp_ref, comparator, value))
+            checks.append((opp_ref, value))
         return tuple(checks)
 
     # -- container operations ----------------------------------------------------------
@@ -171,23 +167,10 @@ class MNSBuffer:
                 entry = self._entries.get(signature)
                 if entry is not None:
                     matched.append(entry)
-        for signature in list(self._scan_entries):
-            entry = self._entries.get(signature)
-            if entry is None:
-                continue
+        for signature in self._unchecked:
             self.context.cost.charge(CostKind.PROBE_STEP)
-            if self._checks_hold(entry, tup):
-                matched.append(entry)
+            matched.append(self._entries[signature])
         return matched
-
-    def _checks_hold(self, entry: MNSBufferEntry, tup: StreamTuple) -> bool:
-        for opp_ref, comparator, value in entry.partner_checks:
-            self.context.cost.charge(CostKind.PREDICATE_EVAL)
-            if not tup.covers(opp_ref.source):
-                return False
-            if not COMPARATORS[comparator](value, opp_ref.value(tup)):
-                return False
-        return True
 
     # -- cross-side compatibility (cycle prevention) ----------------------------------------
 
@@ -197,11 +180,8 @@ class MNSBuffer:
         Returned as ``(source, attribute) -> value`` over the *opposite* side's
         attributes; used by the suspension-cycle check below.
         """
-        return {
-            (ref.source, ref.attribute): value
-            for ref, comparator, value in self._partner_checks(signature)
-            if comparator in ("=", "==")
-        }
+        checks = self._partner_checks(signature)
+        return {(ref.source, ref.attribute): value for ref, value in checks}
 
     @staticmethod
     def _maps_compatible(
@@ -240,9 +220,7 @@ class MNSBuffer:
             self.context.cost.charge(CostKind.BLACKLIST_SCAN)
             existing_items = {(s, a): v for s, a, v in entry.signature.items}
             existing_partner = {
-                (ref.source, ref.attribute): value
-                for ref, comparator, value in entry.partner_checks
-                if comparator in ("=", "==")
+                (ref.source, ref.attribute): value for ref, value in entry.partner_checks
             }
             if self._maps_compatible(new_partner, existing_items):
                 return True
@@ -275,25 +253,27 @@ class MNSBuffer:
 
     # -- indexing internals --------------------------------------------------------------------
 
+    @staticmethod
+    def _template_key(
+        entry: MNSBufferEntry,
+    ) -> Tuple[Tuple[AttributeRef, ...], Tuple[object, ...]]:
+        """The entry's index template (its partner refs, sorted) and value key."""
+        template = tuple(sorted((ref for ref, _value in entry.partner_checks), key=str))
+        values = dict(entry.partner_checks)
+        return template, tuple(values[ref] for ref in template)
+
     def _index_entry(self, entry: MNSBufferEntry) -> None:
-        if not entry.partner_checks or not entry.equi_only:
-            self._scan_entries.append(entry.signature)
+        if not entry.partner_checks:
+            self._unchecked.append(entry.signature)
             return
-        template = tuple(sorted((c[0] for c in entry.partner_checks), key=str))
-        values = {c[0]: c[2] for c in entry.partner_checks}
-        key = tuple(values[ref] for ref in template)
+        template, key = self._template_key(entry)
         self._equi_index.setdefault(template, {}).setdefault(key, []).append(entry.signature)
 
     def _unindex_entry(self, entry: MNSBufferEntry) -> None:
-        if not entry.partner_checks or not entry.equi_only:
-            try:
-                self._scan_entries.remove(entry.signature)
-            except ValueError:
-                pass
+        if not entry.partner_checks:
+            self._unchecked.remove(entry.signature)
             return
-        template = tuple(sorted((c[0] for c in entry.partner_checks), key=str))
-        values = {c[0]: c[2] for c in entry.partner_checks}
-        key = tuple(values[ref] for ref in template)
+        template, key = self._template_key(entry)
         bucket = self._equi_index.get(template, {}).get(key)
         if bucket and entry.signature in bucket:
             bucket.remove(entry.signature)

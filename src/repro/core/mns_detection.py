@@ -6,11 +6,11 @@ Two detectors are provided:
   (Figure 8) over the CNS lattice, driven by the consumer's probe.  On a
   nested-loop join each component is first *settled* by an existence lookup
   in the opposite state's index on its conditions (:meth:`MNSDetector.settle`);
-  what no lookup answers — nodes above level 1, components with non-equi
-  conditions — the join computes, for every opposite-state tuple it visits,
-  for the components some alive node still contains, and feeds those
-  outcomes to the detector; once every node is dead or settled the probe is
-  REF's (docs/JIT.md, "Where a scan starts and stops").  A hash-indexed join
+  what no lookup answers — nodes above level 1 — the join computes, for
+  every opposite-state tuple it visits, for the components some alive node
+  still contains, and feeds those outcomes to the detector; once every
+  node is dead or settled the probe is REF's (docs/JIT.md, "Where a scan
+  starts and stops").  A hash-indexed join
   visits only the tuples that match at least one component, since a tuple
   matching none kills no lattice node (docs/JIT.md, "Just-in-time state
   indexes").

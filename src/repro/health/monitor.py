@@ -16,9 +16,8 @@ serving sink).  Every shard number is read from the shard's own
 * :class:`QuerySLO` verdicts — a declarative bound set per query,
   evaluated into an ok -> warning -> breach state machine with breach
   counters;
-* ranked shortlists for future policies: :meth:`laggy_queries` (admission
-  should shed for these) and :meth:`hot_shards` (migration should move
-  work off these).
+* a ranked shortlist for future policies: :meth:`laggy_queries`
+  (admission should shed for these).
 
 The monitor is **pull-only**: nothing here runs per event.  The serving
 sink updates a three-slot progress cell per result (two stores and a
@@ -34,7 +33,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from statistics import median_low
 from typing import Dict, List, Optional, Tuple
 
 from repro.health.watchdog import StallDiagnosis, StallWatchdog
@@ -276,28 +274,6 @@ class HealthMonitor:
                 "stall": diagnosis.describe() if diagnosis is not None else None,
             }
         return table
-
-    def hot_shards(self, factor: float = 2.0) -> List[Tuple[int, int]]:
-        """Shards whose queue depth exceeds ``factor`` times the median.
-
-        The shortlist a live-migration policy would move work *off*.
-        Empty when load is balanced (or everything is idle).
-        """
-        depths = {
-            shard_id: int(row["queue_depth"]) for shard_id, row in self.shard_table().items()
-        }
-        if not depths:
-            return []
-        # median_low: a lone outlier in a small fleet must not drag the
-        # typical depth up to its own level and hide itself.
-        typical = median_low(sorted(depths.values()))
-        hot = [
-            (shard_id, depth)
-            for shard_id, depth in depths.items()
-            if depth > 0 and depth > factor * typical
-        ]
-        hot.sort(key=lambda pair: pair[1], reverse=True)
-        return hot
 
     # -- the SLO state machine ---------------------------------------------
 

@@ -16,9 +16,7 @@ and MNS horizons — must stay mutually consistent.  Two rules make that so:
   tests assert.
 
 :class:`SharedVirtualClock` owns the watermark and hands out one
-:class:`ShardClock` view per shard; ``min_progress`` reports the horizon
-every shard has fully processed (the floor a cross-shard consumer could
-safely read results up to).
+:class:`ShardClock` view per shard.
 """
 
 from __future__ import annotations
@@ -88,17 +86,6 @@ class SharedVirtualClock:
         self._views.append(clock)
         return clock
 
-    @property
-    def min_progress(self) -> float:
-        """The horizon every shard has fully processed.
-
-        Results with timestamps at or below this value are final on every
-        shard; with no views it degenerates to the watermark.
-        """
-        if not self._views:
-            return self._watermark
-        return min(view.now for view in self._views)
-
     def reset(self) -> None:
         """Reset the watermark and every shard view (between runs)."""
         with self._lock:
@@ -110,5 +97,5 @@ class SharedVirtualClock:
     def __repr__(self) -> str:
         return (
             f"SharedVirtualClock(watermark={self._watermark}, "
-            f"shards={len(self._views)}, min_progress={self.min_progress})"
+            f"shards={len(self._views)})"
         )

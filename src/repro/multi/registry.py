@@ -107,9 +107,9 @@ class RegisteredQuery:
         """The canonical signature of this registration's join subtree.
 
         Registrations with equal signatures build operationally identical
-        join subtrees and can share one hosted instance (selections and
-        projection stay per-query, see :meth:`build_overlay_plan`).  The
-        signature is computed once and cached on the frozen instance.
+        join subtrees and can share one hosted instance (selections stay
+        per-query, see :meth:`build_overlay_plan`).  The signature is
+        computed once and cached on the frozen instance.
         """
         cached = self.__dict__.get("_signature")
         if cached is None:
@@ -128,7 +128,7 @@ class RegisteredQuery:
         return signature_key(self.subplan_signature())
 
     def build_join_plan(self) -> ExecutionPlan:
-        """The shareable join subtree alone: no selections, no projection."""
+        """The shareable join subtree alone, without the query's selections."""
         return build_xjoin_plan(
             self.query,
             shape=self.shape,
@@ -136,7 +136,6 @@ class RegisteredQuery:
             jit_config=self.jit_config,
             use_hash_index=self.use_hash_index,
             apply_selections=False,
-            apply_projection=False,
         )
 
     def build_shared_plan(self) -> ExecutionPlan:
@@ -157,13 +156,8 @@ class RegisteredQuery:
         )
 
     def build_overlay_plan(self) -> Optional[ExecutionPlan]:
-        """This query's private selections/projection chain (or ``None``)."""
+        """This query's private selection chain (or ``None``)."""
         return build_overlay_plan(self.query, strategy=self.strategy)
-
-    @property
-    def has_overlay(self) -> bool:
-        """True when the query keeps private operators above a shared subtree."""
-        return bool(self.query.selections or self.query.projection)
 
     def describe(self) -> str:
         """One-line description used by reports and the example scripts."""

@@ -36,7 +36,7 @@ queries whose registrations reduce to the same canonical sub-plan signature
 (:mod:`repro.plans.signature`) share ONE hosted join subtree, crowned with a
 :class:`~repro.operators.tee.TeeOperator` that fans each shared result out
 to every subscriber — into the input queue of the query's private overlay
-plan (selections/projection) or straight into its collector.  The shared
+plan (its selections) or straight into its collector.  The shared
 subtree is reference counted: ``retire_plan`` detaches one subscriber and
 only tears the subtree down when the last one leaves.  Per-query results
 stay bit-identical to unshared runs (see ``docs/SHARING.md`` for the
@@ -101,7 +101,7 @@ class PlanRuntime:
     """One hosted query's live execution state on its shard.
 
     Without sharing, ``plan`` is the query's full dedicated plan.  With
-    sharing, ``plan`` is the query's private overlay (selections/projection)
+    sharing, ``plan`` is the query's private overlay (its selections)
     or ``None`` when the query consumes the shared subtree's output
     directly, and ``shared`` points at the subtree serving it.
     """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.operators.predicates import JoinPredicate
 from repro.plans.query import ContinuousQuery
@@ -106,14 +106,6 @@ class MultiQueryWorkload:
     def events(self) -> List[StreamEvent]:
         """The shared, merged, time-ordered arrival sequence."""
         return self.base.events()
-
-    def subscription_counts(self) -> Dict[str, int]:
-        """How many queries subscribe to each source (fan-out diagnostics)."""
-        counts: Dict[str, int] = {name: 0 for name in self.base.names}
-        for k in range(self.n_queries):
-            for source in self.query_sources(k):
-                counts[source] += 1
-        return counts
 
     def describe(self) -> str:
         """One-line description for benchmark output and reports."""

@@ -63,7 +63,7 @@ class IndexLookup:
 
 
 class BinaryJoinOperator(Operator):
-    """A sliding-window equi/theta join between two inputs.
+    """A sliding-window equi-join between two inputs.
 
     Parameters
     ----------
@@ -78,11 +78,11 @@ class BinaryJoinOperator(Operator):
         conditions that straddle its two inputs; conditions internal to one
         side were already enforced upstream.
     use_hash_index:
-        When True and all local conditions are equalities, each state keeps a
-        hash index on its side of the equi-join key and probes use it instead
-        of a nested loop.  The paper's experiments use nested loops (its
-        Section VI states "all joins are implemented using the nested loop
-        algorithm"), so this defaults to False.
+        When True, each state keeps a hash index on its side of the equi-join
+        key and probes use it instead of a nested loop.  The paper's
+        experiments use nested loops (its Section VI states "all joins are
+        implemented using the nested loop algorithm"), so this defaults to
+        False.
     """
 
     def __init__(
@@ -107,7 +107,7 @@ class BinaryJoinOperator(Operator):
         self.local_conditions: Tuple[JoinCondition, ...] = predicate.conditions_between(
             self.left_sources, self.right_sources
         )
-        self.use_hash_index = use_hash_index and all(c.is_equi for c in self.local_conditions)
+        self.use_hash_index = use_hash_index
         self.states: dict = {}
         #: Per probed port, the lookup on the full equi-join key (hash-indexed
         #: joins with at least one local condition only).
@@ -166,12 +166,12 @@ class BinaryJoinOperator(Operator):
         """Entries of ``probe_port``'s state eligible to join ``tup``.
 
         The single place that decides between the hash index and a scan:
-        with ``use_hash_index`` (which implies all-equi local conditions)
-        only key-equal entries are returned — REF-equivalent, since entries
-        with a different key cannot satisfy the conditions.  The two bounds
-        are those of :meth:`OperatorState.probe` and only narrow a scan, so
-        callers must still re-check ``removed`` (and any live horizon or
-        watermark) per entry, as the probe may mutate the state re-entrantly.
+        with ``use_hash_index`` only key-equal entries are returned —
+        REF-equivalent, since entries with a different key cannot satisfy the
+        conditions.  The two bounds are those of :meth:`OperatorState.probe`
+        and only narrow a scan, so callers must still re-check ``removed``
+        (and any live horizon or watermark) per entry, as the probe may
+        mutate the state re-entrantly.
         """
         state = self.states[probe_port]
         lookup = self._key_lookups.get(probe_port)

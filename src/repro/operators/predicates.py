@@ -5,9 +5,7 @@ one column of each source pair, Section VI) and its extension section uses a
 selection ``σ A.x > 200`` as a consumer (Figure 9a).  This module provides:
 
 * :class:`AttributeRef` -- a ``source.attribute`` reference.
-* :class:`EquiJoinCondition` -- equality between two attribute references.
-* :class:`ThetaJoinCondition` -- an arbitrary binary comparison, for
-  non-equi-join extensions.
+* :class:`JoinCondition` -- equality between two attribute references.
 * :class:`JoinPredicate` -- a conjunction of join conditions; a binary join
   operator evaluates the subset of conditions that straddle its two inputs.
 * :class:`AttributeCompare` / :class:`SelectionPredicate` -- single-tuple
@@ -18,23 +16,21 @@ from __future__ import annotations
 
 import operator as _op
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.streams.tuples import StreamTuple
 
 __all__ = [
     "AttributeRef",
     "JoinCondition",
-    "EquiJoinCondition",
-    "ThetaJoinCondition",
     "JoinPredicate",
     "AttributeCompare",
     "SelectionPredicate",
     "COMPARATORS",
 ]
 
-#: Comparison operators accepted by :class:`ThetaJoinCondition` and
-#: :class:`AttributeCompare`, keyed by their SQL-ish spelling.
+#: Comparison operators accepted by :class:`AttributeCompare`, keyed by their
+#: SQL-ish spelling.
 COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
     "=": _op.eq,
     "==": _op.eq,
@@ -70,11 +66,16 @@ class AttributeRef:
         return f"{self.source}.{self.attribute}"
 
 
+@dataclass(frozen=True)
 class JoinCondition:
-    """Base class for a single binary join condition."""
+    """Equality between two attribute references of different sources (``A.x = B.x``)."""
 
     left: AttributeRef
     right: AttributeRef
+
+    def __post_init__(self) -> None:
+        if self.left.source == self.right.source:
+            raise ValueError(f"join condition must relate two different sources: {self}")
 
     @property
     def sources(self) -> FrozenSet[str]:
@@ -91,65 +92,12 @@ class JoinCondition:
 
     def evaluate(self, left_tuple: StreamTuple, right_tuple: StreamTuple) -> bool:
         """Evaluate the condition over two tuples jointly covering both sources."""
-        raise NotImplementedError
-
-    @property
-    def is_equi(self) -> bool:
-        """True for pure equality conditions (eligible for hashing)."""
-        return False
-
-
-@dataclass(frozen=True)
-class EquiJoinCondition(JoinCondition):
-    """Equality between two attribute references (``A.x = B.x``)."""
-
-    left: AttributeRef
-    right: AttributeRef
-
-    def __post_init__(self) -> None:
-        if self.left.source == self.right.source:
-            raise ValueError(f"join condition must relate two different sources: {self}")
-
-    def evaluate(self, left_tuple: StreamTuple, right_tuple: StreamTuple) -> bool:
         combined = _locate(self.left, left_tuple, right_tuple)
         other = _locate(self.right, left_tuple, right_tuple)
         return self.left.value(combined) == self.right.value(other)
 
-    @property
-    def is_equi(self) -> bool:
-        return True
-
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
-
-
-@dataclass(frozen=True)
-class ThetaJoinCondition(JoinCondition):
-    """A general binary comparison between two attribute references."""
-
-    left: AttributeRef
-    right: AttributeRef
-    comparator: str = "="
-
-    def __post_init__(self) -> None:
-        if self.left.source == self.right.source:
-            raise ValueError(f"join condition must relate two different sources: {self}")
-        if self.comparator not in COMPARATORS:
-            raise ValueError(
-                f"unknown comparator {self.comparator!r}; expected one of {sorted(COMPARATORS)}"
-            )
-
-    def evaluate(self, left_tuple: StreamTuple, right_tuple: StreamTuple) -> bool:
-        combined = _locate(self.left, left_tuple, right_tuple)
-        other = _locate(self.right, left_tuple, right_tuple)
-        return COMPARATORS[self.comparator](self.left.value(combined), self.right.value(other))
-
-    @property
-    def is_equi(self) -> bool:
-        return self.comparator in ("=", "==")
-
-    def __str__(self) -> str:
-        return f"{self.left} {self.comparator} {self.right}"
 
 
 def _locate(ref: AttributeRef, a: StreamTuple, b: StreamTuple) -> StreamTuple:
@@ -184,7 +132,7 @@ class JoinPredicate:
         """Build a pure equi-join predicate from ``((src, col), (src, col))`` pairs."""
         return cls(
             tuple(
-                EquiJoinCondition(AttributeRef(*left), AttributeRef(*right))
+                JoinCondition(AttributeRef(*left), AttributeRef(*right))
                 for left, right in pairs
             )
         )
@@ -213,20 +161,6 @@ class JoinPredicate:
             if (a in left_set and b in right_set) or (a in right_set and b in left_set):
                 selected.append(cond)
         return tuple(selected)
-
-    def conditions_involving(self, source: str) -> Tuple[JoinCondition, ...]:
-        """All conditions that mention ``source``."""
-        return tuple(c for c in self.conditions if source in c.sources)
-
-    def evaluate_between(
-        self,
-        left_tuple: StreamTuple,
-        right_tuple: StreamTuple,
-        conditions: Optional[Sequence[JoinCondition]] = None,
-    ) -> bool:
-        """Evaluate (a subset of) the conjunction over two tuples."""
-        conds = self.conditions if conditions is None else conditions
-        return all(c.evaluate(left_tuple, right_tuple) for c in conds)
 
     def __str__(self) -> str:
         return " AND ".join(str(c) for c in self.conditions) or "TRUE"

@@ -5,7 +5,7 @@ registered queries would build identical join subtrees, it builds the subtree
 once and crowns it with a :class:`TeeOperator`.  The tee is the fan-out
 point: every tuple the shared subtree produces is delivered once per
 subscriber, either into the input queue of that query's private overlay plan
-(selections/projection) or straight into its result sink when the query has
+(its selections) or straight into its result sink when the query has
 no overlay.
 
 Accounting model (see ``docs/SHARING.md``): the shared subtree's probe and

@@ -1,7 +1,7 @@
 """Query plans: query descriptions, plan containers and plan builders.
 
 * :mod:`repro.plans.query` -- declarative description of a continuous query
-  (sources, window, join predicate, optional selections/projection).
+  (sources, window, join predicate, optional selections).
 * :mod:`repro.plans.plan` -- :class:`ExecutionPlan`, the wired operator tree
   plus source routing, ready to be driven by the execution engine.
 * :mod:`repro.plans.builder` -- builders for the plan shapes of Table II

@@ -9,8 +9,8 @@ construct those trees from a :class:`~repro.plans.query.ContinuousQuery`:
   ``shape`` argument selects left-deep, right-deep or bushy trees or a custom
   nested-tuple shape.
 * :func:`paper_plan_shape` -- the exact shapes listed in Table II.
-* :func:`build_overlay_plan` -- the private selections / projection that sit
-  above a join subtree shared between queries.
+* :func:`build_overlay_plan` -- the private selections that sit above a
+  join subtree shared between queries.
 
 The builders also install the JIT plumbing that depends on the global plan
 structure: each JIT join's ``depth_to_root`` (used by the EXACT retention
@@ -26,7 +26,6 @@ from repro.core.config import JITConfig
 from repro.core.jit_join import JITJoinOperator
 from repro.operators.base import PORT_INPUT, PORT_LEFT, PORT_RIGHT, Operator
 from repro.operators.join import BinaryJoinOperator
-from repro.operators.projection import ProjectionOperator
 from repro.operators.selection import SelectionOperator
 from repro.plans.plan import ExecutionPlan
 from repro.plans.query import ContinuousQuery
@@ -160,7 +159,6 @@ def build_xjoin_plan(
     jit_config: Optional[JITConfig] = None,
     use_hash_index: bool = False,
     apply_selections: bool = True,
-    apply_projection: bool = True,
 ) -> ExecutionPlan:
     """Build an X-Join (binary tree) plan for ``query``.
 
@@ -180,9 +178,9 @@ def build_xjoin_plan(
     use_hash_index:
         Build hash indexes on the equi-join keys of every state (the paper's
         experiments use nested loops, so the default is off).
-    apply_selections / apply_projection:
-        Whether to materialize the query's selections and projection as
-        operators above the join tree.
+    apply_selections:
+        Whether to materialize the query's selections as operators above the
+        join tree.
     """
     if isinstance(shape, str) and shape in (PLAN_LEFT_DEEP, PLAN_RIGHT_DEEP, PLAN_BUSHY):
         shape_tree = paper_plan_shape(query.sources, shape)
@@ -232,7 +230,7 @@ def build_xjoin_plan(
     _sources, root = build(shape_tree)
     assert root is not None
 
-    # Optional selections / projection above the join tree.
+    # Optional selections above the join tree.
     top: Operator = root
     if apply_selections:
         for index, selection in enumerate(query.selections, start=1):
@@ -245,11 +243,6 @@ def build_xjoin_plan(
             sel.connect_producer(PORT_INPUT, top)
             operators.append(sel)
             top = sel
-    if apply_projection and query.projection:
-        proj = ProjectionOperator("Project", query.projection)
-        proj.connect_producer(PORT_INPUT, top)
-        operators.append(proj)
-        top = proj
 
     _assign_depths(root)
 
@@ -268,14 +261,13 @@ def build_overlay_plan(
     """Build the per-query operators that sit *above* a shared join subtree.
 
     The sharing layer (:mod:`repro.multi.shard`) executes the join subtree of
-    a signature group once and keeps each subscriber's selections and
-    projection private; this builds exactly that private chain — the same
-    ``Sel1..SelK`` / ``Project`` operators, in the same order, as
-    :func:`build_xjoin_plan` would stack on a dedicated join tree — as a
-    standalone plan with an empty routing table (its input arrives from the
-    shared tee, not from raw sources).  Returns ``None`` when the query has
-    neither selections nor projection: such subscribers take the shared
-    output directly.
+    a signature group once and keeps each subscriber's selections private;
+    this builds exactly that private chain — the same ``Sel1..SelK``
+    operators, in the same order, as :func:`build_xjoin_plan` would stack on
+    a dedicated join tree — as a standalone plan with an empty routing table
+    (its input arrives from the shared tee, not from raw sources).  Returns
+    ``None`` when the query has no selections: such subscribers take the
+    shared output directly.
     """
     operators: List[Operator] = []
     top: Optional[Operator] = None
@@ -291,12 +283,6 @@ def build_overlay_plan(
             sel.connect_producer(PORT_INPUT, top)
         operators.append(sel)
         top = sel
-    if query.projection:
-        proj = ProjectionOperator("Project", query.projection)
-        if top is not None:
-            proj.connect_producer(PORT_INPUT, top)
-        operators.append(proj)
-        top = proj
     if top is None:
         return None
     return ExecutionPlan(

@@ -9,10 +9,10 @@ The paper expresses continuous queries in CQL [1]; its running example is::
     WHERE A.x = B.x
       AND A.y = C.y
 
-:func:`parse_cql` accepts this dialect — a ``SELECT`` list (``*`` or
-``source.attr`` columns), a ``FROM`` list of sources each with a ``[RANGE n
-unit]`` window, and a ``WHERE`` conjunction of equi-join conditions and
-constant comparisons — and produces a
+:func:`parse_cql` accepts this dialect — ``SELECT *``, a ``FROM`` list of
+sources each with a ``[RANGE n unit]`` window, and a ``WHERE`` conjunction
+of equi-join conditions (``A.x = B.y``) and constant comparisons (``A.x >
+200``, any of ``= == != <> < <= > >=``) — and produces a
 :class:`~repro.plans.query.ContinuousQuery`.  It is intentionally minimal:
 enough to express every query used in the paper and the examples, not a full
 CQL implementation.
@@ -26,10 +26,9 @@ from typing import List, Optional, Tuple
 from repro.operators.predicates import (
     AttributeCompare,
     AttributeRef,
-    EquiJoinCondition,
+    JoinCondition,
     JoinPredicate,
     SelectionPredicate,
-    ThetaJoinCondition,
 )
 from repro.plans.query import ContinuousQuery
 from repro.streams.schema import StreamCatalog
@@ -130,15 +129,10 @@ def parse_cql(text: str, catalog: Optional[StreamCatalog] = None) -> ContinuousQ
     select_clause, from_clause, where_clause = _split_clauses(text)
     sources, window_seconds = _parse_from(from_clause)
 
-    projection: List[AttributeRef] = []
     if select_clause.strip() != "*":
-        for column in (c.strip() for c in select_clause.split(",")):
-            match = _REF_RE.match(column)
-            if not match:
-                raise CQLSyntaxError(f"SELECT column {column!r} must be 'source.attr' or '*'")
-            projection.append(AttributeRef(match.group("source"), match.group("attr")))
+        raise CQLSyntaxError(f"only SELECT * is supported, got SELECT {select_clause.strip()}")
 
-    join_conditions = []
+    join_conditions: List[JoinCondition] = []
     comparisons: List[AttributeCompare] = []
     if where_clause:
         for conjunct in re.split(r"\s+AND\s+", where_clause, flags=re.IGNORECASE):
@@ -155,10 +149,11 @@ def parse_cql(text: str, catalog: Optional[StreamCatalog] = None) -> ContinuousQ
                 right_ref = AttributeRef(
                     right_ref_match.group("source"), right_ref_match.group("attr")
                 )
-                if op in ("=", "=="):
-                    join_conditions.append(EquiJoinCondition(left_ref, right_ref))
-                else:
-                    join_conditions.append(ThetaJoinCondition(left_ref, right_ref, op))
+                if op not in ("=", "=="):
+                    raise CQLSyntaxError(
+                        f"join conjunct {conjunct.strip()!r} must be an equality"
+                    )
+                join_conditions.append(JoinCondition(left_ref, right_ref))
             else:
                 comparisons.append(AttributeCompare(left_ref, op, _parse_value(right_text)))
 
@@ -168,6 +163,5 @@ def parse_cql(text: str, catalog: Optional[StreamCatalog] = None) -> ContinuousQ
         window=Window(window_seconds),
         predicate=JoinPredicate(tuple(join_conditions)),
         selections=selections,
-        projection=tuple(projection),
         catalog=catalog,
     )

@@ -117,9 +117,5 @@ class ExecutionPlan:
         """Current (left, right) state sizes of every join operator."""
         return {op.name: op.state_sizes for op in self.join_operators}
 
-    def total_emitted(self) -> int:
-        """Total number of tuples emitted by all operators (intermediate + final)."""
-        return sum(op.emitted_count for op in self.operators)
-
     def __repr__(self) -> str:
         return f"ExecutionPlan({self.description or self.root.name!r}, operators={len(self.operators)})"

@@ -1,8 +1,8 @@
 """Declarative description of a continuous query.
 
 A :class:`ContinuousQuery` captures what the user asked for — which streams,
-over which window, joined how, optionally filtered and projected — without
-committing to an execution plan.  Plan builders in
+over which window, joined how, optionally filtered — without committing to
+an execution plan.  Plan builders in
 :mod:`repro.plans.builder` turn a query plus a plan shape into a wired
 operator tree, and the experiment harness constructs queries directly from
 the paper's clique-join workloads.
@@ -10,14 +10,10 @@ the paper's clique-join workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.operators.predicates import (
-    AttributeRef,
-    JoinPredicate,
-    SelectionPredicate,
-)
+from repro.operators.predicates import JoinPredicate, SelectionPredicate
 from repro.streams.generators import CliqueJoinWorkload
 from repro.streams.schema import StreamCatalog
 from repro.streams.time import Window
@@ -42,9 +38,6 @@ class ContinuousQuery:
     selections:
         Optional per-source selection predicates applied above the join tree
         (used by the Figure 9a style plans and by examples).
-    projection:
-        Optional list of output columns; when omitted the full composite
-        tuples are reported (``SELECT *``).
     catalog:
         Optional catalog used to validate attribute references.
     """
@@ -53,7 +46,6 @@ class ContinuousQuery:
     window: Window
     predicate: JoinPredicate
     selections: Tuple[SelectionPredicate, ...] = ()
-    projection: Tuple[AttributeRef, ...] = ()
     catalog: Optional[StreamCatalog] = None
 
     def __post_init__(self) -> None:
@@ -70,8 +62,6 @@ class ContinuousQuery:
             for cond in self.predicate.conditions:
                 self.catalog.validate_reference(cond.left.source, cond.left.attribute)
                 self.catalog.validate_reference(cond.right.source, cond.right.attribute)
-            for ref in self.projection:
-                self.catalog.validate_reference(ref.source, ref.attribute)
 
     # -- constructors ------------------------------------------------------------
 
@@ -100,10 +90,7 @@ class ContinuousQuery:
         """A compact CQL-flavoured description (for reports and examples)."""
         window_minutes = self.window.length / 60.0
         froms = ", ".join(f"{s} [RANGE {window_minutes:g} minutes]" for s in self.sources)
-        select = (
-            ", ".join(str(ref) for ref in self.projection) if self.projection else "*"
-        )
         where_parts: List[str] = [str(c) for c in self.predicate.conditions]
         where_parts.extend(str(sel) for sel in self.selections)
         where = " AND ".join(where_parts) if where_parts else "TRUE"
-        return f"SELECT {select} FROM {froms} WHERE {where}"
+        return f"SELECT * FROM {froms} WHERE {where}"

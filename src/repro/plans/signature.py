@@ -15,20 +15,19 @@ Canonicalization rules:
   :func:`~repro.plans.builder.paper_plan_shape`), so ``"left_deep"`` over
   ``(A, B, C)`` and the explicit ``(("A", "B"), "C")`` tuple collapse to the
   same signature — they build the same operator tree.
-* Join conditions are order-independent (a conjunction) and symmetric up to
-  comparator mirroring (``A.x < B.y`` is ``B.y > A.x``), so each condition is
-  normalized to put its lexicographically smaller attribute reference first —
-  mirroring the comparator when the sides swap — and the conjunction is
-  sorted.  Multiplicity is preserved: a (redundant) duplicated condition
+* Join conditions are order-independent (a conjunction) and symmetric
+  (``A.x = B.y`` is ``B.y = A.x``), so each condition is normalized to put
+  its lexicographically smaller attribute reference first and the
+  conjunction is sorted.  Multiplicity is preserved: a (redundant) duplicated condition
   changes per-probe cost, and the conservative choice is not to merge it.
 * The JIT configuration is the one the plan builder installs
   (:func:`~repro.plans.builder.resolve_jit_config`: REF carries none, DOE
   forces its preset, JIT defaults to ``JITConfig()``), so ``jit_config=None``
   and an explicit ``JITConfig()`` registration share.
 
-Selections and projections are deliberately *excluded*: the sharing layer
-keeps them in per-query private overlay plans above the shared subtree, so
-queries differing only in their filters still share the expensive joins.
+Selections are deliberately *excluded*: the sharing layer keeps them in
+per-query private overlay plans above the shared subtree, so queries
+differing only in their filters still share the expensive joins.
 """
 
 from __future__ import annotations
@@ -38,11 +37,7 @@ from typing import Optional, Tuple, Union
 import zlib
 
 from repro.core.config import JITConfig
-from repro.operators.predicates import (
-    EquiJoinCondition,
-    JoinCondition,
-    ThetaJoinCondition,
-)
+from repro.operators.predicates import JoinCondition
 from repro.plans.builder import (
     PLAN_BUSHY,
     PLAN_LEFT_DEEP,
@@ -65,40 +60,14 @@ __all__ = [
 #: A canonical sub-plan signature: a plain hashable tuple.
 SubplanSignature = Tuple
 
-#: Comparator spelled the same way under operand exchange: mirroring the
-#: comparison when the two sides swap keeps the condition's meaning.
-_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
-
-#: Comparator aliases collapsed to one spelling before mirroring.
-_ALIASES = {"==": "=", "<>": "!="}
-
 _NAMED_SHAPES = (PLAN_LEFT_DEEP, PLAN_RIGHT_DEEP, PLAN_BUSHY)
 
 
 def canonical_condition(condition: JoinCondition) -> Tuple:
-    """Reduce one join condition to an order-normalized hashable tuple.
-
-    Equi-joins (including theta conditions spelled ``=``/``==``) canonicalize
-    to ``("eq", lo_ref, hi_ref)``; other theta conditions to
-    ``("theta", lo_ref, comparator, hi_ref)`` with the comparator mirrored
-    when the references swap, so ``A.x < B.y`` and ``B.y > A.x`` coincide.
-    """
-    left = (condition.left.source, condition.left.attribute)
-    right = (condition.right.source, condition.right.attribute)
-    if isinstance(condition, ThetaJoinCondition):
-        comparator = _ALIASES.get(condition.comparator, condition.comparator)
-    elif isinstance(condition, EquiJoinCondition):
-        comparator = "="
-    else:
-        raise TypeError(
-            f"cannot canonicalize join condition of type {type(condition).__name__}"
-        )
-    if comparator == "=":
-        lo, hi = sorted((left, right))
-        return ("eq", lo, hi)
-    if left <= right:
-        return ("theta", left, comparator, right)
-    return ("theta", right, _MIRROR[comparator], left)
+    """Reduce one join condition to ``("eq", lo_ref, hi_ref)``, its sides sorted."""
+    left, right = condition.left, condition.right
+    lo, hi = sorted(((left.source, left.attribute), (right.source, right.attribute)))
+    return ("eq", lo, hi)
 
 
 def subplan_signature(
@@ -112,7 +81,7 @@ def subplan_signature(
 
     Everything that affects *which tuples the subtree emits in which
     internal state* is included; everything kept in per-query overlays
-    (selections, projection) is excluded.  Equal signatures guarantee the
+    (selections) is excluded.  Equal signatures guarantee the
     built subtrees are operationally identical, so one shared instance can
     serve every subscriber with bit-identical per-query results.
     """

@@ -9,7 +9,7 @@ guidance, and ``examples/serving_backpressure.py`` for an end-to-end tour.
 synchronous server never imports asyncio.
 """
 
-from repro.serve.admission import AdmissionPolicy, DepthLimitAdmission, accept_all
+from repro.serve.admission import AdmissionPolicy, accept_all
 from repro.serve.buffers import (
     OFFER_ACCEPTED,
     OFFER_BLOCKED,
@@ -27,13 +27,10 @@ from repro.serve.telemetry import (
     TelemetryRegistry,
     get_metric_value,
     parse_exposition,
-    validate_metric_exists,
-    validate_metric_range,
 )
 
 __all__ = [
     "AdmissionPolicy",
-    "DepthLimitAdmission",
     "accept_all",
     "AsyncStreamServer",
     "BoundedIngestionBuffer",
@@ -50,8 +47,6 @@ __all__ = [
     "Histogram",
     "parse_exposition",
     "get_metric_value",
-    "validate_metric_exists",
-    "validate_metric_range",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_QUANTILES",
 ]

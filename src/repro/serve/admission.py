@@ -9,19 +9,17 @@ rejected event — the cheap place to say no.
 The hook is deliberately minimal — ``(event, server) -> bool`` — and the
 server passes *itself*, so a policy can consult live telemetry (queue
 depths, latency percentiles, shed totals) when deciding.  That is the
-hook-point future cost-based policies plug into (ROADMAP: weigh queue
-lengths against pending resumptions); :class:`DepthLimitAdmission` is the
-simplest such telemetry-consulting policy and doubles as the reference
-implementation.
+hook-point future cost-based policies plug into (weigh queue lengths
+against pending resumptions).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.streams.sources import StreamEvent
 
-__all__ = ["AdmissionPolicy", "accept_all", "DepthLimitAdmission"]
+__all__ = ["AdmissionPolicy", "accept_all"]
 
 #: ``(event, server) -> admit?``.  The server is passed untyped to avoid an
 #: import cycle with :mod:`repro.serve.server`.
@@ -31,44 +29,3 @@ AdmissionPolicy = Callable[[StreamEvent, object], bool]
 def accept_all(event: StreamEvent, server: object) -> bool:
     """The default admission policy: admit everything."""
     return True
-
-
-class DepthLimitAdmission:
-    """Reject new work while the engine's own queues are too deep.
-
-    The ingestion buffer bounds *staged* events; this policy additionally
-    bounds *in-flight* work by consulting the live per-shard queue depths
-    through the server's telemetry surface.  Useful when a single arrival
-    can fan out into a deep cascade of inter-operator tuples: the buffer
-    alone cannot see that pressure, the shard queues can.
-
-    Parameters
-    ----------
-    max_total_depth:
-        Admit only while the summed inter-operator queue depth across all
-        shards is at or below this value.
-    sources:
-        Optional subset of source names the limit applies to; other sources
-        are always admitted (shed protection for heavy streams only).
-    """
-
-    def __init__(self, max_total_depth: int, sources: Optional[frozenset] = None) -> None:
-        if max_total_depth < 0:
-            raise ValueError(f"max_total_depth must be >= 0, got {max_total_depth}")
-        self.max_total_depth = max_total_depth
-        self.sources = frozenset(sources) if sources is not None else None
-        self.rejected = 0
-
-    def __call__(self, event: StreamEvent, server: object) -> bool:
-        if self.sources is not None and event.source not in self.sources:
-            return True
-        if server.shard_queue_depth_total() <= self.max_total_depth:
-            return True
-        self.rejected += 1
-        return False
-
-    def __repr__(self) -> str:
-        return (
-            f"DepthLimitAdmission(max_total_depth={self.max_total_depth}, "
-            f"rejected={self.rejected})"
-        )

@@ -244,15 +244,6 @@ class ServingReport:
     shed_by_source: Dict[str, int] = field(default_factory=dict)
     latency_quantiles: Dict[float, float] = field(default_factory=dict)
 
-    @property
-    def accounted(self) -> int:
-        """Every submitted event's fate, summed: delivered + shed + buffered.
-
-        ``ingested - delivered - shed`` is whatever still sits in the
-        buffer; nothing is ever unaccounted.
-        """
-        return self.delivered + self.shed
-
     def summary(self) -> str:
         """One-line summary used by examples and benchmarks."""
         quantiles = ", ".join(
@@ -553,10 +544,6 @@ class StreamServer:
             str(index): shard.queue_depth
             for index, shard in enumerate(self.engine.shards)
         }
-
-    def shard_queue_depth_total(self) -> int:
-        """Summed inter-operator queue depth across every shard."""
-        return sum(shard.queue_depth for shard in self.engine.shards)
 
     def exposition(self) -> str:
         """The Prometheus text exposition of every serving metric."""

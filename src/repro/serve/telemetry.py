@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left, insort
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "TelemetryError",
@@ -40,8 +40,6 @@ __all__ = [
     "TelemetryRegistry",
     "parse_exposition",
     "get_metric_value",
-    "validate_metric_exists",
-    "validate_metric_range",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_QUANTILES",
 ]
@@ -280,11 +278,9 @@ class Histogram(_Metric):
         self._bucket_counts = [0] * (len(self.buckets) + 1)  # +inf last
         self.sum = 0.0
         self.count = 0
-        #: Sliding window of retained observations, kept sorted for
-        #: nearest-rank quantiles; parallel FIFO tracks insertion order.
-        self._sorted: List[float] = []
-        self._fifo: List[float] = []
-        self._fifo_start = 0
+        #: Sliding window of the last ``max_samples`` observations, in
+        #: arrival order; quantiles sort a copy.
+        self._window: Deque[float] = deque(maxlen=max_samples)
         # Result sinks on different process workers' reader threads observe
         # into the same histogram; the window mutation must be atomic.
         self._lock = threading.Lock()
@@ -301,33 +297,25 @@ class Histogram(_Metric):
                     break
             else:
                 self._bucket_counts[-1] += 1
-            insort(self._sorted, value)
-            self._fifo.append(value)
-            if len(self._fifo) - self._fifo_start > self.max_samples:
-                oldest = self._fifo[self._fifo_start]
-                self._fifo_start += 1
-                index = self._bisect_remove(oldest)
-                del self._sorted[index]
-                if self._fifo_start > self.max_samples:
-                    del self._fifo[: self._fifo_start]
-                    self._fifo_start = 0
+            self._window.append(value)
 
-    def _bisect_remove(self, value: float) -> int:
-        index = bisect_left(self._sorted, value)
-        if index >= len(self._sorted) or self._sorted[index] != value:
-            raise TelemetryError(f"histogram window lost track of {value}")
-        return index
+    def _ordered(self) -> List[float]:
+        """The retained window, sorted (a copy taken under the lock)."""
+        with self._lock:
+            return sorted(self._window)
+
+    @staticmethod
+    def _nearest_rank(ordered: List[float], quantile: float) -> float:
+        """Nearest-rank percentile of ``ordered``: ``ceil(q * n)``, 1-indexed."""
+        if not 0.0 < quantile <= 1.0:
+            raise TelemetryError(f"quantile must be in (0, 1], got {quantile}")
+        if not ordered:
+            return 0.0
+        return ordered[max(1, math.ceil(quantile * len(ordered))) - 1]
 
     def percentile(self, quantile: float) -> float:
         """Nearest-rank percentile over the retained window (0.0 when empty)."""
-        if not 0.0 < quantile <= 1.0:
-            raise TelemetryError(f"quantile must be in (0, 1], got {quantile}")
-        with self._lock:
-            if not self._sorted:
-                return 0.0
-            # Nearest-rank: ceil(q * n), 1-indexed.
-            rank = max(1, math.ceil(quantile * len(self._sorted)))
-            return self._sorted[rank - 1]
+        return self._nearest_rank(self._ordered(), quantile)
 
     def render(self) -> List[str]:
         lines = self._header()
@@ -342,10 +330,10 @@ class Histogram(_Metric):
         quantile_name = f"{self.name}_quantile"
         lines.append(f"# HELP {quantile_name} Nearest-rank quantiles of {self.name}.")
         lines.append(f"# TYPE {quantile_name} gauge")
+        ordered = self._ordered()
         for quantile in self.quantiles:
-            lines.append(
-                f'{quantile_name}{{quantile="{quantile:g}"}} {self.percentile(quantile):g}'
-            )
+            value = self._nearest_rank(ordered, quantile)
+            lines.append(f'{quantile_name}{{quantile="{quantile:g}"}} {value:g}')
         return lines
 
 
@@ -530,26 +518,3 @@ def get_metric_value(
     raise TelemetryError(
         f"metric {name!r} has no series {labels}; have {sorted(series)}"
     )
-
-
-def validate_metric_exists(
-    text_or_parsed, name: str, labels: Optional[Mapping[str, str]] = None
-) -> float:
-    """Assert the metric (series) exists; returns its value."""
-    return get_metric_value(text_or_parsed, name, labels)
-
-
-def validate_metric_range(
-    text_or_parsed,
-    name: str,
-    minimum: float = float("-inf"),
-    maximum: float = float("inf"),
-    labels: Optional[Mapping[str, str]] = None,
-) -> float:
-    """Assert the metric exists and its value lies within ``[min, max]``."""
-    value = get_metric_value(text_or_parsed, name, labels)
-    if not minimum <= value <= maximum:
-        raise TelemetryError(
-            f"metric {name!r} = {value} outside [{minimum}, {maximum}]"
-        )
-    return value

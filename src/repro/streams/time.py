@@ -72,11 +72,6 @@ class Window:
         if self.length <= 0:
             raise ValueError(f"window length must be positive, got {self.length}")
 
-    @classmethod
-    def from_minutes(cls, length_minutes: float) -> "Window":
-        """Build a window from a length expressed in minutes (paper units)."""
-        return cls(minutes(length_minutes))
-
     def joins(self, a: Stamped, b: Stamped) -> bool:
         """May ``a`` and ``b`` join?  ``|a.ts - b.ts| <= w``, inclusive."""
         return abs(a.ts - b.ts) <= self.length

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.context import ExecutionContext
-from repro.operators.predicates import AttributeRef, EquiJoinCondition, JoinPredicate
+from repro.operators.predicates import AttributeRef, JoinCondition, JoinPredicate
 from repro.streams.generators import generate_clique_workload
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
@@ -30,8 +30,8 @@ def abc_predicate() -> JoinPredicate:
     """The running example's predicate: A.x = B.x AND A.y = C.y (Figure 1a)."""
     return JoinPredicate(
         (
-            EquiJoinCondition(AttributeRef("A", "x"), AttributeRef("B", "x")),
-            EquiJoinCondition(AttributeRef("A", "y"), AttributeRef("C", "y")),
+            JoinCondition(AttributeRef("A", "x"), AttributeRef("B", "x")),
+            JoinCondition(AttributeRef("A", "y"), AttributeRef("C", "y")),
         )
     )
 

@@ -16,12 +16,28 @@ from repro.engine import run_workload
 from repro.metrics import CostKind
 from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
+from repro.serve.telemetry import TelemetryError, get_metric_value
 from repro.streams.tuples import AtomicTuple, join_tuples
 
 
 def make_tuple(source: str, ts: float, seq: int = 0, **attrs: object) -> AtomicTuple:
     """Build an atomic tuple from keyword attribute values."""
     return AtomicTuple(source, ts, attrs, seq=seq)
+
+
+def validate_metric_exists(text_or_parsed, name, labels=None) -> float:
+    """Assert the metric (series) exists in an exposition; returns its value."""
+    return get_metric_value(text_or_parsed, name, labels)
+
+
+def validate_metric_range(
+    text_or_parsed, name, minimum=float("-inf"), maximum=float("inf"), labels=None
+) -> float:
+    """Assert the metric exists and its value lies within ``[minimum, maximum]``."""
+    value = get_metric_value(text_or_parsed, name, labels)
+    if not minimum <= value <= maximum:
+        raise TelemetryError(f"metric {name!r} = {value} outside [{minimum}, {maximum}]")
+    return value
 
 
 def specification_results(query, events) -> Counter:
@@ -34,10 +50,10 @@ def specification_results(query, events) -> Counter:
     No plan, state, purge or horizon: nested loops over each source's events
     in query order.  A partial combination already spanning more than ``w``
     or failing a condition among its members is not extended, which changes
-    nothing the full combination would decide.  Selections and projections
-    are not modelled.
+    nothing the full combination would decide.  Selections are not
+    modelled.
     """
-    assert not query.selections and not query.projection
+    assert not query.selections
     by_source = {source: [] for source in query.sources}
     for event in events:
         by_source[event.source].append(event.tuple)

@@ -281,18 +281,6 @@ class TestLagTable:
             ranked = monitor.laggy_queries(1.5)
             assert [qid for qid, _ in ranked] == ["q3", "q1", "q2"]
 
-    def test_hot_shards_flags_outliers(self, workload):
-        server = _served(workload, n_shards=1)
-        with server:
-            monitor = HealthMonitor(server)
-            monitor.shard_table = lambda: {
-                0: {"queue_depth": 100},
-                1: {"queue_depth": 4},
-                2: {"queue_depth": 2},
-                3: {"queue_depth": 0},
-            }
-            assert monitor.hot_shards() == [(0, 100)]
-
 
 # ------------------------------------------------------------------ the bundle
 

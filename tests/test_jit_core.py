@@ -43,7 +43,7 @@ from repro.engine import ExecutionEngine
 from repro.engine.results import result_multiset
 from repro.metrics import CostKind, CostModel
 from repro.operators.base import PORT_LEFT, PORT_RIGHT
-from repro.operators.predicates import AttributeRef, EquiJoinCondition, JoinPredicate
+from repro.operators.predicates import AttributeRef, JoinCondition, JoinPredicate
 from repro.operators.state import OperatorState
 from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
@@ -535,7 +535,7 @@ class TestJITConfig:
 
 
 def _y_condition():
-    return (EquiJoinCondition(AttributeRef("A", "y"), AttributeRef("C", "y")),)
+    return (JoinCondition(AttributeRef("A", "y"), AttributeRef("C", "y")),)
 
 
 class TestMNSBuffer:
@@ -600,6 +600,20 @@ class TestMNSBuffer:
         assert not buf.blocks_suspension({("C", "y"): 5}, {("A", "y"): 1})
         # The Ø signature (no constraints) is always blocked by a non-empty buffer.
         assert buf.blocks_suspension({}, {})
+
+    def test_partner_checks_pair_opposite_ref_with_value(self, context):
+        buf = self._buffer(context)
+        entry = buf.add(self._sig(y=9), now=0.0)
+        assert entry.partner_checks == ((AttributeRef("C", "y"), 9),)
+        assert buf.partner_map(self._sig(y=9)) == {("C", "y"): 9}
+
+    def test_signature_without_condition_attribute_is_unchecked(self, context):
+        buf = self._buffer(context)
+        # A signature over A.x records nothing the A.y = C.y condition reads,
+        # so it carries no partner check and every C tuple matches it.
+        sig = MNSSignature.from_components(make_tuple("A", 1.0, x=4), ("A",), [("A", "x")])
+        assert buf.add(sig, now=1.0).partner_checks == ()
+        assert [e.signature for e in buf.match(make_tuple("C", 2.0, y=123))] == [sig]
 
 
 # --------------------------------------------------------------------------- blacklist

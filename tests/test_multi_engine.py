@@ -197,15 +197,6 @@ class TestSharedVirtualClock:
         with pytest.raises(RuntimeError, match="ahead of the ingestion watermark"):
             view.advance_to(7.0)
 
-    def test_min_progress_tracks_slowest_shard(self):
-        clock = SharedVirtualClock()
-        fast, slow = clock.view("fast"), clock.view("slow")
-        clock.observe(10.0)
-        fast.advance_to(10.0)
-        slow.advance_to(4.0)
-        assert clock.watermark == 10.0
-        assert clock.min_progress == 4.0
-
     def test_reset(self):
         clock = SharedVirtualClock()
         view = clock.view("s0")
@@ -438,14 +429,6 @@ class TestMultiQueryWorkload:
             assert set(query.sources) <= set(shared_workload.base.names)
             n = query.n_sources
             assert len(query.predicate.conditions) == n * (n - 1) // 2
-
-    def test_subscription_counts_cover_all_queries(self, shared_workload):
-        counts = shared_workload.subscription_counts()
-        widths = [
-            len(shared_workload.query_sources(k))
-            for k in range(shared_workload.n_queries)
-        ]
-        assert sum(counts.values()) == sum(widths)
 
     def test_invalid_width_rejected(self, shared_workload):
         with pytest.raises(ValueError, match="width"):

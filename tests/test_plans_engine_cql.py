@@ -3,6 +3,8 @@ and the execution engine (both modes)."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.context import ExecutionContext
@@ -169,19 +171,55 @@ class TestCQL:
 
     def test_parse_projection_and_selection(self):
         query = parse_cql(
-            "SELECT A.x, B.y FROM A [RANGE 30 seconds], B [RANGE 30 seconds] "
+            "SELECT * FROM A [RANGE 30 seconds], B [RANGE 30 seconds] "
             "WHERE A.x = B.x AND A.y > 200"
         )
-        assert [str(r) for r in query.projection] == ["A.x", "B.y"]
         assert len(query.selections) == 1
         assert query.window.length == 30.0
+        with pytest.raises(CQLSyntaxError, match=re.escape("SELECT A.x, B.y")):
+            parse_cql(
+                "SELECT A.x, B.y FROM A [RANGE 30 seconds], B [RANGE 30 seconds] "
+                "WHERE A.x = B.x AND A.y > 200"
+            )
 
     def test_parse_theta_join(self):
+        # A comparison between two sources must be an equality ...
+        with pytest.raises(CQLSyntaxError, match=re.escape("A.y >= B.y")):
+            parse_cql(
+                "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] "
+                "WHERE A.x = B.x AND A.y >= B.y"
+            )
+        # ... while a comparison against a constant stays a selection.
         query = parse_cql(
-            "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] WHERE A.x < B.x"
+            "SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] "
+            "WHERE A.x = B.x AND A.y >= 3"
         )
-        assert len(query.predicate.conditions) == 1
-        assert not query.predicate.conditions[0].is_equi
+        assert [str(c) for c in query.predicate.conditions] == ["A.x = B.x"]
+        assert len(query.selections) == 1
+
+    @pytest.mark.parametrize("op", ["=", "!=", "<>", "<", "<=", ">", ">="])
+    def test_selection_keeps_comparator(self, op):
+        query = parse_cql(
+            f"SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] "
+            f"WHERE A.x = B.x AND A.y {op} 2"
+        )
+        (compare,) = query.selections[0].comparisons
+        assert (str(compare.ref), compare.comparator, compare.value) == ("A.y", op, 2)
+        assert compare.evaluate(make_tuple("A", 0.0, y=2)) == (op in ("=", "<=", ">="))
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("SELECT * FROM A [RANGE 1 minutes], B [RANGE 1 minutes] WHERE A.x < B.y",
+             "A.x < B.y"),
+            ("SELECT A.x FROM A [RANGE 1 minutes], B [RANGE 1 minutes] WHERE A.x = B.x",
+             "SELECT A.x"),
+        ],
+        ids=["theta-join", "projection"],
+    )
+    def test_theta_join_and_projection_rejected(self, text, named):
+        with pytest.raises(CQLSyntaxError, match=re.escape(named)):
+            parse_cql(text)
 
     def test_syntax_errors(self):
         with pytest.raises(CQLSyntaxError):

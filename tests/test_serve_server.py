@@ -26,7 +26,6 @@ from repro.serve import (
     OFFER_BLOCKED,
     AsyncStreamServer,
     BoundedIngestionBuffer,
-    DepthLimitAdmission,
     OverloadPolicy,
     StreamServer,
     accept_all,
@@ -231,30 +230,6 @@ class TestAdmission:
         assert banned not in server.buffer.occupancy
         parsed = parse_exposition(server.exposition())
         assert get_metric_value(parsed, "serve_rejected_total") == expected_rejects
-
-    def test_depth_limit_admission_consults_server_depth(self):
-        class FakeServer:
-            def __init__(self, depth):
-                self._depth = depth
-
-            def shard_queue_depth_total(self):
-                return self._depth
-
-        policy = DepthLimitAdmission(max_total_depth=10)
-        event = _event("A", 1.0)
-        assert policy(event, FakeServer(10))  # at the limit still admits
-        assert not policy(event, FakeServer(11))
-        assert policy.rejected == 1
-
-    def test_depth_limit_admission_scopes_to_sources(self):
-        class FakeServer:
-            def shard_queue_depth_total(self):
-                return 999
-
-        policy = DepthLimitAdmission(max_total_depth=1, sources=("B",))
-        assert policy(_event("A", 1.0), FakeServer())  # unscoped source passes
-        assert not policy(_event("B", 2.0), FakeServer())
-
 
 class TestServerLifecycle:
     def _server(self, **kwargs):

@@ -27,9 +27,9 @@ from repro.serve import (
     TelemetryRegistry,
     get_metric_value,
     parse_exposition,
-    validate_metric_exists,
-    validate_metric_range,
 )
+
+from helpers import validate_metric_exists, validate_metric_range
 
 # ------------------------------------------------------------------ primitives
 
@@ -132,6 +132,14 @@ class TestHistogram:
         # … but count/sum stay lifetime totals.
         assert hist.count == 100
         assert hist.sum == sum(range(100))
+
+    def test_window_evicts_oldest_not_smallest(self):
+        hist = Histogram("lat", "x", buckets=(1000.0,), max_samples=3)
+        for value in (9.0, 8.0, 7.0, 6.0, 5.0):
+            hist.observe(value)
+        # The window holds the last three arrivals (7, 6, 5), not the largest.
+        assert [hist.percentile(q) for q in (0.2, 0.5, 1.0)] == [5.0, 6.0, 7.0]
+        assert hist.count == 5
 
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(TelemetryError):

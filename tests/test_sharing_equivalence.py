@@ -3,7 +3,7 @@
 The bedrock invariant: with ``share_subplans=True`` every query's result
 multiset is bit-identical to its standalone unshared run — under every
 scheduler policy, shard count and drain mode.  On top of that, unit coverage
-for signature canonicalization, overlay (selection/projection) grafting,
+for signature canonicalization, overlay (selection) grafting,
 per-subscriber tee accounting, refcounted retirement, and a hypothesis sweep
 asserting that arbitrary register/retire interleavings never leave orphan
 queues, routes, scheduler orders or router subscriptions behind.
@@ -28,8 +28,8 @@ from repro.operators import TeeOperator
 from repro.operators.predicates import (
     AttributeCompare,
     AttributeRef,
+    JoinCondition,
     SelectionPredicate,
-    ThetaJoinCondition,
 )
 from repro.plans.builder import (
     PLAN_BUSHY,
@@ -163,7 +163,7 @@ class TestSharingEquivalence:
 # ------------------------------------------------------------------ signatures
 
 
-def _theta_query(left, comparator, right, window_seconds=20.0):
+def _equi_query(left, right, window_seconds=20.0):
     base = generate_clique_workload(
         n_sources=2, rate=1.0, window_seconds=window_seconds, dmax=3, duration=10, seed=1
     )
@@ -171,7 +171,7 @@ def _theta_query(left, comparator, right, window_seconds=20.0):
         sources=base.names,
         window=base.window,
         predicate=type(ContinuousQuery.from_workload(base).predicate)(
-            (ThetaJoinCondition(AttributeRef(*left), AttributeRef(*right), comparator),)
+            (JoinCondition(AttributeRef(*left), AttributeRef(*right)),)
         ),
     )
 
@@ -187,20 +187,13 @@ class TestSignatureCanonicalization:
         )
         assert subplan_signature(query) == subplan_signature(reordered)
 
-    def test_mirrored_theta_comparators_coincide(self):
-        lt = _theta_query(("A", "x1"), "<", ("B", "x1"))
-        gt = _theta_query(("B", "x1"), ">", ("A", "x1"))
-        assert subplan_signature(lt) == subplan_signature(gt)
-        assert canonical_condition(lt.predicate.conditions[0]) == canonical_condition(
-            gt.predicate.conditions[0]
-        )
-
     def test_equi_spellings_coincide(self):
-        eq = _theta_query(("A", "x1"), "=", ("B", "x1"))
-        eq2 = _theta_query(("B", "x1"), "==", ("A", "x1"))
+        eq = _equi_query(("A", "x1"), ("B", "x1"))
+        eq2 = _equi_query(("B", "x1"), ("A", "x1"))
+        assert subplan_signature(eq) == subplan_signature(eq2)
         assert canonical_condition(eq.predicate.conditions[0]) == canonical_condition(
             eq2.predicate.conditions[0]
-        )
+        ) == ("eq", ("A", "x1"), ("B", "x1"))
 
     def test_named_shape_resolves_to_explicit_tree(self, sharing_workload):
         query = sharing_workload.query(2)
@@ -290,14 +283,15 @@ class TestSignatureCanonicalization:
 
 
 class TestOverlaySharing:
-    def _filtered_registry(self, tighten=False):
-        """Two queries identical below the join: one SELECT *, one filtered
-        and projected.  They must share one subtree."""
+    def _filtered_registry(self):
+        """Two queries identical below the join: one unfiltered, one
+        filtered (``A.x1 < 3`` of values 1-3 drops about a third).  They must
+        share one subtree."""
         base = generate_clique_workload(
             n_sources=2, rate=1.0, window_seconds=15, dmax=3, duration=80, seed=7
         )
         plain = ContinuousQuery.from_workload(base)
-        threshold = 400 if tighten else 200
+        threshold = 3
         filtered = ContinuousQuery(
             sources=plain.sources,
             window=plain.window,
@@ -307,7 +301,6 @@ class TestOverlaySharing:
                     (AttributeCompare(AttributeRef("A", "x1"), "<", threshold),)
                 ),
             ),
-            projection=(AttributeRef("A", "x1"), AttributeRef("B", "x1")),
         )
         registry = QueryRegistry()
         registry.register(plain, query_id="plain", strategy=STRATEGY_REF)
@@ -341,10 +334,9 @@ class TestOverlaySharing:
             filtered = engine.runtime_for("filtered")
             assert plain.shared is filtered.shared  # one hosted subtree
             assert plain.plan is None  # sink-fed straight off the tee
-            assert filtered.plan is not None  # private Sel + Project overlay
-            assert filtered.registered.has_overlay
+            assert filtered.plan is not None  # private Sel overlay
             names = [op.name for op in filtered.plan.operators]
-            assert names == ["Sel1", "Project"]
+            assert names == ["Sel1"]
 
 
 # ------------------------------------------------------------------ retirement

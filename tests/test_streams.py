@@ -47,9 +47,6 @@ class TestWindow:
         assert minutes(5) == 300.0
         assert seconds(42) == 42.0
 
-    def test_from_minutes(self):
-        assert Window.from_minutes(5).length == 300.0
-
     def test_rejects_non_positive_length(self):
         with pytest.raises(ValueError):
             Window(0)

@@ -13,8 +13,12 @@ replayed on resumption (the DOE behaviour).
 The blacklist is also the source of two quantities the JIT join needs for
 exact REF-equivalence (see docs/JIT.md):
 
-* :meth:`Blacklist.min_live_ts` feeds the *delayed purge floor* of the
-  opposite operator state, and
+* the *pins* of the opposite operator state: :attr:`Blacklist.oldest` holds,
+  per join key over the operator's local conditions, the oldest stamp a
+  suspended tuple with that key carries (a replay joins only partners with
+  its own key, since every join condition is an equality), and
+  :meth:`Blacklist.unkeyed_ts` the oldest stamp of the entries whose
+  suspension went upstream, whose pulled partials may carry any key; and
 * :meth:`BlacklistEntry.newest` tells the consumer (through
   ``JITJoinOperator.suspension_alive``) whether an MNS entry must be kept
   because suspended super-tuples still exist somewhere upstream.
@@ -46,11 +50,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.context import ExecutionContext
 from repro.core.signature import MNSSignature
 from repro.metrics import CostKind, CostModel
+from repro.operators.state import IndexKey
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["SuspendedTuple", "BlacklistEntry", "Blacklist"]
@@ -100,6 +105,9 @@ class SuspendedTuple:
         The record the tuple was re-inserted from before it was extracted
         into this one (``StateEntry.came_from``), None the first time: the
         tuple's earlier suspensions, newest first.
+    key:
+        The tuple's join key (:attr:`Blacklist.key_of`): the opposite
+        entries its replay can join carry the same key.
     """
 
     tuple: StreamTuple
@@ -111,6 +119,7 @@ class SuspendedTuple:
     created: int = 0
     ended: Optional[int] = None
     previous: Optional["SuspendedTuple"] = None
+    key: IndexKey = ()
 
     def met(self, other_seq: int, chain: Optional["SuspendedTuple"], cost: CostModel) -> bool:
         """True if this suspended tuple has already been joined with the
@@ -206,13 +215,22 @@ class Blacklist:
         Diagnostic name (e.g. ``"Op1.left.blacklist"``).
     context:
         Shared execution context (cost / memory accounting).
+    key_of:
+        A suspended tuple's join key over the operator's local conditions;
+        by default every tuple has the same key.
     """
 
     MEMORY_CATEGORY = "blacklist"
 
-    def __init__(self, name: str, context: ExecutionContext) -> None:
+    def __init__(
+        self,
+        name: str,
+        context: ExecutionContext,
+        key_of: Optional[Callable[[StreamTuple], IndexKey]] = None,
+    ) -> None:
         self.name = name
         self.context = context
+        self.key_of = key_of or (lambda tup: ())
         self._entries: Dict[MNSSignature, BlacklistEntry] = {}
         #: Hash index over the signatures' (source, attr) templates for O(1)
         #: matching of new arrivals.
@@ -224,10 +242,18 @@ class Blacklist:
         self.hidden: Dict[object, int] = {}
         #: Suspended tuples over all entries.
         self.suspended_count = 0
-        #: :meth:`min_live_ts`, kept by every add; once something has left the
+        #: Per join key with suspended tuples, the oldest stamp among them; a
+        #: key leaves with its last suspended tuple.
+        self.oldest: Dict[IndexKey, float] = {}
+        #: Per join key, how many of its suspended tuples carry each stamp.
+        self._stamps: Dict[IndexKey, Dict[float, int]] = {}
+        #: :meth:`unkeyed_ts`, kept by every add; once something has left the
         #: blacklist it is not known until recomputed from the entries' ends.
-        self._min_live: Optional[float] = None
-        self._min_live_known = True
+        self._unkeyed: Optional[float] = None
+        self._unkeyed_known = True
+        #: Bumped whenever suspended work leaves: the opposite state's pins
+        #: may have risen.
+        self.releases = 0
 
     # -- entry management ----------------------------------------------------------
 
@@ -260,7 +286,6 @@ class Blacklist:
             )
             self._entries[signature] = entry
             self._index_signature(signature)
-            self._note_ts(signature.ts)
             self.context.memory.allocate(signature.size_bytes, self.MEMORY_CATEGORY)
         elif permanent:
             entry.permanent = True
@@ -297,12 +322,15 @@ class Blacklist:
             joined_upto_order=joined_upto_order,
             created=created,
             previous=previous,
+            key=self.key_of(tup),
         )
         if entry.suspended and tup.ts < entry.suspended[-1].tuple.ts:
             entry.ts_ordered = False
         entry.suspended.append(suspended)
         self.suspended_count += 1
-        self._note_ts(tup.ts)
+        self._hold(suspended)
+        if entry.propagated_upstream:
+            self._note_unkeyed(tup.ts)
         self._count_hidden(entry, 1)
         entry.size_bytes += tup.size_bytes
         self.context.memory.allocate(tup.size_bytes, self.MEMORY_CATEGORY)
@@ -316,9 +344,18 @@ class Blacklist:
         self._unindex_signature(signature)
         self._count_hidden(entry, -entry.hidden)
         self.suspended_count -= len(entry.suspended)
-        self._min_live_known = False
+        self._release(entry.suspended)
+        if entry.propagated_upstream:
+            self._unkeyed_known = False
+            self.releases += 1
         self.context.memory.release(entry.size_bytes, self.MEMORY_CATEGORY)
         return entry
+
+    def propagate(self, entry: BlacklistEntry) -> None:
+        """Record that ``entry``'s suspension was propagated to the producer
+        upstream: its resumption will pull partials of any join key."""
+        entry.propagated_upstream = True
+        self._note_unkeyed(entry.min_ts())
 
     # -- matching new arrivals ---------------------------------------------------------
 
@@ -354,21 +391,57 @@ class Blacklist:
 
     # -- liveness / purging ------------------------------------------------------------------
 
-    def min_live_ts(self) -> Optional[float]:
-        """Earliest timestamp that any suspended work may still need to reach.
+    def unkeyed_ts(self) -> Optional[float]:
+        """The oldest stamp (:meth:`BlacklistEntry.min_ts`) among the entries
+        whose suspension was propagated upstream; None when there are none.
 
-        The opposite operator state must not purge tuples newer than this
-        minus one window, otherwise resumption would miss results.
+        Such an entry's resumption pulls partials from upstream whose join
+        keys are not known in advance, so the opposite operator state keeps
+        every tuple a replay from this stamp could join.
         """
-        if not self._min_live_known:
-            self._min_live = min((e.min_ts() for e in self._entries.values()), default=None)
-            self._min_live_known = True
-        return self._min_live
+        if not self._unkeyed_known:
+            self._unkeyed = min(
+                (e.min_ts() for e in self._entries.values() if e.propagated_upstream),
+                default=None,
+            )
+            self._unkeyed_known = True
+        return self._unkeyed
 
-    def _note_ts(self, ts: float) -> None:
-        """A signature or tuple stamped ``ts`` joined the blacklist."""
-        if self._min_live_known and (self._min_live is None or ts < self._min_live):
-            self._min_live = ts
+    def _note_unkeyed(self, ts: float) -> None:
+        """A propagated entry now reaches back to ``ts``."""
+        if self._unkeyed_known and (self._unkeyed is None or ts < self._unkeyed):
+            self._unkeyed = ts
+
+    def _hold(self, record: SuspendedTuple) -> None:
+        """Count ``record`` in its key's stamps."""
+        key, ts = record.key, record.tuple.ts
+        stamps = self._stamps.get(key)
+        if stamps is None:
+            self._stamps[key] = {ts: 1}
+            self.oldest[key] = ts
+            return
+        stamps[ts] = stamps.get(ts, 0) + 1
+        if ts < self.oldest[key]:
+            self.oldest[key] = ts
+
+    def _release(self, records: List[SuspendedTuple]) -> None:
+        """Take ``records``, which left the blacklist, out of their keys' stamps."""
+        if not records:
+            return
+        self.releases += 1
+        oldest = self.oldest
+        for record in records:
+            key, ts = record.key, record.tuple.ts
+            stamps = self._stamps[key]
+            count = stamps[ts] - 1
+            if count:
+                stamps[ts] = count
+                continue
+            del stamps[ts]
+            if not stamps:
+                del self._stamps[key], oldest[key]
+            elif ts == oldest[key]:
+                oldest[key] = min(stamps)
 
     def purge(self, now: float, retention: float) -> int:
         """Drop suspended tuples (and empty, dead entries) past the retention horizon.
@@ -396,6 +469,9 @@ class Blacklist:
                     released = sum(s.tuple.size_bytes for s in gone)
                     entry.size_bytes -= released
                     self.context.memory.release(released, self.MEMORY_CATEGORY)
+                    self._release(gone)
+                    if entry.propagated_upstream:
+                        self._unkeyed_known = False
                 if entry.gate is not None:
                     # One PURGE per tuple examined: upkeep of the gate's suspension.
                     entry.gate.spend(purge_units * examined)
@@ -416,7 +492,6 @@ class Blacklist:
                 self._unindex_signature(signature)
                 self.context.memory.release(signature.size_bytes, self.MEMORY_CATEGORY)
         self.suspended_count -= dropped
-        self._min_live_known = False
         return dropped
 
     def _drop_expired(

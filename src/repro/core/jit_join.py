@@ -33,9 +33,9 @@ Implementation notes (all recorded in docs/JIT.md):
 * A suspended tuple records the opposite-state sequence number up to which it
   has already been joined (its *watermark*) instead of the paper's
   "suspension time"; resumption joins it with strictly newer entries only.
-* Operator states delay purging while suspended work elsewhere still needs
-  their contents (purge floors), and blacklists/MNS buffers are retained for
-  a plan-depth-aware horizon under the EXACT retention policy.
+* Operator states delay purging the tuples suspended work elsewhere may
+  still join (purge pins, per join key), and blacklists/MNS buffers are
+  retained for a plan-depth-aware horizon under the EXACT retention policy.
 * MNS detection for ``t`` is finalized only after resumed partial results
   have been appended, so they count as join partners.
 * The MNS-buffer resumption probe (Process_Input lines 4-9) runs *before*
@@ -75,8 +75,8 @@ Implementation notes (all recorded in docs/JIT.md):
   evaluates per component only what no lookup settled while some alive
   lattice node contains the component, and is the detector-free loop once
   nothing is left; a regular probe
-  starts at the opposite state's live cursor, behind what a purge floor
-  retains; a resumed tuple's replay starts behind the order stamp recorded
+  starts at the opposite state's live cursor, behind what the purge pins
+  retain; a resumed tuple's replay starts behind the order stamp recorded
   beside its watermark.  Which entries join, and in which order, is unchanged.
 * Detection is gated by cost.  Step 2 feeds the detector, and step 4 runs,
   only while the port's :class:`~repro.core.detection_gate.DetectionGate` is
@@ -95,7 +95,7 @@ Implementation notes (all recorded in docs/JIT.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
@@ -115,7 +115,8 @@ from repro.metrics import CostKind
 from repro.operators.base import PORT_LEFT, PORT_RIGHT, Operator
 from repro.operators.join import BinaryJoinOperator, IndexLookup, opposite_port
 from repro.operators.predicates import JoinCondition, JoinPredicate
-from repro.operators.state import StateEntry
+from repro.operators.state import IndexKey, StateEntry, key_function
+from repro.streams.time import Window
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["JITJoinOperator"]
@@ -165,13 +166,78 @@ class _ProbeTally:
 
     arrivals: int = 0
     #: Opposite entries a nested loop would visit (those REF holds too, not
-    #: the ones a purge floor retains), counted when the probes started, summed.
+    #: the ones the purge pins retain), counted when the probes started, summed.
     offered: int = 0
     #: Entries the probes examined: all offered under a nested loop, the
     #: looked-up buckets under an index.
     visited: int = 0
     #: Results the probes emitted.
     built: int = 0
+
+
+class _Pins:
+    """What keeps the expired entries of one operator state: the suspended
+    work across the join (docs/JIT.md, "Delayed purge under suspension").
+
+    An entry past the horizon may still be joined by a replay, and is kept,
+    while the window reaches it from one of:
+
+    * a suspended tuple in the opposite blacklist with the entry's join key
+      (:attr:`Blacklist.oldest`);
+    * a buffered opposite MNS whose partner checks the entry passes
+      (:meth:`MNSBuffer.oldest_match`);
+    * an opposite blacklist entry propagated upstream, whatever the key
+      (:meth:`Blacklist.unkeyed_ts`).
+
+    It reads both structures as they are, so the state is handed
+    :meth:`keeps` again only when suspended work left them (:meth:`released`).
+    """
+
+    __slots__ = ("blacklist", "buffer", "key_of", "window", "_releases")
+
+    def __init__(
+        self,
+        blacklist: Blacklist,
+        buffer: MNSBuffer,
+        key_of: Callable[[StreamTuple], IndexKey],
+        window: Window,
+    ) -> None:
+        self.blacklist = blacklist
+        self.buffer = buffer
+        #: An entry's join key, in the order of ``blacklist.key_of``'s.
+        self.key_of = key_of
+        self.window = window
+        self._releases = 0
+
+    def held(self) -> bool:
+        """Whether any suspended work across pins anything."""
+        blacklist = self.blacklist
+        return bool(blacklist.oldest or len(self.buffer)) or blacklist.unkeyed_ts() is not None
+
+    def released(self) -> bool:
+        """Whether suspended work left since the last call (pins may have risen)."""
+        releases = self.blacklist.releases + self.buffer.releases
+        if releases == self._releases:
+            return False
+        self._releases = releases
+        return True
+
+    def keeps(self, entry: StateEntry) -> bool:
+        """Whether expired ``entry`` may still be joined by suspended work."""
+        ts, horizon, blacklist = entry.ts, self.window.purge_horizon, self.blacklist
+        stamp = blacklist.unkeyed_ts()
+        if stamp is not None and ts >= horizon(stamp):
+            return True
+        tup = entry.tuple
+        if blacklist.oldest:
+            stamp = blacklist.oldest.get(self.key_of(tup))
+            if stamp is not None and ts >= horizon(stamp):
+                return True
+        if len(self.buffer):
+            stamp = self.buffer.oldest_match(tup)
+            if stamp is not None and ts >= horizon(stamp):
+                return True
+        return False
 
 
 class JITJoinOperator(BinaryJoinOperator):
@@ -202,6 +268,8 @@ class JITJoinOperator(BinaryJoinOperator):
         self.depth_to_root = 1
         self.mns_buffers: Dict[str, MNSBuffer] = {}
         self.blacklists: Dict[str, Blacklist] = {}
+        #: Per port, what keeps the expired entries of that port's state.
+        self._pins: Dict[str, _Pins] = {}
         self.detectors: Dict[str, Optional[MNSDetector]] = {}
         self._conditions_by_source: Dict[str, Dict[str, Tuple[JoinCondition, ...]]] = {}
         #: Per input port, one opposite-state lookup per component whose
@@ -276,7 +344,17 @@ class JITJoinOperator(BinaryJoinOperator):
                 side_sources=side_sources,
                 conditions=self.local_conditions,
             )
-            self.blacklists[port] = Blacklist(f"{self.name}.{port}.blacklist", context)
+            # A suspended tuple of ``port`` joins the opposite entries with its key.
+            key_lookup = IndexLookup(self.local_conditions, opposite_sources)
+            self.blacklists[port] = Blacklist(
+                f"{self.name}.{port}.blacklist", context, key_of=key_lookup.own_key
+            )
+            self._pins[opposite_port(port)] = _Pins(
+                self.blacklists[port],
+                self.mns_buffers[port],
+                key_function(key_lookup.template),
+                context.window,
+            )
             self.detectors[port] = build_detector(
                 self.config,
                 components=tuple(conds_by_source),
@@ -330,7 +408,7 @@ class JITJoinOperator(BinaryJoinOperator):
         opp = opposite_port(port)
 
         self._maybe_purge_jit_structures(now)
-        self._update_purge_floors()
+        self._update_pins()
         self.purge(now)
 
         # Lines 4-9: probe the opposite MNS buffer and send resumption feedback.
@@ -505,8 +583,8 @@ class JITJoinOperator(BinaryJoinOperator):
         window = context.window
         opp = opposite_port(port)
         opposite_state = self.states[opp]
-        # While a purge floor retains expired tuples, the probe sees live ones only.
-        floored = opposite_state.purge_floor is not None
+        # While pins retain expired tuples, the probe sees live ones only.
+        floored = opposite_state.pinned is not None
         horizon = window.purge_horizon(now) if floored else None
         opposite_live = False
         gate = self.gates[port]
@@ -583,7 +661,7 @@ class JITJoinOperator(BinaryJoinOperator):
 
         A lookup asks :meth:`OperatorState.any_live` of the component's
         index, so it sees what the scan would: the present entries, live
-        ones only while a purge floor is set.  Its units are the port's
+        ones only while pins are set.  Its units are the port's
         detection spend.
         """
         lookups = self._component_lookups[port]
@@ -702,11 +780,11 @@ class JITJoinOperator(BinaryJoinOperator):
         context = self.require_context()
         opp = opposite_port(port)
         opposite_state = self.states[opp]
-        # The probe only sees entries at or above the live horizon while a
-        # purge floor retains expired tuples, so the Ø test must ask for
-        # *live* emptiness — retained-but-expired tuples do not count.
+        # The probe only sees entries at or above the live horizon while
+        # pins retain expired tuples, so the Ø test must ask for *live*
+        # emptiness — retained-but-expired tuples do not count.
         live_after = (
-            context.window.purge_horizon(now) if opposite_state.purge_floor is not None else None
+            context.window.purge_horizon(now) if opposite_state.pinned is not None else None
         )
         signatures: List[MNSSignature]
         if not opposite_live and not opposite_state.has_live(live_after):
@@ -866,7 +944,7 @@ class JITJoinOperator(BinaryJoinOperator):
             upstream = self.producer_of(port)
             if upstream is not None and upstream.supports_production_control():
                 self._propagate(Feedback.suspend((signature,), origin=entry.gate), port)
-                entry.propagated_upstream = True
+                blacklist.propagate(entry)
 
         # Move (similar) super-tuples of the MNS from the state to the blacklist.
         state = self.states[port]
@@ -929,7 +1007,7 @@ class JITJoinOperator(BinaryJoinOperator):
                     self._propagate(Feedback.suspend((signature,), origin=gate), port)
                     entry = self.blacklists[port].entry(signature)
                     if entry is not None:
-                        entry.propagated_upstream = True
+                        self.blacklists[port].propagate(entry)
 
     def _propagate(self, feedback: Feedback, port: str) -> None:
         upstream = self.producer_of(port)
@@ -1066,21 +1144,17 @@ class JITJoinOperator(BinaryJoinOperator):
 
     # ------------------------------------------------------------------ maintenance
 
-    def _update_purge_floors(self) -> None:
-        """Recompute the delayed-purge floors from suspended work on each side."""
-        window = self.require_context().window
-        for port in self.ports:
-            opp = opposite_port(port)
-            candidates: List[float] = []
-            blacklist_min = self.blacklists[opp].min_live_ts()
-            if blacklist_min is not None:
-                candidates.append(blacklist_min)
-            buffer_min = self.mns_buffers[opp].min_active_ts()
-            if buffer_min is not None:
-                candidates.append(buffer_min)
-            self.states[port].purge_floor = (
-                window.purge_horizon(min(candidates)) if candidates else None
-            )
+    def _update_pins(self) -> None:
+        """Hand each state its pins when the suspended work across changed:
+        none once nothing is suspended, again once something left."""
+        for port, pins in self._pins.items():
+            state = self.states[port]
+            released = pins.released()
+            if not pins.held():
+                if state.pinned is not None:
+                    state.pin(None)
+            elif released or state.pinned is None:
+                state.pin(pins.keeps)
 
     def _maybe_purge_jit_structures(self, now: float) -> None:
         """Periodically purge blacklists and MNS buffers (cheaply, not per event).

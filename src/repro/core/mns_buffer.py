@@ -90,6 +90,8 @@ class MNSBuffer:
         self._equi_index: Dict[Tuple[AttributeRef, ...], Dict[Tuple[object, ...], List[MNSSignature]]] = {}
         #: Entries with no partner check (the Ø signature): every tuple matches.
         self._unchecked: List[MNSSignature] = []
+        #: Bumped on every removal: the opposite state's pins may have risen.
+        self.releases = 0
 
     # -- construction of partner checks ---------------------------------------------
 
@@ -146,6 +148,7 @@ class MNSBuffer:
         if entry is None:
             return None
         self._unindex_entry(entry)
+        self.releases += 1
         self.context.memory.release(entry.size_bytes, self.MEMORY_CATEGORY)
         return entry
 
@@ -171,6 +174,21 @@ class MNSBuffer:
             self.context.cost.charge(CostKind.PROBE_STEP)
             matched.append(self._entries[signature])
         return matched
+
+    def oldest_match(self, tup: StreamTuple) -> Optional[float]:
+        """The oldest stamp among the buffered MNSs whose partner checks
+        ``tup`` (an opposite-side tuple) passes; None when it passes none.
+
+        The partials a resumption of such an MNS brings may join ``tup``, so
+        this is what pins it in its state.  Charges nothing, like the rest of
+        the pins' bookkeeping.
+        """
+        stamps = [signature.ts for signature in self._unchecked]
+        for template, by_key in self._equi_index.items():
+            signatures = by_key.get(tuple([ref.value(tup) for ref in template]))
+            if signatures:
+                stamps.extend([signature.ts for signature in signatures])
+        return min(stamps) if stamps else None
 
     # -- cross-side compatibility (cycle prevention) ----------------------------------------
 
@@ -234,17 +252,6 @@ class MNSBuffer:
         """Drop entries for which ``alive(signature)`` is False; return them."""
         dead = [sig for sig in self._entries if not alive(sig)]
         return [entry for sig in dead if (entry := self.remove(sig)) is not None]
-
-    def min_active_ts(self) -> Optional[float]:
-        """Earliest signature timestamp among buffered entries (None if empty).
-
-        The consumer's own-side state uses this to compute its delayed-purge
-        floor: partial results resumed for these MNSs may need to join state
-        tuples as old as ``min_active_ts - w``.
-        """
-        if not self._entries:
-            return None
-        return min(sig.ts for sig in self._entries)
 
     @property
     def memory_bytes(self) -> int:

@@ -218,14 +218,14 @@ class BinaryJoinOperator(Operator):
         """Yield opposite-state entries that join with ``tup``.
 
         Entries removed re-entrantly (by JIT feedback triggered from an
-        emission) are skipped, and entries kept past their expiry by a JIT
-        purge floor are invisible to the regular probe.
+        emission) are skipped, and entries kept past their expiry by JIT's
+        purge pins are invisible to the regular probe.
         """
         context = self.require_context()
         window = context.window
         opp_port = opposite_port(port)
         opposite = self.states[opp_port]
-        live_after = window.purge_horizon(now) if opposite.purge_floor is not None else None
+        live_after = window.purge_horizon(now) if opposite.pinned is not None else None
         for entry in self.probe_candidates(tup, opp_port, live_only_after=live_after):
             if entry.removed:
                 continue

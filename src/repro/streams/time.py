@@ -8,7 +8,7 @@ stamped thing (a tuple, an MNS signature):
 
 * may these two join? -- :meth:`Window.joins`, ``|a.ts - b.ts| <= w``;
 * below which stamp does a state entry expire? -- :meth:`Window.purge_horizon`,
-  ``now - w`` (also a JIT purge floor, at the oldest suspended stamp);
+  ``now - w`` (also how far back a JIT purge pin reaches from a suspended stamp);
 * is suspended work still retained? -- :meth:`Window.retains`,
   ``ts + retention > now``.
 

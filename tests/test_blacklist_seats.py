@@ -78,10 +78,13 @@ def _history(record):
 def _assert_bookkeeping_matches_a_recount(blacklist: Blacklist) -> None:
     """Everything the blacklist maintains equals what its entries say."""
     entries = blacklist.entries()
-    stamps = [e.signature.ts for e in entries] + [
-        s.tuple.ts for e in entries for s in e.suspended
-    ]
-    assert blacklist.min_live_ts() == (min(stamps) if stamps else None)
+    oldest = {}
+    for record in (s for e in entries for s in e.suspended):
+        assert record.key == blacklist.key_of(record.tuple)
+        oldest[record.key] = min(oldest.get(record.key, record.tuple.ts), record.tuple.ts)
+    assert blacklist.oldest == oldest
+    propagated = [e.min_ts() for e in entries if e.propagated_upstream]
+    assert blacklist.unkeyed_ts() == (min(propagated) if propagated else None)
     assert blacklist.suspended_count == sum(len(e.suspended) for e in entries)
     held = sum(
         e.signature.size_bytes + sum(s.tuple.size_bytes for s in e.suspended) for e in entries
@@ -108,7 +111,10 @@ class _Side:
         self.name = name
         self.state = {}
         self.next_seq = 0
-        self.blacklist = Blacklist(f"{name}.blacklist", context)
+        # Keyed by ``x``, which signatures never record.
+        self.blacklist = Blacklist(
+            f"{name}.blacklist", context, key_of=lambda tup: (tup.value("A", "x"),)
+        )
         #: The origin of every suspension on this side: it books ``hidden``.
         self.gate = DetectionGate()
 
@@ -135,7 +141,9 @@ class BlacklistMachine(RuleBasedStateMachine):
 
     def _tuple(self, y, ts=None):
         self.serial += 1
-        return make_tuple("A", self.now if ts is None else ts, seq=self.serial, y=y)
+        return make_tuple(
+            "A", self.now if ts is None else ts, seq=self.serial, y=y, x=self.serial % 3
+        )
 
     def _park(self, side, signature, tup, watermark, opposite=None, **fields):
         """Make a record, as ``add_suspended`` does for the operator, and note
@@ -223,6 +231,14 @@ class BlacklistMachine(RuleBasedStateMachine):
         for record in entry.suspended:
             own.insert(record.tuple, record.original_seq, came_from=record)
             record.ended = self.moment
+
+    @rule(side=st.integers(0, 1), pick=st.integers(0, 50))
+    def propagate(self, side, pick):
+        """The suspension of one entry goes upstream too."""
+        blacklist = self.sides[side].blacklist
+        entries = [e for e in blacklist.entries() if not e.permanent]
+        if entries:
+            blacklist.propagate(entries[pick % len(entries)])
 
     @rule(step=st.sampled_from((0.0, 4.0, 11.0, 25.0)))
     def purge(self, step):
@@ -366,7 +382,7 @@ class TestCostShape:
             context, CostKind.PURGE, lambda: blacklist.purge(now=100.0, retention=90.0)
         )
         assert (dropped, examined) == (11, 12)  # ts 0..10 are past 90 s; ts 11 survives
-        assert blacklist.min_live_ts() == 11.0
+        assert blacklist.oldest == {(): 11.0}
         dropped, examined = self._charged(
             context, CostKind.PURGE, lambda: blacklist.purge(now=500.0, retention=90.0)
         )
@@ -382,12 +398,12 @@ class TestCostShape:
             blacklist.add_suspended(signature, make_tuple("A", ts, y=1), -1, now=40.0)
         entry = blacklist.entry(signature)
         assert not entry.ts_ordered and (entry.min_ts(), entry.newest().ts) == (5.0, 50.0)
-        assert blacklist.min_live_ts() == 5.0
+        assert blacklist.oldest == {(): 5.0}
         dropped, examined = self._charged(
             context, CostKind.PURGE, lambda: blacklist.purge(now=100.0, retention=90.0)
         )
         assert (dropped, examined) == (1, 4)
-        assert entry.ts_ordered and blacklist.min_live_ts() == 20.0
+        assert entry.ts_ordered and blacklist.oldest == {(): 20.0}
         dropped, examined = self._charged(
             context, CostKind.PURGE, lambda: blacklist.purge(now=115.0, retention=90.0)
         )
@@ -413,11 +429,12 @@ def test_suspension_alive_is_the_one_liveness_test():
     assert isinstance(operator, JITJoinOperator)
     signature, other = _signature(y=9), _signature(y=5)
     blacklist = operator.blacklists[PORT_LEFT]
-    blacklist.add_suspended(signature, make_tuple("A", 0.0, y=9), 0, now=0.0)
+    # x1 is the operator's join key (A.x1 = B.x1).
+    blacklist.add_suspended(signature, make_tuple("A", 0.0, y=9, x1=0), 0, now=0.0)
     assert operator.suspension_alive(signature, now=30.0)
     assert not operator.suspension_alive(signature, now=window)
     assert not operator.suspension_alive(other, now=0.0)
-    blacklist.add_suspended(other, make_tuple("A", 0.0, y=5), 0, now=0.0, permanent=True)
+    blacklist.add_suspended(other, make_tuple("A", 0.0, y=5, x1=0), 0, now=0.0, permanent=True)
     assert not operator.suspension_alive(other, now=0.0)
     assert operator.suspended_counts == (1, 0)
 

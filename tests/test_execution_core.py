@@ -41,6 +41,8 @@ from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
+from helpers import StampPins
+
 
 def _suspension_workload():
     """A 4-source clique workload (3-join left-deep plan) with live JIT traffic."""
@@ -435,8 +437,8 @@ class TestHasLive:
         state = OperatorState("S", context)
         state.insert(AtomicTuple("A", 1.0, {"x": 1}))
         state.insert(AtomicTuple("A", 2.0, {"x": 2}))
-        # A purge floor retains both entries past their expiry at t=100.
-        state.purge_floor = 0.5
+        # Pins retain both entries past their expiry at t=100.
+        state.pin(StampPins({None: 0.5}).keeps)
         state.purge(horizon=100.0)
         assert len(state) == 2
         assert state.has_live(None)

@@ -15,6 +15,7 @@ lower-level data structures.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,6 +35,7 @@ from repro.experiments import (
     scaled_workload,
     sweep_parameter,
 )
+from repro.operators.join import opposite_port
 from repro.operators.state import OperatorState
 from repro.plans.builder import (
     PLAN_BUSHY,
@@ -50,7 +52,7 @@ from repro.streams.sources import PeriodicArrivals, merge_sources
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
-from helpers import script_gates, specification_results
+from helpers import StampPins, script_gates, specification_results
 
 
 def _run_all(workload, shape, strategies, jit_config=None):
@@ -307,6 +309,78 @@ class TestPropertyEquivalence:
         assert report.results.temporally_ordered
 
 
+def _pinned(op, port, entry) -> bool:
+    """Whether suspended work across ``op`` may still join ``entry`` of
+    ``port``'s state, recounted from the opposite blacklist and MNS buffer
+    with the join's own conditions (docs/JIT.md, "Delayed purge under
+    suspension")."""
+    opp = opposite_port(port)
+    window = op.require_context().window
+
+    def reaches(stamp):
+        return entry.ts >= window.purge_horizon(stamp)
+
+    for listed in op.blacklists[opp].entries():
+        if listed.propagated_upstream and reaches(listed.min_ts()):
+            return True
+        for record in listed.suspended:
+            if reaches(record.tuple.ts) and all(
+                cond.evaluate(record.tuple, entry.tuple) for cond in op.local_conditions
+            ):
+                return True
+    return any(
+        reaches(buffered.signature.ts)
+        and all(ref.value(entry.tuple) == value for ref, value in buffered.partner_checks)
+        for buffered in op.mns_buffers[opp].entries()
+    )
+
+
+class TestNothingOverRetained:
+    """On the ``differential`` cliques (tests/golden.py), after every purge of
+    every JIT join each expired entry still present is one that suspended
+    work across may join: the pins keep nothing more, and JIT still emits
+    REF's results, so they keep nothing less."""
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        # Two sources retain nothing: a join fed by sources suspends nothing.
+        n_sources=st.integers(min_value=3, max_value=4),
+        shape=st.sampled_from([PLAN_LEFT_DEEP, PLAN_BUSHY]),
+        mode=st.sampled_from(ExecutionMode.ALL),
+        strategy=st.sampled_from([STRATEGY_JIT, STRATEGY_DOE]),
+        seed=st.integers(min_value=1, max_value=50),
+    )
+    def test_expired_entries_are_pinned(self, n_sources, shape, mode, strategy, seed):
+        workload = generate_clique_workload(
+            n_sources=n_sources, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=seed
+        )
+        query = ContinuousQuery.from_workload(workload)
+        events = workload.events()
+        plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+        script_gates(plan)
+        checked = []
+
+        def purge_and_check(now, op, purge):
+            purge(now)
+            horizon = op.require_context().window.purge_horizon(now)
+            for port, state in op.states.items():
+                expired = [e for e in state.entries() if e.ts < horizon]
+                assert state.pinned is not None or not expired
+                assert all(_pinned(op, port, e) for e in expired), (op.name, port)
+                checked.append(len(expired))
+
+        for op in plan.join_operators:
+            op.purge = partial(purge_and_check, op=op, purge=op.purge)
+        report = run_workload(plan, events, workload.window.length, mode=mode)
+        ref = run_workload(
+            build_xjoin_plan(query, shape=shape, strategy=STRATEGY_REF),
+            events,
+            workload.window.length,
+        )
+        assert checked
+        assert result_multiset(report.results.results) == result_multiset(ref.results.results)
+
+
 class TestPropertyDataStructures:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -333,7 +407,8 @@ class TestPropertyDataStructures:
                 purged_to = max(purged_to, float(i - 4 * value))
                 state.purge(purged_to)
             else:
-                state.purge_floor = None if value == 0 else float(i - 4 * value)
+                floor = None if value == 0 else float(i - 4 * value)
+                state.pin(None if floor is None else StampPins({None: floor}).keeps)
             for key in range(6):
                 expected = any(
                     e.tuple.get("x") == key and (horizon is None or e.ts >= horizon)

@@ -216,6 +216,95 @@ class TestCascadedEmptySuspension:
         assert self._empty_entries(op1, PORT_RIGHT) == []
 
 
+class TestPerKeyPurgePins:
+    """Delayed purge keeps only what suspended work can still join
+    (docs/JIT.md, "Delayed purge under suspension"): a suspended tuple pins
+    the expired opposite entries of its own join key, and a suspension
+    propagated upstream pins every key."""
+
+    @staticmethod
+    def _step(strategy, query, events, config=None):
+        """Run ``events`` one by one; return the plan and every join's state
+        contents (by source seq) after each event, plus what ``Op1`` built
+        and the results."""
+        plan = build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=strategy, jit_config=config)
+        engine = ExecutionEngine(plan, ExecutionContext(window=query.window))
+        op1 = plan.operator_named("Op1")
+        built = []
+        build = op1.build_result
+        op1.build_result = lambda a, b: built.append(build(a, b)) or built[-1]
+        held = []
+        for event in events:
+            engine.process_event(event)
+            held.append({
+                op.name: {
+                    port: sorted(
+                        tuple(sorted((c.source, c.seq) for c in e.tuple.components))
+                        for e in op.states[port].entries()
+                    )
+                    for port in (PORT_LEFT, PORT_RIGHT)
+                }
+                for op in plan.join_operators
+            })
+        return plan, held, result_multiset(built), result_multiset(engine.collector.results)
+
+    def test_a_suspension_pins_only_its_own_key(self):
+        """On A ⋈ B (on k) ⋈ C (on A.y), ``a1`` (k = 1) is suspended at Op1;
+        at Op1's next purge the expired ``b1`` (k = 1) stays for its replay
+        and the expired ``b2`` (k = 2) goes, and the resumption builds
+        exactly REF's partials (``a1 b1`` among them) and results."""
+        predicate = JoinPredicate.equi([(("A", "k"), ("B", "k")), (("A", "y"), ("C", "y"))])
+        query = ContinuousQuery(sources=("A", "B", "C"), window=Window(10.0), predicate=predicate)
+        events = [
+            _event("C", 0.0, 0, y=9),
+            _event("B", 1.0, 0, k=1),
+            _event("A", 2.0, 1, k=1, y=5),  # a1 b0 finds no C with y = 5: a1 is suspended
+            _event("B", 3.0, 1, k=1),  # b1: a1 has not met it
+            _event("B", 3.0, 2, k=2),  # b2
+            _event("A", 4.0, 4, k=2, y=9),  # a4 b2 c0 is a result
+            _event("A", 13.5, 3, k=3, y=7),  # Op1 purges: b0, b1, b2 have expired
+            _event("C", 13.8, 5, y=5),  # resumes a1
+        ]
+        jit, held, jit_built, jit_results = self._step(STRATEGY_JIT, query, events)
+        _ref, _held, ref_built, ref_results = self._step(STRATEGY_REF, query, events)
+        op1 = jit.operator_named("Op1")
+        assert op1.stats["suspensions_received"] == 1 and op1.stats["resumptions_received"] == 1
+        after_purge = held[6]["Op1"][PORT_RIGHT]
+        assert after_purge == [(("B", 0),), (("B", 1),)]  # b0, b1 (k = 1) kept; b2 gone
+        assert held[5]["Op1"][PORT_RIGHT] == [(("B", 0),), (("B", 1),), (("B", 2),)]
+        # a1 b0, a4 b2, and a1 b1 (built by the replay, which needs b1).
+        assert sum(ref_built.values()) == 3 and jit_built == ref_built
+        assert sum(ref_results.values()) == 1 and jit_results == ref_results
+
+    def test_a_propagated_empty_suspension_pins_every_key(self):
+        """The DOE twin on four sources: Op3 finds no D and suspends Op2
+        wholesale (Ø), which cascades to Op1.  Op2's left Ø entry was
+        propagated, so Op2's C state keeps its expired entries of every
+        key: the partial Op1 replays on resumption joins ``c2``."""
+        predicate = JoinPredicate.equi([
+            (("A", "k"), ("B", "k")), (("B", "j"), ("C", "j")), (("A", "k"), ("D", "k")),
+        ])
+        query = ContinuousQuery(
+            sources=("A", "B", "C", "D"), window=Window(10.0), predicate=predicate
+        )
+        events = [
+            _event("C", 0.0, 1, j=1),
+            _event("C", 0.0, 2, j=2),
+            _event("B", 1.0, 0, k=1, j=1),
+            _event("A", 2.0, 0, k=1),  # a b0 c1 finds no D: Ø cascades to Op1
+            _event("B", 3.0, 1, k=1, j=2),  # b1: diverted at Op1
+            _event("C", 11.0, 3, j=3),  # Op2 purges: c1 and c2 have expired
+            _event("D", 12.0, 0, k=1),  # resumes everything
+        ]
+        jit, held, _built, jit_results = self._step(STRATEGY_JIT, query, events, JITConfig.doe())
+        _ref, _held, _built, ref_results = self._step(STRATEGY_REF, query, events)
+        op2 = jit.operator_named("Op2")
+        assert op2.stats["suspensions_received"] == 1 and op2.stats["resumptions_received"] >= 1
+        assert held[5]["Op2"][PORT_RIGHT] == [(("C", 1),), (("C", 2),)]  # both keys kept
+        # REF: a b0 c1 d and a b1 c2 d; the second needs the expired c2.
+        assert sum(ref_results.values()) == 2 and jit_results == ref_results
+
+
 class TestJITJoinOperatorUnit:
     def _operator(self, context, config=None):
         predicate = JoinPredicate.equi([(("A", "x"), ("B", "x"))])

@@ -25,7 +25,7 @@ from repro.operators.selection import SelectionOperator
 from repro.operators.state import OperatorState, key_function
 from repro.streams.time import Window
 
-from helpers import make_tuple
+from helpers import StampPins, make_tuple
 
 
 # --------------------------------------------------------------------------- metrics
@@ -174,14 +174,17 @@ class TestOperatorState:
         fresh = state.insert(make_tuple("A", 2.0, seq=9, x=2))
         assert fresh.seq > replay.seq
 
-    def test_purge_floor_retains_old_entries(self, context):
+    def test_purge_pins_retain_old_entries(self, context):
         state = OperatorState("S", context)
         state.insert(make_tuple("A", 0.0, x=1))
-        state.purge_floor = 0.0
-        removed = state.purge(horizon=100.0)
-        assert removed == []
-        state.purge_floor = None
-        assert len(state.purge(horizon=100.0)) == 1
+        state.insert(make_tuple("A", 0.0, x=2))
+        pins = StampPins({(1,): 0.0}, key_of=lambda tup: (tup.get("x"),))
+        state.pin(pins.keeps)
+        assert [e.tuple.get("x") for e in state.purge(horizon=100.0)] == [2]  # x = 2: unpinned
+        pins.floors[(1,)] = 50.0  # the pin rose past the entry ...
+        assert state.purge(horizon=100.0) == []  # ... but the state was not told
+        state.pin(pins.keeps)
+        assert len(state.purge(horizon=100.0)) == 1 and len(state) == 0
 
     def test_extract_moves_matching_entries(self, context):
         state = OperatorState("S", context)
@@ -234,14 +237,14 @@ class TestOperatorState:
         state = OperatorState("S", context)
         for i in range(6):
             state.insert(make_tuple("A", float(i), seq=i, x=i))
-        state.purge_floor = 0.0
+        state.pin(StampPins({None: 0.0}).keeps)
         assert state.purge(horizon=4.0) == []
         assert (len(state), state.live_count) == (6, 2)
         before = context.cost.count(CostKind.PROBE_STEP)
         assert [e.tuple.seq for e in state.probe(live_only_after=4.0)] == [4, 5]
         assert context.cost.count(CostKind.PROBE_STEP) - before == 2
         assert [e.tuple.seq for e in state.probe()] == list(range(6))  # a replay sees all
-        state.purge_floor = None
+        state.pin(None)
         assert len(state.purge(horizon=4.0)) == 4
         assert (len(state), state.live_count) == (2, 2)
 
@@ -336,11 +339,12 @@ class TestLiveCursor:
             elif action == "advance":
                 now += argument
             elif action == "floor":
-                state.purge_floor = None if argument is None else now - self.WINDOW - argument
+                floor = None if argument is None else now - self.WINDOW - argument
+                state.pin(None if floor is None else StampPins({None: floor}).keeps)
             elif action == "purge":
                 horizon = now - self.WINDOW
                 state.purge(horizon)
-                floor_purged = state.purge_floor is not None
+                floor_purged = state.pinned is not None
             elif action == "extract":
                 state.extract(lambda t: t.get("x") % argument == 0)
             else:  # a probe in flight while an emission re-enters the state
@@ -359,15 +363,19 @@ class TestLiveCursor:
             self._check(state, horizon, floor_purged)
 
 
-#: Half-second steps, so stamps often sit exactly on a horizon or a floor.
+#: Half-second steps, so stamps often sit exactly on a horizon or a pin.
 _HALVES = st.integers(min_value=0, max_value=50).map(lambda k: k / 2)
+#: Three join keys, and ``None`` for the pin that keeps every key.
+_PIN_KEYS = st.sampled_from((0, 1, 2, None))
 _EXPIRY_STEPS = st.one_of(
     st.tuples(st.just("insert"), _HALVES),  # how far back
     st.tuples(st.just("burst"), st.integers(min_value=1, max_value=40)),
     st.tuples(st.just("reinsert"), st.integers(min_value=0, max_value=50)),
     # Time moves, then the state purges: what a join does per arrival.
     st.tuples(st.just("tick"), st.integers(min_value=1, max_value=16).map(lambda k: k / 2)),
-    st.tuples(st.just("floor"), st.one_of(st.none(), _HALVES)),
+    # A pin on one key (or every key) falls, rises, or goes (``None``).
+    st.tuples(st.just("pin"), st.tuples(_PIN_KEYS, st.one_of(st.none(), _HALVES))),
+    st.tuples(st.just("unpin"), st.none()),
     st.tuples(st.just("purge"), st.none()),
     st.tuples(st.just("extract"), st.integers(min_value=1, max_value=5)),
 )
@@ -376,8 +384,9 @@ _EXPIRY_STEPS = st.one_of(
 class TestExactExpiry:
     """Expiry against a brute-force model: purging walks the entry list from
     its head and keeps late inserts in a side heap, and whatever arrives late
-    or leaves early, a purge removes exactly the present entries below
-    ``min(horizon, floor)``, charges one ``PURGE`` each, and leaves
+    or leaves early, and however the pins rise and fall between purges, a
+    purge leaves exactly the present entries at or above the horizon or
+    pinned, charges one ``PURGE`` per entry it removed, and leaves
     ``live_count`` / ``has_live`` what their definitions say."""
 
     WINDOW = 10.0
@@ -397,6 +406,7 @@ class TestExactExpiry:
         context = ExecutionContext(window=Window(self.WINDOW))
         cost, memory = context.cost, context.memory
         state = OperatorState("S", context)
+        pins = StampPins(key_of=lambda tup: tup.get("k"))
         present = []  # the model: entries in insertion order
         extracted = []  # candidates for a late re-insert under their old seq
         # Entries stamped below this order stamp sit before the live cursor.
@@ -406,20 +416,38 @@ class TestExactExpiry:
         def insert(tup, seq=None):
             present.append(state.insert(tup, seq=seq))
 
+        def pinned(entry):
+            key = entry.tuple.get("k")
+            return any(
+                entry.ts >= floor for k, floor in pins.floors.items() if k is None or k == key
+            )
+
         for action, argument in steps:
             if action == "insert":
-                insert(make_tuple("A", now - argument, seq=serial, x=serial))
+                insert(make_tuple("A", now - argument, seq=serial, x=serial, k=serial % 3))
                 serial += 1
             elif action == "burst":
                 for _ in range(argument):
-                    insert(make_tuple("A", now, seq=serial, x=serial))
+                    insert(make_tuple("A", now, seq=serial, x=serial, k=serial % 3))
                     serial += 1
             elif action == "reinsert":
                 if extracted:
                     entry = extracted.pop(argument % len(extracted))
                     insert(entry.tuple, seq=entry.seq)
-            elif action == "floor":
-                state.purge_floor = None if argument is None else now - self.WINDOW - argument
+            elif action == "pin":
+                key, back = argument
+                old = pins.floors.pop(key, None)
+                if back is not None:
+                    pins.floors[key] = now - self.WINDOW - back
+                new = pins.floors.get(key)
+                risen = old is not None and (new is None or new > old)
+                # A pin that only fell is read as it is; a new pin object or a
+                # risen pin is handed to the state.
+                if state.pinned is None or risen:
+                    state.pin(pins.keeps)
+            elif action == "unpin":
+                pins = StampPins(key_of=pins.key_of)
+                state.pin(None)
             elif action == "extract":
                 taken = state.extract(lambda t: t.get("x") % argument == 0)
                 assert {id(e) for e in taken} == {
@@ -431,18 +459,20 @@ class TestExactExpiry:
                 if action == "tick":
                     now += argument
                 horizon = now - self.WINDOW
-                floor = state.purge_floor
-                if floor is not None:
+                pinning = state.pinned is not None
+                if pinning:
                     live = [e for e in present if e.order >= cursor and e.ts >= horizon]
                     cursor = live[0].order if live else state.last_order + 1
-                cutoff = horizon if floor is None else min(horizon, floor)
-                expired = [e for e in present if e.ts < cutoff]
+                expired = [
+                    e for e in present if e.ts < horizon and not (pinning and pinned(e))
+                ]
                 before = cost.count(CostKind.PURGE)
                 removed = state.purge(horizon)
                 assert sorted(id(e) for e in removed) == sorted(id(e) for e in expired)
                 assert cost.count(CostKind.PURGE) - before == len(expired)
-                present = [e for e in present if e.ts >= cutoff]
+                present = [e for e in present if id(e) not in {id(x) for x in expired}]
                 assert all(not e.removed for e in present)
+                assert all(e.ts >= horizon or pinned(e) for e in present)
                 assert all(e.ts < horizon for e in present if e.order < cursor)
             assert [id(e) for e in state.entries()] == [id(e) for e in present]
             assert len(state) == len(present)
@@ -510,7 +540,7 @@ class TestExistenceLookup:
         state = OperatorState("S", context)
         for i in range(6):
             state.insert(make_tuple("C", float(i), seq=i, y=i))
-        state.purge_floor = 0.0
+        state.pin(StampPins({None: 0.0}).keeps)
         assert state.purge(horizon=4.0) == []
         assert state.any_live(self.Y, (1,))  # retained: present, so a replay sees it
         assert not state.any_live(self.Y, (1,), horizon=4.0)  # but not live

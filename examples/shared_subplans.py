@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Multi-query sub-plan sharing: 32 standing queries, 8 physical join trees.
+"""Multi-query sub-plan sharing: 32 standing queries, 8 shared units, 10 joins.
 
 Many standing queries over a few shared streams repeat the same join
 sub-cliques with the same windows — the classic multi-query overlap.  With
@@ -7,8 +7,13 @@ sub-cliques with the same windows — the classic multi-query overlap.  With
 queries whose canonical sub-plan signatures match (same sources, shape,
 window, conditions, strategy, indexing — see ``docs/SHARING.md``), hosts one
 shared join subtree per signature, and fans its output to every subscriber
-through a tee operator.  Selections and projections stay per-query, so
+through a tee operator.  Selections stay per-query, so
 queries differing only in their filters still share the expensive joins.
+
+A REF plan goes further: when the plan's inner join subtree is itself
+hosted for a narrower query (``A ⋈ B`` under ``(A ⋈ B) ⋈ C``), the wider
+unit reads that unit's tee instead of joining again, so of the 12 joins
+the 8 distinct signatures describe only 10 are hosted.
 
 The example serves the same workload twice — sharing off, then on — and
 asserts the per-query result multisets are bit-identical while the shared
@@ -29,22 +34,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 
-#: 32 neighborhood queries over 4 shared streams: widths cycle (2, 2, 3) and
-#: ring starts cycle mod 4, so only 8 distinct sub-cliques exist — each
-#: shared subtree serves 4 subscribers.
+#: 32 neighborhood queries over 4 shared streams: widths cycle (2, 2, 3),
+#: ring starts cycle mod 4 and strategies alternate REF/JIT, so only 8
+#: distinct signatures exist — each shared unit serves 4 subscribers.
 N_QUERIES = 32
 
 
 def build_registry(workload) -> QueryRegistry:
     registry = QueryRegistry()
-    for query in workload.queries():
-        registry.register(query, strategy="jit", use_hash_index=True)
+    for index, query in enumerate(workload.queries()):
+        registry.register(query, strategy="jit" if index % 2 else "ref",
+                          use_hash_index=True)
     return registry
 
 
 def serve(workload, events, share: bool):
     registry = build_registry(workload)
-    with ShardedEngine(registry, n_shards=2, scheduler="jit_aware",
+    # One shard: a unit can only read a partner hosted on its own shard.
+    with ShardedEngine(registry, n_shards=1, scheduler="jit_aware",
                        share_subplans=share) as engine:
         start = time.perf_counter()
         engine.run(events)
@@ -55,7 +62,28 @@ def serve(workload, events, share: bool):
             "steps": sum(s.cost.count("scheduler_step") for s in engine.shards),
             "active": sum(s.shared_subplans_active for s in engine.shards),
             "hits": sum(s.shared_subplan_hits for s in engine.shards),
+            "nested": sum(
+                len(unit.children)
+                for shard in engine.shards for unit in shard.shared_subplans()
+            ),
+            "joins": sum(
+                len(unit.plan.join_operators)
+                for shard in engine.shards for unit in shard.shared_subplans()
+            ),
         }
+        if share:
+            # A unit stays while a query or a parent unit reads it: retire
+            # the queries of every unit a parent reads, then all the rest.
+            shard = engine.shards[0]
+            partners = [unit for unit in shard.shared_subplans() if unit.parents]
+            for unit in partners:
+                for query_id in list(unit.subscribers):
+                    engine.retire_query(query_id)
+            assert all(unit in shard.shared_subplans() for unit in partners)
+            for query_id in list(engine.runtimes):
+                engine.retire_query(query_id)
+            assert shard.shared_subplans_active == 0 and shard.queue_count == 0
+            stats["kept"] = len(partners)
     return multisets, stats
 
 
@@ -79,6 +107,8 @@ def main() -> None:
     assert shared == unshared, "sharing changed a per-query result multiset!"
     assert on["active"] == len(groups)
     assert on["hits"] == N_QUERIES - len(groups)
+    # The REF ternaries (A⋈B)⋈C and (C⋈D)⋈A read the A⋈B and C⋈D units.
+    assert on["nested"] == 2 and on["joins"] == 10, on
     total = sum(sum(ms.values()) for ms in shared.values())
     print(f"per-query results identical across both runs ({total} results total)")
     print(
@@ -89,6 +119,11 @@ def main() -> None:
         f"  sharing on:  {on['steps']:>7} scheduler steps, "
         f"{len(events) / on['wall']:>8,.0f} ev/s  "
         f"({on['active']} shared subtrees, {on['hits']} grafted registrations)"
+    )
+    print(
+        f"  {on['nested']} units read a narrower unit's tee instead of "
+        f"re-joining: {on['joins']} joins hosted; the {on['kept']} units read "
+        "this way outlived their own queries until their readers retired"
     )
     print(
         f"  -> {off['steps'] / on['steps']:.1f}x fewer steps, "

@@ -13,8 +13,10 @@ emissions.  Afterwards it:
    shard with the MNS suspension windows drawn as async spans;
 2. checks the shared-subtree tee actually fanned each shared result out
    to several subscriber queries inside sampled traces;
-3. prints ``explain_analyze`` for a shared join subtree and for one
-   subscriber query, annotated with the traced per-operator profile;
+3. prints ``explain_analyze`` for a shared join subtree, for one
+   subscriber query, and for a REF unit that reads another unit's tee in
+   place of building its inner join, annotated with the traced
+   per-operator profile;
 4. prints the tracer's own counters — the numbers the serving layer
    exposes as the ``trace_*`` telemetry families.
 
@@ -47,6 +49,12 @@ def build_registry(workload) -> QueryRegistry:
     for index, query in enumerate(workload.queries()):
         registry.register(query, query_id=f"q{index}", use_hash_index=True)
         registry.register(query, query_id=f"dup_{index}", use_hash_index=True)
+    # A REF A ⋈ B and a REF (A ⋈ B) ⋈ C: placed on the same shard, the
+    # ternary's unit reads the binary's tee instead of joining A and B again.
+    registry.register(workload.query(0), query_id="ref_ab", strategy="ref",
+                      use_hash_index=True)
+    registry.register(workload.query(8), query_id="ref_abc", strategy="ref",
+                      use_hash_index=True)
     return registry
 
 
@@ -118,6 +126,17 @@ def main(out_path: Path) -> None:
             query_id=runtime.query_id, label_prefix=prefix,
         ))
 
+        # The nested unit names the unit whose tee feeds its join port.
+        nested = engine.runtime_for("ref_abc").shared
+        (partner,) = nested.children
+        assert partner is engine.runtime_for("ref_ab").shared
+        text = explain_analyze(
+            tracer, nested.plan, shard=nested.shard_id, query_id="ref_abc",
+            label_prefix=f"{nested.name}:",
+        )
+        assert f"-> tee of {partner.name} [left]" in text, text
+        print(text)
+
         # 4. The counters the serving layer bridges as trace_* gauges.
         stats = tracer.stats()
         assert stats["traces_sampled"] == stats["traces_started"] > 0
@@ -136,4 +155,4 @@ if __name__ == "__main__":
         Path(__file__).resolve().parent / "trace_explain.json"
     )
     main(out)
-    print("\nok: trace validated, tee fan-out observed, MNS spans paired")
+    print("\nok: trace validated, tee fan-out and a nested unit observed, MNS spans paired")

@@ -13,7 +13,7 @@ registry can back any number of engines without sharing mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Union
 
 from repro.core.config import JITConfig
 from repro.operators.base import PORT_INPUT
@@ -103,32 +103,36 @@ class RegisteredQuery:
 
     # -- sub-plan sharing -----------------------------------------------------
 
-    def subplan_signature(self) -> SubplanSignature:
-        """The canonical signature of this registration's join subtree.
+    def subplan_signature(self, node: Optional[ShapeNode] = None) -> SubplanSignature:
+        """The canonical signature of this registration's join subtree, or
+        of its inner join subtree ``node``.
 
         Registrations with equal signatures build operationally identical
         join subtrees and can share one hosted instance (selections stay
-        per-query, see :meth:`build_overlay_plan`).  The signature is
-        computed once and cached on the frozen instance.
+        per-query, see :meth:`build_overlay_plan`).  The whole plan's
+        signature is computed once and cached on the frozen instance.
         """
-        cached = self.__dict__.get("_signature")
+        cached = self.__dict__.get("_signature") if node is None else None
         if cached is None:
             cached = subplan_signature(
                 self.query,
-                shape=self.shape,
+                shape=self.shape if node is None else node,
                 strategy=self.strategy,
                 jit_config=self.jit_config,
                 use_hash_index=self.use_hash_index,
             )
-            object.__setattr__(self, "_signature", cached)
+            if node is None:
+                object.__setattr__(self, "_signature", cached)
         return cached
 
     def signature_key(self) -> str:
         """Short stable hex digest of :meth:`subplan_signature`."""
         return signature_key(self.subplan_signature())
 
-    def build_join_plan(self) -> ExecutionPlan:
-        """The shareable join subtree alone, without the query's selections."""
+    def build_join_plan(self, feeds: Optional[Mapping] = None) -> ExecutionPlan:
+        """The shareable join subtree alone, without the query's selections
+        (``feeds``: inner subtrees to leave out, see
+        :func:`~repro.plans.builder.build_xjoin_plan`)."""
         return build_xjoin_plan(
             self.query,
             shape=self.shape,
@@ -136,16 +140,17 @@ class RegisteredQuery:
             jit_config=self.jit_config,
             use_hash_index=self.use_hash_index,
             apply_selections=False,
+            feeds=feeds,
         )
 
-    def build_shared_plan(self) -> ExecutionPlan:
+    def build_shared_plan(self, feeds: Optional[Mapping] = None) -> ExecutionPlan:
         """The join subtree crowned with a :class:`TeeOperator` fan-out.
 
         The tee starts with no subscribers; the hosting shard attaches one
-        per grafted query.  Fresh operators per call, like
+        per grafted query or parent unit.  Fresh operators per call, like
         :meth:`build_plan`.
         """
-        base = self.build_join_plan()
+        base = self.build_join_plan(feeds)
         tee = TeeOperator("Tee", sources=base.root.output_sources())
         tee.connect_producer(PORT_INPUT, base.root)
         return ExecutionPlan(
@@ -153,6 +158,7 @@ class RegisteredQuery:
             operators=base.operators + (tee,),
             routing=base.routing,
             description=f"shared/{base.description}",
+            feeds=base.feeds,
         )
 
     def build_overlay_plan(self) -> Optional[ExecutionPlan]:

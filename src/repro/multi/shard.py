@@ -33,20 +33,22 @@ issued by one thread.
 
 With ``share_subplans=True`` the shard adds common-subexpression sharing:
 queries whose registrations reduce to the same canonical sub-plan signature
-(:mod:`repro.plans.signature`) share ONE hosted join subtree, crowned with a
-:class:`~repro.operators.tee.TeeOperator` that fans each shared result out
-to every subscriber — into the input queue of the query's private overlay
-plan (its selections) or straight into its collector.  The shared
-subtree is reference counted: ``retire_plan`` detaches one subscriber and
-only tears the subtree down when the last one leaves.  Per-query results
-stay bit-identical to unshared runs (see ``docs/SHARING.md`` for the
-argument and ``tests/test_sharing_equivalence.py`` for the proof).
+(:mod:`repro.plans.signature`) share ONE hosted *unit*, a join subtree
+crowned with a :class:`~repro.operators.tee.TeeOperator` that fans each
+shared result out to every subscriber: a query's collector, its private
+overlay plan (its selections), or a join port of a parent unit — a REF
+plan reads hosted *partners* (units equal to its inner join subtrees) and
+builds only the joins above.  Units are reference counted across units:
+one is torn down when nothing, query or parent unit, reads it any more.
+Per-query results stay bit-identical to unshared runs (see
+``docs/SHARING.md`` for the argument and
+``tests/test_sharing_equivalence.py`` for the proof).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.context import ExecutionContext
 from repro.core.feedback import FeedbackKind
@@ -58,19 +60,24 @@ from repro.multi.registry import RegisteredQuery
 from repro.operators.base import PORT_INPUT
 from repro.operators.queues import InterOperatorQueue
 from repro.operators.tee import TeeOperator
+from repro.plans.builder import STRATEGY_REF, ShapeNode
 from repro.plans.plan import ExecutionPlan
-from repro.plans.signature import SubplanSignature
+from repro.plans.signature import SubplanSignature, resolve_shape
 from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.streams.sources import StreamEvent
 
-__all__ = ["PlanRuntime", "SharedSubplan", "ShardEngine"]
+__all__ = ["PlanRuntime", "SharedSubplan", "ShardEngine", "hosting_order"]
 
 _SUSPENSION_KINDS = (FeedbackKind.SUSPEND, FeedbackKind.MARK)
 
 
-@dataclass
+@dataclass(eq=False)
 class SharedSubplan:
-    """One hosted shared join subtree and its subscriber bookkeeping."""
+    """One hosted shared unit: joins crowned with a tee, and who reads it.
+
+    Queries (``subscribers``) and parent units (``parents``) subscribe to
+    its tee; it may read its ``children``'s tees in place of their joins.
+    """
 
     signature: SubplanSignature
     #: Short stable digest of the signature (used in queue names/diagnostics).
@@ -80,10 +87,19 @@ class SharedSubplan:
     context: ExecutionContext
     shard_id: int
     templates: Tuple[ReadyInput, ...] = field(default=(), repr=False)
-    #: Subscribed query ids, in graft order (the reference count).
+    #: Subscribed query ids, in graft order.
     subscribers: List[str] = field(default_factory=list)
+    #: Units whose join port this unit's tee feeds, in subscription order.
+    parents: List["SharedSubplan"] = field(default_factory=list, repr=False)
+    #: Units whose tees feed this unit's join ports (see ``plan.feeds``).
+    children: Tuple["SharedSubplan", ...] = field(default=(), repr=False)
     #: Registrations grafted onto this subtree after it was first hosted.
     hits: int = 0
+
+    @property
+    def name(self) -> str:
+        """Its queues' prefix, and its id on its children's tees."""
+        return f"shared-{self.key}"
 
     @property
     def subscriber_count(self) -> int:
@@ -94,6 +110,65 @@ class SharedSubplan:
             f"SharedSubplan({self.key}, shard={self.shard_id}, "
             f"subscribers={self.subscribers})"
         )
+
+
+def _partners(
+    registered: RegisteredQuery, hosted: Mapping, node: Optional[ShapeNode] = None
+) -> Dict[ShapeNode, object]:
+    """On each branch below ``node`` (default: the plan's root), the largest
+    inner join subtree whose signature is in ``hosted``, mapped to what
+    ``hosted`` holds for it.
+
+    Only a REF plan has partners: a JIT or DOE join sends suspensions into
+    its child, and a tee swallows feedback, so such a plan stays one unit.
+    """
+    if node is None:
+        if registered.strategy != STRATEGY_REF:
+            return {}
+        node = resolve_shape(registered.query, registered.shape)
+    found: Dict[ShapeNode, object] = {}
+    for child in node:
+        if isinstance(child, str):
+            continue
+        partner = hosted.get(registered.subplan_signature(child))
+        if partner is not None:
+            found[child] = partner
+        else:
+            found.update(_partners(registered, hosted, child))
+    return found
+
+
+def hosting_order(entries: Sequence[RegisteredQuery]) -> List[RegisteredQuery]:
+    """``entries``, each partner (the first registration whose whole plan is
+    an inner join subtree of a REF plan) moved ahead of the plans reading it.
+
+    A unit can only read a partner that is already hosted; every other
+    registration keeps its place.
+    """
+    first: Dict[SubplanSignature, RegisteredQuery] = {}
+    for entry in entries:
+        first.setdefault(entry.subplan_signature(), entry)
+    ordered: Dict[str, RegisteredQuery] = {}
+
+    def place(entry: RegisteredQuery) -> None:
+        if entry.query_id not in ordered:  # partners are narrower: no cycle
+            for partner in _partners(entry, first).values():
+                place(partner)
+            ordered[entry.query_id] = entry
+
+    for entry in entries:
+        place(entry)
+    return list(ordered.values())
+
+
+def _released(unit: SharedSubplan, leaving: str) -> List[SharedSubplan]:
+    """``unit`` and the units below it that nothing reads once ``leaving``
+    (a query id or a parent unit's name) stops reading ``unit``."""
+    if unit.tee.subscriber_ids != (leaving,):
+        return []
+    return [unit] + [
+        released for child in unit.children for released in _released(child, unit.name)
+    ]
 
 
 @dataclass
@@ -157,7 +232,8 @@ class ShardEngine:
         Whether hosted collectors retain result tuples.
     share_subplans:
         Enable common-subexpression sharing: queries with equal canonical
-        sub-plan signatures share one hosted join subtree.
+        sub-plan signatures share one hosted unit, and REF units read hosted
+        partners' tees in place of their inner joins.
     """
 
     def __init__(
@@ -300,9 +376,9 @@ class ShardEngine:
         """Build and wire ``registered``'s plan into this shard.
 
         With ``share_subplans`` enabled, the query is grafted onto an
-        existing shared join subtree when one with the same canonical
-        signature is already hosted; otherwise its subtree becomes the
-        first-hosted instance for that signature.
+        existing shared unit when one with the same canonical signature is
+        already hosted; otherwise a new unit is hosted for that signature,
+        reading any hosted partner (see :meth:`_host_unit`).
         """
         if self.share_subplans:
             return self._host_shared(registered)
@@ -331,29 +407,7 @@ class ShardEngine:
         signature = registered.subplan_signature()
         shared = self._shared.get(signature)
         if shared is None:
-            plan = registered.build_shared_plan()
-            context = self._make_context(registered.query.window)
-            plan.attach(context)
-            key = registered.signature_key()
-            queues, templates = self._wire_plan(
-                plan, context, queue_prefix=f"shared-{key}:"
-            )
-            self._register_routes(plan, queues)
-            # Observed once for the whole subtree: a shared operator's
-            # jit_aware boosts and MNS suspensions act (and count) once on
-            # behalf of every subscriber, not once per grafted query.
-            self._observe(context)
-            assert isinstance(plan.root, TeeOperator)
-            shared = SharedSubplan(
-                signature=signature,
-                key=key,
-                plan=plan,
-                tee=plan.root,
-                context=context,
-                shard_id=self.shard_id,
-                templates=tuple(templates),
-            )
-            self._shared[signature] = shared
+            shared = self._host_unit(registered, signature)
         else:
             shared.hits += 1
             self.shared_subplan_hits += 1
@@ -390,6 +444,44 @@ class ShardEngine:
         self.runtimes.append(runtime)
         return runtime
 
+    def _host_unit(
+        self, registered: RegisteredQuery, signature: SubplanSignature
+    ) -> SharedSubplan:
+        """Wire a new unit for ``signature``: only the joins above its
+        hosted partners, each partner's tee feeding the port it replaces."""
+        children = _partners(registered, self._shared)
+        key = registered.signature_key()
+        plan = registered.build_shared_plan(
+            {node: child.name for node, child in children.items()}
+        )
+        context = self._make_context(registered.query.window)
+        plan.attach(context)
+        queues, templates = self._wire_plan(
+            plan, context, queue_prefix=f"shared-{key}:"
+        )
+        self._register_routes(plan, queues)
+        # Observed once for the whole unit: a shared operator's jit_aware
+        # boosts and MNS suspensions act (and count) once on behalf of
+        # every subscriber, not once per grafted query.
+        self._observe(context)
+        assert isinstance(plan.root, TeeOperator)
+        unit = SharedSubplan(
+            signature=signature,
+            key=key,
+            plan=plan,
+            tee=plan.root,
+            context=context,
+            shard_id=self.shard_id,
+            templates=tuple(templates),
+            children=tuple(children.values()),
+        )
+        for child in unit.children:
+            operator, port = plan.feeds[child.name]
+            child.tee.add_subscriber(unit.name, queue=queues[(id(operator), port)])
+            child.parents.append(unit)
+        self._shared[signature] = unit
+        return unit
+
     def retire_plan(self, query_id: str) -> PlanRuntime:
         """Unhost one plan: unwire its queues, routes, and scheduler state.
 
@@ -401,10 +493,11 @@ class ShardEngine:
         OperatorScheduler.retire` drops every per-identity record, so
         long-lived domains do not accumulate state across plan churn.
 
-        A query served by a shared subtree only detaches its tee
-        subscription and private overlay; the subtree itself is reference
-        counted and torn down (queues, routes, scheduler state, feedback
-        listeners) when its *last* subscriber retires.
+        A query served by a shared unit only detaches its tee subscription
+        and private overlay; the unit is reference counted across units and
+        torn down (queues, routes, scheduler state, feedback listeners) when
+        its *last* reader leaves, whether query or parent unit — which in
+        turn releases the units it read.
 
         Like every other mutation of a shard, this must run on the thread
         that drives the shard, between drains; through a sharded engine go
@@ -420,10 +513,10 @@ class ShardEngine:
                 f"hosted: {[r.query_id for r in self.runtimes]}"
             )
         shared = runtime.shared
-        last_subscriber = shared is not None and shared.subscribers == [query_id]
+        released = [] if shared is None else _released(shared, query_id)
         pending = [t.queue.name for t in runtime.templates if len(t.queue)]
-        if last_subscriber:
-            pending += [t.queue.name for t in shared.templates if len(t.queue)]
+        for unit in released:
+            pending += [t.queue.name for t in unit.templates if len(t.queue)]
         if pending:
             raise RuntimeError(
                 f"cannot retire {query_id!r} with queued tuples in {pending}; "
@@ -435,10 +528,13 @@ class ShardEngine:
         if shared is not None:
             shared.tee.remove_subscriber(query_id)
             shared.subscribers.remove(query_id)
-            if not shared.subscribers:
-                self._unwire(shared.templates)
-                self._unobserve(shared.context)
-                del self._shared[shared.signature]
+            for unit in released:
+                self._unwire(unit.templates)
+                self._unobserve(unit.context)
+                del self._shared[unit.signature]
+                for child in unit.children:
+                    child.tee.remove_subscriber(unit.name)
+                    child.parents.remove(unit)
         # The archived context must stop feeding this shard's scheduler and
         # counts: a replayed/migrated runtime would otherwise boost operators
         # of a domain it no longer belongs to (id-reuse aliasing included).

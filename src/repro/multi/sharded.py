@@ -56,7 +56,7 @@ from repro.multi.clock import SharedVirtualClock
 from repro.multi.partition import round_robin_partition, signature_partition
 from repro.multi.registry import QueryRegistry
 from repro.multi.router import StreamRouter
-from repro.multi.shard import PlanRuntime, ShardEngine
+from repro.multi.shard import PlanRuntime, ShardEngine, hosting_order
 from repro.streams.sources import StreamEvent
 
 __all__ = ["QueryReport", "MultiRunReport", "ShardedEngine"]
@@ -236,13 +236,20 @@ class ShardedEngine:
     def _host_entries(self, entries, also_confirm: Iterable[int] = ()) -> None:
         """Place ``entries``, host every shard's ordered list in one backend
         call (``also_confirm`` shards take part even with nothing placed on
-        them), then route."""
+        them), then route.  With sharing, each shard's list is in
+        :func:`~repro.multi.shard.hosting_order` (partners first), so the
+        inline and the process path host in the same order."""
         entries = list(entries)
         placements: Dict[int, List] = {shard_id: [] for shard_id in also_confirm}
         for entry in entries:
             shard_id = self._place(entry, self._placed, self.n_shards)
             self._placed += 1
             placements.setdefault(shard_id, []).append(entry)
+        if self.share_subplans:
+            placements = {
+                shard_id: hosting_order(placed)
+                for shard_id, placed in placements.items()
+            }
         hosted = self._backend.host(placements)
         for entry in entries:
             runtime = hosted[entry.query_id]

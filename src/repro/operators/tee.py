@@ -4,17 +4,22 @@ When the sharding layer (:mod:`repro.multi.shard`) detects that several
 registered queries would build identical join subtrees, it builds the subtree
 once and crowns it with a :class:`TeeOperator`.  The tee is the fan-out
 point: every tuple the shared subtree produces is delivered once per
-subscriber, either into the input queue of that query's private overlay plan
-(its selections) or straight into its result sink when the query has
-no overlay.
+subscriber, to one of three kinds of target:
+
+* a query without selections: straight into its result sink;
+* a query with selections: the input queue of its private overlay plan;
+* a parent unit: the input queue of the join port of a wider shared plan
+  that reads this subtree instead of building it, subscribed under the
+  parent's name (``shared-<key>``).
 
 Accounting model (see ``docs/SHARING.md``): the shared subtree's probe and
 maintenance work is charged once — that is the whole point of sharing — but
 *delivery* is per-subscriber.  Each delivery charges ``CostKind.RESULT_BUILD``
-exactly as a dedicated root emission would, so a subscriber's marginal cost
-reflects its own consumption and the shard cost model stays comparable with
-unshared runs.  The per-subscriber ``delivered`` counters expose the same
-accounting to telemetry and tests.
+exactly as a dedicated root emission would — and a delivery to a parent unit
+exactly as the private inner join's emit it replaces — so a subscriber's
+marginal cost reflects its own consumption and the shard cost model stays
+comparable with unshared runs.  The per-subscriber ``delivered`` counters
+expose the same accounting to telemetry and tests.
 
 Feedback: the tee deliberately *swallows* consumer feedback instead of
 relaying it upstream.  One subscriber's selection asking the shared joins to
@@ -45,8 +50,10 @@ __all__ = ["TeeSubscriber", "TeeOperator"]
 class TeeSubscriber:
     """One subscriber of a shared sub-plan: a queue or a direct sink."""
 
+    #: The subscribing query's id, or a parent unit's name (``shared-<key>``).
     query_id: str
-    #: Input queue of the subscriber's private overlay plan, if it has one.
+    #: Input queue of the subscriber's private overlay plan or of a parent
+    #: unit's join port.
     queue: Optional["InterOperatorQueue"] = None
     #: Direct result sink for overlay-less subscribers.
     sink: Optional[ResultSink] = None

@@ -20,7 +20,7 @@ policy) and the source routing table of the resulting
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import JITConfig
 from repro.core.jit_join import JITJoinOperator
@@ -38,6 +38,7 @@ __all__ = [
     "STRATEGY_JIT",
     "STRATEGY_DOE",
     "paper_plan_shape",
+    "shape_sources",
     "resolve_jit_config",
     "build_xjoin_plan",
     "build_overlay_plan",
@@ -100,11 +101,12 @@ def paper_plan_shape(sources: Sequence[str], kind: str) -> ShapeNode:
                      f"{(PLAN_LEFT_DEEP, PLAN_RIGHT_DEEP, PLAN_BUSHY)}")
 
 
-def _shape_sources(shape: ShapeNode) -> List[str]:
+def shape_sources(shape: ShapeNode) -> List[str]:
+    """The source names at the leaves of ``shape``, left to right."""
     if isinstance(shape, str):
         return [shape]
     left, right = shape
-    return _shape_sources(left) + _shape_sources(right)
+    return shape_sources(left) + shape_sources(right)
 
 
 def resolve_jit_config(
@@ -159,6 +161,7 @@ def build_xjoin_plan(
     jit_config: Optional[JITConfig] = None,
     use_hash_index: bool = False,
     apply_selections: bool = True,
+    feeds: Optional[Mapping[ShapeNode, str]] = None,
 ) -> ExecutionPlan:
     """Build an X-Join (binary tree) plan for ``query``.
 
@@ -181,6 +184,12 @@ def build_xjoin_plan(
     apply_selections:
         Whether to materialize the query's selections as operators above the
         join tree.
+    feeds:
+        Inner join subtrees of ``shape`` to leave out, each with the name of
+        the feed that replaces it: the port the subtree would have fed is
+        left unconnected and listed under that name in the plan's
+        ``feeds``.  The joins above keep the names they have in the full
+        plan.
     """
     if isinstance(shape, str) and shape in (PLAN_LEFT_DEEP, PLAN_RIGHT_DEEP, PLAN_BUSHY):
         shape_tree = paper_plan_shape(query.sources, shape)
@@ -188,19 +197,25 @@ def build_xjoin_plan(
     else:
         shape_tree = shape  # type: ignore[assignment]
         shape_label = "custom"
-    covered = sorted(_shape_sources(shape_tree))
+    covered = sorted(shape_sources(shape_tree))
     if covered != sorted(query.sources):
         raise ValueError(
             f"plan shape covers sources {covered} but the query declares {sorted(query.sources)}"
         )
 
+    feeds = feeds or {}
     operators: List[Operator] = []
     routing: Dict[str, List[Tuple[Operator, str]]] = {}
+    fed: Dict[str, Tuple[Operator, str]] = {}
     counter = {"n": 0}
 
     def build(node: ShapeNode) -> Tuple[Tuple[str, ...], Optional[Operator]]:
         if isinstance(node, str):
             return (node,), None
+        if node in feeds:
+            sources = tuple(shape_sources(node))
+            counter["n"] += len(sources) - 1  # the joins left out
+            return sources, None
         left_shape, right_shape = node
         left_sources, left_op = build(left_shape)
         right_sources, right_op = build(right_shape)
@@ -215,12 +230,14 @@ def build_xjoin_plan(
             use_hash_index,
         )
         operators.append(join)
-        for port, child_op, child_sources in (
-            (PORT_LEFT, left_op, left_sources),
-            (PORT_RIGHT, right_op, right_sources),
+        for port, child_shape, child_op, child_sources in (
+            (PORT_LEFT, left_shape, left_op, left_sources),
+            (PORT_RIGHT, right_shape, right_op, right_sources),
         ):
             if child_op is not None:
                 join.connect_producer(port, child_op)
+            elif child_shape in feeds:
+                fed[feeds[child_shape]] = (join, port)
             else:
                 (source,) = child_sources
                 join.connect_source(port, source)
@@ -251,6 +268,7 @@ def build_xjoin_plan(
         operators=tuple(operators),
         routing={src: tuple(targets) for src, targets in routing.items()},
         description=f"xjoin/{shape_label}/{strategy}/N={query.n_sources}",
+        feeds=fed,
     )
 
 

@@ -37,12 +37,16 @@ class ExecutionPlan:
         exactly one port.
     description:
         Human-readable description (plan shape, strategy), used in reports.
+    feeds:
+        Ports fed by another plan's output rather than by a source, by the
+        name of that feed (the sharing layer's tee-fed join ports).
     """
 
     root: Operator
     operators: Tuple[Operator, ...]
     routing: Dict[str, Tuple[Tuple[Operator, str], ...]]
     description: str = ""
+    feeds: Dict[str, Tuple[Operator, str]] = field(default_factory=dict)
     _attached: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -28,6 +28,12 @@ Canonicalization rules:
 Selections are deliberately *excluded*: the sharing layer keeps them in
 per-query private overlay plans above the shared subtree, so queries
 differing only in their filters still share the expensive joins.
+
+A join *subtree* of a plan has a signature too: the query restricted to the
+subtree's sources and to the conditions among them (the only ones its joins
+evaluate).  A binary query ``A ⋈ B`` and the inner join of ``(A ⋈ B) ⋈ C``
+therefore share a signature when they agree on window, strategy and
+indexing, which is what lets the sharing layer host that join once for both.
 """
 
 from __future__ import annotations
@@ -46,11 +52,13 @@ from repro.plans.builder import (
     ShapeNode,
     paper_plan_shape,
     resolve_jit_config,
+    shape_sources,
 )
 from repro.plans.query import ContinuousQuery
 
 __all__ = [
     "SubplanSignature",
+    "resolve_shape",
     "subplan_signature",
     "signature_key",
     "canonical_condition",
@@ -70,6 +78,13 @@ def canonical_condition(condition: JoinCondition) -> Tuple:
     return ("eq", lo, hi)
 
 
+def resolve_shape(query: ContinuousQuery, shape: Union[str, ShapeNode]) -> ShapeNode:
+    """The explicit tree a named shape builds over ``query``'s sources."""
+    if isinstance(shape, str) and shape in _NAMED_SHAPES:
+        return paper_plan_shape(query.sources, shape)
+    return shape  # explicit nested-tuple shape, already canonical
+
+
 def subplan_signature(
     query: ContinuousQuery,
     shape: Union[str, ShapeNode] = PLAN_LEFT_DEEP,
@@ -84,17 +99,19 @@ def subplan_signature(
     (selections) is excluded.  Equal signatures guarantee the
     built subtrees are operationally identical, so one shared instance can
     serve every subscriber with bit-identical per-query results.
+
+    ``shape`` may also be an inner join subtree of the query's plan; the
+    signature then covers only the conditions among that subtree's sources.
     """
-    if isinstance(shape, str) and shape in _NAMED_SHAPES:
-        shape_tree: ShapeNode = paper_plan_shape(query.sources, shape)
-    else:
-        shape_tree = shape  # explicit nested-tuple shape, already canonical
+    shape_tree = resolve_shape(query, shape)
+    covered = frozenset(shape_sources(shape_tree))
+    conditions = [c for c in query.predicate.conditions if c.sources <= covered]
     config = resolve_jit_config(strategy, jit_config)
     return (
         "xjoin",
         shape_tree,
         query.window.length,
-        tuple(sorted(canonical_condition(c) for c in query.predicate.conditions)),
+        tuple(sorted(canonical_condition(c) for c in conditions)),
         strategy,
         None if config is None else astuple(config),
         bool(use_hash_index),

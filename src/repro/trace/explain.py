@@ -12,7 +12,9 @@ events flowed through it:
 * JIT suspension totals (``stats`` of each JIT join: MNS detected,
   suspensions/resumptions sent and received, results resumed, how often its
   detection gates rested and re-opened),
-* tee fan-out and per-subscriber delivery counts on shared subtrees.
+* tee fan-out and per-subscriber delivery counts on shared subtrees, and
+  the join ports a shared unit reads from another unit's tee (named after
+  the feeding unit).
 
 The report reads only the tracer and the plan — it never touches queues or
 schedulers — so it is safe to render mid-run or after teardown.
@@ -137,10 +139,14 @@ def explain_operator_lines(
     depth: int = 0,
     seen: Optional[set] = None,
     label_prefix: str = "",
+    fed_by: Optional[Dict[Tuple[int, str], str]] = None,
 ) -> List[str]:
-    """Recursive tree rendering; shared subtrees are expanded only once."""
+    """Recursive tree rendering; shared subtrees are expanded only once.
+    ``fed_by`` names the feed of each ``(id(operator), port)`` not fed by a
+    source or a producer (a plan's ``feeds``, inverted)."""
     if seen is None:
         seen = set()
+    fed_by = fed_by or {}
     indent = "  " * depth
     kind = type(operator).__name__
     if id(operator) in seen:
@@ -154,8 +160,12 @@ def explain_operator_lines(
         if child is not None:
             lines.extend(
                 explain_operator_lines(
-                    tracer, child, shard, depth + 1, seen, label_prefix
+                    tracer, child, shard, depth + 1, seen, label_prefix, fed_by
                 )
+            )
+        elif (id(operator), port) in fed_by:
+            lines.append(
+                f"{indent}  -> tee of {fed_by[id(operator), port]} [{port}]"
             )
         else:
             lines.append(f"{indent}  -> source [{port}]")
@@ -213,7 +223,10 @@ def explain_analyze(
     ]
     if share_hits is not None:
         header.append(f"  shared-subplan hits: {share_hits}")
+    fed_by = {(id(op), port): name for name, (op, port) in plan.feeds.items()}
     return "\n".join(
         header
-        + explain_operator_lines(tracer, plan.root, shard, label_prefix=label_prefix)
+        + explain_operator_lines(
+            tracer, plan.root, shard, label_prefix=label_prefix, fed_by=fed_by
+        )
     )

@@ -11,6 +11,8 @@ queues, routes, scheduler orders or router subscriptions behind.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -146,7 +148,9 @@ class TestSharingEquivalence:
             assert shard.shared_subplans_active == distinct
             assert shard.shared_subplan_hits == len(registry) - distinct
             for shared in shard.shared_subplans():
-                assert shared.tee.subscriber_count == len(shared.subscribers)
+                assert shared.tee.subscriber_count == len(shared.subscribers) + len(
+                    shared.parents
+                )
                 assert isinstance(shared.plan.root, TeeOperator)
 
     def test_tee_per_subscriber_delivery_counts(self, sharing_workload, sharing_events):
@@ -349,8 +353,13 @@ class TestRefcountedRetirement:
         registry = _registry(sharing_workload)
         with ShardedEngine(registry, n_shards=1, share_subplans=True) as engine:
             shard = engine.shards[0]
-            groups = [g for g in registry.share_groups().values() if len(g) > 1]
-            group = groups[0]
+            # A unit a parent unit reads outlives its last query (see
+            # TestNestedSharing); this test is about query subscribers alone.
+            group = next(
+                g
+                for g in registry.share_groups().values()
+                if len(g) > 1 and not engine.runtime_for(g[0]).shared.parents
+            )
             mid = len(sharing_events) // 2
             for event in sharing_events[:mid]:
                 engine.submit(event)
@@ -375,14 +384,20 @@ class TestRefcountedRetirement:
             engine.retire_query(group[-1])
             assert shard.shared_subplans_active == active_before - 1
 
-    def test_retire_everything_leaves_no_orphans(self, sharing_workload, sharing_events):
+    @pytest.mark.parametrize("n_shards", (1, 2))
+    def test_retire_everything_leaves_no_orphans(
+        self, sharing_workload, sharing_events, n_shards
+    ):
         registry = _registry(sharing_workload)
-        with ShardedEngine(registry, n_shards=2, share_subplans=True) as engine:
+        with ShardedEngine(registry, n_shards=n_shards, share_subplans=True) as engine:
             for event in sharing_events[:200]:
                 engine.submit(event)
+            units = _units(engine)
+            # One shard co-locates the REF partners: some units read others.
+            assert any(unit.children for unit in units) == (n_shards == 1)
             for query_id in list(registry.ids):
                 engine.retire_query(query_id)
-            _assert_no_orphans(engine)
+            _assert_no_orphans(engine, units)
 
     def test_add_query_grafts_onto_live_subtree(self, sharing_workload, sharing_events):
         registry = _registry(sharing_workload)
@@ -412,9 +427,175 @@ class TestRefcountedRetirement:
             assert engine.results_for(late.query_id).multiset() == expected
 
 
-def _assert_no_orphans(engine: ShardedEngine) -> None:
+# ------------------------------------------------------------------ nested units
+
+
+@pytest.fixture(scope="module")
+def nested_workload():
+    """Neighborhood queries over 4 streams; ``query(0)`` is ``A ⋈ B``,
+    ``query(8)`` is ``(A ⋈ B) ⋈ C``, ``query(1)`` is ``B ⋈ C`` and
+    ``query(5)`` is ``(B ⋈ C) ⋈ D``."""
+    return generate_multi_query_workload(
+        n_queries=12, n_sources=4, rate=0.8, window_seconds=20, dmax=4, duration=100, seed=5
+    )
+
+
+def _standalone(entry, events):
+    subscribed = [e for e in events if e.source in entry.sources]
+    return run_workload(
+        entry.build_plan(), subscribed, entry.query.window.length
+    ).results.multiset()
+
+
+def _hosted_joins(shard):
+    """Every join operator hosted on ``shard``, as (left, right) source sets."""
+    return [
+        (join.input_sources("left"), join.input_sources("right"))
+        for unit in shard.shared_subplans()
+        for join in unit.plan.join_operators
+    ]
+
+
+class TestNestedSharing:
+    """A REF plan reads a hosted partner's tee in place of building the
+    partner's joins (docs/SHARING.md, "Nested units")."""
+
+    def _registry(self, workload, ks, strategy=STRATEGY_REF):
+        registry = QueryRegistry()
+        for k in ks:
+            registry.register(workload.query(k), query_id=f"k{k}", strategy=strategy)
+        return registry
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("ks", ((0, 8), (8, 0)), ids=("binary-first", "ternary-first"))
+    def test_ref_binary_and_ternary_host_one_join_each(self, nested_workload, policy, ks):
+        events = nested_workload.events()
+        registry = self._registry(nested_workload, ks)
+        with ShardedEngine(
+            registry, n_shards=1, scheduler=policy, share_subplans=True
+        ) as engine:
+            engine.run(events)
+            shard = engine.shards[0]
+            binary, ternary = (engine.runtime_for(q).shared for q in ("k0", "k8"))
+            assert ternary.children == (binary,) and binary.parents == [ternary]
+            assert binary.tee.subscriber_ids == ("k0", ternary.name)
+            # A ⋈ B once, plus the join of its output with C.
+            assert sorted(_hosted_joins(shard), key=lambda join: len(join[0])) == [
+                (frozenset("A"), frozenset("B")),
+                (frozenset("AB"), frozenset("C")),
+            ]
+            assert list(ternary.plan.feeds) == [binary.name]
+            # Whole-plan grafts only: the nested read is not a hit.
+            assert shard.shared_subplan_hits == 0 == len(registry) - shard.shared_subplans_active
+            for entry in registry:
+                assert engine.results_for(entry.query_id).multiset() == _standalone(
+                    entry, events
+                )
+
+    def test_a_process_worker_hosts_in_the_same_order(self, nested_workload):
+        """Ternary registered first: both paths host the binary first and
+        cut the ternary, so their results, costs and scheduler steps agree."""
+        events = nested_workload.events()
+        seen = {}
+        for drain_mode in ("sync", "process"):
+            registry = self._registry(nested_workload, (8, 0))
+            with ShardedEngine(
+                registry, n_shards=1, drain_mode=drain_mode, share_subplans=True
+            ) as engine:
+                report = engine.run(events)
+                snapshot = engine.shards[0].snapshot()
+                seen[drain_mode] = (
+                    {q: engine.results_for(q).multiset() for q in registry.ids},
+                    report.cpu_units,
+                    snapshot["cost_counters"],
+                    snapshot["queue_count"],
+                )
+        assert seen["process"] == seen["sync"]
+        # One A ⋈ B: 2 + 2 join ports and 2 tee ports, not 2 + 4 + 2.
+        assert seen["sync"][3] == 6
+
+    def test_add_query_grafts_onto_the_live_binary(self, nested_workload):
+        """A ternary added mid-stream reads the live ``A ⋈ B`` unit: its own
+        join starts empty, the partner's output is warm.  So it produces
+        exactly the standalone results whose C tuple and whose ``A ⋈ B``
+        pair both completed after the add."""
+        events = nested_workload.events()
+        half = len(events) // 2
+        registry = self._registry(nested_workload, (0,))
+        with ShardedEngine(registry, n_shards=1, share_subplans=True) as engine:
+            for event in events[:half]:
+                engine.submit(event)
+            binary = engine.runtime_for("k0").shared
+            late = registry.register(nested_workload.query(8), query_id="k8", strategy=STRATEGY_REF)
+            ternary = engine.add_query(late).shared
+            assert ternary.children == (binary,)
+            for event in events[half:]:
+                engine.submit(event)
+            position = {(e.source, e.tuple.seq): i for i, e in enumerate(events)}
+            expected = Counter()
+            for (components, ts), count in _standalone(late, events).items():
+                at = {source: position[source, seq] for source, seq in components}
+                if at["C"] >= half and max(at["A"], at["B"]) >= half:
+                    expected[components, ts] += count
+            assert expected
+            assert engine.results_for("k8").multiset() == expected
+            assert engine.results_for("k0").multiset() == _standalone(
+                registry.get("k0"), events
+            )
+
+    def test_a_jit_ternarys_inner_join_is_never_cut(self, nested_workload):
+        """A JIT join sends suspensions into its child: B ⋈ C is hosted twice."""
+        events = nested_workload.events()
+        registry = self._registry(nested_workload, (1, 5), strategy=STRATEGY_JIT)
+        with ShardedEngine(
+            registry, n_shards=1, scheduler="jit_aware", share_subplans=True
+        ) as engine:
+            engine.run(events)
+            joins = _hosted_joins(engine.shards[0])
+            assert joins.count((frozenset("B"), frozenset("C"))) == 2
+            assert len(joins) == 3
+            assert all(not unit.children for unit in engine.shards[0].shared_subplans())
+            for entry in registry:
+                assert engine.results_for(entry.query_id).multiset() == _standalone(
+                    entry, events
+                )
+
+    def test_retiring_the_binary_keeps_the_unit_the_ternary_reads(self, nested_workload):
+        events = nested_workload.events()
+        half = len(events) // 2
+        registry = self._registry(nested_workload, (0, 8))
+        with ShardedEngine(registry, n_shards=1, share_subplans=True) as engine:
+            shard = engine.shards[0]
+            for event in events[:half]:
+                engine.submit(event)
+            binary = engine.runtime_for("k0").shared
+            ternary = engine.runtime_for("k8").shared
+            units = _units(engine)
+            engine.retire_query("k0")
+            assert shard.shared_subplans_active == 2
+            assert binary.subscribers == [] and binary.parents == [ternary]
+            assert binary.tee.subscriber_ids == (ternary.name,)
+            for event in events[half:]:
+                engine.submit(event)
+            assert engine.results_for("k8").multiset() == _standalone(
+                registry.get("k8"), events
+            )
+            # The ternary was the last reader: both units go.
+            engine.retire_query("k8")
+            _assert_no_orphans(engine, units)
+
+
+def _units(engine: ShardedEngine) -> list:
+    """Every shared unit hosted on the engine's shards right now."""
+    return [unit for shard in engine.shards for unit in shard.shared_subplans()]
+
+
+def _assert_no_orphans(engine: ShardedEngine, units=()) -> None:
     """After retiring every query, no queues, routes, scheduler orders,
-    shared subtrees or router subscriptions may remain anywhere."""
+    shared subtrees or router subscriptions may remain anywhere, and none of
+    the ``units`` hosted earlier may keep a subscriber or a parent unit."""
+    for unit in units:
+        assert unit.tee.subscribers == [] and unit.parents == [], unit
     for shard in engine.shards:
         assert shard.runtimes == []
         assert shard.queue_count == 0
@@ -442,15 +623,19 @@ class TestRegisterRetireSweep:
         registry = _registry(sharing_workload)
         entries = list(registry)
         boot = QueryRegistry()
-        for entry in entries[:6]:
+        # q8, REF (A ⋈ B) ⋈ C, boots with its REF A ⋈ B partners q0 and q4:
+        # where they share a shard, q8's unit reads their unit's tee, so
+        # retirements also exercise the refcount across units.
+        for entry in entries[:6] + [entries[8]]:
             boot.register(entry.query, query_id=entry.query_id, strategy=entry.strategy)
         with ShardedEngine(boot, n_shards=n_shards, share_subplans=share) as engine:
             live = list(boot.ids)
-            pending = entries[6:12]
+            pending = entries[6:8] + entries[9:12]
             cursor = 0
             steps = data.draw(
                 st.lists(st.sampled_from(["add", "retire", "events"]), max_size=10)
             )
+            units = {id(unit): unit for unit in _units(engine)}
             for step in steps:
                 if step == "add" and pending:
                     entry = pending.pop(0)
@@ -468,6 +653,7 @@ class TestRegisterRetireSweep:
                     for event in sharing_events[cursor : cursor + 40]:
                         engine.submit(event)
                     cursor += 40
+                units.update((id(unit), unit) for unit in _units(engine))
             for query_id in list(live):
                 engine.retire_query(query_id)
-            _assert_no_orphans(engine)
+            _assert_no_orphans(engine, units.values())

@@ -475,6 +475,31 @@ class TestExplainAnalyze:
         assert f"query={runtime.query_id}" in text
         assert "shared-subplan hits:" in text
 
+    def test_a_tee_fed_port_names_its_feeding_unit(self):
+        """A REF ``(A ⋈ B) ⋈ C`` hosted next to a REF ``A ⋈ B`` reads the
+        binary unit's tee; the report shows that port, not a source."""
+        workload = _workload()
+        registry = QueryRegistry()
+        registry.register(workload.query(0), query_id="ab", strategy=STRATEGY_REF)
+        registry.register(workload.query(8), query_id="abc", strategy=STRATEGY_REF)
+        tracer = Tracer(sample_rate=1.0, capacity=50_000, seed=0)
+        with ShardedEngine(registry, n_shards=1, share_subplans=True) as engine:
+            engine.attach_tracer(tracer)
+            engine.run(workload.events())
+            unit = engine.runtime_for("abc").shared
+            partner = engine.runtime_for("ab").shared
+            text = explain_analyze(
+                tracer, unit.plan, shard=0, label_prefix=f"{unit.name}:"
+            )
+        assert unit.children == (partner,)
+        assert [op.name for op in unit.plan.join_operators] == ["Op2"]
+        assert f"-> tee of {partner.name} [left]" in text
+        assert "-> source [right]" in text and "-> source [left]" not in text
+        # The feeding unit's tee lists the parent among its subscribers.
+        assert f"{unit.name}=" in explain_analyze(
+            tracer, partner.plan, shard=0, label_prefix=f"{partner.name}:"
+        )
+
 
 # ------------------------------------------------------------- result emit
 

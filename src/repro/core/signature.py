@@ -156,10 +156,6 @@ class MNSSignature:
             ts=self.ts if ts is None else ts,
         )
 
-    def with_ts(self, ts: float) -> "MNSSignature":
-        """Return a copy of the signature carrying a different timestamp."""
-        return MNSSignature(sources=self.sources, items=self.items, ts=ts)
-
     @property
     def size_bytes(self) -> int:
         """Modelled storage footprint of the signature."""

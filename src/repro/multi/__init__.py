@@ -16,11 +16,11 @@ sources" items.
 * :mod:`repro.multi.sharded` — :class:`ShardedEngine`, the serving engine:
   push-based ``submit`` / ``flush`` ingestion, one call per arrival,
   per-query demultiplexed result sinks, and aggregated reports.
-* :mod:`repro.multi.backend` — the worker backends behind
-  ``ShardedEngine(drain_mode=...)``: :class:`InlineBackend` (``"sync"``)
-  and :class:`ProcessBackend` (``"process"``), which runs each shard in a
-  worker process fed one pickled frame per routed event over a pipe and
-  scales with cores (``docs/SCALING.md``).
+* :mod:`repro.multi.backend` — :class:`ProcessShard`, the shard
+  ``ShardedEngine(drain_mode="process")`` drives in place of a local
+  :class:`ShardEngine`: a worker process fed one pickled frame per routed
+  event over a pipe, answering the same calls; it scales with cores
+  (``docs/SCALING.md``).
 * :mod:`repro.multi.partition` — query-to-shard placement.
 * :mod:`repro.multi.workload` — many-queries-over-shared-streams workload
   generation for benchmarks and tests.
@@ -41,11 +41,7 @@ Quickstart::
         print(engine.report().summary())
 """
 
-from repro.multi.backend import (
-    InlineBackend,
-    ProcessBackend,
-    ShardWorkerError,
-)
+from repro.multi.backend import ProcessShard, ShardWorkerError
 from repro.multi.clock import SharedVirtualClock, ShardClock
 from repro.multi.partition import round_robin_partition, signature_partition
 from repro.multi.registry import QueryRegistry, RegisteredQuery
@@ -66,8 +62,7 @@ __all__ = [
     "ShardedEngine",
     "MultiRunReport",
     "QueryReport",
-    "InlineBackend",
-    "ProcessBackend",
+    "ProcessShard",
     "ShardWorkerError",
     "round_robin_partition",
     "signature_partition",

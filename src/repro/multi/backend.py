@@ -1,35 +1,38 @@
-"""Worker backends: how a sharded engine's shards are driven.
+"""Process shards: one shard driven by a worker process.
 
 The :class:`~repro.multi.sharded.ShardedEngine` decides *where* each event
-goes (router) and *what* every shard hosts (placement + registry); a
-**worker backend** decides *how* the receiving shard is driven:
+goes (router) and *what* every shard hosts (placement + registry); the
+``drain_mode`` decides *how* the receiving shard is driven:
 
-* :class:`InlineBackend` (``drain_mode="sync"``) — the submitting thread
-  drains each receiving shard before returning.  Fully deterministic; the
-  mode the equivalence tests anchor on.
-* :class:`ProcessBackend` (``drain_mode="process"``) — one worker *process*
-  per shard, fed one pickled ``evt`` frame per routed event over a pipe.
-  Each worker owns a full :class:`~repro.multi.shard.ShardEngine` plus its own
-  :class:`~repro.multi.clock.SharedVirtualClock`; the parent ships the
-  global ingestion watermark as a plain number with every command, and the
+* ``drain_mode="sync"`` — each shard is a local
+  :class:`~repro.multi.shard.ShardEngine` that the submitting thread drains
+  before returning.  Fully deterministic; the mode the equivalence tests
+  anchor on.
+* ``drain_mode="process"`` — each shard is a :class:`ProcessShard`: one
+  worker *process* fed one pickled ``evt`` frame per routed event over a
+  pipe.  Each worker owns a full :class:`~repro.multi.shard.ShardEngine` plus
+  its own :class:`~repro.multi.clock.SharedVirtualClock`; the parent ships
+  the global ingestion watermark as a plain number with every event, and the
   worker ships per-query results and its shard's suspension/resumption
   counts on acknowledgements, :meth:`~repro.multi.shard.ShardEngine.snapshot`
-  on barrier replies and (when tracing) spans back over the same pipe.  This
-  is the mode that scales with cores (see ``docs/SCALING.md``).
+  on host, retire and flush replies and (when tracing) spans back over the
+  same pipe.  This is the mode that scales with cores (see
+  ``docs/SCALING.md``).
 
-The contract both backends honour, which is what keeps per-query results
-bit-identical across the two modes: each shard processes **its own feed in
-arrival order**, and plans never span shards — a backend changes *when* and
-*where* work happens, never *what* is computed.
+A :class:`ProcessShard` answers the calls a ``ShardEngine`` answers, so the
+sharded engine drives both kinds through one loop.  What keeps per-query
+results bit-identical across the two modes: each shard processes **its own
+feed in arrival order**, and plans never span shards — a drain mode changes
+*when* and *where* work happens, never *what* is computed.
 
-The process worker protocol (plain picklable tuples over a
+The worker protocol (plain picklable tuples over a
 ``multiprocessing.Pipe``):
 
 ====================================  =======================================
 parent -> worker                      worker -> parent
 ====================================  =======================================
 ``("host", token, entries)``          ``("hosted", token, snapshot)``
-``("retire", query_id)``              ``("retired", query_id, consumes, snap)``
+``("retire", query_id)``              ``("retired", query_id, snapshot)``
 ``("evt", event, ctx, watermark)``    ``("ack", n, results, susp, res)``
 ``("flush", token)``                  ``("flushed", token, snap, trace)``
 ``("tracer", spec)``
@@ -38,9 +41,11 @@ anything failing on the worker        ``("err", shard_id, traceback)``
 ====================================  =======================================
 
 A ``host`` frame carries a shard's whole ordered list of registrations — all
-of them at construction and on ``restart_worker``, one on ``add_query`` — and
-``hosted`` is the only reply a worker sends before its first event: there is
-no separate start-up handshake.
+of them at construction and on :meth:`ProcessShard.restart_worker`, one on
+``add_query`` — and ``hosted`` is the only reply a worker sends before its
+first event: there is no separate start-up handshake.  The ``retired``
+snapshot lists the shard's remaining ``sources``, which is what
+:meth:`ProcessShard.consumes` answers from.
 
 Acks are coalesced: a worker under sustained load batches its
 acknowledgements (and the result tuples riding on them) until the command
@@ -50,13 +55,14 @@ bursts, and results leave the worker as soon as it has nothing else to read.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import signal
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import multiprocessing as _mp
 
@@ -64,13 +70,12 @@ from repro.engine.results import ResultCollector
 from repro.metrics import MetricsReport
 from repro.multi.clock import SharedVirtualClock
 from repro.multi.registry import RegisteredQuery
-from repro.multi.shard import PlanRuntime, ShardEngine
+from repro.multi.shard import ShardEngine
 from repro.scheduler import OperatorScheduler, build_scheduler
 
 __all__ = [
     "ShardWorkerError",
-    "InlineBackend",
-    "ProcessBackend",
+    "ProcessShard",
     "RemotePlanRuntime",
     "make_scheduler",
     "resolve_drain_mode",
@@ -117,66 +122,6 @@ def make_scheduler(scheduler: Union[str, Callable[[], object]]) -> OperatorSched
         f"got {scheduler!r} (schedulers are stateful, so instances cannot "
         "be shared across shards)"
     )
-
-
-#: What ``host`` takes on every backend: shard id -> that shard's
-#: registrations, in the order the shard must host them (registration order:
-#: shared-subplan grafting and scheduler tie-breaks depend on it).
-Placements = Mapping[int, Sequence[RegisteredQuery]]
-
-
-# ----------------------------------------------------------------- inline
-
-
-class InlineBackend:
-    """``drain_mode="sync"``: the submitting thread drains shards directly."""
-
-    kind = "sync"
-
-    def __init__(self, shards: Sequence[ShardEngine]) -> None:
-        self.shards = list(shards)
-
-    def host(self, placements: Placements) -> Dict[str, PlanRuntime]:
-        return {
-            entry.query_id: self.shards[shard_id].host(entry)
-            for shard_id, entries in placements.items()
-            for entry in entries
-        }
-
-    def retire(self, shard_id: int, query_id: str):
-        shard = self.shards[shard_id]
-        return shard.retire_plan(query_id), shard.consumes
-
-    def dispatch(self, shard_id, event, trace_ctx=None, watermark=0.0) -> None:
-        # The trace context is already active on this thread (begin_trace
-        # ran here), so it is not re-activated — same as the historical
-        # synchronous path.
-        self.shards[shard_id].process_event(event)
-
-    def barrier(self) -> None:
-        pass
-
-    def barrier_shard(self, shard_id: int) -> None:
-        pass
-
-    def metrics(self, shard_id: int) -> MetricsReport:
-        return self.shards[shard_id].metrics()
-
-    def attach_tracer(self, tracer) -> None:
-        for shard in self.shards:
-            shard.attach_tracer(tracer)
-
-    def worker_liveness(self) -> Dict[int, int]:
-        return {shard.shard_id: 1 for shard in self.shards}
-
-    def worker_restarts(self) -> Dict[int, int]:
-        return {shard.shard_id: 0 for shard in self.shards}
-
-    def close(self) -> None:
-        pass
-
-
-# ----------------------------------------------------------------- process
 
 
 @dataclass(frozen=True)
@@ -232,105 +177,6 @@ class RemotePlanRuntime:
         )
 
 
-class _SchedulerSnapshot:
-    """A remote scheduler's last shipped stats, shaped like a scheduler."""
-
-    def __init__(self, handle: "_WorkerHandle") -> None:
-        self._handle = handle
-
-    def stats(self) -> Dict[str, float]:
-        return dict(self._handle.snapshot["scheduler_stats"])
-
-
-class _CostSnapshot:
-    """A remote cost model's last shipped counters, shaped like a CostModel."""
-
-    def __init__(self, handle: "_WorkerHandle") -> None:
-        self._handle = handle
-
-    def count(self, kind: str) -> int:
-        return self._handle.snapshot["cost_counters"].get(kind, 0)
-
-
-def _shipped(key: str) -> property:
-    return property(
-        lambda self: self._handle.snapshot[key],
-        doc=f"``{key}`` of the worker's last shipped snapshot.",
-    )
-
-
-def _acked(key: str) -> property:
-    return property(
-        lambda self: getattr(self._handle, key),
-        doc=f"``{key}``, summed over the worker's acknowledgements.",
-    )
-
-
-class ProcessShardProxy:
-    """The parent-side face of one worker process's shard.
-
-    Exposes the read surface of a local :class:`ShardEngine` under the same
-    names — :meth:`snapshot` and its fields, ``cost``/``scheduler``,
-    ``metrics()``, :meth:`health_stats`, and the live
-    ``suspensions_total``/``resumptions_total`` — backed by the worker's
-    last shipped :meth:`ShardEngine.snapshot` (refreshed at every host,
-    retire and flush reply), the counts its acknowledgements carry, and the
-    live in-flight count (events dispatched but not yet acknowledged).
-    """
-
-    queue_count = _shipped("queue_count")
-    events_processed = _shipped("events_processed")
-    results_produced = _shipped("results_produced")
-    shared_subplans_active = _shipped("shared_subplans_active")
-    shared_subplan_hits = _shipped("shared_subplan_hits")
-    sources = _shipped("sources")
-    suspensions_total = _acked("suspensions_total")
-    resumptions_total = _acked("resumptions_total")
-
-    def __init__(self, handle: "_WorkerHandle") -> None:
-        self._handle = handle
-        self.shard_id = handle.shard_id
-        self.scheduler = _SchedulerSnapshot(handle)
-        self.cost = _CostSnapshot(handle)
-
-    @property
-    def queue_depth(self) -> int:
-        """Worker-reported inter-operator depth plus unacknowledged events."""
-        return self._handle.snapshot["queue_depth"] + self._handle.in_flight
-
-    def snapshot(self) -> Dict[str, object]:
-        """The worker's last shipped :meth:`ShardEngine.snapshot`."""
-        return dict(self._handle.snapshot)
-
-    def metrics(self) -> MetricsReport:
-        return self._handle.snapshot["metrics"]
-
-    def health_stats(self) -> Dict[str, object]:
-        """Heartbeat + progress facts for the health monitor's watchdog.
-
-        Combines the worker's last shipped progress (watermark, starvation
-        and MNS ages — refreshed at every barrier/flush) with the live
-        parent-side heartbeat: ``last_progress`` is the wall instant of the
-        worker's last pipe message of any kind, ``in_flight`` the events
-        dispatched but not yet acknowledged.  A stalled worker is alive
-        with ``in_flight > 0`` and a stale ``last_progress``.
-        """
-        handle = self._handle
-        return {
-            "alive": handle.is_alive(),
-            "in_flight": handle.in_flight,
-            "acked_events": handle.acked_events,
-            "last_progress": handle.last_progress,
-            **handle.snapshot["progress"],
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessShardProxy(id={self.shard_id}, alive={self._handle.alive}, "
-            f"in_flight={self._handle.in_flight})"
-        )
-
-
 # -- the worker process side ------------------------------------------------
 
 
@@ -361,23 +207,15 @@ class _WorkerState:
     def host(self, entries: Sequence[RegisteredQuery]) -> None:
         """Host one ``host`` frame's registrations, in the order given."""
         fresh = self.fresh_results
-        for entry in entries:
-            runtime = self.shard.host(entry)
+        for runtime in self.shard.host(entries):
 
             def sink(
-                tup, _qid=entry.query_id, _add=runtime.collector.add, _out=fresh
+                tup, _qid=runtime.query_id, _add=runtime.collector.add, _out=fresh
             ) -> None:
                 _add(tup)
                 _out.append((_qid, tup))
 
             runtime.set_result_sink(sink)
-
-    def retire(self, query_id: str) -> Dict[str, bool]:
-        retired = self.shard.retire_plan(query_id)
-        return {
-            source: self.shard.consumes(source)
-            for source in retired.registered.sources
-        }
 
     def process(self, event, trace_ctx, watermark: float) -> None:
         self.clock.observe(watermark)
@@ -467,13 +305,13 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
                 state.host(msg[2])
                 conn.send(("hosted", msg[1], snapshot()))
             elif op == "retire":
-                consumes = state.retire(msg[1])
+                state.shard.retire_plan(msg[1])
                 conn.send(("ack",) + state.take_ack())
-                conn.send(("retired", msg[1], consumes, snapshot()))
+                conn.send(("retired", msg[1], snapshot()))
             elif op == "tracer":
                 state.attach_tracer(msg[1])
             elif op == "stall":
-                # Chaos/test hook (`ProcessBackend.inject_stall`): wedge the
+                # Chaos/test hook (`ProcessShard.inject_stall`): wedge the
                 # worker inside a command for msg[1] seconds — the process
                 # stays alive but stops polling the pipe, so its acks stop
                 # and its watermark freezes, exactly the failure mode the
@@ -517,55 +355,149 @@ def _worker_main(spec: _ShardSpec, conn) -> None:  # pragma: no cover - child
 # -- the parent side --------------------------------------------------------
 
 
-class _WorkerHandle:
-    """Parent-side bookkeeping for one worker process."""
+def _tracer_spec(tracer) -> Dict[str, object]:
+    """What a worker needs to build its own ring on the parent's epoch."""
+    return {
+        "sample_rate": tracer.sample_rate,
+        "capacity": tracer.ring.capacity,
+        "seed": tracer.seed,
+        "enabled": tracer.enabled,
+        "epoch": tracer._epoch,
+    }
 
-    def __init__(self, backend: "ProcessBackend", shard_id: int) -> None:
-        self.backend = backend
+
+def _first_unpicklable(entries: Sequence[RegisteredQuery]) -> Optional[str]:
+    for entry in entries:
+        try:
+            pickle.dumps(entry)
+        except Exception:
+            return entry.query_id
+    return None
+
+
+#: Serializes the reader threads of every shard that merge worker spans into
+#: one parent tracer.
+_MERGE_LOCK = threading.Lock()
+
+
+class _SchedulerSnapshot:
+    """A remote scheduler's last shipped stats, shaped like a scheduler."""
+
+    def __init__(self, shard: "ProcessShard") -> None:
+        self._shard = shard
+
+    def stats(self) -> Dict[str, float]:
+        return dict(self._shard.shipped["scheduler_stats"])
+
+
+class _CostSnapshot:
+    """A remote cost model's last shipped counters, shaped like a CostModel."""
+
+    def __init__(self, shard: "ProcessShard") -> None:
+        self._shard = shard
+
+    def count(self, kind: str) -> int:
+        return self._shard.shipped["cost_counters"].get(kind, 0)
+
+
+def _shipped(key: str) -> property:
+    return property(
+        lambda self: self.shipped[key],
+        doc=f"``{key}`` of the worker's last shipped snapshot.",
+    )
+
+
+class ProcessShard:
+    """One shard run by a worker process, driven from the parent.
+
+    Answers the calls a :class:`~repro.multi.shard.ShardEngine` answers:
+    :meth:`host`, :meth:`retire_plan`, :meth:`consumes`,
+    :meth:`process_event`, :meth:`flush`, :meth:`metrics`,
+    :meth:`attach_tracer`, :meth:`close`, and the read surface —
+    :meth:`snapshot` and its fields, ``cost``/``scheduler``,
+    :meth:`health_stats` and the live ``suspensions_total`` /
+    ``resumptions_total``.  Reads come from the worker's last shipped
+    :meth:`ShardEngine.snapshot` (refreshed at every host, retire and flush
+    reply), the counts its acknowledgements carry, and the live in-flight
+    count (events dispatched but not yet acknowledged).
+
+    The worker is forked at construction (falling back to the platform's
+    default start method where fork is unavailable) without being waited
+    for; the first ``hosted`` reply is the proof that it came up.  One
+    parent reader thread per worker drains its replies and delivers shipped
+    result tuples to the mirror runtimes' sinks in emission order.
+    """
+
+    queue_count = _shipped("queue_count")
+    events_processed = _shipped("events_processed")
+    results_produced = _shipped("results_produced")
+    shared_subplans_active = _shipped("shared_subplans_active")
+    shared_subplan_hits = _shipped("shared_subplan_hits")
+    sources = _shipped("sources")
+
+    def __init__(
+        self,
+        shard_id: int,
+        scheduler: Union[str, Callable[[], object]],
+        clock: SharedVirtualClock,
+        keep_results: bool = True,
+        share_subplans: bool = False,
+    ) -> None:
         self.shard_id = shard_id
+        self.keep_results = keep_results
+        self._spec = _ShardSpec(shard_id, scheduler, share_subplans)
+        #: The parent's clock: every ``evt`` frame carries its watermark.
+        self._clock = clock
+        methods = _mp.get_all_start_methods()
+        self._mp = _mp.get_context("fork" if "fork" in methods else None)
+        self.scheduler = _SchedulerSnapshot(self)
+        self.cost = _CostSnapshot(self)
         self.cond = threading.Condition()
-        self.in_flight = 0
-        #: Events the worker has acknowledged over its lifetime, plus the
-        #: wall-clock instant of its last message of any kind.  Together
-        #: with ``in_flight`` these are the stall watchdog's heartbeat: a
-        #: wedged-but-alive worker holds ``in_flight > 0`` while
-        #: ``last_progress`` stops advancing.
-        self.acked_events = 0
-        self.last_progress = time.monotonic()
+        self._tokens = itertools.count(1)
         #: The shard's feedback counts, summed over every acknowledgement
         #: (kept across restarts, like any counter).
         self.suspensions_total = 0
         self.resumptions_total = 0
-        #: The worker's last shipped :meth:`ShardEngine.snapshot` (the
-        #: ``hosted`` reply construction waits for sets the first one).
-        self.snapshot: Dict[str, object] = {}
-        self.alive = False
-        self.graceful_exit: Optional[str] = None
-        self.error: Optional[ShardWorkerError] = None
+        #: Times :meth:`restart_worker` replaced the worker.
+        self.restarts = 0
+        #: The worker's last shipped :meth:`ShardEngine.snapshot` (the first
+        #: ``hosted`` reply sets it).
+        self.shipped: Dict[str, object] = {}
+        #: Hosted registrations in hosting order — replayed on restart.
+        self._entries: List[RegisteredQuery] = []
+        self._mirrors: Dict[str, RemotePlanRuntime] = {}
+        #: Reply keys of ``host`` frames whose ``hosted`` reply
+        #: :meth:`snapshot` has not awaited yet.
+        self._hosting: List[Tuple[str, object]] = []
+        self.tracer = None
         self.replies: Dict[object, Tuple] = {}
         self.proc = None
         self.conn = None
         self.reader: Optional[threading.Thread] = None
+        self.spawn()
 
     # -- lifecycle ----------------------------------------------------------
 
     def spawn(self) -> None:
-        """Start the worker process and its reader thread, without waiting:
-        the first ``hosted`` reply is the proof that the worker came up."""
-        ctx = self.backend.mp_context
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
+        """Start the worker process and its reader thread, without waiting."""
+        self.conn, child_conn = self._mp.Pipe(duplex=True)
+        self.proc = self._mp.Process(
             target=_worker_main,
-            args=(self.backend.spec_for(self.shard_id), child_conn),
+            args=(self._spec, child_conn),
             name=f"shard-{self.shard_id}",
             daemon=True,
         )
         self.proc.start()
         child_conn.close()
         self.alive = True
-        self.graceful_exit = None
-        self.error = None
+        self.graceful_exit: Optional[str] = None
+        self.error: Optional[ShardWorkerError] = None
         self.in_flight = 0
+        #: Events the worker has acknowledged over its lifetime, plus the
+        #: wall-clock instant of its last message of any kind.  Together
+        #: with ``in_flight`` these are the stall watchdog's heartbeat: a
+        #: wedged-but-alive worker holds ``in_flight > 0`` while
+        #: ``last_progress`` stops advancing.
         self.acked_events = 0
         self.last_progress = time.monotonic()
         self.reader = threading.Thread(
@@ -601,7 +533,11 @@ class _WorkerHandle:
         op = msg[0]
         if op == "ack":
             _, n_events, results, susp, res = msg
-            self.backend.deliver_results(results)
+            mirrors = self._mirrors
+            for query_id, tup in results:
+                mirror = mirrors.get(query_id)
+                if mirror is not None:
+                    mirror._deliver(tup)
             self.suspensions_total += susp
             self.resumptions_total += res
             with self.cond:
@@ -611,16 +547,24 @@ class _WorkerHandle:
             return True
         if op == "flushed":
             _, token, snapshot, trace_payload = msg
-            if trace_payload is not None:
-                self.backend.merge_trace(self.shard_id, trace_payload)
+            tracer = self.tracer
+            if trace_payload is not None and tracer is not None:
+                spans, profiles, mns_closed = trace_payload
+                with _MERGE_LOCK:
+                    tracer.merge_worker(
+                        f"w{self.shard_id}",
+                        spans,
+                        profiles=profiles,
+                        mns_pairs_closed=mns_closed,
+                    )
             with self.cond:
-                self.snapshot = snapshot
+                self.shipped = snapshot
                 self.replies[token] = msg
                 self.cond.notify_all()
             return True
         if op in ("hosted", "retired"):
             with self.cond:
-                self.snapshot = msg[-1]
+                self.shipped = msg[-1]
                 self.replies[(op, msg[1])] = msg
                 self.cond.notify_all()
             return True
@@ -650,6 +594,7 @@ class _WorkerHandle:
             )
 
     def send(self, msg: Tuple, events: int = 0) -> None:
+        """Write one frame to the worker; ``events`` count as in flight."""
         with self.cond:
             self._raise_if_failed()
             self.in_flight += events
@@ -685,19 +630,146 @@ class _WorkerHandle:
                 f"shard {self.shard_id} worker exited before replying"
             )
 
-    def barrier(self) -> None:
-        # A barrier also waits out the in-flight count: the coalesced ack
-        # always precedes the flushed reply on the pipe, so by then it is 0
-        # unless an err raced in.
-        token = self.backend.next_token()
+    def _token(self) -> Tuple[str, int]:
+        return ("barrier", next(self._tokens))
+
+    # -- the shard surface --------------------------------------------------
+
+    def host(self, entries: Sequence[RegisteredQuery]) -> List[RemotePlanRuntime]:
+        """Ship ``entries`` in one ``host`` frame and return their mirrors.
+
+        Returns as soon as the frame is written: :meth:`snapshot` awaits the
+        worker's ``hosted`` reply, so a caller hosting on many shards sends
+        every frame before awaiting any and the workers build concurrently.
+        """
+        entries = list(entries)
+        self._ship(entries)
+        self._entries.extend(entries)
+        mirrors = [
+            RemotePlanRuntime(
+                registered=entry,
+                shard_id=self.shard_id,
+                collector=ResultCollector(keep_tuples=self.keep_results),
+            )
+            for entry in entries
+        ]
+        self._mirrors.update((mirror.query_id, mirror) for mirror in mirrors)
+        return mirrors
+
+    def _ship(self, entries: List[RegisteredQuery]) -> None:
+        token = self._token()
+        try:
+            self.send(("host", token, entries))
+        except ShardWorkerError:
+            raise
+        except Exception as exc:
+            # The frame is pickled whole, before a byte is written.
+            raise ShardWorkerError(
+                f"could not ship query {_first_unpicklable(entries)!r} to "
+                f"shard {self.shard_id}: {exc} (process mode needs picklable "
+                "registrations; see tests/test_pickle_safety.py)"
+            ) from exc
+        self._hosting.append(("hosted", token))
+
+    def retire_plan(self, query_id: str) -> RemotePlanRuntime:
+        """Unhost one query on the worker; return its mirror."""
+        self.request(("retire", query_id), ("retired", query_id))
+        self._entries = [entry for entry in self._entries if entry.query_id != query_id]
+        return self._mirrors.pop(query_id)
+
+    def consumes(self, source: str) -> bool:
+        """True while a hosted plan routes ``source``, as of the last reply."""
+        return source in self.shipped["sources"]
+
+    def process_event(self, event, trace_ctx=None) -> None:
+        """Ship one routed event with the parent's ingestion watermark."""
+        self.send(("evt", event, trace_ctx, self._clock.watermark), events=1)
+
+    def flush(self) -> None:
+        """Barrier: return once the worker has processed every frame sent.
+
+        The coalesced ack always precedes the ``flushed`` reply on the pipe,
+        so the in-flight count is 0 by then unless an err raced in.
+        """
+        token = self._token()
         self.request(("flush", token), token)
+
+    def metrics(self) -> MetricsReport:
+        return self.shipped["metrics"]
+
+    def attach_tracer(self, tracer) -> None:
+        self.tracer = tracer
+        self.send(("tracer", _tracer_spec(tracer)))
+
+    @property
+    def queue_depth(self) -> int:
+        """Worker-reported inter-operator depth plus unacknowledged events."""
+        return self.shipped["queue_depth"] + self.in_flight
+
+    def _await_hosted(self) -> None:
+        while self._hosting:
+            self.await_reply(self._hosting.pop(0))
+
+    def snapshot(self) -> Dict[str, object]:
+        """The worker's last shipped :meth:`ShardEngine.snapshot`, once every
+        ``host`` frame sent so far has been answered."""
+        self._await_hosted()
+        return dict(self.shipped)
+
+    def health_stats(self) -> Dict[str, object]:
+        """Heartbeat + progress facts for the health monitor's watchdog.
+
+        Combines the worker's last shipped progress (watermark, starvation
+        and MNS ages — refreshed at every barrier/flush) with the live
+        parent-side heartbeat: ``last_progress`` is the wall instant of the
+        worker's last pipe message of any kind, ``in_flight`` the events
+        dispatched but not yet acknowledged.  A stalled worker is alive
+        with ``in_flight > 0`` and a stale ``last_progress``.
+        """
+        return {
+            "alive": self.is_alive(),
+            "in_flight": self.in_flight,
+            "acked_events": self.acked_events,
+            "last_progress": self.last_progress,
+            **self.shipped["progress"],
+        }
+
+    # -- worker operations ---------------------------------------------------
+
+    def inject_stall(self, seconds: float) -> None:
+        """Chaos/test hook: wedge the worker for ``seconds`` of wall time.
+
+        The worker stays alive but sleeps inside its command loop, so it
+        stops polling the pipe and its watermark freezes — the exact
+        alive-but-stuck failure the stall watchdog exists to name.  The
+        command is accounted as one in-flight event so the parent can see
+        work is outstanding; the worker acknowledges it once the wedge
+        clears, restoring the accounting.  Never used on the serving path.
+        """
+        self.send(("stall", float(seconds)), events=1)
+
+    def restart_worker(self) -> None:
+        """Respawn the worker and re-host its queries, the way construction
+        does: one ``host`` frame carrying the shard's current list.
+
+        Serving availability, not state recovery: the replacement starts
+        with empty windows, so results already collected stay intact but
+        joins spanning the crash are lost.  Counted by the
+        ``serve_shard_worker_restarts_total`` telemetry family.
+        """
+        self.shutdown()
+        self.spawn()
+        if self.tracer is not None:
+            self.send(("tracer", _tracer_spec(self.tracer)))
+        self._ship(self._entries)
+        self._await_hosted()
+        self.restarts += 1
 
     # -- teardown -----------------------------------------------------------
 
     def shutdown(self, timeout: float = 10.0) -> Optional[ShardWorkerError]:
         """Ask the worker to exit; join it; return (not raise) any failure."""
-        if self.proc is None:
-            return None
+        self._hosting.clear()
         if self.alive and self.error is None and self.graceful_exit is None:
             try:
                 self.conn.send(("close",))
@@ -707,11 +779,16 @@ class _WorkerHandle:
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout)
-        if self.reader is not None:
-            self.reader.join(timeout)
+        self.reader.join(timeout)
         with self.cond:
             self.alive = False
         return self.error
+
+    def close(self) -> None:
+        """Shut the worker down; raise the failure it stored, if any."""
+        failure = self.shutdown()
+        if failure is not None:
+            raise failure
 
     def is_alive(self) -> bool:
         return bool(
@@ -721,216 +798,8 @@ class _WorkerHandle:
             and self.proc.is_alive()
         )
 
-
-def _tracer_spec(tracer) -> Dict[str, object]:
-    """What a worker needs to build its own ring on the parent's epoch."""
-    return {
-        "sample_rate": tracer.sample_rate,
-        "capacity": tracer.ring.capacity,
-        "seed": tracer.seed,
-        "enabled": tracer.enabled,
-        "epoch": tracer._epoch,
-    }
-
-
-def _first_unpicklable(entries: Sequence[RegisteredQuery]) -> Optional[str]:
-    for entry in entries:
-        try:
-            pickle.dumps(entry)
-        except Exception:
-            return entry.query_id
-    return None
-
-
-class ProcessBackend:
-    """``drain_mode="process"``: one worker process per shard.
-
-    Workers are forked at construction (falling back to the platform's
-    default start method where fork is unavailable), all of them before any
-    is waited for, fed pickled commands over duplex pipes — one ``evt``
-    frame per routed event — and read by one parent reader thread each.
-    Shipped result tuples are delivered to the mirror runtimes' sinks in
-    emission order; telemetry snapshots refresh at every host/retire/flush
-    barrier.
-    """
-
-    kind = "process"
-
-    def __init__(
-        self,
-        n_shards: int,
-        scheduler: Union[str, Callable[[], object]],
-        share_subplans: bool,
-        keep_results: bool = True,
-    ) -> None:
-        methods = _mp.get_all_start_methods()
-        self.mp_context = _mp.get_context("fork" if "fork" in methods else None)
-        self._scheduler = scheduler
-        self._share_subplans = share_subplans
-        self._keep_results = keep_results
-        self._token_lock = threading.Lock()
-        self._next_token = 0
-        self._merge_lock = threading.Lock()
-        self._runtimes: Dict[str, RemotePlanRuntime] = {}
-        #: Hosting order per shard — replayed on restart_worker.
-        self._hosted: Dict[int, List[RegisteredQuery]] = {
-            shard_id: [] for shard_id in range(n_shards)
-        }
-        self._restarts: Dict[int, int] = {shard_id: 0 for shard_id in range(n_shards)}
-        self.tracer = None
-        self.handles = [_WorkerHandle(self, shard_id) for shard_id in range(n_shards)]
-        self.proxies = [ProcessShardProxy(handle) for handle in self.handles]
-        spawned = []
-        try:
-            for handle in self.handles:
-                handle.spawn()
-                spawned.append(handle)
-        except BaseException:
-            for handle in spawned:
-                handle.shutdown()
-            raise
-
-    # -- plumbing used by handles -------------------------------------------
-
-    def spec_for(self, shard_id: int) -> _ShardSpec:
-        return _ShardSpec(
-            shard_id=shard_id,
-            scheduler=self._scheduler,
-            share_subplans=self._share_subplans,
+    def __repr__(self) -> str:
+        return (
+            f"ProcessShard(id={self.shard_id}, alive={self.alive}, "
+            f"in_flight={self.in_flight})"
         )
-
-    def next_token(self) -> Tuple[str, int]:
-        with self._token_lock:
-            self._next_token += 1
-            return ("barrier", self._next_token)
-
-    def deliver_results(self, results: List[Tuple[str, object]]) -> None:
-        for query_id, tup in results:
-            runtime = self._runtimes.get(query_id)
-            if runtime is not None:
-                runtime._deliver(tup)
-
-    def merge_trace(self, shard_id: int, payload) -> None:
-        tracer = self.tracer
-        if tracer is None:
-            return
-        spans, profiles, mns_closed = payload
-        with self._merge_lock:
-            tracer.merge_worker(
-                f"w{shard_id}", spans, profiles=profiles, mns_pairs_closed=mns_closed
-            )
-
-    # -- the backend interface ----------------------------------------------
-
-    def host(self, placements: Placements) -> Dict[str, RemotePlanRuntime]:
-        self._ship(placements)
-        hosted: Dict[str, RemotePlanRuntime] = {}
-        for shard_id, entries in placements.items():
-            self._hosted[shard_id].extend(entries)
-            for entry in entries:
-                hosted[entry.query_id] = RemotePlanRuntime(
-                    registered=entry,
-                    shard_id=shard_id,
-                    collector=ResultCollector(keep_tuples=self._keep_results),
-                )
-        self._runtimes.update(hosted)
-        return hosted
-
-    def _ship(self, placements: Placements) -> None:
-        """Send one ``host`` frame per placed shard, then collect every reply.
-
-        All frames go out before any reply is awaited, so the workers unpickle
-        and build their plans concurrently; a worker that fails inside its
-        frame surfaces here with its traceback.
-        """
-        awaited = []
-        for shard_id, entries in placements.items():
-            handle, token = self.handles[shard_id], self.next_token()
-            try:
-                handle.send(("host", token, entries))
-            except ShardWorkerError:
-                raise
-            except Exception as exc:
-                # The frame is pickled whole, before a byte is written.
-                raise ShardWorkerError(
-                    f"could not ship query {_first_unpicklable(entries)!r} to "
-                    f"shard {shard_id}: {exc} (process mode needs picklable "
-                    "registrations; see tests/test_pickle_safety.py)"
-                ) from exc
-            awaited.append((handle, ("hosted", token)))
-        for handle, reply_key in awaited:
-            handle.await_reply(reply_key)
-
-    def retire(self, shard_id: int, query_id: str):
-        reply = self.handles[shard_id].request(
-            ("retire", query_id), ("retired", query_id)
-        )
-        consumes_map: Dict[str, bool] = reply[2]
-        runtime = self._runtimes.pop(query_id)
-        self._hosted[shard_id] = [
-            entry for entry in self._hosted[shard_id] if entry.query_id != query_id
-        ]
-        return runtime, lambda source: consumes_map.get(source, False)
-
-    def dispatch(self, shard_id, event, trace_ctx=None, watermark=0.0) -> None:
-        self.handles[shard_id].send(("evt", event, trace_ctx, watermark), events=1)
-
-    def barrier(self) -> None:
-        for handle in self.handles:
-            handle.barrier()
-
-    def barrier_shard(self, shard_id: int) -> None:
-        self.handles[shard_id].barrier()
-
-    def metrics(self, shard_id: int) -> MetricsReport:
-        return self.proxies[shard_id].metrics()
-
-    def attach_tracer(self, tracer) -> None:
-        self.tracer = tracer
-        spec = _tracer_spec(tracer)
-        for handle in self.handles:
-            handle.send(("tracer", spec))
-
-    def worker_liveness(self) -> Dict[int, int]:
-        return {handle.shard_id: int(handle.is_alive()) for handle in self.handles}
-
-    def worker_restarts(self) -> Dict[int, int]:
-        return dict(self._restarts)
-
-    def inject_stall(self, shard_id: int, seconds: float) -> None:
-        """Chaos/test hook: wedge one worker for ``seconds`` of wall time.
-
-        The worker stays alive but sleeps inside its command loop, so it
-        stops polling the pipe and its watermark freezes — the exact
-        alive-but-stuck failure the stall watchdog exists to name.  The
-        command is accounted as one in-flight event so the parent can see
-        work is outstanding; the worker acknowledges it once the wedge
-        clears, restoring the accounting.  Never used on the serving path.
-        """
-        self.handles[shard_id].send(("stall", float(seconds)), events=1)
-
-    def restart_worker(self, shard_id: int) -> None:
-        """Respawn one worker and re-host its queries, the way construction
-        does: one ``host`` frame carrying the shard's current list.
-
-        Serving availability, not state recovery: the replacement starts
-        with empty windows, so results already collected stay intact but
-        joins spanning the crash are lost.  Counted by the
-        ``serve_shard_worker_restarts_total`` telemetry family.
-        """
-        handle = self.handles[shard_id]
-        handle.shutdown()
-        handle.spawn()
-        if self.tracer is not None:
-            handle.send(("tracer", _tracer_spec(self.tracer)))
-        self._ship({shard_id: self._hosted[shard_id]})
-        self._restarts[shard_id] += 1
-
-    def close(self) -> None:
-        error: Optional[ShardWorkerError] = None
-        for handle in self.handles:
-            failure = handle.shutdown()
-            if error is None and failure is not None:
-                error = failure
-        if error is not None:
-            raise error

@@ -23,7 +23,9 @@ Isolation and sharing are deliberately split:
   shard is also the unit of metrics aggregation and, in process mode, of
   concurrency.  :meth:`ShardEngine.snapshot` and
   :meth:`ShardEngine.health_stats` are the one read surface the serving and
-  health layers sample; a process worker ships the same snapshot.
+  health layers sample; a process worker ships the same snapshot to its
+  parent-side :class:`~repro.multi.backend.ProcessShard`, which answers the
+  calls a local shard answers.
 
 A shard's queues are only pushed and popped inside ``process_event`` /
 ``process_batch``, and each shard is driven by exactly one thread — the
@@ -40,7 +42,10 @@ overlay plan (its selections), or a join port of a parent unit — a REF
 plan reads hosted *partners* (units equal to its inner join subtrees) and
 builds only the joins above.  Units are reference counted across units:
 one is torn down when nothing, query or parent unit, reads it any more.
-Per-query results stay bit-identical to unshared runs (see
+Only registrations hosted before the shard's first event share: a later one
+gets a private plan, since a warm unit would hand it results built from
+tuples that arrived before it did.  Per-query results stay bit-identical to
+unshared runs (see
 ``docs/SHARING.md`` for the argument and
 ``tests/test_sharing_equivalence.py`` for the proof).
 """
@@ -276,6 +281,9 @@ class ShardEngine:
         self._open_suspensions: Dict[Tuple[int, int], List[float]] = {}
         #: Optional flight recorder (see :meth:`attach_tracer`).
         self.tracer = None
+        #: A local shard is never respawned; a process shard counts its
+        #: worker restarts under the same name.
+        self.restarts = 0
 
     def attach_tracer(self, tracer) -> None:
         """Attach a :class:`~repro.trace.Tracer` to this shard.
@@ -372,16 +380,23 @@ class ShardEngine:
                 del self._routes[source]
         self.scheduler.retire(templates)
 
-    def host(self, registered: RegisteredQuery) -> PlanRuntime:
-        """Build and wire ``registered``'s plan into this shard.
+    def host(self, entries: Sequence[RegisteredQuery]) -> List[PlanRuntime]:
+        """Build and wire each registration's plan into this shard, in order.
 
-        With ``share_subplans`` enabled, the query is grafted onto an
-        existing shared unit when one with the same canonical signature is
-        already hosted; otherwise a new unit is hosted for that signature,
-        reading any hosted partner (see :meth:`_host_unit`).
+        With ``share_subplans`` enabled, a query is grafted onto an existing
+        shared unit when one with the same canonical signature is already
+        hosted; otherwise a new unit is hosted for that signature, reading
+        any hosted partner (see :meth:`_host_unit`).  Once the shard has
+        processed an event its units are warm — they hold tuples that
+        arrived before a newcomer did — so a registration hosted after that
+        gets its own plan, exactly as unshared hosting builds it, and sees
+        only the stream from its own arrival on.
         """
-        if self.share_subplans:
-            return self._host_shared(registered)
+        if self.share_subplans and not self.events_processed:
+            return [self._host_shared(registered) for registered in entries]
+        return [self._host_private(registered) for registered in entries]
+
+    def _host_private(self, registered: RegisteredQuery) -> PlanRuntime:
         plan = registered.build_plan()
         context = self._make_context(registered.query.window)
         plan.attach(context)
@@ -481,6 +496,12 @@ class ShardEngine:
             child.parents.append(unit)
         self._shared[signature] = unit
         return unit
+
+    def flush(self) -> None:
+        """Nothing to wait for: every ``process_event`` drains before returning."""
+
+    def close(self) -> None:
+        """Nothing to release: a local shard owns no process or thread."""
 
     def retire_plan(self, query_id: str) -> PlanRuntime:
         """Unhost one plan: unwire its queues, routes, and scheduler state.
@@ -683,8 +704,8 @@ class ShardEngine:
 
         A process worker ships exactly this dict with every
         ``hosted``/``retired``/``flushed`` reply, so the parent-side
-        :class:`~repro.multi.backend.ProcessShardProxy` reads what a local
-        shard would report.
+        :class:`~repro.multi.backend.ProcessShard` reads what a local shard
+        would report.
         """
         return {
             "queue_count": self.queue_count,

@@ -17,23 +17,24 @@ loop remains as a convenience built on the push API, so
 the same entry point as a single-plan engine.
 
 **How** the receiving shards are driven is a separate axis, the
-``drain_mode``, implemented by the worker backends in
-:mod:`repro.multi.backend`:
+``drain_mode``, which picks the kind of shard object; the engine drives
+either kind through the same calls:
 
-* ``"sync"`` (default, :class:`~repro.multi.backend.InlineBackend`):
-  ``submit`` drains each receiving shard before returning.  Fully
-  deterministic — the mode the equivalence tests anchor on.
-* ``"process"`` (:class:`~repro.multi.backend.ProcessBackend`): each shard
-  runs in a worker *process* fed one pickled event frame per routed
-  arrival over a pipe, with results, feedback counts, shard snapshots and
-  trace spans demultiplexed back to the parent; ``submit`` ships and
-  returns, and :meth:`flush` is the barrier.  The mode that scales with
-  cores; see ``docs/SCALING.md``.
+* ``"sync"`` (default): each shard is a local
+  :class:`~repro.multi.shard.ShardEngine`, and ``submit`` drains each
+  receiving shard before returning.  Fully deterministic — the mode the
+  equivalence tests anchor on.
+* ``"process"``: each shard is a :class:`~repro.multi.backend.ProcessShard`,
+  a worker *process* fed one pickled event frame per routed arrival over a
+  pipe, with results, feedback counts, shard snapshots and trace spans
+  demultiplexed back to the parent; ``submit`` ships and returns, and
+  :meth:`flush` is the barrier.  The mode that scales with cores; see
+  ``docs/SCALING.md``.
 
 Both modes preserve the invariant that makes per-query results
 bit-identical across them: each shard processes its own feed in
-arrival order and plans never span shards, so a backend changes *when* and
-*where* work happens, never *what* is computed (asserted by the test
+arrival order and plans never span shards, so a drain mode changes *when*
+and *where* work happens, never *what* is computed (asserted by the test
 suite under both scheduler policies, ``fifo`` and ``jit_aware``).
 """
 
@@ -46,8 +47,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.engine.results import ResultCollector
 from repro.metrics import MetricsReport
 from repro.multi.backend import (
-    InlineBackend,
-    ProcessBackend,
+    ProcessShard,
     ShardWorkerError,
     make_scheduler,
     resolve_drain_mode,
@@ -178,25 +178,9 @@ class ShardedEngine:
             # raises the same eager ValueError/TypeError the local modes
             # produce (instead of a worker-startup ShardWorkerError).
             make_scheduler(scheduler)
-            self._backend = ProcessBackend(
-                n_shards, scheduler, share_subplans, keep_results=keep_results
-            )
-            #: Process mode: parent-side proxies over worker-shipped
-            #: telemetry snapshots (the live ShardEngines exist only in the
-            #: workers); sync: the local ShardEngines themselves.
-            self.shards = self._backend.proxies
-        else:
-            self.shards = [
-                ShardEngine(
-                    shard_id=index,
-                    scheduler=make_scheduler(scheduler),
-                    clock=self.clock.view(f"shard-{index}"),
-                    keep_results=keep_results,
-                    share_subplans=share_subplans,
-                )
-                for index in range(n_shards)
-            ]
-            self._backend = InlineBackend(self.shards)
+        #: The shards, by id: local ShardEngines (sync), or ProcessShards
+        #: whose live ShardEngines exist only in their workers (process).
+        self.shards: List[Union[ShardEngine, ProcessShard]] = []
         # Same-signature queries can only share when co-located.
         self._place = signature_partition if share_subplans else round_robin_partition
         #: Queries placed so far — the registration index handed to the
@@ -204,13 +188,29 @@ class ShardedEngine:
         self._placed = 0
         self._runtimes: Dict[str, PlanRuntime] = {}
         try:
+            for index in range(n_shards):
+                if drain_mode == "process":
+                    # Forked here without waiting: every worker is up (or
+                    # coming up) before any host frame goes out.
+                    shard = ProcessShard(
+                        index, scheduler, self.clock, keep_results, share_subplans
+                    )
+                else:
+                    shard = ShardEngine(
+                        shard_id=index,
+                        scheduler=make_scheduler(scheduler),
+                        clock=self.clock.view(f"shard-{index}"),
+                        keep_results=keep_results,
+                        share_subplans=share_subplans,
+                    )
+                self.shards.append(shard)
             # Every shard is named, so every process worker has confirmed its
             # (possibly empty) list before this returns.
             self._host_entries(registry, also_confirm=range(n_shards))
         except BaseException:
             # All or nothing: no worker outlives a failed construction.
             try:
-                self._backend.close()
+                self._close_shards()
             except ShardWorkerError:
                 pass
             raise
@@ -231,14 +231,20 @@ class ShardedEngine:
         flush barrier, so one Chrome trace covers the whole fleet.
         """
         self.tracer = tracer
-        self._backend.attach_tracer(tracer)
+        for shard in self.shards:
+            shard.attach_tracer(tracer)
 
     def _host_entries(self, entries, also_confirm: Iterable[int] = ()) -> None:
-        """Place ``entries``, host every shard's ordered list in one backend
-        call (``also_confirm`` shards take part even with nothing placed on
+        """Place ``entries``, host each shard's ordered list with one call
+        (``also_confirm`` shards take part even with nothing placed on
         them), then route.  With sharing, each shard's list is in
         :func:`~repro.multi.shard.hosting_order` (partners first), so the
-        inline and the process path host in the same order."""
+        inline and the process path host in the same order.
+
+        Hosting is two-phase so process workers build their lists
+        concurrently: ``host`` ships a process shard's frame and returns,
+        and ``snapshot`` then waits for its worker's reply (a local shard
+        has hosted by the time ``host`` returns)."""
         entries = list(entries)
         placements: Dict[int, List] = {shard_id: [] for shard_id in also_confirm}
         for entry in entries:
@@ -250,7 +256,13 @@ class ShardedEngine:
                 shard_id: hosting_order(placed)
                 for shard_id, placed in placements.items()
             }
-        hosted = self._backend.host(placements)
+        hosted = {
+            runtime.query_id: runtime
+            for shard_id, placed in placements.items()
+            for runtime in self.shards[shard_id].host(placed)
+        }
+        for shard_id in placements:
+            self.shards[shard_id].snapshot()
         for entry in entries:
             runtime = hosted[entry.query_id]
             self._runtimes[entry.query_id] = runtime
@@ -272,14 +284,15 @@ class ShardedEngine:
     def flush(self) -> None:
         """Wait until every shard has processed every submitted event.
 
-        The backend barrier: a no-op inline, where every dispatch has already
-        drained; process workers answer a flush round-trip whose reply
-        carries fresh telemetry snapshots (and buffered trace spans) — so
-        after ``flush`` every result of every prior submit is in its
+        Each shard's barrier: a no-op on a local shard, where every event
+        has already drained; process workers answer a flush round-trip whose
+        reply carries fresh telemetry snapshots (and buffered trace spans) —
+        so after ``flush`` every result of every prior submit is in its
         collector, in order.
         """
         self._check_open()
-        self._backend.barrier()
+        for shard in self.shards:
+            shard.flush()
 
     # -- internal dispatch ----------------------------------------------------
 
@@ -294,23 +307,22 @@ class ShardedEngine:
         if not shard_ids:
             self.router.dropped_events += 1
             return
-        backend = self._backend
-        watermark = self.clock.watermark
+        shards = self.shards
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             # Hot path: a missing (or constructed-disabled) tracer costs the
             # dispatch exactly one extra attribute load and branch.
             for shard_id in shard_ids:
-                backend.dispatch(shard_id, event, None, watermark)
+                shards[shard_id].process_event(event, None)
             return
         ctx = tracer.begin_trace(event, fanout=len(shard_ids))
         try:
-            # The context rides along explicitly: the inline backend ignores
-            # it (it is already active on this thread); process workers
-            # re-activate it so the head-based sampling decision
-            # made at ingestion holds wherever the event is drained.
+            # The context rides along explicitly: process workers activate
+            # it so the head-based sampling decision made at ingestion holds
+            # wherever the event is drained (a local shard re-activates the
+            # context already current on this thread).
             for shard_id in shard_ids:
-                backend.dispatch(shard_id, event, ctx, watermark)
+                shards[shard_id].process_event(event, ctx)
         finally:
             tracer.end_trace(ctx)
 
@@ -332,13 +344,14 @@ class ShardedEngine:
         The entry must already be registered (``registry.register`` returns
         it); every shard is brought to its barrier first so the new query
         starts observing the stream from a deterministic point.  With sharing
-        enabled, the query grafts onto an existing subtree when its
-        signature matches one already hosted on its shard.
+        enabled, the query grafts onto an existing subtree only while its
+        shard has processed no event; after that it gets its own plan, so
+        it never receives results built from tuples that arrived before it.
         """
         self._check_open()
         if entry.query_id in self._runtimes:
             raise ValueError(f"query {entry.query_id!r} is already hosted")
-        self._backend.barrier()
+        self.flush()
         self._host_entries([entry])
         return self._runtimes[entry.query_id]
 
@@ -358,14 +371,15 @@ class ShardedEngine:
         """
         self._check_open()
         runtime = self.runtime_for(query_id)
-        self._backend.barrier_shard(runtime.shard_id)
-        retired, still_consumes = self._backend.retire(runtime.shard_id, query_id)
+        shard = self.shards[runtime.shard_id]
+        shard.flush()
+        retired = shard.retire_plan(query_id)
         del self._runtimes[query_id]
         for source in retired.registered.sources:
             self.router.unsubscribe(
                 source,
                 runtime.shard_id,
-                shard_still_subscribed=still_consumes(source),
+                shard_still_subscribed=shard.consumes(source),
             )
         return retired
 
@@ -377,11 +391,21 @@ class ShardedEngine:
         Inline shards are always 1: the submitting thread *is* the worker;
         a process worker reads 0 once it has crashed or exited.
         """
-        return self._backend.worker_liveness()
+        return {
+            shard.shard_id: int(shard.health_stats()["alive"]) for shard in self.shards
+        }
 
     def worker_restarts(self) -> Dict[int, int]:
         """Per-shard worker restarts performed by :meth:`restart_worker`."""
-        return self._backend.worker_restarts()
+        return {shard.shard_id: shard.restarts for shard in self.shards}
+
+    def _process_shard(self, shard_id: int, operation: str) -> ProcessShard:
+        if self.drain_mode != "process":
+            raise RuntimeError(
+                f"drain_mode={self.drain_mode!r} has no process workers; "
+                f"{operation} is a process-mode operation"
+            )
+        return self.shards[shard_id]
 
     def restart_worker(self, shard_id: int) -> None:
         """Respawn one process worker and re-host its queries (process mode).
@@ -389,13 +413,7 @@ class ShardedEngine:
         Availability, not state recovery: results already collected stay
         intact, but the replacement starts with empty windows.
         """
-        restart = getattr(self._backend, "restart_worker", None)
-        if restart is None:
-            raise RuntimeError(
-                f"drain_mode={self.drain_mode!r} has no restartable workers; "
-                "worker restarts are a process-mode operation"
-            )
-        restart(shard_id)
+        self._process_shard(shard_id, "worker restart").restart_worker()
 
     # -- health introspection ---------------------------------------------------
 
@@ -410,17 +428,11 @@ class ShardedEngine:
     def inject_worker_stall(self, shard_id: int, seconds: float) -> None:
         """Wedge one process worker for ``seconds`` (chaos/test hook).
 
-        See :meth:`~repro.multi.backend.ProcessBackend.inject_stall`; only
+        See :meth:`~repro.multi.backend.ProcessShard.inject_stall`; only
         meaningful in process mode, where a worker can genuinely hang
         independently of the submitting thread.
         """
-        inject = getattr(self._backend, "inject_stall", None)
-        if inject is None:
-            raise RuntimeError(
-                f"drain_mode={self.drain_mode!r} has no stallable workers; "
-                "stall injection is a process-mode operation"
-            )
-        inject(shard_id, seconds)
+        self._process_shard(shard_id, "stall injection").inject_stall(seconds)
 
     # -- results and reporting ------------------------------------------------
 
@@ -464,9 +476,7 @@ class ShardedEngine:
             drain_mode=self.drain_mode,
             events_ingested=self.events_ingested,
             queries=queries,
-            shard_metrics=tuple(
-                self._backend.metrics(index) for index in range(self.n_shards)
-            ),
+            shard_metrics=tuple(shard.metrics() for shard in self.shards),
             wall_seconds=wall_seconds,
             dropped_events=self.router.dropped_events,
         )
@@ -486,7 +496,18 @@ class ShardedEngine:
         if self._closed:
             return
         self._closed = True
-        self._backend.close()
+        self._close_shards()
+
+    def _close_shards(self) -> None:
+        """Close every shard, then raise the first stored worker failure."""
+        error: Optional[ShardWorkerError] = None
+        for shard in self.shards:
+            try:
+                shard.close()
+            except ShardWorkerError as failure:
+                error = error or failure
+        if error is not None:
+            raise error
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -58,10 +58,6 @@ class AttributeRef:
         """Extract this reference's value from ``tup``."""
         return tup.value(self.source, self.attribute)
 
-    def covered_by(self, tup: StreamTuple) -> bool:
-        """Return True if ``tup`` carries a component from this source."""
-        return tup.covers(self.source)
-
     def __str__(self) -> str:
         return f"{self.source}.{self.attribute}"
 

@@ -30,8 +30,8 @@ watermark, measurable identically in the sync and process drain modes.
 
 The server fronts a :class:`~repro.multi.ShardedEngine` and reads every
 shard through one surface — a local :class:`~repro.multi.shard.ShardEngine`
-or a process worker's :class:`~repro.multi.backend.ProcessShardProxy`, which
-answer to the same names.  A single plan is served as a one-query registry
+or a :class:`~repro.multi.backend.ProcessShard` driving a worker process,
+which answer to the same names.  A single plan is served as a one-query registry
 on one sync shard.
 """
 

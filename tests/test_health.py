@@ -94,7 +94,7 @@ class TestStallWatchdog:
             assert "in flight" in diagnosis.reason
             assert diagnosis.in_flight >= 1
             # The parent is not hung: the healthy shard still takes work.
-            server.engine._backend.dispatch(1, events[100], None, watermark=1e9)
+            server.engine.shards[1].send(("evt", events[100], None, 1e9), events=1)
             # The wedge clears on its own once the sleep ends; the verdict
             # must follow (poll sees a fresh heartbeat / zero in-flight).
             server.flush()

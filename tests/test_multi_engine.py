@@ -354,7 +354,7 @@ class TestShardedEngineAPI:
         engine.flush()
         # An event ahead of the watermark the worker is told about: its shard
         # clock refuses to run ahead, so the worker dies on it, unflushed.
-        engine._backend.dispatch(0, shared_events[-1], None, watermark=0.0)
+        engine.shards[0].send(("evt", shared_events[-1], None, 0.0), events=1)
         with pytest.raises(RuntimeError, match="worker failed"):
             engine.close()
         engine.close()  # already closed: stays a no-op, raises nothing

@@ -35,7 +35,7 @@ from repro.multi import (
     ShardedEngine,
     ShardWorkerError,
 )
-from repro.multi.backend import _ShardSpec, _worker_main, _WorkerHandle
+from repro.multi.backend import ProcessShard, _ShardSpec, _worker_main
 from repro.multi.shard import ShardEngine
 from repro.multi.workload import MultiQueryWorkload, generate_multi_query_workload
 from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF
@@ -81,13 +81,13 @@ def _run(workload, events, drain_mode, **kwargs):
 def frames(monkeypatch):
     """Every ``(shard_id, message)`` the parent sends its workers, in order."""
     sent = []
-    real_send = _WorkerHandle.send
+    real_send = ProcessShard.send
 
-    def recording_send(handle, msg, events=0):
-        sent.append((handle.shard_id, msg))
-        return real_send(handle, msg, events)
+    def recording_send(shard, msg, events=0):
+        sent.append((shard.shard_id, msg))
+        return real_send(shard, msg, events)
 
-    monkeypatch.setattr(_WorkerHandle, "send", recording_send)
+    monkeypatch.setattr(ProcessShard, "send", recording_send)
     return sent
 
 
@@ -338,7 +338,7 @@ class TestWorkerLifecycle:
         # Ship an event whose timestamp is ahead of the watermark the worker
         # was told about: the shard clock refuses to run ahead of the global
         # floor, so the worker's drain loop raises and the worker dies.
-        engine._backend.dispatch(0, events[-1], None, watermark=0.0)
+        engine.shards[0].send(("evt", events[-1], None, 0.0), events=1)
         with pytest.raises(ShardWorkerError, match="shard 0"):
             engine.flush()
         with pytest.raises(ShardWorkerError, match="worker"):
@@ -347,7 +347,7 @@ class TestWorkerLifecycle:
 
     def test_close_surfaces_unflushed_crash(self, workload, events):
         engine = ShardedEngine(_registry(workload), n_shards=2, drain_mode="process")
-        engine._backend.dispatch(0, events[-1], None, watermark=0.0)
+        engine.shards[0].send(("evt", events[-1], None, 0.0), events=1)
         with pytest.raises(ShardWorkerError, match="shard 0"):
             engine.close()
 
@@ -356,7 +356,7 @@ class TestWorkerLifecycle:
         for event in events[:40]:
             engine.submit(event)
         engine.flush()
-        handle = engine._backend.handles[0]
+        handle = engine.shards[0]
         os.kill(handle.proc.pid, signal.SIGTERM)
         handle.proc.join(10.0)
         assert not handle.proc.is_alive()
@@ -368,8 +368,8 @@ class TestWorkerLifecycle:
         assert engine.worker_liveness()[1] == 1
         # Further work for the dead shard is refused, not silently dropped.
         with pytest.raises(ShardWorkerError, match="shard 0"):
-            engine._backend.dispatch(0, events[40], None, watermark=events[40].ts)
-        engine._backend.handles[1].barrier()
+            engine.shards[0].send(("evt", events[40], None, events[40].ts), events=1)
+        engine.shards[1].flush()
         try:
             engine.close()
         except ShardWorkerError:

@@ -4,13 +4,15 @@
 names — :meth:`~repro.multi.shard.ShardEngine.snapshot`, ``health_stats()``
 and the shard-owned ``suspensions_total`` / ``resumptions_total`` — whether
 the shard is a local :class:`~repro.multi.shard.ShardEngine` (sync) or a
-process worker's :class:`~repro.multi.backend.ProcessShardProxy`.  Pinned
+:class:`~repro.multi.backend.ProcessShard` driving a worker process.  Pinned
 here:
 
 * queries hosted through the server after it was built are served like the
   ones it started with, and a retired one leaves the lag table;
-* after the same served run with a mid-stream ``add_query``, sync shards
-  and process proxies report equal snapshots, MNS facts and feedback totals;
+* after the same served run with a mid-stream ``add_query``, sync and
+  process shards report equal snapshots, MNS facts and feedback totals;
+* both kinds of shard answer every name the sharded engine, the server, the
+  health monitor and the end-to-end benchmark's counters call on a shard;
 * an idle monitor adds no feedback listener: every hosted context feeds
   exactly the shard's scheduler and the shard's counter;
 * ``docs/SERVING.md``'s metric tables state every family with the name,
@@ -88,8 +90,44 @@ class TestLateQueries:
         assert sum(suspensions.values()) > 0 and sum(resumptions.values()) > 0
 
 
+#: Every name called on a shard, by its callers: ``ShardedEngine`` (hosting,
+#: dispatch, barriers, retirement, tracing, reports, liveness and teardown),
+#: ``StreamServer``'s gauges, ``HealthMonitor.shard_table`` and
+#: ``benchmarks/e2e/workloads.py::ServedSystem.counters``.
+SHARD_SURFACE = {
+    "ShardedEngine": (
+        "shard_id", "host", "snapshot", "process_event", "flush", "retire_plan",
+        "consumes", "attach_tracer", "metrics", "health_stats", "restarts", "close",
+    ),
+    "StreamServer": (
+        "cost", "scheduler", "suspensions_total", "resumptions_total",
+        "shared_subplans_active", "shared_subplan_hits", "events_processed",
+        "queue_depth",
+    ),
+    "HealthMonitor": (
+        "queue_depth", "queue_count", "events_processed", "results_produced",
+        "scheduler",
+    ),
+    "ServedSystem.counters": ("cost", "scheduler", "shared_subplans_active"),
+}
+
+
 class TestSyncProcessReadSurface:
     """Every shard reads the same in both drain modes after the same run."""
+
+    def test_both_kinds_of_shard_answer_every_name_called_on_a_shard(self, workload):
+        registry = QueryRegistry()
+        registry.register(workload.queries()[0])
+        kinds = set()
+        for drain_mode in ("sync", "process"):
+            with ShardedEngine(registry, drain_mode=drain_mode) as engine:
+                shard = engine.shards[0]
+                kinds.add(type(shard).__name__)
+                for caller, names in SHARD_SURFACE.items():
+                    missing = [name for name in names if not hasattr(shard, name)]
+                    assert not missing, (type(shard).__name__, caller, missing)
+                assert callable(shard.cost.count) and callable(shard.scheduler.stats)
+        assert kinds == {"ShardEngine", "ProcessShard"}
 
     def _serve(self, workload, drain_mode):
         queries = workload.queries()

@@ -514,34 +514,59 @@ class TestNestedSharing:
         # One A ⋈ B: 2 + 2 join ports and 2 tee ports, not 2 + 4 + 2.
         assert seen["sync"][3] == 6
 
-    def test_add_query_grafts_onto_the_live_binary(self, nested_workload):
-        """A ternary added mid-stream reads the live ``A ⋈ B`` unit: its own
-        join starts empty, the partner's output is warm.  So it produces
-        exactly the standalone results whose C tuple and whose ``A ⋈ B``
-        pair both completed after the add."""
+    def test_add_query_after_events_hosts_a_private_plan(self, nested_workload):
+        """A ternary added mid-stream does not read the warm ``A ⋈ B`` unit:
+        it gets its own plan, as unshared hosting builds it.  So it produces
+        exactly the standalone results whose A, B and C tuples all arrived
+        after the add."""
         events = nested_workload.events()
         half = len(events) // 2
         registry = self._registry(nested_workload, (0,))
         with ShardedEngine(registry, n_shards=1, share_subplans=True) as engine:
             for event in events[:half]:
                 engine.submit(event)
-            binary = engine.runtime_for("k0").shared
             late = registry.register(nested_workload.query(8), query_id="k8", strategy=STRATEGY_REF)
-            ternary = engine.add_query(late).shared
-            assert ternary.children == (binary,)
+            assert engine.add_query(late).shared is None
+            assert engine.shards[0].shared_subplans_active == 1
             for event in events[half:]:
                 engine.submit(event)
             position = {(e.source, e.tuple.seq): i for i, e in enumerate(events)}
             expected = Counter()
             for (components, ts), count in _standalone(late, events).items():
-                at = {source: position[source, seq] for source, seq in components}
-                if at["C"] >= half and max(at["A"], at["B"]) >= half:
+                if min(position[source, seq] for source, seq in components) >= half:
                     expected[components, ts] += count
             assert expected
             assert engine.results_for("k8").multiset() == expected
             assert engine.results_for("k0").multiset() == _standalone(
                 registry.get("k0"), events
             )
+
+    @pytest.mark.parametrize("drain_mode", ("sync", "process"))
+    def test_a_late_twin_collects_the_same_with_and_without_sharing(
+        self, nested_workload, drain_mode
+    ):
+        """REF ``query(0)`` added at the event midpoint beside its live twin
+        sees only the stream from its own arrival on, shared or not."""
+        events = nested_workload.events()
+        half = len(events) // 2
+        collected = {}
+        for share in (False, True):
+            registry = self._registry(nested_workload, (0,))
+            with ShardedEngine(
+                registry, n_shards=1, drain_mode=drain_mode, share_subplans=share
+            ) as engine:
+                for event in events[:half]:
+                    engine.submit(event)
+                late = registry.register(
+                    nested_workload.query(0), query_id="late", strategy=STRATEGY_REF
+                )
+                engine.add_query(late)
+                for event in events[half:]:
+                    engine.submit(event)
+                engine.flush()
+                collected[share] = engine.results_for("late").multiset()
+        assert sum(collected[False].values()) == 283
+        assert collected[True] == collected[False]
 
     def test_a_jit_ternarys_inner_join_is_never_cut(self, nested_workload):
         """A JIT join sends suspensions into its child: B ⋈ C is hosted twice."""

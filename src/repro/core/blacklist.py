@@ -55,7 +55,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 from repro.context import ExecutionContext
 from repro.core.signature import MNSSignature
 from repro.metrics import CostKind, CostModel
-from repro.operators.state import IndexKey
+from repro.operators.state import IndexKey, IndexTemplate, key_function
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["SuspendedTuple", "BlacklistEntry", "Blacklist"]
@@ -233,8 +233,12 @@ class Blacklist:
         self.key_of = key_of or (lambda tup: ())
         self._entries: Dict[MNSSignature, BlacklistEntry] = {}
         #: Hash index over the signatures' (source, attr) templates for O(1)
-        #: matching of new arrivals.
-        self._index: Dict[Tuple[Tuple[str, str], ...], Dict[Tuple[object, ...], List[MNSSignature]]] = {}
+        #: matching of new arrivals: per template, its key function and the
+        #: signatures by key.
+        self._index: Dict[
+            IndexTemplate,
+            Tuple[Callable[[StreamTuple], IndexKey], Dict[IndexKey, List[MNSSignature]]],
+        ] = {}
         #: Signatures that cannot be hash-matched (Ø).
         self._scan_signatures: List[MNSSignature] = []
         #: Origin gate -> tuples it keeps suspended here: who is credited for
@@ -368,10 +372,10 @@ class Blacklist:
         which affects only how much work is saved.
         """
         candidates: List[BlacklistEntry] = []
-        for template, by_key in self._index.items():
+        for key_of, by_key in self._index.values():
             self.context.cost.charge(CostKind.HASH)
             try:
-                key = tuple(tup.value(src, attr) for src, attr in template)
+                key = key_of(tup)
             except KeyError:
                 continue
             for signature in by_key.get(key, ()):
@@ -558,21 +562,23 @@ class Blacklist:
         if signature.is_empty:
             self._scan_signatures.append(signature)
             return
-        self._index.setdefault(signature.template, {}).setdefault(signature.key, []).append(
-            signature
-        )
+        template = signature.template
+        index = self._index.get(template)
+        if index is None:
+            index = self._index[template] = (key_function(template), {})
+        index[1].setdefault(signature.key, []).append(signature)
 
     def _unindex_signature(self, signature: MNSSignature) -> None:
         if signature.is_empty:
             if signature in self._scan_signatures:
                 self._scan_signatures.remove(signature)
             return
-        template, key = signature.template, signature.key
-        bucket = self._index.get(template, {}).get(key)
+        index = self._index.get(signature.template)
+        bucket = index[1].get(signature.key) if index else None
         if bucket and signature in bucket:
             bucket.remove(signature)
             if not bucket:
-                self._index[template].pop(key, None)
+                del index[1][signature.key]
 
     def __repr__(self) -> str:
         return (

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
+from repro.operators.state import IndexKey, key_function
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["MNSSignature"]
@@ -125,9 +126,17 @@ class MNSSignature:
         return tuple((source, attr) for source, attr, _value in self.items)
 
     @cached_property
-    def key(self) -> Tuple[object, ...]:
-        """The item values, in :attr:`template` order."""
-        return tuple(value for _source, _attr, value in self.items)
+    def key(self) -> IndexKey:
+        """The item values under :attr:`template`, keyed as a state index
+        keys a tuple (:func:`~repro.operators.state.key_function`)."""
+        return key_function(self.template)(self)
+
+    def value(self, source: str, attr: str) -> object:
+        """The recorded value of ``source.attr``."""
+        for item_source, item_attr, value in self.items:
+            if item_source == source and item_attr == attr:
+                return value
+        raise KeyError(f"signature {self} records no {source}.{attr}")
 
     def matches_super(self, tup: StreamTuple) -> bool:
         """True if ``tup`` is (similar to) a super-tuple of this MNS.

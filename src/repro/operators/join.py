@@ -128,15 +128,6 @@ class BinaryJoinOperator(Operator):
         self._check_port(port)
         return self.left_sources if port == PORT_LEFT else self.right_sources
 
-    def sources_of_port(self, port: str) -> FrozenSet[str]:
-        """Alias of :meth:`input_sources` used by the JIT layer."""
-        return self.input_sources(port)
-
-    def state_of(self, port: str) -> OperatorState:
-        """The operator state storing tuples that arrived on ``port``."""
-        self._check_port(port)
-        return self.states[port]
-
     # -- lifecycle -----------------------------------------------------------------
 
     def on_attach(self) -> None:

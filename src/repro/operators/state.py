@@ -45,8 +45,12 @@ emission that re-enters the state mid-probe changes nothing the probe sees
 except ``removed`` flags (docs/JIT.md, "Where a scan starts and stops").
 
 **Just-in-time indexes.**  The state keeps one registry of hash indexes,
-``template -> key -> entries``, where a template is a tuple of
-``(source, attribute)`` pairs and a key the tuple of their values.  The
+``template -> key -> bucket``, where a template is a tuple of
+``(source, attribute)`` pairs and a key their values (:func:`key_function`:
+the bare value for a one-attribute template).  A bucket holding one entry is
+that :class:`StateEntry` itself; it becomes a list at its second entry and
+collapses back to the entry when one is left, since with fine-grained keys
+nearly every key is unique.  The
 equi-join key of a hash-indexed join is registered when the state is built;
 every other index (a component's share of the join key for MNS-detecting
 probes, an MNS signature's template for suspension extraction, both on
@@ -77,9 +81,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.context import ExecutionContext
 from repro.metrics import CostKind
@@ -89,26 +94,60 @@ __all__ = ["StateEntry", "OperatorState", "IndexTemplate", "IndexKey", "key_func
 
 #: What an index is built over: ``(source, attribute)`` pairs, in key order.
 IndexTemplate = Tuple[Tuple[str, str], ...]
-#: The values of a template's attributes carried by one tuple.
-IndexKey = Tuple[object, ...]
+#: The values of a template's attributes carried by one tuple: the bare
+#: value for a one-attribute template, else the tuple of values.
+IndexKey = object
 
+#: One index bucket: its only entry, or the list of its entries (two or more).
+_Bucket = Union["StateEntry", List["StateEntry"]]
 #: One member of a state's registry: its key function and its buckets.
-_Index = Tuple[Callable[[StreamTuple], IndexKey], Dict[IndexKey, List["StateEntry"]]]
+_Index = Tuple[Callable[[StreamTuple], IndexKey], Dict[IndexKey, _Bucket]]
 
 _order_of = attrgetter("order")
 
 
+@lru_cache(maxsize=None)
 def key_function(template: IndexTemplate) -> Callable[[StreamTuple], IndexKey]:
-    """Compile ``template`` into the function from a tuple to its key.
+    """The function from a tuple to its key under ``template``, compiled once
+    per template.
 
-    Keys are computed on every insert, removal and lookup, once per index, so
-    the common one-attribute template gets a function without a loop.  The
-    tuple must cover the template's sources.
+    The keys of the state indexes, of the blacklist's signature index and
+    pins and :attr:`MNSSignature.key <repro.core.signature.MNSSignature.key>`
+    are all built here, so they agree by construction.  Keys are computed
+    on every insert, removal and lookup, once per index, so the common
+    one-attribute template keys by the bare value, with a function without
+    a loop.  The tuple (anything with ``value(source, attribute)``) must
+    cover the template's sources.
     """
     if len(template) == 1:
         ((source, attr),) = template
-        return lambda tup: (tup.value(source, attr),)
+        return lambda tup: tup.value(source, attr)
     return lambda tup: tuple([tup.value(source, attr) for source, attr in template])
+
+
+def _add(buckets: Dict[IndexKey, _Bucket], key: IndexKey, entry: "StateEntry") -> None:
+    """Append ``entry`` to the bucket of ``key``."""
+    bucket = buckets.get(key)
+    if bucket is None:
+        buckets[key] = entry
+    elif type(bucket) is list:
+        bucket.append(entry)
+    else:
+        buckets[key] = [bucket, entry]
+
+
+def _remove(buckets: Dict[IndexKey, _Bucket], key: IndexKey, entry: "StateEntry") -> None:
+    """Take ``entry`` (by identity) out of the bucket of ``key``."""
+    bucket = buckets.get(key)
+    if bucket is entry:
+        del buckets[key]
+    elif type(bucket) is list:
+        for pos, existing in enumerate(bucket):
+            if existing is entry:
+                del bucket[pos]
+                break
+        if len(bucket) == 1:
+            buckets[key] = bucket[0]
 
 
 @dataclass(slots=True)
@@ -126,6 +165,7 @@ class StateEntry:
     seq:
         State-local arrival sequence number: strictly increasing in insertion
         order.  JIT resume watermarks are expressed in these sequence numbers.
+        A fresh insert's ``seq`` is its ``order`` stamp (the same int).
     order:
         Position in the state's insertion order.  Unlike ``seq`` it is fresh
         on every insert, so a resumed tuple re-inserted under its original
@@ -192,7 +232,6 @@ class OperatorState:
         self._last_lookup: Dict[IndexTemplate, float] = {}
         if key_template:
             self._register(key_template)
-        self._next_seq = 0
         self._active_count = 0
         #: The live cursor: every entry before this index of ``_entries`` is
         #: removed or was below the horizon of a purge made under pins.
@@ -238,7 +277,7 @@ class OperatorState:
     @property
     def next_seq(self) -> int:
         """The sequence number the next inserted tuple will receive."""
-        return self._next_seq
+        return self._last_order + 1
 
     @property
     def last_order(self) -> int:
@@ -266,16 +305,11 @@ class OperatorState:
         ``seq`` lets JIT re-insert a previously extracted tuple under its
         *original* sequence number, so that watermarks other suspended tuples
         recorded against it stay meaningful.  New tuples omit it and receive
-        the next sequence number.
+        their order stamp as sequence number (:attr:`next_seq`).
         """
-        if seq is None:
-            seq = self._next_seq
-            self._next_seq += 1
-        elif seq >= self._next_seq:
-            self._next_seq = seq + 1
         order = self._last_order = self._last_order + 1
         ts = tup.ts
-        entry = StateEntry(tup, ts, seq, order)
+        entry = StateEntry(tup, ts, order if seq is None else seq, order)
         self._entries.append(entry)
         if ts < self._newest:
             heappush(self._late, (ts, order, entry))
@@ -284,7 +318,7 @@ class OperatorState:
         self._active_count += 1
         if self._indexes:
             for key_of, buckets in self._indexes.values():
-                buckets.setdefault(key_of(tup), []).append(entry)
+                _add(buckets, key_of(tup), entry)
             self.context.cost.charge(CostKind.HASH, len(self._indexes))
         self.context.cost.charge(CostKind.INSERT)
         self.context.memory.allocate(tup.size_bytes, self.memory_category)
@@ -522,8 +556,8 @@ class OperatorState:
     def _bucket(self, template: IndexTemplate, key: IndexKey) -> Sequence[StateEntry]:
         """One index lookup, building the index first if this is its first use.
 
-        Returns the live bucket itself: copy it before anything can remove
-        an entry.
+        Returns the bucket's entries: a one-entry bucket as a 1-tuple, a list
+        bucket itself (copy it before anything can remove an entry).
         """
         cost = self.context.cost
         lazy = template in self._last_lookup
@@ -534,13 +568,16 @@ class OperatorState:
             key_of, buckets = self._register(template)
             for entry in self._entries:
                 if not entry.removed:
-                    buckets.setdefault(key_of(entry.tuple), []).append(entry)
+                    _add(buckets, key_of(entry.tuple), entry)
             if self._active_count:
                 cost.charge(CostKind.HASH, self._active_count)
         if lazy:
             self._last_lookup[template] = self.context.now
         cost.charge(CostKind.HASH)
-        return buckets.get(key, ())
+        bucket = buckets.get(key)
+        if bucket is None:
+            return ()
+        return bucket if type(bucket) is list else (bucket,)
 
     def _register(self, template: IndexTemplate) -> _Index:
         """Add an (empty) index over ``template`` to the registry and return it."""
@@ -557,15 +594,7 @@ class OperatorState:
         if start and (start == len(self._entries) or entry.order < self._entries[start].order):
             self._retained -= 1
         for key_of, buckets in self._indexes.values():
-            key = key_of(entry.tuple)
-            bucket = buckets.get(key)
-            if bucket:
-                for pos, existing in enumerate(bucket):
-                    if existing is entry:
-                        del bucket[pos]
-                        break
-                if not bucket:
-                    del buckets[key]
+            _remove(buckets, key_of(entry.tuple), entry)
         self.context.memory.release(entry.tuple.size_bytes, self.memory_category)
 
     def _maybe_compact(self) -> None:

@@ -189,7 +189,7 @@ class CompositeTuple:
     shapes and execution strategies meaningful.
     """
 
-    __slots__ = ("_components", "ts", "size_bytes", "_hash")
+    __slots__ = ("_components", "ts", "size_bytes")
 
     def __init__(self, components: Iterable[AtomicTuple]) -> None:
         comps = tuple(sorted(components, key=_source_of))
@@ -207,7 +207,6 @@ class CompositeTuple:
         self._components = comps
         self.ts = ts
         self.size_bytes = size_bytes
-        self._hash = hash(comps)
 
     # -- tuple interface ---------------------------------------------------
 
@@ -264,7 +263,7 @@ class CompositeTuple:
         return self._components == other._components
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._components)
 
     def __repr__(self) -> str:
         inner = "".join(f"{c.source.lower()}{c.seq}" for c in self._components)

@@ -3,8 +3,9 @@
 The memory model charges ``16 + 8 * attrs`` bytes per tuple; these tests
 pin the Python objects behind it, counted by ``tracemalloc``.  Each bound is
 the value measured on CPython 3.11 (the interpreter CI pins) plus 5%, so a
-change that brings back an attribute dict per tuple (~+110 B per event) or a
-heap tuple per state entry (~+70 B per entry) fails here.  Object sizes
+change that brings back an attribute dict per tuple (~+110 B per event), a
+heap tuple per state entry (~+70 B per entry) or a bucket list per indexed
+entry (~+90 B) fails here.  Object sizes
 differ between interpreter versions, so the tests run on 3.11 only.
 """
 
@@ -30,9 +31,13 @@ pytestmark = pytest.mark.skipif(
 #: Traced bytes per generated event: 339.6 measured (451.4 with an attribute
 #: dict per tuple).
 EVENT_BYTES_BOUND = 339.6 * 1.05
-#: Traced bytes per stored entry of a REF join: 146.3 measured (227.2 with
-#: an expiry-heap tuple and an ``inserted_at`` slot per entry).
-ENTRY_BYTES_BOUND = 146.3 * 1.05
+#: Traced bytes per stored entry of a REF join: 118.4 measured (146.3 with
+#: separate ``seq`` and ``order`` ints per entry, 227.2 with an expiry-heap
+#: tuple and an ``inserted_at`` slot as well).
+ENTRY_BYTES_BOUND = 118.4 * 1.05
+#: The same on a hash-indexed REF join, what ``clique128`` runs: 155.6
+#: measured (319.5 with a bucket list and a 1-tuple key per entry).
+INDEXED_ENTRY_BYTES_BOUND = 155.6 * 1.05
 
 
 def _traced(run):
@@ -59,16 +64,29 @@ def test_bytes_per_generated_event():
     assert held / len(events) <= EVENT_BYTES_BOUND
 
 
-def test_bytes_per_stored_state_entry():
+def _bytes_per_stored_entry(use_hash_index: bool) -> float:
     # Nothing expires (the window outlasts the stream) and almost nothing
     # joins (dmax is huge), so the run's memory is its stored entries.
     workload = generate_clique_workload(
         n_sources=2, rate=5.0, window_seconds=1000.0, dmax=10**6, duration=400.0, seed=7
     )
     events = workload.events()
-    plan = build_xjoin_plan(ContinuousQuery.from_workload(workload), strategy=STRATEGY_REF)
+    plan = build_xjoin_plan(
+        ContinuousQuery.from_workload(workload),
+        strategy=STRATEGY_REF,
+        use_hash_index=use_hash_index,
+    )
     report, held = _traced(lambda: run_workload(plan, events, workload.window.length))
     stored = sum(len(state) for op in plan.join_operators for state in op.states.values())
     assert stored == len(events) == 4016
     assert len(report.results.results) == 7
-    assert held / stored <= ENTRY_BYTES_BOUND
+    return held / stored
+
+
+def test_bytes_per_stored_state_entry():
+    assert _bytes_per_stored_entry(use_hash_index=False) <= ENTRY_BYTES_BOUND
+
+
+def test_bytes_per_indexed_state_entry():
+    # Nearly every key is unique, so nearly every bucket is its one entry.
+    assert _bytes_per_stored_entry(use_hash_index=True) <= INDEXED_ENTRY_BYTES_BOUND

@@ -414,7 +414,7 @@ class TestPropertyDataStructures:
                     e.tuple.get("x") == key and (horizon is None or e.ts >= horizon)
                     for e in state.entries()
                 )
-                assert state.any_live(template, (key,), horizon) == expected
+                assert state.any_live(template, key, horizon) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(

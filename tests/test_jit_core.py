@@ -251,7 +251,7 @@ def _settle_against(detector, ab, opposite):
 
     def matched(component):
         attr, (source, own) = lookups[component]
-        return opposite.any_live((("C", attr),), (ab.value(source, own),))
+        return opposite.any_live((("C", attr),), ab.value(source, own))
 
     detector.start(ab)
     return detector.settle(ab, matched)

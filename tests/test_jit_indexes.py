@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.context import ExecutionContext
 from repro.core.config import DetectionMode, JITConfig
 from repro.core.jit_join import JITJoinOperator
 from repro.engine import ExecutionMode, run_workload
@@ -34,8 +35,9 @@ from repro.plans.builder import (
 from repro.plans.query import ContinuousQuery
 from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
+from repro.streams.time import Window
 
-from helpers import make_tuple, script_gates
+from helpers import StampPins, make_tuple, script_gates
 
 X = (("A", "x"),)
 Y = (("A", "y"),)
@@ -46,10 +48,38 @@ def _hashes(context) -> int:
 
 
 def _brute(state, template, key):
-    """What a lookup must return: the present entries with that key, in list order."""
+    """What a lookup must return: the present entries with that key, in list order.
+
+    A one-attribute template keys by the bare value, a longer one by the tuple.
+    """
+    if len(template) == 1:
+        key = (key,)
     return [
         e for e in state.entries() if tuple(e.tuple.value(s, a) for s, a in template) == key
     ]
+
+
+XY = (("A", "x"), ("A", "y"))
+
+#: One step of the registry property: what it does to the state.
+_STEP = st.one_of(
+    # A fresh insert, ``lag`` seconds behind the clock (late when positive).
+    st.tuples(st.just("insert"), st.integers(0, 2), st.integers(0, 1), st.sampled_from([0, 0, 3])),
+    # Re-insert the ``i``-th extracted tuple under its original seq.
+    st.tuples(st.just("reinsert"), st.integers(0, 50)),
+    # Extract, through the index of one template, the entries of one key
+    # whose y is ``y``.
+    st.tuples(st.just("extract"), st.sampled_from([X, XY]), st.integers(0, 2), st.integers(0, 1)),
+    # Advance the clock by ``dt`` and purge ``w`` behind it, with a pin on
+    # one x (``floor`` seconds behind the clock) or none; dt > w retires
+    # every lazily built index.
+    st.tuples(
+        st.just("purge"), st.integers(0, 12), st.integers(0, 6),
+        st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 12))),
+    ),
+    # Remove one present entry by identity.
+    st.tuples(st.just("remove"), st.integers(0, 50)),
+)
 
 
 # ------------------------------------------------------------------ the registry
@@ -62,13 +92,13 @@ class TestIndexRegistry:
             state.insert(make_tuple("A", float(i), seq=i, x=i % 2, y=i))
         state.purge(horizon=2.0)
         assert _hashes(context) == 0  # no index: nothing hashed so far
-        state.probe_index([(X, (0,))])
+        state.probe_index([(X, 0)])
         assert _hashes(context) == 3 + 1  # build over the 3 present entries + the lookup
-        state.probe_index([(X, (1,))])
+        state.probe_index([(X, 1)])
         assert _hashes(context) == 3 + 2  # built once
         state.insert(make_tuple("A", 9.0, seq=9, x=0, y=9))
         assert _hashes(context) == 3 + 2 + 1  # maintenance: one live index
-        state.probe_index([(Y, (9,))])
+        state.probe_index([(Y, 9)])
         assert _hashes(context) == 3 + 2 + 1 + 4 + 1  # second index: 4 present entries
         state.insert(make_tuple("A", 10.0, seq=10, x=1, y=10))
         assert _hashes(context) == 3 + 2 + 1 + 4 + 1 + 2  # two live indexes
@@ -78,7 +108,7 @@ class TestIndexRegistry:
         state.insert(make_tuple("A", 0.0, seq=0, x=7))
         state.insert(make_tuple("A", 0.0, seq=1, x=8))
         assert _hashes(context) == 2
-        matches = state.probe_index([(X, (7,))])
+        matches = state.probe_index([(X, 7)])
         assert [e.tuple.get("x") for e in matches] == [7]
         assert _hashes(context) == 3  # the lookup only: nothing left to build
         assert context.cost.count(CostKind.PROBE_STEP) == 1
@@ -91,14 +121,14 @@ class TestIndexRegistry:
             state.insert(make_tuple("A", 100.0 + i, seq=i, x=i, y=i % 2))
         assert _hashes(context) == 4  # the join-key index only
         context.clock.advance_to(10.0)
-        state.probe_index([(Y, (0,))])
+        state.probe_index([(Y, 0)])
         assert _hashes(context) == 4 + 4 + 1  # build + lookup
         state.purge(horizon=10.0)  # purge passes ``now - w``: looked up exactly a window ago
         assert set(state._indexes) == {X, Y}
         state.insert(make_tuple("A", 104.0, seq=4, x=4, y=0))
         assert _hashes(context) == 9 + 2  # both maintained
         context.clock.advance_to(30.0)
-        state.probe_index([(Y, (0,))])
+        state.probe_index([(Y, 0)])
         assert _hashes(context) == 11 + 1  # a lookup renews the lease
         state.purge(horizon=29.0)
         assert set(state._indexes) == {X, Y}
@@ -109,9 +139,9 @@ class TestIndexRegistry:
         context.clock.advance_to(500.0)
         state.purge(horizon=99.0)
         assert set(state._indexes) == {X}  # the join-key index never retires
-        rebuilt = state.probe_index([(Y, (0,))])
+        rebuilt = state.probe_index([(Y, 0)])
         assert _hashes(context) == 13 + 6 + 1  # rebuilt over the 6 present entries
-        assert rebuilt == _brute(state, Y, (0,)) and len(rebuilt) == 4
+        assert rebuilt == _brute(state, Y, 0) and len(rebuilt) == 4
         assert set(state._indexes) == {X, Y}
 
     def test_buckets_stay_correct_and_ordered_across_every_mutation(self, context):
@@ -121,24 +151,24 @@ class TestIndexRegistry:
 
         def check():
             for key in range(3):
-                assert state.probe_index([(X, (key,))]) == _brute(state, X, (key,))
+                assert state.probe_index([(X, key)]) == _brute(state, X, key)
             for key in range(2):
-                assert state.probe_index([(Y, (key,))]) == _brute(state, Y, (key,))
+                assert state.probe_index([(Y, key)]) == _brute(state, Y, key)
 
         check()  # lazy build from the present entries
         state.insert(make_tuple("A", 100.0, seq=100, x=0, y=1))
         check()  # insert
         state.purge(horizon=10.0)
         check()  # purge
-        extracted = state.extract(lambda t: t.get("y") == 0, lookup=(Y, (0,)))
+        extracted = state.extract(lambda t: t.get("y") == 0, lookup=(Y, 0))
         assert extracted and all(e.removed for e in extracted)
-        assert state.probe_index([(Y, (0,))]) == []
+        assert state.probe_index([(Y, 0)]) == []
         assert len(state._entries) == len(state)  # removed entries dominated: compacted
         check()  # extract through one index maintains the other, across _maybe_compact
         replay = state.insert(extracted[0].tuple, seq=extracted[0].seq)
         assert replay.seq == extracted[0].seq < state.entries()[0].seq
-        assert state.probe_index([(Y, (0,))]) == [replay]
-        assert state.probe_index([(X, (replay.tuple.get("x"),))])[-1] is replay
+        assert state.probe_index([(Y, 0)]) == [replay]
+        assert state.probe_index([(X, replay.tuple.get("x"))])[-1] is replay
         check()  # re-insert under an original seq: last in its buckets, as in the list
         state.purge(horizon=95.0)
         state.insert(make_tuple("A", 110.0, seq=110, x=1, y=0))
@@ -155,27 +185,27 @@ class TestIndexRegistry:
         state.remove_entry(entries[0])
         replay = state.insert(entries[0].tuple, seq=entries[0].seq)
         before = context.cost.count(CostKind.PROBE_STEP)
-        union = state.probe_index([(X, (0,)), (Y, (5,))])
+        union = state.probe_index([(X, 0), (Y, 5)])
         assert union == [entries[1], entries[2], entries[5], replay]
         assert context.cost.count(CostKind.PROBE_STEP) - before == 4
-        assert [e.seq for e in union] == [1, 2, 5, 0]  # insertion order, not seq order
+        assert [e.seq for e in union] == [2, 3, 6, 1]  # insertion order, not seq order
 
     def test_removed_entries_are_never_returned(self, context):
         state = OperatorState("S", context)
         entries = [state.insert(make_tuple("A", float(i), seq=i, x=1, y=i)) for i in range(4)]
-        assert state.probe_index([(X, (1,))]) == entries
+        assert state.probe_index([(X, 1)]) == entries
         state.remove_entry(entries[1])
         state.purge(horizon=1.0)
-        assert state.probe_index([(X, (1,))]) == entries[2:]
-        state.extract(lambda t: True, lookup=(X, (1,)))
-        assert state.probe_index([(X, (1,))]) == []
-        assert state.probe_index([(X, (1,)), (Y, (2,))]) == []
+        assert state.probe_index([(X, 1)]) == entries[2:]
+        state.extract(lambda t: True, lookup=(X, 1))
+        assert state.probe_index([(X, 1)]) == []
+        assert state.probe_index([(X, 1), (Y, 2)]) == []
 
     def test_extract_through_an_index_examines_only_the_bucket(self, context):
         state = OperatorState("S", context)
         for i in range(20):
             state.insert(make_tuple("A", float(i), seq=i, x=i % 5, y=i % 2))
-        removed = state.extract(lambda t: t.get("y") == 0, lookup=(X, (2,)))
+        removed = state.extract(lambda t: t.get("y") == 0, lookup=(X, 2))
         assert [e.tuple.seq for e in removed] == [2, 12]  # x == 2 and y == 0
         assert context.cost.count(CostKind.BLACKLIST_SCAN) == 4  # the x == 2 bucket
         state.extract(lambda t: False)
@@ -188,23 +218,99 @@ class TestIndexRegistry:
         def steps():
             return context.cost.count(CostKind.PROBE_STEP)
 
-        assert state.any_live(X, (0,))  # present is enough without a horizon
+        assert state.any_live(X, 0)  # present is enough without a horizon
         assert (_hashes(context), steps()) == (6 + 1, 1)  # build + lookup; entry 4 examined
-        assert state.any_live(X, (1,), horizon=4.5)  # entry 5
+        assert state.any_live(X, 1, horizon=4.5)  # entry 5
         assert (_hashes(context), steps()) == (8, 2)
-        assert not state.any_live(X, (0,), horizon=4.5)  # entries 4, 2 and 0: none live
+        assert not state.any_live(X, 0, horizon=4.5)  # entries 4, 2 and 0: none live
         assert (_hashes(context), steps()) == (9, 5)
-        assert not state.any_live(X, (7,))  # no bucket: the lookup alone
+        assert not state.any_live(X, 7)  # no bucket: the lookup alone
         assert (_hashes(context), steps()) == (10, 5)
         state.remove_entry(state.entries()[5])
-        assert not state.any_live(X, (1,), horizon=4.5)  # entries 3 and 1
+        assert not state.any_live(X, 1, horizon=4.5)  # entries 3 and 1
         assert (_hashes(context), steps()) == (11, 7)
+
+    def test_a_bucket_is_its_entry_until_a_second_one_joins_it(self, context):
+        state = OperatorState("S", context, key_template=X)
+        first = state.insert(make_tuple("A", 0.0, x=1))
+        buckets = state._indexes[X][1]
+        assert buckets == {1: first}  # the bare value keys the entry itself
+        second = state.insert(make_tuple("A", 1.0, x=1))
+        assert buckets[1] == [first, second]  # entry -> list
+        state.remove_entry(first)
+        assert buckets[1] is second  # list -> entry
+        assert state.probe_index([(X, 1)]) == [second]
+        state.remove_entry(second)
+        assert buckets == {}
+        assert state.probe_index([(X, 1)]) == [] and not state.any_live(X, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(_STEP, max_size=40))
+    def test_the_registry_always_answers_what_a_scan_of_present_entries_answers(
+        self, steps
+    ):
+        context = ExecutionContext(window=Window(60.0))
+        state = OperatorState("S", context, key_template=X)
+        extracted, now, inserted = [], 0.0, 0
+
+        def check():
+            for _key_of, buckets in state._indexes.values():
+                for bucket in buckets.values():  # an entry, or a list of two or more
+                    assert type(bucket) is not list or len(bucket) >= 2
+            lookups = [(Y, 0), (Y, 1)]
+            for kx in range(3):
+                lookups += [(X, kx), (XY, (kx, 0)), (XY, (kx, 1))]
+            for template, key in lookups:
+                want = _brute(state, template, key)
+                assert state.probe_index([(template, key)]) == want
+                assert state.any_live(template, key) == bool(want)
+                horizon = now - 5
+                assert state.any_live(template, key, horizon) == any(
+                    e.ts >= horizon for e in want
+                )
+                before = context.cost.count(CostKind.BLACKLIST_SCAN)
+                assert state.extract(lambda t: False, lookup=(template, key)) == []
+                assert context.cost.count(CostKind.BLACKLIST_SCAN) - before == len(want)
+            for kx in range(3):  # x == kx, or the next x with y == 0
+                union = state.probe_index([(X, kx), (XY, ((kx + 1) % 3, 0))])
+                assert union == [
+                    e for e in state.entries()
+                    if e.tuple.get("x") == kx
+                    or (e.tuple.get("x"), e.tuple.get("y")) == ((kx + 1) % 3, 0)
+                ]
+
+        for step in steps:
+            kind = step[0]
+            if kind == "insert":
+                _, x, y, lag = step
+                inserted += 1
+                state.insert(make_tuple("A", now - lag, seq=inserted, x=x, y=y))
+            elif kind == "reinsert" and extracted:
+                entry = extracted.pop(step[1] % len(extracted))
+                assert state.insert(entry.tuple, seq=entry.seq).seq == entry.seq
+            elif kind == "extract":
+                _, template, kx, y = step
+                key = kx if template is X else (kx, y)
+                extracted += state.extract(lambda t: t.get("y") == y, lookup=(template, key))
+            elif kind == "purge":
+                _, dt, w, pin = step
+                now += dt
+                context.clock.advance_to(now)
+                if pin is None:
+                    state.pin(None)
+                else:
+                    floors = {pin[0]: now - pin[1]}
+                    state.pin(StampPins(floors, key_of=lambda t: t.get("x")).keeps)
+                state.purge(now - w)
+            elif kind == "remove" and len(state):
+                state.remove_entry(state.entries()[step[1] % len(state)])
+            check()
 
     def test_indexes_are_not_charged_to_the_memory_model(self, context):
         state = OperatorState("S", context)
         tup = make_tuple("A", 0.0, x=1, y=2)
         state.insert(tup)
-        state.probe_index([(X, (1,)), (Y, (2,))])
+        state.probe_index([(X, 1), (Y, 2)])
         assert context.memory.current_bytes == tup.size_bytes
 
     def test_indexed_ref_counters_match_the_snapshot_before_the_registry(self):

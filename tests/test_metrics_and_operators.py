@@ -162,8 +162,8 @@ class TestOperatorState:
         state = OperatorState("S", context)
         e1 = state.insert(make_tuple("A", 5.0, seq=0, x=1))
         e2 = state.insert(make_tuple("A", 1.0, seq=1, x=2))  # older ts, later insert
-        assert (e1.seq, e2.seq) == (0, 1)
-        assert [e.seq for e in state.probe()] == [0, 1]
+        assert (e1.seq, e2.seq) == (1, 2)
+        assert [e.seq for e in state.probe()] == [1, 2]
 
     def test_reinsert_with_original_seq(self, context):
         state = OperatorState("S", context)
@@ -207,16 +207,16 @@ class TestOperatorState:
         state = OperatorState("S", context, key_template=(("A", "x"),))
         state.insert(make_tuple("A", 0.0, seq=0, x=7))
         state.insert(make_tuple("A", 0.0, seq=1, x=8))
-        matches = state.probe_index([((("A", "x"),), (7,))])
+        matches = state.probe_index([((("A", "x"),), 7)])
         assert [e.tuple.get("x") for e in matches] == [7]
-        assert key_function((("A", "x"),))(make_tuple("A", 0.0, x=9)) == (9,)
+        assert key_function((("A", "x"),))(make_tuple("A", 0.0, x=9)) == 9
         both = key_function((("A", "x"), ("A", "y")))
         assert both(make_tuple("A", 0.0, x=9, y=3)) == (9, 3)
 
     def test_probe_index_builds_the_index_on_first_use(self, context):
         state = OperatorState("S", context)
         state.insert(make_tuple("A", 0.0, x=1))
-        assert [e.tuple.get("x") for e in state.probe_index([((("A", "x"),), (1,))])] == [1]
+        assert [e.tuple.get("x") for e in state.probe_index([((("A", "x"),), 1)])] == [1]
 
     def test_remove_entry_twice_fails(self, context):
         state = OperatorState("S", context)
@@ -499,18 +499,18 @@ class TestExistenceLookup:
         state = OperatorState("S", context)
         for i in range(50):
             state.insert(make_tuple("C", float(i), seq=i, y=i))
-        assert all(state.any_live(self.Y, (i,)) for i in range(50))
+        assert all(state.any_live(self.Y, i) for i in range(50))
 
     def test_no_false_positives(self, context):
         state = OperatorState("S", context)
         for i in range(0, 50, 2):
             state.insert(make_tuple("C", float(i), seq=i, y=i))
-        assert not any(state.any_live(self.Y, (i,)) for i in range(-1, 51, 2))
+        assert not any(state.any_live(self.Y, i) for i in range(-1, 51, 2))
 
     def test_a_fresh_state_answers_with_the_lookup_alone(self, context):
         state = OperatorState("S", context)
-        assert not state.any_live(self.Y, (1,))
-        assert not state.any_live(self.Y, (1,), horizon=0.0)
+        assert not state.any_live(self.Y, 1)
+        assert not state.any_live(self.Y, 1, horizon=0.0)
         assert context.cost.count(CostKind.HASH) == 2  # nothing to build, one lookup each
         assert context.cost.count(CostKind.PROBE_STEP) == 0
 
@@ -518,23 +518,23 @@ class TestExistenceLookup:
         state = OperatorState("S", context)
         first = state.insert(make_tuple("C", 0.0, seq=0, y=7))
         second = state.insert(make_tuple("C", 1.0, seq=1, y=7))
-        assert state.any_live(self.Y, (7,))
+        assert state.any_live(self.Y, 7)
         state.remove_entry(first)
-        assert state.any_live(self.Y, (7,))  # the other y = 7 entry is still present
+        assert state.any_live(self.Y, 7)  # the other y = 7 entry is still present
         state.remove_entry(second)
-        assert not state.any_live(self.Y, (7,))
+        assert not state.any_live(self.Y, 7)
 
     def test_purged_and_extracted_entries_are_gone(self, context):
         state = OperatorState("S", context)
         for i in range(6):
             state.insert(make_tuple("C", float(i), seq=i, y=i % 2))
-        assert state.any_live(self.Y, (0,))  # builds the index over all six
+        assert state.any_live(self.Y, 0)  # builds the index over all six
         state.purge(horizon=4.0)
         assert [e.tuple.seq for e in state.entries()] == [4, 5]
-        assert state.any_live(self.Y, (0,)) and state.any_live(self.Y, (1,))
-        state.extract(lambda t: t.get("y") == 0, lookup=(self.Y, (0,)))
-        assert not state.any_live(self.Y, (0,))
-        assert state.any_live(self.Y, (1,))
+        assert state.any_live(self.Y, 0) and state.any_live(self.Y, 1)
+        state.extract(lambda t: t.get("y") == 0, lookup=(self.Y, 0))
+        assert not state.any_live(self.Y, 0)
+        assert state.any_live(self.Y, 1)
 
     def test_a_horizon_hides_what_a_purge_floor_retains(self, context):
         state = OperatorState("S", context)
@@ -542,9 +542,9 @@ class TestExistenceLookup:
             state.insert(make_tuple("C", float(i), seq=i, y=i))
         state.pin(StampPins({None: 0.0}).keeps)
         assert state.purge(horizon=4.0) == []
-        assert state.any_live(self.Y, (1,))  # retained: present, so a replay sees it
-        assert not state.any_live(self.Y, (1,), horizon=4.0)  # but not live
-        assert state.any_live(self.Y, (5,), horizon=4.0)
+        assert state.any_live(self.Y, 1)  # retained: present, so a replay sees it
+        assert not state.any_live(self.Y, 1, horizon=4.0)  # but not live
+        assert state.any_live(self.Y, 5, horizon=4.0)
 
     def test_a_two_attribute_component_needs_both_values(self, context):
         state = OperatorState("S", context)

@@ -125,29 +125,28 @@ def key_function(template: IndexTemplate) -> Callable[[StreamTuple], IndexKey]:
     return lambda tup: tuple([tup.value(source, attr) for source, attr in template])
 
 
-def _add(buckets: Dict[IndexKey, _Bucket], key: IndexKey, entry: "StateEntry") -> None:
-    """Append ``entry`` to the bucket of ``key``."""
-    bucket = buckets.get(key)
-    if bucket is None:
-        buckets[key] = entry
-    elif type(bucket) is list:
+def _add(
+    buckets: Dict[IndexKey, _Bucket], key: IndexKey, bucket: _Bucket, entry: "StateEntry"
+) -> None:
+    """Append ``entry`` to ``key``'s occupied ``bucket``, making a one-entry
+    bucket a list.  (A new key's bucket is the entry itself, set inline.)"""
+    if type(bucket) is list:
         bucket.append(entry)
     else:
         buckets[key] = [bucket, entry]
 
 
-def _remove(buckets: Dict[IndexKey, _Bucket], key: IndexKey, entry: "StateEntry") -> None:
-    """Take ``entry`` (by identity) out of the bucket of ``key``."""
-    bucket = buckets.get(key)
-    if bucket is entry:
-        del buckets[key]
-    elif type(bucket) is list:
-        for pos, existing in enumerate(bucket):
-            if existing is entry:
-                del bucket[pos]
-                break
-        if len(bucket) == 1:
-            buckets[key] = bucket[0]
+def _remove(
+    buckets: Dict[IndexKey, _Bucket], key: IndexKey, bucket: List["StateEntry"], entry: "StateEntry"
+) -> None:
+    """Take ``entry`` (by identity) out of ``key``'s list ``bucket``,
+    collapsing it to its last entry.  (A sole entry is deleted inline.)"""
+    for pos, existing in enumerate(bucket):
+        if existing is entry:
+            del bucket[pos]
+            break
+    if len(bucket) == 1:
+        buckets[key] = bucket[0]
 
 
 @dataclass(slots=True)
@@ -318,7 +317,10 @@ class OperatorState:
         self._active_count += 1
         if self._indexes:
             for key_of, buckets in self._indexes.values():
-                _add(buckets, key_of(tup), entry)
+                key = key_of(tup)
+                bucket = buckets.setdefault(key, entry)
+                if bucket is not entry:
+                    _add(buckets, key, bucket, entry)
             self.context.cost.charge(CostKind.HASH, len(self._indexes))
         self.context.cost.charge(CostKind.INSERT)
         self.context.memory.allocate(tup.size_bytes, self.memory_category)
@@ -568,7 +570,10 @@ class OperatorState:
             key_of, buckets = self._register(template)
             for entry in self._entries:
                 if not entry.removed:
-                    _add(buckets, key_of(entry.tuple), entry)
+                    entry_key = key_of(entry.tuple)
+                    bucket = buckets.setdefault(entry_key, entry)
+                    if bucket is not entry:
+                        _add(buckets, entry_key, bucket, entry)
             if self._active_count:
                 cost.charge(CostKind.HASH, self._active_count)
         if lazy:
@@ -593,9 +598,15 @@ class OperatorState:
         start = self._live_start
         if start and (start == len(self._entries) or entry.order < self._entries[start].order):
             self._retained -= 1
+        tup = entry.tuple
         for key_of, buckets in self._indexes.values():
-            _remove(buckets, key_of(entry.tuple), entry)
-        self.context.memory.release(entry.tuple.size_bytes, self.memory_category)
+            key = key_of(tup)
+            bucket = buckets.get(key)
+            if bucket is entry:
+                del buckets[key]
+            elif type(bucket) is list:
+                _remove(buckets, key, bucket, entry)
+        self.context.memory.release(tup.size_bytes, self.memory_category)
 
     def _maybe_compact(self) -> None:
         """Drop removed entries from the list once they dominate it."""

@@ -23,7 +23,8 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.streams.schema import SourceSchema, StreamCatalog
 from repro.streams.sources import (
@@ -66,7 +67,8 @@ class UniformValueGenerator:
     """Draw each attribute value uniformly from ``[low .. high]`` (inclusive).
 
     This is the paper's default value distribution with ``low=1`` and
-    ``high=dmax``.
+    ``high=dmax``.  A :class:`~repro.streams.sources.StreamSource` draws
+    through :meth:`drawer`, one call per event.
     """
 
     high: int
@@ -76,8 +78,35 @@ class UniformValueGenerator:
         if self.low > self.high:
             raise ValueError(f"empty value range [{self.low}..{self.high}]")
 
-    def __call__(self, rng: random.Random, schema: SourceSchema) -> Dict[str, int]:
-        return {a.name: rng.randint(self.low, self.high) for a in schema.attributes}
+    def drawer(self, rng: random.Random, schema: SourceSchema) -> Callable[[], Tuple[int, ...]]:
+        """A function drawing one tuple's values, in sorted-name order.
+
+        Each call draws one value per attribute in the order
+        ``schema.attributes`` declares them, as ``rng.randint(low, high)``
+        would: ``low`` plus the first ``getrandbits(k)`` below ``n = high -
+        low + 1``, with ``k = n.bit_length()`` (``_randbelow``'s loop,
+        inlined).  It returns them sorted by name, the layout's order, which
+        is the declaration order unless the schema declares them unsorted.
+        """
+        low = self.low
+        n = self.high - low + 1
+        k = n.bit_length()
+        getrandbits = rng.getrandbits
+        declared = schema.attribute_names
+        attributes = range(len(declared))
+        order = sorted(attributes, key=declared.__getitem__)
+        laid_out = tuple if order == list(attributes) else itemgetter(*order)
+
+        def draw() -> Tuple[int, ...]:
+            drawn = []
+            for _ in attributes:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                drawn.append(low + r)
+            return laid_out(drawn)
+
+        return draw
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,37 @@ Arrival processes available:
 * :class:`PeriodicArrivals` -- fixed inter-arrival gap, useful for tests.
 * :class:`ScriptedArrivals` -- explicit list of timestamps, used to replay
   the paper's worked examples (Table I, Figure 5c).
+
+Generation runs at the cost of its draws.  :class:`PoissonArrivals` computes
+each gap as ``-log(1.0 - random()) / rate``, the body of
+``Random.expovariate``.  A value generator with a ``drawer`` (the uniform
+one of :mod:`repro.streams.generators`) hands the source one call per event
+that draws the event's values in declaration order, each through
+``_randbelow``'s ``getrandbits(k)``-until-below-``n`` loop inlined, and
+returns them in sorted-name order, ready for the layout.  Both consume the
+random generator exactly as ``expovariate`` and ``randint`` do, so a stream
+is bit-identical to one drawn through them (``tests/helpers.py``'s
+``reference_events`` keeps that code as the oracle).  Any other value
+generator returns a dict, which goes through the ``AtomicTuple``
+constructor and its check that every attribute is there.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from math import log
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Mapping, Sequence, Union
 
 from repro.streams.schema import SourceSchema
 from repro.streams.tuples import AtomicTuple, _laid_out, _layout, _restore_atomic
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.streams.generators import UniformValueGenerator
+
+#: A dict-returning value generator: ``(rng, schema) -> {name: value}``.
+ValueGenerator = Callable[[random.Random, SourceSchema], Mapping[str, object]]
 
 __all__ = [
     "StreamEvent",
@@ -91,9 +111,11 @@ class PoissonArrivals(ArrivalProcess):
             raise ValueError(f"arrival rate must be positive, got {self.rate}")
 
     def timestamps(self, duration: float, rng: random.Random) -> Iterator[float]:
+        # ``rng.expovariate(rate)``, inlined: the same draw, the same float.
+        uniform, rate = rng.random, self.rate
         now = 0.0
         while True:
-            now += rng.expovariate(self.rate)
+            now += -log(1.0 - uniform()) / rate
             if now >= duration:
                 return
             yield now
@@ -145,9 +167,12 @@ class StreamSource:
     arrivals:
         Arrival process determining *when* tuples appear.
     value_generator:
-        Callable ``(rng, schema) -> dict`` producing the attribute values of
-        one tuple.  Workload generators in :mod:`repro.streams.generators`
-        provide ready-made ones.
+        What draws the attribute values of one tuple: a callable ``(rng,
+        schema) -> dict``, or an object whose ``drawer(rng, schema)``
+        returns a zero-argument function drawing them as a tuple in
+        sorted-name order, as
+        :class:`~repro.streams.generators.UniformValueGenerator` does (see
+        the module docstring).
     seed:
         Seed for this source's private random generator; two sources with
         different names and the same seed still produce different streams
@@ -158,7 +183,7 @@ class StreamSource:
         self,
         schema: SourceSchema,
         arrivals: ArrivalProcess,
-        value_generator: Callable[[random.Random, SourceSchema], Mapping[str, object]],
+        value_generator: Union[ValueGenerator, "UniformValueGenerator"],
         seed: int = 0,
     ) -> None:
         self.schema = schema
@@ -186,33 +211,32 @@ class StreamSource:
         """
         rng = self._rng()
         schema, name = self.schema, self.name
-        attribute_names = schema.attribute_names
         size_bytes = schema.tuple_size_bytes
-        # Values carrying exactly the schema's attributes (what every shipped
-        # generator draws) are read straight into the schema's layout.  With
-        # one name ``itemgetter`` returns a bare value, so such schemas (and
-        # attribute-less ones) go through the constructor.
-        names = tuple(sorted(attribute_names))
-        layout = _layout(names)
-        exact = layout.keys()
-        read = itemgetter(*names) if len(names) > 1 else None
+        timestamps = self.arrivals.timestamps(duration, rng)
         out: List[StreamEvent] = []
-        seq = 0
-        for ts in self.arrivals.timestamps(duration, rng):
+        drawer = getattr(self.value_generator, "drawer", None)
+        if drawer is not None:
+            draw = drawer(rng, schema)
+            layout = _layout(tuple(sorted(schema.attribute_names)))
+            for seq, ts in enumerate(timestamps):
+                tup = _laid_out(name, float(ts), seq, layout, draw(), size_bytes)
+                out.append(StreamEvent(ts, name, tup))
+            return out
+        attribute_names = schema.attribute_names
+        for seq, ts in enumerate(timestamps):
             values = self.value_generator(rng, schema)
-            if read is not None and values.keys() == exact:
-                tup = _laid_out(name, float(ts), seq, layout, read(values), size_bytes)
-            else:
-                missing = [a for a in attribute_names if a not in values]
-                if missing:
-                    raise ValueError(
-                        f"value generator for source {name!r} did not produce "
-                        f"attributes {missing}"
-                    )
-                tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=size_bytes)
+            missing = [a for a in attribute_names if a not in values]
+            if missing:
+                raise ValueError(
+                    f"value generator for source {name!r} did not produce "
+                    f"attributes {missing}"
+                )
+            tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=size_bytes)
             out.append(StreamEvent(ts, name, tup))
-            seq += 1
         return out
+
+
+_ts_of = attrgetter("ts")
 
 
 def merge_sources(
@@ -220,11 +244,18 @@ def merge_sources(
 ) -> List[StreamEvent]:
     """Merge the arrivals of several sources into one time-ordered event list.
 
-    Ties on timestamps are broken by source name so that replays are fully
-    deterministic.
+    Ties on timestamps are broken by source name, then by arrival sequence,
+    so that replays are fully deterministic: the order is that of the key
+    ``(ts, source, seq)``.  The sources' lists are concatenated in name
+    order and sorted stably on the timestamp alone, which gives that order
+    without a key tuple per event, since each list is in ``seq`` order.
+    The source names must therefore be distinct.
     """
+    by_name = sorted(sources, key=attrgetter("name"))
     events: List[StreamEvent] = []
-    for source in sources:
+    for index, source in enumerate(by_name):
+        if index and source.name == by_name[index - 1].name:
+            raise ValueError(f"two sources are named {source.name!r}")
         events.extend(source.events(duration))
-    events.sort(key=attrgetter("ts", "source", "tuple.seq"))
+    events.sort(key=_ts_of)
     return events

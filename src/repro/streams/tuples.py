@@ -20,7 +20,8 @@ process worker's tuples share one layout too; an atomic tuple pickles as
 ``(source, ts, seq, names, values, size_bytes)``, and a ``StreamEvent``
 carries that state inline.  A composite tuple stores its components alone,
 sorted by source, and finds one by scanning them: a join result has two to
-five.
+five.  Neither caches its hash: each computes it on demand from what it
+stores, so a tuple holds nothing that no workload reads.
 
 Timestamps follow the paper's convention (Section II): an atomic tuple's
 timestamp is its arrival time, and a composite tuple carries the maximum
@@ -61,7 +62,8 @@ class AtomicTuple:
 
     The attributes are stored as a tuple of values in sorted-name order
     beside the interned layout of their names (see the module docstring);
-    the hash is computed from the sorted items at construction.
+    the hash is computed on demand from the source, seq, timestamp and the
+    sorted ``(name, value)`` items.
 
     Parameters
     ----------
@@ -80,7 +82,7 @@ class AtomicTuple:
         Modelled storage footprint.  Defaults to ``16 + 8 * len(attrs)``.
     """
 
-    __slots__ = ("source", "ts", "seq", "_layout", "_values", "size_bytes", "_hash")
+    __slots__ = ("source", "ts", "seq", "_layout", "_values", "size_bytes")
 
     def __init__(
         self,
@@ -93,14 +95,13 @@ class AtomicTuple:
         if not source:
             raise ValueError("source name must be non-empty")
         self.source = source
-        self.ts = ts = float(ts)
-        self.seq = seq = int(seq)
-        items = tuple(sorted(attrs.items()))
+        self.ts = float(ts)
+        self.seq = int(seq)
+        items = sorted(attrs.items())
         names, values = zip(*items) if items else ((), ())
         self._layout = _layout(names)
         self._values = values
         self.size_bytes = int(size_bytes) if size_bytes is not None else 16 + 8 * len(values)
-        self._hash = hash((source, seq, ts, items))
 
     def __reduce__(self) -> tuple:
         names = tuple(self._layout)
@@ -173,7 +174,7 @@ class AtomicTuple:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.source, self.seq, self.ts, tuple(zip(self._layout, self._values))))
 
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v}" for k, v in zip(self._layout, self._values))
@@ -291,7 +292,6 @@ def _laid_out(
     tup._layout = layout
     tup._values = values
     tup.size_bytes = size_bytes
-    tup._hash = hash((source, seq, ts, tuple(zip(layout, values))))
     return tup
 
 

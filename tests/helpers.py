@@ -17,12 +17,53 @@ from repro.metrics import CostKind
 from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.serve.telemetry import TelemetryError, get_metric_value
+from repro.streams.generators import UniformValueGenerator
+from repro.streams.sources import PoissonArrivals, StreamEvent
 from repro.streams.tuples import AtomicTuple, join_tuples
 
 
 def make_tuple(source: str, ts: float, seq: int = 0, **attrs: object) -> AtomicTuple:
     """Build an atomic tuple from keyword attribute values."""
     return AtomicTuple(source, ts, attrs, seq=seq)
+
+
+def _expovariate_arrivals(rate: float, duration: float, rng):
+    now = 0.0
+    while True:
+        now += rng.expovariate(rate)
+        if now >= duration:
+            return
+        yield now
+
+
+def reference_events(sources, duration: float) -> list:
+    """What ``merge_sources(sources, duration)`` returns, drawn the generic way.
+
+    The oracle of the sources' draw-at-cost path: Poisson gaps through
+    ``rng.expovariate``, uniform values as ``{name: rng.randint(low, high)}``
+    in declaration order, every tuple through the ``AtomicTuple``
+    constructor, and one sort on ``(ts, source, seq)``.
+    """
+    events = []
+    for source in sources:
+        rng, schema, name = source._rng(), source.schema, source.name
+        arrivals, generator = source.arrivals, source.value_generator
+        if isinstance(arrivals, PoissonArrivals):
+            timestamps = _expovariate_arrivals(arrivals.rate, duration, rng)
+        else:
+            timestamps = arrivals.timestamps(duration, rng)
+        for seq, ts in enumerate(timestamps):
+            if isinstance(generator, UniformValueGenerator):
+                values = {
+                    a.name: rng.randint(generator.low, generator.high)
+                    for a in schema.attributes
+                }
+            else:
+                values = generator(rng, schema)
+            tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=schema.tuple_size_bytes)
+            events.append(StreamEvent(ts, name, tup))
+    events.sort(key=lambda e: (e.ts, e.source, e.tuple.seq))
+    return events
 
 
 class StampPins:

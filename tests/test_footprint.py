@@ -28,9 +28,9 @@ pytestmark = pytest.mark.skipif(
     reason="byte bounds measured on CPython 3.11, the interpreter CI pins",
 )
 
-#: Traced bytes per generated event: 339.6 measured (451.4 with an attribute
-#: dict per tuple).
-EVENT_BYTES_BOUND = 339.6 * 1.05
+#: Traced bytes per generated event: 292.4 measured (339.6 with a hash
+#: cached per tuple, 451.4 with an attribute dict per tuple as well).
+EVENT_BYTES_BOUND = 292.4 * 1.05
 #: Traced bytes per stored entry of a REF join: 118.4 measured (146.3 with
 #: separate ``seq`` and ``order`` ints per entry, 227.2 with an expiry-heap
 #: tuple and an ``inserted_at`` slot as well).

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import reference_events
 
 from repro.context import ExecutionContext
 from repro.core.signature import MNSSignature
@@ -439,6 +440,32 @@ class TestStreamSource:
         assert [e.ts for e in merged] == sorted(e.ts for e in merged)
         assert {e.source for e in merged} == {"A", "B"}
 
+    def test_merge_breaks_ties_by_source_then_seq(self):
+        # Handed in reverse name order, with timestamps equal across sources
+        # and within one: the stable sort on ts alone must give the order of
+        # the (ts, source, seq) key.
+        scripts = {"C": [1.0, 1.0, 2.0, 3.0], "B": [1.0, 2.0, 2.0], "A": [0.5, 1.0, 1.0, 3.0]}
+        sources = [
+            StreamSource(
+                schema=SourceSchema.of(name, ["x"]),
+                arrivals=ScriptedArrivals(times),
+                value_generator=UniformValueGenerator(high=5),
+                seed=4,
+            )
+            for name, times in scripts.items()
+        ]
+        merged = merge_sources(sources, 10.0)
+        keys = [(e.ts, e.source, e.tuple.seq) for e in merged]
+        assert keys == sorted(keys)
+        assert len(keys) == 11
+        assert keys[:6] == [
+            (0.5, "A", 0), (1.0, "A", 1), (1.0, "A", 2), (1.0, "B", 0), (1.0, "C", 0), (1.0, "C", 1),
+        ]
+
+    def test_merge_rejects_two_sources_of_one_name(self):
+        with pytest.raises(ValueError, match="two sources are named 'A'"):
+            merge_sources([self._source(seed=1), self._source(seed=2)], 5.0)
+
     def test_incomplete_value_generator_is_rejected(self):
         source = StreamSource(
             schema=SourceSchema.of("A", ["x", "y"]),
@@ -451,9 +478,8 @@ class TestStreamSource:
 
     @pytest.mark.parametrize("names", [["y", "x", "z"], ["x"], []])
     def test_generated_tuples_are_the_constructor_s(self, names):
-        # Values with exactly the schema's attributes skip the constructor
-        # (schemas with one name or none go through it); either way what
-        # comes out must be what the constructor builds.
+        # The uniform generator's drawn values skip the constructor; what
+        # comes out must still be what the constructor builds.
         source = StreamSource(
             schema=SourceSchema.of("A", names),
             arrivals=ScriptedArrivals([1, 2.5, 4]),
@@ -484,12 +510,12 @@ class TestValueGenerators:
         import random
 
         gen = UniformValueGenerator(high=3)
-        rng = random.Random(0)
         schema = SourceSchema.of("A", ["x", "y"])
+        draw = gen.drawer(random.Random(0), schema)
         for _ in range(50):
-            values = gen(rng, schema)
-            assert set(values) == {"x", "y"}
-            assert all(1 <= v <= 3 for v in values.values())
+            values = draw()
+            assert len(values) == 2
+            assert all(1 <= v <= 3 for v in values)
         with pytest.raises(ValueError):
             UniformValueGenerator(high=0)
 
@@ -607,3 +633,87 @@ class TestPinnedStreams:
         env = dict(os.environ, PYTHONHASHSEED="12345",
                    PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", script], cwd=here, env=env, check=True)
+
+
+# --------------------------------------------------------------------------- draw oracle
+
+
+def _oracle_cases():
+    """Generated populations whose streams must equal ``reference_events``'."""
+    cases = {}
+    for seed in range(4):
+        for n in (2, 4, 8):
+            cases[f"clique{n}-seed{seed}"] = generate_clique_workload(
+                n_sources=n, rate=0.5, window_seconds=20, dmax=5, duration=150, seed=seed
+            )
+        cases[f"left_deep_boost-seed{seed}"] = generate_clique_workload(
+            n_sources=4, rate=0.5, window_seconds=20, dmax=5, duration=150, seed=seed,
+            value_range_overrides={"D": 500},
+        )
+        cases[f"dmax1-seed{seed}"] = generate_clique_workload(
+            n_sources=3, rate=0.5, window_seconds=20, dmax=1, duration=150, seed=seed
+        )
+        cases[f"shared128-seed{seed}"] = generate_multi_query_workload(
+            n_queries=128, n_sources=4, rate=1.0, window_seconds=30.0, dmax=400,
+            duration=3000.0, seed=seed,
+        ).base
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestDrawOracle:
+    """The draw-at-cost path against the generic draws it replaced.
+
+    Any drift in CPython's ``random`` internals (``expovariate``'s body,
+    ``randint``'s rejection loop) fails here, event by event.
+    """
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_events_equal_the_generic_draws(self, name):
+        workload = ORACLE_CASES[name]
+        events = workload.events()
+        expected = reference_events(workload.sources(), workload.duration)
+        assert len(events) == len(expected) > 0
+        for got, want in zip(events, expected):
+            g, w = got.tuple, want.tuple
+            assert (got.ts, got.source, g.seq, g.attrs, g.size_bytes, hash(g), repr(g)) == (
+                want.ts, want.source, w.seq, w.attrs, w.size_bytes, hash(w), repr(w)
+            )
+            assert g._layout is w._layout and g._values == w._values and g == w
+            # The hash the constructor used to cache.
+            assert hash(g) == hash((w.source, w.seq, w.ts, tuple(sorted(w.attrs.items()))))
+
+    @pytest.mark.parametrize(
+        "arrivals", [PeriodicArrivals(0.7), ScriptedArrivals([0, 1, 1, 2.5])], ids=repr
+    )
+    def test_other_arrivals_and_an_unsorted_declaration(self, arrivals):
+        # A clique schema declares its columns sorted by name (x1, x10, x11,
+        # ..., x8, x9), so only a schema like this one makes the draw order
+        # (declaration) and the stored order (sorted names) differ.
+        sources = [
+            StreamSource(
+                schema=SourceSchema.of(name, ["y", "x10", "x2", "x"]),
+                arrivals=arrivals,
+                value_generator=UniformValueGenerator(high=high, low=low),
+                seed=9,
+            )
+            for name, low, high in (("B", 3, 3), ("A", -4, 100))
+        ]
+        events = merge_sources(sources, 8.0)
+        expected = reference_events(sorted(sources, key=lambda s: s.name), 8.0)
+        assert [(e.ts, e.source, e.tuple.seq, e.tuple.attrs) for e in events] == [
+            (e.ts, e.source, e.tuple.seq, e.tuple.attrs) for e in expected
+        ]
+        assert [type(e.ts) for e in events] == [type(e.ts) for e in expected]
+
+    def test_drawer_draws_as_randint_in_declaration_order(self):
+        import random
+
+        schema = SourceSchema.of("A", ["x2", "x10", "x1"])
+        reference = random.Random(3)
+        draw = UniformValueGenerator(high=40).drawer(random.Random(3), schema)
+        for _ in range(20):
+            drawn = {a.name: reference.randint(1, 40) for a in schema.attributes}
+            assert draw() == (drawn["x1"], drawn["x10"], drawn["x2"])

@@ -109,7 +109,7 @@ def run_segment_counts(events) -> None:
         if event.source != "POS":
             continue
         context.clock.advance_to(event.ts)
-        aggregate.process(event.tuple, PORT_INPUT)
+        aggregate.process(event, PORT_INPUT)
     busiest = max(
         (seg for seg in range(1, SEGMENTS + 1)),
         key=lambda seg: aggregate.current_value(seg) or 0,

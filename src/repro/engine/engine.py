@@ -47,7 +47,7 @@ from repro.metrics import CostKind, MetricsReport
 from repro.operators.queues import InterOperatorQueue
 from repro.plans.plan import ExecutionPlan
 from repro.scheduler import OperatorScheduler, ReadyInput, build_scheduler
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = [
     "ExecutionMode",
@@ -269,7 +269,7 @@ class ExecutionEngine:
 
     # -- execution ------------------------------------------------------------------
 
-    def submit(self, event: StreamEvent) -> None:
+    def submit(self, event: AtomicTuple) -> None:
         """Push one event: :meth:`process_event` under the push-ingestion
         name :class:`~repro.multi.ShardedEngine` uses, so one driver loop
         (``submit`` per event, then ``flush``) runs either engine."""
@@ -279,7 +279,7 @@ class ExecutionEngine:
         """The push-ingestion barrier: a no-op here, because every
         ``process_event`` drains to completion before returning."""
 
-    def process_event(self, event: StreamEvent) -> None:
+    def process_event(self, event: AtomicTuple) -> None:
         """Advance the clock and push one arrival into the plan."""
         self.context.clock.advance_to(event.ts)
         self.events_processed += 1
@@ -289,16 +289,16 @@ class ExecutionEngine:
         ctx = tracer.begin_trace(event, fanout=1) if tracer is not None else None
         try:
             if self.mode == ExecutionMode.SYNCHRONOUS:
-                self.plan.deliver(event.tuple, event.source)
+                self.plan.deliver(event, event.source)
                 return
             for operator, port in self.plan.targets_for(event.source):
-                self._input_queues[(id(operator), port)].push(event.tuple)
+                self._input_queues[(id(operator), port)].push(event)
             self._drain_queues()
         finally:
             if tracer is not None:
                 tracer.end_trace(ctx)
 
-    def run(self, events: Iterable[StreamEvent]) -> RunReport:
+    def run(self, events: Iterable[AtomicTuple]) -> RunReport:
         """Process every event and return the run report."""
         cost = self.context.cost
         cost.start_wall_clock()
@@ -324,7 +324,7 @@ class ExecutionEngine:
 
 def run_workload(
     plan: Optional[ExecutionPlan] = None,
-    events: Sequence[StreamEvent] = (),
+    events: Sequence[AtomicTuple] = (),
     window_length: Optional[float] = None,
     mode: str = ExecutionMode.SYNCHRONOUS,
     scheduler: Optional[OperatorScheduler] = None,

@@ -10,7 +10,8 @@ goes (router) and *what* every shard hosts (placement + registry); the
   anchor on.
 * ``drain_mode="process"`` — each shard is a :class:`ProcessShard`: one
   worker *process* fed one pickled ``evt`` frame per routed event over a
-  pipe.  Each worker owns a full :class:`~repro.multi.shard.ShardEngine` plus
+  pipe; the event is its :class:`~repro.streams.tuples.AtomicTuple`, pickled
+  by the tuple's own ``__reduce__``.  Each worker owns a full :class:`~repro.multi.shard.ShardEngine` plus
   its own :class:`~repro.multi.clock.SharedVirtualClock`; the parent ships
   the global ingestion watermark as a plain number with every event, and the
   worker ships per-query results and its shard's suspension/resumption
@@ -33,7 +34,7 @@ parent -> worker                      worker -> parent
 ====================================  =======================================
 ``("host", token, entries)``          ``("hosted", token, snapshot)``
 ``("retire", query_id)``              ``("retired", query_id, snapshot)``
-``("evt", event, ctx, watermark)``    ``("ack", n, results, susp, res)``
+``("evt", tup, ctx, watermark)``      ``("ack", n, results, susp, res)``
 ``("flush", token)``                  ``("flushed", token, snap, trace)``
 ``("tracer", spec)``
 ``("close",)``                        ``("bye", reason)``

@@ -69,7 +69,7 @@ from repro.plans.builder import STRATEGY_REF, ShapeNode
 from repro.plans.plan import ExecutionPlan
 from repro.plans.signature import SubplanSignature, resolve_shape
 from repro.scheduler import OperatorScheduler, ReadyInput
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = ["PlanRuntime", "SharedSubplan", "ShardEngine", "hosting_order"]
 
@@ -602,7 +602,7 @@ class ShardEngine:
     def _drain(self) -> None:
         drain_ready(self.scheduler, self.cost, self.tracer, self.shard_id)
 
-    def process_event(self, event: StreamEvent, trace_ctx=None) -> None:
+    def process_event(self, event: AtomicTuple, trace_ctx=None) -> None:
         """Advance this shard's clock, deliver one routed event, drain.
 
         ``trace_ctx`` carries the trace context opened at ingestion when the
@@ -614,14 +614,14 @@ class ShardEngine:
         if tracer is None or not tracer.enabled:
             self.clock.advance_to(event.ts)
             for queue in self._routes.get(event.source, ()):
-                queue.push(event.tuple)
+                queue.push(event)
             self._drain()
             self.events_processed += 1
             return
         # With a live tracer the event takes the traced delivery.
         self.process_batch((event,), trace_ctx)
 
-    def process_batch(self, events: Sequence[StreamEvent], trace_ctx=None) -> None:
+    def process_batch(self, events: Sequence[AtomicTuple], trace_ctx=None) -> None:
         """The traced delivery: deliver same-timestamp routed events, drain once.
 
         :meth:`process_event` calls it with one event whenever a tracer is
@@ -651,7 +651,7 @@ class ShardEngine:
                 pushes = 0
                 for event in events:
                     for queue in self._routes.get(event.source, ()):
-                        queue.push(event.tuple)
+                        queue.push(event)
                         pushes += 1
                 self._drain()
                 tracer.record_shard_span(
@@ -664,7 +664,7 @@ class ShardEngine:
             else:
                 for event in events:
                     for queue in self._routes.get(event.source, ()):
-                        queue.push(event.tuple)
+                        queue.push(event)
                 self._drain()
             self.events_processed += len(events)
         finally:

@@ -4,8 +4,8 @@
 :class:`~repro.multi.registry.QueryRegistry` over shared streams: a
 placement function assigns each registered plan to one of N
 :class:`~repro.multi.shard.ShardEngine` instances, a
-:class:`~repro.multi.router.StreamRouter` fans each incoming
-:class:`~repro.streams.sources.StreamEvent` out only to subscribed shards,
+:class:`~repro.multi.router.StreamRouter` fans each arriving
+:class:`~repro.streams.tuples.AtomicTuple` out only to subscribed shards,
 and a :class:`~repro.multi.clock.SharedVirtualClock` keeps window purge
 floors and MNS horizons consistent across shards.
 
@@ -57,7 +57,7 @@ from repro.multi.partition import round_robin_partition, signature_partition
 from repro.multi.registry import QueryRegistry
 from repro.multi.router import StreamRouter
 from repro.multi.shard import PlanRuntime, ShardEngine, hosting_order
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = ["QueryReport", "MultiRunReport", "ShardedEngine"]
 
@@ -271,7 +271,7 @@ class ShardedEngine:
 
     # -- push-based ingestion -------------------------------------------------
 
-    def submit(self, event: StreamEvent) -> None:
+    def submit(self, event: AtomicTuple) -> None:
         """Push one event into the engine.
 
         Synchronous mode drains every receiving shard before returning;
@@ -300,7 +300,7 @@ class ShardedEngine:
         if self._closed:
             raise RuntimeError("the sharded engine is closed")
 
-    def _dispatch_event(self, event: StreamEvent) -> None:
+    def _dispatch_event(self, event: AtomicTuple) -> None:
         self.clock.observe(event.ts)
         self.events_ingested += 1
         shard_ids = self.router.shards_for(event.source)
@@ -328,7 +328,7 @@ class ShardedEngine:
 
     # -- pull-style drivers (built on the push API) ---------------------------
 
-    def run(self, events: Iterable[StreamEvent]) -> MultiRunReport:
+    def run(self, events: Iterable[AtomicTuple]) -> MultiRunReport:
         """Drive a pre-merged event sequence through :meth:`submit` and report."""
         start = time.perf_counter()
         for event in events:

@@ -26,7 +26,7 @@ from typing import List, Tuple
 from repro.operators.predicates import JoinPredicate
 from repro.plans.query import ContinuousQuery
 from repro.streams.generators import CliqueJoinWorkload, generate_clique_workload
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = ["MultiQueryWorkload", "generate_multi_query_workload"]
 
@@ -103,7 +103,7 @@ class MultiQueryWorkload:
         pair_columns, catalog = self.base.pair_columns, self.base.catalog()
         return [self._query(k, pair_columns, catalog) for k in range(self.n_queries)]
 
-    def events(self) -> List[StreamEvent]:
+    def events(self) -> List[AtomicTuple]:
         """The shared, merged, time-ordered arrival sequence."""
         return self.base.events()
 

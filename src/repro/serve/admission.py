@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = ["AdmissionPolicy", "accept_all"]
 
 #: ``(event, server) -> admit?``.  The server is passed untyped to avoid an
 #: import cycle with :mod:`repro.serve.server`.
-AdmissionPolicy = Callable[[StreamEvent, object], bool]
+AdmissionPolicy = Callable[[AtomicTuple, object], bool]
 
 
-def accept_all(event: StreamEvent, server: object) -> bool:
+def accept_all(event: AtomicTuple, server: object) -> bool:
     """The default admission policy: admit everything."""
     return True

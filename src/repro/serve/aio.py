@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from repro.serve.buffers import OverloadPolicy
 from repro.serve.server import ServingReport, StreamServer
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = ["AsyncStreamServer"]
 
@@ -106,7 +106,7 @@ class AsyncStreamServer:
 
     # -- ingestion -------------------------------------------------------------
 
-    async def submit(self, event: StreamEvent) -> bool:
+    async def submit(self, event: AtomicTuple) -> bool:
         """Submit one event; under ``block`` this awaits buffer space.
 
         Returns the sync server's verdict: ``True`` when the event entered
@@ -133,7 +133,7 @@ class AsyncStreamServer:
                 await asyncio.sleep(0)
         return accepted
 
-    async def submit_many(self, events: Iterable[StreamEvent]) -> int:
+    async def submit_many(self, events: Iterable[AtomicTuple]) -> int:
         """Submit a sequence of events; returns how many were admitted."""
         admitted = 0
         for event in events:

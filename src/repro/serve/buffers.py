@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = [
     "OverloadPolicy",
@@ -91,7 +91,7 @@ class BoundedIngestionBuffer:
         self.capacity = capacity
         self.policy = policy
         self._weight_fn = weight_fn
-        self._events: Deque[StreamEvent] = deque()
+        self._events: Deque[AtomicTuple] = deque()
         #: Live per-source occupancy of the buffer.
         self.occupancy: Dict[str, int] = {}
         #: Lifetime shed counts per source (all policies).
@@ -122,7 +122,7 @@ class BoundedIngestionBuffer:
 
     # -- ingest side ----------------------------------------------------------
 
-    def offer(self, event: StreamEvent) -> Tuple[str, List[StreamEvent]]:
+    def offer(self, event: AtomicTuple) -> Tuple[str, List[AtomicTuple]]:
         """Try to buffer ``event``; returns ``(outcome, shed_events)``.
 
         ``outcome`` is :data:`OFFER_ACCEPTED` or :data:`OFFER_BLOCKED` (the
@@ -131,7 +131,7 @@ class BoundedIngestionBuffer:
         shedding policy engaged — so the caller can account every loss.
         """
         self.offered_total += 1
-        shed: List[StreamEvent] = []
+        shed: List[AtomicTuple] = []
         if self.full:
             if self.policy == OverloadPolicy.BLOCK:
                 self.offered_total -= 1
@@ -149,7 +149,7 @@ class BoundedIngestionBuffer:
             self.high_watermark = len(self._events)
         return OFFER_ACCEPTED, shed
 
-    def _account_shed(self, event: StreamEvent) -> StreamEvent:
+    def _account_shed(self, event: AtomicTuple) -> AtomicTuple:
         self.shed_total += 1
         self.shed_by_source[event.source] = self.shed_by_source.get(event.source, 0) + 1
         self._decrement(event.source)
@@ -162,10 +162,10 @@ class BoundedIngestionBuffer:
         else:
             self.occupancy.pop(source, None)
 
-    def _shed_oldest(self) -> StreamEvent:
+    def _shed_oldest(self) -> AtomicTuple:
         return self._account_shed(self._events.popleft())
 
-    def _shed_heaviest(self) -> StreamEvent:
+    def _shed_heaviest(self) -> AtomicTuple:
         source = self.heaviest_source()
         # Evict that source's oldest buffered event; a linear scan is fine
         # because it only runs on overflow of a small, bounded buffer.
@@ -195,14 +195,14 @@ class BoundedIngestionBuffer:
 
     # -- drain side -----------------------------------------------------------
 
-    def pop(self) -> StreamEvent:
+    def pop(self) -> AtomicTuple:
         """Remove and return the oldest buffered event."""
         event = self._events.popleft()
         self._decrement(event.source)
         self.popped_total += 1
         return event
 
-    def pop_batch(self, max_events: Optional[int] = None) -> List[StreamEvent]:
+    def pop_batch(self, max_events: Optional[int] = None) -> List[AtomicTuple]:
         """Remove up to ``max_events`` oldest events (all, when ``None``)."""
         limit = len(self._events) if max_events is None else min(max_events, len(self._events))
         return [self.pop() for _ in range(limit)]

@@ -50,7 +50,7 @@ from repro.serve.buffers import (
     OverloadPolicy,
 )
 from repro.serve.telemetry import TelemetryRegistry
-from repro.streams.sources import StreamEvent
+from repro.streams.tuples import AtomicTuple
 
 __all__ = ["ServingReport", "StreamServer", "METRIC_DOC"]
 
@@ -551,7 +551,7 @@ class StreamServer:
 
     # -- ingestion -------------------------------------------------------------
 
-    def submit(self, event: StreamEvent) -> bool:
+    def submit(self, event: AtomicTuple) -> bool:
         """Push one event through admission, the buffer, and the policy.
 
         Returns ``True`` when the event was accepted into the buffer (it
@@ -580,7 +580,7 @@ class StreamServer:
             self.ingest_watermark = event.ts
         return True
 
-    def submit_many(self, events: Iterable[StreamEvent]) -> int:
+    def submit_many(self, events: Iterable[AtomicTuple]) -> int:
         """Submit a sequence of events; returns how many were admitted."""
         return sum(1 for event in events if self.submit(event))
 

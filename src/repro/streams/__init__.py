@@ -21,7 +21,6 @@ from repro.streams.sources import (
     PeriodicArrivals,
     PoissonArrivals,
     ScriptedArrivals,
-    StreamEvent,
     StreamSource,
     merge_sources,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "PeriodicArrivals",
     "PoissonArrivals",
     "ScriptedArrivals",
-    "StreamEvent",
     "StreamSource",
     "merge_sources",
     "CliqueJoinWorkload",

@@ -30,11 +30,11 @@ from repro.streams.schema import SourceSchema, StreamCatalog
 from repro.streams.sources import (
     PoissonArrivals,
     ScriptedArrivals,
-    StreamEvent,
     StreamSource,
     merge_sources,
 )
 from repro.streams.time import Window
+from repro.streams.tuples import AtomicTuple
 
 __all__ = [
     "UniformValueGenerator",
@@ -223,7 +223,7 @@ class CliqueJoinWorkload:
             )
         return out
 
-    def events(self) -> List[StreamEvent]:
+    def events(self) -> List[AtomicTuple]:
         """Generate the merged, time-ordered arrival sequence."""
         return merge_sources(self.sources(), self.duration)
 

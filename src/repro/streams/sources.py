@@ -3,6 +3,9 @@
 A :class:`StreamSource` turns an *arrival process* (when do tuples arrive?)
 and a *value generator* (what do they contain?) into a deterministic,
 replayable sequence of :class:`~repro.streams.tuples.AtomicTuple` objects.
+An arrival is its tuple, with nothing around it: the tuple already carries
+its source and timestamp (Section II), and every ingestion path (engines,
+shards, the serving layer, a process worker's pipe) takes it as it is.
 Determinism matters: the same workload must be fed to the JIT, REF and DOE
 executions so that their outputs and costs are directly comparable, exactly
 as the paper runs every plan "twice ... with and without JIT" (Section VI).
@@ -38,7 +41,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Mapping, Sequence, Union
 
 from repro.streams.schema import SourceSchema
-from repro.streams.tuples import AtomicTuple, _laid_out, _layout, _restore_atomic
+from repro.streams.tuples import AtomicTuple, _laid_out, _layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.streams.generators import UniformValueGenerator
@@ -47,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ValueGenerator = Callable[[random.Random, SourceSchema], Mapping[str, object]]
 
 __all__ = [
-    "StreamEvent",
     "ArrivalProcess",
     "PoissonArrivals",
     "PeriodicArrivals",
@@ -55,37 +57,6 @@ __all__ = [
     "StreamSource",
     "merge_sources",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class StreamEvent:
-    """One arrival: a tuple plus the source it came from.
-
-    The engine consumes a globally time-ordered sequence of events produced
-    by :func:`merge_sources`.
-    """
-
-    ts: float
-    source: str
-    tuple: AtomicTuple
-
-    def __post_init__(self) -> None:
-        if self.tuple.ts != self.ts:
-            raise ValueError(
-                f"event timestamp {self.ts} differs from tuple timestamp {self.tuple.ts}"
-            )
-
-    def __reduce__(self) -> tuple:
-        # The tuple's pickled state (``AtomicTuple.__reduce__``'s) rides
-        # inline, so pickling an event makes one Python call, not two.
-        t = self.tuple
-        state = (t.source, t.ts, t.seq, tuple(t._layout), t._values, t.size_bytes)
-        return _restore_event, (self.ts, self.source, state)
-
-
-def _restore_event(ts: float, source: str, state: tuple) -> StreamEvent:
-    """Rebuild a pickled :class:`StreamEvent`."""
-    return StreamEvent(ts, source, _restore_atomic(*state))
 
 
 class ArrivalProcess:
@@ -201,7 +172,7 @@ class StreamSource:
         # numeric seed still produce independent streams.
         return random.Random(f"{self.seed}:{self.schema.name}")
 
-    def events(self, duration: float) -> List[StreamEvent]:
+    def events(self, duration: float) -> List[AtomicTuple]:
         """Generate this source's arrivals for ``duration`` seconds.
 
         The result is deterministic for a given ``(seed, schema, arrivals,
@@ -213,14 +184,13 @@ class StreamSource:
         schema, name = self.schema, self.name
         size_bytes = schema.tuple_size_bytes
         timestamps = self.arrivals.timestamps(duration, rng)
-        out: List[StreamEvent] = []
+        out: List[AtomicTuple] = []
         drawer = getattr(self.value_generator, "drawer", None)
         if drawer is not None:
             draw = drawer(rng, schema)
             layout = _layout(tuple(sorted(schema.attribute_names)))
             for seq, ts in enumerate(timestamps):
-                tup = _laid_out(name, float(ts), seq, layout, draw(), size_bytes)
-                out.append(StreamEvent(ts, name, tup))
+                out.append(_laid_out(name, float(ts), seq, layout, draw(), size_bytes))
             return out
         attribute_names = schema.attribute_names
         for seq, ts in enumerate(timestamps):
@@ -231,8 +201,7 @@ class StreamSource:
                     f"value generator for source {name!r} did not produce "
                     f"attributes {missing}"
                 )
-            tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=size_bytes)
-            out.append(StreamEvent(ts, name, tup))
+            out.append(AtomicTuple(name, ts, values, seq=seq, size_bytes=size_bytes))
         return out
 
 
@@ -241,18 +210,18 @@ _ts_of = attrgetter("ts")
 
 def merge_sources(
     sources: Iterable[StreamSource], duration: float
-) -> List[StreamEvent]:
-    """Merge the arrivals of several sources into one time-ordered event list.
+) -> List[AtomicTuple]:
+    """Merge the arrivals of several sources into one time-ordered tuple list.
 
     Ties on timestamps are broken by source name, then by arrival sequence,
     so that replays are fully deterministic: the order is that of the key
     ``(ts, source, seq)``.  The sources' lists are concatenated in name
     order and sorted stably on the timestamp alone, which gives that order
-    without a key tuple per event, since each list is in ``seq`` order.
+    without a key tuple per arrival, since each list is in ``seq`` order.
     The source names must therefore be distinct.
     """
     by_name = sorted(sources, key=attrgetter("name"))
-    events: List[StreamEvent] = []
+    events: List[AtomicTuple] = []
     for index, source in enumerate(by_name):
         if index and source.name == by_name[index - 1].name:
             raise ValueError(f"two sources are named {source.name!r}")

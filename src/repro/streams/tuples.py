@@ -17,11 +17,13 @@ sorted-name order.  The names live in a *layout*: one interned map from each
 name to its position per attribute set, shared by every tuple with that set
 (all the tuples of one source, typically).  Unpickling re-interns it, so a
 process worker's tuples share one layout too; an atomic tuple pickles as
-``(source, ts, seq, names, values, size_bytes)``, and a ``StreamEvent``
-carries that state inline.  A composite tuple stores its components alone,
-sorted by source, and finds one by scanning them: a join result has two to
-five.  Neither caches its hash: each computes it on demand from what it
-stores, so a tuple holds nothing that no workload reads.
+``(source, ts, seq, names, values, size_bytes)``.  It is also the arrival
+itself: a source's stream, an engine's input and a process worker's event
+frame are atomic tuples, with no wrapper around them.  A composite tuple
+stores its components alone, sorted by source, and finds one by scanning
+them: a join result has two to five.  Neither caches its hash: each
+computes it on demand from what it stores, so a tuple holds nothing that no
+workload reads.
 
 Timestamps follow the paper's convention (Section II): an atomic tuple's
 timestamp is its arrival time, and a composite tuple carries the maximum

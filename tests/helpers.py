@@ -18,7 +18,7 @@ from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.serve.telemetry import TelemetryError, get_metric_value
 from repro.streams.generators import UniformValueGenerator
-from repro.streams.sources import PoissonArrivals, StreamEvent
+from repro.streams.sources import PoissonArrivals
 from repro.streams.tuples import AtomicTuple, join_tuples
 
 
@@ -60,9 +60,10 @@ def reference_events(sources, duration: float) -> list:
                 }
             else:
                 values = generator(rng, schema)
-            tup = AtomicTuple(name, ts, values, seq=seq, size_bytes=schema.tuple_size_bytes)
-            events.append(StreamEvent(ts, name, tup))
-    events.sort(key=lambda e: (e.ts, e.source, e.tuple.seq))
+            events.append(
+                AtomicTuple(name, ts, values, seq=seq, size_bytes=schema.tuple_size_bytes)
+            )
+    events.sort(key=lambda t: (t.ts, t.source, t.seq))
     return events
 
 
@@ -117,7 +118,7 @@ def specification_results(query, events) -> Counter:
     assert not query.selections
     by_source = {source: [] for source in query.sources}
     for event in events:
-        by_source[event.source].append(event.tuple)
+        by_source[event.source].append(event)
     conditions = query.predicate.conditions
     results: Counter = Counter()
     chosen = {}

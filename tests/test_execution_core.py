@@ -37,7 +37,6 @@ from repro.scheduler import (
     policies,
 )
 from repro.streams.generators import generate_clique_workload
-from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
@@ -96,11 +95,7 @@ class TestDivertResumeRegression:
         seqs: dict = {}
         for source, ts, attrs in self.RAW_EVENTS:
             seqs[source] = seqs.get(source, 0) + 1
-            events.append(
-                StreamEvent(
-                    ts=ts, source=source, tuple=AtomicTuple(source, ts, attrs, seq=seqs[source])
-                )
-            )
+            events.append(AtomicTuple(source, ts, attrs, seq=seqs[source]))
         return events
 
     def test_minimal_sequence_matches_ref(self):
@@ -180,11 +175,7 @@ class TestReplayedTupleResumesRegression:
         seqs: dict = {}
         for source, ts, attrs in raw_events:
             seqs[source] = seqs.get(source, 0) + 1
-            events.append(
-                StreamEvent(
-                    ts=ts, source=source, tuple=AtomicTuple(source, ts, attrs, seq=seqs[source])
-                )
-            )
+            events.append(AtomicTuple(source, ts, attrs, seq=seqs[source]))
         ref = run_workload(
             build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=STRATEGY_REF),
             events,
@@ -231,13 +222,7 @@ def _tied_events():
         for source in ("A", "B"):
             for k in range(2):
                 seq += 1
-                events.append(
-                    StreamEvent(
-                        ts=ts,
-                        source=source,
-                        tuple=AtomicTuple(source, ts, {"x1": (seq + k) % 3}, seq=seq),
-                    )
-                )
+                events.append(AtomicTuple(source, ts, {"x1": (seq + k) % 3}, seq=seq))
     return events
 
 

@@ -4,9 +4,10 @@ The memory model charges ``16 + 8 * attrs`` bytes per tuple; these tests
 pin the Python objects behind it, counted by ``tracemalloc``.  Each bound is
 the value measured on CPython 3.11 (the interpreter CI pins) plus 5%, so a
 change that brings back an attribute dict per tuple (~+110 B per event), a
-heap tuple per state entry (~+70 B per entry) or a bucket list per indexed
-entry (~+90 B) fails here.  Object sizes
-differ between interpreter versions, so the tests run on 3.11 only.
+wrapper object around each arrival (~+56 B per event), a heap tuple per
+state entry (~+70 B per entry) or a bucket list per indexed entry (~+90 B)
+fails here.  Object sizes differ between interpreter versions, so the tests
+run on 3.11 only.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ pytestmark = pytest.mark.skipif(
     reason="byte bounds measured on CPython 3.11, the interpreter CI pins",
 )
 
-#: Traced bytes per generated event: 292.4 measured (339.6 with a hash
-#: cached per tuple, 451.4 with an attribute dict per tuple as well).
-EVENT_BYTES_BOUND = 292.4 * 1.05
+#: Traced bytes per generated event: 236.4 measured (292.4 with a wrapper
+#: object around each arrival's tuple, 339.6 with a hash cached per tuple as
+#: well, 451.4 with an attribute dict per tuple as well).
+EVENT_BYTES_BOUND = 236.4 * 1.05
 #: Traced bytes per stored entry of a REF join: 118.4 measured (146.3 with
 #: separate ``seq`` and ``order`` ints per entry, 227.2 with an expiry-heap
 #: tuple and an ``inserted_at`` slot as well).

@@ -47,7 +47,6 @@ from repro.operators.predicates import AttributeRef, JoinCondition, JoinPredicat
 from repro.operators.state import OperatorState
 from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
-from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
 
@@ -459,7 +458,7 @@ class TestDetectingProbe:
             sources=("A", "B", "C", "D"), window=Window(60.0), predicate=predicate
         )
         events = [
-            StreamEvent(ts, source, AtomicTuple(source, ts, attrs, seq=seq))
+            AtomicTuple(source, ts, attrs, seq=seq)
             for ts, source, seq, attrs in (
                 (0.0, "D", 0, {"w": 99}),
                 (1.0, "C", 0, {"y": 1, "z": 1, "w": 5}),  # j: joins a1b1

@@ -19,7 +19,6 @@ from repro.operators.join import BinaryJoinOperator
 from repro.operators.predicates import JoinPredicate
 from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
-from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
@@ -40,7 +39,7 @@ def _run(plan, events, window_seconds=300.0):
 
 
 def _event(source, ts, seq, **attrs):
-    return StreamEvent(ts=ts, source=source, tuple=AtomicTuple(source, ts, attrs, seq=seq))
+    return AtomicTuple(source, ts, attrs, seq=seq)
 
 
 def _table1_events():

@@ -1,18 +1,18 @@
 """Pickle-safety audit for everything the process backend ships over pipes.
 
 ``drain_mode="process"`` serializes four classes of payload between the
-parent and its shard workers: routed event micro-batches (parent → worker);
-``host`` frames, each a shard's whole ordered list of
-:class:`RegisteredQuery` entries pickled as one object, so what the entries
-share (their catalog) travels once per frame (parent → worker); per-query
-result tuples riding on acknowledgements (worker → parent); and shard
-snapshots (``ShardEngine.snapshot()``: :class:`MetricsReport`, cost
-counters, scheduler stats, progress) shipped with every
-``hosted``/``retired``/``flushed`` reply (worker → parent).  A type
-that silently stops pickling (a lambda predicate, an unpicklable cached
-attribute, a thread lock stored on a dataclass) would surface as a runtime
-crash deep inside a worker; this audit pins the contract at the type level
-so the break names itself here first.
+parent and its shard workers: routed events, each an atomic tuple in an
+``evt`` frame (parent → worker); ``host`` frames, each a shard's whole
+ordered list of :class:`RegisteredQuery` entries pickled as one object, so
+what the entries share (their catalog) travels once per frame (parent →
+worker); per-query result tuples riding on acknowledgements (worker →
+parent); and shard snapshots (``ShardEngine.snapshot()``:
+:class:`MetricsReport`, cost counters, scheduler stats, progress) shipped
+with every ``hosted``/``retired``/``flushed`` reply (worker → parent).  A
+type that silently stops pickling (a lambda predicate, an unpicklable
+cached attribute, a thread lock stored on a dataclass) would surface as a
+runtime crash deep inside a worker; this audit pins the contract at the
+type level so the break names itself here first.
 """
 
 import pickle
@@ -70,14 +70,30 @@ def test_every_routed_event_roundtrips(workload):
     assert events
     for event in events:
         clone = _roundtrip(event)
-        assert clone == event
-        assert hash(clone.tuple) == hash(event.tuple)
-        assert (clone.source, clone.ts, clone.tuple.seq) == (
-            event.source, event.ts, event.tuple.seq
+        assert clone == event and hash(clone) == hash(event)
+        assert (clone.source, clone.ts, clone.seq, clone.attrs, clone.size_bytes) == (
+            event.source, event.ts, event.seq, event.attrs, event.size_bytes
         )
+        assert clone._layout is event._layout
     # Micro-batches ship as lists, exactly as the router splits them.
     batch = events[:32]
     assert _roundtrip(batch) == batch
+
+
+def test_an_evt_frame_is_the_tuple_and_three_fields():
+    # The first event of clique128's stream (benchmarks/e2e, seed 7), in the
+    # frame ProcessShard.process_event sends.  123 bytes: the pickled tuple
+    # (AtomicTuple.__reduce__'s state) plus the frame's tag, context and
+    # watermark.  A wrapper around the tuple costs 13 bytes more here.
+    first = generate_multi_query_workload(
+        n_queries=128, n_sources=4, rate=1.0, window_seconds=30.0, dmax=400,
+        duration=500.0, seed=7,
+    ).events()[0]
+    frame = pickle.dumps(("evt", first, None, first.ts))
+    assert len(frame) == 123
+    tag, tup, ctx, watermark = pickle.loads(frame)
+    assert (tag, ctx, watermark) == ("evt", None, first.ts)
+    assert type(tup) is type(first) and tup == first and tup._layout is first._layout
 
 
 def test_every_registration_roundtrips(registry):

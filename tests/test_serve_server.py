@@ -32,16 +32,15 @@ from repro.serve import (
     get_metric_value,
     parse_exposition,
 )
-from repro.streams.sources import StreamEvent
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
 _SEQ = iter(range(1, 1_000_000))
 
 
-def _event(source: str, ts: float) -> StreamEvent:
+def _event(source: str, ts: float) -> AtomicTuple:
     seq = next(_SEQ)
-    return StreamEvent(ts=ts, source=source, tuple=AtomicTuple(source, ts, {"v": seq}, seq=seq))
+    return AtomicTuple(source, ts, {"v": seq}, seq=seq)
 
 
 def _workload():

@@ -530,7 +530,7 @@ class TestNestedSharing:
             assert engine.shards[0].shared_subplans_active == 1
             for event in events[half:]:
                 engine.submit(event)
-            position = {(e.source, e.tuple.seq): i for i, e in enumerate(events)}
+            position = {(e.source, e.seq): i for i, e in enumerate(events)}
             expected = Counter()
             for (components, ts), count in _standalone(late, events).items():
                 if min(position[source, seq] for source, seq in components) >= half:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import pickle
@@ -22,7 +21,6 @@ from repro.streams.sources import (
     PeriodicArrivals,
     PoissonArrivals,
     ScriptedArrivals,
-    StreamEvent,
     StreamSource,
     merge_sources,
 )
@@ -222,18 +220,13 @@ class TestTuples:
         assert "_items" not in AtomicTuple.__slots__
         assert not hasattr(AtomicTuple("A", 1.0, {"x": 1}), "__dict__")
 
-    def test_stream_event_is_slotted_and_frozen(self):
-        event = StreamEvent(ts=1.0, source="A", tuple=AtomicTuple("A", 1.0, {"x": 1}))
-        assert hasattr(StreamEvent, "__slots__")
-        assert not hasattr(event, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            event.ts = 2.0
-
-    def test_stream_event_pickles(self):
-        event = StreamEvent(ts=1.5, source="A", tuple=AtomicTuple("A", 1.5, {"y": 2, "x": 1}, seq=4))
-        clone = pickle.loads(pickle.dumps(event))
-        assert clone == event
-        assert hash(clone.tuple) == hash(event.tuple)
+    def test_atomic_tuple_pickles(self):
+        tup = AtomicTuple("A", 1.5, {"y": 2, "x": 1}, seq=4, size_bytes=40)
+        clone = pickle.loads(pickle.dumps(tup))
+        assert clone == tup and hash(clone) == hash(tup)
+        assert (clone.source, clone.ts, clone.seq, clone.attrs, clone.size_bytes) == (
+            "A", 1.5, 4, {"x": 1, "y": 2}, 40
+        )
 
     def test_composite_from_join(self):
         a = AtomicTuple("A", 1.0, {"x": 1})
@@ -293,25 +286,27 @@ class TestAttributeLayout:
 
     def test_a_pickled_tuple_shares_the_layout(self):
         a = AtomicTuple("A", 1.0, {"x": 1, "y": 2}, seq=3)
-        event = StreamEvent(ts=1.0, source="A", tuple=a)
         clone = pickle.loads(pickle.dumps(a))
         assert clone == a and hash(clone) == hash(a) and clone._layout is a._layout
-        assert pickle.loads(pickle.dumps(event)).tuple._layout is a._layout
         ab = join_tuples(a, AtomicTuple("B", 2.0, {"x": 1}))
         assert pickle.loads(pickle.dumps(ab)).component("A")._layout is a._layout
 
     def test_tuples_unpickled_in_another_process_share_the_layout(self):
-        frame = pickle.dumps([
-            StreamEvent(ts=1.0, source="A", tuple=AtomicTuple("A", 1.0, {"x": 1, "y": 2})),
-            AtomicTuple("A", 2.0, {"y": 3, "x": 4}, seq=1),
-        ])
+        generated = StreamSource(
+            schema=SourceSchema.of("A", ["y", "x"]),
+            arrivals=PeriodicArrivals(1.0),
+            value_generator=UniformValueGenerator(high=9),
+            seed=5,
+        ).events(2.0)[1]
+        frame = pickle.dumps([generated, AtomicTuple("A", 2.0, {"y": 3, "x": 4}, seq=1)])
         script = (
             "import pickle, sys\n"
             "from repro.streams.tuples import AtomicTuple\n"
-            "event, tup = pickle.loads(sys.stdin.buffer.read())\n"
+            "generated, tup = pickle.loads(sys.stdin.buffer.read())\n"
             "fresh = AtomicTuple('A', 3.0, {'x': 5, 'y': 6})\n"
-            "assert event.tuple._layout is tup._layout is fresh._layout\n"
-            "assert event.tuple.value('A', 'y') == 2 and tup.get('x') == 4\n"
+            "assert generated._layout is tup._layout is fresh._layout\n"
+            f"assert generated.attrs == {generated.attrs!r} and generated.seq == 1\n"
+            "assert tup.get('x') == 4\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", script], input=frame, env=env, check=True)
@@ -421,12 +416,12 @@ class TestStreamSource:
         s = self._source()
         first = s.events(10.0)
         second = s.events(10.0)
-        assert [e.tuple.attrs for e in first] == [e.tuple.attrs for e in second]
+        assert [e.attrs for e in first] == [e.attrs for e in second]
         assert [e.ts for e in first] == [e.ts for e in second]
 
     def test_sequences_increase(self):
         events = self._source().events(5.0)
-        assert [e.tuple.seq for e in events] == list(range(len(events)))
+        assert [e.seq for e in events] == list(range(len(events)))
 
     def test_merge_sources_is_time_ordered(self):
         a = self._source(seed=1)
@@ -455,7 +450,7 @@ class TestStreamSource:
             for name, times in scripts.items()
         ]
         merged = merge_sources(sources, 10.0)
-        keys = [(e.ts, e.source, e.tuple.seq) for e in merged]
+        keys = [(e.ts, e.source, e.seq) for e in merged]
         assert keys == sorted(keys)
         assert len(keys) == 11
         assert keys[:6] == [
@@ -486,9 +481,8 @@ class TestStreamSource:
             value_generator=UniformValueGenerator(high=9),
             seed=3,
         )
-        for event in source.events(10.0):
-            t = event.tuple
-            built = AtomicTuple("A", event.ts, t.attrs, seq=t.seq, size_bytes=t.size_bytes)
+        for t in source.events(10.0):
+            built = AtomicTuple("A", t.ts, t.attrs, seq=t.seq, size_bytes=t.size_bytes)
             assert (t, hash(t), repr(t)) == (built, hash(built), repr(built))
             assert t._layout is built._layout and type(t.ts) is float
 
@@ -499,7 +493,7 @@ class TestStreamSource:
             value_generator=lambda rng, schema: {"x": 1, "note": 2},
             seed=0,
         )
-        assert {e.tuple.get("note") for e in source.events(3.0)} == {2}
+        assert {e.get("note") for e in source.events(3.0)} == {2}
 
 
 # --------------------------------------------------------------------------- generators
@@ -559,7 +553,7 @@ class TestCliqueWorkload:
             v
             for e in wl.events()
             if e.source == "C"
-            for v in e.tuple.attrs.values()
+            for v in e.attrs.values()
         ]
         assert max(c_values) > 5  # overridden range actually used
 
@@ -581,11 +575,10 @@ class TestCliqueWorkload:
 
 
 def _stream_digest(events):
-    """sha256 over every event's ``(repr(ts), source, seq, sorted attrs, size_bytes)``."""
+    """sha256 over every tuple's ``(repr(ts), source, seq, sorted attrs, size_bytes)``."""
     digest = hashlib.sha256()
-    for event in events:
-        t = event.tuple
-        key = (repr(event.ts), event.source, t.seq, sorted(t.attrs.items()), t.size_bytes)
+    for t in events:
+        key = (repr(t.ts), t.source, t.seq, sorted(t.attrs.items()), t.size_bytes)
         digest.update(repr(key).encode())
     return len(events), digest.hexdigest()
 
@@ -667,7 +660,7 @@ class TestDrawOracle:
     """The draw-at-cost path against the generic draws it replaced.
 
     Any drift in CPython's ``random`` internals (``expovariate``'s body,
-    ``randint``'s rejection loop) fails here, event by event.
+    ``randint``'s rejection loop) fails here, tuple by tuple.
     """
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
@@ -676,10 +669,9 @@ class TestDrawOracle:
         events = workload.events()
         expected = reference_events(workload.sources(), workload.duration)
         assert len(events) == len(expected) > 0
-        for got, want in zip(events, expected):
-            g, w = got.tuple, want.tuple
-            assert (got.ts, got.source, g.seq, g.attrs, g.size_bytes, hash(g), repr(g)) == (
-                want.ts, want.source, w.seq, w.attrs, w.size_bytes, hash(w), repr(w)
+        for g, w in zip(events, expected):
+            assert (g.ts, g.source, g.seq, g.attrs, g.size_bytes, hash(g), repr(g)) == (
+                w.ts, w.source, w.seq, w.attrs, w.size_bytes, hash(w), repr(w)
             )
             assert g._layout is w._layout and g._values == w._values and g == w
             # The hash the constructor used to cache.
@@ -703,8 +695,8 @@ class TestDrawOracle:
         ]
         events = merge_sources(sources, 8.0)
         expected = reference_events(sorted(sources, key=lambda s: s.name), 8.0)
-        assert [(e.ts, e.source, e.tuple.seq, e.tuple.attrs) for e in events] == [
-            (e.ts, e.source, e.tuple.seq, e.tuple.attrs) for e in expected
+        assert [(e.ts, e.source, e.seq, e.attrs) for e in events] == [
+            (e.ts, e.source, e.seq, e.attrs) for e in expected
         ]
         assert [type(e.ts) for e in events] == [type(e.ts) for e in expected]
 

@@ -5,8 +5,8 @@ This sub-package implements the JIT feedback mechanism of Yang & Papadias
 
 * :mod:`repro.core.signature` -- value-based identities of minimal
   non-demanded sub-tuples (MNSs).
-* :mod:`repro.core.feedback` -- suspension / resumption / mark / unmark
-  feedback messages exchanged between consumers and producers.
+* :mod:`repro.core.feedback` -- the suspension and resumption feedback
+  messages exchanged between consumers and producers.
 * :mod:`repro.core.cns_lattice` -- the candidate non-demanded sub-tuple
   lattice of Section IV-A (Figure 7).
 * :mod:`repro.core.mns_detection` -- the ``Identify_MNS`` algorithm
@@ -18,15 +18,15 @@ This sub-package implements the JIT feedback mechanism of Yang & Papadias
 * :mod:`repro.core.detection_gate` -- the per-port gate that rests MNS
   detection while it costs more than its suspensions save.
 * :mod:`repro.core.production_control` -- classification of Type I / Type II
-  MNSs and feedback decomposition helpers (Section IV-B).
+  / Ø MNSs at a producer, which acts on Type I and Ø and ignores Type II
+  (Section IV-B).
 * :mod:`repro.core.jit_join` -- :class:`JITJoinOperator`, the binary window
   join augmented with the full consumer- and producer-side JIT machinery
   (Figure 6).
 * :mod:`repro.core.config` -- :class:`JITConfig`, the choices the paper
   leaves open ("practical implementations ... have a high degree of
   flexibility"): which MNSs a consumer detects (the CNS lattice up to some
-  arity, acting on Type II MNSs or not, or Ø only, which is DOE) and how
-  long suspended state is kept.
+  arity, or Ø only, which is DOE) and how long suspended state is kept.
 """
 
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
@@ -42,7 +42,7 @@ from repro.core.mns_detection import (
 )
 from repro.core.mns_buffer import MNSBuffer, MNSBufferEntry
 from repro.core.blacklist import Blacklist, BlacklistEntry, SuspendedTuple
-from repro.core.production_control import classify_signature, split_signature
+from repro.core.production_control import classify_signature
 from repro.core.jit_join import JITJoinOperator
 
 __all__ = [
@@ -65,6 +65,5 @@ __all__ = [
     "BlacklistEntry",
     "SuspendedTuple",
     "classify_signature",
-    "split_signature",
     "JITJoinOperator",
 ]

@@ -61,8 +61,8 @@ class CNSLattice:
     max_level:
         Highest lattice level to materialize.  The paper's algorithm uses the
         full lattice; restricting the level implements the "consumer may
-        choose not to detect all MNSs" flexibility and avoids the producer's
-        Type II machinery when set to 1.
+        choose not to detect all MNSs" flexibility; at 1 no MNS spans two
+        components, so none can be Type II, which the producer ignores.
     """
 
     def __init__(self, components: Sequence[str], max_level: Optional[int] = None) -> None:

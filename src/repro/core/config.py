@@ -2,8 +2,9 @@
 
 The paper stresses that JIT is an optimization with "a high degree of
 flexibility" (end of Section IV): a consumer may detect only some MNSs (only
-the narrow ones, or only Ø) and may decline to act on Type II MNSs.
-:class:`JITConfig` holds those choices and how long suspended state is kept.
+the narrow ones, or only Ø) and a producer may decline to act on Type II
+MNSs, which every producer here does.  :class:`JITConfig` holds the first
+choice and how long suspended state is kept.
 The DOE baseline [21] is one of them, Ø-only detection
 (:meth:`JITConfig.doe`), exactly as the paper argues that "DOE is subsumed by
 JIT"; under it an Ø suspension cascades to every upstream producer.
@@ -30,10 +31,8 @@ class DetectionMode:
     #: Only the Ø MNS (opposite state empty), whose suspension cascades to
     #: every upstream producer — this is the DOE baseline [21].
     EMPTY_ONLY = "empty_only"
-    #: No detection at all — the operator degenerates to the REF join.
-    NONE = "none"
 
-    ALL = (LATTICE, EMPTY_ONLY, NONE)
+    ALL = (LATTICE, EMPTY_ONLY)
 
 
 class RetentionPolicy:
@@ -66,18 +65,14 @@ class JITConfig:
     max_mns_arity:
         Largest number of components an MNS may span.  ``1`` (default)
         detects single-component MNSs and Ø; larger values climb the CNS
-        lattice, potentially producing Type II MNSs.
-    handle_type2:
-        Whether Type II MNSs are acted upon with mark-result feedback
-        (Section IV-B).  When False they are detected (if ``max_mns_arity``
-        allows) but not reported, which the paper explicitly allows.
+        lattice, potentially producing Type II MNSs, which the producer
+        ignores (Section IV-B allows it).
     retention_policy:
         See :class:`RetentionPolicy`.
     """
 
     detection_mode: str = DetectionMode.LATTICE
     max_mns_arity: int = 1
-    handle_type2: bool = False
     retention_policy: str = RetentionPolicy.EXACT
 
     def __post_init__(self) -> None:

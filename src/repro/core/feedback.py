@@ -1,12 +1,12 @@
 """Feedback messages exchanged between consumer and producer operators.
 
 Section III-A introduces two messages — ``<suspend, Π>`` and ``<resume, Π>``
-— each carrying a set of MNSs; Section IV-B adds ``mark-result`` and
-``unmark-result`` for Type II MNSs, where the producer should *mark* (rather
-than stop producing) super-tuples of the decomposed parts.  Section V adds a
-fifth flavour implicitly: consumers whose demand can never change (selections,
-static joins) issue *permanent* suspensions, which let the producer delete the
-affected tuples instead of blacklisting them.
+— each carrying a set of MNSs.  They are the only two kinds: Section IV-B's
+``mark-result`` / ``unmark-result`` serve Type II MNSs, which a producer may
+ignore and every producer here does.  Section V adds a flavour of suspension:
+a consumer whose demand can never change (a selection) issues *permanent*
+suspensions, which let the producer delete the affected tuples instead of
+blacklisting them.
 
 A :class:`Feedback` is an immutable value object; the producer-side logic in
 :mod:`repro.core.jit_join` interprets it.
@@ -23,14 +23,12 @@ __all__ = ["FeedbackKind", "Feedback"]
 
 
 class FeedbackKind:
-    """The four feedback commands of the paper."""
+    """The two feedback commands of the paper."""
 
     SUSPEND = "suspend"
     RESUME = "resume"
-    MARK = "mark"
-    UNMARK = "unmark"
 
-    ALL = (SUSPEND, RESUME, MARK, UNMARK)
+    ALL = (SUSPEND, RESUME)
 
 
 @dataclass(frozen=True)
@@ -44,17 +42,17 @@ class Feedback:
     signatures:
         The MNS signatures the message refers to (the paper's Π).
     permanent:
-        True for suspensions that will never be resumed (selection / static
-        join consumers, Section V); the producer may then discard the
-        affected tuples entirely.
+        True for suspensions that will never be resumed (selection
+        consumers, Section V); the producer may then discard the affected
+        tuples entirely.
     """
 
     kind: str
     signatures: Tuple[MNSSignature, ...]
     permanent: bool = False
     #: The detection gate of the consumer port that detected the MNSs
-    #: (suspensions only; bookkeeping, excluded from equality).  Relays pass
-    #: the message on unchanged, so it reaches every producer that acts on it.
+    #: (suspensions only; bookkeeping, excluded from equality).  Propagation
+    #: copies it, so it reaches every producer that acts on it.
     origin: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -84,27 +82,7 @@ class Feedback:
         """Build a ``<resume, Π>`` message."""
         return cls(FeedbackKind.RESUME, tuple(signatures))
 
-    @classmethod
-    def mark(cls, signatures: Iterable[MNSSignature]) -> "Feedback":
-        """Build a ``<mark-results, Π>`` message (Type II suspension half)."""
-        return cls(FeedbackKind.MARK, tuple(signatures))
-
-    @classmethod
-    def unmark(cls, signatures: Iterable[MNSSignature]) -> "Feedback":
-        """Build an ``<unmark-results, Π>`` message (Type II resumption half)."""
-        return cls(FeedbackKind.UNMARK, tuple(signatures))
-
     # -- helpers --------------------------------------------------------------------
-
-    @property
-    def is_suspension(self) -> bool:
-        """True for suspend and mark messages (production-restricting)."""
-        return self.kind in (FeedbackKind.SUSPEND, FeedbackKind.MARK)
-
-    @property
-    def is_resumption(self) -> bool:
-        """True for resume and unmark messages (production-restoring)."""
-        return self.kind in (FeedbackKind.RESUME, FeedbackKind.UNMARK)
 
     def single(self) -> MNSSignature:
         """Return the only signature of a single-MNS message.

@@ -108,7 +108,6 @@ from repro.core.production_control import (
     SIDE_EMPTY,
     SIDE_LEFT,
     classify_signature,
-    split_signature,
 )
 from repro.core.signature import MNSSignature
 from repro.metrics import CostKind
@@ -774,7 +773,7 @@ class JITJoinOperator(BinaryJoinOperator):
         now: float,
         detector: Optional[MNSDetector],
         opposite_live: bool,
-        own_producer: Operator,
+        own_producer: "JITJoinOperator",
     ) -> None:
         """Collect detected MNSs, buffer them and send suspension feedback."""
         context = self.require_context()
@@ -830,7 +829,7 @@ class JITJoinOperator(BinaryJoinOperator):
         Matched entries are removed from the buffer *before* the feedback is
         sent, so re-entrant arrivals produced by the resumption cannot
         trigger it again.  Returns the sent feedback (to pass to
-        :meth:`Operator.produce_suspended`), or None when nothing matched.
+        :meth:`produce_suspended`), or None when nothing matched.
         """
         opposite_producer = self.producer_of(opp)
         if not len(self.mns_buffers[opp]) or opposite_producer is None:
@@ -855,7 +854,7 @@ class JITJoinOperator(BinaryJoinOperator):
         self._send_feedback(opposite_producer, feedback)
         return feedback
 
-    def _send_feedback(self, target: Operator, feedback: Feedback) -> None:
+    def _send_feedback(self, target: "JITJoinOperator", feedback: Feedback) -> None:
         """Send ``feedback`` to ``target``, with cost and per-signature stats.
 
         Sent counters are incremented once per MNS signature — the same
@@ -867,11 +866,13 @@ class JITJoinOperator(BinaryJoinOperator):
         context.cost.charge(CostKind.FEEDBACK_MESSAGE)
         if feedback.kind == FeedbackKind.SUSPEND:
             self.stats["suspensions_sent"] += len(feedback.signatures)
-        elif feedback.kind == FeedbackKind.RESUME:
+        else:
             self.stats["resumptions_sent"] += len(feedback.signatures)
         target.handle_feedback(feedback, self)
 
-    def _restore_resumed(self, producer: Operator, resume_feedback: Feedback, port: str) -> None:
+    def _restore_resumed(
+        self, producer: "JITJoinOperator", resume_feedback: Feedback, port: str
+    ) -> None:
         """Append resumed partials to the opposite state without joining them.
 
         Used when the triggering arrival was itself diverted: its blacklist
@@ -896,15 +897,10 @@ class JITJoinOperator(BinaryJoinOperator):
                 self._suspend_production(
                     signature, now, permanent=single.permanent, gate=single.origin
                 )
-            elif single.kind == FeedbackKind.RESUME:
+            else:
                 self.stats["resumptions_received"] += 1
                 results = self._resume_production(signature)
                 self._pending_resume.setdefault(feedback.signatures, []).extend(results)
-            elif single.kind in (FeedbackKind.MARK, FeedbackKind.UNMARK):
-                # Type II mark/unmark handling is optional (Section IV-B); the
-                # default configuration does not emit these messages and a
-                # producer is always allowed to ignore them.
-                continue
 
     def produce_suspended(self, feedback: Feedback) -> List[StreamTuple]:
         """Return the partial results prepared for ``feedback`` by the last resume."""
@@ -924,16 +920,7 @@ class JITJoinOperator(BinaryJoinOperator):
             self._suspend_all(signature, now, gate)
             return
         if side == SIDE_BOTH:
-            # Type II MNS: only acted upon when enabled.  Declining to act is
-            # always legal and is the default (Section IV-B's flexibility).
-            if not self.config.handle_type2:
-                return
-            left_part, right_part = split_signature(
-                signature, self.left_sources, self.right_sources
-            )
-            for part, part_port in ((left_part, PORT_LEFT), (right_part, PORT_RIGHT)):
-                if part is not None:
-                    self._propagate(Feedback.mark((part,)), part_port)
+            # Type II MNS: declining to act is always legal (Section IV-B).
             return
         port = PORT_LEFT if side == SIDE_LEFT else PORT_RIGHT
         blacklist = self.blacklists[port]

@@ -181,15 +181,12 @@ def build_detector(
 ) -> Optional[MNSDetector]:
     """Build the detector requested by ``config`` for one consumer input port.
 
-    Returns None when detection is disabled or there are no candidate
-    components (e.g. a cross join).
+    Returns None when there are no candidate components (e.g. a cross join).
     """
-    if config.detection_mode == DetectionMode.NONE or not components:
+    if not components:
         return None
     if config.detection_mode == DetectionMode.LATTICE:
         return LatticeMNSDetector(
             components, attr_pairs_by_source, context, max_arity=config.max_mns_arity
         )
-    if config.detection_mode == DetectionMode.EMPTY_ONLY:
-        return EmptyStateDetector(components, attr_pairs_by_source, context)
-    raise ValueError(f"unhandled detection mode {config.detection_mode!r}")
+    return EmptyStateDetector(components, attr_pairs_by_source, context)

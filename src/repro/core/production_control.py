@@ -1,4 +1,4 @@
-"""Helpers for the producer's dynamic production control (Section IV-B).
+"""Classification of MNSs for the producer's production control (Section IV-B).
 
 The producer classifies every MNS in a feedback message by which of its
 inputs the MNS's components come from:
@@ -7,18 +7,17 @@ inputs the MNS's components come from:
   producer blacklists super-tuples from that input's state and, if that input
   is itself fed by an operator, relays the feedback upstream unchanged.
 * **Type II** — components span both inputs (e.g. ``ac`` at Op3 in Figure 5);
-  the producer splits the signature into its per-input parts and uses
-  mark-result feedback upstream.
+  the producer ignores it, as Section IV-B allows.
 * **Empty (Ø)** — the whole output of the producer is non-demanded; the
   producer suspends wholesale (DOE behaviour).
 
-These helpers are pure functions over signatures so they can be unit-tested
-independently of the join machinery.
+The classification is a pure function over signatures so it can be
+unit-tested independently of the join machinery.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Iterable
 
 from repro.core.signature import MNSSignature
 
@@ -28,7 +27,6 @@ __all__ = [
     "SIDE_BOTH",
     "SIDE_EMPTY",
     "classify_signature",
-    "split_signature",
 ]
 
 #: The MNS concerns only the producer's left input (Type I, left).
@@ -70,23 +68,3 @@ def classify_signature(
     if in_left and in_right:
         return SIDE_BOTH
     return SIDE_LEFT if in_left else SIDE_RIGHT
-
-
-def split_signature(
-    signature: MNSSignature,
-    left_sources: Iterable[str],
-    right_sources: Iterable[str],
-) -> Tuple[Optional[MNSSignature], Optional[MNSSignature]]:
-    """Split a signature into its left-input and right-input restrictions.
-
-    For a Type II MNS both halves are non-None; for Type I exactly one is.
-    The Ø signature splits into ``(None, None)`` — there is nothing to
-    decompose, the producer handles it wholesale.
-    """
-    if signature.is_empty:
-        return (None, None)
-    left = frozenset(left_sources)
-    right = frozenset(right_sources)
-    left_part = signature.restrict(left) if signature.source_set & left else None
-    right_part = signature.restrict(right) if signature.source_set & right else None
-    return (left_part, right_part)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence, Tuple
 
 from repro.operators.state import IndexKey, key_function
 from repro.streams.tuples import StreamTuple
@@ -150,20 +150,6 @@ class MNSSignature:
         # A signature may, in principle, cover a source through no recorded
         # attribute (it then constrains only coverage).
         return all(tup.covers(source) for source in self.sources)
-
-    def restrict(self, sources: Iterable[str], ts: Optional[float] = None) -> "MNSSignature":
-        """Project the signature onto a subset of its sources.
-
-        Used when decomposing a Type II MNS into its per-input parts
-        (Section IV-B): ``ac`` splits into ``a`` for the left producer and
-        ``c`` for the right one.
-        """
-        keep = frozenset(sources) & self.source_set
-        return MNSSignature(
-            sources=tuple(sorted(keep)),
-            items=tuple(it for it in self.items if it[0] in keep),
-            ts=self.ts if ts is None else ts,
-        )
 
     @property
     def size_bytes(self) -> int:

@@ -73,8 +73,6 @@ from repro.streams.tuples import AtomicTuple
 
 __all__ = ["PlanRuntime", "SharedSubplan", "ShardEngine", "hosting_order"]
 
-_SUSPENSION_KINDS = (FeedbackKind.SUSPEND, FeedbackKind.MARK)
-
 
 @dataclass(eq=False)
 class SharedSubplan:
@@ -125,7 +123,7 @@ def _partners(
     ``hosted`` holds for it.
 
     Only a REF plan has partners: a JIT or DOE join sends suspensions into
-    its child, and a tee swallows feedback, so such a plan stays one unit.
+    its child, and a tee takes no feedback, so such a plan stays one unit.
     """
     if node is None:
         if registered.strategy != STRATEGY_REF:
@@ -269,8 +267,8 @@ class ShardEngine:
         self._next_order = 0
         #: Source name -> input queues of every hosted plan consuming it.
         self._routes: Dict[str, List[InterOperatorQueue]] = {}
-        #: Feedback messages delivered on any hosted context (§III-B):
-        #: suspensions count suspend + mark, resumptions resume + unmark.
+        #: Suspension and resumption messages delivered on any hosted
+        #: context (§III-B).
         self.suspensions_total = 0
         self.resumptions_total = 0
         #: Open suspensions per (producer id, consumer id) edge: the shard
@@ -315,7 +313,7 @@ class ShardEngine:
         # Stamped with the shard clock, which a process worker advances
         # exactly as the inline shard does: both modes record equal values.
         edge = (id(producer), id(consumer))
-        if kind in _SUSPENSION_KINDS:
+        if kind == FeedbackKind.SUSPEND:
             self.suspensions_total += 1
             self._open_suspensions.setdefault(edge, []).append(self.clock.now)
         else:

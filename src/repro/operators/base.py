@@ -13,23 +13,25 @@ primitives shared by every concrete operator:
 * :meth:`Operator.emit` forwards a produced tuple to the downstream consumer
   — directly in synchronous mode (depth-first push, the default) or through
   an inter-operator queue in queued mode (Section III-B's scheduler setting).
-* :meth:`Operator.handle_feedback` is the producer-side entry point of JIT's
-  feedback mechanism; the base implementation ignores feedback, which is
-  always legal ("OP may decide to ignore the message", Section III-A) and is
-  exactly what the REF baseline does.
+* :meth:`Operator.supports_production_control` is the one question JIT's
+  feedback mechanism asks a producer.  The base answer is False: such an
+  operator is never sent feedback, which is always legal ("OP may decide to
+  ignore the message", Section III-A) and is exactly what the REF baseline
+  does.  Only :class:`~repro.core.jit_join.JITJoinOperator` answers True and
+  implements the producer side (``handle_feedback``, ``suspension_alive``,
+  ``produce_suspended``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.context import ExecutionContext
 from repro.metrics import CostKind
 from repro.streams.tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.feedback import Feedback
     from repro.operators.queues import InterOperatorQueue
 
 __all__ = ["PORT_LEFT", "PORT_RIGHT", "PORT_INPUT", "Operator", "ResultSink"]
@@ -135,35 +137,9 @@ class Operator(ABC):
 
     # -- producer side --------------------------------------------------------------
 
-    def handle_feedback(self, feedback: "Feedback", from_consumer: "Operator") -> None:
-        """React to a JIT feedback message from a downstream consumer.
-
-        The default implementation ignores the message, which is always
-        correct (the feedback mechanism is an optimization, Section IV-B).
-        JIT-capable operators override this.
-        """
-
     def supports_production_control(self) -> bool:
         """True if this operator reacts to suspension/resumption feedback."""
         return False
-
-    def suspension_alive(self, signature, now: float) -> bool:
-        """True while a suspension for ``signature`` may still produce results.
-
-        Consumers use this to decide how long to keep an MNS buffered.  The
-        default (no production control) is False; JIT-capable operators and
-        feedback-relaying operators override it.
-        """
-        return False
-
-    def produce_suspended(self, feedback: "Feedback") -> List[StreamTuple]:
-        """Produce the partial results requested by a resumption feedback.
-
-        Consumers call this on their producer after sending a resumption
-        feedback (Process_Input lines 14-17 in Figure 6).  Non-JIT operators
-        have nothing suspended, so the default returns an empty list.
-        """
-        return []
 
     # -- emission -----------------------------------------------------------------
 

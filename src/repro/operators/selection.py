@@ -6,15 +6,17 @@ can detect that an input's ``A`` component will *never* satisfy the predicate
 and tell the producer to stop generating super-tuples of it.  Unlike join
 consumers, a selection never issues a resumption — the predicate compares
 against constants — so the feedback is *permanent* and the producer may simply
-delete the affected tuples instead of blacklisting them.
+delete the affected tuples instead of blacklisting them.  A selection is a
+consumer only: it does not control production, so a selection stacked on
+another sends no feedback.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from repro.metrics import CostKind
-from repro.operators.base import PORT_INPUT, Operator, UnaryOperator
+from repro.operators.base import PORT_INPUT, UnaryOperator
 from repro.operators.predicates import AttributeCompare, SelectionPredicate
 from repro.streams.tuples import StreamTuple
 
@@ -107,43 +109,6 @@ class SelectionOperator(UnaryOperator):
         producer.handle_feedback(
             Feedback.suspend(tuple(signatures), permanent=True), self
         )
-
-    # -- producer-side pass-through (Section V) ---------------------------------
-
-    def handle_feedback(self, feedback, from_consumer) -> None:
-        """Relay feedback from downstream to this operator's own producer.
-
-        A selection cannot adjust production itself, but an upstream join can;
-        the paper prescribes simply passing the feedback along.
-        """
-        producer = self.producer_of(PORT_INPUT)
-        if producer is not None:
-            self.require_context().cost.charge(CostKind.FEEDBACK_MESSAGE)
-            producer.handle_feedback(feedback, self)
-
-    def supports_production_control(self) -> bool:
-        """True when the upstream producer can act on relayed feedback."""
-        producer = self.producers.get(PORT_INPUT)
-        return producer is not None and producer.supports_production_control()
-
-    def suspension_alive(self, signature, now: float) -> bool:
-        """Delegate suspension liveness to the upstream producer."""
-        producer = self.producers.get(PORT_INPUT)
-        return producer is not None and producer.suspension_alive(signature, now)
-
-    def produce_suspended(self, feedback) -> List[StreamTuple]:
-        """Fetch resumed tuples from upstream and re-apply the selection."""
-        producer = self.producer_of(PORT_INPUT)
-        if producer is None:
-            return []
-        resumed = producer.produce_suspended(feedback)
-        context = self.require_context()
-        kept: List[StreamTuple] = []
-        for tup in resumed:
-            context.cost.charge(CostKind.PREDICATE_EVAL, len(self.predicate.comparisons))
-            if self.predicate.evaluate(tup):
-                kept.append(tup)
-        return kept
 
     def __repr__(self) -> str:
         return f"SelectionOperator({self.name!r}: σ {self.predicate})"

@@ -21,12 +21,13 @@ marginal cost reflects its own consumption and the shard cost model stays
 comparable with unshared runs.  The per-subscriber ``delivered`` counters
 expose the same accounting to telemetry and tests.
 
-Feedback: the tee deliberately *swallows* consumer feedback instead of
-relaying it upstream.  One subscriber's selection asking the shared joins to
-suppress a signature would starve every other subscriber; ignoring feedback
-is always result-correct ("OP may decide to ignore the message",
-Section III-A of the paper), so per-query filters simply do their own work
-above the tee.
+Feedback: the tee does not control production
+(:meth:`~repro.operators.base.Operator.supports_production_control` is
+False), so no consumer sends it feedback and nothing reaches the shared
+subtree.  One subscriber's selection asking the shared joins to suppress a
+signature would starve every other subscriber; ignoring feedback is always
+result-correct ("OP may decide to ignore the message", Section III-A of the
+paper), so per-query filters simply do their own work above the tee.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from repro.operators.base import ResultSink, UnaryOperator
 from repro.streams.tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.feedback import Feedback
-    from repro.operators.base import Operator
     from repro.operators.queues import InterOperatorQueue
 
 __all__ = ["TeeSubscriber", "TeeOperator"]
@@ -165,13 +164,6 @@ class TeeOperator(UnaryOperator):
             else:
                 assert subscriber.sink is not None
                 subscriber.sink(tup)
-
-    def handle_feedback(self, feedback: "Feedback", from_consumer: "Operator") -> None:
-        """Swallow consumer feedback — never relay it into the shared subtree.
-
-        Relaying would let one subscriber's suspension starve the others;
-        ignoring feedback is always result-correct (Section III-A).
-        """
 
     def __repr__(self) -> str:
         return (

@@ -153,9 +153,9 @@ class JITAwareScheduler(OperatorScheduler):
         self._by_op: Dict[int, Set[int]] = {}
 
     def notify_feedback(self, producer: Operator, consumer: Operator, kind: str) -> None:
-        # Suspension-like feedback boosts the sending (downstream handling)
-        # operator; resumption-like feedback boosts the receiving producer.
-        if kind in (FeedbackKind.SUSPEND, FeedbackKind.MARK):
+        # A suspension boosts the sending (downstream handling) operator; a
+        # resumption boosts the receiving producer.
+        if kind == FeedbackKind.SUSPEND:
             target = consumer
         else:
             target = producer

@@ -100,10 +100,10 @@ METRIC_DOC: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
         "serve_result_latency_quantile{quantile=\"0.5|0.95|0.99\"}).",
     ),
     "serve_suspensions_total": (
-        "gauge", ("shard",), "MNS suspension feedback messages (suspend + mark)."
+        "gauge", ("shard",), "MNS suspension feedback messages."
     ),
     "serve_resumptions_total": (
-        "gauge", ("shard",), "MNS resumption feedback messages (resume + unmark)."
+        "gauge", ("shard",), "MNS resumption feedback messages."
     ),
     "serve_suspension_rate_per_second": (
         "gauge", (), "Suspension messages per wall-clock second since start."

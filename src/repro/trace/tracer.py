@@ -478,12 +478,12 @@ class Tracer:
         """Observe one delivered feedback message; pair MNS suspensions.
 
         Called by :meth:`~repro.context.ExecutionContext.notify_feedback`
-        on the producer side of every delivery.  Suspension-like messages
-        *open* one async span per MNS signature (keyed on the producer and
-        the signature) when the current trace is sampled; resumption-like
-        messages *close* the matching open span regardless of the current
-        trace's sampling — a suspension's lifetime routinely crosses traces,
-        and an unpaired close is silently skipped.
+        on the producer side of every delivery.  Suspensions *open* one
+        async span per MNS signature (keyed on the producer and the
+        signature) when the current trace is sampled; resumptions *close*
+        the matching open span regardless of the current trace's sampling —
+        a suspension's lifetime routinely crosses traces, and an unpaired
+        close is silently skipped.
         """
         if not self.enabled:
             return
@@ -505,7 +505,7 @@ class Tracer:
         if feedback is None:
             return
         now = self.now_us()
-        if kind in (FeedbackKind.SUSPEND, FeedbackKind.MARK):
+        if kind == FeedbackKind.SUSPEND:
             if not sampled:
                 return
             for signature in feedback.signatures:
@@ -528,7 +528,7 @@ class Tracer:
                         "args": {"kind": kind, "signature": str(signature)},
                     }
                 )
-        elif kind in (FeedbackKind.RESUME, FeedbackKind.UNMARK):
+        else:
             for signature in feedback.signatures:
                 opened = self._open_mns.pop((id(producer), signature), None)
                 if opened is None:

@@ -582,7 +582,7 @@ class LinearScanScheduler(OperatorScheduler):
 
     def notify_feedback(self, producer, consumer, kind):
         if self.name == "jit_aware":
-            suspending = kind in (FeedbackKind.SUSPEND, FeedbackKind.MARK)
+            suspending = kind == FeedbackKind.SUSPEND
             self._boosts[id(consumer if suspending else producer)] = self.boost_steps
             self.boosts_granted += 1
 

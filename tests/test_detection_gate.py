@@ -365,7 +365,6 @@ class TestTogglePropertySweep:
             JITConfig,
             detection_mode=st.sampled_from((DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY)),
             max_mns_arity=st.integers(min_value=1, max_value=3),
-            handle_type2=st.booleans(),
         ),
     )
     def test_arbitrary_schedules(

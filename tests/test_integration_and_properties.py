@@ -36,6 +36,7 @@ from repro.experiments import (
     sweep_parameter,
 )
 from repro.operators.join import opposite_port
+from repro.operators.predicates import AttributeCompare, AttributeRef, SelectionPredicate
 from repro.operators.state import OperatorState
 from repro.plans.builder import (
     PLAN_BUSHY,
@@ -113,11 +114,39 @@ class TestStrategyEquivalence:
             workload,
             PLAN_LEFT_DEEP,
             (STRATEGY_REF, STRATEGY_JIT),
-            jit_config=JITConfig(max_mns_arity=2, handle_type2=True),
+            jit_config=JITConfig(max_mns_arity=2),
         )
         assert result_multiset(reports[STRATEGY_JIT].results.results) == result_multiset(
             reports[STRATEGY_REF].results.results
         )
+
+    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
+    @pytest.mark.parametrize("shape", [PLAN_LEFT_DEEP, PLAN_BUSHY, PLAN_RIGHT_DEEP])
+    def test_two_stacked_selections_match_ref(self, shape, mode):
+        # Sel2 reads Sel1, which does not control production: only Sel1's
+        # permanent suspensions reach the root join.
+        workload = generate_clique_workload(
+            n_sources=3, rate=1.0, window_seconds=50, dmax=7, duration=120, seed=5
+        )
+        query = dataclasses.replace(
+            ContinuousQuery.from_workload(workload),
+            selections=(
+                SelectionPredicate((AttributeCompare(AttributeRef("A", "x2"), ">", 3),)),
+                SelectionPredicate((AttributeCompare(AttributeRef("B", "x3"), "<", 5),)),
+            ),
+        )
+        events = workload.events()
+        results = {}
+        for strategy in (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE):
+            plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+            report = run_workload(plan, events, workload.window.length, mode=mode)
+            results[strategy] = result_multiset(report.results.results)
+            assert plan.operator_named("Sel2").rejected > 0
+            if strategy != STRATEGY_REF:
+                assert plan.operator_named("Op2").stats["suspensions_received"] > 0
+        assert sum(results[STRATEGY_REF].values()) > 0
+        assert results[STRATEGY_JIT] == results[STRATEGY_REF]
+        assert results[STRATEGY_DOE] == results[STRATEGY_REF]
 
     def test_experiment_harness_runs_figure_end_to_end(self):
         result = figure10(scale=0.02, values=(10, 20))
@@ -287,13 +316,10 @@ class TestPropertyEquivalence:
         params=bounded_workload_parameters(),
         detection=st.sampled_from([DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY]),
         arity=st.integers(min_value=1, max_value=3),
-        handle_type2=st.booleans(),
     )
-    def test_any_jit_configuration_matches_ref(self, params, detection, arity, handle_type2):
+    def test_any_jit_configuration_matches_ref(self, params, detection, arity):
         workload = generate_clique_workload(**params)
-        config = JITConfig(
-            detection_mode=detection, max_mns_arity=arity, handle_type2=handle_type2
-        )
+        config = JITConfig(detection_mode=detection, max_mns_arity=arity)
         reports = _run_all(workload, PLAN_LEFT_DEEP, (STRATEGY_REF, STRATEGY_JIT), jit_config=config)
         assert result_multiset(reports[STRATEGY_JIT].results.results) == result_multiset(
             reports[STRATEGY_REF].results.results

@@ -36,7 +36,6 @@ from repro.core.production_control import (
     SIDE_LEFT,
     SIDE_RIGHT,
     classify_signature,
-    split_signature,
 )
 from repro.core.signature import MNSSignature
 from repro.engine import ExecutionEngine
@@ -87,13 +86,6 @@ class TestMNSSignature:
         assert empty.is_empty
         assert empty.matches_super(make_tuple("Z", 0.0, q=1))
 
-    def test_restrict(self):
-        ac = join_tuples(make_tuple("A", 1.0, x=1), make_tuple("C", 2.0, z=3))
-        sig = MNSSignature.from_components(ac, ("A", "C"), [("A", "x"), ("C", "z")])
-        left = sig.restrict({"A"})
-        assert left.sources == ("A",)
-        assert left.items == (("A", "x", 1),)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MNSSignature(sources=("B", "A"), items=())
@@ -111,9 +103,15 @@ class TestFeedback:
     def test_constructors(self):
         sig = self._sig()
         assert Feedback.suspend([sig]).kind == FeedbackKind.SUSPEND
-        assert Feedback.resume([sig]).is_resumption
-        assert Feedback.mark([sig]).is_suspension
-        assert Feedback.unmark([sig]).kind == FeedbackKind.UNMARK
+        assert Feedback.resume([sig]).kind == FeedbackKind.RESUME
+
+    def test_suspend_and_resume_are_the_only_kinds(self):
+        sig = self._sig()
+        assert FeedbackKind.ALL == (FeedbackKind.SUSPEND, FeedbackKind.RESUME)
+        # Section IV-B's Type II commands are not messages here.
+        for kind in ("mark", "unmark"):
+            with pytest.raises(ValueError):
+                Feedback(kind, (sig,))
 
     def test_validation(self):
         sig = self._sig()
@@ -320,7 +318,6 @@ class TestDetectors:
             build_detector(JITConfig(detection_mode=DetectionMode.EMPTY_ONLY), *args),
             EmptyStateDetector,
         )
-        assert build_detector(JITConfig(detection_mode=DetectionMode.NONE), *args) is None
         assert build_detector(JITConfig(), [], {}, context) is None
 
 
@@ -512,11 +509,19 @@ class TestPinnedOpenDifferential:
 class TestJITConfig:
     def test_defaults_and_the_doe_preset(self):
         assert [f.name for f in dataclasses.fields(JITConfig)] == [
-            "detection_mode", "max_mns_arity", "handle_type2", "retention_policy",
+            "detection_mode", "max_mns_arity", "retention_policy",
         ]
         assert JITConfig().detection_mode == DetectionMode.LATTICE
         assert JITConfig().retention_policy == RetentionPolicy.EXACT
         assert JITConfig.doe() == JITConfig(detection_mode=DetectionMode.EMPTY_ONLY)
+
+    def test_detection_modes_are_lattice_and_empty_only(self):
+        assert DetectionMode.ALL == (DetectionMode.LATTICE, DetectionMode.EMPTY_ONLY)
+        # A join that detects nothing is REF's BinaryJoinOperator, not a mode.
+        with pytest.raises(ValueError):
+            JITConfig(detection_mode="none")
+        with pytest.raises(TypeError):
+            JITConfig(handle_type2=True)
 
     def test_validation(self):
         for mode in ("nope", "bloom"):
@@ -753,15 +758,3 @@ class TestProductionControl:
         sig = self._sig(("A",), [("A", "x")], make_tuple("A", 1.0, x=1))
         with pytest.raises(ValueError):
             classify_signature(sig, {"B"}, {"C"})
-
-    def test_split_signature(self):
-        ac = join_tuples(make_tuple("A", 1.0, x=1), make_tuple("C", 1.0, z=3))
-        sig = self._sig(("A", "C"), [("A", "x"), ("C", "z")], ac)
-        left, right = split_signature(sig, {"A", "B"}, {"C", "D"})
-        assert left is not None and left.sources == ("A",)
-        assert right is not None and right.sources == ("C",)
-        only_left, none_right = split_signature(
-            self._sig(("A",), [("A", "x")], make_tuple("A", 1.0, x=1)), {"A"}, {"C"}
-        )
-        assert only_left is not None and none_right is None
-        assert split_signature(MNSSignature.empty(), {"A"}, {"B"}) == (None, None)

@@ -402,14 +402,14 @@ class TestIndexedJITDifferential:
         "config, workload_params",
         (
             (
-                JITConfig(max_mns_arity=3, handle_type2=True),
+                JITConfig(max_mns_arity=3),
                 dict(n_sources=5, rate=1.0, window_seconds=20, dmax=10),
             ),
             # Ø is detected only while a source's state is empty: sparser
             # streams, and results to compare.
             (JITConfig.doe(), dict(n_sources=4, rate=0.5, window_seconds=5, dmax=2)),
         ),
-        ids=("lattice-type2", "empty-only-cascade"),
+        ids=("lattice-arity3", "empty-only-cascade"),
     )
     def test_type2_and_cascaded_empty_suspension(self, config, workload_params):
         workload = generate_clique_workload(duration=50, seed=4, **workload_params)
@@ -433,21 +433,15 @@ class TestIndexedJITDifferentialSweep:
         detection=st.sampled_from(DETECTORS),
         shape=st.sampled_from(SHAPES),
         mode=st.sampled_from((ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED)),
-        handle_type2=st.booleans(),
     )
     def test_random_configurations(
-        self, n_sources, rate, window_seconds, dmax, seed, arity, detection, shape, mode,
-        handle_type2,
+        self, n_sources, rate, window_seconds, dmax, seed, arity, detection, shape, mode
     ):
         workload = generate_clique_workload(
             n_sources=n_sources, rate=rate, window_seconds=window_seconds, dmax=dmax,
             duration=50, seed=seed,
         )
-        config = JITConfig(
-            detection_mode=detection,
-            max_mns_arity=arity,
-            handle_type2=handle_type2,
-        )
+        config = JITConfig(detection_mode=detection, max_mns_arity=arity)
         _assert_indexed_equals_nested(workload, shape, config, mode)
 
 

@@ -11,16 +11,25 @@ import pytest
 
 from repro.context import ExecutionContext
 from repro.core.config import DetectionMode, JITConfig
+from repro.core.feedback import Feedback
 from repro.core.jit_join import JITJoinOperator
+from repro.core.signature import MNSSignature
 from repro.engine import ExecutionEngine
 from repro.engine.results import result_multiset
 from repro.operators.base import PORT_LEFT, PORT_RIGHT
 from repro.operators.join import BinaryJoinOperator
-from repro.operators.predicates import JoinPredicate
+from repro.operators.predicates import (
+    AttributeCompare,
+    AttributeRef,
+    JoinPredicate,
+    SelectionPredicate,
+)
+from repro.operators.selection import SelectionOperator
+from repro.operators.tee import TeeOperator
 from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
 from repro.streams.time import Window
-from repro.streams.tuples import AtomicTuple
+from repro.streams.tuples import AtomicTuple, join_tuples
 
 from helpers import make_tuple
 
@@ -314,16 +323,47 @@ class TestJITJoinOperatorUnit:
 
     def test_supports_production_control(self, context):
         assert self._operator(context).supports_production_control()
-        assert not BinaryJoinOperator(
-            "R", {"A"}, {"B"}, JoinPredicate.equi([(("A", "x"), ("B", "x"))])
-        ).supports_production_control()
+        others = (
+            BinaryJoinOperator(
+                "R", {"A"}, {"B"}, JoinPredicate.equi([(("A", "x"), ("B", "x"))])
+            ),
+            SelectionOperator(
+                "S",
+                SelectionPredicate((AttributeCompare(AttributeRef("A", "x"), ">", 10),)),
+                jit_feedback=True,
+            ),
+            TeeOperator("T", {"A"}),
+        )
+        for op in others:
+            assert not op.supports_production_control()
+            # The producer side of the protocol exists on the JIT join alone.
+            for name in ("handle_feedback", "suspension_alive", "produce_suspended"):
+                assert not hasattr(op, name)
 
-    def test_detection_disabled_behaves_like_ref(self, context):
-        op = self._operator(context, JITConfig(detection_mode=DetectionMode.NONE))
+    def test_a_type2_mns_is_ignored(self, context):
+        # Section IV-B: a producer may decline an MNS that spans both of its
+        # inputs.  It suppresses nothing, and resuming it yields nothing.
+        op = self._operator(context)
+        results = []
+        op.result_sink = results.append
         context.clock.advance_to(1.0)
-        op.process(make_tuple("A", 1.0, x=1), PORT_LEFT)
-        assert len(op.mns_buffers[PORT_LEFT]) == 0
-        assert len(op.blacklists[PORT_LEFT]) == 0
+        a, b = make_tuple("A", 1.0, x=1), make_tuple("B", 1.0, x=1)
+        type2 = MNSSignature.from_components(
+            join_tuples(a, b), ("A", "B"), [("A", "x"), ("B", "x")]
+        )
+        op.handle_feedback(Feedback.suspend([type2]), op)
+        assert op.stats["suspensions_received"] == 1
+        assert len(op.blacklists[PORT_LEFT]) == len(op.blacklists[PORT_RIGHT]) == 0
+        op.process(a, PORT_LEFT)
+        op.process(b, PORT_RIGHT)
+        assert len(results) == 1
+        resume = Feedback.resume([type2])
+        op.handle_feedback(resume, op)
+        assert op.produce_suspended(resume) == []
+        # A Type I MNS on the same operator is acted on.
+        type1 = MNSSignature.from_components(a, ("A",), [("A", "x")])
+        op.handle_feedback(Feedback.suspend([type1]), op)
+        assert len(op.blacklists[PORT_LEFT]) == 1
 
     def test_retention_policy_scales_with_depth(self, context):
         op = self._operator(context)

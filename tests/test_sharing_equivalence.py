@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from golden import ALL_POLICIES
-from repro.core.config import DetectionMode, JITConfig
+from repro.core.config import JITConfig
 from repro.engine import run_workload
 from repro.multi import (
     QueryRegistry,
@@ -235,9 +235,7 @@ class TestSignatureCanonicalization:
         )
 
     @pytest.mark.parametrize("strategy", (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE))
-    @pytest.mark.parametrize(
-        "jit_config", (None, JITConfig(detection_mode=DetectionMode.NONE, max_mns_arity=2))
-    )
+    @pytest.mark.parametrize("jit_config", (None, JITConfig(max_mns_arity=2)))
     def test_the_built_operators_carry_the_resolved_config(
         self, sharing_workload, strategy, jit_config
     ):

@@ -10,18 +10,9 @@ skipped — no more, no less.  The Ø signature suspends the operator
 wholesale; its blacklist entry acts as a pending-input buffer that is
 replayed on resumption (the DOE behaviour).
 
-The blacklist is also the source of two quantities the JIT join needs for
-exact REF-equivalence (see docs/JIT.md):
-
-* the *pins* of the opposite operator state: :attr:`Blacklist.oldest` holds,
-  per join key over the operator's local conditions, the oldest stamp a
-  suspended tuple with that key carries (a replay joins only partners with
-  its own key, since every join condition is an equality), and
-  :meth:`Blacklist.unkeyed_ts` the oldest stamp of the entries whose
-  suspension went upstream, whose pulled partials may carry any key; and
-* :meth:`BlacklistEntry.newest` tells the consumer (through
-  ``JITJoinOperator.suspension_alive``) whether an MNS entry must be kept
-  because suspended super-tuples still exist somewhere upstream.
+:meth:`BlacklistEntry.newest` tells the consumer (through
+``JITJoinOperator.suspension_alive``) whether an MNS entry must be kept
+because suspended super-tuples still exist somewhere upstream.
 
 **Watermark exceptions are decided at the pair.**  A watermark claims every
 opposite entry at or below it was met, which is false for an opposite tuple
@@ -36,9 +27,9 @@ watermark covers although they entered the state after the suspension
 
 **Nothing here is a scan of the blacklist.**  An entry's ``suspended`` list
 is in timestamp order until an append breaks it (an older tuple suspended
-again), so its oldest and newest tuple sit at the ends and
-:meth:`Blacklist.purge` stops at the first survivor; an entry whose order
-broke is flagged and scanned in full until a purge finds it in order again.
+again), so its newest tuple sits at the end and :meth:`Blacklist.purge`
+stops at the first survivor; an entry whose order broke is flagged and
+scanned in full until a purge finds it in order again.
 None of it is charged to the :class:`~repro.metrics.MemoryModel` (the rule of
 :mod:`repro.operators.state`: the model counts stored tuples).
 ``BLACKLIST_SCAN`` is one per record a pair test examines, ``PURGE`` one per
@@ -105,9 +96,6 @@ class SuspendedTuple:
         The record the tuple was re-inserted from before it was extracted
         into this one (``StateEntry.came_from``), None the first time: the
         tuple's earlier suspensions, newest first.
-    key:
-        The tuple's join key (:attr:`Blacklist.key_of`): the opposite
-        entries its replay can join carry the same key.
     """
 
     tuple: StreamTuple
@@ -119,7 +107,6 @@ class SuspendedTuple:
     created: int = 0
     ended: Optional[int] = None
     previous: Optional["SuspendedTuple"] = None
-    key: IndexKey = ()
 
     def met(self, other_seq: int, chain: Optional["SuspendedTuple"], cost: CostModel) -> bool:
         """True if this suspended tuple has already been joined with the
@@ -188,22 +175,14 @@ class BlacklistEntry:
             s.tuple.size_bytes for s in self.suspended
         )
 
-    def min_ts(self) -> float:
-        """Earliest timestamp among signature and suspended tuples."""
-        return min(self.signature.ts, self._end(0, min).ts)
-
     def newest(self) -> Union[MNSSignature, StreamTuple]:
         """The signature or suspended tuple with the latest timestamp: the
         one the window retains longest."""
-        end = self._end(-1, max)
-        return end if end.ts > self.signature.ts else self.signature
-
-    def _end(self, end: int, pick) -> Union[MNSSignature, StreamTuple]:
-        if not self.suspended:
+        suspended = self.suspended
+        if not suspended:
             return self.signature
-        if self.ts_ordered:
-            return self.suspended[end].tuple
-        return pick(self.suspended, key=_ts).tuple
+        end = suspended[-1].tuple if self.ts_ordered else max(suspended, key=_ts).tuple
+        return end if end.ts > self.signature.ts else self.signature
 
 
 class Blacklist:
@@ -215,22 +194,13 @@ class Blacklist:
         Diagnostic name (e.g. ``"Op1.left.blacklist"``).
     context:
         Shared execution context (cost / memory accounting).
-    key_of:
-        A suspended tuple's join key over the operator's local conditions;
-        by default every tuple has the same key.
     """
 
     MEMORY_CATEGORY = "blacklist"
 
-    def __init__(
-        self,
-        name: str,
-        context: ExecutionContext,
-        key_of: Optional[Callable[[StreamTuple], IndexKey]] = None,
-    ) -> None:
+    def __init__(self, name: str, context: ExecutionContext) -> None:
         self.name = name
         self.context = context
-        self.key_of = key_of or (lambda tup: ())
         self._entries: Dict[MNSSignature, BlacklistEntry] = {}
         #: Hash index over the signatures' (source, attr) templates for O(1)
         #: matching of new arrivals: per template, its key function and the
@@ -246,18 +216,6 @@ class Blacklist:
         self.hidden: Dict[object, int] = {}
         #: Suspended tuples over all entries.
         self.suspended_count = 0
-        #: Per join key with suspended tuples, the oldest stamp among them; a
-        #: key leaves with its last suspended tuple.
-        self.oldest: Dict[IndexKey, float] = {}
-        #: Per join key, how many of its suspended tuples carry each stamp.
-        self._stamps: Dict[IndexKey, Dict[float, int]] = {}
-        #: :meth:`unkeyed_ts`, kept by every add; once something has left the
-        #: blacklist it is not known until recomputed from the entries' ends.
-        self._unkeyed: Optional[float] = None
-        self._unkeyed_known = True
-        #: Bumped whenever suspended work leaves: the opposite state's pins
-        #: may have risen.
-        self.releases = 0
 
     # -- entry management ----------------------------------------------------------
 
@@ -326,15 +284,11 @@ class Blacklist:
             joined_upto_order=joined_upto_order,
             created=created,
             previous=previous,
-            key=self.key_of(tup),
         )
         if entry.suspended and tup.ts < entry.suspended[-1].tuple.ts:
             entry.ts_ordered = False
         entry.suspended.append(suspended)
         self.suspended_count += 1
-        self._hold(suspended)
-        if entry.propagated_upstream:
-            self._note_unkeyed(tup.ts)
         self._count_hidden(entry, 1)
         entry.size_bytes += tup.size_bytes
         self.context.memory.allocate(tup.size_bytes, self.MEMORY_CATEGORY)
@@ -348,18 +302,8 @@ class Blacklist:
         self._unindex_signature(signature)
         self._count_hidden(entry, -entry.hidden)
         self.suspended_count -= len(entry.suspended)
-        self._release(entry.suspended)
-        if entry.propagated_upstream:
-            self._unkeyed_known = False
-            self.releases += 1
         self.context.memory.release(entry.size_bytes, self.MEMORY_CATEGORY)
         return entry
-
-    def propagate(self, entry: BlacklistEntry) -> None:
-        """Record that ``entry``'s suspension was propagated to the producer
-        upstream: its resumption will pull partials of any join key."""
-        entry.propagated_upstream = True
-        self._note_unkeyed(entry.min_ts())
 
     # -- matching new arrivals ---------------------------------------------------------
 
@@ -395,58 +339,6 @@ class Blacklist:
 
     # -- liveness / purging ------------------------------------------------------------------
 
-    def unkeyed_ts(self) -> Optional[float]:
-        """The oldest stamp (:meth:`BlacklistEntry.min_ts`) among the entries
-        whose suspension was propagated upstream; None when there are none.
-
-        Such an entry's resumption pulls partials from upstream whose join
-        keys are not known in advance, so the opposite operator state keeps
-        every tuple a replay from this stamp could join.
-        """
-        if not self._unkeyed_known:
-            self._unkeyed = min(
-                (e.min_ts() for e in self._entries.values() if e.propagated_upstream),
-                default=None,
-            )
-            self._unkeyed_known = True
-        return self._unkeyed
-
-    def _note_unkeyed(self, ts: float) -> None:
-        """A propagated entry now reaches back to ``ts``."""
-        if self._unkeyed_known and (self._unkeyed is None or ts < self._unkeyed):
-            self._unkeyed = ts
-
-    def _hold(self, record: SuspendedTuple) -> None:
-        """Count ``record`` in its key's stamps."""
-        key, ts = record.key, record.tuple.ts
-        stamps = self._stamps.get(key)
-        if stamps is None:
-            self._stamps[key] = {ts: 1}
-            self.oldest[key] = ts
-            return
-        stamps[ts] = stamps.get(ts, 0) + 1
-        if ts < self.oldest[key]:
-            self.oldest[key] = ts
-
-    def _release(self, records: List[SuspendedTuple]) -> None:
-        """Take ``records``, which left the blacklist, out of their keys' stamps."""
-        if not records:
-            return
-        self.releases += 1
-        oldest = self.oldest
-        for record in records:
-            key, ts = record.key, record.tuple.ts
-            stamps = self._stamps[key]
-            count = stamps[ts] - 1
-            if count:
-                stamps[ts] = count
-                continue
-            del stamps[ts]
-            if not stamps:
-                del self._stamps[key], oldest[key]
-            elif ts == oldest[key]:
-                oldest[key] = min(stamps)
-
     def purge(self, now: float, retention: float) -> int:
         """Drop suspended tuples (and empty, dead entries) past the retention horizon.
 
@@ -473,9 +365,6 @@ class Blacklist:
                     released = sum(s.tuple.size_bytes for s in gone)
                     entry.size_bytes -= released
                     self.context.memory.release(released, self.MEMORY_CATEGORY)
-                    self._release(gone)
-                    if entry.propagated_upstream:
-                        self._unkeyed_known = False
                 if entry.gate is not None:
                     # One PURGE per tuple examined: upkeep of the gate's suspension.
                     entry.gate.spend(purge_units * examined)

@@ -33,8 +33,10 @@ Implementation notes (all recorded in docs/JIT.md):
 * A suspended tuple records the opposite-state sequence number up to which it
   has already been joined (its *watermark*) instead of the paper's
   "suspension time"; resumption joins it with strictly newer entries only.
-* Operator states delay purging the tuples suspended work elsewhere may
-  still join (purge pins, per join key), and blacklists/MNS buffers are
+* Operator states purge at the window's horizon whatever is suspended: a
+  replay yields only results that contain the arrival resuming it, so no
+  entry below that arrival's horizon can be in one (docs/JIT.md, "Why
+  nothing past the horizon can join a replay").  Blacklists/MNS buffers are
   retained for a plan-depth-aware horizon under the EXACT retention policy.
 * MNS detection for ``t`` is finalized only after resumed partial results
   have been appended, so they count as join partners.
@@ -70,14 +72,13 @@ Implementation notes (all recorded in docs/JIT.md):
   suspension is asked about with :meth:`SuspendedTuple.met`, which reads
   the records both tuples were suspended under, stamped with this
   operator's moments (docs/JIT.md, "Watermark exceptions").
-* The three nested-loop scans examine only what can still change their
-  answer (docs/JIT.md, "Where a scan starts and stops"): a detecting probe
+* The nested-loop scans examine only what can still change their answer
+  (docs/JIT.md, "Where a scan starts and stops"): a detecting probe
   evaluates per component only what no lookup settled while some alive
   lattice node contains the component, and is the detector-free loop once
-  nothing is left; a regular probe
-  starts at the opposite state's live cursor, behind what the purge pins
-  retain; a resumed tuple's replay starts behind the order stamp recorded
-  beside its watermark.  Which entries join, and in which order, is unchanged.
+  nothing is left; a resumed tuple's replay starts behind the order stamp
+  recorded beside its watermark.  Which entries join, and in which order, is
+  unchanged.
 * Detection is gated by cost.  Step 2 feeds the detector, and step 4 runs,
   only while the port's :class:`~repro.core.detection_gate.DetectionGate` is
   open: each detecting port keeps a ledger of the units its detection spent
@@ -95,7 +96,7 @@ Implementation notes (all recorded in docs/JIT.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.blacklist import Blacklist, SuspendedTuple
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
@@ -114,8 +115,7 @@ from repro.metrics import CostKind
 from repro.operators.base import PORT_LEFT, PORT_RIGHT, Operator
 from repro.operators.join import BinaryJoinOperator, IndexLookup, opposite_port
 from repro.operators.predicates import JoinCondition, JoinPredicate
-from repro.operators.state import IndexKey, StateEntry, key_function
-from repro.streams.time import Window
+from repro.operators.state import StateEntry
 from repro.streams.tuples import StreamTuple
 
 __all__ = ["JITJoinOperator"]
@@ -164,79 +164,14 @@ class _ProbeTally:
     """
 
     arrivals: int = 0
-    #: Opposite entries a nested loop would visit (those REF holds too, not
-    #: the ones the purge pins retain), counted when the probes started, summed.
+    #: Opposite entries a nested loop would visit, counted when the probes
+    #: started, summed.
     offered: int = 0
     #: Entries the probes examined: all offered under a nested loop, the
     #: looked-up buckets under an index.
     visited: int = 0
     #: Results the probes emitted.
     built: int = 0
-
-
-class _Pins:
-    """What keeps the expired entries of one operator state: the suspended
-    work across the join (docs/JIT.md, "Delayed purge under suspension").
-
-    An entry past the horizon may still be joined by a replay, and is kept,
-    while the window reaches it from one of:
-
-    * a suspended tuple in the opposite blacklist with the entry's join key
-      (:attr:`Blacklist.oldest`);
-    * a buffered opposite MNS whose partner checks the entry passes
-      (:meth:`MNSBuffer.oldest_match`);
-    * an opposite blacklist entry propagated upstream, whatever the key
-      (:meth:`Blacklist.unkeyed_ts`).
-
-    It reads both structures as they are, so the state is handed
-    :meth:`keeps` again only when suspended work left them (:meth:`released`).
-    """
-
-    __slots__ = ("blacklist", "buffer", "key_of", "window", "_releases")
-
-    def __init__(
-        self,
-        blacklist: Blacklist,
-        buffer: MNSBuffer,
-        key_of: Callable[[StreamTuple], IndexKey],
-        window: Window,
-    ) -> None:
-        self.blacklist = blacklist
-        self.buffer = buffer
-        #: An entry's join key, in the order of ``blacklist.key_of``'s.
-        self.key_of = key_of
-        self.window = window
-        self._releases = 0
-
-    def held(self) -> bool:
-        """Whether any suspended work across pins anything."""
-        blacklist = self.blacklist
-        return bool(blacklist.oldest or len(self.buffer)) or blacklist.unkeyed_ts() is not None
-
-    def released(self) -> bool:
-        """Whether suspended work left since the last call (pins may have risen)."""
-        releases = self.blacklist.releases + self.buffer.releases
-        if releases == self._releases:
-            return False
-        self._releases = releases
-        return True
-
-    def keeps(self, entry: StateEntry) -> bool:
-        """Whether expired ``entry`` may still be joined by suspended work."""
-        ts, horizon, blacklist = entry.ts, self.window.purge_horizon, self.blacklist
-        stamp = blacklist.unkeyed_ts()
-        if stamp is not None and ts >= horizon(stamp):
-            return True
-        tup = entry.tuple
-        if blacklist.oldest:
-            stamp = blacklist.oldest.get(self.key_of(tup))
-            if stamp is not None and ts >= horizon(stamp):
-                return True
-        if len(self.buffer):
-            stamp = self.buffer.oldest_match(tup)
-            if stamp is not None and ts >= horizon(stamp):
-                return True
-        return False
 
 
 class JITJoinOperator(BinaryJoinOperator):
@@ -267,8 +202,6 @@ class JITJoinOperator(BinaryJoinOperator):
         self.depth_to_root = 1
         self.mns_buffers: Dict[str, MNSBuffer] = {}
         self.blacklists: Dict[str, Blacklist] = {}
-        #: Per port, what keeps the expired entries of that port's state.
-        self._pins: Dict[str, _Pins] = {}
         self.detectors: Dict[str, Optional[MNSDetector]] = {}
         self._conditions_by_source: Dict[str, Dict[str, Tuple[JoinCondition, ...]]] = {}
         #: Per input port, one opposite-state lookup per component whose
@@ -343,17 +276,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 side_sources=side_sources,
                 conditions=self.local_conditions,
             )
-            # A suspended tuple of ``port`` joins the opposite entries with its key.
-            key_lookup = IndexLookup(self.local_conditions, opposite_sources)
-            self.blacklists[port] = Blacklist(
-                f"{self.name}.{port}.blacklist", context, key_of=key_lookup.own_key
-            )
-            self._pins[opposite_port(port)] = _Pins(
-                self.blacklists[port],
-                self.mns_buffers[port],
-                key_function(key_lookup.template),
-                context.window,
-            )
+            self.blacklists[port] = Blacklist(f"{self.name}.{port}.blacklist", context)
             self.detectors[port] = build_detector(
                 self.config,
                 components=tuple(conds_by_source),
@@ -407,7 +330,6 @@ class JITJoinOperator(BinaryJoinOperator):
         opp = opposite_port(port)
 
         self._maybe_purge_jit_structures(now)
-        self._update_pins()
         self.purge(now)
 
         # Lines 4-9: probe the opposite MNS buffer and send resumption feedback.
@@ -430,7 +352,7 @@ class JITJoinOperator(BinaryJoinOperator):
                 self.stats["tuples_diverted"] += 1
                 if entry.gate is not None:
                     # The probe REF runs here met every opposite entry it holds.
-                    entry.gate.avoid(self._hidden_pair_units(port) * self.states[opp].live_count)
+                    entry.gate.avoid(self._hidden_pair_units(port) * len(self.states[opp]))
                 if resume_feedback is not None:
                     # The resumed partials still belong in the opposite state.
                     # ``t`` is parked with an empty watermark, so its eventual
@@ -464,12 +386,12 @@ class JITJoinOperator(BinaryJoinOperator):
             pair_units = self._hidden_pair_units(port)
             for gate, count in hidden.items():
                 gate.avoid(pair_units * count)
-        offered = self.states[opp].live_count
+        offered = len(self.states[opp])
         emitted = self.emitted_count
         probe = _ActiveProbe(tuple=tup, port=port, own=own_entry)
         self._active_probe = probe
         opposite_live = self._probe_opposite(
-            tup, port, now, detector if should_detect else None, probe
+            tup, port, detector if should_detect else None, probe
         )
         self._active_probe = None
         tally = self._probed[port]
@@ -548,7 +470,6 @@ class JITJoinOperator(BinaryJoinOperator):
         self,
         tup: StreamTuple,
         port: str,
-        now: float,
         detector: Optional[MNSDetector],
         probe: _ActiveProbe,
     ) -> bool:
@@ -582,9 +503,6 @@ class JITJoinOperator(BinaryJoinOperator):
         window = context.window
         opp = opposite_port(port)
         opposite_state = self.states[opp]
-        # While pins retain expired tuples, the probe sees live ones only.
-        floored = opposite_state.pinned is not None
-        horizon = window.purge_horizon(now) if floored else None
         opposite_live = False
         gate = self.gates[port]
         detector_units = context.cost.units
@@ -593,18 +511,18 @@ class JITJoinOperator(BinaryJoinOperator):
         pending: Tuple[str, ...] = ()
         unmatched: Tuple[str, ...] = ()
         if detector is None:
-            candidates: Iterable[StateEntry] = self.probe_candidates(tup, opp, horizon)
+            candidates: Iterable[StateEntry] = self.probe_candidates(tup, opp)
         else:
             detector.start(tup)
             if self.use_hash_index:
-                opposite_live = opposite_state.has_live(horizon)
+                opposite_live = bool(len(opposite_state))
                 candidates = opposite_state.probe_index(
                     [lookup.probe(tup) for lookup in self._component_lookups[port].values()]
                 )
             else:
                 if detector.pending:
-                    unmatched = self._settle(tup, port, detector, horizon)
-                candidates = opposite_state.probe(horizon)
+                    unmatched = self._settle(tup, port, detector)
+                candidates = opposite_state.probe()
             asked = detector.pending
             pending = tuple([c for c in asked if c not in unmatched])
         if pending:
@@ -613,8 +531,6 @@ class JITJoinOperator(BinaryJoinOperator):
             mark = detector_units(_DETECTOR_KINDS)
         for entry in candidates:
             if entry.removed:
-                continue
-            if floored and entry.ts < horizon:
                 continue
             other = entry.tuple
             probe.scanned_seqs.add(entry.seq)
@@ -649,19 +565,14 @@ class JITJoinOperator(BinaryJoinOperator):
         return opposite_live
 
     def _settle(
-        self,
-        tup: StreamTuple,
-        port: str,
-        detector: MNSDetector,
-        horizon: Optional[float],
+        self, tup: StreamTuple, port: str, detector: MNSDetector
     ) -> Tuple[str, ...]:
         """Settle ``detector``'s pending components from the opposite state's
         indexes before a nested-loop probe; return those found unmatched.
 
         A lookup asks :meth:`OperatorState.any_live` of the component's
-        index, so it sees what the scan would: the present entries, live
-        ones only while pins are set.  Its units are the port's
-        detection spend.
+        index, so it sees what the scan would: the present entries.  Its
+        units are the port's detection spend.
         """
         lookups = self._component_lookups[port]
         opposite_state = self.states[opposite_port(port)]
@@ -670,7 +581,7 @@ class JITJoinOperator(BinaryJoinOperator):
             lookup = lookups.get(component)
             if lookup is None:
                 return None
-            return opposite_state.any_live(*lookup.probe(tup), horizon)
+            return opposite_state.any_live(*lookup.probe(tup))
 
         cost = self.require_context().cost
         mark = cost.cpu_units
@@ -776,17 +687,9 @@ class JITJoinOperator(BinaryJoinOperator):
         own_producer: "JITJoinOperator",
     ) -> None:
         """Collect detected MNSs, buffer them and send suspension feedback."""
-        context = self.require_context()
         opp = opposite_port(port)
-        opposite_state = self.states[opp]
-        # The probe only sees entries at or above the live horizon while
-        # pins retain expired tuples, so the Ø test must ask for *live*
-        # emptiness — retained-but-expired tuples do not count.
-        live_after = (
-            context.window.purge_horizon(now) if opposite_state.pinned is not None else None
-        )
         signatures: List[MNSSignature]
-        if not opposite_live and not opposite_state.has_live(live_after):
+        if not opposite_live and not len(self.states[opp]):
             # Figure 8, line 2: the opposite state is empty, Ø is the only MNS.
             signatures = [MNSSignature.empty(ts=tup.ts)]
         elif detector is not None:
@@ -931,7 +834,7 @@ class JITJoinOperator(BinaryJoinOperator):
             upstream = self.producer_of(port)
             if upstream is not None and upstream.supports_production_control():
                 self._propagate(Feedback.suspend((signature,), origin=entry.gate), port)
-                blacklist.propagate(entry)
+                entry.propagated_upstream = True
 
         # Move (similar) super-tuples of the MNS from the state to the blacklist.
         state = self.states[port]
@@ -994,7 +897,7 @@ class JITJoinOperator(BinaryJoinOperator):
                     self._propagate(Feedback.suspend((signature,), origin=gate), port)
                     entry = self.blacklists[port].entry(signature)
                     if entry is not None:
-                        self.blacklists[port].propagate(entry)
+                        entry.propagated_upstream = True
 
     def _propagate(self, feedback: Feedback, port: str) -> None:
         upstream = self.producer_of(port)
@@ -1130,18 +1033,6 @@ class JITJoinOperator(BinaryJoinOperator):
         return produced
 
     # ------------------------------------------------------------------ maintenance
-
-    def _update_pins(self) -> None:
-        """Hand each state its pins when the suspended work across changed:
-        none once nothing is suspended, again once something left."""
-        for port, pins in self._pins.items():
-            state = self.states[port]
-            released = pins.released()
-            if not pins.held():
-                if state.pinned is not None:
-                    state.pin(None)
-            elif released or state.pinned is None:
-                state.pin(pins.keeps)
 
     def _maybe_purge_jit_structures(self, now: float) -> None:
         """Periodically purge blacklists and MNS buffers (cheaply, not per event).

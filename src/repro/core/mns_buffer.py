@@ -90,8 +90,6 @@ class MNSBuffer:
         self._equi_index: Dict[Tuple[AttributeRef, ...], Dict[Tuple[object, ...], List[MNSSignature]]] = {}
         #: Entries with no partner check (the Ø signature): every tuple matches.
         self._unchecked: List[MNSSignature] = []
-        #: Bumped on every removal: the opposite state's pins may have risen.
-        self.releases = 0
 
     # -- construction of partner checks ---------------------------------------------
 
@@ -148,7 +146,6 @@ class MNSBuffer:
         if entry is None:
             return None
         self._unindex_entry(entry)
-        self.releases += 1
         self.context.memory.release(entry.size_bytes, self.MEMORY_CATEGORY)
         return entry
 
@@ -174,21 +171,6 @@ class MNSBuffer:
             self.context.cost.charge(CostKind.PROBE_STEP)
             matched.append(self._entries[signature])
         return matched
-
-    def oldest_match(self, tup: StreamTuple) -> Optional[float]:
-        """The oldest stamp among the buffered MNSs whose partner checks
-        ``tup`` (an opposite-side tuple) passes; None when it passes none.
-
-        The partials a resumption of such an MNS brings may join ``tup``, so
-        this is what pins it in its state.  Charges nothing, like the rest of
-        the pins' bookkeeping.
-        """
-        stamps = [signature.ts for signature in self._unchecked]
-        for template, by_key in self._equi_index.items():
-            signatures = by_key.get(tuple([ref.value(tup) for ref in template]))
-            if signatures:
-                stamps.extend([signature.ts for signature in signatures])
-        return min(stamps) if stamps else None
 
     # -- cross-side compatibility (cycle prevention) ----------------------------------------
 

@@ -15,7 +15,7 @@ mechanism on top.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 from repro.metrics import CostKind
 from repro.operators.base import PORT_LEFT, PORT_RIGHT, Operator
@@ -148,37 +148,31 @@ class BinaryJoinOperator(Operator):
         }
 
     def probe_candidates(
-        self,
-        tup: StreamTuple,
-        probe_port: str,
-        live_only_after: Optional[float] = None,
-        after_order: int = 0,
+        self, tup: StreamTuple, probe_port: str, after_order: int = 0
     ) -> Iterable[StateEntry]:
         """Entries of ``probe_port``'s state eligible to join ``tup``.
 
         The single place that decides between the hash index and a scan:
         with ``use_hash_index`` only key-equal entries are returned —
         REF-equivalent, since entries with a different key cannot satisfy the
-        conditions.  The two bounds are those of :meth:`OperatorState.probe`
-        and only narrow a scan, so callers must still re-check ``removed``
-        (and any live horizon or watermark) per entry, as the probe may
-        mutate the state re-entrantly.
+        conditions.  ``after_order`` is :meth:`OperatorState.probe`'s bound
+        and only narrows a scan, so callers must still re-check ``removed``
+        (and any watermark) per entry, as the probe may mutate the state
+        re-entrantly.
         """
         state = self.states[probe_port]
         lookup = self._key_lookups.get(probe_port)
         if lookup is not None:
             return state.probe_index((lookup.probe(tup),))
-        return state.probe(live_only_after, after_order)
+        return state.probe(after_order)
 
     # -- processing ---------------------------------------------------------------
 
     def process(self, tup: StreamTuple, port: str) -> None:
         """Run the purge-probe-insert routine for one input tuple."""
         self._check_port(port)
-        context = self.require_context()
-        now = context.now
-        self.purge(now)
-        self._probe_and_emit(tup, port, now)
+        self.purge(self.require_context().now)
+        self._probe_and_emit(tup, port)
         self.insert_into_state(tup, port)
 
     def purge(self, now: float) -> None:
@@ -191,41 +185,18 @@ class BinaryJoinOperator(Operator):
         """Insert ``tup`` into the state of its own port."""
         return self.states[port].insert(tup)
 
-    def _probe_and_emit(self, tup: StreamTuple, port: str, now: float) -> int:
+    def _probe_and_emit(self, tup: StreamTuple, port: str) -> None:
         """Probe the opposite state with ``tup``, emitting every join result.
 
-        Returns the number of results emitted.
-        """
-        produced = 0
-        for entry in self._matching_entries(tup, port, now):
-            result = self.build_result(tup, entry.tuple)
-            self.emit(result)
-            produced += 1
-        return produced
-
-    def _matching_entries(
-        self, tup: StreamTuple, port: str, now: float
-    ) -> Iterable[StateEntry]:
-        """Yield opposite-state entries that join with ``tup``.
-
         Entries removed re-entrantly (by JIT feedback triggered from an
-        emission) are skipped, and entries kept past their expiry by JIT's
-        purge pins are invisible to the regular probe.
+        emission) are skipped.
         """
-        context = self.require_context()
-        window = context.window
-        opp_port = opposite_port(port)
-        opposite = self.states[opp_port]
-        live_after = window.purge_horizon(now) if opposite.pinned is not None else None
-        for entry in self.probe_candidates(tup, opp_port, live_only_after=live_after):
-            if entry.removed:
-                continue
-            if live_after is not None and entry.ts < live_after:
-                continue
-            if not window.joins(tup, entry.tuple):
+        window = self.require_context().window
+        for entry in self.probe_candidates(tup, opposite_port(port)):
+            if entry.removed or not window.joins(tup, entry.tuple):
                 continue
             if self.evaluate_conditions(tup, entry.tuple):
-                yield entry
+                self.emit(self.build_result(tup, entry.tuple))
 
     def evaluate_conditions(self, a: StreamTuple, b: StreamTuple) -> bool:
         """Evaluate the operator's local conditions over two tuples, with costing."""

@@ -196,10 +196,6 @@ class SelectionPredicate:
         if not self.comparisons:
             raise ValueError("a selection predicate needs at least one comparison")
 
-    def evaluate(self, tup: StreamTuple) -> bool:
-        """Evaluate the conjunction against ``tup``."""
-        return all(c.evaluate(tup) for c in self.comparisons)
-
     @property
     def sources(self) -> FrozenSet[str]:
         """All sources referenced by the predicate."""

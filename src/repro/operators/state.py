@@ -16,10 +16,12 @@ The state also supports the operations JIT needs on top of the baseline:
 * extracting all super-tuples of an MNS (to move them to a blacklist),
 * arrival *sequence numbers* used as resume watermarks — entries are stored
   and probed in insertion order, so "everything after sequence ``m``" is
-  exactly the set of partners a suspended tuple has not met yet,
-* purge *pins* so that, while suspended work elsewhere may still join some
-  of this state's tuples, exactly those tuples are retained past their
-  normal expiry (see docs/JIT.md, "Delayed purge under suspension").
+  exactly the set of partners a suspended tuple has not met yet.
+
+Suspended work keeps nothing past its expiry: a replay runs at the stamp of
+the arrival that resumed it, and no entry below that stamp's horizon can
+join a result containing that arrival (docs/JIT.md, "Why nothing past the
+horizon can join a replay").
 
 Internally the entry list is append-only and in insertion order (so sorted by
 ``StateEntry.order``); removing an entry marks it removed, and the list is
@@ -29,17 +31,10 @@ held (a resumed tuple re-entering, say).  So purging advances a *head* over
 the list, removing what it passes, and stops at the first present entry at or
 above the horizon: every entry behind that one is at or above it too, except
 late inserts, and those alone also wait in a small ``(ts, order, entry)``
-min-heap for their purge.  While pins are set the head does not remove:
-``purge`` moves a *live cursor* past the leading entries below the horizon,
-dropping each one no pin keeps and counting the rest as *retained*, the head
-only skips what is removed, a late entry the heap yields below the horizon is
-dropped or, if pinned, kept aside, and after the pins rose (:meth:`pin`) the
-next purge sweeps the retained entries once.  No pin bookkeeping is charged.
-The order costs nothing to keep and lets a scan start where its work starts:
-a probe starts at the head; a regular probe begins at the live cursor, behind
-what the pins retain; a resumed tuple's replay bisects to the order stamp
-recorded when it was suspended.  A probe walks the list it found up to the
-length it found:
+min-heap for their purge.  The order costs nothing to keep and lets a scan
+start where its work starts: a probe starts at the head; a resumed tuple's
+replay bisects to the order stamp recorded when it was suspended.  A probe
+walks the list it found up to the length it found:
 appends land behind that length and a compaction binds a new list, so an
 emission that re-enters the state mid-probe changes nothing the probe sees
 except ``removed`` flags (docs/JIT.md, "Where a scan starts and stops").
@@ -112,7 +107,7 @@ def key_function(template: IndexTemplate) -> Callable[[StreamTuple], IndexKey]:
     per template.
 
     The keys of the state indexes, of the blacklist's signature index and
-    pins and :attr:`MNSSignature.key <repro.core.signature.MNSSignature.key>`
+    :attr:`MNSSignature.key <repro.core.signature.MNSSignature.key>`
     are all built here, so they agree by construction.  Keys are computed
     on every insert, removal and lookup, once per index, so the common
     one-attribute template keys by the bare value, with a function without
@@ -232,20 +227,6 @@ class OperatorState:
         if key_template:
             self._register(key_template)
         self._active_count = 0
-        #: The live cursor: every entry before this index of ``_entries`` is
-        #: removed or was below the horizon of a purge made under pins.
-        self._live_start = 0
-        #: Present entries before the cursor (retained past their expiry).
-        self._retained = 0
-        #: Late entries the heap yielded below the horizon that a pin kept.
-        self._kept: List[StateEntry] = []
-        #: The pins: whether an expired entry must stay because JIT's
-        #: suspended work elsewhere may still join it.  ``None`` means
-        #: nothing is pinned (purge normally).
-        self.pinned: Optional[Callable[[StateEntry], bool]] = None
-        #: Whether the pins may have risen since the retained entries were
-        #: last checked against them.
-        self._sweep = False
 
     # -- basic container protocol -------------------------------------------
 
@@ -254,24 +235,6 @@ class OperatorState:
 
     def __iter__(self) -> Iterator[StateEntry]:
         return (e for e in self._entries if not e.removed)
-
-    def has_live(self, horizon: Optional[float] = None) -> bool:
-        """True when at least one present entry has ``ts >= horizon``.
-
-        ``horizon=None`` means every present entry counts as live (no pin
-        is retaining expired tuples).  This is the emptiness test a
-        probe sees: retained-but-expired tuples are invisible to it, so they
-        must not suppress a legitimate Ø suspension.
-        """
-        if horizon is None:
-            return self._active_count > 0
-        # Newest first: the entries the pins retain sit at the front.
-        return any(e.ts >= horizon for e in reversed(self._entries) if not e.removed)
-
-    @property
-    def live_count(self) -> int:
-        """Present entries from the live cursor on: what a regular probe is offered."""
-        return self._active_count - self._retained
 
     @property
     def next_seq(self) -> int:
@@ -326,86 +289,35 @@ class OperatorState:
         self.context.memory.allocate(tup.size_bytes, self.memory_category)
         return entry
 
-    def pin(self, pinned: Optional[Callable[[StateEntry], bool]]) -> None:
-        """Set the pins (``None``: nothing is pinned).
-
-        Hand them again whenever a pin may have risen or gone: the next
-        purge then checks every retained entry against them once.  Pins that
-        only fall need no call, since the entries they reach that are still
-        present were retained already.
-        """
-        self.pinned = pinned
-        self._sweep = pinned is not None
-
     def purge(self, horizon: float) -> List[StateEntry]:
-        """Remove and return the expired entries nothing pins.
+        """Remove and return the expired entries.
 
         The caller asks the window for the horizon
         (:meth:`~repro.streams.time.Window.purge_horizon`); an entry below it
-        has expired.  Without pins every expired entry goes: the head removes
-        what it passes up to the first present entry at or above the
-        horizon, and the side heap yields the late ones behind it.  With pins
-        (JIT's delayed purge), an expired entry goes only when
-        ``pinned(entry)`` is false: the live cursor asks once per entry
-        it passes (horizons only grow, so what it passes stays expired), the
-        heap once per late entry it yields, and a sweep asks again about
-        every retained entry after :meth:`pin` was called.  Lazily built
-        indexes last looked up before the horizon are retired.  One
-        ``PURGE`` per removed entry.
+        has expired.  The head removes what it passes up to the first present
+        entry at or above the horizon, and the side heap yields the late ones
+        behind it.  Lazily built indexes last looked up before the horizon
+        are retired.  One ``PURGE`` per removed entry.
         """
         if self._last_lookup:
             for template in [t for t, at in self._last_lookup.items() if at < horizon]:
                 del self._indexes[template], self._last_lookup[template]
         removed: List[StateEntry] = []
-        entries, pinned = self._entries, self.pinned
-        if pinned is None:
-            head = self._head
-            while head < len(entries):
-                entry = entries[head]
-                if not entry.removed:
-                    if entry.ts >= horizon:
-                        break
-                    self._forget(entry)
-                    removed.append(entry)
-                head += 1
-            self._head = head
-            if head > self._live_start:
-                self._live_start = head
-            if self._kept:
-                for entry in self._kept:
-                    if not entry.removed:
-                        self._forget(entry)
-                        removed.append(entry)
-                self._kept = []
-        else:
-            if self._sweep:
-                self._sweep = False
-                self._drop_unpinned(pinned, removed)
-            start = self._live_start
-            while start < len(entries):
-                entry = entries[start]
-                if not entry.removed:
-                    if entry.ts >= horizon:
-                        break
-                    if pinned(entry):
-                        self._retained += 1
-                    else:
-                        self._forget(entry)
-                        removed.append(entry)
-                start += 1
-            self._live_start = start
-            head = self._head
-            while head < start and entries[head].removed:
-                head += 1
-            self._head = head
+        entries = self._entries
+        head = self._head
+        while head < len(entries):
+            entry = entries[head]
+            if not entry.removed:
+                if entry.ts >= horizon:
+                    break
+                self._forget(entry)
+                removed.append(entry)
+            head += 1
+        self._head = head
         late = self._late
         while late and late[0][0] < horizon:
             entry = heappop(late)[2]
-            if entry.removed or pinned is not None and self._before_cursor(entry):
-                continue  # retained entries are the sweep's
-            if pinned is not None and pinned(entry):
-                self._kept.append(entry)
-            else:
+            if not entry.removed:
                 self._forget(entry)
                 removed.append(entry)
         if removed:
@@ -413,36 +325,22 @@ class OperatorState:
         self._maybe_compact()
         return removed
 
-    def probe(
-        self, live_only_after: Optional[float] = None, after_order: int = 0
-    ) -> Iterator[StateEntry]:
+    def probe(self, after_order: int = 0) -> Iterator[StateEntry]:
         """Iterate present entries in insertion order, charging one probe step
         per entry yielded.  The entries are those present when the probe
         starts, minus the ones removed before it reaches them.
 
-        Parameters
-        ----------
-        live_only_after:
-            The horizon of the purge just made (or a later one).  When given,
-            entries with ``ts < live_only_after`` are skipped without charge
-            — the scan starts at the live cursor and filters the rest.  Used
-            while pins keep formally-expired tuples around for JIT
-            resumption: the regular probe must not see them, otherwise
-            REF-equivalence would be violated.
-        after_order:
-            Entries whose ``order`` stamp is at or below this are skipped
-            without charge (the scan bisects to the first one above it).
+        Entries whose ``order`` stamp is at or below ``after_order`` are
+        skipped without charge (the scan bisects to the first one above it).
         """
         entries = self._entries
-        start = self._head if live_only_after is None else max(self._head, self._live_start)
+        start = self._head
         if after_order > 0:
             start = max(start, bisect_right(entries, after_order, key=_order_of))
         charge = self.context.cost.charge
         for index in range(start, len(entries)):
             entry = entries[index]
             if entry.removed:
-                continue
-            if live_only_after is not None and entry.ts < live_only_after:
                 continue
             charge(CostKind.PROBE_STEP)
             yield entry
@@ -470,27 +368,16 @@ class OperatorState:
             self.context.cost.charge(CostKind.PROBE_STEP, len(matches))
         return matches
 
-    def any_live(
-        self, template: IndexTemplate, key: IndexKey, horizon: Optional[float] = None
-    ) -> bool:
-        """Whether a present entry with ``key`` under ``template`` has
-        ``ts >= horizon`` (``None``: whether there is a present entry at all).
+    def any_live(self, template: IndexTemplate, key: IndexKey) -> bool:
+        """Whether a present entry has ``key`` under ``template``.
 
-        The existence lookup of an MNS-detecting probe.  The bucket is walked
-        newest first, since the entries the pins retain sit at its front,
-        and only up to the first live entry: one ``PROBE_STEP`` per entry
-        examined, after the lookup's ``HASH``.
+        The existence lookup of an MNS-detecting probe: the lookup's
+        ``HASH``, then one ``PROBE_STEP`` for the entry that answers it.
         """
-        examined = 0
-        found = False
-        for entry in reversed(self._bucket(template, key)):
-            examined += 1
-            if horizon is None or entry.ts >= horizon:
-                found = True
-                break
-        if examined:
-            self.context.cost.charge(CostKind.PROBE_STEP, examined)
-        return found
+        if self._bucket(template, key):
+            self.context.cost.charge(CostKind.PROBE_STEP)
+            return True
+        return False
 
     # -- JIT support ----------------------------------------------------------
 
@@ -526,34 +413,6 @@ class OperatorState:
         self._forget(entry)
 
     # -- internals -------------------------------------------------------------
-
-    def _before_cursor(self, entry: StateEntry) -> bool:
-        """Whether ``entry`` sits before the live cursor (it is retained)."""
-        start = self._live_start
-        return bool(start) and (
-            start == len(self._entries) or entry.order < self._entries[start].order
-        )
-
-    def _drop_unpinned(
-        self, pinned: Callable[[StateEntry], bool], removed: List[StateEntry]
-    ) -> None:
-        """Remove the retained and kept-aside entries no longer ``pinned``."""
-        entries = self._entries
-        for index in range(self._head, self._live_start):
-            entry = entries[index]
-            if not entry.removed and not pinned(entry):
-                self._forget(entry)
-                removed.append(entry)
-        kept = []
-        for entry in self._kept:
-            if entry.removed or self._before_cursor(entry):
-                continue
-            if pinned(entry):
-                kept.append(entry)
-            else:
-                self._forget(entry)
-                removed.append(entry)
-        self._kept = kept
 
     def _bucket(self, template: IndexTemplate, key: IndexKey) -> Sequence[StateEntry]:
         """One index lookup, building the index first if this is its first use.
@@ -595,9 +454,6 @@ class OperatorState:
             return
         entry.removed = True
         self._active_count -= 1
-        start = self._live_start
-        if start and (start == len(self._entries) or entry.order < self._entries[start].order):
-            self._retained -= 1
         tup = entry.tuple
         for key_of, buckets in self._indexes.values():
             key = key_of(tup)
@@ -613,7 +469,6 @@ class OperatorState:
         if len(self._entries) > 32 and self._active_count < len(self._entries) // 2:
             self._entries = [e for e in self._entries if not e.removed]
             self._head = 0
-            self._live_start = self._retained
 
     def __repr__(self) -> str:
         return f"OperatorState({self.name!r}, size={self._active_count})"

@@ -6,18 +6,22 @@ carries a timestamp ``t.ts`` and is *alive* during ``[t.ts, t.ts + w)`` where
 every join, purge and suspension asks it one of three questions about a
 stamped thing (a tuple, an MNS signature):
 
-* may these two join? -- :meth:`Window.joins`, ``|a.ts - b.ts| <= w``;
+* may these two join? -- :meth:`Window.joins`, the *span rule*
+  ``max(a.ts, b.ts) - min(a.oldest, b.oldest) <= w``: a result is live while
+  all of its atomic components fit in one window, so it is valid from its
+  newest stamp to its oldest stamp plus ``w``;
 * below which stamp does a state entry expire? -- :meth:`Window.purge_horizon`,
-  ``now - w`` (also how far back a JIT purge pin reaches from a suspended stamp);
+  ``now - w``;
 * is suspended work still retained? -- :meth:`Window.retains`,
   ``ts + retention > now``.
 
-The rule today: a composite tuple carries its newest component's stamp and
-lives one window past it, however old its oldest component is.  ROADMAP.md,
-item 2 "One window semantics", changes it by changing these bodies and the
-stamp ``OperatorState.insert`` stores, not their callers.  Keep each body's
-float arithmetic: at ``(ts, w, now) = (0.6, 0.1, 0.7)`` ``ts + w <= now``
-holds but ``ts < now - w`` does not.
+A composite tuple carries its newest component's stamp as ``ts`` and its
+oldest as ``oldest`` (an atomic tuple's are both its arrival stamp).  Expiry
+is still keyed by ``ts``, so a partial stays in its state at least as long
+as it can join (``ts + w >= oldest + w``), longer than it needs to;
+ROADMAP.md, item 3, keys it by ``oldest``.  Keep each body's float
+arithmetic: at ``(ts, w, now) = (0.6, 0.1, 0.7)`` ``ts + w <= now`` holds but
+``ts < now - w`` does not.
 
 All timestamps are plain floats measured in **seconds of application time**.
 The execution engine advances a :class:`SimulationClock` to the timestamp of
@@ -39,6 +43,12 @@ class Stamped(Protocol):
     """Anything :class:`Window` can judge: it carries a timestamp ``ts``."""
 
     ts: float
+
+
+class Spanned(Stamped, Protocol):
+    """A tuple: its newest component's stamp ``ts`` and its oldest's ``oldest``."""
+
+    oldest: float
 
 
 def seconds(value: float) -> float:
@@ -72,9 +82,19 @@ class Window:
         if self.length <= 0:
             raise ValueError(f"window length must be positive, got {self.length}")
 
-    def joins(self, a: Stamped, b: Stamped) -> bool:
-        """May ``a`` and ``b`` join?  ``|a.ts - b.ts| <= w``, inclusive."""
-        return abs(a.ts - b.ts) <= self.length
+    def joins(self, a: Spanned, b: Spanned) -> bool:
+        """May ``a`` and ``b`` join?  Their components span at most ``w``:
+        ``max(a.ts, b.ts) - min(a.oldest, b.oldest) <= w``, inclusive.
+
+        Spelled with conditionals, not the builtins: every probe step asks
+        it, and the two calls would cost more than the rest of the body.
+        """
+        newest, oldest = a.ts, a.oldest
+        if b.ts > newest:
+            newest = b.ts
+        if b.oldest < oldest:
+            oldest = b.oldest
+        return newest - oldest <= self.length
 
     def purge_horizon(self, now: float) -> float:
         """The stamp below which a state entry has expired at ``now``; a

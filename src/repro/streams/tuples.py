@@ -28,7 +28,9 @@ workload reads.
 Timestamps follow the paper's convention (Section II): an atomic tuple's
 timestamp is its arrival time, and a composite tuple carries the maximum
 timestamp of its components — the earliest instant at which it could have
-been assembled.
+been assembled.  Every tuple also answers ``oldest``, its oldest component's
+stamp (an atomic tuple's is its ``ts``): the window's span rule
+(:meth:`repro.streams.time.Window.joins`) reads both ends.
 """
 
 from __future__ import annotations
@@ -183,32 +185,42 @@ class AtomicTuple:
         return f"{self.source}#{self.seq}(ts={self.ts:g}, {attrs})"
 
 
+# An arrival is its own oldest component: ``oldest`` reads the ``ts`` slot
+# under a second name, which costs no call and no byte per tuple.
+AtomicTuple.oldest = AtomicTuple.ts  # type: ignore[attr-defined]
+
+
 class CompositeTuple:
     """A (partial) join result covering several sources.
 
     Components are stored sorted by source name, so two composite tuples
     assembled in different join orders but containing the same atomic tuples
     compare equal — this is what makes result-set comparison across plan
-    shapes and execution strategies meaningful.
+    shapes and execution strategies meaningful.  ``ts`` is the newest
+    component's stamp and ``oldest`` the oldest one's.
     """
 
-    __slots__ = ("_components", "ts", "size_bytes")
+    __slots__ = ("_components", "ts", "oldest", "size_bytes")
 
     def __init__(self, components: Iterable[AtomicTuple]) -> None:
         comps = tuple(sorted(components, key=_source_of))
         if len(comps) < 2:
             raise ValueError("a composite tuple needs at least two components")
         first = comps[0]
-        source, ts, size_bytes = first.source, first.ts, 16 + first.size_bytes
+        source, size_bytes = first.source, 16 + first.size_bytes
+        ts = oldest = first.ts
         for comp in comps[1:]:
             if comp.source == source:
                 raise ValueError(f"duplicate component for source {source!r}")
             source = comp.source
             if comp.ts > ts:
                 ts = comp.ts
+            elif comp.ts < oldest:
+                oldest = comp.ts
             size_bytes += comp.size_bytes
         self._components = comps
         self.ts = ts
+        self.oldest = oldest
         self.size_bytes = size_bytes
 
     # -- tuple interface ---------------------------------------------------

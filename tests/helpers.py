@@ -67,26 +67,6 @@ def reference_events(sources, duration: float) -> list:
     return events
 
 
-class StampPins:
-    """Purge pins for a bare :class:`~repro.operators.state.OperatorState`:
-    ``floors`` maps a key of ``key_of`` to the lowest stamp it keeps, and the
-    key ``None`` to the lowest stamp every key keeps.  It is read as it is,
-    so hand ``keeps`` to the state again (``state.pin``) after a pin rose or
-    went."""
-
-    def __init__(self, floors=None, key_of=lambda tup: None):
-        self.floors = dict(floors or {})
-        self.key_of = key_of
-
-    def keeps(self, entry) -> bool:
-        floors = self.floors
-        everything = floors.get(None)
-        if everything is not None and entry.ts >= everything:
-            return True
-        floor = floors.get(self.key_of(entry.tuple))
-        return floor is not None and entry.ts >= floor
-
-
 def validate_metric_exists(text_or_parsed, name, labels=None) -> float:
     """Assert the metric (series) exists in an exposition; returns its value."""
     return get_metric_value(text_or_parsed, name, labels)

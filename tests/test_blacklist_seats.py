@@ -78,13 +78,6 @@ def _history(record):
 def _assert_bookkeeping_matches_a_recount(blacklist: Blacklist) -> None:
     """Everything the blacklist maintains equals what its entries say."""
     entries = blacklist.entries()
-    oldest = {}
-    for record in (s for e in entries for s in e.suspended):
-        assert record.key == blacklist.key_of(record.tuple)
-        oldest[record.key] = min(oldest.get(record.key, record.tuple.ts), record.tuple.ts)
-    assert blacklist.oldest == oldest
-    propagated = [e.min_ts() for e in entries if e.propagated_upstream]
-    assert blacklist.unkeyed_ts() == (min(propagated) if propagated else None)
     assert blacklist.suspended_count == sum(len(e.suspended) for e in entries)
     held = sum(
         e.signature.size_bytes + sum(s.tuple.size_bytes for s in e.suspended) for e in entries
@@ -92,7 +85,7 @@ def _assert_bookkeeping_matches_a_recount(blacklist: Blacklist) -> None:
     assert blacklist.memory_bytes == held
     for entry in entries:
         own = [entry.signature.ts] + [s.tuple.ts for s in entry.suspended]
-        assert (entry.min_ts(), entry.newest().ts) == (min(own), max(own))
+        assert entry.newest().ts == max(own)
         assert entry.size_bytes == entry.signature.size_bytes + sum(
             s.tuple.size_bytes for s in entry.suspended
         )
@@ -111,10 +104,7 @@ class _Side:
         self.name = name
         self.state = {}
         self.next_seq = 0
-        # Keyed by ``x``, which signatures never record.
-        self.blacklist = Blacklist(
-            f"{name}.blacklist", context, key_of=lambda tup: (tup.value("A", "x"),)
-        )
+        self.blacklist = Blacklist(f"{name}.blacklist", context)
         #: The origin of every suspension on this side: it books ``hidden``.
         self.gate = DetectionGate()
 
@@ -238,7 +228,7 @@ class BlacklistMachine(RuleBasedStateMachine):
         blacklist = self.sides[side].blacklist
         entries = [e for e in blacklist.entries() if not e.permanent]
         if entries:
-            blacklist.propagate(entries[pick % len(entries)])
+            entries[pick % len(entries)].propagated_upstream = True
 
     @rule(step=st.sampled_from((0.0, 4.0, 11.0, 25.0)))
     def purge(self, step):
@@ -382,7 +372,7 @@ class TestCostShape:
             context, CostKind.PURGE, lambda: blacklist.purge(now=100.0, retention=90.0)
         )
         assert (dropped, examined) == (11, 12)  # ts 0..10 are past 90 s; ts 11 survives
-        assert blacklist.oldest == {(): 11.0}
+        assert blacklist.entry(signature).suspended[0].tuple.ts == 11.0
         dropped, examined = self._charged(
             context, CostKind.PURGE, lambda: blacklist.purge(now=500.0, retention=90.0)
         )
@@ -397,13 +387,12 @@ class TestCostShape:
         for ts in (20.0, 30.0, 5.0, 40.0):  # 5.0: an older tuple suspended again
             blacklist.add_suspended(signature, make_tuple("A", ts, y=1), -1, now=40.0)
         entry = blacklist.entry(signature)
-        assert not entry.ts_ordered and (entry.min_ts(), entry.newest().ts) == (5.0, 50.0)
-        assert blacklist.oldest == {(): 5.0}
+        assert not entry.ts_ordered and entry.newest().ts == 50.0
         dropped, examined = self._charged(
             context, CostKind.PURGE, lambda: blacklist.purge(now=100.0, retention=90.0)
         )
         assert (dropped, examined) == (1, 4)
-        assert entry.ts_ordered and blacklist.oldest == {(): 20.0}
+        assert entry.ts_ordered and [s.tuple.ts for s in entry.suspended] == [20.0, 30.0, 40.0]
         dropped, examined = self._charged(
             context, CostKind.PURGE, lambda: blacklist.purge(now=115.0, retention=90.0)
         )

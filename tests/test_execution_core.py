@@ -23,7 +23,6 @@ from repro.engine.engine import ExecutionEngine
 from repro.engine.results import result_multiset
 from repro.metrics import CostKind
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
-from repro.operators.state import OperatorState
 from repro.plans.builder import (
     PLAN_LEFT_DEEP,
     STRATEGY_JIT,
@@ -40,7 +39,6 @@ from repro.streams.generators import generate_clique_workload
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
-from helpers import StampPins
 
 
 def _suspension_workload():
@@ -412,28 +410,3 @@ class TestFeedbackStats:
         assert sent_susp > 0 and sent_res > 0
         assert sent_susp == recv_susp
         assert sent_res == recv_res
-
-
-# ------------------------------------------------------------------- operator state
-
-
-class TestHasLive:
-    def test_retained_entries_are_not_live(self, context):
-        state = OperatorState("S", context)
-        state.insert(AtomicTuple("A", 1.0, {"x": 1}))
-        state.insert(AtomicTuple("A", 2.0, {"x": 2}))
-        # Pins retain both entries past their expiry at t=100.
-        state.pin(StampPins({None: 0.5}).keeps)
-        state.purge(horizon=100.0)
-        assert len(state) == 2
-        assert state.has_live(None)
-        assert state.has_live(2.0)
-        assert not state.has_live(2.5), "every entry is below the live horizon"
-
-    def test_has_live_without_horizon_matches_emptiness(self, context):
-        state = OperatorState("S", context)
-        assert not state.has_live(None)
-        entry = state.insert(AtomicTuple("A", 1.0, {"x": 1}))
-        assert state.has_live(None)
-        state.remove_entry(entry)
-        assert not state.has_live(None)

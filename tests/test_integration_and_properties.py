@@ -1,15 +1,12 @@
 """Integration tests and property-based tests.
 
-The central correctness property of the reproduction: within one plan shape,
-JIT (under any configuration), DOE and REF executions of the same workload
-produce exactly the same result set, in either execution mode.  Across plan
-shapes the result sets differ today (ROADMAP.md, item "One window semantics"),
-so no test here compares two shapes.  Where the query's answer does not
-depend on the shape — two sources, one join — every strategy, mode and shape
-is also compared with the specification itself
-(``helpers.specification_results``).  Hypothesis drives randomized workloads
-and configurations against those invariants, plus invariants of the
-lower-level data structures.
+The central correctness property of the reproduction: JIT (under any
+configuration), DOE and REF executions of the same workload produce exactly
+the query's result set, in either execution mode and on every plan shape.
+Every strategy, mode and shape is compared with the specification itself
+(``helpers.specification_results``), so shape is an equivalence axis.
+Hypothesis drives randomized workloads and configurations against those
+invariants, plus invariants of the lower-level data structures.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from repro.experiments import (
     scaled_workload,
     sweep_parameter,
 )
-from repro.operators.join import opposite_port
 from repro.operators.predicates import AttributeCompare, AttributeRef, SelectionPredicate
 from repro.operators.state import OperatorState
 from repro.plans.builder import (
@@ -53,7 +49,7 @@ from repro.streams.sources import PeriodicArrivals, merge_sources
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
-from helpers import StampPins, script_gates, specification_results
+from helpers import script_gates, specification_results
 
 
 def _run_all(workload, shape, strategies, jit_config=None):
@@ -217,7 +213,7 @@ def bounded_workload_parameters(draw):
 
 
 def _assert_engines_equal_the_specification(params, pinned_open, period=None):
-    """REF, JIT and DOE, synchronous and queued, left-deep and bushy, all emit
+    """REF, JIT and DOE, synchronous and queued, on every plan shape, all emit
     exactly the specification's results on ``params``' clique; JIT's and
     DOE's gates are pinned open (the paper's behaviour) if ``pinned_open``.
 
@@ -235,7 +231,7 @@ def _assert_engines_equal_the_specification(params, pinned_open, period=None):
             source.arrivals = PeriodicArrivals(period)
         events = merge_sources(sources, workload.duration)
     expected = specification_results(query, events)
-    for shape in (PLAN_LEFT_DEEP, PLAN_BUSHY):
+    for shape in SHAPES:
         for strategy in (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE):
             for mode in ExecutionMode.ALL:
                 plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
@@ -245,6 +241,9 @@ def _assert_engines_equal_the_specification(params, pinned_open, period=None):
                 got = result_multiset(report.results.results)
                 assert got == expected, (shape, strategy, mode, sum(got.values()))
     return expected, query, events
+
+
+SHAPES = (PLAN_LEFT_DEEP, PLAN_RIGHT_DEEP, PLAN_BUSHY)
 
 
 @st.composite
@@ -260,35 +259,78 @@ def two_source_parameters(draw):
     )
 
 
+@st.composite
+def clique_parameters(draw):
+    """Random 2-5-source cliques in small windows, at most ten tuples per
+    source window and every dmax a clique of that size can afford (1 only
+    for two sources, whose every pair joins)."""
+    n_sources = draw(st.integers(min_value=2, max_value=5))
+    rate = draw(st.sampled_from([0.5, 1.0]))
+    return dict(
+        n_sources=n_sources,
+        rate=rate,
+        window_seconds=draw(st.sampled_from([2, 5, 10])),
+        dmax=draw(st.integers(min_value=1 if n_sources == 2 else 2, max_value=10)),
+        duration=draw(st.sampled_from([30, 60])),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+
+
 #: Random arrivals (None), or every source every 0.5 / 1 / 2 seconds: each
 #: divides most of the drawn windows.
 _PERIODS = st.sampled_from([None, None, 0.5, 1.0, 2.0])
 
 
 class TestSpecification:
-    """Two sources: the answer is the query's, on every plan.  (With more
-    sources the shapes disagree today; ROADMAP.md, item "One window
-    semantics".)"""
+    """2-5 sources: the answer is the query's, on every plan shape."""
 
-    @pytest.mark.parametrize("seed, count", [(1, 728), (2, 767)])
-    def test_differential_cliques_equal_the_specification(self, seed, count):
-        # The 2-source ``differential`` cliques of tests/golden.py.
-        params = dict(n_sources=2, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=seed)
+    @pytest.mark.parametrize(
+        "n_sources, window, dmax, seed, count",
+        [
+            # The ``differential`` cliques of tests/golden.py ...
+            (2, 30, 8, 1, 728),
+            (2, 30, 8, 2, 767),
+            (3, 30, 8, 1, 577),
+            (3, 30, 8, 2, 580),
+            (4, 30, 8, 1, 26),
+            # ... and a five-way one in a short window.
+            (5, 10, 3, 1, 115),
+        ],
+    )
+    def test_differential_cliques_equal_the_specification(
+        self, n_sources, window, dmax, seed, count
+    ):
+        params = dict(
+            n_sources=n_sources, rate=1.0, window_seconds=window, dmax=dmax, duration=120,
+            seed=seed,
+        )
         expected, _query, _events = _assert_engines_equal_the_specification(params, True)
         assert sum(expected.values()) == count
 
-    def test_pairs_exactly_one_window_apart_join(self):
-        params = dict(n_sources=2, rate=1.0, window_seconds=5, dmax=3, duration=40, seed=4)
+    @pytest.mark.parametrize("n_sources, window", [(2, 5), (4, 4)])
+    def test_pairs_exactly_one_window_apart_join(self, n_sources, window):
+        # Every source arrives every second, so a result's oldest and newest
+        # components often sit exactly one window apart.
+        params = dict(
+            n_sources=n_sources, rate=1.0, window_seconds=window, dmax=3, duration=40, seed=4
+        )
         expected, query, events = _assert_engines_equal_the_specification(
             params, True, period=1.0
         )
-        # Stamps are whole seconds: a 4.999-s window is a strict 5-s one.
-        strict = specification_results(dataclasses.replace(query, window=Window(4.999)), events)
+        # Stamps are whole seconds: a window 1 ms shorter is a strict one.
+        strict = specification_results(
+            dataclasses.replace(query, window=Window(window - 0.001)), events
+        )
         assert sum(strict.values()) < sum(expected.values())
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(params=two_source_parameters(), pinned_open=st.booleans(), period=_PERIODS)
     def test_two_source_cliques_equal_the_specification(self, params, pinned_open, period):
+        _assert_engines_equal_the_specification(params, pinned_open, period)
+
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(params=clique_parameters(), pinned_open=st.booleans(), period=_PERIODS)
+    def test_cliques_equal_the_specification(self, params, pinned_open, period):
         _assert_engines_equal_the_specification(params, pinned_open, period)
 
 
@@ -297,6 +339,11 @@ class TestSpecificationSweep:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(params=two_source_parameters(), pinned_open=st.booleans(), period=_PERIODS)
     def test_two_source_cliques_equal_the_specification(self, params, pinned_open, period):
+        _assert_engines_equal_the_specification(params, pinned_open, period)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(params=clique_parameters(), pinned_open=st.booleans(), period=_PERIODS)
+    def test_cliques_equal_the_specification(self, params, pinned_open, period):
         _assert_engines_equal_the_specification(params, pinned_open, period)
 
 
@@ -335,89 +382,60 @@ class TestPropertyEquivalence:
         assert report.results.temporally_ordered
 
 
-def _pinned(op, port, entry) -> bool:
-    """Whether suspended work across ``op`` may still join ``entry`` of
-    ``port``'s state, recounted from the opposite blacklist and MNS buffer
-    with the join's own conditions (docs/JIT.md, "Delayed purge under
-    suspension")."""
-    opp = opposite_port(port)
-    window = op.require_context().window
+class TestNothingRetained:
+    """Under JIT and DOE, with suspended work outstanding, no purge of any
+    join leaves an entry below its horizon, and the results are still the
+    specification's: a replay yields only results that contain the arrival
+    resuming it, so nothing past that arrival's horizon can join one
+    (docs/JIT.md, "Why nothing past the horizon can join a replay")."""
 
-    def reaches(stamp):
-        return entry.ts >= window.purge_horizon(stamp)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_no_entry_outlives_its_horizon(self, shape):
+        outstanding = 0  # purges made while some join held suspended tuples
+        for params in (
+            dict(n_sources=3, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=1),
+            dict(n_sources=4, rate=1.0, window_seconds=10, dmax=3, duration=120, seed=1),
+        ):
+            workload = generate_clique_workload(**params)
+            query = ContinuousQuery.from_workload(workload)
+            events = workload.events()
+            expected = specification_results(query, events)
+            for strategy in (STRATEGY_JIT, STRATEGY_DOE):
+                for mode in ExecutionMode.ALL:
+                    plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+                    script_gates(plan)
+                    joins = plan.join_operators
 
-    for listed in op.blacklists[opp].entries():
-        if listed.propagated_upstream and reaches(listed.min_ts()):
-            return True
-        for record in listed.suspended:
-            if reaches(record.tuple.ts) and all(
-                cond.evaluate(record.tuple, entry.tuple) for cond in op.local_conditions
-            ):
-                return True
-    return any(
-        reaches(buffered.signature.ts)
-        and all(ref.value(entry.tuple) == value for ref, value in buffered.partner_checks)
-        for buffered in op.mns_buffers[opp].entries()
-    )
+                    def purge_and_check(now, op, purge):
+                        nonlocal outstanding
+                        purge(now)
+                        horizon = op.require_context().window.purge_horizon(now)
+                        for state in op.states.values():
+                            assert all(e.ts >= horizon for e in state.entries()), op.name
+                        outstanding += any(
+                            blacklist.suspended_count
+                            for join in joins
+                            for blacklist in join.blacklists.values()
+                        )
 
-
-class TestNothingOverRetained:
-    """On the ``differential`` cliques (tests/golden.py), after every purge of
-    every JIT join each expired entry still present is one that suspended
-    work across may join: the pins keep nothing more, and JIT still emits
-    REF's results, so they keep nothing less."""
-
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        # Two sources retain nothing: a join fed by sources suspends nothing.
-        n_sources=st.integers(min_value=3, max_value=4),
-        shape=st.sampled_from([PLAN_LEFT_DEEP, PLAN_BUSHY]),
-        mode=st.sampled_from(ExecutionMode.ALL),
-        strategy=st.sampled_from([STRATEGY_JIT, STRATEGY_DOE]),
-        seed=st.integers(min_value=1, max_value=50),
-    )
-    def test_expired_entries_are_pinned(self, n_sources, shape, mode, strategy, seed):
-        workload = generate_clique_workload(
-            n_sources=n_sources, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=seed
-        )
-        query = ContinuousQuery.from_workload(workload)
-        events = workload.events()
-        plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
-        script_gates(plan)
-        checked = []
-
-        def purge_and_check(now, op, purge):
-            purge(now)
-            horizon = op.require_context().window.purge_horizon(now)
-            for port, state in op.states.items():
-                expired = [e for e in state.entries() if e.ts < horizon]
-                assert state.pinned is not None or not expired
-                assert all(_pinned(op, port, e) for e in expired), (op.name, port)
-                checked.append(len(expired))
-
-        for op in plan.join_operators:
-            op.purge = partial(purge_and_check, op=op, purge=op.purge)
-        report = run_workload(plan, events, workload.window.length, mode=mode)
-        ref = run_workload(
-            build_xjoin_plan(query, shape=shape, strategy=STRATEGY_REF),
-            events,
-            workload.window.length,
-        )
-        assert checked
-        assert result_multiset(report.results.results) == result_multiset(ref.results.results)
+                    for op in joins:
+                        op.purge = partial(purge_and_check, op=op, purge=op.purge)
+                    report = run_workload(plan, events, workload.window.length, mode=mode)
+                    got = result_multiset(report.results.results)
+                    assert got == expected, (strategy, mode, sum(got.values()))
+        assert outstanding
 
 
 class TestPropertyDataStructures:
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(("insert", "remove", "purge", "floor")), st.integers(0, 5)),
+            st.tuples(st.sampled_from(("insert", "remove", "purge")), st.integers(0, 5)),
             min_size=1,
             max_size=60,
-        ),
-        st.one_of(st.none(), st.floats(min_value=0, max_value=60)),
+        )
     )
-    def test_any_live_agrees_with_a_scan(self, steps, horizon):
+    def test_any_live_agrees_with_a_scan(self, steps):
         context = ExecutionContext(window=Window(30.0))
         state = OperatorState("S", context)
         template = (("A", "x"),)
@@ -429,18 +447,12 @@ class TestPropertyDataStructures:
                 doomed = [e for e in state.entries() if e.tuple.get("x") == value]
                 if doomed:
                     state.remove_entry(doomed[0])
-            elif action == "purge":
+            else:
                 purged_to = max(purged_to, float(i - 4 * value))
                 state.purge(purged_to)
-            else:
-                floor = None if value == 0 else float(i - 4 * value)
-                state.pin(None if floor is None else StampPins({None: floor}).keeps)
             for key in range(6):
-                expected = any(
-                    e.tuple.get("x") == key and (horizon is None or e.ts >= horizon)
-                    for e in state.entries()
-                )
-                assert state.any_live(template, key, horizon) == expected
+                expected = any(e.tuple.get("x") == key for e in state.entries())
+                assert state.any_live(template, key) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -587,23 +587,6 @@ class TestMNSBuffer:
         assert [e.signature for e in dead] == [s2]
         assert len(buf) == 1
 
-    def test_oldest_match_is_what_pins_a_partner(self, context):
-        buf = self._buffer(context)
-        partner = make_tuple("C", 9.0, y=1)
-        assert buf.oldest_match(partner) is None
-        buf.add(self._sig(y=1, ts=5.0), 5.0)
-        buf.add(self._sig(y=2, ts=2.0), 5.0)
-        assert buf.oldest_match(partner) == 5.0  # only y = 1's partner checks pass
-        assert buf.oldest_match(make_tuple("C", 9.0, y=3)) is None
-        buf.add(MNSSignature.empty(ts=4.0), 5.0)  # Ø: every tuple is a partner
-        assert buf.oldest_match(partner) == 4.0
-        assert buf.oldest_match(make_tuple("C", 9.0, y=3)) == 4.0
-        assert context.cost.cpu_units == 0  # bookkeeping, not a probe
-        releases = buf.releases
-        buf.remove(MNSSignature.empty())
-        assert buf.releases == releases + 1
-        assert buf.oldest_match(partner) == 5.0
-
     def test_blocks_suspension_detects_possible_cycle(self, context):
         buf = self._buffer(context)
         buf.add(self._sig(y=9), now=0.0)  # partner requires C.y = 9
@@ -664,23 +647,6 @@ class TestBlacklist:
         assert context.memory.by_category[Blacklist.MEMORY_CATEGORY] == 0
         assert bl.pop_entry(sig) is None
 
-    def test_per_key_stamps(self, context):
-        bl = Blacklist("bl", context, key_of=lambda tup: (tup.get("x"),))
-        assert bl.oldest == {} and bl.unkeyed_ts() is None
-        one, two = self._sig(y=1, ts=10.0), self._sig(y=2, ts=4.0)
-        bl.add_suspended(one, make_tuple("A", 12.0, y=1, x=7), 0, 12.0)
-        bl.add_suspended(one, make_tuple("A", 11.0, y=1, x=8), 0, 12.0)
-        bl.add_suspended(two, make_tuple("A", 6.0, y=2, x=7), 0, 6.0)
-        assert bl.oldest == {(7,): 6.0, (8,): 11.0}
-        bl.propagate(bl.entry(one))  # its resumption pulls partials of any key
-        assert bl.unkeyed_ts() == 10.0
-        releases = bl.releases
-        bl.pop_entry(two)
-        assert bl.releases > releases
-        assert bl.oldest == {(7,): 12.0, (8,): 11.0} and bl.unkeyed_ts() == 10.0
-        bl.pop_entry(one)
-        assert bl.oldest == {} and bl.unkeyed_ts() is None
-
     def test_purge_drops_expired(self, context):
         bl = Blacklist("bl", context)
         sig = self._sig(ts=0.0)
@@ -692,7 +658,7 @@ class TestBlacklist:
     def test_purge_keeps_propagated_entries(self, context):
         bl = Blacklist("bl", context)
         sig = self._sig(ts=0.0)
-        bl.propagate(bl.ensure_entry(sig, 0.0))
+        bl.ensure_entry(sig, 0.0).propagated_upstream = True
         bl.purge(now=100.0, retention=50.0)
         assert sig in bl
 

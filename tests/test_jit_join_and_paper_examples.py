@@ -224,18 +224,17 @@ class TestCascadedEmptySuspension:
         assert self._empty_entries(op1, PORT_RIGHT) == []
 
 
-class TestPerKeyPurgePins:
-    """Delayed purge keeps only what suspended work can still join
-    (docs/JIT.md, "Delayed purge under suspension"): a suspended tuple pins
-    the expired opposite entries of its own join key, and a suspension
-    propagated upstream pins every key."""
+class TestNoPurgePins:
+    """A suspension keeps nothing past the horizon (docs/JIT.md, "Why nothing
+    past the horizon can join a replay"): a replay runs at the stamp of the
+    arrival that resumes it, and every result it leads to contains that
+    arrival, so an entry below that stamp's horizon can be in none."""
 
     @staticmethod
-    def _step(strategy, query, events, config=None):
-        """Run ``events`` one by one; return the plan and every join's state
-        contents (by source seq) after each event, plus what ``Op1`` built
-        and the results."""
-        plan = build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=strategy, jit_config=config)
+    def _step(strategy, query, events):
+        """Run ``events`` one by one; return every join's state contents (by
+        source seq) after each event, what ``Op1`` built and the results."""
+        plan = build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=strategy)
         engine = ExecutionEngine(plan, ExecutionContext(window=query.window))
         op1 = plan.operator_named("Op1")
         built = []
@@ -256,11 +255,11 @@ class TestPerKeyPurgePins:
             })
         return plan, held, result_multiset(built), result_multiset(engine.collector.results)
 
-    def test_a_suspension_pins_only_its_own_key(self):
-        """On A ⋈ B (on k) ⋈ C (on A.y), ``a1`` (k = 1) is suspended at Op1;
-        at Op1's next purge the expired ``b1`` (k = 1) stays for its replay
-        and the expired ``b2`` (k = 2) goes, and the resumption builds
-        exactly REF's partials (``a1 b1`` among them) and results."""
+    def test_a_suspended_tuple_keeps_no_expired_partner(self):
+        """On A ⋈ B (on k) ⋈ C (on A.y), ``a1`` (k = 1) is suspended at Op1.
+        At Op1's next purge the expired ``b0`` (k = 1) goes although ``a1``
+        could have joined it, and the replay still builds ``a1 b1``, the
+        partial of REF's one result ``a1 b1 c5``."""
         predicate = JoinPredicate.equi([(("A", "k"), ("B", "k")), (("A", "y"), ("C", "y"))])
         query = ContinuousQuery(sources=("A", "B", "C"), window=Window(10.0), predicate=predicate)
         events = [
@@ -268,49 +267,18 @@ class TestPerKeyPurgePins:
             _event("B", 1.0, 0, k=1),
             _event("A", 2.0, 1, k=1, y=5),  # a1 b0 finds no C with y = 5: a1 is suspended
             _event("B", 3.0, 1, k=1),  # b1: a1 has not met it
-            _event("B", 3.0, 2, k=2),  # b2
-            _event("A", 4.0, 4, k=2, y=9),  # a4 b2 c0 is a result
-            _event("A", 13.5, 3, k=3, y=7),  # Op1 purges: b0, b1, b2 have expired
-            _event("C", 13.8, 5, y=5),  # resumes a1
+            _event("A", 11.2, 3, k=3, y=7),  # Op1 purges: b0 has expired, b1 has not
+            _event("C", 11.5, 5, y=5),  # resumes a1: a1 b1 c5 spans 9.5 s
         ]
         jit, held, jit_built, jit_results = self._step(STRATEGY_JIT, query, events)
         _ref, _held, ref_built, ref_results = self._step(STRATEGY_REF, query, events)
         op1 = jit.operator_named("Op1")
         assert op1.stats["suspensions_received"] == 1 and op1.stats["resumptions_received"] == 1
-        after_purge = held[6]["Op1"][PORT_RIGHT]
-        assert after_purge == [(("B", 0),), (("B", 1),)]  # b0, b1 (k = 1) kept; b2 gone
-        assert held[5]["Op1"][PORT_RIGHT] == [(("B", 0),), (("B", 1),), (("B", 2),)]
-        # a1 b0, a4 b2, and a1 b1 (built by the replay, which needs b1).
-        assert sum(ref_built.values()) == 3 and jit_built == ref_built
+        assert held[3]["Op1"][PORT_RIGHT] == [(("B", 0),), (("B", 1),)]
+        assert held[4]["Op1"][PORT_RIGHT] == [(("B", 1),)]  # b0 gone with a1 suspended
+        # REF built a1 b0 and a1 b1; JIT built a1 b0, then a1 b1 by the replay.
+        assert jit_built == ref_built and sum(ref_built.values()) == 2
         assert sum(ref_results.values()) == 1 and jit_results == ref_results
-
-    def test_a_propagated_empty_suspension_pins_every_key(self):
-        """The DOE twin on four sources: Op3 finds no D and suspends Op2
-        wholesale (Ø), which cascades to Op1.  Op2's left Ø entry was
-        propagated, so Op2's C state keeps its expired entries of every
-        key: the partial Op1 replays on resumption joins ``c2``."""
-        predicate = JoinPredicate.equi([
-            (("A", "k"), ("B", "k")), (("B", "j"), ("C", "j")), (("A", "k"), ("D", "k")),
-        ])
-        query = ContinuousQuery(
-            sources=("A", "B", "C", "D"), window=Window(10.0), predicate=predicate
-        )
-        events = [
-            _event("C", 0.0, 1, j=1),
-            _event("C", 0.0, 2, j=2),
-            _event("B", 1.0, 0, k=1, j=1),
-            _event("A", 2.0, 0, k=1),  # a b0 c1 finds no D: Ø cascades to Op1
-            _event("B", 3.0, 1, k=1, j=2),  # b1: diverted at Op1
-            _event("C", 11.0, 3, j=3),  # Op2 purges: c1 and c2 have expired
-            _event("D", 12.0, 0, k=1),  # resumes everything
-        ]
-        jit, held, _built, jit_results = self._step(STRATEGY_JIT, query, events, JITConfig.doe())
-        _ref, _held, _built, ref_results = self._step(STRATEGY_REF, query, events)
-        op2 = jit.operator_named("Op2")
-        assert op2.stats["suspensions_received"] == 1 and op2.stats["resumptions_received"] >= 1
-        assert held[5]["Op2"][PORT_RIGHT] == [(("C", 1),), (("C", 2),)]  # both keys kept
-        # REF: a b0 c1 d and a b1 c2 d; the second needs the expired c2.
-        assert sum(ref_results.values()) == 2 and jit_results == ref_results
 
 
 class TestJITJoinOperatorUnit:

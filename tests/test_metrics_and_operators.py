@@ -25,7 +25,7 @@ from repro.operators.selection import SelectionOperator
 from repro.operators.state import OperatorState, key_function
 from repro.streams.time import Window
 
-from helpers import StampPins, make_tuple
+from helpers import make_tuple
 
 
 # --------------------------------------------------------------------------- metrics
@@ -132,10 +132,14 @@ class TestPredicates:
         with pytest.raises(ValueError):
             pred.conditions_between({"A"}, {"A", "B"})
 
-    def test_selection_predicate(self):
+    def test_selection_predicate(self, context):
         pred = SelectionPredicate((AttributeCompare(AttributeRef("A", "x"), ">", 10),))
-        assert pred.evaluate(make_tuple("A", 0, x=11))
-        assert not pred.evaluate(make_tuple("A", 0, x=10))
+        op = SelectionOperator("Sel", pred)
+        out = _attach(op, context)
+        passing, failing = make_tuple("A", 0, x=11), make_tuple("A", 0, x=10)
+        op.process(passing, PORT_INPUT)
+        op.process(failing, PORT_INPUT)
+        assert out == [passing]  # x = 10 is not > 10
         assert pred.sources == frozenset({"A"})
         with pytest.raises(ValueError):
             SelectionPredicate(())
@@ -173,18 +177,6 @@ class TestOperatorState:
         assert replay.seq == entry.seq
         fresh = state.insert(make_tuple("A", 2.0, seq=9, x=2))
         assert fresh.seq > replay.seq
-
-    def test_purge_pins_retain_old_entries(self, context):
-        state = OperatorState("S", context)
-        state.insert(make_tuple("A", 0.0, x=1))
-        state.insert(make_tuple("A", 0.0, x=2))
-        pins = StampPins({(1,): 0.0}, key_of=lambda tup: (tup.get("x"),))
-        state.pin(pins.keeps)
-        assert [e.tuple.get("x") for e in state.purge(horizon=100.0)] == [2]  # x = 2: unpinned
-        pins.floors[(1,)] = 50.0  # the pin rose past the entry ...
-        assert state.purge(horizon=100.0) == []  # ... but the state was not told
-        state.pin(pins.keeps)
-        assert len(state.purge(horizon=100.0)) == 1 and len(state) == 0
 
     def test_extract_moves_matching_entries(self, context):
         state = OperatorState("S", context)
@@ -233,21 +225,6 @@ class TestOperatorState:
         assert [e.tuple.get("x") for e in state.probe()] == list(range(90, 100))
         del entries
 
-    def test_a_regular_probe_starts_behind_what_a_floor_retains(self, context):
-        state = OperatorState("S", context)
-        for i in range(6):
-            state.insert(make_tuple("A", float(i), seq=i, x=i))
-        state.pin(StampPins({None: 0.0}).keeps)
-        assert state.purge(horizon=4.0) == []
-        assert (len(state), state.live_count) == (6, 2)
-        before = context.cost.count(CostKind.PROBE_STEP)
-        assert [e.tuple.seq for e in state.probe(live_only_after=4.0)] == [4, 5]
-        assert context.cost.count(CostKind.PROBE_STEP) - before == 2
-        assert [e.tuple.seq for e in state.probe()] == list(range(6))  # a replay sees all
-        state.pin(None)
-        assert len(state.purge(horizon=4.0)) == 4
-        assert (len(state), state.live_count) == (2, 2)
-
     def test_probe_after_an_order_stamp(self, context):
         state = OperatorState("S", context)
         entries = [state.insert(make_tuple("A", 0.0, seq=i, x=i)) for i in range(5)]
@@ -276,39 +253,32 @@ class _RecordingList(list):
 _STATE_STEPS = st.one_of(
     st.tuples(st.just("insert"), st.floats(min_value=0.0, max_value=25.0)),  # how far back
     st.tuples(st.just("advance"), st.floats(min_value=0.5, max_value=8.0)),
-    st.tuples(st.just("floor"), st.one_of(st.none(), st.floats(min_value=0.0, max_value=20.0))),
     st.tuples(st.just("purge"), st.none()),
     st.tuples(st.just("extract"), st.integers(min_value=2, max_value=5)),
     st.tuples(st.just("reenter"), st.integers(min_value=1, max_value=6)),
 )
 
 
-class TestLiveCursor:
-    """The cursor differential: whatever happened to the state, a regular probe
-    is the full scan filtered by the horizon, and it neither reads nor charges
-    what sits before the cursor."""
+class TestProbeFromTheHead:
+    """The probe differential: whatever happened to the state, a probe is the
+    full scan of the present entries, and it neither reads nor charges what
+    sits before the head, which a purge moves to the first present entry."""
 
     WINDOW = 10.0
 
     @staticmethod
-    def _check(state, horizon, floor_purged):
+    def _check(state, purged):
         cost = state.context.cost
-        expected = [e for e in state.entries() if e.ts >= horizon]
+        expected = state.entries()
         leading = next(
-            (i for i, e in enumerate(state._entries) if not e.removed and e.ts >= horizon),
-            len(state._entries),
+            (i for i, e in enumerate(state._entries) if not e.removed), len(state._entries)
         )
         recording = state._entries = _RecordingList(state._entries)
         before = cost.count(CostKind.PROBE_STEP)
-        assert list(state.probe(live_only_after=horizon)) == expected
+        assert list(state.probe()) == expected
         assert cost.count(CostKind.PROBE_STEP) - before == len(expected)
-        assert state._live_start <= leading
-        if floor_purged:
-            # The purge just made moved the cursor to the first live entry.
-            assert all(index >= leading for index in recording.read)
-        retained = [e for e in state._entries[: state._live_start] if not e.removed]
-        assert state.live_count == len(state) - len(retained)
-        assert all(e.ts < horizon for e in retained)
+        assert state._head == leading if purged else state._head <= leading
+        assert all(index >= state._head for index in recording.read)
         for stamp in (0, state.last_order // 2, state.last_order):
             before = cost.count(CostKind.PROBE_STEP)
             behind = [e for e in state.entries() if e.order > stamp]
@@ -317,7 +287,7 @@ class TestLiveCursor:
 
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(_STATE_STEPS, min_size=1, max_size=60))
-    def test_probe_is_the_full_scan_filtered_by_the_horizon(self, steps):
+    def test_probe_is_the_full_scan(self, steps):
         self._play(steps)
 
     @pytest.mark.slow
@@ -329,27 +299,21 @@ class TestLiveCursor:
     def _play(self, steps):
         context = ExecutionContext(window=Window(self.WINDOW))
         state = OperatorState("S", context)
-        now, horizon, serial = 30.0, float("-inf"), 0
+        now, serial = 30.0, 0
         for action, argument in steps:
-            floor_purged = False
             if action == "insert":
                 # Out-of-order timestamps: a resumed partial enters late and old.
                 state.insert(make_tuple("A", now - argument, seq=serial, x=serial))
                 serial += 1
             elif action == "advance":
                 now += argument
-            elif action == "floor":
-                floor = None if argument is None else now - self.WINDOW - argument
-                state.pin(None if floor is None else StampPins({None: floor}).keeps)
             elif action == "purge":
-                horizon = now - self.WINDOW
-                state.purge(horizon)
-                floor_purged = state.pinned is not None
+                state.purge(now - self.WINDOW)
             elif action == "extract":
                 state.extract(lambda t: t.get("x") % argument == 0)
             else:  # a probe in flight while an emission re-enters the state
-                probe = state.probe(live_only_after=horizon)
-                snapshot = [e for e in state.entries() if e.ts >= horizon]
+                probe = state.probe()
+                snapshot = state.entries()
                 taken = list(islice(probe, argument))  # the probe has begun
                 assert taken == snapshot[: len(taken)]
                 for _ in range(40):  # later appends ...
@@ -360,22 +324,17 @@ class TestLiveCursor:
                 state.extract(lambda t: t.get("x") % 7 != 0)
                 rest = snapshot[len(taken):]
                 assert list(probe) == [e for e in rest if not e.removed]
-            self._check(state, horizon, floor_purged)
+            self._check(state, purged=action == "purge")
 
 
-#: Half-second steps, so stamps often sit exactly on a horizon or a pin.
+#: Half-second steps, so stamps often sit exactly on a horizon.
 _HALVES = st.integers(min_value=0, max_value=50).map(lambda k: k / 2)
-#: Three join keys, and ``None`` for the pin that keeps every key.
-_PIN_KEYS = st.sampled_from((0, 1, 2, None))
 _EXPIRY_STEPS = st.one_of(
     st.tuples(st.just("insert"), _HALVES),  # how far back
     st.tuples(st.just("burst"), st.integers(min_value=1, max_value=40)),
     st.tuples(st.just("reinsert"), st.integers(min_value=0, max_value=50)),
     # Time moves, then the state purges: what a join does per arrival.
     st.tuples(st.just("tick"), st.integers(min_value=1, max_value=16).map(lambda k: k / 2)),
-    # A pin on one key (or every key) falls, rises, or goes (``None``).
-    st.tuples(st.just("pin"), st.tuples(_PIN_KEYS, st.one_of(st.none(), _HALVES))),
-    st.tuples(st.just("unpin"), st.none()),
     st.tuples(st.just("purge"), st.none()),
     st.tuples(st.just("extract"), st.integers(min_value=1, max_value=5)),
 )
@@ -384,10 +343,8 @@ _EXPIRY_STEPS = st.one_of(
 class TestExactExpiry:
     """Expiry against a brute-force model: purging walks the entry list from
     its head and keeps late inserts in a side heap, and whatever arrives late
-    or leaves early, and however the pins rise and fall between purges, a
-    purge leaves exactly the present entries at or above the horizon or
-    pinned, charges one ``PURGE`` per entry it removed, and leaves
-    ``live_count`` / ``has_live`` what their definitions say."""
+    or leaves early, a purge leaves exactly the present entries at or above
+    the horizon and charges one ``PURGE`` per entry it removed."""
 
     WINDOW = 10.0
 
@@ -406,48 +363,25 @@ class TestExactExpiry:
         context = ExecutionContext(window=Window(self.WINDOW))
         cost, memory = context.cost, context.memory
         state = OperatorState("S", context)
-        pins = StampPins(key_of=lambda tup: tup.get("k"))
         present = []  # the model: entries in insertion order
         extracted = []  # candidates for a late re-insert under their old seq
-        # Entries stamped below this order stamp sit before the live cursor.
-        cursor = 0
-        now, horizon, serial = 30.0, float("-inf"), 0
+        now, serial = 30.0, 0
 
         def insert(tup, seq=None):
             present.append(state.insert(tup, seq=seq))
 
-        def pinned(entry):
-            key = entry.tuple.get("k")
-            return any(
-                entry.ts >= floor for k, floor in pins.floors.items() if k is None or k == key
-            )
-
         for action, argument in steps:
             if action == "insert":
-                insert(make_tuple("A", now - argument, seq=serial, x=serial, k=serial % 3))
+                insert(make_tuple("A", now - argument, seq=serial, x=serial))
                 serial += 1
             elif action == "burst":
                 for _ in range(argument):
-                    insert(make_tuple("A", now, seq=serial, x=serial, k=serial % 3))
+                    insert(make_tuple("A", now, seq=serial, x=serial))
                     serial += 1
             elif action == "reinsert":
                 if extracted:
                     entry = extracted.pop(argument % len(extracted))
                     insert(entry.tuple, seq=entry.seq)
-            elif action == "pin":
-                key, back = argument
-                old = pins.floors.pop(key, None)
-                if back is not None:
-                    pins.floors[key] = now - self.WINDOW - back
-                new = pins.floors.get(key)
-                risen = old is not None and (new is None or new > old)
-                # A pin that only fell is read as it is; a new pin object or a
-                # risen pin is handed to the state.
-                if state.pinned is None or risen:
-                    state.pin(pins.keeps)
-            elif action == "unpin":
-                pins = StampPins(key_of=pins.key_of)
-                state.pin(None)
             elif action == "extract":
                 taken = state.extract(lambda t: t.get("x") % argument == 0)
                 assert {id(e) for e in taken} == {
@@ -459,29 +393,16 @@ class TestExactExpiry:
                 if action == "tick":
                     now += argument
                 horizon = now - self.WINDOW
-                pinning = state.pinned is not None
-                if pinning:
-                    live = [e for e in present if e.order >= cursor and e.ts >= horizon]
-                    cursor = live[0].order if live else state.last_order + 1
-                expired = [
-                    e for e in present if e.ts < horizon and not (pinning and pinned(e))
-                ]
+                expired = [e for e in present if e.ts < horizon]
                 before = cost.count(CostKind.PURGE)
                 removed = state.purge(horizon)
                 assert sorted(id(e) for e in removed) == sorted(id(e) for e in expired)
                 assert cost.count(CostKind.PURGE) - before == len(expired)
-                present = [e for e in present if id(e) not in {id(x) for x in expired}]
+                present = [e for e in present if e.ts >= horizon]
                 assert all(not e.removed for e in present)
-                assert all(e.ts >= horizon or pinned(e) for e in present)
-                assert all(e.ts < horizon for e in present if e.order < cursor)
             assert [id(e) for e in state.entries()] == [id(e) for e in present]
             assert len(state) == len(present)
             assert memory.current_bytes == sum(e.tuple.size_bytes for e in present)
-            assert state.live_count == sum(1 for e in present if e.order >= cursor)
-            assert state.has_live() == bool(present)
-            for probe_horizon in (horizon, now - self.WINDOW, now - 2 * self.WINDOW):
-                expected = any(e.ts >= probe_horizon for e in present)
-                assert state.has_live(probe_horizon) == expected
 
 
 # --------------------------------------------------------------------------- existence lookups
@@ -510,7 +431,7 @@ class TestExistenceLookup:
     def test_a_fresh_state_answers_with_the_lookup_alone(self, context):
         state = OperatorState("S", context)
         assert not state.any_live(self.Y, 1)
-        assert not state.any_live(self.Y, 1, horizon=0.0)
+        assert not state.any_live(self.Y, 2)
         assert context.cost.count(CostKind.HASH) == 2  # nothing to build, one lookup each
         assert context.cost.count(CostKind.PROBE_STEP) == 0
 
@@ -536,15 +457,15 @@ class TestExistenceLookup:
         assert not state.any_live(self.Y, 0)
         assert state.any_live(self.Y, 1)
 
-    def test_a_horizon_hides_what_a_purge_floor_retains(self, context):
+    def test_a_purge_takes_what_expired_out_of_the_lookup(self, context):
         state = OperatorState("S", context)
         for i in range(6):
             state.insert(make_tuple("C", float(i), seq=i, y=i))
-        state.pin(StampPins({None: 0.0}).keeps)
-        assert state.purge(horizon=4.0) == []
-        assert state.any_live(self.Y, 1)  # retained: present, so a replay sees it
-        assert not state.any_live(self.Y, 1, horizon=4.0)  # but not live
-        assert state.any_live(self.Y, 5, horizon=4.0)
+        assert state.any_live(self.Y, 1)  # builds the index over all six
+        context.clock.advance_to(4.0)  # looked up within a window: no retirement
+        assert len(state.purge(horizon=4.0)) == 4
+        assert not state.any_live(self.Y, 1)
+        assert state.any_live(self.Y, 5)
 
     def test_a_two_attribute_component_needs_both_values(self, context):
         state = OperatorState("S", context)

@@ -47,7 +47,7 @@ class TestLateQueries:
     """One query at construction, five added through the server."""
 
     #: Results the six queries' collectors hold after the whole stream.
-    RESULTS = 2993
+    RESULTS = 2596
 
     def _serve(self, workload, drain_mode):
         queries = workload.queries()

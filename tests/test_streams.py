@@ -61,9 +61,16 @@ class TestWindow:
         assert w.joins(a, b) and w.joins(b, a)
         assert not w.joins(a, c) and not w.joins(c, a)
         assert w.joins(b, c) and w.joins(a, a)
-        # Joins take composites too, by their stamp: the newest component's.
-        ab = join_tuples(a, AtomicTuple("B", 10.0, {"x": 1}))
-        assert w.joins(ab, c) and not w.joins(ab, _at(20.5))
+        # A composite joins by its span, from its oldest component to the
+        # newest stamp of both: ``ab`` (0 to 5) meets ``b`` at exactly one
+        # window, and not ``c``, although ``c`` is within a window of 5.
+        ab = join_tuples(a, AtomicTuple("B", 5.0, {"x": 1}))
+        assert (ab.oldest, ab.ts) == (0.0, 5.0)
+        assert w.joins(ab, b) and w.joins(b, ab)
+        assert not w.joins(ab, c) and not w.joins(c, ab)
+        cd = join_tuples(AtomicTuple("C", 9.0, {}), AtomicTuple("D", 10.0, {}))
+        assert w.joins(ab, cd) and w.joins(cd, ab)  # four stamps, 0 to 10
+        assert not w.joins(ab, join_tuples(cd.component("C"), AtomicTuple("D", 10.5, {})))
 
     def test_retains_until_one_retention_past_the_stamp(self):
         w = Window(10)
@@ -81,7 +88,7 @@ class TestWindow:
     def test_purge_horizon_and_floor(self):
         w = Window(10)
         assert w.purge_horizon(25.0) == 15.0
-        # The floor kept for suspended work stamped 3: everything from -7 on.
+        # Before one window has passed nothing has expired: everything from -7 on.
         assert w.purge_horizon(3.0) == -7.0
 
     def test_purge_removes_entries_strictly_below_the_horizon(self):

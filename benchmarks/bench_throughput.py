@@ -8,15 +8,6 @@ hot path:
   (``use_hash_index``), for both the REF join and the JIT join, whose
   detection-free probes, MNS-detecting probes and suspension extraction
   are all served from the state's indexes.
-* **Multi-query sharding** — a population of standing queries over shared
-  streams served by the :class:`~repro.multi.ShardedEngine`: 1-shard vs.
-  N-shard throughput per drain mode (sync, process-per-shard).
-  ``--suite multi`` writes its numbers to ``BENCH_multi.json``.
-* **Sub-plan sharing** — multi-query common subexpression elimination: the
-  128-query clique workload served with ``share_subplans`` on vs. off,
-  swept across overlap ratios (source counts), with the per-shard
-  steps-per-event work-amplification recorded.  ``--suite share`` writes
-  its numbers to ``BENCH_share.json``.
 * **Flight recorder** — the :class:`~repro.trace.Tracer`'s overhead on the
   shared multi-query path: no tracer vs. an attached-but-disabled tracer
   (must cost ≤2% events/sec) vs. head-based sampling at 0/10/100 percent.
@@ -31,6 +22,14 @@ hot path:
   scheduler's boost duration (§III-B) measured *through* the serving layer
   with its boost counters surfaced from telemetry.  ``--suite serve`` writes
   its numbers to ``BENCH_serve.json``.
+* **Health monitor** — an idle :class:`~repro.health.HealthMonitor`'s
+  overhead on the serving path (must cost ≤2% events/sec), timed as
+  interleaved-batch cost floors.  ``--suite health`` writes its numbers to
+  ``BENCH_health.json``.
+
+The 128-query clique population (4 sources, inline vs process workers,
+sub-plan sharing on vs off) is measured by ``benchmarks/e2e`` alone, as its
+``clique128``, ``shared128`` and ``process2`` workloads.
 
 Every comparison asserts that all variants produce the identical result
 multiset (or identical per-query counts), so a reported speedup is never the
@@ -39,13 +38,11 @@ product of a wrong answer.
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py [--events 10000]
-    PYTHONPATH=src python benchmarks/bench_throughput.py --suite multi \
-        [--queries 128] [--shards 1,2,4,8] [--drain-modes sync,process] \
-        [--multi-events 6000] [--json PATH]
+    PYTHONPATH=src python benchmarks/bench_throughput.py --suite serve [--json PATH]
 
 or through pytest (wall-clock numbers are printed; the ≥3x indexed-probe
-speedup on the 10k-event workload and the core-gated N-shard-process
-multi-query acceptance are asserted)::
+speedup on the 10k-event workload is asserted, and the serving and health
+suites are run small for their correctness checks)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py -q -s
 """
@@ -55,7 +52,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -63,7 +59,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine import ExecutionMode, run_workload
 from repro.engine.results import result_multiset
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
-from repro.multi.backend import DRAIN_MODES
 from repro.plans.builder import (
     PLAN_LEFT_DEEP,
     STRATEGY_JIT,
@@ -78,18 +73,8 @@ from repro.streams.generators import generate_clique_workload
 #: tuples per window — the regime where probe algorithm choice dominates.
 DEFAULT_EVENTS = 10_000
 
-#: Standing-query population of the multi-query suite (ISSUE 3 acceptance
-#: measures the 128-query workload).
-DEFAULT_QUERIES = 128
-
-#: Arrivals driven through the multi-query suite per variant.
-DEFAULT_MULTI_EVENTS = 6_000
-
-#: Where ``--suite multi`` records its results.
-DEFAULT_MULTI_JSON = Path(__file__).resolve().parent / "BENCH_multi.json"
-
-#: Standing-query population of the serving suite (smaller than the multi
-#: suite: the quantity under test is the serving front-end, not sharding).
+#: Standing-query population of the serving suite (small: the quantity
+#: under test is the serving front-end).
 DEFAULT_SERVE_QUERIES = 32
 
 #: Arrivals driven through each serving-suite variant.
@@ -101,22 +86,6 @@ DEFAULT_BOOST_STEPS = (1, 2, 4, 8, 16)
 
 #: Where ``--suite serve`` records its results.
 DEFAULT_SERVE_JSON = Path(__file__).resolve().parent / "BENCH_serve.json"
-
-#: Standing-query population of the sub-plan sharing suite (ISSUE 7
-#: acceptance measures the 128-query clique).
-DEFAULT_SHARE_QUERIES = 128
-
-#: Arrivals driven through each sharing-suite variant.
-DEFAULT_SHARE_EVENTS = 6_000
-
-#: Source counts swept by the sharing suite.  Fewer sources under a fixed
-#: query population means more repeated sub-cliques, i.e. higher overlap:
-#: 128 queries collapse to 8 distinct signatures over 4 sources but stay
-#: almost all distinct over 16.
-DEFAULT_SHARE_SOURCES = (4, 8, 16)
-
-#: Where ``--suite share`` records its results.
-DEFAULT_SHARE_JSON = Path(__file__).resolve().parent / "BENCH_share.json"
 
 #: Standing-query population of the tracer-overhead suite.
 DEFAULT_TRACE_QUERIES = 64
@@ -195,259 +164,12 @@ def bench_probe_paths(n_events: int = DEFAULT_EVENTS) -> Dict[str, Dict[str, flo
     return out
 
 
-def _multi_registry(workload, strategy: str) -> QueryRegistry:
-    """Register the workload's standing queries with hash-indexed probes."""
+def _multi_registry(workload) -> QueryRegistry:
+    """Register the workload's standing queries as hash-indexed JIT joins."""
     registry = QueryRegistry()
     for query in workload.queries():
-        registry.register(query, strategy=strategy, use_hash_index=True)
+        registry.register(query, strategy=STRATEGY_JIT, use_hash_index=True)
     return registry
-
-
-def bench_multi_query(
-    n_queries: int = DEFAULT_QUERIES,
-    n_events: int = DEFAULT_MULTI_EVENTS,
-    shard_counts: Tuple[int, ...] = (1, 2, 4, 8),
-    strategy: str = STRATEGY_REF,
-    repeats: int = 2,
-    drain_modes: Tuple[str, ...] = DRAIN_MODES,
-) -> Dict[str, object]:
-    """The sharded multi-query serving benchmark.
-
-    ``n_queries`` standing neighborhood queries over 4 shared streams are
-    served by the :class:`ShardedEngine` at each (shard count × drain mode)
-    point — inline and process-per-shard workers.  Few
-    sources under many queries puts ~``n_queries/4`` subscribers on every
-    stream, so a single scheduler domain sees ready-sets that big on every
-    arrival — the regime where scheduling cost dominates and sharding splits
-    it (ROADMAP "Ready-set constant factors": the win grows with queue
-    count).
-
-    The default ``strategy`` is REF so the measurement isolates the serving
-    layer (routing, queues, scheduler domains) the suite is about; the JIT
-    hot paths have their own probe-path benchmark above.  Each variant runs
-    ``repeats`` times and reports its best throughput (shared-runner noise
-    is one-sided), and every variant must reproduce the per-query result
-    counts of the first.
-
-    Process-mode scaling is physical: the acceptance target adapts to the
-    cores this run can actually use (``cpu_cores`` is recorded alongside the
-    honest numbers) — ≥3x over 1-shard sync on an 8-core machine, ≥1.2x
-    whenever real parallelism exists, record-only on a single core where no
-    parallel speedup is possible and serialization overhead dominates.
-    """
-    # The 1-shard baseline anchors the acceptance ratios, so it is always
-    # measured.
-    shard_counts = tuple(sorted(set(shard_counts) | {1}))
-    drain_modes = tuple(drain_modes)
-    for mode in drain_modes:
-        if mode not in DRAIN_MODES:
-            raise ValueError(f"unknown drain mode {mode!r}")
-    if "sync" not in drain_modes:
-        drain_modes = ("sync",) + drain_modes
-    n_sources = 4
-    rate = 1.0
-    workload = generate_multi_query_workload(
-        n_queries=n_queries,
-        n_sources=n_sources,
-        rate=rate,
-        window_seconds=30.0,
-        dmax=400,
-        duration=max(1.0, n_events / (n_sources * rate)),
-        seed=13,
-    )
-    events = workload.events()
-    registry = _multi_registry(workload, strategy)
-
-    variants: List[Tuple[str, Dict[str, object]]] = []
-    for shards in shard_counts:
-        for mode in drain_modes:
-            variants.append(
-                (
-                    f"{shards}-shard/{mode}",
-                    dict(n_shards=shards, drain_mode=mode),
-                )
-            )
-
-    sharding: Dict[str, Dict[str, float]] = {}
-    baseline_counts: Optional[Dict[str, int]] = None
-    queue_counts: Dict[str, int] = {}
-    for label, kwargs in variants:
-        best_elapsed = float("inf")
-        for _ in range(max(1, repeats)):
-            with ShardedEngine(registry, keep_results=False, **kwargs) as engine:
-                queue_counts[label] = max(shard.queue_count for shard in engine.shards)
-                start = time.perf_counter()
-                report = engine.run(events)
-                elapsed = time.perf_counter() - start
-            counts = report.result_counts()
-            if baseline_counts is None:
-                baseline_counts = counts
-            assert counts == baseline_counts, f"{label} changed the per-query results"
-            best_elapsed = min(best_elapsed, elapsed)
-        sharding[label] = {
-            "events_per_sec": len(events) / best_elapsed,
-            "wall_seconds": best_elapsed,
-            "max_queues_per_shard": queue_counts[label],
-        }
-
-    one_shard = sharding["1-shard/sync"]["events_per_sec"]
-    assert baseline_counts is not None
-    cpu_cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-    acceptance: Dict[str, object] = {
-        "one_shard_sync_events_per_sec": one_shard,
-        "cpu_cores": cpu_cores,
-        "ok": True,
-    }
-    process_labels = [label for label in sharding if label.endswith("/process")]
-    if process_labels:
-        best_process_label = max(
-            process_labels, key=lambda label: sharding[label]["events_per_sec"]
-        )
-        best_process = sharding[best_process_label]["events_per_sec"]
-        # Parallel speedup is bounded by the cores this run can use: 3x
-        # needs a real multi-core box; on one core the pickling/pipe tax has
-        # nothing to hide behind and the ratio is recorded without a gate.
-        if cpu_cores >= 8:
-            process_target = 3.0
-        elif cpu_cores >= 2:
-            process_target = 1.2
-        else:
-            process_target = 0.0
-        acceptance.update(
-            best_process_label=best_process_label,
-            best_process_events_per_sec=best_process,
-            process_vs_one_shard=best_process / one_shard,
-            process_target=process_target,
-            process_ok=best_process >= process_target * one_shard,
-        )
-    acceptance["ok"] = bool(acceptance.get("process_ok", True))
-    return {
-        "config": {
-            "n_queries": n_queries,
-            "n_sources": n_sources,
-            "n_events": len(events),
-            "window_seconds": 30.0,
-            "dmax": 400,
-            "rate": rate,
-            "seed": 13,
-            "strategy": strategy,
-            "repeats": repeats,
-            "shard_counts": list(shard_counts),
-            "drain_modes": list(drain_modes),
-            "cpu_cores": cpu_cores,
-            "workload": workload.describe(),
-        },
-        "total_results": sum(baseline_counts.values()),
-        "sharding": sharding,
-        "acceptance": acceptance,
-    }
-
-
-def bench_share(
-    n_queries: int = DEFAULT_SHARE_QUERIES,
-    n_events: int = DEFAULT_SHARE_EVENTS,
-    source_counts: Tuple[int, ...] = DEFAULT_SHARE_SOURCES,
-    strategy: str = STRATEGY_REF,
-    repeats: int = 2,
-) -> Dict[str, object]:
-    """Common sub-plan sharing on vs. off across overlap ratios.
-
-    ``n_queries`` standing neighborhood queries are served by a 1-shard
-    engine twice — once building every plan privately, once with
-    ``share_subplans=True`` so queries with equal canonical signatures share
-    one hosted join subtree behind a tee (see ``docs/SHARING.md``).  The
-    sweep varies the source count at a fixed query population and a fixed
-    arrival budget: over 4 shared streams the 128-query clique workload has
-    only 8 distinct sub-cliques (16 subscribers per subtree), over 16 it is
-    nearly overlap-free — so the sweep shows the speedup tracking the
-    dedup factor and costing nothing when there is nothing to share.
-
-    One shard keeps both variants in a single scheduler domain, so the
-    ratio isolates sharing rather than placement.  Every shared run must
-    reproduce the unshared per-query result counts exactly, and each
-    variant reports its best-of-``repeats`` throughput.
-    """
-    rate = 1.0
-    sweep: List[Dict[str, object]] = []
-    for n_sources in source_counts:
-        workload = generate_multi_query_workload(
-            n_queries=n_queries,
-            n_sources=n_sources,
-            rate=rate,
-            window_seconds=30.0,
-            dmax=400,
-            duration=max(1.0, n_events / (n_sources * rate)),
-            seed=13,
-        )
-        events = workload.events()
-        registry = _multi_registry(workload, strategy)
-        distinct = len(registry.share_groups())
-        row: Dict[str, object] = {
-            "n_sources": n_sources,
-            "n_events": len(events),
-            "distinct_subplans": distinct,
-            "dedup_factor": n_queries / distinct,
-        }
-        baseline_counts: Optional[Dict[str, int]] = None
-        for label, share in (("unshared", False), ("shared", True)):
-            best_elapsed = float("inf")
-            stats: Dict[str, float] = {}
-            for _ in range(max(1, repeats)):
-                with ShardedEngine(
-                    registry, n_shards=1, keep_results=False, share_subplans=share
-                ) as engine:
-                    start = time.perf_counter()
-                    report = engine.run(events)
-                    elapsed = time.perf_counter() - start
-                    shard = engine.shards[0]
-                    stats = {
-                        "shared_subplans_active": shard.shared_subplans_active,
-                        "shared_subplan_hits": shard.shared_subplan_hits,
-                        "scheduler_steps": shard.cost.count("scheduler_step"),
-                    }
-                counts = report.result_counts()
-                if baseline_counts is None:
-                    baseline_counts = counts
-                assert counts == baseline_counts, (
-                    f"{n_sources} sources/{label} changed the per-query results"
-                )
-                best_elapsed = min(best_elapsed, elapsed)
-            row[label] = {
-                "events_per_sec": len(events) / best_elapsed,
-                "wall_seconds": best_elapsed,
-                "steps_per_event": stats["scheduler_steps"] / max(1, len(events)),
-                **stats,
-            }
-        row["speedup"] = (
-            row["shared"]["events_per_sec"] / row["unshared"]["events_per_sec"]
-        )
-        sweep.append(row)
-    densest = sweep[0]
-    return {
-        "config": {
-            "n_queries": n_queries,
-            "n_events": n_events,
-            "source_counts": list(source_counts),
-            "window_seconds": 30.0,
-            "dmax": 400,
-            "rate": rate,
-            "seed": 13,
-            "strategy": strategy,
-            "repeats": repeats,
-            "n_shards": 1,
-        },
-        "overlap_sweep": sweep,
-        "acceptance": {
-            "n_sources": densest["n_sources"],
-            "dedup_factor": densest["dedup_factor"],
-            "unshared_events_per_sec": densest["unshared"]["events_per_sec"],
-            "shared_events_per_sec": densest["shared"]["events_per_sec"],
-            "speedup": densest["speedup"],
-            "ok": densest["speedup"] >= 3.0,
-        },
-    }
 
 
 def bench_serve(
@@ -487,7 +209,7 @@ def bench_serve(
         seed=17,
     )
     events = workload.events()
-    registry = _multi_registry(workload, STRATEGY_JIT)
+    registry = _multi_registry(workload)
 
     def timed_raw() -> Tuple[float, Dict[str, int]]:
         with ShardedEngine(registry, n_shards=n_shards, keep_results=False) as engine:
@@ -644,7 +366,7 @@ def bench_trace(
         seed=13,
     )
     events = workload.events()
-    registry = _multi_registry(workload, STRATEGY_JIT)
+    registry = _multi_registry(workload)
 
     variants: List[Tuple[str, object]] = [
         ("untraced", None),
@@ -741,7 +463,7 @@ def record_trace(
         seed=13,
     )
     events = workload.events()
-    registry = _multi_registry(workload, STRATEGY_JIT)
+    registry = _multi_registry(workload)
     tracer = Tracer(sample_rate=sample_rate, capacity=1_048_576, seed=0)
     with ShardedEngine(
         registry,
@@ -837,7 +559,7 @@ def bench_health(
         seed=19,
     )
     events = workload.events()
-    registry = _multi_registry(workload, STRATEGY_JIT)
+    registry = _multi_registry(workload)
 
     variants = ("unmonitored", "idle_monitor", "watchdog_thread")
     batch = max(25, len(events) // 80)
@@ -991,55 +713,6 @@ def _format_serve(table: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _format_share(table: Dict[str, object]) -> str:
-    config = table["config"]
-    lines = [
-        f"sub-plan sharing ({config['n_queries']} queries, {config['n_events']} "
-        f"events/variant, 1 shard, {config['strategy']})"
-    ]
-    for row in table["overlap_sweep"]:
-        lines.append(
-            f"  {row['n_sources']:>2} sources ({row['distinct_subplans']} distinct "
-            f"subplans, {row['dedup_factor']:.1f}x dedup): shared "
-            f"{row['shared']['events_per_sec']:>8,.0f} ev/s "
-            f"({row['shared']['steps_per_event']:.1f} steps/ev) vs unshared "
-            f"{row['unshared']['events_per_sec']:>8,.0f} ev/s "
-            f"({row['unshared']['steps_per_event']:.1f} steps/ev) "
-            f"-> {row['speedup']:.2f}x"
-        )
-    acceptance = table["acceptance"]
-    lines.append(
-        f"  acceptance @ {acceptance['n_sources']} sources: "
-        f"{acceptance['speedup']:.2f}x ({'OK' if acceptance['ok'] else 'FAIL'})"
-    )
-    return "\n".join(lines)
-
-
-def _format_multi(table: Dict[str, object]) -> str:
-    config = table["config"]
-    lines = [
-        f"multi-query serving ({config['n_queries']} queries, "
-        f"{config['n_events']} events, {table['total_results']} results)"
-    ]
-    for label, row in table["sharding"].items():
-        lines.append(
-            f"  {label:<24} {row['events_per_sec']:>10,.0f} ev/s  "
-            f"(wall {row['wall_seconds']:.2f}s, <= {row['max_queues_per_shard']} queues/shard)"
-        )
-    acceptance = table["acceptance"]
-    if "best_process_label" in acceptance:
-        target = acceptance["process_target"]
-        verdict = "OK" if acceptance["process_ok"] else "FAIL"
-        if target == 0.0:
-            verdict = f"recorded; no gate on {acceptance['cpu_cores']} core(s)"
-        lines.append(
-            f"  acceptance: {acceptance['best_process_label']} vs 1-shard/sync = "
-            f"{acceptance['process_vs_one_shard']:.2f}x on "
-            f"{acceptance['cpu_cores']} core(s), target {target:.1f}x ({verdict})"
-        )
-    return "\n".join(lines)
-
-
 def _format(table: Dict[str, Dict[str, float]], title: str) -> str:
     lines = [title]
     for key, row in table.items():
@@ -1062,47 +735,6 @@ def test_indexed_probe_speedup():
     sync_jit = table[f"{STRATEGY_JIT}/{ExecutionMode.SYNCHRONOUS}"]
     assert sync_jit["speedup"] >= 3.0, (
         f"expected >=3x from hash-indexed probes, got {sync_jit['speedup']:.2f}x"
-    )
-
-
-def test_multi_query_shard_scaling():
-    """Acceptance: on the 128-query workload, the best N-shard process
-    configuration must hit its core-count-scaled scaling target (≥3x over
-    1-shard sync with 8+ cores — recorded without a gate on
-    a single core, where no parallel speedup is physically possible)."""
-    table = bench_multi_query(DEFAULT_QUERIES, DEFAULT_MULTI_EVENTS)
-    print()
-    print(_format_multi(table))
-    acceptance = table["acceptance"]
-    assert acceptance["process_ok"], (
-        f"N-shard process ({acceptance['best_process_events_per_sec']:,.0f} ev/s) "
-        f"missed its {acceptance['process_target']:.1f}x target over 1-shard "
-        f"({acceptance['one_shard_sync_events_per_sec']:,.0f} ev/s) on "
-        f"{acceptance['cpu_cores']} core(s)"
-    )
-    assert acceptance["ok"]
-
-
-def test_subplan_sharing_speedup():
-    """Acceptance (ISSUE 7): at high overlap (64 queries over 4 streams,
-    8 distinct sub-cliques) the shared engine must clearly outrun the
-    unshared one while reproducing its per-query results exactly.
-
-    The committed ``BENCH_share.json`` (128 queries, ≥3x required) is the
-    acceptance record; this threshold is looser so the test catches a real
-    regression — sharing silently disabled shows up as a ratio near 1.0 —
-    without flaking on shared-runner noise.
-    """
-    table = bench_share(
-        n_queries=64, n_events=2_500, source_counts=(4,), repeats=2
-    )
-    print()
-    print(_format_share(table))
-    acceptance = table["acceptance"]
-    assert acceptance["dedup_factor"] >= 4.0
-    assert acceptance["speedup"] >= 2.0, (
-        f"expected a clear sharing win at {acceptance['dedup_factor']:.0f}x "
-        f"dedup, got {acceptance['speedup']:.2f}x"
     )
 
 
@@ -1159,44 +791,23 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument(
         "--suite",
         choices=(
-            "core", "probe", "multi", "serve", "share", "trace", "health", "all",
+            "core", "probe", "serve", "trace", "health", "all",
         ),
         default="core",
         help="which benchmark family to run: 'core' (default) is the quick "
-        "probe-path comparison; 'multi' is the sharded multi-query sweep "
-        "(records JSON); 'serve' measures the serving "
+        "probe-path comparison; 'serve' measures the serving "
         "front-end and the jit_aware boost-steps sweep (records JSON); "
-        "'share' compares sub-plan sharing on vs off across overlap ratios "
-        "(records JSON); 'trace' measures the flight recorder's overhead "
+        "'trace' measures the flight recorder's overhead "
         "at every sampling rate (records JSON); 'health' measures the "
         "health monitor's idle overhead on the serving path (records "
         "JSON); 'all' runs everything",
     )
     parser.add_argument("--events", type=int, default=DEFAULT_EVENTS)
-    parser.add_argument("--queries", type=int, default=DEFAULT_QUERIES)
-    parser.add_argument("--multi-events", type=int, default=DEFAULT_MULTI_EVENTS)
-    parser.add_argument(
-        "--shards",
-        default="1,2,4,8",
-        help="comma-separated shard counts for the multi-query suite",
-    )
-    parser.add_argument(
-        "--drain-modes",
-        default="sync,process",
-        help="comma-separated drain modes for the multi-query suite "
-        "(sync, process); sync is always included as the baseline",
-    )
-    parser.add_argument(
-        "--multi-strategy",
-        choices=(STRATEGY_REF, STRATEGY_JIT),
-        default=STRATEGY_REF,
-        help="operator strategy for the multi-query suite (REF isolates the serving layer)",
-    )
     parser.add_argument(
         "--repeats",
         type=int,
         default=2,
-        help="runs per multi-query variant (best throughput is reported)",
+        help="runs per variant (best throughput is reported)",
     )
     parser.add_argument(
         "--serve-queries",
@@ -1222,24 +833,6 @@ def main(argv: Optional[List[str]] = None) -> None:
         default=",".join(str(n) for n in DEFAULT_BOOST_STEPS),
         help="comma-separated jit_aware boost durations swept by the serve "
         "suite (each must be positive; a FIFO baseline row is always added)",
-    )
-    parser.add_argument(
-        "--share-queries",
-        type=int,
-        default=DEFAULT_SHARE_QUERIES,
-        help="standing-query population of the sharing suite",
-    )
-    parser.add_argument(
-        "--share-events",
-        type=int,
-        default=DEFAULT_SHARE_EVENTS,
-        help="arrivals per sharing-suite variant",
-    )
-    parser.add_argument(
-        "--share-sources",
-        default=",".join(str(n) for n in DEFAULT_SHARE_SOURCES),
-        help="comma-separated source counts the sharing suite sweeps "
-        "(fewer sources = more overlap at a fixed query population)",
     )
     parser.add_argument(
         "--trace-queries",
@@ -1283,46 +876,22 @@ def main(argv: Optional[List[str]] = None) -> None:
         "--json",
         type=Path,
         default=None,
-        help=f"record multi-query results as JSON (default {DEFAULT_MULTI_JSON})",
+        help="where a serve, trace or health run records its results "
+        "(default: that suite's committed BENCH_*.json)",
     )
     args = parser.parse_args(argv)
+
+    def record(suite: str, table: Dict[str, object], default: Path) -> None:
+        # Only an explicit run of the suite records, so `all` never
+        # clobbers a committed artifact.
+        if args.suite == suite:
+            json_path = args.json or default
+            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+            print(f"  recorded -> {json_path}")
+
     if args.suite in ("core", "probe", "all"):
         print(_format(bench_probe_paths(args.events), f"probe paths ({args.events} events)"))
         print()
-    if args.suite in ("multi", "all"):
-        shard_counts = tuple(int(s) for s in args.shards.split(","))
-        table = bench_multi_query(
-            args.queries,
-            args.multi_events,
-            shard_counts,
-            strategy=args.multi_strategy,
-            repeats=args.repeats,
-            drain_modes=tuple(
-                mode.strip() for mode in args.drain_modes.split(",") if mode.strip()
-            ),
-        )
-        print(_format_multi(table))
-        # An explicit multi run records its results; `all` only writes when a
-        # path was asked for, so it never clobbers the committed artifact.
-        json_path = args.json or (DEFAULT_MULTI_JSON if args.suite == "multi" else None)
-        if json_path is not None:
-            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-            print(f"  recorded -> {json_path}")
-    if args.suite in ("share", "all"):
-        table = bench_share(
-            n_queries=args.share_queries,
-            n_events=args.share_events,
-            source_counts=tuple(int(s) for s in args.share_sources.split(",")),
-            strategy=args.multi_strategy,
-            repeats=args.repeats,
-        )
-        print(_format_share(table))
-        # Like multi/serve: only an explicit share run records, so
-        # `all` never clobbers the committed artifact.
-        json_path = (args.json or DEFAULT_SHARE_JSON) if args.suite == "share" else None
-        if json_path is not None:
-            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-            print(f"  recorded -> {json_path}")
     if args.suite in ("serve", "all"):
         table = bench_serve(
             n_queries=args.serve_queries,
@@ -1332,12 +901,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             repeats=args.repeats,
         )
         print(_format_serve(table))
-        # Like multi: only an explicit serve run records, so `all`
-        # never clobbers the committed artifact.
-        json_path = (args.json or DEFAULT_SERVE_JSON) if args.suite == "serve" else None
-        if json_path is not None:
-            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-            print(f"  recorded -> {json_path}")
+        record("serve", table, DEFAULT_SERVE_JSON)
     if args.suite in ("trace", "all"):
         table = bench_trace(
             n_queries=args.trace_queries,
@@ -1345,11 +909,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             repeats=args.repeats,
         )
         print(_format_trace(table))
-        # Like the other recording suites: only an explicit trace run records.
-        json_path = (args.json or DEFAULT_TRACE_JSON) if args.suite == "trace" else None
-        if json_path is not None:
-            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-            print(f"  recorded -> {json_path}")
+        record("trace", table, DEFAULT_TRACE_JSON)
     if args.suite in ("health", "all"):
         table = bench_health(
             n_queries=args.health_queries,
@@ -1357,11 +917,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             repeats=max(4, args.repeats),
         )
         print(_format_health(table))
-        # Like the other recording suites: only an explicit health run records.
-        json_path = (args.json or DEFAULT_HEALTH_JSON) if args.suite == "health" else None
-        if json_path is not None:
-            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-            print(f"  recorded -> {json_path}")
+        record("health", table, DEFAULT_HEALTH_JSON)
     if args.trace or args.trace_out is not None:
         record_trace(
             args.trace_out or DEFAULT_TRACE_OUT,

@@ -3,10 +3,12 @@
 Absolute events/sec numbers are machine-bound, so this gate only compares
 **machine-independent** quantities: the ratios each suite computes between
 variants it measured back-to-back on the same machine (tracer disabled vs
-untraced, idle health monitor vs unmonitored, sharing on vs off, ...), the
+untraced, idle health monitor vs unmonitored, served vs raw engine), the
 suites' own ``acceptance.ok`` verdicts, and — where the workload config is
 unchanged — exact result counts (the workloads are seeded, so counts are
-deterministic).
+deterministic).  The gated suites are ``bench_throughput.py``'s ``serve``,
+``trace`` and ``health``; the 128-query population is ``benchmarks/e2e``'s
+and is gated through ``BENCHMARK.json``.
 
 A ratio regresses when the fresh value falls below
 ``baseline * (1 - tolerance)`` (two-sided for overhead-style ratios where
@@ -56,23 +58,11 @@ CHECKS: Dict[str, Dict[str, object]] = {
         "flags": ["acceptance.ok"],
         "equal": ["total_results"],
     },
-    "share": {
-        "baseline": "BENCH_share.json",
-        "ratios": [("acceptance.speedup", 0.30, "min")],
-        "flags": ["acceptance.ok"],
-        "equal": [],
-    },
     "serve": {
         "baseline": "BENCH_serve.json",
         "ratios": [("serving_overhead_ratio", 0.30, "band")],
         "flags": ["policies.block.shed_total_matches"],
         "equal": ["total_results", "policies.block.shed"],
-    },
-    "multi": {
-        "baseline": "BENCH_multi.json",
-        "ratios": [],
-        "flags": ["acceptance.ok"],
-        "equal": ["sharding.1-shard/sync.max_queues_per_shard"],
     },
 }
 
@@ -95,19 +85,8 @@ def _run_suite(suite: str) -> Dict[str, object]:
         return bt.bench_health()
     if suite == "trace":
         return bt.bench_trace()
-    if suite == "share":
-        return bt.bench_share()
     if suite == "serve":
         return bt.bench_serve()
-    if suite == "multi":
-        return bt.bench_multi_query(
-            bt.DEFAULT_QUERIES,
-            bt.DEFAULT_MULTI_EVENTS,
-            (1, 2, 4, 8),
-            strategy=bt.STRATEGY_REF,
-            repeats=2,
-            drain_modes=("sync", "process"),
-        )
     raise ValueError(f"unknown suite {suite!r}")
 
 

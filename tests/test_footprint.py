@@ -18,11 +18,12 @@ import tracemalloc
 
 import pytest
 
-from repro.engine import run_workload
+from repro.context import ExecutionContext
 from repro.multi import generate_multi_query_workload
 from repro.plans.builder import STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
 from repro.streams.generators import generate_clique_workload
+from repro.streams.time import Window
 
 pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
@@ -33,13 +34,16 @@ pytestmark = pytest.mark.skipif(
 #: object around each arrival's tuple, 339.6 with a hash cached per tuple as
 #: well, 451.4 with an attribute dict per tuple as well).
 EVENT_BYTES_BOUND = 236.4 * 1.05
-#: Traced bytes per stored entry of a REF join: 118.4 measured (146.3 with
-#: separate ``seq`` and ``order`` ints per entry, 227.2 with an expiry-heap
-#: tuple and an ``inserted_at`` slot as well).
-ENTRY_BYTES_BOUND = 118.4 * 1.05
-#: The same on a hash-indexed REF join, what ``clique128`` runs: 155.6
-#: measured (319.5 with a bucket list and a 1-tuple key per entry).
-INDEXED_ENTRY_BYTES_BOUND = 155.6 * 1.05
+#: Traced bytes per stored entry of a REF join, the arrivals inserted
+#: straight into the states: 116.6 measured.  Run through ``run_workload``
+#: (probes, result collector and its 7 results included) the same entries
+#: measured 118.4, 146.3 with separate ``seq`` and ``order`` ints per entry
+#: and 227.2 with an expiry-heap tuple and an ``inserted_at`` slot as well.
+ENTRY_BYTES_BOUND = 116.6 * 1.05
+#: The same on a hash-indexed REF join, what ``clique128`` runs: 153.4
+#: measured (155.6 through ``run_workload``; 319.5 there with a bucket list
+#: and a 1-tuple key per entry).
+INDEXED_ENTRY_BYTES_BOUND = 153.4 * 1.05
 
 
 def _traced(run):
@@ -67,8 +71,9 @@ def test_bytes_per_generated_event():
 
 
 def _bytes_per_stored_entry(use_hash_index: bool) -> float:
-    # Nothing expires (the window outlasts the stream) and almost nothing
-    # joins (dmax is huge), so the run's memory is its stored entries.
+    # Every arrival is inserted into its join's state and nothing probes or
+    # expires (the window outlasts the stream), so the traced memory is the
+    # stored entries alone.
     workload = generate_clique_workload(
         n_sources=2, rate=5.0, window_seconds=1000.0, dmax=10**6, duration=400.0, seed=7
     )
@@ -78,10 +83,18 @@ def _bytes_per_stored_entry(use_hash_index: bool) -> float:
         strategy=STRATEGY_REF,
         use_hash_index=use_hash_index,
     )
-    report, held = _traced(lambda: run_workload(plan, events, workload.window.length))
+    context = ExecutionContext(window=Window(workload.window.length))
+    plan.attach(context)
+
+    def insert_all() -> None:
+        for event in events:
+            context.clock.advance_to(event.ts)
+            for operator, port in plan.targets_for(event.source):
+                operator.insert_into_state(event, port)
+
+    _, held = _traced(insert_all)
     stored = sum(len(state) for op in plan.join_operators for state in op.states.values())
     assert stored == len(events) == 4016
-    assert len(report.results.results) == 7
     return held / stored
 
 

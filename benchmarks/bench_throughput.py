@@ -1,31 +1,36 @@
-"""Execution-core throughput benchmarks: events/sec, wall-clock.
+"""Execution-core benchmarks: probe-path throughput and counted overheads.
 
 Unlike ``bench_figures.py``, which reports the paper's *modelled* cost
-units, this benchmark measures real wall-clock throughput of the execution
-hot path:
+units, this file measures the execution hot path itself:
 
 * **Probe algorithm** — nested-loop vs. hash-indexed probes
   (``use_hash_index``), for both the REF join and the JIT join, whose
   detection-free probes, MNS-detecting probes and suspension extraction
-  are all served from the state's indexes.
-* **Flight recorder** — the :class:`~repro.trace.Tracer`'s overhead on the
-  shared multi-query path: no tracer vs. an attached-but-disabled tracer
-  (must cost ≤2% events/sec) vs. head-based sampling at 0/10/100 percent.
-  ``--suite trace`` writes its numbers to ``BENCH_trace.json``; the
-  separate ``--trace`` / ``--trace-out`` flags export a schema-validated,
+  are all served from the state's indexes; wall-clock events/sec.
+* **Flight recorder** (``--suite trace``) — the :class:`~repro.trace.Tracer`
+  on the shared multi-query path: no tracer vs. an attached-but-disabled
+  tracer vs. head-based sampling at 0/10/100 percent.  The separate
+  ``--trace`` / ``--trace-out`` flags export a schema-validated,
   Perfetto-loadable Chrome trace of the same workload.
-* **Serving layer** — the :class:`~repro.serve.StreamServer` front-end:
-  instrumentation + bounded-buffer overhead of the ``block`` policy vs. the
-  raw engine (must stay result-bit-identical), shedding throughput and exact
-  loss accounting of ``drop_oldest`` / ``fair_shed`` under a deliberately
-  undersized buffer, and a ``--boost-steps`` sweep of the jit_aware
-  scheduler's boost duration (§III-B) measured *through* the serving layer
-  with its boost counters surfaced from telemetry.  ``--suite serve`` writes
-  its numbers to ``BENCH_serve.json``.
-* **Health monitor** — an idle :class:`~repro.health.HealthMonitor`'s
-  overhead on the serving path (must cost ≤2% events/sec), timed as
-  interleaved-batch cost floors.  ``--suite health`` writes its numbers to
-  ``BENCH_health.json``.
+* **Serving layer** (``--suite serve``) — the
+  :class:`~repro.serve.StreamServer` front-end: the ``block`` policy vs.
+  the raw engine (must stay result-bit-identical), exact loss accounting of
+  ``drop_oldest`` / ``fair_shed`` under a deliberately undersized buffer,
+  and a ``--boost-steps`` sweep of the jit_aware scheduler's boost duration
+  (§III-B) measured *through* the serving layer with its boost counters
+  surfaced from telemetry.
+* **Health monitor** (``--suite health``) — an idle
+  :class:`~repro.health.HealthMonitor` and one running its stall watchdog
+  thread vs. an unmonitored served run.
+
+The three overhead suites count the Python bytecodes each variant executes
+on the calling thread (:func:`count_opcodes`), which repeat exactly from
+run to run and across interpreters, and print one timed run per variant
+beside the counts, ungated.  ``benchmarks/check_exact.py`` gates the counts
+against ``BENCH_exact.json``: a disabled tracer and an idle monitor may each
+cost at most 2% of the bytecodes per event (``MAX_OVERHEAD``), and the
+served/raw bytecode ratio stays within 30% of its record.  The watchdog
+variant's second thread is not counted, so it is reported, not gated.
 
 The 128-query clique population (4 sources, inline vs process workers,
 sub-plan sharing on vs off) is measured by ``benchmarks/e2e`` alone, as its
@@ -38,11 +43,12 @@ product of a wrong answer.
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py [--events 10000]
-    PYTHONPATH=src python benchmarks/bench_throughput.py --suite serve [--json PATH]
+    PYTHONPATH=src python benchmarks/bench_throughput.py --suite serve|trace|health
+    python3 benchmarks/check_exact.py --check
 
-or through pytest (wall-clock numbers are printed; the ≥3x indexed-probe
-speedup on the 10k-event workload is asserted, and the serving and health
-suites are run small for their correctness checks)::
+or through pytest (the ≥3x indexed-probe speedup on the 10k-event workload
+is asserted on the clock, the idle monitor's 2% bound on counts, and the
+serving suite is run small for its correctness checks)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py -q -s
 """
@@ -51,10 +57,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
+import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine import ExecutionMode, run_workload
 from repro.engine.results import result_multiset
@@ -73,42 +79,29 @@ from repro.streams.generators import generate_clique_workload
 #: tuples per window — the regime where probe algorithm choice dominates.
 DEFAULT_EVENTS = 10_000
 
-#: Standing-query population of the serving suite (small: the quantity
-#: under test is the serving front-end).
-DEFAULT_SERVE_QUERIES = 32
+#: Standing-query population of the three overhead suites.
+OVERHEAD_QUERIES = 32
 
-#: Arrivals driven through each serving-suite variant.
-DEFAULT_SERVE_EVENTS = 4_000
+#: Arrivals per overhead-suite variant: a counted run executes about four
+#: million bytecodes a second, so each stays within a few seconds.
+DEFAULT_TRACE_EVENTS = 400
+DEFAULT_SERVE_EVENTS = 500
+DEFAULT_HEALTH_EVENTS = 500
+
+#: The bytecode share a disabled tracer or an idle monitor may add per event.
+MAX_OVERHEAD = 0.02
 
 #: jit_aware boost durations swept by ``--boost-steps`` (must be positive;
 #: the sweep always adds a plain-FIFO baseline row for the no-boost anchor).
 DEFAULT_BOOST_STEPS = (1, 2, 4, 8, 16)
 
-#: Where ``--suite serve`` records its results.
-DEFAULT_SERVE_JSON = Path(__file__).resolve().parent / "BENCH_serve.json"
-
-#: Standing-query population of the tracer-overhead suite.
-DEFAULT_TRACE_QUERIES = 64
-
-#: Arrivals driven through each tracer-overhead variant.
-DEFAULT_TRACE_EVENTS = 4_000
-
-#: Where ``--suite trace`` records its results.
-DEFAULT_TRACE_JSON = Path(__file__).resolve().parent / "BENCH_trace.json"
+#: The engine the tracer suite and ``--trace`` run: the configuration where
+#: the tracer instruments every layer (scheduler pops, operator steps, tee
+#: fan-out, MNS pairing).
+TRACED = {"n_shards": 1, "scheduler": "jit_aware", "share_subplans": True}
 
 #: Where ``--trace`` writes its Chrome trace when ``--trace-out`` is omitted.
 DEFAULT_TRACE_OUT = Path(__file__).resolve().parent / "trace_multi.json"
-
-#: Standing-query population of the health-monitor overhead suite.
-DEFAULT_HEALTH_QUERIES = 32
-
-#: Arrivals driven through each health-suite variant.  The suite times
-#: interleaved batches, so a modest stream with several repeats beats a
-#: long one-shot run on a noisy machine.
-DEFAULT_HEALTH_EVENTS = 2_000
-
-#: Where ``--suite health`` records its results.
-DEFAULT_HEALTH_JSON = Path(__file__).resolve().parent / "BENCH_health.json"
 
 
 def _equi_workload(n_events: int, n_sources: int = 2, seed: int = 7):
@@ -124,12 +117,6 @@ def _equi_workload(n_events: int, n_sources: int = 2, seed: int = 7):
         duration=duration,
         seed=seed,
     )
-
-
-def _timed_run(plan, events, window_length, **kwargs) -> Tuple[float, object]:
-    start = time.perf_counter()
-    report = run_workload(plan, events, window_length, **kwargs)
-    return time.perf_counter() - start, report
 
 
 def bench_probe_paths(n_events: int = DEFAULT_EVENTS) -> Dict[str, Dict[str, float]]:
@@ -149,9 +136,9 @@ def bench_probe_paths(n_events: int = DEFAULT_EVENTS) -> Dict[str, Dict[str, flo
                     strategy=strategy,
                     use_hash_index=use_index,
                 )
-                elapsed, report = _timed_run(
-                    plan, events, workload.window.length, mode=mode
-                )
+                start = time.perf_counter()
+                report = run_workload(plan, events, workload.window.length, mode=mode)
+                elapsed = time.perf_counter() - start
                 results = result_multiset(report.results.results)
                 if baseline_results is None:
                     baseline_results = results
@@ -164,314 +151,286 @@ def bench_probe_paths(n_events: int = DEFAULT_EVENTS) -> Dict[str, Dict[str, flo
     return out
 
 
-def _multi_registry(workload) -> QueryRegistry:
-    """Register the workload's standing queries as hash-indexed JIT joins."""
+# --------------------------------------------------------------------------- counting
+
+
+def count_opcodes(run: Callable[[], object]) -> int:
+    """The Python bytecodes ``run()`` executes on the calling thread.
+
+    A global trace function asks every new frame for per-opcode events
+    (``f_trace_opcodes``) and counts them.  Code in C is not counted, and
+    nor is any other thread's.
+    """
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        elif event == "call":
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def _drive(system, events) -> None:
+    for event in events:
+        system.submit(event)
+    system.flush()
+
+
+Check = Optional[Callable[[object], object]]
+
+
+def _timed(build: Callable[[], object], events, check: Check = None) -> Tuple[float, object]:
+    """Wall seconds to drive ``events`` through a fresh ``build()``, and the
+    closed system.  ``check``, if given, is called with the system after the
+    run, while it is still open, and outside the clock."""
+    with build() as system:
+        start = time.perf_counter()
+        _drive(system, events)
+        seconds = time.perf_counter() - start
+        if check is not None:
+            check(system)
+        return seconds, system
+
+
+def measure(build: Callable[[], object], events, check: Check = None) -> Dict[str, object]:
+    """One timed run, then one counted run, each of a fresh ``build()``.
+
+    ``build`` returns a :class:`~repro.multi.ShardedEngine` or a
+    :class:`~repro.serve.StreamServer`; only submitting ``events`` and the
+    final flush are timed and counted.  The timed run goes first: the first
+    run in a process fills lazy caches and counts a few more bytecodes than
+    every later one.  Earlier runs' garbage is collected before counting,
+    so the count holds no finalizer work left over from them and the
+    collector's schedule starts from zero.  ``check`` runs on each open
+    system after its run, outside the clock and the count.  The row's
+    ``system`` is the counted run's, closed.
+    """
+    seconds, _ = _timed(build, events, check)
+    with build() as system:
+        gc.collect()
+        opcodes = count_opcodes(lambda: _drive(system, events))
+        if check is not None:
+            check(system)
+    return {
+        "opcodes": opcodes,
+        "opcodes_per_event": opcodes / len(events),
+        "wall_seconds": seconds,
+        "system": system,
+    }
+
+
+def _population(n_queries: int, n_events: int, seed: int, window_seconds: float, dmax: int):
+    """A 4-source multi-query workload's events, a hash-indexed JIT registry
+    of its queries, and the config that names them."""
+    workload = generate_multi_query_workload(
+        n_queries=n_queries,
+        n_sources=4,
+        rate=1.0,
+        window_seconds=window_seconds,
+        dmax=dmax,
+        duration=max(1.0, n_events / 4),
+        seed=seed,
+    )
     registry = QueryRegistry()
     for query in workload.queries():
         registry.register(query, strategy=STRATEGY_JIT, use_hash_index=True)
-    return registry
+    events = workload.events()
+    config = {
+        "n_queries": n_queries,
+        "n_events": len(events),
+        "strategy": STRATEGY_JIT,
+        "workload": workload.describe(),
+    }
+    return events, registry, config
+
+
+def _counts(system, registry) -> Dict[str, int]:
+    return {entry.query_id: system.results_for(entry.query_id).count for entry in registry}
+
+
+# --------------------------------------------------------------------------- suites
 
 
 def bench_serve(
-    n_queries: int = DEFAULT_SERVE_QUERIES,
+    n_queries: int = OVERHEAD_QUERIES,
     n_events: int = DEFAULT_SERVE_EVENTS,
     boost_steps: Tuple[int, ...] = DEFAULT_BOOST_STEPS,
     capacity: int = 256,
     n_shards: int = 2,
-    repeats: int = 2,
 ) -> Dict[str, object]:
     """The serving-layer benchmark: policy overhead, shedding, boost sweep.
 
-    Part one measures the :class:`~repro.serve.StreamServer` front-end
+    Part one counts the :class:`~repro.serve.StreamServer` front-end
     against the raw engine on the same workload: the ``block`` policy with
     full telemetry must reproduce the raw per-query result counts exactly
-    (its cost is the serving overhead), while ``drop_oldest`` and
-    ``fair_shed`` run with a deliberately undersized buffer (capacity//8,
-    no interleaved draining) and must account every shed event.
+    (raw over served bytecodes is ``serving_overhead_ratio``), while
+    ``drop_oldest`` and ``fair_shed`` run with a deliberately undersized
+    buffer (capacity//8, no interleaved draining) and must account every
+    shed event.
 
     Part two sweeps the jit_aware scheduler's ``boost_steps`` (§III-B boost
     duration) through a block-policy server — plus a plain-FIFO baseline —
-    reporting throughput and the scheduler's boost counters
+    reporting one timed run and the scheduler's boost counters
     (``boosts_granted`` / ``boosted_servings``) surfaced via the serving
     telemetry.  Scheduling order must never change results, so every sweep
     point must reproduce the baseline per-query counts.
     """
     from repro.serve import OverloadPolicy, StreamServer, get_metric_value
 
-    n_sources = 4
-    workload = generate_multi_query_workload(
-        n_queries=n_queries,
-        n_sources=n_sources,
-        rate=1.0,
-        window_seconds=25.0,
-        dmax=200,
-        duration=max(1.0, n_events / n_sources),
-        seed=17,
-    )
-    events = workload.events()
-    registry = _multi_registry(workload)
+    events, registry, config = _population(n_queries, n_events, 17, 25.0, 200)
 
-    def timed_raw() -> Tuple[float, Dict[str, int]]:
-        with ShardedEngine(registry, n_shards=n_shards, keep_results=False) as engine:
-            start = time.perf_counter()
-            report = engine.run(events)
-            return time.perf_counter() - start, report.result_counts()
-
-    def timed_served(policy: str, cap: int, scheduler="fifo"):
-        engine = ShardedEngine(
-            registry, n_shards=n_shards, scheduler=scheduler, keep_results=False
+    def served(policy: str, cap: int, scheduler="fifo") -> Callable[[], StreamServer]:
+        return lambda: StreamServer(
+            ShardedEngine(registry, n_shards=n_shards, scheduler=scheduler, keep_results=False),
+            capacity=cap,
+            policy=policy,
         )
-        server = StreamServer(engine, capacity=cap, policy=policy)
-        start = time.perf_counter()
-        for event in events:
-            server.submit(event)
-        server.flush()
-        elapsed = time.perf_counter() - start
-        counts = {
-            entry.query_id: server.results_for(entry.query_id).count
-            for entry in registry
-        }
-        return elapsed, counts, server
 
-    baseline_counts: Optional[Dict[str, int]] = None
-    raw_best = float("inf")
-    for _ in range(max(1, repeats)):
-        elapsed, counts = timed_raw()
-        if baseline_counts is None:
-            baseline_counts = counts
-        assert counts == baseline_counts
-        raw_best = min(raw_best, elapsed)
+    raw = measure(
+        lambda: ShardedEngine(registry, n_shards=n_shards, keep_results=False), events
+    )
+    baseline_counts = _counts(raw.pop("system"), registry)
 
     policies: Dict[str, Dict[str, object]] = {}
     for policy in OverloadPolicy.ALL:
         cap = capacity if policy == OverloadPolicy.BLOCK else max(8, capacity // 8)
-        best = float("inf")
-        last_server = None
-        for _ in range(max(1, repeats)):
-            elapsed, counts, server = timed_served(policy, cap)
-            if policy == OverloadPolicy.BLOCK:
-                assert counts == baseline_counts, (
-                    f"served/{policy} changed the per-query results"
-                )
-            report = server.report()
-            assert report.delivered + report.shed == report.ingested == len(events), (
-                f"served/{policy} lost events without accounting: {report}"
+        row = measure(served(policy, cap), events)
+        server = row.pop("system")
+        if policy == OverloadPolicy.BLOCK:
+            assert _counts(server, registry) == baseline_counts, (
+                f"served/{policy} changed the per-query results"
             )
-            best = min(best, elapsed)
-            last_server = server
-        report = last_server.report()
+        report = server.report()
+        assert report.delivered + report.shed == report.ingested == len(events), (
+            f"served/{policy} lost events without accounting: {report}"
+        )
         policies[policy] = {
+            **row,
             "capacity": cap,
-            "events_per_sec": len(events) / best,
-            "wall_seconds": best,
             "delivered": report.delivered,
             "shed": report.shed,
             "shed_total_matches": sum(report.shed_by_source.values()) == report.shed,
             "latency_p50": report.latency_quantiles.get(0.5, 0.0),
             "latency_p99": report.latency_quantiles.get(0.99, 0.0),
         }
-    serving_overhead = raw_best / policies[OverloadPolicy.BLOCK]["wall_seconds"]
 
     sweep: List[Dict[str, object]] = []
     for label, scheduler in [("fifo", "fifo")] + [
         (f"jit_aware/{steps}", (lambda s=steps: build_scheduler("jit_aware", boost_steps=s)))
         for steps in boost_steps
     ]:
-        best = float("inf")
-        last_server = None
-        for _ in range(max(1, repeats)):
-            elapsed, counts, server = timed_served(
-                OverloadPolicy.BLOCK, capacity, scheduler=scheduler
-            )
-            assert counts == baseline_counts, (
-                f"boost sweep {label} changed the per-query results"
-            )
-            best = min(best, elapsed)
-            last_server = server
-        parsed_text = last_server.exposition()
+        seconds, server = _timed(served(OverloadPolicy.BLOCK, capacity, scheduler), events)
+        assert _counts(server, registry) == baseline_counts, (
+            f"boost sweep {label} changed the per-query results"
+        )
+        parsed_text = server.exposition()
         sweep.append(
             {
                 "scheduler": label,
                 "boost_steps": None if label == "fifo" else int(label.split("/")[1]),
-                "events_per_sec": len(events) / best,
-                "wall_seconds": best,
-                "boosts_granted": sum(
-                    get_metric_value(
-                        parsed_text, "serve_scheduler_boosts_granted_total", {"shard": str(i)}
+                "wall_seconds": seconds,
+                **{
+                    key: sum(
+                        get_metric_value(parsed_text, f"serve_scheduler_{key}_total", {"shard": str(i)})
+                        for i in range(n_shards)
                     )
-                    for i in range(n_shards)
-                ),
-                "boosted_servings": sum(
-                    get_metric_value(
-                        parsed_text, "serve_scheduler_boosted_servings_total", {"shard": str(i)}
-                    )
-                    for i in range(n_shards)
-                ),
+                    for key in ("boosts_granted", "boosted_servings")
+                },
             }
         )
 
-    assert baseline_counts is not None
     return {
-        "config": {
-            "n_queries": n_queries,
-            "n_sources": n_sources,
-            "n_events": len(events),
-            "window_seconds": 25.0,
-            "dmax": 200,
-            "seed": 17,
-            "strategy": STRATEGY_JIT,
-            "capacity": capacity,
-            "n_shards": n_shards,
-            "repeats": repeats,
-            "boost_steps": list(boost_steps),
-            "workload": workload.describe(),
-        },
+        "config": {**config, "scheduler": "fifo", "capacity": capacity, "n_shards": n_shards},
         "total_results": sum(baseline_counts.values()),
-        "raw_events_per_sec": len(events) / raw_best,
-        "serving_overhead_ratio": serving_overhead,
+        "raw": raw,
+        "serving_overhead_ratio": raw["opcodes"] / policies[OverloadPolicy.BLOCK]["opcodes"],
         "policies": policies,
         "boost_sweep": sweep,
     }
 
 
 def bench_trace(
-    n_queries: int = DEFAULT_TRACE_QUERIES,
+    n_queries: int = OVERHEAD_QUERIES,
     n_events: int = DEFAULT_TRACE_EVENTS,
-    repeats: int = 3,
     capacity: int = 65_536,
 ) -> Dict[str, object]:
     """Tracer overhead on the multi-query serving path.
 
-    The same 1-shard shared jit_aware run (the configuration where the
-    tracer instruments every layer: scheduler pops, operator steps, tee
-    fan-out, MNS pairing) is measured with no tracer at all, with a tracer
-    attached but *disabled*, and with head-based sampling at 0, 10 and 100
-    percent.  The acceptance bound — a fully disabled tracer costs at most
-    2% events/sec versus no tracer (one attribute load and one branch per
-    hook site) — is recorded in ``BENCH_trace.json``; repeats are
-    interleaved and best-of so a noisy stretch cannot skew one variant.
-    Every variant must reproduce the untraced per-query result counts
-    exactly (tracing is observation only).
+    The same 1-shard shared jit_aware run (``TRACED``) is counted with no
+    tracer at all, with a tracer attached but *disabled*, and with
+    head-based sampling at 0, 10 and 100 percent.  The acceptance bound: a
+    fully disabled tracer costs at most 2% of the untraced bytecodes per
+    event (one attribute load and one branch per hook site).  Every variant
+    must reproduce the untraced per-query result counts exactly (tracing is
+    observation only).
     """
     from repro.trace import Tracer
 
-    n_sources = 4
-    workload = generate_multi_query_workload(
-        n_queries=n_queries,
-        n_sources=n_sources,
-        rate=1.0,
-        window_seconds=30.0,
-        dmax=400,
-        duration=max(1.0, n_events / n_sources),
-        seed=13,
-    )
-    events = workload.events()
-    registry = _multi_registry(workload)
+    events, registry, config = _population(n_queries, n_events, 13, 30.0, 400)
 
-    variants: List[Tuple[str, object]] = [
-        ("untraced", None),
-        ("disabled", lambda: Tracer(enabled=False)),
-        ("rate_0.0", lambda: Tracer(sample_rate=0.0, capacity=capacity, seed=0)),
-        ("rate_0.1", lambda: Tracer(sample_rate=0.1, capacity=capacity, seed=0)),
-        ("rate_1.0", lambda: Tracer(sample_rate=1.0, capacity=capacity, seed=0)),
-    ]
-    best: Dict[str, float] = {}
-    tracer_stats: Dict[str, Dict[str, float]] = {}
-    baseline_counts: Optional[Dict[str, int]] = None
-    for _ in range(max(1, repeats)):
-        for label, factory in variants:
-            with ShardedEngine(
-                registry,
-                n_shards=1,
-                scheduler="jit_aware",
-                share_subplans=True,
-                keep_results=False,
-            ) as engine:
-                tracer = factory() if factory is not None else None
-                if tracer is not None:
-                    engine.attach_tracer(tracer)
-                start = time.perf_counter()
-                report = engine.run(events)
-                elapsed = time.perf_counter() - start
-            counts = report.result_counts()
-            if baseline_counts is None:
-                baseline_counts = counts
-            assert counts == baseline_counts, (
-                f"trace/{label} changed the per-query results"
-            )
-            best[label] = min(best.get(label, float("inf")), elapsed)
-            if tracer is not None:
-                tracer_stats[label] = tracer.stats()
+    tracers: Dict[str, Tracer] = {}
 
-    rows: Dict[str, Dict[str, float]] = {}
-    untraced = len(events) / best["untraced"]
-    for label, _factory in variants:
-        rows[label] = {
-            "events_per_sec": len(events) / best[label],
-            "wall_seconds": best[label],
-            "throughput_vs_untraced": (len(events) / best[label]) / untraced,
-            **tracer_stats.get(label, {}),
-        }
-    disabled_ratio = rows["disabled"]["throughput_vs_untraced"]
-    assert baseline_counts is not None
+    def traced(label: str, factory) -> Callable[[], ShardedEngine]:
+        def build() -> ShardedEngine:
+            engine = ShardedEngine(registry, keep_results=False, **TRACED)
+            if factory is not None:
+                tracers[label] = factory()
+                engine.attach_tracer(tracers[label])
+            return engine
+
+        return build
+
+    variants = {
+        "untraced": None,
+        "disabled": lambda: Tracer(enabled=False),
+        "rate_0.0": lambda: Tracer(sample_rate=0.0, capacity=capacity, seed=0),
+        "rate_0.1": lambda: Tracer(sample_rate=0.1, capacity=capacity, seed=0),
+        "rate_1.0": lambda: Tracer(sample_rate=1.0, capacity=capacity, seed=0),
+    }
+    rows = {label: measure(traced(label, factory), events) for label, factory in variants.items()}
+    baseline_counts = _counts(rows["untraced"]["system"], registry)
+    for label, row in rows.items():
+        assert _counts(row.pop("system"), registry) == baseline_counts, (
+            f"trace/{label} changed the per-query results"
+        )
+        row["vs_untraced"] = rows["untraced"]["opcodes"] / row["opcodes"]
+        if label in tracers:
+            row.update(tracers[label].stats())
+    disabled_ratio = rows["disabled"]["vs_untraced"]
     return {
-        "config": {
-            "n_queries": n_queries,
-            "n_sources": n_sources,
-            "n_events": len(events),
-            "window_seconds": 30.0,
-            "dmax": 400,
-            "seed": 13,
-            "strategy": STRATEGY_JIT,
-            "scheduler": "jit_aware",
-            "share_subplans": True,
-            "n_shards": 1,
-            "ring_capacity": capacity,
-            "repeats": repeats,
-        },
+        "config": {**config, **TRACED, "ring_capacity": capacity},
         "total_results": sum(baseline_counts.values()),
         "variants": rows,
         "acceptance": {
             "disabled_vs_untraced": disabled_ratio,
-            "max_allowed_overhead": 0.02,
-            "ok": disabled_ratio >= 0.98,
+            "max_allowed_overhead": MAX_OVERHEAD,
+            "ok": disabled_ratio >= 1.0 - MAX_OVERHEAD,
         },
     }
 
 
-def record_trace(
-    out_path: Path,
-    n_queries: int = DEFAULT_TRACE_QUERIES,
-    n_events: int = DEFAULT_TRACE_EVENTS,
-    sample_rate: float = 1.0,
-) -> Path:
-    """Run the shared multi-query workload traced and export a Chrome trace.
+def record_trace(out_path: Path) -> Path:
+    """Run the tracer suite's workload fully sampled and export a Chrome trace.
 
     The written JSON is schema-validated and loadable in Perfetto / Chrome
     ``about:tracing`` (see ``docs/TRACING.md``).
     """
     from repro.trace import Tracer, validate_chrome_trace
 
-    n_sources = 4
-    workload = generate_multi_query_workload(
-        n_queries=n_queries,
-        n_sources=n_sources,
-        rate=1.0,
-        window_seconds=30.0,
-        dmax=400,
-        duration=max(1.0, n_events / n_sources),
-        seed=13,
-    )
-    events = workload.events()
-    registry = _multi_registry(workload)
-    tracer = Tracer(sample_rate=sample_rate, capacity=1_048_576, seed=0)
-    with ShardedEngine(
-        registry,
-        n_shards=1,
-        scheduler="jit_aware",
-        share_subplans=True,
-        keep_results=False,
-    ) as engine:
+    events, registry, _config = _population(OVERHEAD_QUERIES, DEFAULT_TRACE_EVENTS, 13, 30.0, 400)
+    tracer = Tracer(sample_rate=1.0, capacity=1_048_576, seed=0)
+    with ShardedEngine(registry, keep_results=False, **TRACED) as engine:
         engine.attach_tracer(tracer)
         engine.run(events)
     validate_chrome_trace(tracer.chrome_trace())
@@ -479,42 +438,16 @@ def record_trace(
     stats = tracer.stats()
     print(
         f"trace: {stats['traces_sampled']:.0f}/{stats['traces_started']:.0f} traces "
-        f"sampled (rate={sample_rate:g}), {stats['spans_recorded']:.0f} spans "
+        f"sampled, {stats['spans_recorded']:.0f} spans "
         f"({stats['spans_dropped']:.0f} dropped), mns paired={stats['mns_pairs_closed']:.0f} "
         f"-> {out_path}"
     )
     return out_path
 
 
-def _format_trace(table: Dict[str, object]) -> str:
-    config = table["config"]
-    lines = [
-        f"tracer overhead ({config['n_queries']} queries, {config['n_events']} "
-        f"events/variant, 1 shard, shared, jit_aware)"
-    ]
-    for label, row in table["variants"].items():
-        extra = ""
-        if "spans_recorded" in row:
-            extra = (
-                f"  spans={row['spans_recorded']:,.0f} "
-                f"dropped={row['spans_dropped']:,.0f}"
-            )
-        lines.append(
-            f"  {label:<10} {row['events_per_sec']:>10,.0f} ev/s "
-            f"({row['throughput_vs_untraced']:.3f}x of untraced){extra}"
-        )
-    acceptance = table["acceptance"]
-    lines.append(
-        f"  acceptance: disabled tracer at {acceptance['disabled_vs_untraced']:.3f}x "
-        f"of untraced (>=0.98 required) ({'OK' if acceptance['ok'] else 'FAIL'})"
-    )
-    return "\n".join(lines)
-
-
 def bench_health(
-    n_queries: int = DEFAULT_HEALTH_QUERIES,
+    n_queries: int = OVERHEAD_QUERIES,
     n_events: int = DEFAULT_HEALTH_EVENTS,
-    repeats: int = 4,
     capacity: int = 4_096,
     n_shards: int = 2,
 ) -> Dict[str, object]:
@@ -526,167 +459,85 @@ def bench_health(
     polled — the steady state of a deployment that only scrapes
     ``health_*`` families on demand), and with the stall watchdog's
     background thread running at its default cadence.  The acceptance
-    bound — an idle monitor costs at most 2% events/sec versus
-    unmonitored — is recorded in ``BENCH_health.json``.
-
-    An idle monitor adds nothing to the per-event path — no feedback
-    listener (the shards count their own feedback, monitored or not),
-    only the serving sink's progress cell, which every variant pays —
-    so any difference is far inside the wall-clock noise of a shared
-    machine, and naive per-variant timing cannot resolve a 2% bound.
-    Instead every variant keeps its own server and the *same*
-    event stream is fed to all of them in small interleaved batches
-    (order rotated per batch, garbage collector pinned outside the
-    clocks): machine drift slower than a batch hits every variant
-    equally.  Each variant's cost floor is then the sum of its
-    *per-batch minima* across repeats — noise only ever adds time, so
-    the floor converges on the true cost from above — and acceptance is
-    the ratio of floors.  Monitoring is observation only, so every
-    variant must reproduce the unmonitored per-query result counts
-    exactly.
+    bound — an idle monitor costs at most 2% of the unmonitored bytecodes
+    per event — counts the engine thread only, so the watchdog variant's
+    own thread is not in its count and that variant is not gated.
+    Monitoring is observation only, so every variant must reproduce the
+    unmonitored per-query result counts exactly.
     """
     from repro.health import HealthMonitor
     from repro.serve import OverloadPolicy, StreamServer
 
-    n_sources = 4
-    workload = generate_multi_query_workload(
-        n_queries=n_queries,
-        n_sources=n_sources,
-        rate=1.0,
-        window_seconds=25.0,
-        dmax=200,
-        duration=max(1.0, n_events / n_sources),
-        seed=19,
-    )
-    events = workload.events()
-    registry = _multi_registry(workload)
+    events, registry, config = _population(n_queries, n_events, 19, 25.0, 200)
 
-    variants = ("unmonitored", "idle_monitor", "watchdog_thread")
-    batch = max(25, len(events) // 80)
-    batches = [events[start : start + batch] for start in range(0, len(events), batch)]
+    monitors: Dict[str, HealthMonitor] = {}
 
-    def paired_run() -> Tuple[Dict[str, List[float]], Dict[str, Dict[str, int]]]:
-        servers: Dict[str, StreamServer] = {}
-        monitors: Dict[str, HealthMonitor] = {}
-        for variant in variants:
+    def monitored(variant: str) -> Callable[[], StreamServer]:
+        def build() -> StreamServer:
             engine = ShardedEngine(
                 registry, n_shards=n_shards, scheduler="jit_aware", keep_results=False
             )
             server = StreamServer(engine, capacity=capacity, policy=OverloadPolicy.BLOCK)
             if variant != "unmonitored":
-                monitor = HealthMonitor(
-                    server,
-                    stall_deadline=1.0 if variant == "watchdog_thread" else None,
+                monitors[variant] = HealthMonitor(
+                    server, stall_deadline=1.0 if variant == "watchdog_thread" else None
                 )
-                if variant == "watchdog_thread":
-                    monitor.start()
-                monitors[variant] = monitor
-            servers[variant] = server
-        per_batch: Dict[str, List[float]] = {variant: [] for variant in variants}
-        gc.disable()
-        try:
-            for index, chunk in enumerate(batches):
-                rotation = index % len(variants)
-                gc.collect()  # prior batches' garbage, outside the clocks
-                for variant in variants[rotation:] + variants[:rotation]:
-                    server = servers[variant]
-                    start = time.perf_counter()
-                    for event in chunk:
-                        server.submit(event)
-                    server.flush()
-                    per_batch[variant].append(time.perf_counter() - start)
-        finally:
-            gc.enable()
-        counts = {
-            variant: {
-                entry.query_id: servers[variant].results_for(entry.query_id).count
-                for entry in registry
-            }
-            for variant in variants
-        }
-        for monitor in monitors.values():
-            # One evaluation proves the wiring stayed live end to end;
-            # its (deliberate, pull-time) cost stays out of the clocks.
-            monitor.check()
-        for variant in variants:
-            servers[variant].close()
-        return per_batch, counts
+                monitors[variant].start()
+            return server
 
-    runs: List[Dict[str, List[float]]] = []
-    round_ratios: List[float] = []
-    baseline_counts: Optional[Dict[str, int]] = None
-    for _ in range(max(1, repeats)):
-        per_batch, counts = paired_run()
-        if baseline_counts is None:
-            baseline_counts = counts["unmonitored"]
-        for variant in variants:
-            assert counts[variant] == baseline_counts, (
-                f"health/{variant} changed the per-query results"
-            )
-        runs.append(per_batch)
-        round_ratios.append(
-            sum(per_batch["unmonitored"]) / sum(per_batch["idle_monitor"])
-        )
+        return build
 
-    floors = {
-        variant: sum(
-            min(run[variant][index] for run in runs) for index in range(len(batches))
+    variants = ("unmonitored", "idle_monitor", "watchdog_thread")
+    # One evaluation of each live monitor proves the wiring stayed live end
+    # to end; its (deliberate, pull-time) cost stays out of the counts.
+    checks = {variant: lambda _server, v=variant: monitors[v].check() for variant in variants[1:]}
+    rows = {variant: measure(monitored(variant), events, checks.get(variant)) for variant in variants}
+    baseline_counts = _counts(rows["unmonitored"]["system"], registry)
+    for variant, row in rows.items():
+        assert _counts(row.pop("system"), registry) == baseline_counts, (
+            f"health/{variant} changed the per-query results"
         )
-        for variant in variants
-    }
-    rows: Dict[str, Dict[str, float]] = {}
-    unmonitored = len(events) / floors["unmonitored"]
-    for variant in variants:
-        rows[variant] = {
-            "events_per_sec": len(events) / floors[variant],
-            "wall_seconds": floors[variant],
-            "throughput_vs_unmonitored": (len(events) / floors[variant]) / unmonitored,
-        }
-    idle_ratio = rows["idle_monitor"]["throughput_vs_unmonitored"]
-    assert baseline_counts is not None
+        row["vs_unmonitored"] = rows["unmonitored"]["opcodes"] / row["opcodes"]
+    idle_ratio = rows["idle_monitor"]["vs_unmonitored"]
     return {
-        "config": {
-            "n_queries": n_queries,
-            "n_sources": n_sources,
-            "n_events": len(events),
-            "window_seconds": 25.0,
-            "dmax": 200,
-            "seed": 19,
-            "strategy": STRATEGY_JIT,
-            "scheduler": "jit_aware",
-            "capacity": capacity,
-            "n_shards": n_shards,
-            "repeats": repeats,
-            "batch_events": batch,
-        },
+        "config": {**config, "scheduler": "jit_aware", "capacity": capacity, "n_shards": n_shards},
         "total_results": sum(baseline_counts.values()),
         "variants": rows,
         "acceptance": {
             "idle_vs_unmonitored": idle_ratio,
-            "round_ratios": round_ratios,
-            "max_allowed_overhead": 0.02,
-            "ok": idle_ratio >= 0.98,
+            "max_allowed_overhead": MAX_OVERHEAD,
+            "ok": idle_ratio >= 1.0 - MAX_OVERHEAD,
         },
     }
 
 
-def _format_health(table: Dict[str, object]) -> str:
+# --------------------------------------------------------------------------- report
+
+
+def _row(label: str, row: Dict[str, object], base: str = "") -> str:
+    ratio = f" ({row['vs_' + base]:.4f}x of {base})" if base else ""
+    return (
+        f"  {label:<16} {row['opcodes_per_event']:>12,.4f} opcodes/event{ratio}  "
+        f"[{row['wall_seconds']:.3f} s, ungated]"
+    )
+
+
+def _format_overhead(table: Dict[str, object], what: str, base: str, ratio: str) -> str:
     config = table["config"]
     lines = [
-        f"health monitor overhead ({config['n_queries']} queries, "
-        f"{config['n_events']} events/variant, {config['n_shards']} shards, "
-        f"served, jit_aware)"
+        f"{what} overhead ({config['n_queries']} queries, {config['n_events']} "
+        f"events/variant, {config['n_shards']} shard(s), {config['scheduler']})"
     ]
     for label, row in table["variants"].items():
-        lines.append(
-            f"  {label:<16} {row['events_per_sec']:>10,.0f} ev/s "
-            f"({row['throughput_vs_unmonitored']:.3f}x of unmonitored)"
+        spans = (
+            f"  spans={row['spans_recorded']:,.0f} dropped={row['spans_dropped']:,.0f}"
+            if "spans_recorded" in row else ""
         )
+        lines.append(_row(label, row, base) + spans)
     acceptance = table["acceptance"]
     lines.append(
-        f"  acceptance: idle monitor at {acceptance['idle_vs_unmonitored']:.3f}x "
-        f"of unmonitored (ratio of per-batch-minima floors, >=0.98 required) "
-        f"({'OK' if acceptance['ok'] else 'FAIL'})"
+        f"  acceptance: {ratio} = {acceptance[ratio]:.4f}x of the {base} bytecodes "
+        f"(>={1 - MAX_OVERHEAD} required) ({'OK' if acceptance['ok'] else 'FAIL'})"
     )
     return "\n".join(lines)
 
@@ -695,19 +546,19 @@ def _format_serve(table: Dict[str, object]) -> str:
     config = table["config"]
     lines = [
         f"serving layer ({config['n_queries']} queries, {config['n_events']} events, "
-        f"{table['total_results']} results): raw {table['raw_events_per_sec']:,.0f} ev/s, "
-        f"served/raw throughput = {table['serving_overhead_ratio']:.2f}x"
+        f"{table['total_results']} results): served/raw = "
+        f"{table['serving_overhead_ratio']:.4f}x of the raw bytecodes",
+        _row("raw", table["raw"]),
     ]
     for policy, row in table["policies"].items():
         lines.append(
-            f"  {policy:<12} cap={row['capacity']:<4} {row['events_per_sec']:>10,.0f} ev/s  "
-            f"delivered={row['delivered']} shed={row['shed']} "
-            f"p50={row['latency_p50']:.2f}s p99={row['latency_p99']:.2f}s"
+            _row(policy, row) + f"  cap={row['capacity']} delivered={row['delivered']} "
+            f"shed={row['shed']} p50={row['latency_p50']:.2f}s p99={row['latency_p99']:.2f}s"
         )
-    lines.append("  boost sweep (block policy, jit_aware boost duration):")
+    lines.append("  boost sweep (block policy, jit_aware boost duration, one timed run each):")
     for row in table["boost_sweep"]:
         lines.append(
-            f"    {row['scheduler']:<14} {row['events_per_sec']:>10,.0f} ev/s  "
+            f"    {row['scheduler']:<14} {row['wall_seconds']:.3f} s  "
             f"boosts={row['boosts_granted']:.0f} boosted_servings={row['boosted_servings']:.0f}"
         )
     return "\n".join(lines)
@@ -728,7 +579,11 @@ def _format(table: Dict[str, Dict[str, float]], title: str) -> str:
 
 
 def test_indexed_probe_speedup():
-    """Acceptance: ≥3x events/sec for hash-indexed equi-join probes at 10k events."""
+    """Acceptance: ≥3x events/sec for hash-indexed equi-join probes at 10k events.
+
+    This one stays on the clock: counted, the indexed path's advantage is
+    larger still, so a bytecode bound of 3x would check less.
+    """
     table = bench_probe_paths(DEFAULT_EVENTS)
     print()
     print(_format(table, "probe paths (10k events)"))
@@ -741,15 +596,11 @@ def test_indexed_probe_speedup():
 def test_serving_layer_accounting():
     """Acceptance (ISSUE 6): the block-policy server reproduces raw engine
     results exactly, shedding policies account every event, and the
-    boost-steps sweep never changes per-query results.
-
-    Deliberately no timing thresholds — the serving overhead is recorded in
-    ``BENCH_serve.json``; this test pins only the correctness half so it
-    cannot flake on shared-runner noise.
+    boost-steps sweep never changes per-query results.  The served/raw
+    bytecode ratio is gated by ``check_exact.py``; this test pins the
+    correctness half.
     """
-    table = bench_serve(
-        n_queries=12, n_events=1_200, boost_steps=(2, 8), capacity=64, repeats=1
-    )
+    table = bench_serve(n_queries=12, n_events=1_200, capacity=64, boost_steps=(2, 8))
     print()
     print(_format_serve(table))
     for policy, row in table["policies"].items():
@@ -765,21 +616,17 @@ def test_serving_layer_accounting():
 
 
 def test_health_monitor_overhead():
-    """Acceptance (ISSUE 10): an idle HealthMonitor must not tax the
-    serving path.  The committed ``BENCH_health.json`` (2% bound via the
-    interleaved-batch floor methodology) is the acceptance record; this
-    threshold is looser so the test catches a real regression — a hook
-    accidentally landing on the per-event path shows up as a ratio well
-    below 1.0 — without flaking on shared-runner noise.  Result-count
-    equality across variants is asserted inside ``bench_health`` itself
-    (monitoring is observation only).
+    """Acceptance (ISSUE 10): an idle HealthMonitor costs at most 2% of the
+    serving path's bytecodes per event.  Result-count equality across
+    variants is asserted inside ``bench_health`` itself (monitoring is
+    observation only).
     """
-    table = bench_health(n_queries=12, n_events=1_200, repeats=3)
+    table = bench_health()
     print()
-    print(_format_health(table))
+    print(_format_overhead(table, "health monitor", "unmonitored", "idle_vs_unmonitored"))
     ratio = table["acceptance"]["idle_vs_unmonitored"]
-    assert ratio >= 0.90, (
-        f"idle health monitor cost {1 - ratio:.1%} of serving throughput"
+    assert ratio >= 1.0 - MAX_OVERHEAD, (
+        f"idle health monitor cost {1 - ratio:.2%} of the serving path's bytecodes"
     )
 
 
@@ -790,73 +637,20 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--suite",
-        choices=(
-            "core", "probe", "serve", "trace", "health", "all",
-        ),
+        choices=("core", "probe", "serve", "trace", "health", "all"),
         default="core",
         help="which benchmark family to run: 'core' (default) is the quick "
-        "probe-path comparison; 'serve' measures the serving "
-        "front-end and the jit_aware boost-steps sweep (records JSON); "
-        "'trace' measures the flight recorder's overhead "
-        "at every sampling rate (records JSON); 'health' measures the "
-        "health monitor's idle overhead on the serving path (records "
-        "JSON); 'all' runs everything",
+        "probe-path comparison; 'serve' counts the serving front-end against "
+        "the raw engine and runs the jit_aware boost-steps sweep; 'trace' "
+        "counts the flight recorder at every sampling rate; 'health' counts "
+        "the health monitor on the serving path; 'all' runs everything",
     )
     parser.add_argument("--events", type=int, default=DEFAULT_EVENTS)
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="runs per variant (best throughput is reported)",
-    )
-    parser.add_argument(
-        "--serve-queries",
-        type=int,
-        default=DEFAULT_SERVE_QUERIES,
-        help="standing-query population of the serving suite",
-    )
-    parser.add_argument(
-        "--serve-events",
-        type=int,
-        default=DEFAULT_SERVE_EVENTS,
-        help="arrivals per serving-suite variant",
-    )
-    parser.add_argument(
-        "--serve-capacity",
-        type=int,
-        default=256,
-        help="ingestion buffer capacity for the serving suite's block policy "
-        "(shedding policies run at capacity//8)",
-    )
     parser.add_argument(
         "--boost-steps",
         default=",".join(str(n) for n in DEFAULT_BOOST_STEPS),
         help="comma-separated jit_aware boost durations swept by the serve "
         "suite (each must be positive; a FIFO baseline row is always added)",
-    )
-    parser.add_argument(
-        "--trace-queries",
-        type=int,
-        default=DEFAULT_TRACE_QUERIES,
-        help="standing-query population of the tracer-overhead suite and --trace",
-    )
-    parser.add_argument(
-        "--trace-events",
-        type=int,
-        default=DEFAULT_TRACE_EVENTS,
-        help="arrivals per tracer-overhead variant (and for --trace)",
-    )
-    parser.add_argument(
-        "--health-queries",
-        type=int,
-        default=DEFAULT_HEALTH_QUERIES,
-        help="standing-query population of the health-overhead suite",
-    )
-    parser.add_argument(
-        "--health-events",
-        type=int,
-        default=DEFAULT_HEALTH_EVENTS,
-        help="arrivals per health-overhead variant",
     )
     parser.add_argument(
         "--trace",
@@ -872,58 +666,22 @@ def main(argv: Optional[List[str]] = None) -> None:
         help=f"where --trace writes its Chrome trace JSON (default {DEFAULT_TRACE_OUT}); "
         "implies --trace",
     )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help="where a serve, trace or health run records its results "
-        "(default: that suite's committed BENCH_*.json)",
-    )
     args = parser.parse_args(argv)
-
-    def record(suite: str, table: Dict[str, object], default: Path) -> None:
-        # Only an explicit run of the suite records, so `all` never
-        # clobbers a committed artifact.
-        if args.suite == suite:
-            json_path = args.json or default
-            json_path.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-            print(f"  recorded -> {json_path}")
 
     if args.suite in ("core", "probe", "all"):
         print(_format(bench_probe_paths(args.events), f"probe paths ({args.events} events)"))
         print()
     if args.suite in ("serve", "all"):
-        table = bench_serve(
-            n_queries=args.serve_queries,
-            n_events=args.serve_events,
-            boost_steps=tuple(int(s) for s in args.boost_steps.split(",")),
-            capacity=args.serve_capacity,
-            repeats=args.repeats,
-        )
-        print(_format_serve(table))
-        record("serve", table, DEFAULT_SERVE_JSON)
+        boost_steps = tuple(int(s) for s in args.boost_steps.split(","))
+        print(_format_serve(bench_serve(boost_steps=boost_steps)))
     if args.suite in ("trace", "all"):
-        table = bench_trace(
-            n_queries=args.trace_queries,
-            n_events=args.trace_events,
-            repeats=args.repeats,
-        )
-        print(_format_trace(table))
-        record("trace", table, DEFAULT_TRACE_JSON)
+        print(_format_overhead(bench_trace(), "tracer", "untraced", "disabled_vs_untraced"))
     if args.suite in ("health", "all"):
-        table = bench_health(
-            n_queries=args.health_queries,
-            n_events=args.health_events,
-            repeats=max(4, args.repeats),
-        )
-        print(_format_health(table))
-        record("health", table, DEFAULT_HEALTH_JSON)
+        print(_format_overhead(
+            bench_health(), "health monitor", "unmonitored", "idle_vs_unmonitored"
+        ))
     if args.trace or args.trace_out is not None:
-        record_trace(
-            args.trace_out or DEFAULT_TRACE_OUT,
-            n_queries=args.trace_queries,
-            n_events=args.trace_events,
-        )
+        record_trace(args.trace_out or DEFAULT_TRACE_OUT)
 
 
 if __name__ == "__main__":

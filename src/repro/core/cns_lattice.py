@@ -159,6 +159,11 @@ class CNSLattice:
                 c for c in self.components if any(c in node.sources for node in survivors)
             )
 
+    def alive_without(self, components: Iterable[str]) -> bool:
+        """Whether some alive node contains none of ``components``."""
+        excluded = frozenset(components)
+        return any(excluded.isdisjoint(node.sources) for node in self._alive)
+
     def surviving_mns(self, cost: Optional[CostModel] = None) -> List[FrozenSet[str]]:
         """Return the minimal alive nodes — the MNSs (Lines 11-14 of Figure 8).
 

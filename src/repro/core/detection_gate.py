@@ -14,8 +14,11 @@ stream time:
   resumption work falls inside the sender's delta), plus the upkeep of the
   blacklist entries the port's suspensions created anywhere upstream;
 * ``avoided_units`` — what the suspensions it started saved, booked by the
-  producers that hold them (docs/JIT.md, "When detection pays", says which
-  part is counted and which is estimated).
+  producers that hold them, plus the nested-loop scans its settling lookups
+  spared: a probe with a component that no opposite entry matches joins
+  nothing, skips REF's scan, and books each skipped entry at the price of a
+  hidden pair (docs/JIT.md, "When detection pays", says which part is
+  counted and which is estimated).
 
 The gate starts open — the paper's behaviour.  An epoch that ends with
 ``avoided < spent`` puts it to rest; a rest is followed by one trial epoch,

@@ -60,8 +60,9 @@ Implementation notes (all recorded in docs/JIT.md):
   never join the in-flight tuple either.  Without ``use_hash_index`` the
   probes are nested loops, and a detecting probe first settles each
   component by an existence lookup in the opposite state's index on its
-  conditions, so that its scan is REF's (docs/JIT.md, "Where a scan starts
-  and stops").
+  conditions, so that its scan is REF's, or does not run when a component
+  has no partner and so nothing joins; a replay looks its components up the
+  same way before it scans (docs/JIT.md, "Where a scan starts and stops").
 * ``Suspend_Production`` extracts the super-tuples of an MNS from the
   bucket of the signature's ``(source, attribute)`` template, on every plan:
   the state builds that index when an extraction first asks for it and
@@ -76,9 +77,11 @@ Implementation notes (all recorded in docs/JIT.md):
   (docs/JIT.md, "Where a scan starts and stops"): a detecting probe
   evaluates per component only what no lookup settled while some alive
   lattice node contains the component, and is the detector-free loop once
-  nothing is left; a resumed tuple's replay starts behind the order stamp
-  recorded beside its watermark.  Which entries join, and in which order, is
-  unchanged.
+  nothing is left; with a component settled unmatched it scans only while
+  some alive node lies apart from every such component, and never tests a
+  join.  A resumed tuple's replay starts behind the order stamp recorded
+  beside its watermark, and runs only if each of its components has a
+  present partner.  Which entries join, and in which order, is unchanged.
 * Detection is gated by cost.  Step 2 feeds the detector, and step 4 runs,
   only while the port's :class:`~repro.core.detection_gate.DetectionGate` is
   open: each detecting port keeps a ledger of the units its detection spent
@@ -148,6 +151,9 @@ class _ActiveProbe:
     #: probe has already scanned.  Needed because re-inserted resumed tuples
     #: make the scan order non-monotone in sequence numbers.
     scanned_seqs: set = None  # type: ignore[assignment]
+    #: Entries present at the start that the scan did not visit because
+    #: settling found a component unmatched, so that none of them joins.
+    skipped: int = 0
     aborted: bool = False
 
     def __post_init__(self) -> None:
@@ -168,7 +174,9 @@ class _ProbeTally:
     #: started, summed.
     offered: int = 0
     #: Entries the probes examined: all offered under a nested loop, the
-    #: looked-up buckets under an index.
+    #: looked-up buckets under an index.  A nested-loop probe that skips its
+    #: scan because a component has no partner counts the entries it
+    #: skipped too: REF's scan visits them, and this prices REF's pair.
     visited: int = 0
     #: Results the probes emitted.
     built: int = 0
@@ -206,7 +214,8 @@ class JITJoinOperator(BinaryJoinOperator):
         self._conditions_by_source: Dict[str, Dict[str, Tuple[JoinCondition, ...]]] = {}
         #: Per input port, one opposite-state lookup per component whose
         #: conditions are all equalities: what an MNS-detecting probe settles
-        #: components with (nested loop) or visits instead of the state (hash index).
+        #: components with (nested loop) or visits instead of the state (hash
+        #: index), and what a nested-loop replay asks for partners first.
         self._component_lookups: Dict[str, Dict[str, IndexLookup]] = {}
         #: Per input port, the gate that switches its MNS detection off while
         #: it costs more than it saves (a test installs a scripted one here).
@@ -397,8 +406,11 @@ class JITJoinOperator(BinaryJoinOperator):
         tally = self._probed[port]
         tally.arrivals += 1
         tally.offered += offered
-        tally.visited += len(probe.scanned_seqs)
+        tally.visited += len(probe.scanned_seqs) + probe.skipped
         tally.built += self.emitted_count - emitted
+        if probe.skipped:
+            # The settling lookups spared REF's scan of these entries.
+            self.gates[port].avoid(self._hidden_pair_units(port) * probe.skipped)
 
         # Lines 14-17: retrieve and integrate the resumed partial results.
         if resume_feedback is not None and opposite_producer is not None:
@@ -481,12 +493,15 @@ class JITJoinOperator(BinaryJoinOperator):
         On a nested-loop join the detector first settles what lookups answer
         (:meth:`_settle`): whether any live opposite entry matches each
         pending component.  A matched component's node dies before the scan;
-        an unmatched one is False for every entry the scan visits.  The scan
-        feeds the detector only what is left (nodes above level 1) and only
-        while it asks to be: per entry, those components are evaluated in
-        full, the others only while the entry can still join, and once none
-        is left the loop is REF's.  Which entries are visited, which join and in which order
-        does not depend on it.
+        an unmatched one is False for every entry, so no entry joins.  The
+        scan feeds the detector only what is left (nodes above level 1) and
+        only while it asks to be: per entry, those components are evaluated
+        in full, the others only while the entry can still join, and once
+        none is left the loop is REF's.  With a component unmatched the scan
+        runs only while an alive node lies apart from the unmatched
+        components (:meth:`MNSDetector.scan_pending`), and not at all under
+        ``max_mns_arity`` 1; the entries it leaves go to ``probe.skipped``.
+        Which entries join and in which order does not depend on it.
 
         When the operator keeps hash indexes (``use_hash_index``) the scan is
         replaced by index lookups.  Without detection, one lookup on the
@@ -524,7 +539,10 @@ class JITJoinOperator(BinaryJoinOperator):
                     unmatched = self._settle(tup, port, detector)
                 candidates = opposite_state.probe()
             asked = detector.pending
-            pending = tuple([c for c in asked if c not in unmatched])
+            pending = detector.scan_pending(unmatched)
+            if unmatched and not pending:
+                # No entry joins, and none can kill a node: REF's scan is spared.
+                candidates = ()
         if pending:
             conditions = self._split_conditions(port, pending)
             outcomes: Dict[str, bool] = dict.fromkeys(unmatched, False)
@@ -535,21 +553,27 @@ class JITJoinOperator(BinaryJoinOperator):
             other = entry.tuple
             probe.scanned_seqs.add(entry.seq)
             opposite_live = True
-            joins = window.joins(tup, other)
+            joins = not unmatched and window.joins(tup, other)
             if pending:
                 # Detection-integrated evaluation: per-component match outcomes.
                 joins = self._match_components(tup, other, conditions, outcomes, joins)
                 detector.observe(tup, outcomes)
-                if detector.pending != asked:
+                # A node that dies can leave ``asked`` as it was, and whether
+                # any node is left that the scan can kill depends on which.
+                if detector.pending != asked or unmatched:
                     asked = detector.pending
-                    pending = tuple([c for c in asked if c not in unmatched])
-                    conditions = self._split_conditions(port, pending)
                     if not asked:
                         self.stats["detections_settled"] += 1
+                    scanned = detector.scan_pending(unmatched)
+                    if scanned != pending:
+                        pending = scanned
+                        conditions = self._split_conditions(port, pending)
                 if joins or not pending:
                     # An emission runs the plan downstream, and a detector with
-                    # no node left alive has left the probe: close the delta.
+                    # no node left to kill has left the probe: close the delta.
                     gate.spend(detector_units(_DETECTOR_KINDS) - mark)
+                    if unmatched and not pending:
+                        break
             elif joins:
                 # REF-style short-circuit evaluation.
                 joins = self.evaluate_conditions(tup, other)
@@ -562,6 +586,9 @@ class JITJoinOperator(BinaryJoinOperator):
                     break
         if pending:
             gate.spend(detector_units(_DETECTOR_KINDS) - mark)
+        if unmatched:
+            opposite_live = bool(len(opposite_state))
+            probe.skipped = len(opposite_state) - len(probe.scanned_seqs)
         return opposite_live
 
     def _settle(
@@ -988,10 +1015,14 @@ class JITJoinOperator(BinaryJoinOperator):
         later resumptions on the other side treat it consistently; the new
         entry remembers ``record`` and the record the moment it ended.
 
-        With ``use_hash_index`` the partner scan becomes an index lookup on
-        the equi-join key, combined with the same filters as the nested
-        loop; entries with a different key would fail the equi conditions
-        anyway, so skipping them is REF-equivalent.
+        Without ``use_hash_index`` each component of the tuple is first
+        looked up in the opposite state (:meth:`OperatorState.any_live`, on
+        the port's component lookups), and the scan runs only if every one
+        has a present partner: otherwise no entry joins.  With it the
+        partner scan becomes an index lookup on the equi-join key, combined
+        with the same filters as the nested loop; entries with a different
+        key would fail the equi conditions anyway, so skipping them is
+        REF-equivalent.
 
         Like a fresh arrival, the replayed tuple first probes the opposite
         MNS buffer (Process_Input lines 4-9): re-entering the state makes it
@@ -1013,7 +1044,13 @@ class JITJoinOperator(BinaryJoinOperator):
             watermark, upto_order = record.joined_upto_seq, record.joined_upto_order
             met_seqs = record.met_seqs
         produced: List[StreamTuple] = []
-        for entry in self.probe_candidates(tup, opp, after_order=upto_order):
+        opposite_state = self.states[opp]
+        lookups = () if self.use_hash_index else self._component_lookups[port].values()
+        candidates: Iterable[StateEntry] = ()
+        if all(opposite_state.any_live(*lookup.probe(tup)) for lookup in lookups):
+            # Otherwise some component has no partner, and no entry joins.
+            candidates = self.probe_candidates(tup, opp, after_order=upto_order)
+        for entry in candidates:
             if entry.removed or entry.seq in met_seqs:
                 continue
             # An index lookup returns entries at or before the stamp too.

@@ -9,7 +9,10 @@ Two detectors are provided:
   what no lookup answers — nodes above level 1 — the join computes, for
   every opposite-state tuple it visits, for the components some alive node
   still contains, and feeds those outcomes to the detector; once every
-  node is dead or settled the probe is REF's (docs/JIT.md, "Where a scan
+  node is dead or settled the probe is REF's.  A component settled
+  unmatched means no tuple joins: the join then scans only while an alive
+  node contains no unmatched component (:meth:`MNSDetector.scan_pending`),
+  which under ``max_mns_arity`` 1 is never (docs/JIT.md, "Where a scan
   starts and stops").  A hash-indexed join
   visits only the tuples that match at least one component, since a tuple
   matching none kills no lattice node (docs/JIT.md, "Just-in-time state
@@ -78,9 +81,9 @@ class MNSDetector:
     # -- probe-integrated protocol ------------------------------------------------
 
     #: The components whose match outcome :meth:`observe` can still use, in
-    #: component order.  While it is non-empty the probe computes exactly
-    #: these outcomes per opposite tuple and calls :meth:`observe`; once it
-    #: is empty the probe is the detector-free one.  Only the lattice
+    #: component order.  While :meth:`scan_pending` leaves some the probe
+    #: computes exactly those outcomes per opposite tuple and calls
+    #: :meth:`observe`; once none is left the probe is the detector-free one.  Only the lattice
     #: detector ever asks for outcomes.
     pending: Tuple[str, ...] = ()
 
@@ -95,11 +98,16 @@ class MNSDetector:
         ``matched(component)`` says whether any opposite entry the probe is
         about to visit matches the component, or None where no index answers
         that.  Returns the components found unmatched: their outcome is False
-        for every one of those entries, so the probe need not compute it.
-        They stay pending, since an entry that arrives later (a resumed
-        partial result) can still match them.
+        for every one of those entries, so the probe need not compute it,
+        and none of them joins.  They stay pending, since an entry that
+        arrives later (a resumed partial result) can still match them.
         """
         return ()
+
+    def scan_pending(self, unmatched: Sequence[str]) -> Tuple[str, ...]:
+        """The :attr:`pending` components whose outcome a scan must compute,
+        given the components :meth:`settle` found ``unmatched``: the others."""
+        return tuple([c for c in self.pending if c not in unmatched])
 
     def observe(self, tup: StreamTuple, matches: Mapping[str, bool]) -> None:
         """Record the match outcome of every :attr:`pending` component against
@@ -154,6 +162,13 @@ class LatticeMNSDetector(MNSDetector):
             elif found is not None:
                 unmatched.append(component)
         return tuple(unmatched)
+
+    def scan_pending(self, unmatched: Sequence[str]) -> Tuple[str, ...]:
+        """None once every alive node contains an unmatched component: such
+        a node matches no entry, so it survives whatever the scan meets."""
+        if unmatched and not self.lattice.alive_without(unmatched):
+            return ()
+        return super().scan_pending(unmatched)
 
     def observe(self, tup: StreamTuple, matches: Mapping[str, bool]) -> None:
         self.lattice.observe(matches, cost=self.context.cost)

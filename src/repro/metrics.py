@@ -75,9 +75,9 @@ class CostWeights:
     the reproduced figures survives moderate changes in these weights:
     ``benchmarks/bench_figures.py`` re-weights the recorded per-kind counts
     of all 39 figure points with each weight alone at ×¼ and at ×4, and
-    REF-vs-JIT ``cpu_units`` keeps its direction at 854 of those 858
+    REF-vs-JIT ``cpu_units`` keeps its direction at 855 of those 858
     (point, weight) pairs.  It flips only with ``blacklist_scan`` ×4 at
-    three Figure 12 points and ``hash`` ×4 at one Figure 15 point.
+    three Figure 12 points.
     """
 
     predicate_eval: float = 1.0

@@ -14,6 +14,7 @@ from repro.core.jit_join import JITJoinOperator
 from repro.core.mns_detection import LatticeMNSDetector
 from repro.engine import run_workload
 from repro.metrics import CostKind
+from repro.operators.join import opposite_port
 from repro.operators.queues import InterOperatorQueue
 from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.serve.telemetry import TelemetryError, get_metric_value
@@ -392,7 +393,8 @@ class ReplayChecks:
 
     #: The eager exception sets of every record made.
     shadow: EagerExceptions
-    #: One ``(visited, present)`` per replay.
+    #: One ``(visited, present)`` per replay; a replay whose lookups found a
+    #: component without partner visits nothing.
     replays: list = field(default_factory=list)
     #: One ``(met, examined)`` per pair test: its answer and the records it examined.
     pairs: list = field(default_factory=list)
@@ -404,8 +406,9 @@ def replays_checked_against_full_scan():
     the scan it replaced: every present opposite entry, told apart by the
     eager exception sets alone (``EagerExceptions.has_met``).  The partials
     produced must be equal, in order, the call must visit no more entries
-    than are present, and every answer of ``SuspendedTuple.met`` must be the
-    eager sets' answer.  Yields a ``ReplayChecks``.
+    than are present (none when it skips its scan), and every answer of
+    ``SuspendedTuple.met`` must be the eager sets' answer.  Yields a
+    ``ReplayChecks``.
     """
     shipped_join = JITJoinOperator._join_resumed
     shipped_met = SuspendedTuple.met
@@ -435,7 +438,11 @@ def replays_checked_against_full_scan():
                 produced = shipped_join(self, tup, port, record)
             finally:
                 del self.probe_candidates
-            ((visited, present),) = scans
+            assert len(scans) <= 1
+            if scans:
+                ((visited, present),) = scans
+            else:  # skipped: the opposite state is as the replay found it
+                visited, present = [], self.states[opposite_port(port)].entries()
             joins = self.require_context().window.joins
             expected = [
                 join_tuples(tup, entry.tuple)

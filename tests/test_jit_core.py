@@ -324,45 +324,60 @@ class TestDetectors:
 # --------------------------------------------------------------------------- the detecting probe
 
 
-class TestDetectingProbe:
-    """AB x C on ``A.y = C.y and B.z = C.z``: one AB tuple probes ten C entries.
-    Its AB input is fed by a real A x B join, the producer a detecting port
-    needs.  Before the scan each component is settled by one lookup in the C
-    state's index on its condition, built on first use; the scan is then
-    REF's short-circuit over (A.y = C.y, B.z = C.z): 2 evaluations where y
-    matches, else 1 — 15 over the ten entries, whatever the probing tuple's z."""
+#: (y, z) of the ten C entries of ``_top_join``.
+_C_ENTRIES = ((1, 0), (0, 0), (0, 1), (1, 1), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (0, 1))
 
-    #: (y, z) of the ten C entries; the probing AB tuple carries y = 1.
-    ENTRIES = ((1, 0), (0, 0), (0, 1), (1, 1), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (0, 1))
+
+def _top_join(unpruned: bool = False):
+    """AB x C on ``A.y = C.y and B.z = C.z``, its C state holding ``_C_ENTRIES``
+    and its AB input fed by a real A x B join, the producer a detecting port
+    needs; with ``unpruned`` its AB port detects through ``UnprunedDetector``."""
+    context = ExecutionContext(window=Window(60.0))
+    predicate = JoinPredicate.equi([(("A", "y"), ("C", "y")), (("B", "z"), ("C", "z"))])
+    producer = JITJoinOperator("AB", {"A"}, {"B"}, predicate)
+    producer.connect_source(PORT_LEFT, "A")
+    producer.connect_source(PORT_RIGHT, "B")
+    operator = JITJoinOperator("Op", {"A", "B"}, {"C"}, predicate)
+    operator.connect_producer(PORT_LEFT, producer)
+    operator.connect_source(PORT_RIGHT, "C")
+    producer.attach(context)
+    operator.attach(context)
+    if unpruned:
+        shipped = operator.detectors[PORT_LEFT]
+        operator.detectors[PORT_LEFT] = UnprunedDetector(
+            shipped.components, shipped.attr_pairs_by_source, context
+        )
+    for seq, (y, c_z) in enumerate(_C_ENTRIES):
+        operator.states[PORT_RIGHT].insert(make_tuple("C", 1.0, seq=seq, y=y, z=c_z))
+    return operator
+
+
+def _charged(operator, action):
+    """Run ``action`` and return the cost counts it added, by kind."""
+    cost = operator.require_context().cost
+    before = cost.snapshot()
+    action()
+    return {
+        kind: count - before[kind]
+        for kind, count in cost.snapshot().items()
+        if count != before[kind]
+    }
+
+
+class TestDetectingProbe:
+    """One AB tuple probes ``_top_join``'s ten C entries.  Before the scan each
+    component is settled by one lookup in the C state's index on its
+    condition, built on first use; the scan is then
+    REF's short-circuit over (A.y = C.y, B.z = C.z): 2 evaluations where y
+    matches, else 1 — 15 over the ten entries.  A component that no lookup
+    finds matched leaves no entry to join, and there is no scan."""
 
     def _probe(self, unpruned: bool, z: int = 1):
-        context = ExecutionContext(window=Window(60.0))
-        predicate = JoinPredicate.equi([(("A", "y"), ("C", "y")), (("B", "z"), ("C", "z"))])
-        producer = JITJoinOperator("AB", {"A"}, {"B"}, predicate)
-        producer.connect_source(PORT_LEFT, "A")
-        producer.connect_source(PORT_RIGHT, "B")
-        operator = JITJoinOperator("Op", {"A", "B"}, {"C"}, predicate)
-        operator.connect_producer(PORT_LEFT, producer)
-        operator.connect_source(PORT_RIGHT, "C")
-        producer.attach(context)
-        operator.attach(context)
+        operator = _top_join(unpruned)
         results = []
         operator.result_sink = results.append
-        if unpruned:
-            shipped = operator.detectors[PORT_LEFT]
-            operator.detectors[PORT_LEFT] = UnprunedDetector(
-                shipped.components, shipped.attr_pairs_by_source, context
-            )
-        for seq, (y, c_z) in enumerate(self.ENTRIES):
-            operator.states[PORT_RIGHT].insert(make_tuple("C", 1.0, seq=seq, y=y, z=c_z))
-        before = context.cost.snapshot()
         ab = join_tuples(make_tuple("A", 2.0, y=1), make_tuple("B", 2.0, z=z))
-        operator.process(ab, PORT_LEFT)
-        charged = {
-            kind: count - before[kind]
-            for kind, count in context.cost.snapshot().items()
-            if count != before[kind]
-        }
+        charged = _charged(operator, lambda: operator.process(ab, PORT_LEFT))
         return charged, [r.component("C").seq for r in results], operator, ab
 
     def test_lookups_settle_both_components_before_the_scan(self):
@@ -399,9 +414,9 @@ class TestDetectingProbe:
             # As above, plus the producer's lookup of {B.z = 7}'s
             # super-tuples in the bucket of its B state's index on z.
             CostKind.HASH: 2 * 10 + 2 + 1,
-            # B's lookup finds no bucket: it examines nothing.
-            CostKind.PROBE_STEP: 1 + 10,
-            CostKind.PREDICATE_EVAL: 15,
+            # A's lookup examines one entry; B's finds no bucket, so no entry
+            # joins and the ten are never scanned: no predicate is evaluated.
+            CostKind.PROBE_STEP: 1,
             # The finish phase reads B's surviving node ...
             CostKind.LATTICE_NODE: 2 + 1,
             # ... and suspends it at the producer.
@@ -409,6 +424,91 @@ class TestDetectingProbe:
         }
         assert operator.stats["suspensions_sent"] == 1
         assert operator.producer_of(PORT_LEFT).stats["suspensions_received"] == 1
+
+    @pytest.mark.parametrize("z, skipped, built", [(1, 0, 3), (7, 10, 0)])
+    def test_a_skipped_scan_is_priced_as_refs_and_booked_avoided(self, z, skipped, built):
+        _charged, _joined, operator, _ab = self._probe(unpruned=False, z=z)
+        tally = operator._probed[PORT_LEFT]
+        # The tally counts the entries REF's scan visits, skipped or not ...
+        assert (tally.arrivals, tally.offered, tally.visited, tally.built) == (1, 10, 10, built)
+        # ... so a skipped pair is priced at a probe step and a predicate
+        # evaluation (1 unit each) with no result, and the port's gate books
+        # the ten as avoided.
+        assert operator._hidden_pair_units(PORT_LEFT) == 2.0 + 4.0 * built / 10
+        assert operator.gates[PORT_LEFT].avoided_units == 2.0 * skipped
+
+    #: (y, z, w) of the ten C entries of the arity-2 probe: the first to
+    #: match both y = 1 and z = 1 is the fourth.
+    ENTRIES3 = (
+        (1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0), (0, 1, 0),
+        (1, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+    )
+
+    def _arity2_probe(self, unpruned: bool):
+        """ABD x C on ``A.y = C.y``, ``B.z = C.z`` and ``D.w = C.w`` at
+        ``max_mns_arity`` 2, probed by (y, z, w) = (1, 1, 7): no C entry has
+        w = 7, so D is settled unmatched and nothing joins, but the node {A, B}
+        lies apart from D and the scan runs until an entry kills it."""
+        context = ExecutionContext(window=Window(60.0))
+        predicate = JoinPredicate.equi(
+            [(("A", "y"), ("C", "y")), (("B", "z"), ("C", "z")), (("D", "w"), ("C", "w"))]
+        )
+        producer = JITJoinOperator("ABD", {"A", "B"}, {"D"}, predicate)
+        producer.connect_source(PORT_LEFT, "AB")
+        producer.connect_source(PORT_RIGHT, "D")
+        operator = JITJoinOperator(
+            "Op", {"A", "B", "D"}, {"C"}, predicate, config=JITConfig(max_mns_arity=2)
+        )
+        operator.connect_producer(PORT_LEFT, producer)
+        operator.connect_source(PORT_RIGHT, "C")
+        producer.attach(context)
+        operator.attach(context)
+        if unpruned:
+            shipped = operator.detectors[PORT_LEFT]
+            operator.detectors[PORT_LEFT] = UnprunedDetector(
+                shipped.components, shipped.attr_pairs_by_source, context, max_arity=2
+            )
+        for seq, (y, z, w) in enumerate(self.ENTRIES3):
+            operator.states[PORT_RIGHT].insert(make_tuple("C", 1.0, seq=seq, y=y, z=z, w=w))
+        results = []
+        operator.result_sink = results.append
+        ab = join_tuples(make_tuple("A", 2.0, y=1), make_tuple("B", 2.0, z=1))
+        abd = join_tuples(ab, make_tuple("D", 2.0, w=7))
+        charged = _charged(operator, lambda: operator.process(abd, PORT_LEFT))
+        return charged, results, operator, abd
+
+    def test_an_arity2_scan_with_an_unmatched_component_stops_once_no_node_can_die(self):
+        charged, results, operator, abd = self._arity2_probe(unpruned=False)
+        reference, reference_results, reference_operator, _abd = self._arity2_probe(unpruned=True)
+        assert results == reference_results == []
+        detector = operator.detectors[PORT_LEFT]
+        unpruned = reference_operator.detectors[PORT_LEFT]
+        assert detector.finish(abd) == unpruned.finish(abd)
+        assert [sig.items for sig in detector.finish(abd)] == [(("D", "w", 7),)]
+        assert operator.stats == reference_operator.stats
+        assert operator.stats["suspensions_sent"] == 1
+        assert charged == {
+            CostKind.INSERT: 1,
+            # Three indexes built over the ten entries, a lookup each, and the
+            # producer's lookup of {D.w = 7}'s super-tuples.
+            CostKind.HASH: 3 * 10 + 3 + 1,
+            # A's and B's lookups examine one entry each; the scan stops at
+            # the fourth entry, the first with y = 1 and z = 1.
+            CostKind.PROBE_STEP: 2 + 4,
+            # A's and B's conditions per entry scanned; D's, and so the join
+            # test, never.
+            CostKind.PREDICATE_EVAL: 2 * 4,
+            # Settling: 6 nodes alive at A's lookup, 5 at B's; the scan: 4 per
+            # entry; the finish phase: {D}, {A, D} and {B, D}.
+            CostKind.LATTICE_NODE: 6 + 5 + 4 * 4 + 3,
+            CostKind.FEEDBACK_MESSAGE: 1,
+        }
+        # The unpruned probe evaluates all three components against every entry.
+        assert reference[CostKind.PROBE_STEP] == 10
+        assert reference[CostKind.PREDICATE_EVAL] == 3 * 10
+        # The six entries left unscanned are priced as REF's and booked avoided.
+        assert operator._probed[PORT_LEFT].visited == 10
+        assert operator.gates[PORT_LEFT].avoided_units == 2.0 * 6
 
     @pytest.mark.parametrize("z", [1, 7])
     def test_results_and_their_order_are_those_of_the_unpruned_probe(self, z):
@@ -491,6 +591,40 @@ class TestDetectingProbe:
         assert {k: v for k, v in op2.stats.items() if k != "detections_settled"} == {
             k: v for k, v in reference.items() if k != "detections_settled"
         }
+
+
+class TestReplayLookups:
+    """A resumed tuple's nested-loop replay first looks each of its components
+    up in the opposite state (``OperatorState.any_live``), and scans only when
+    every one has a present partner: otherwise no entry joins.  The replayed
+    AB tuple meets ``_top_join``'s ten C entries with no watermark."""
+
+    @pytest.mark.parametrize(
+        "y, z, joined, lookups",
+        [
+            # Both components have a partner: two lookups, then the scan.
+            (1, 1, [3, 6, 8], {CostKind.HASH: 2 * 10 + 2, CostKind.PROBE_STEP: 2}),
+            # B has none: two lookups and no scan.
+            (1, 7, [], {CostKind.HASH: 2 * 10 + 2, CostKind.PROBE_STEP: 1}),
+            # A has none: B is never looked up.
+            (5, 1, [], {CostKind.HASH: 10 + 1}),
+        ],
+    )
+    def test_a_replay_looks_its_components_up_before_it_scans(self, y, z, joined, lookups):
+        operator = _top_join()
+        ab = join_tuples(make_tuple("A", 2.0, y=y), make_tuple("B", 2.0, z=z))
+        produced = []
+        charged = _charged(
+            operator, lambda: produced.extend(operator._join_resumed(ab, PORT_LEFT))
+        )
+        assert [r.component("C").seq for r in produced] == joined
+        scan = {CostKind.PROBE_STEP: 10, CostKind.PREDICATE_EVAL: 15} if joined else {}
+        expected = {CostKind.INSERT: 1}  # the replayed tuple re-enters its state
+        for part in (lookups, scan):
+            for kind, count in part.items():
+                expected[kind] = expected.get(kind, 0) + count
+        assert charged == expected
+        assert len(operator.states[PORT_LEFT]) == 1
 
 
 class TestPinnedOpenDifferential:

@@ -28,12 +28,10 @@ import json
 import sys
 from pathlib import Path
 from typing import Dict
-from unittest import mock
 
 import pytest
 
-from repro.engine import run_workload
-from repro.experiments import figures, runner
+from repro.experiments import figures
 from repro.experiments.figures import FigureResult
 from repro.experiments.reporting import format_figure, moved
 from repro.metrics import CostKind, CostWeights
@@ -57,9 +55,8 @@ def units(counters: dict, index: int, weights: dict) -> float:
     return sum(weights[kind] * counters[kind][index] for kind in CostKind.ALL)
 
 
-def figure_record(result: FigureResult, counters: list) -> dict:
-    """One figure's committed numbers; ``counters`` holds its runs' counts in
-    run order (each point's REF run, then its JIT run)."""
+def figure_record(result: FigureResult) -> dict:
+    """One figure's committed numbers."""
     strategies = (STRATEGY_REF, STRATEGY_JIT)
     record = {
         "title": result.title,
@@ -71,15 +68,18 @@ def figure_record(result: FigureResult, counters: list) -> dict:
                 "cpu_units": result.series("cpu_units", strategy),
                 "peak_memory_kb": result.series("peak_memory_kb", strategy),
                 "results": result.series("result_count", strategy),
-                "counters": {kind: [run[kind] for run in counters[offset::2]] for kind in CostKind.ALL},
+                "counters": {
+                    kind: [point.runs[strategy].counters[kind] for point in result.points]
+                    for kind in CostKind.ALL
+                },
             }
-            for offset, strategy in enumerate(strategies)
+            for strategy in strategies
         },
         "ref_over_jit_cpu_units": result.speedups(),
     }
     weights = CostWeights().as_dict()
     assert all(units(record[s]["counters"], i, weights) == cpu for s in strategies
-               for i, cpu in enumerate(record[s]["cpu_units"])), "counts paired with the wrong run"
+               for i, cpu in enumerate(record[s]["cpu_units"])), "counts do not sum to the run's cpu_units"
     return record
 
 
@@ -101,29 +101,16 @@ def weight_grid(record: dict) -> str:
             f"direction holds at {tried - len(flips)} of {tried}" + "".join(flips))
 
 
-def run_figure(number: str) -> tuple:
-    """Figure ``number`` at ``SCALE``, and each run's counts in run order.
-
-    A sweep keeps only each run's totals, so the counts are read off the
-    run reports as the sweep makes them.
-    """
-    counters = []
-
-    def run_and_count(*args, **kwargs):
-        report = run_workload(*args, **kwargs)
-        counters.append(dict(report.metrics.counters))
-        return report
-
-    with mock.patch.object(runner, "run_workload", run_and_count):
-        result = getattr(figures, f"figure{number}")(scale=SCALE)
-    return result, counters
+def run_figure(number: str) -> FigureResult:
+    """Figure ``number`` at ``SCALE``."""
+    return getattr(figures, f"figure{number}")(scale=SCALE)
 
 
 def record_all(show: bool = False) -> dict:
     records = {}
     for number in FIGURES:
-        result, counters = run_figure(number)
-        records[f"figure{number}"] = figure_record(result, counters)
+        result = run_figure(number)
+        records[f"figure{number}"] = figure_record(result)
         if show:
             print(format_figure(result))
             print(weight_grid(records[f"figure{number}"]) + "\n")
@@ -139,10 +126,10 @@ def test_figure(number):
     """Figure ``number`` reproduces its committed points bit for bit."""
     committed = load()
     assert committed.get("scale") == SCALE
-    result, counters = run_figure(number)
+    result = run_figure(number)
     print()
     print(format_figure(result))
-    lines = moved(committed["figures"][f"figure{number}"], figure_record(result, counters))
+    lines = moved(committed["figures"][f"figure{number}"], figure_record(result))
     assert not lines, "\n".join(lines)
 
 

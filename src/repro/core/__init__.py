@@ -17,12 +17,11 @@ This sub-package implements the JIT feedback mechanism of Yang & Papadias
   tuples.
 * :mod:`repro.core.detection_gate` -- the per-port gate that rests MNS
   detection while it costs more than its suspensions save.
-* :mod:`repro.core.production_control` -- classification of Type I / Type II
-  / Ø MNSs at a producer, which acts on Type I and Ø and ignores Type II
-  (Section IV-B).
 * :mod:`repro.core.jit_join` -- :class:`JITJoinOperator`, the binary window
   join augmented with the full consumer- and producer-side JIT machinery
-  (Figure 6).
+  (Figure 6).  As a producer it acts on Type I and Ø MNSs and ignores
+  Type II ones (Section IV-B); a resumption returns the partial results it
+  produced to the consumer that sent it.
 * :mod:`repro.core.config` -- :class:`JITConfig`, the choices the paper
   leaves open ("practical implementations ... have a high degree of
   flexibility"): which MNSs a consumer detects (the CNS lattice up to some
@@ -42,7 +41,6 @@ from repro.core.mns_detection import (
 )
 from repro.core.mns_buffer import MNSBuffer, MNSBufferEntry
 from repro.core.blacklist import Blacklist, BlacklistEntry, SuspendedTuple
-from repro.core.production_control import classify_signature
 from repro.core.jit_join import JITJoinOperator
 
 __all__ = [
@@ -64,6 +62,5 @@ __all__ = [
     "Blacklist",
     "BlacklistEntry",
     "SuspendedTuple",
-    "classify_signature",
     "JITJoinOperator",
 ]

@@ -82,28 +82,6 @@ class Feedback:
         """Build a ``<resume, Π>`` message."""
         return cls(FeedbackKind.RESUME, tuple(signatures))
 
-    # -- helpers --------------------------------------------------------------------
-
-    def single(self) -> MNSSignature:
-        """Return the only signature of a single-MNS message.
-
-        Producer-side routines handle each MNS independently (Section IV-B);
-        :meth:`split` turns a multi-MNS message into single-MNS ones, and this
-        accessor documents call sites that rely on that normalization.
-        """
-        if len(self.signatures) != 1:
-            raise ValueError(f"expected a single-MNS feedback, got {len(self.signatures)}")
-        return self.signatures[0]
-
-    def split(self) -> Tuple["Feedback", ...]:
-        """Split a multi-MNS message into one message per MNS."""
-        if len(self.signatures) == 1:
-            return (self,)
-        return tuple(
-            Feedback(self.kind, (sig,), permanent=self.permanent, origin=self.origin)
-            for sig in self.signatures
-        )
-
     def __str__(self) -> str:
         sigs = ", ".join(str(s) for s in self.signatures)
         flag = ", permanent" if self.permanent else ""

@@ -6,13 +6,14 @@
 **As a consumer** (``Process_Input``), for every input tuple ``t`` it
 
 1. probes ``t`` against the MNS buffer of the *opposite* port and, on a hit,
-   sends a resumption feedback to the opposite producer;
+   sends a resumption feedback to the opposite producer, which returns the
+   postponed partial results;
 2. probes ``t`` against the opposite operator state, emitting join results,
    after the configured MNS detector has settled what index lookups can
    answer, and feeding it the rest per entry (the paper's "combined with a
    nested loop join" of Section IV-A);
-3. retrieves the postponed partial results from the opposite producer, joins
-   them with ``t`` and appends them to the opposite state;
+3. joins the partial results step 1 returned with ``t`` and appends them to
+   the opposite state;
 4. stores newly detected MNSs in its MNS buffer and sends a suspension
    feedback to ``t``'s producer.
 
@@ -22,7 +23,7 @@ performing dynamic production control (Section IV-B): suspension moves
 (similar) super-tuples of the MNS from the state into a blacklist and aborts
 the probe in progress if it concerns such a tuple; resumption generates
 exactly the partial results that were skipped, using per-tuple watermarks,
-and hands them back to the consumer.
+and returns them to the consumer as the answer to its feedback call.
 
 Implementation notes (all recorded in docs/JIT.md):
 
@@ -107,12 +108,6 @@ from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import Feedback, FeedbackKind
 from repro.core.mns_buffer import MNSBuffer
 from repro.core.mns_detection import MNSDetector, build_detector
-from repro.core.production_control import (
-    SIDE_BOTH,
-    SIDE_EMPTY,
-    SIDE_LEFT,
-    classify_signature,
-)
 from repro.core.signature import MNSSignature
 from repro.metrics import CostKind
 from repro.operators.base import PORT_LEFT, PORT_RIGHT, Operator
@@ -234,7 +229,6 @@ class JITJoinOperator(BinaryJoinOperator):
         #: How many blacklist records this operator has made, over both ports:
         #: the clock of ``SuspendedTuple.created`` and ``.ended``.
         self._moment = 0
-        self._pending_resume: Dict[Tuple[MNSSignature, ...], List[StreamTuple]] = {}
         self._last_jit_purge = float("-inf")
         #: Statistics exposed to the experiment harness and tests.
         self.stats: Dict[str, int] = {
@@ -346,8 +340,7 @@ class JITJoinOperator(BinaryJoinOperator):
         # even when ``t`` itself is about to be parked, it is still the
         # arrival that proves a missing partner exists, and suppressing the
         # resumption would strand the suspended tuples upstream forever.
-        opposite_producer = self.producer_of(opp)
-        resume_feedback = self._probe_mns_buffer(tup, opp)
+        resumed = self._probe_mns_buffer(tup, opp)
 
         # Producer-side diversion: a new arrival similar to a suspended MNS is
         # parked (or dropped, for permanent suspensions) without any probing.
@@ -362,12 +355,12 @@ class JITJoinOperator(BinaryJoinOperator):
                 if entry.gate is not None:
                     # The probe REF runs here met every opposite entry it holds.
                     entry.gate.avoid(self._hidden_pair_units(port) * len(self.states[opp]))
-                if resume_feedback is not None:
-                    # The resumed partials still belong in the opposite state.
-                    # ``t`` is parked with an empty watermark, so its eventual
-                    # replay joins them exactly once — emitting here would
-                    # double-count.
-                    self._restore_resumed(opposite_producer, resume_feedback, port)
+                # The resumed partials still belong in the opposite state.
+                # ``t`` is parked with an empty watermark, so its eventual
+                # replay joins them exactly once — emitting here would
+                # double-count.
+                for partial in resumed:
+                    self.states[opp].insert(partial)
                 if not entry.permanent:
                     self._moment += 1
                     blacklist.add_suspended(
@@ -412,9 +405,8 @@ class JITJoinOperator(BinaryJoinOperator):
             # The settling lookups spared REF's scan of these entries.
             self.gates[port].avoid(self._hidden_pair_units(port) * probe.skipped)
 
-        # Lines 14-17: retrieve and integrate the resumed partial results.
-        if resume_feedback is not None and opposite_producer is not None:
-            resumed = opposite_producer.produce_suspended(resume_feedback)
+        # Lines 14-17: integrate the resumed partial results.
+        if resumed:
             self._integrate_resumed(
                 tup, port, resumed, own_entry, detector if should_detect else None
             )
@@ -752,40 +744,33 @@ class JITJoinOperator(BinaryJoinOperator):
 
     # ------------------------------------------------------------------ feedback plumbing
 
-    def _probe_mns_buffer(self, tup: StreamTuple, opp: str) -> Optional[Feedback]:
+    def _probe_mns_buffer(self, tup: StreamTuple, opp: str) -> List[StreamTuple]:
         """Process_Input lines 4-9: match ``tup`` against the opposite MNS
         buffer and send one resumption for everything it matched.
 
         Matched entries are removed from the buffer *before* the feedback is
         sent, so re-entrant arrivals produced by the resumption cannot
-        trigger it again.  Returns the sent feedback (to pass to
-        :meth:`produce_suspended`), or None when nothing matched.
+        trigger it again.  Returns the partial results the resumption handed
+        back (none when nothing matched).  A buffer holds MNSs only on a port
+        whose producer controls production (:meth:`_finish_detection`).
         """
-        opposite_producer = self.producer_of(opp)
-        if not len(self.mns_buffers[opp]) or opposite_producer is None:
-            return None
+        buffer = self.mns_buffers[opp]
+        if not len(buffer):
+            return []
         cost = self.require_context().cost
         mark = cost.cpu_units
-        feedback = self._resume_matched(tup, opp, opposite_producer)
+        resumed: List[StreamTuple] = []
+        signatures = [entry.signature for entry in buffer.match(tup)]
+        if signatures:
+            for signature in signatures:
+                buffer.remove(signature)
+            resumed = self._send_feedback(self.producer_of(opp), Feedback.resume(signatures))
         self.gates[opp].spend(cost.cpu_units - mark)
-        return feedback
+        return resumed
 
-    def _resume_matched(
-        self, tup: StreamTuple, opp: str, opposite_producer: Operator
-    ) -> Optional[Feedback]:
-        matched = self.mns_buffers[opp].match(tup)
-        if not matched or not opposite_producer.supports_production_control():
-            return None
-        signatures = []
-        for entry in matched:
-            self.mns_buffers[opp].remove(entry.signature)
-            signatures.append(entry.signature)
-        feedback = Feedback.resume(tuple(signatures))
-        self._send_feedback(opposite_producer, feedback)
-        return feedback
-
-    def _send_feedback(self, target: "JITJoinOperator", feedback: Feedback) -> None:
-        """Send ``feedback`` to ``target``, with cost and per-signature stats.
+    def _send_feedback(self, target: "JITJoinOperator", feedback: Feedback) -> List[StreamTuple]:
+        """Send ``feedback`` to ``target``, with cost and per-signature stats;
+        return what ``target`` answered (the partials of a resumption).
 
         Sent counters are incremented once per MNS signature — the same
         granularity :meth:`handle_feedback` uses for the received counters —
@@ -798,43 +783,50 @@ class JITJoinOperator(BinaryJoinOperator):
             self.stats["suspensions_sent"] += len(feedback.signatures)
         else:
             self.stats["resumptions_sent"] += len(feedback.signatures)
-        target.handle_feedback(feedback, self)
-
-    def _restore_resumed(
-        self, producer: "JITJoinOperator", resume_feedback: Feedback, port: str
-    ) -> None:
-        """Append resumed partials to the opposite state without joining them.
-
-        Used when the triggering arrival was itself diverted: its blacklist
-        replay will join the partials later, so they only need to be restored
-        into the state here.
-        """
-        opposite_state = self.states[opposite_port(port)]
-        for partial in producer.produce_suspended(resume_feedback):
-            opposite_state.insert(partial)
+        return target.handle_feedback(feedback, self)
 
     # ------------------------------------------------------------------ producer side
 
-    def handle_feedback(self, feedback: Feedback, from_consumer: Operator) -> None:
-        """``Handle_Feedback`` (Figure 6): propagate, then adjust production."""
+    def handle_feedback(self, feedback: Feedback, from_consumer: Operator) -> List[StreamTuple]:
+        """``Handle_Feedback`` (Figure 6): propagate, then adjust production.
+
+        Returns the partial results a resumption produced, in replay order
+        (none for a suspension).
+        """
         context = self.require_context()
         now = context.now
         context.notify_feedback(self, from_consumer, feedback.kind, feedback)
-        for single in feedback.split():
-            signature = single.single()
-            if single.kind == FeedbackKind.SUSPEND:
+        resumed: List[StreamTuple] = []
+        for signature in feedback.signatures:
+            if feedback.kind == FeedbackKind.SUSPEND:
                 self.stats["suspensions_received"] += 1
                 self._suspend_production(
-                    signature, now, permanent=single.permanent, gate=single.origin
+                    signature, now, permanent=feedback.permanent, gate=feedback.origin
                 )
             else:
                 self.stats["resumptions_received"] += 1
-                results = self._resume_production(signature)
-                self._pending_resume.setdefault(feedback.signatures, []).extend(results)
+                resumed.extend(self._resume_production(signature))
+        return resumed
 
-    def produce_suspended(self, feedback: Feedback) -> List[StreamTuple]:
-        """Return the partial results prepared for ``feedback`` by the last resume."""
-        return self._pending_resume.pop(feedback.signatures, [])
+    def _ports_of(self, signature: MNSSignature) -> Tuple[str, ...]:
+        """The input ports an MNS concerns (Section IV-B): both for Ø, the one
+        its components come from for Type I, none for Type II, which spans
+        both inputs and is ignored.
+
+        Raises ``ValueError`` for a signature covering sources outside both
+        inputs: the feedback was routed to the wrong producer.
+        """
+        covered = signature.source_set
+        if not covered:
+            return self.ports
+        unknown = covered - self.output_sources()
+        if unknown:
+            raise ValueError(
+                f"signature {signature} covers sources {sorted(unknown)} outside "
+                f"{self.name}'s inputs {sorted(self.left_sources)} / {sorted(self.right_sources)}"
+            )
+        ports = tuple(port for port in self.ports if covered & self.input_sources(port))
+        return ports if len(ports) == 1 else ()
 
     # -- suspension ---------------------------------------------------------------
 
@@ -845,14 +837,14 @@ class JITJoinOperator(BinaryJoinOperator):
         permanent: bool = False,
         gate: Optional[DetectionGate] = None,
     ) -> None:
-        side = classify_signature(signature, self.left_sources, self.right_sources)
-        if side == SIDE_EMPTY:
+        if signature.is_empty:
             self._suspend_all(signature, now, gate)
             return
-        if side == SIDE_BOTH:
+        ports = self._ports_of(signature)
+        if not ports:
             # Type II MNS: declining to act is always legal (Section IV-B).
             return
-        port = PORT_LEFT if side == SIDE_LEFT else PORT_RIGHT
+        (port,) = ports
         blacklist = self.blacklists[port]
         entry = blacklist.ensure_entry(signature, now, permanent=permanent, gate=gate)
 
@@ -860,7 +852,7 @@ class JITJoinOperator(BinaryJoinOperator):
         if not permanent:
             upstream = self.producer_of(port)
             if upstream is not None and upstream.supports_production_control():
-                self._propagate(Feedback.suspend((signature,), origin=entry.gate), port)
+                self._send_feedback(upstream, Feedback.suspend((signature,), origin=entry.gate))
                 entry.propagated_upstream = True
 
         # Move (similar) super-tuples of the MNS from the state to the blacklist.
@@ -921,75 +913,43 @@ class JITJoinOperator(BinaryJoinOperator):
             for port in self.ports:
                 upstream = self.producer_of(port)
                 if upstream is not None and upstream.supports_production_control():
-                    self._propagate(Feedback.suspend((signature,), origin=gate), port)
+                    self._send_feedback(upstream, Feedback.suspend((signature,), origin=gate))
                     entry = self.blacklists[port].entry(signature)
                     if entry is not None:
                         entry.propagated_upstream = True
 
-    def _propagate(self, feedback: Feedback, port: str) -> None:
-        upstream = self.producer_of(port)
-        if upstream is None or not upstream.supports_production_control():
-            return
-        self._send_feedback(upstream, feedback)
-
     # -- resumption ----------------------------------------------------------------
 
     def _resume_production(self, signature: MNSSignature) -> List[StreamTuple]:
-        side = classify_signature(signature, self.left_sources, self.right_sources)
-        if side == SIDE_EMPTY:
-            return self._resume_all(signature)
-        if side == SIDE_BOTH:
-            return []
-        port = PORT_LEFT if side == SIDE_LEFT else PORT_RIGHT
-        return self._resume_port(signature, port)
+        """``Resume_Production``: the partial results suppressed for
+        ``signature``, port by port.
 
-    def _resume_port(self, signature: MNSSignature, port: str) -> List[StreamTuple]:
-        """Produce the super-tuples of ``signature`` that were suppressed on ``port``."""
-        blacklist = self.blacklists[port]
-        entry = blacklist.pop_entry(signature)
+        Rule (i) of Section III-C: a port whose suspension was propagated (to
+        a producer that controls production) resumes upstream first, and the
+        partials upstream returns are new inputs for that port.  The port
+        replays its suspended tuples, then those partials; a Ø suspension
+        parked both inputs, and each port replays its backlog in timestamp
+        order.
+        """
+        ports = self._ports_of(signature)
         results: List[StreamTuple] = []
-
-        # Rule (i) of Section III-C: propagate before handling.  Upstream
-        # returns the partial results it had suppressed; they are new inputs
-        # for this operator's ``port`` side.
-        upstream_new: List[StreamTuple] = []
-        if entry is not None and entry.propagated_upstream:
-            upstream = self.producer_of(port)
-            if upstream is not None and upstream.supports_production_control():
-                resume = Feedback.resume((signature,))
-                self._send_feedback(upstream, resume)
-                upstream_new = upstream.produce_suspended(resume)
-
-        if entry is not None:
-            for suspended in entry.suspended:
-                results.extend(self._join_resumed(suspended.tuple, port, suspended))
-        for partial in upstream_new:
-            results.extend(self._join_resumed(partial, port))
-        return results
-
-    def _resume_all(self, signature: MNSSignature) -> List[StreamTuple]:
-        """Resume a Ø suspension by replaying the buffered inputs in order."""
-        results: List[StreamTuple] = []
-        for port in (PORT_LEFT, PORT_RIGHT):
-            blacklist = self.blacklists[port]
-            entry = blacklist.pop_entry(signature)
+        for port in ports:
+            entry = self.blacklists[port].pop_entry(signature)
+            if entry is None:
+                continue
             upstream_new: List[StreamTuple] = []
-            if entry is not None and entry.propagated_upstream:
-                upstream = self.producer_of(port)
-                if upstream is not None and upstream.supports_production_control():
-                    resume = Feedback.resume((signature,))
-                    self._send_feedback(upstream, resume)
-                    upstream_new = upstream.produce_suspended(resume)
-            backlog: List[Tuple[float, object]] = []
-            if entry is not None:
-                backlog.extend((s.tuple.ts, s) for s in entry.suspended)
-            backlog.extend((t.ts, t) for t in upstream_new)
-            backlog.sort(key=lambda item: item[0])
-            for _ts, item in backlog:
-                if isinstance(item, SuspendedTuple):
-                    results.extend(self._join_resumed(item.tuple, port, item))
-                else:
-                    results.extend(self._join_resumed(item, port))
+            if entry.propagated_upstream:
+                upstream_new = self._send_feedback(
+                    self.producer_of(port), Feedback.resume((signature,))
+                )
+            backlog: List[Tuple[StreamTuple, Optional[SuspendedTuple]]] = [
+                (suspended.tuple, suspended) for suspended in entry.suspended
+            ]
+            backlog.extend((partial, None) for partial in upstream_new)
+            if signature.is_empty:
+                backlog.sort(key=lambda item: item[0].ts)
+            for tup, record in backlog:
+                results.extend(self._join_resumed(tup, port, record))
         return results
 
     def _join_resumed(
@@ -1035,9 +995,8 @@ class JITJoinOperator(BinaryJoinOperator):
         context = self.require_context()
         window = context.window
         opp = opposite_port(port)
-        resume_feedback = self._probe_mns_buffer(tup, opp)
-        if resume_feedback is not None:
-            self._restore_resumed(self.producer_of(opp), resume_feedback, port)
+        for partial in self._probe_mns_buffer(tup, opp):
+            self.states[opp].insert(partial)
         watermark = upto_order = -1
         met_seqs: FrozenSet[int] = frozenset()
         if record is not None:
@@ -1107,11 +1066,8 @@ class JITJoinOperator(BinaryJoinOperator):
                 # their upkeep, so all of them are handed back now.
                 dead = self.mns_buffers[port].purge(lambda sig: False)
             for entry in dead:
-                if not producer.supports_production_control():
-                    continue
                 cancel = Feedback.resume((entry.signature,))
-                self._send_feedback(producer, cancel)
-                for partial in producer.produce_suspended(cancel):
+                for partial in self._send_feedback(producer, cancel):
                     self.states[port].insert(partial)
             self.gates[port].spend(cost.cpu_units - mark)
 

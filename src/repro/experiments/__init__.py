@@ -29,7 +29,6 @@ from repro.experiments.figures import (
     figure15,
     figure16,
     figure17,
-    all_figures,
 )
 from repro.experiments.reporting import format_figure, format_sweep_table
 
@@ -52,7 +51,6 @@ __all__ = [
     "figure15",
     "figure16",
     "figure17",
-    "all_figures",
     "format_figure",
     "format_sweep_table",
 ]

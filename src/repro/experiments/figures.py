@@ -11,7 +11,7 @@ against the numbers committed in ``benchmarks/BENCH_figures.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import JITConfig, RetentionPolicy
 from repro.experiments.config import BUSHY_DEFAULTS, LEFT_DEEP_DEFAULTS, TABLE_III, ExperimentSetting
@@ -28,7 +28,6 @@ __all__ = [
     "figure15",
     "figure16",
     "figure17",
-    "all_figures",
 ]
 
 
@@ -158,21 +157,3 @@ def figure17(scale: float = 0.1, seed: Optional[int] = None,
     """Figure 17: overhead vs. maximum data value dmax (left-deep plan)."""
     return _figure("Figure 17", "Overhead vs max data value dmax (left-deep plan)",
                    LEFT_DEEP_DEFAULTS, "left_deep", "dmax", "dmax", scale, seed, values)
-
-
-#: All figure generators keyed by figure number, in paper order.
-_ALL: Dict[str, Callable[..., FigureResult]] = {
-    "10": figure10,
-    "11": figure11,
-    "12": figure12,
-    "13": figure13,
-    "14": figure14,
-    "15": figure15,
-    "16": figure16,
-    "17": figure17,
-}
-
-
-def all_figures(scale: float = 0.1, seed: Optional[int] = None) -> List[FigureResult]:
-    """Regenerate every figure of the evaluation section."""
-    return [generator(scale=scale, seed=seed) for generator in _ALL.values()]

@@ -33,6 +33,8 @@ class StrategyRun:
     wall_seconds: float
     result_count: int
     events: int
+    #: Primitive-operation counts per ``CostKind``.
+    counters: Mapping[str, int]
 
     @classmethod
     def from_report(cls, strategy: str, report: RunReport) -> "StrategyRun":
@@ -43,6 +45,7 @@ class StrategyRun:
             wall_seconds=report.metrics.wall_seconds,
             result_count=report.result_count,
             events=report.events_processed,
+            counters=dict(report.metrics.counters),
         )
 
 

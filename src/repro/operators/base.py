@@ -18,8 +18,8 @@ primitives shared by every concrete operator:
   operator is never sent feedback, which is always legal ("OP may decide to
   ignore the message", Section III-A) and is exactly what the REF baseline
   does.  Only :class:`~repro.core.jit_join.JITJoinOperator` answers True and
-  implements the producer side (``handle_feedback``, ``suspension_alive``,
-  ``produce_suspended``).
+  implements the producer side: ``handle_feedback``, which returns the
+  partial results a resumption produced, and ``suspension_alive``.
 """
 
 from __future__ import annotations

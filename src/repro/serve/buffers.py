@@ -115,11 +115,6 @@ class BoundedIngestionBuffer:
         """True when the buffer holds ``capacity`` events."""
         return len(self._events) >= self.capacity
 
-    @property
-    def space(self) -> int:
-        """Remaining slots before the policy engages."""
-        return self.capacity - len(self._events)
-
     # -- ingest side ----------------------------------------------------------
 
     def offer(self, event: AtomicTuple) -> Tuple[str, List[AtomicTuple]]:

@@ -171,11 +171,6 @@ class Counter(_Metric):
             raise TelemetryError(f"counter {self.name!r} requires labels {self.labelnames}")
         self._default.inc(amount)
 
-    @property
-    def total(self) -> float:
-        """Sum over every labelled series."""
-        return sum(child.value for child in self._children.values())
-
     def value(self, **labels: object) -> float:
         """Current value of one series (0.0 if never incremented)."""
         if not self.labelnames:

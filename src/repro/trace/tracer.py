@@ -289,11 +289,6 @@ class Tracer:
         ctx = getattr(self._local, "ctx", None)
         return ctx is not None and ctx.sampled
 
-    @property
-    def current(self) -> Optional[TraceContext]:
-        """The current thread's trace context (None outside any trace)."""
-        return getattr(self._local, "ctx", None)
-
     def note_buffer_wait(self, seconds: float) -> None:
         """Record how long the next-ingested event waited in a serve buffer.
 

@@ -30,13 +30,6 @@ from repro.core.mns_detection import (
     LatticeMNSDetector,
     build_detector,
 )
-from repro.core.production_control import (
-    SIDE_BOTH,
-    SIDE_EMPTY,
-    SIDE_LEFT,
-    SIDE_RIGHT,
-    classify_signature,
-)
 from repro.core.signature import MNSSignature
 from repro.engine import ExecutionEngine
 from repro.engine.results import result_multiset
@@ -121,16 +114,6 @@ class TestFeedback:
             Feedback.suspend([])
         with pytest.raises(ValueError):
             Feedback.resume([sig]).__class__(FeedbackKind.RESUME, (sig,), permanent=True)
-
-    def test_split_and_single(self):
-        a = self._sig()
-        b = MNSSignature.from_components(make_tuple("B", 1.0, z=2), ("B",), [("B", "z")])
-        multi = Feedback.suspend([a, b])
-        parts = multi.split()
-        assert len(parts) == 2
-        assert parts[0].single() == a
-        with pytest.raises(ValueError):
-            multi.single()
 
 
 # --------------------------------------------------------------------------- CNS lattice
@@ -842,19 +825,84 @@ class TestProductionControl:
     def _sig(self, sources, attrs, tup):
         return MNSSignature.from_components(tup, sources, attrs)
 
-    def test_classify_type1_and_type2(self):
+    def _producer(self):
+        predicate = JoinPredicate.equi([(("A", "x"), ("C", "z"))])
+        return JITJoinOperator("J", {"A", "B"}, {"C", "D"}, predicate)
+
+    def test_ports_of_type1_type2_and_empty(self):
+        producer = self._producer()
         ab = join_tuples(make_tuple("A", 1.0, x=1), make_tuple("B", 1.0, y=2))
         a_sig = self._sig(("A",), [("A", "x")], ab)
-        assert classify_signature(a_sig, {"A", "B"}, {"C", "D"}) == SIDE_LEFT
+        assert producer._ports_of(a_sig) == (PORT_LEFT,)
         cd = join_tuples(make_tuple("C", 1.0, z=3), make_tuple("D", 1.0, w=4))
         d_sig = self._sig(("D",), [("D", "w")], cd)
-        assert classify_signature(d_sig, {"A", "B"}, {"C", "D"}) == SIDE_RIGHT
+        assert producer._ports_of(d_sig) == (PORT_RIGHT,)
         ac = join_tuples(make_tuple("A", 1.0, x=1), make_tuple("C", 1.0, z=3))
         ac_sig = self._sig(("A", "C"), [("A", "x"), ("C", "z")], ac)
-        assert classify_signature(ac_sig, {"A", "B"}, {"C", "D"}) == SIDE_BOTH
-        assert classify_signature(MNSSignature.empty(), {"A"}, {"B"}) == SIDE_EMPTY
+        assert producer._ports_of(ac_sig) == ()
+        assert producer._ports_of(MNSSignature.empty()) == (PORT_LEFT, PORT_RIGHT)
 
-    def test_classify_rejects_unknown_sources(self):
-        sig = self._sig(("A",), [("A", "x")], make_tuple("A", 1.0, x=1))
+    def test_ports_of_rejects_unknown_sources(self):
+        sig = self._sig(("E",), [("E", "x")], make_tuple("E", 1.0, x=1))
         with pytest.raises(ValueError):
-            classify_signature(sig, {"B"}, {"C"})
+            self._producer()._ports_of(sig)
+
+
+class TestResumptionReturnsItsPartials:
+    """``handle_feedback`` answers a resumption with the partial results it
+    produced, in replay order."""
+
+    def test_type1_replays_the_suspended_records_then_the_upstream_partials(self):
+        context = ExecutionContext(window=Window(60.0))
+        predicate = JoinPredicate.equi([(("A", "x"), ("B", "x")), (("A", "y"), ("C", "y"))])
+        upstream = JITJoinOperator("AB", {"A"}, {"B"}, predicate)
+        upstream.connect_source(PORT_LEFT, "A")
+        upstream.connect_source(PORT_RIGHT, "B")
+        producer = JITJoinOperator("Op", {"A", "B"}, {"C"}, predicate)
+        producer.connect_producer(PORT_LEFT, upstream)
+        producer.connect_source(PORT_RIGHT, "C")
+        upstream.attach(context)
+        producer.attach(context)
+        a1 = make_tuple("A", 1.0, seq=1, x=1, y=1)
+        producer.states[PORT_LEFT].insert(join_tuples(a1, make_tuple("B", 1.0, seq=1, x=1)))
+        producer.states[PORT_RIGHT].insert(make_tuple("C", 1.0, seq=1, y=1))
+        upstream.states[PORT_LEFT].insert(make_tuple("A", 2.0, seq=2, x=2, y=1))
+        signature = MNSSignature.from_components(a1, ("A",), [("A", "y")])
+        assert producer.handle_feedback(Feedback.suspend([signature]), producer) == []
+        assert producer.stats["suspensions_sent"] == 1  # propagated to AB
+        assert len(producer.states[PORT_LEFT]) == len(upstream.states[PORT_LEFT]) == 0
+        # Partners that arrive while the suspension holds.
+        upstream.states[PORT_RIGHT].insert(make_tuple("B", 3.0, seq=3, x=2))
+        producer.states[PORT_RIGHT].insert(make_tuple("C", 4.0, seq=4, y=1))
+        resumed = producer.handle_feedback(Feedback.resume([signature]), producer)
+        # a1b1 has met C1 and joins C4 alone; a2b3, resumed at AB, meets both.
+        assert [(r.component("A").seq, r.component("C").seq) for r in resumed] == [
+            (1, 4), (2, 1), (2, 4)
+        ]
+        assert producer.stats["resumptions_sent"] == upstream.stats["resumptions_received"] == 1
+
+    def test_empty_replays_each_port_in_timestamp_order(self):
+        context = ExecutionContext(window=Window(60.0))
+        predicate = JoinPredicate.equi([(("A", "x"), ("B", "x"))])
+        producer = JITJoinOperator("J", {"A"}, {"B"}, predicate)
+        producer.connect_source(PORT_LEFT, "A")
+        producer.connect_source(PORT_RIGHT, "B")
+        producer.attach(context)
+        producer.result_sink = lambda t: pytest.fail("a parked arrival emitted")
+        producer.states[PORT_RIGHT].insert(make_tuple("B", 0.5, seq=0, x=1))
+        signature = MNSSignature.empty()
+        producer.handle_feedback(Feedback.suspend([signature]), producer)
+        context.clock.advance_to(3.0)
+        # Parked out of timestamp order.
+        for tup, port in (
+            (make_tuple("A", 3.0, seq=3, x=1), PORT_LEFT),
+            (make_tuple("B", 2.0, seq=2, x=1), PORT_RIGHT),
+            (make_tuple("A", 1.0, seq=1, x=1), PORT_LEFT),
+        ):
+            producer.process(tup, port)
+        assert producer.stats["tuples_diverted"] == 3
+        resumed = producer.handle_feedback(Feedback.resume([signature]), producer)
+        # The left backlog first, a1 before a3, each joining b0; then b2 meets both.
+        assert [(r.component("A").seq, r.component("B").seq) for r in resumed] == [
+            (1, 0), (3, 0), (1, 2), (3, 2)
+        ]

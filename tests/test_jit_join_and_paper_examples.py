@@ -305,7 +305,7 @@ class TestJITJoinOperatorUnit:
         for op in others:
             assert not op.supports_production_control()
             # The producer side of the protocol exists on the JIT join alone.
-            for name in ("handle_feedback", "suspension_alive", "produce_suspended"):
+            for name in ("handle_feedback", "suspension_alive"):
                 assert not hasattr(op, name)
 
     def test_a_type2_mns_is_ignored(self, context):
@@ -325,9 +325,7 @@ class TestJITJoinOperatorUnit:
         op.process(a, PORT_LEFT)
         op.process(b, PORT_RIGHT)
         assert len(results) == 1
-        resume = Feedback.resume([type2])
-        op.handle_feedback(resume, op)
-        assert op.produce_suspended(resume) == []
+        assert op.handle_feedback(Feedback.resume([type2]), op) == []
         # A Type I MNS on the same operator is acted on.
         type1 = MNSSignature.from_components(a, ("A",), [("A", "x")])
         op.handle_feedback(Feedback.suspend([type1]), op)

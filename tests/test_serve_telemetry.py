@@ -56,7 +56,6 @@ class TestCounter:
         assert counter.value(source="A") == 2
         assert counter.value(source="B") == 1
         assert counter.value(source="C") == 0
-        assert counter.total == 3
 
     def test_labelless_inc_on_labelled_counter_raises(self):
         counter = Counter("events_total", "x", ("source",))

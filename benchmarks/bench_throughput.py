@@ -62,7 +62,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.engine import ExecutionMode, run_workload
+from repro.engine import run_workload
 from repro.engine.results import result_multiset
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 from repro.plans.builder import (
@@ -120,34 +120,31 @@ def _equi_workload(n_events: int, n_sources: int = 2, seed: int = 7):
 
 
 def bench_probe_paths(n_events: int = DEFAULT_EVENTS) -> Dict[str, Dict[str, float]]:
-    """Nested-loop vs. hash-indexed probes, per strategy and execution mode."""
+    """Nested-loop vs. hash-indexed probes per strategy, pushed synchronously."""
     workload = _equi_workload(n_events)
     query = ContinuousQuery.from_workload(workload)
     events = workload.events()
     out: Dict[str, Dict[str, float]] = {}
     baseline_results = None
     for strategy in (STRATEGY_REF, STRATEGY_JIT):
-        for mode in (ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED):
-            row: Dict[str, float] = {}
-            for label, use_index in (("nested_loop", False), ("hash_index", True)):
-                plan = build_xjoin_plan(
-                    query,
-                    shape=PLAN_LEFT_DEEP,
-                    strategy=strategy,
-                    use_hash_index=use_index,
-                )
-                start = time.perf_counter()
-                report = run_workload(plan, events, workload.window.length, mode=mode)
-                elapsed = time.perf_counter() - start
-                results = result_multiset(report.results.results)
-                if baseline_results is None:
-                    baseline_results = results
-                assert results == baseline_results, (
-                    f"{strategy}/{mode}/{label} changed the result set"
-                )
-                row[label] = len(events) / elapsed
-            row["speedup"] = row["hash_index"] / row["nested_loop"]
-            out[f"{strategy}/{mode}"] = row
+        row: Dict[str, float] = {}
+        for label, use_index in (("nested_loop", False), ("hash_index", True)):
+            plan = build_xjoin_plan(
+                query,
+                shape=PLAN_LEFT_DEEP,
+                strategy=strategy,
+                use_hash_index=use_index,
+            )
+            start = time.perf_counter()
+            report = run_workload(plan, events, workload.window.length)
+            elapsed = time.perf_counter() - start
+            results = result_multiset(report.results.results)
+            if baseline_results is None:
+                baseline_results = results
+            assert results == baseline_results, f"{strategy}/{label} changed the result set"
+            row[label] = len(events) / elapsed
+        row["speedup"] = row["hash_index"] / row["nested_loop"]
+        out[f"{strategy}/synchronous"] = row
     return out
 
 
@@ -587,7 +584,7 @@ def test_indexed_probe_speedup():
     table = bench_probe_paths(DEFAULT_EVENTS)
     print()
     print(_format(table, "probe paths (10k events)"))
-    sync_jit = table[f"{STRATEGY_JIT}/{ExecutionMode.SYNCHRONOUS}"]
+    sync_jit = table[f"{STRATEGY_JIT}/synchronous"]
     assert sync_jit["speedup"] >= 3.0, (
         f"expected >=3x from hash-indexed probes, got {sync_jit['speedup']:.2f}x"
     )

@@ -69,7 +69,7 @@ from repro.plans import (
     parse_cql,
 )
 from repro.plans.builder import STRATEGY_DOE, STRATEGY_JIT, STRATEGY_REF
-from repro.engine import ExecutionEngine, ExecutionMode, ResultCollector, RunReport, run_workload
+from repro.engine import ExecutionEngine, ResultCollector, RunReport, run_workload
 from repro.multi import (
     MultiRunReport,
     QueryRegistry,
@@ -129,7 +129,6 @@ __all__ = [
     "parse_cql",
     # engine
     "ExecutionEngine",
-    "ExecutionMode",
     "RunReport",
     "ResultCollector",
     "run_workload",

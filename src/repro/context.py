@@ -49,10 +49,11 @@ class ExecutionContext:
     clock: SimulationClock = field(default_factory=SimulationClock)
     cost: CostModel = field(default_factory=CostModel)
     memory: MemoryModel = field(default_factory=MemoryModel)
-    #: Observers of the feedback flow (Section III-B): the queued engine
-    #: registers its scheduler here so policies like ``jit_aware`` can boost
-    #: the producer that just received a resumption.  Feedback itself remains
-    #: a synchronous method call between operators; listeners only watch.
+    #: Observers of the feedback flow (Section III-B): a shard registers its
+    #: scheduler here for every hosted context, so policies like
+    #: ``jit_aware`` can boost the producer that just received a resumption.
+    #: Feedback itself remains a synchronous method call between operators;
+    #: listeners only watch.
     feedback_listeners: List[FeedbackListener] = field(default_factory=list)
     #: Optional :class:`~repro.trace.Tracer` observing this context (set by
     #: ``attach_tracer`` on the owning engine/shard).  Untyped to keep the
@@ -108,14 +109,3 @@ class ExecutionContext:
             listener(producer, consumer, kind)
         if self.tracer is not None:
             self.tracer.on_feedback(producer, consumer, kind, feedback)
-
-    def reset(self) -> None:
-        """Reset clock, metrics and listeners (used between experiment runs).
-
-        Feedback listeners are cleared because they belong to the engine of
-        one run; the next run's engine re-registers its own scheduler.
-        """
-        self.clock.reset()
-        self.cost.reset()
-        self.memory.reset()
-        self.feedback_listeners.clear()

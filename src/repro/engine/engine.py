@@ -1,71 +1,45 @@
 """The execution engine: drive an execution plan over a stream of arrivals.
 
-Two execution modes are supported, mirroring the two settings the paper
-discusses in Section III-B:
+Section III-B of the paper has two execution settings:
 
-* **Synchronous** (default): every arrival is pushed depth-first through the
-  plan; an operator's emission is processed by its consumer before the
-  operator continues.  Feedback therefore takes effect immediately, which is
-  the paper's "upon receiving f, OP suspends its current work and immediately
-  handles f" policy.  All figure benchmarks run in this mode.
+* **Synchronous**: every arrival is pushed depth-first through the plan; an
+  operator's emission is processed by its consumer before the operator
+  continues, so feedback takes effect at once — the paper's "upon receiving
+  f, OP suspends its current work and immediately handles f".
+  :class:`ExecutionEngine` runs one plan this way, as every figure does.
 * **Queued**: every producer/consumer edge (and every source input) gets an
-  inter-operator queue, and an operator scheduler decides which operator
-  consumes next.  Feedback is still delivered synchronously (method call),
-  as the paper requires, but ordinary tuples flow through queues.
+  inter-operator queue, and an operator scheduler picks the operator that
+  consumes next; feedback is still a synchronous method call.
+  :class:`~repro.multi.shard.ShardEngine` runs this setting for one plan or
+  many with the two functions below: :func:`wire_queued_plan` gives every
+  queue a readiness listener that feeds the scheduler its empty<->non-empty
+  deltas (nothing scans the queues), and :func:`drain_ready` asks the
+  scheduler's ``pop_next()`` once per step, O(log ready).
 
-Both modes must — and, per the test suite, do — produce the same result set.
-
-Queued-mode hot-path design:
-
-* **Ready-set deltas.**  Every queue carries a readiness listener that fires
-  on its empty<->non-empty transitions and feeds the scheduler directly
-  (``on_ready`` / ``on_unready``); nothing scans the queues.
-* **One drain loop.**  :func:`drain_ready` — shared with the sharded engine's
-  :class:`~repro.multi.shard.ShardEngine` — asks ``pop_next()`` per step,
-  pops one tuple, reports the new head (``on_head_change``) and runs the
-  operator.  The policies answer from lazy heaps keyed on head timestamps,
-  tie-breaking on the stable registration index, so one scheduling step
-  costs O(log ready).
-* **Feedback-aware scheduling.**  The engine registers its scheduler as a
-  feedback listener on the execution context; operators notify the context
-  whenever a suspension/resumption message is delivered, which lets
-  ``jit_aware`` apply the paper's Section III-B priority boosts.
-* **One ingestion path.**  Every arrival enters through
-  :meth:`ExecutionEngine.process_event` (``submit``), which advances the
-  clock, delivers the tuple and drains to completion: the paper's
-  purge-probe-insert once per arrival.
+Both settings produce the same result multiset; the test suite checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.context import ExecutionContext
 from repro.engine.results import ResultCollector
 from repro.metrics import CostKind, MetricsReport
 from repro.operators.queues import InterOperatorQueue
 from repro.plans.plan import ExecutionPlan
-from repro.scheduler import OperatorScheduler, ReadyInput, build_scheduler
+from repro.scheduler import OperatorScheduler, ReadyInput
+from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
 __all__ = [
-    "ExecutionMode",
     "RunReport",
     "ExecutionEngine",
     "run_workload",
     "wire_queued_plan",
     "drain_ready",
 ]
-
-
-class ExecutionMode:
-    """Names of the supported execution modes."""
-
-    SYNCHRONOUS = "synchronous"
-    QUEUED = "queued"
-
-    ALL = (SYNCHRONOUS, QUEUED)
 
 
 @dataclass
@@ -101,17 +75,18 @@ class RunReport:
         )
 
 
-# -- queued-mode machinery (shared with the sharded multi-query engine) ----------
+# -- the queued setting's machinery (run by ShardEngine) --------------------------
 
 
 def wire_queued_plan(
     plan: ExecutionPlan,
     context: ExecutionContext,
     scheduler: OperatorScheduler,
-    order_start: int = 0,
-    queue_prefix: str = "",
+    order_start: int,
+    queue_prefix: str,
 ) -> Tuple[Dict[Tuple[int, str], InterOperatorQueue], List[ReadyInput]]:
-    """Create one input queue per operator port of ``plan`` and wire outputs.
+    """Create one input queue per operator port of ``plan`` and wire outputs
+    (called by :class:`~repro.multi.shard.ShardEngine` for each plan it hosts).
 
     Returns the queue map keyed by ``(id(operator), port)`` and the
     :class:`ReadyInput` templates in registration order (numbered from
@@ -157,7 +132,8 @@ def wire_queued_plan(
 
 
 def drain_ready(scheduler: OperatorScheduler, cost, tracer=None, shard: int = 0) -> None:
-    """Run scheduled operators until the scheduler has no ready input.
+    """Run scheduled operators until the scheduler has no ready input (the
+    drain of :class:`~repro.multi.shard.ShardEngine`).
 
     Queue transitions reach the scheduler through the readiness listeners;
     this loop only has to report the head change after each pop so the
@@ -202,19 +178,17 @@ def drain_ready(scheduler: OperatorScheduler, cost, tracer=None, shard: int = 0)
 
 
 class ExecutionEngine:
-    """Drives an :class:`ExecutionPlan` over a time-ordered event sequence.
+    """Pushes each arrival depth-first through one :class:`ExecutionPlan`.
 
     Parameters
     ----------
     plan:
-        The plan to execute.  It is attached to ``context`` if not already.
+        The plan to execute.  It is attached to ``context`` unless it already
+        is; a plan attached to another context is refused, because its
+        operators would charge that context and this engine would report
+        an empty one.
     context:
         Shared execution context (window, clock, metrics).
-    mode:
-        ``ExecutionMode.SYNCHRONOUS`` or ``ExecutionMode.QUEUED``.
-    scheduler:
-        Operator scheduler for the queued mode (defaults to FIFO); ignored in
-        synchronous mode.
     keep_results:
         Whether result tuples are retained (disable for very long benchmark
         runs where only counts and costs matter).
@@ -224,36 +198,23 @@ class ExecutionEngine:
         self,
         plan: ExecutionPlan,
         context: ExecutionContext,
-        mode: str = ExecutionMode.SYNCHRONOUS,
-        scheduler: Optional[OperatorScheduler] = None,
         keep_results: bool = True,
     ) -> None:
-        if mode not in ExecutionMode.ALL:
-            raise ValueError(f"unknown execution mode {mode!r}; expected one of {ExecutionMode.ALL}")
+        if plan.context is None:
+            plan.attach(context)
+        elif plan.context is not context:
+            raise ValueError(
+                f"plan {plan.description or plan.root.name!r} is attached to another "
+                "execution context; build a fresh plan for each run"
+            )
         self.plan = plan
         self.context = context
-        self.mode = mode
-        self.scheduler = scheduler if scheduler is not None else build_scheduler("fifo")
         self.collector = ResultCollector(keep_tuples=keep_results)
         #: Arrivals processed so far.
         self.events_processed = 0
         #: Optional flight recorder (see :meth:`attach_tracer`).
         self.tracer = None
-        if not plan.is_attached:
-            plan.attach(context)
         plan.set_result_sink(self.collector.add)
-        self._input_queues: Dict[Tuple[int, str], InterOperatorQueue] = {}
-        if mode == ExecutionMode.QUEUED:
-            self._input_queues, _templates = wire_queued_plan(
-                plan, context, self.scheduler
-            )
-            context.add_feedback_listener(self.scheduler.notify_feedback)
-
-    def _drain_queues(self) -> None:
-        """Run scheduled operators until every input queue is empty."""
-        drain_ready(
-            self.scheduler, self.context.cost, self.tracer, self.context.trace_shard
-        )
 
     # -- tracing --------------------------------------------------------------------
 
@@ -261,8 +222,8 @@ class ExecutionEngine:
         """Attach a :class:`~repro.trace.Tracer` flight recorder.
 
         From now on every ingested event opens one trace (subject to the
-        tracer's head-based sampling) and sampled events record per-step
-        spans in the drain loop.  Detach by attaching ``None``.
+        tracer's head-based sampling), and feedback delivered on the context
+        reaches the tracer.  Detach by attaching ``None``.
         """
         self.tracer = tracer
         self.context.tracer = tracer
@@ -288,12 +249,7 @@ class ExecutionEngine:
             tracer = None
         ctx = tracer.begin_trace(event, fanout=1) if tracer is not None else None
         try:
-            if self.mode == ExecutionMode.SYNCHRONOUS:
-                self.plan.deliver(event, event.source)
-                return
-            for operator, port in self.plan.targets_for(event.source):
-                self._input_queues[(id(operator), port)].push(event)
-            self._drain_queues()
+            self.plan.deliver(event, event.source)
         finally:
             if tracer is not None:
                 tracer.end_trace(ctx)
@@ -323,49 +279,16 @@ class ExecutionEngine:
 
 
 def run_workload(
-    plan: Optional[ExecutionPlan] = None,
-    events: Sequence[AtomicTuple] = (),
-    window_length: Optional[float] = None,
-    mode: str = ExecutionMode.SYNCHRONOUS,
-    scheduler: Optional[OperatorScheduler] = None,
+    plan: ExecutionPlan,
+    events: Iterable[AtomicTuple],
+    window_length: float,
     keep_results: bool = True,
-    engine=None,
-):
-    """Run ``events`` through a plan (or a pre-built engine) and report.
+) -> RunReport:
+    """Run ``events`` through ``plan`` synchronously and report.
 
-    Without ``engine``, a fresh :class:`~repro.context.ExecutionContext` with
-    a window of ``window_length`` seconds is created around ``plan`` so
-    repeated calls are independent; the remaining parameters mirror
-    :class:`ExecutionEngine`.  With ``engine``, any object exposing
-    ``run(events)`` — a pre-built
-    :class:`ExecutionEngine` or a :class:`~repro.multi.ShardedEngine` — is
-    driven as-is (``plan``, ``window_length`` and the construction parameters
-    must then be omitted), so examples and the sharded multi-query path share
-    this one entry point.
+    A fresh :class:`~repro.context.ExecutionContext` with a window of
+    ``window_length`` seconds is created around ``plan``, so every run is
+    independent.  A caller holding an engine calls its ``run(events)``.
     """
-    if engine is None:
-        from repro.streams.time import Window
-
-        if plan is None or window_length is None:
-            raise ValueError("run_workload needs either an engine or a plan plus window_length")
-        context = ExecutionContext(window=Window(window_length))
-        engine = ExecutionEngine(
-            plan,
-            context,
-            mode=mode,
-            scheduler=scheduler,
-            keep_results=keep_results,
-        )
-    elif (
-        plan is not None
-        or window_length is not None
-        or mode != ExecutionMode.SYNCHRONOUS
-        or scheduler is not None
-        or keep_results is not True
-    ):
-        # A pre-built engine already fixed its construction parameters;
-        # accepting them here would silently ignore the caller's values.
-        raise ValueError(
-            "pass either a pre-built engine or plan/construction parameters, not both"
-        )
-    return engine.run(events)
+    context = ExecutionContext(window=Window(window_length))
+    return ExecutionEngine(plan, context, keep_results=keep_results).run(events)

@@ -10,13 +10,13 @@ Table III parameter range — the building block of every figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import JITConfig
-from repro.engine.engine import ExecutionMode, RunReport, run_workload
+from repro.engine.engine import RunReport, run_workload
 from repro.engine.results import result_multiset
 from repro.experiments.config import ExperimentSetting, scaled_workload
-from repro.plans.builder import STRATEGY_DOE, STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
+from repro.plans.builder import STRATEGY_JIT, STRATEGY_REF, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
 from repro.streams.generators import CliqueJoinWorkload
 
@@ -71,7 +71,6 @@ def compare_strategies(
     jit_config: Optional[JITConfig] = None,
     keep_results: bool = False,
     check_equivalence: bool = False,
-    mode: str = ExecutionMode.SYNCHRONOUS,
 ) -> Dict[str, StrategyRun]:
     """Run one workload under each strategy over the same event sequence.
 
@@ -89,7 +88,6 @@ def compare_strategies(
             plan,
             events,
             window_length=workload.window.length,
-            mode=mode,
             keep_results=keep_results or check_equivalence,
         )
         runs[strategy] = StrategyRun.from_report(strategy, report)

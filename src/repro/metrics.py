@@ -209,13 +209,6 @@ class MemoryModel:
         """Peak memory in kilobytes (the unit of the paper's figures)."""
         return self.peak_bytes / 1024.0
 
-    def reset(self) -> None:
-        """Zero the model (used between experiment runs)."""
-        self.current_bytes = 0
-        self.peak_bytes = 0
-        self.by_category = {}
-        self.peak_by_category = {}
-
     def __repr__(self) -> str:
         return f"MemoryModel(current={self.current_bytes}B, peak={self.peak_bytes}B)"
 

@@ -9,8 +9,8 @@ sources" items.
   standing queries plus their physical plan choices.
 * :mod:`repro.multi.clock` — :class:`SharedVirtualClock`, keeping window
   purge floors and MNS horizons consistent across shards.
-* :mod:`repro.multi.shard` — :class:`ShardEngine`, many plans under one
-  scheduler domain (built on the queued engine's machinery).
+* :mod:`repro.multi.shard` — :class:`ShardEngine`, the queued setting:
+  one or many plans under one scheduler domain.
 * :mod:`repro.multi.router` — :class:`StreamRouter`, fanning each event out
   only to subscribed shards.
 * :mod:`repro.multi.sharded` — :class:`ShardedEngine`, the serving engine:

@@ -22,7 +22,6 @@ and MNS horizons — must stay mutually consistent.  Two rules make that so:
 from __future__ import annotations
 
 import threading
-from typing import List
 
 from repro.streams.time import SimulationClock
 
@@ -66,7 +65,6 @@ class SharedVirtualClock:
         self._lock = threading.Lock()
         self._watermark = 0.0
         self._started = False
-        self._views: List[ShardClock] = []
 
     @property
     def watermark(self) -> float:
@@ -81,21 +79,8 @@ class SharedVirtualClock:
             self._started = True
 
     def view(self, name: str) -> ShardClock:
-        """Create (and track) one shard's clock view."""
-        clock = ShardClock(self, name)
-        self._views.append(clock)
-        return clock
-
-    def reset(self) -> None:
-        """Reset the watermark and every shard view (between runs)."""
-        with self._lock:
-            self._watermark = 0.0
-            self._started = False
-            for view in self._views:
-                view.reset()
+        """Create one shard's clock view."""
+        return ShardClock(self, name)
 
     def __repr__(self) -> str:
-        return (
-            f"SharedVirtualClock(watermark={self._watermark}, "
-            f"shards={len(self._views)})"
-        )
+        return f"SharedVirtualClock(watermark={self._watermark})"

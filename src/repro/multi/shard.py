@@ -1,15 +1,15 @@
 """One shard: many plans, one scheduler domain, one clock view.
 
-A :class:`ShardEngine` is the multi-query generalization of the queued
-:class:`~repro.engine.engine.ExecutionEngine`: it hosts the plans of many
-registered queries, gives every operator input port of every hosted plan an
-inter-operator queue, and drains them all under a **single** operator
-scheduler — one scheduler tick can serve any hosted query, which is the
-"sharded multi-query engine" the ROADMAP calls for.  The queued machinery
-(queue wiring with its ready-set deltas, the drain loop) is shared with the
-single-plan engine via :func:`~repro.engine.engine.wire_queued_plan` and
-:func:`~repro.engine.engine.drain_ready`, so both paths run the same
-hot-path code.
+A :class:`ShardEngine` runs the paper's queued setting (Section III-B),
+where :class:`~repro.engine.engine.ExecutionEngine` runs the synchronous
+one: it hosts the plans of one or many registered queries, gives every
+operator input port of every hosted plan an inter-operator queue, and drains
+them all under a **single** operator scheduler — one scheduler tick can
+serve any hosted query.  A single plan runs queued as the one registration
+of a one-shard ``ShardedEngine``.  The queue wiring with its ready-set
+deltas and the drain loop are
+:func:`~repro.engine.engine.wire_queued_plan` and
+:func:`~repro.engine.engine.drain_ready`.
 
 Isolation and sharing are deliberately split:
 

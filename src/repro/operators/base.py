@@ -11,8 +11,10 @@ primitives shared by every concrete operator:
   upstream operator (its *producer*); the wiring is recorded so that JIT
   consumers know where to send feedback.
 * :meth:`Operator.emit` forwards a produced tuple to the downstream consumer
-  — directly in synchronous mode (depth-first push, the default) or through
-  an inter-operator queue in queued mode (Section III-B's scheduler setting).
+  — directly in the synchronous setting (depth-first push, what
+  :class:`~repro.engine.engine.ExecutionEngine` runs) or through an
+  inter-operator queue in the queued setting (Section III-B's scheduler
+  setting, what :class:`~repro.multi.shard.ShardEngine` runs).
 * :meth:`Operator.supports_production_control` is the one question JIT's
   feedback mechanism asks a producer.  The base answer is False: such an
   operator is never sent feedback, which is always legal ("OP may decide to
@@ -68,7 +70,7 @@ class Operator(ABC):
         self.port_sources: Dict[str, Optional[str]] = {}
         #: Result sink used when this operator is the plan root.
         self.result_sink: Optional[ResultSink] = None
-        #: Outgoing queue (queued execution mode only).
+        #: Outgoing queue (set only when a shard hosts the plan).
         self.output_queue: Optional["InterOperatorQueue"] = None
         #: Number of tuples this operator has emitted downstream.
         self.emitted_count = 0

@@ -3,7 +3,7 @@
 Section III-B of the paper discusses the setting where the DSMS places a
 queue between each producer/consumer pair "to store the partial results not
 yet processed by the consumer (in order to enable more flexible operator
-scheduling)".  The queued execution mode of this library reproduces that
+scheduling)".  :class:`~repro.multi.shard.ShardEngine` reproduces that
 setting: every operator input port owns an :class:`InterOperatorQueue`, the
 producer pushes into it, and the operator scheduler decides which operator
 consumes next.
@@ -24,7 +24,7 @@ from repro.streams.tuples import StreamTuple
 __all__ = ["InterOperatorQueue"]
 
 #: Callback ``(queue, nonempty)`` fired when a queue transitions between
-#: empty and non-empty.  The queued engine uses it to maintain its ready-set
+#: empty and non-empty.  The hosting shard uses it to maintain its ready-set
 #: incrementally instead of rescanning every queue per scheduling step.
 ReadinessListener = Callable[["InterOperatorQueue", bool], None]
 
@@ -59,12 +59,12 @@ class InterOperatorQueue:
         self._items: Deque[StreamTuple] = deque()
         self.total_pushed = 0
         self.max_length = 0
-        #: Empty<->non-empty transition observer (set by the queued engine).
+        #: Empty<->non-empty transition observer (set by the hosting shard).
         self.readiness_listener: Optional[ReadinessListener] = None
-        # Queue push/pop is the hottest accounting site of the queued engine
+        # Queue push/pop is the hottest accounting site of a shard
         # (twice per tuple per hop); bind the model methods once.  The
-        # context's models are reset in place, never replaced, so the bound
-        # methods stay valid for the queue's lifetime.
+        # context's models are never replaced, so the bound methods stay
+        # valid for the queue's lifetime.
         self._charge = context.cost.charge
         self._allocate = context.memory.allocate
         self._release = context.memory.release

@@ -255,10 +255,6 @@ class OperatorState:
         """All present entries in insertion order."""
         return [e for e in self._entries if not e.removed]
 
-    def tuples(self) -> List[StreamTuple]:
-        """All stored tuples in insertion order."""
-        return [e.tuple for e in self._entries if not e.removed]
-
     # -- purge / probe / insert ----------------------------------------------
 
     def insert(self, tup: StreamTuple, seq: Optional[int] = None) -> StateEntry:

@@ -47,7 +47,6 @@ class ExecutionPlan:
     routing: Dict[str, Tuple[Tuple[Operator, str], ...]]
     description: str = ""
     feeds: Dict[str, Tuple[Operator, str]] = field(default_factory=dict)
-    _attached: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.root not in self.operators:
@@ -71,12 +70,11 @@ class ExecutionPlan:
         """Bind every operator to the execution context (builds states)."""
         for operator in self.operators:
             operator.attach(context)
-        self._attached = True
 
     @property
-    def is_attached(self) -> bool:
-        """True once :meth:`attach` has been called."""
-        return self._attached
+    def context(self) -> Optional[ExecutionContext]:
+        """The context :meth:`attach` bound the plan to, or None."""
+        return self.root.context
 
     def set_result_sink(self, sink: Callable[[StreamTuple], None]) -> None:
         """Install the callable receiving the root operator's emissions."""
@@ -116,10 +114,6 @@ class ExecutionPlan:
             if operator.name == name:
                 return operator
         raise KeyError(f"no operator named {name!r} in plan")
-
-    def state_sizes(self) -> Dict[str, Tuple[int, int]]:
-        """Current (left, right) state sizes of every join operator."""
-        return {op.name: op.state_sizes for op in self.join_operators}
 
     def __repr__(self) -> str:
         return f"ExecutionPlan({self.description or self.root.name!r}, operators={len(self.operators)})"

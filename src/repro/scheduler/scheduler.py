@@ -1,7 +1,7 @@
 """The operator-scheduler interface.
 
-The queued execution engine repeatedly decides which *ready input* — a
-non-empty (operator, port, queue) triple — to run next.  The engine pushes
+A shard running the queued setting repeatedly decides which *ready input*
+— a non-empty (operator, port, queue) triple — to run next.  The shard pushes
 *deltas* into the scheduler — :meth:`OperatorScheduler.on_ready` when a
 queue becomes non-empty, :meth:`~OperatorScheduler.on_unready` when it
 empties, and :meth:`~OperatorScheduler.on_head_change` after each pop that
@@ -11,9 +11,9 @@ heaps) under those deltas, so one scheduling step costs O(log ready).
 
 A scheduler never mutates queues or operators.  Scheduler instances are
 stateful (ready set, boosts, heaps) and belong to exactly one scheduler
-domain — one queued engine or one shard.  Every delta and every
-``pop_next`` of a domain is issued by the one thread driving it, so no
-locking is needed inside the policies.
+domain — one shard.  Every delta and every ``pop_next`` of a domain is
+issued by the one thread driving it, so no locking is needed inside the
+policies.
 """
 
 from __future__ import annotations

@@ -200,8 +200,7 @@ def explain_analyze(
         The plan's queue prefix on its shard (``"q0:"`` for hosted plans,
         ``"shared-<key>:"`` for shared subtrees) — the namespace the traced
         drain records profiles under.  Defaults to ``"<query_id>:"`` when
-        ``query_id`` is given, else to the bare operator names (single-plan
-        engines).
+        ``query_id`` is given, else to the bare operator names.
     """
     if label_prefix is None:
         label_prefix = f"{query_id}:" if query_id else ""

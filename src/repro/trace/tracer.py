@@ -681,12 +681,6 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.chrome_trace(), handle)
 
-    def reset(self) -> None:
-        """Clear spans, profiles and open suspensions (keeps the RNG state)."""
-        self.ring.clear()
-        self.profiles.clear()
-        self._open_mns.clear()
-
     def __repr__(self) -> str:
         return (
             f"Tracer(rate={self.sample_rate}, enabled={self.enabled}, "

@@ -3,10 +3,10 @@
 ``golden.json`` pins, bit for bit, what three families of deterministic runs do:
 
 * ``schedules`` — both scheduling policies (``fifo``, ``jit_aware``) on a
-  single queued JIT plan and on 1- and 2-shard engines, with and without
-  shared sub-plans.  Each record is three parts so that a mismatch says
-  *what* moved: ``schedule`` (sha256 over
-  the per-shard pop order and the per-query result sequences: a scheduling
+  single JIT plan queued on a one-query shard and on 1- and 2-shard
+  engines, with and without shared sub-plans.  Each record is three parts
+  so that a mismatch says *what* moved: ``schedule`` (sha256 over the
+  per-shard pop order and the per-query result sequences: a scheduling
   decision or a result), ``cpu_units`` (a modelled cost) and ``steps`` (the
   scheduler-step count).
 * ``paper`` — the paper's left-deep default (Table III; the end-to-end
@@ -51,7 +51,7 @@ from typing import Dict, List
 
 from repro.core.config import JITConfig, RetentionPolicy
 from repro.core.jit_join import JITJoinOperator
-from repro.engine import ExecutionMode, run_workload
+from repro.engine import run_workload
 from repro.engine.results import result_key
 from repro.experiments.config import LEFT_DEEP_DEFAULTS, scaled_workload
 from repro.experiments.reporting import moved
@@ -69,9 +69,9 @@ from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 
 try:  # under pytest, tests/ itself is on sys.path
-    from helpers import ScriptedGate, gate_epochs, record_pops, script_gates
+    from helpers import ScriptedGate, gate_epochs, record_pops, run_queued, script_gates
 except ImportError:  # python -m tests.golden, from the repo root
-    from tests.helpers import ScriptedGate, gate_epochs, record_pops, script_gates
+    from tests.helpers import ScriptedGate, gate_epochs, record_pops, run_queued, script_gates
 
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
 
@@ -80,7 +80,7 @@ GOLDEN_FILE = Path(__file__).with_name("golden.json")
 ALL_POLICIES = ("fifo", "jit_aware")
 
 #: name -> (n_shards, share_subplans), run in the sync drain mode; "single"
-#: is one queued plan.
+#: is one plan queued on a one-query shard.
 SHARDED_CONFIGS = {
     f"{n_shards}{'-shared' if share else ''}-sync": (n_shards, share)
     for n_shards in (1, 2)
@@ -105,16 +105,12 @@ def single_plan_run(scheduler, n_sources=4, rate=0.5, dmax=2, duration=60, seed=
         duration=duration, seed=seed,
     )
     pops = []
-    report = run_workload(
-        build_xjoin_plan(
-            ContinuousQuery.from_workload(workload),
-            shape=PLAN_LEFT_DEEP,
-            strategy=STRATEGY_JIT,
-        ),
+    report = run_queued(
+        ContinuousQuery.from_workload(workload),
         workload.events(),
-        workload.window.length,
-        mode=ExecutionMode.QUEUED,
-        scheduler=record_pops(scheduler, pops),
+        shape=PLAN_LEFT_DEEP,
+        strategy=STRATEGY_JIT,
+        scheduler=lambda: record_pops(scheduler, pops),
     )
     steps = report.metrics.counters.get(CostKind.SCHEDULER_STEP, 0)
     return [pops], {"q": list(report.results.results)}, report.cpu_units, steps
@@ -209,13 +205,13 @@ def paper_setup(scale: float, seed: int = 7):
     return plan, workload.events(), workload.window.length
 
 
-def run_setup(setup, gates=None, mode=ExecutionMode.SYNCHRONOUS):
-    """Run a (plan, events, window) in ``mode``, its gates scripted by
+def run_setup(setup, gates=None):
+    """Run a (plan, events, window) synchronously, its gates scripted by
     ``gates`` if given: (report, plan)."""
     plan, events, window = setup
     if gates is not None:
         script_gates(plan, gates)
-    return run_workload(plan, events, window, mode=mode), plan
+    return run_workload(plan, events, window), plan
 
 
 def paper_run(scale: float, gates=None, seed: int = 7):
@@ -277,30 +273,39 @@ def gate_record(name: str) -> dict:
 # ------------------------------------------------------------------ the differential
 
 
-def clique_setup(n_sources: int, shape: str, seed: int):
-    """A nested-loop JIT clique over four 30-tuple windows: (plan, events, window)."""
+def clique_run(n_sources: int, shape: str, seed: int, queued: bool):
+    """A nested-loop JIT clique over four 30-tuple windows, every gate pinned
+    open, pushed synchronously or queued on a one-query shard: (report, plan)."""
     workload = generate_clique_workload(
         n_sources=n_sources, rate=1.0, window_seconds=30, dmax=8, duration=120, seed=seed,
     )
-    plan = build_xjoin_plan(
-        ContinuousQuery.from_workload(workload), shape=shape, strategy=STRATEGY_JIT,
-    )
-    return plan, workload.events(), workload.window.length
+    query = ContinuousQuery.from_workload(workload)
+    if not queued:
+        plan = build_xjoin_plan(query, shape=shape, strategy=STRATEGY_JIT)
+        return run_setup((plan, workload.events(), query.window.length), gates=ScriptedGate)
+    hosted = []
+
+    def prepare(plan):
+        script_gates(plan, ScriptedGate)
+        hosted.append(plan)
+
+    report = run_queued(query, workload.events(), shape=shape, prepare=prepare)
+    return report, hosted[0]
 
 
-#: The pinned-open nested-loop runs: name -> (fresh setup, execution mode).
+#: The pinned-open nested-loop runs: name -> a fresh run, (report, plan).
 DIFFERENTIAL_RUNS = {
     **{
-        f"clique-{n_sources}-{shape}-{mode}-seed{seed}": (
-            partial(clique_setup, n_sources, shape, seed), mode
+        f"clique-{n_sources}-{shape}-{setting}-seed{seed}": partial(
+            clique_run, n_sources, shape, seed, setting == "queued"
         )
         for n_sources in (2, 3, 4)
         for shape in (PLAN_LEFT_DEEP, PLAN_BUSHY)
-        for mode in (ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED)
+        for setting in ("synchronous", "queued")
         for seed in (1, 2)
     },
     **{
-        f"paper-0.3-seed{seed}": (partial(paper_setup, 0.3, seed), ExecutionMode.SYNCHRONOUS)
+        f"paper-0.3-seed{seed}": partial(paper_run, 0.3, ScriptedGate, seed)
         for seed in (3, 7, 11)
     },
 }
@@ -308,8 +313,7 @@ DIFFERENTIAL_RUNS = {
 
 def differential_record(name: str) -> dict:
     """What the pinned-open run ``name`` decided, emitted, held and cost."""
-    setup, mode = DIFFERENTIAL_RUNS[name]
-    report, plan = run_setup(setup(), gates=ScriptedGate, mode=mode)
+    report, plan = DIFFERENTIAL_RUNS[name]()
     return {
         "stats": jit_stats(plan),
         "results": digest([], {"q": report.results.results}),

@@ -12,15 +12,59 @@ from repro.core.detection_gate import DetectionGate
 from repro.core.feedback import FeedbackKind
 from repro.core.jit_join import JITJoinOperator
 from repro.core.mns_detection import LatticeMNSDetector
-from repro.engine import run_workload
+from repro.engine import RunReport, run_workload
 from repro.metrics import CostKind
+from repro.multi import QueryRegistry, ShardedEngine
 from repro.operators.join import opposite_port
 from repro.operators.queues import InterOperatorQueue
+from repro.plans.builder import PLAN_LEFT_DEEP, STRATEGY_JIT
 from repro.scheduler import OperatorScheduler, ReadyInput
 from repro.serve.telemetry import TelemetryError, get_metric_value
 from repro.streams.generators import UniformValueGenerator
 from repro.streams.sources import PoissonArrivals
 from repro.streams.tuples import AtomicTuple, join_tuples
+
+
+def run_queued(
+    query,
+    events,
+    shape=PLAN_LEFT_DEEP,
+    strategy=STRATEGY_JIT,
+    jit_config=None,
+    use_hash_index=False,
+    scheduler="fifo",
+    prepare=None,
+    tracer=None,
+) -> RunReport:
+    """Run ``query`` in the paper's queued setting and report it like
+    ``run_workload`` reports the synchronous one.
+
+    The query is registered (``shape``, ``strategy``, ``jit_config``,
+    ``use_hash_index``) as the one query of a one-shard sync
+    ``ShardedEngine``; ``scheduler`` is a policy name or a factory (wrap one
+    in ``record_pops`` to see the pops).  ``prepare(plan)`` runs on the
+    hosted plan before the first event (``script_gates`` it, or keep it to
+    read its operators afterwards); ``tracer`` is attached to the engine.
+    """
+    registry = QueryRegistry()
+    entry = registry.register(
+        query, shape=shape, strategy=strategy, jit_config=jit_config,
+        use_hash_index=use_hash_index,
+    )
+    with ShardedEngine(registry, scheduler=scheduler) as engine:
+        runtime = engine.runtime_for(entry.query_id)
+        if prepare is not None:
+            prepare(runtime.plan)
+        if tracer is not None:
+            engine.attach_tracer(tracer)
+        engine.run(events)
+    (shard,) = engine.shards
+    return RunReport(
+        description=runtime.plan.description,
+        events_processed=engine.events_ingested,
+        results=runtime.collector,
+        metrics=shard.metrics(),
+    )
 
 
 def make_tuple(source: str, ts: float, seq: int = 0, **attrs: object) -> AtomicTuple:

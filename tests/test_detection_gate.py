@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import DetectionMode, JITConfig
 from repro.core.detection_gate import DetectionGate
-from repro.engine import ExecutionMode, run_workload
+from repro.engine import run_workload
 from repro.plans.builder import (
     PLAN_BUSHY,
     PLAN_LEFT_DEEP,
@@ -36,7 +36,6 @@ from repro.plans.builder import (
     build_xjoin_plan,
 )
 from repro.plans.query import ContinuousQuery
-from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 
 import golden
@@ -45,6 +44,7 @@ from helpers import (
     ScriptedGate,
     audit_avoided,
     replays_checked_against_full_scan,
+    run_queued,
     script_gates,
 )
 
@@ -271,13 +271,16 @@ class TestAvoidedAudit:
 
 
 def _drained(plan, context, window) -> bool:
-    """Advance past every retention horizon and purge: nothing may be left."""
-    context.clock.advance_to(context.now + 10 * window)
+    """Purge as of a time past every retention horizon: nothing may be left.
+
+    The clock is not advanced, so a shard's clock, which may not run ahead
+    of its ingestion watermark, is read the same way."""
+    now = context.now + 10 * window
     operators = _jit_operators(plan)
     for _ in operators:  # a cancellation reaches one level further up per pass
         for operator in reversed(operators):
             operator._last_jit_purge = float("-inf")
-            operator._maybe_purge_jit_structures(context.now)
+            operator._maybe_purge_jit_structures(now)
     return all(
         not len(op.blacklists[port]) and not len(op.mns_buffers[port])
         for op in operators
@@ -286,7 +289,7 @@ def _drained(plan, context, window) -> bool:
 
 
 def _assert_toggling_preserves_results(
-    n_sources, shape, mode, use_hash_index, schedules, slot_windows, seed, dmax=4, config=None
+    n_sources, shape, queued, use_hash_index, schedules, slot_windows, seed, dmax=4, config=None
 ):
     workload = generate_clique_workload(
         n_sources=n_sources, rate=1.0, window_seconds=20, dmax=dmax, duration=90, seed=seed
@@ -298,18 +301,24 @@ def _assert_toggling_preserves_results(
         build_xjoin_plan(query, shape=shape, strategy=STRATEGY_REF, use_hash_index=use_hash_index),
         events, window,
     )
-    plan = build_xjoin_plan(
-        query, shape=shape, strategy=STRATEGY_JIT, use_hash_index=use_hash_index,
-        jit_config=config,
+    registration = dict(
+        shape=shape, strategy=STRATEGY_JIT, use_hash_index=use_hash_index, jit_config=config
     )
-    if schedules is not None:  # None keeps the shipped, ledger-driven gates
-        scripts = iter(schedules * 8)
-        script_gates(plan, lambda: ScriptedGate(next(scripts), slot_windows))
-    kwargs = {}
-    if mode == ExecutionMode.QUEUED:
-        kwargs = dict(mode=mode, scheduler=build_scheduler("jit_aware"))
+    hosted = []
+
+    def prepare(plan):
+        if schedules is not None:  # None keeps the shipped, ledger-driven gates
+            scripts = iter(schedules * 8)
+            script_gates(plan, lambda: ScriptedGate(next(scripts), slot_windows))
+        hosted.append(plan)
+
     with replays_checked_against_full_scan():
-        jit = run_workload(plan, events, window, **kwargs)
+        if queued:
+            jit = run_queued(query, events, scheduler="jit_aware", prepare=prepare, **registration)
+        else:
+            prepare(build_xjoin_plan(query, **registration))
+            jit = run_workload(hosted[0], events, window)
+    (plan,) = hosted
     assert jit.results.multiset() == ref.results.multiset()
     assert jit.results.temporally_ordered
     assert _drained(plan, plan.root.require_context(), window)
@@ -325,12 +334,12 @@ FLIPPING = ((True, False), (False, True, True), (True, True, False, False))
 
 class TestToggleProperty:
     @pytest.mark.parametrize("use_hash_index", (False, True), ids=("nested", "indexed"))
-    @pytest.mark.parametrize("mode", (ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED))
+    @pytest.mark.parametrize("queued", (False, True), ids=("synchronous", "queued"))
     @pytest.mark.parametrize("shape", (PLAN_LEFT_DEEP, PLAN_BUSHY))
     @pytest.mark.parametrize("n_sources", (2, 3, 4))
-    def test_scripted_schedules(self, n_sources, shape, mode, use_hash_index):
+    def test_scripted_schedules(self, n_sources, shape, queued, use_hash_index):
         rests, _trials = _assert_toggling_preserves_results(
-            n_sources, shape, mode, use_hash_index, FLIPPING, slot_windows=0.4, seed=17
+            n_sources, shape, queued, use_hash_index, FLIPPING, slot_windows=0.4, seed=17
         )
         if n_sources > 2:
             assert rests > 0  # the schedule did toggle a detecting port
@@ -341,7 +350,7 @@ class TestToggleProperty:
         # past the end, while Op2's saves nothing in its second epoch, so it
         # rests the doubled one window and tries again.
         rests, trials = _assert_toggling_preserves_results(
-            4, PLAN_LEFT_DEEP, ExecutionMode.SYNCHRONOUS, use_hash_index,
+            4, PLAN_LEFT_DEEP, False, use_hash_index,
             schedules=None, slot_windows=1.0, seed=17,
         )
         assert rests > 0 and trials > 0
@@ -353,7 +362,7 @@ class TestTogglePropertySweep:
     @given(
         n_sources=st.integers(min_value=2, max_value=4),
         shape=st.sampled_from((PLAN_LEFT_DEEP, PLAN_BUSHY)),
-        mode=st.sampled_from((ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED)),
+        queued=st.sampled_from((False, True)),
         use_hash_index=st.booleans(),
         schedules=st.lists(
             st.lists(st.booleans(), min_size=1, max_size=8).map(tuple),
@@ -369,10 +378,10 @@ class TestTogglePropertySweep:
         ),
     )
     def test_arbitrary_schedules(
-        self, n_sources, shape, mode, use_hash_index, schedules, slot_windows, seed, dmax,
+        self, n_sources, shape, queued, use_hash_index, schedules, slot_windows, seed, dmax,
         config,
     ):
         _assert_toggling_preserves_results(
-            n_sources, shape, mode, use_hash_index, schedules, slot_windows, seed, dmax,
+            n_sources, shape, queued, use_hash_index, schedules, slot_windows, seed, dmax,
             config,
         )

@@ -16,10 +16,9 @@ import sys
 import pytest
 
 from golden import ALL_POLICIES
-from repro.context import ExecutionContext
+from helpers import run_queued
 from repro.core.jit_join import JITJoinOperator
-from repro.engine import ExecutionMode, run_workload
-from repro.engine.engine import ExecutionEngine
+from repro.engine import run_workload
 from repro.engine.results import result_multiset
 from repro.metrics import CostKind
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
@@ -32,11 +31,9 @@ from repro.plans.builder import (
 from repro.plans.query import ContinuousQuery
 from repro.scheduler import (
     JITAwareScheduler,
-    build_scheduler,
     policies,
 )
 from repro.streams.generators import generate_clique_workload
-from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
 
@@ -192,14 +189,9 @@ class TestQueuedEquivalence:
     def test_all_policies_match_synchronous_on_jit_plan(self, policy):
         workload = _suspension_workload()
         query, events, ref = _reference_run(workload)
-        plan = _jit_plan(query)
-        report = run_workload(
-            plan,
-            events,
-            workload.window.length,
-            mode=ExecutionMode.QUEUED,
-            scheduler=build_scheduler(policy),
-        )
+        hosted = []
+        report = run_queued(query, events, scheduler=policy, prepare=hosted.append)
+        (plan,) = hosted
         assert result_multiset(report.results.results) == ref
         # The workload must actually exercise the feedback mechanism for the
         # equivalence to mean anything.
@@ -231,12 +223,12 @@ def _two_source_query():
     return ContinuousQuery.from_workload(workload)
 
 
-#: Every engine the tied stream is fed through: a single-plan engine per
-#: execution mode and strategy, and a sharded engine per shard configuration
-#: and scheduler policy.
+#: Every engine the tied stream is fed through: one plan per execution
+#: setting and strategy, and a sharded engine per shard configuration and
+#: scheduler policy.
 TIE_CASES = [
-    pytest.param("engine", mode, strategy, id=f"engine-{mode}-{strategy}")
-    for mode in ExecutionMode.ALL
+    pytest.param("engine", setting, strategy, id=f"engine-{setting}-{strategy}")
+    for setting in ("synchronous", "queued")
     for strategy in (STRATEGY_REF, STRATEGY_JIT)
 ] + [
     pytest.param(
@@ -259,9 +251,10 @@ class TestTimestampTies:
         expected = result_multiset(ref.results.results)
         assert ref.result_count > 0
         if kind == "engine":
-            report = run_workload(
-                build_xjoin_plan(query, strategy=variant), events, 10.0, mode=layout
-            )
+            if layout == "queued":
+                report = run_queued(query, events, strategy=variant)
+            else:
+                report = run_workload(build_xjoin_plan(query, strategy=variant), events, 10.0)
             assert result_multiset(report.results.results) == expected
             return
         n_shards, drain_mode = layout
@@ -281,16 +274,16 @@ class TestTimestampTies:
 
 
 class TestIndexedJITProbes:
-    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
-    def test_indexed_jit_join_matches_ref(self, mode):
+    @pytest.mark.parametrize("queued", (False, True), ids=("synchronous", "queued"))
+    def test_indexed_jit_join_matches_ref(self, queued):
         workload = _suspension_workload()
         query, events, ref = _reference_run(workload)
-        report = run_workload(
-            _jit_plan(query, use_hash_index=True),
-            events,
-            workload.window.length,
-            mode=mode,
-        )
+        if queued:
+            report = run_queued(query, events, use_hash_index=True)
+        else:
+            report = run_workload(
+                _jit_plan(query, use_hash_index=True), events, workload.window.length
+            )
         assert result_multiset(report.results.results) == ref
 
     def test_indexed_jit_join_matches_ref_with_suspension_churn(self):
@@ -378,17 +371,20 @@ class TestFeedbackAwareScheduling:
     def test_engine_notifies_scheduler_of_feedback(self):
         workload = _suspension_workload()
         query, events, ref = _reference_run(workload)
-        plan = _jit_plan(query)
-        context = ExecutionContext(window=Window(workload.window.length))
-        scheduler = JITAwareScheduler()
-        engine = ExecutionEngine(
-            plan, context, mode=ExecutionMode.QUEUED, scheduler=scheduler
-        )
         notifications = []
-        context.add_feedback_listener(
-            lambda producer, consumer, kind: notifications.append(kind)
-        )
-        report = engine.run(events)
+
+        def scheduler():
+            policy = JITAwareScheduler()
+            notify = policy.notify_feedback
+
+            def noting(producer, consumer, kind):
+                notifications.append(kind)
+                notify(producer, consumer, kind)
+
+            policy.notify_feedback = noting
+            return policy
+
+        report = run_queued(query, events, scheduler=scheduler)
         assert result_multiset(report.results.results) == ref
         assert "suspend" in notifications and "resume" in notifications
 

@@ -2,9 +2,10 @@
 
 The central correctness property of the reproduction: JIT (under any
 configuration), DOE and REF executions of the same workload produce exactly
-the query's result set, in either execution mode and on every plan shape.
-Every strategy, mode and shape is compared with the specification itself
-(``helpers.specification_results``), so shape is an equivalence axis.
+the query's result set, pushed synchronously or queued on a one-query
+shard, and on every plan shape.  Every strategy, setting and shape is
+compared with the specification itself (``helpers.specification_results``),
+so shape is an equivalence axis.
 Hypothesis drives randomized workloads and configurations against those
 invariants, plus invariants of the lower-level data structures.
 """
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.context import ExecutionContext
 from repro.core.cns_lattice import CNSLattice
 from repro.core.config import DetectionMode, JITConfig, RetentionPolicy
-from repro.engine import ExecutionMode, run_workload
+from repro.engine import run_workload
 from repro.engine.results import result_multiset
 from repro.experiments import (
     BUSHY_DEFAULTS,
@@ -49,7 +50,7 @@ from repro.streams.sources import PeriodicArrivals, merge_sources
 from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple
 
-from helpers import script_gates, specification_results
+from helpers import run_queued, script_gates, specification_results
 
 
 def _run_all(workload, shape, strategies, jit_config=None):
@@ -116,9 +117,9 @@ class TestStrategyEquivalence:
             reports[STRATEGY_REF].results.results
         )
 
-    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
+    @pytest.mark.parametrize("queued", (False, True), ids=("synchronous", "queued"))
     @pytest.mark.parametrize("shape", [PLAN_LEFT_DEEP, PLAN_BUSHY, PLAN_RIGHT_DEEP])
-    def test_two_stacked_selections_match_ref(self, shape, mode):
+    def test_two_stacked_selections_match_ref(self, shape, queued):
         # Sel2 reads Sel1, which does not control production: only Sel1's
         # permanent suspensions reach the root join.
         workload = generate_clique_workload(
@@ -134,8 +135,15 @@ class TestStrategyEquivalence:
         events = workload.events()
         results = {}
         for strategy in (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE):
-            plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
-            report = run_workload(plan, events, workload.window.length, mode=mode)
+            if queued:
+                hosted = []
+                report = run_queued(
+                    query, events, shape=shape, strategy=strategy, prepare=hosted.append
+                )
+                (plan,) = hosted
+            else:
+                plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+                report = run_workload(plan, events, workload.window.length)
             results[strategy] = result_multiset(report.results.results)
             assert plan.operator_named("Sel2").rejected > 0
             if strategy != STRATEGY_REF:
@@ -157,14 +165,13 @@ class TestStrategyEquivalence:
         )
         assert len(points) == 2 and all(p.runs[STRATEGY_REF].events > 0 for p in points)
 
-    @pytest.mark.parametrize("mode", ExecutionMode.ALL)
-    def test_compare_strategies_checks_equivalence(self, mode):
+    def test_compare_strategies_checks_equivalence(self):
         workload = generate_clique_workload(
             n_sources=4, rate=0.5, window_seconds=40, dmax=6, duration=100, seed=6
         )
         strategies = (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE)
         runs = compare_strategies(
-            workload, PLAN_BUSHY, strategies=strategies, check_equivalence=True, mode=mode
+            workload, PLAN_BUSHY, strategies=strategies, check_equivalence=True
         )
         assert tuple(runs) == strategies
         counts = {run.result_count for run in runs.values()}
@@ -233,13 +240,16 @@ def _assert_engines_equal_the_specification(params, pinned_open, period=None):
     expected = specification_results(query, events)
     for shape in SHAPES:
         for strategy in (STRATEGY_REF, STRATEGY_JIT, STRATEGY_DOE):
-            for mode in ExecutionMode.ALL:
-                plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
-                if pinned_open:
-                    script_gates(plan)
-                report = run_workload(plan, events, workload.window.length, mode=mode)
+            prepare = script_gates if pinned_open else None
+            plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+            if pinned_open:
+                script_gates(plan)
+            for setting, report in (
+                ("synchronous", run_workload(plan, events, workload.window.length)),
+                ("queued", run_queued(query, events, shape, strategy, prepare=prepare)),
+            ):
                 got = result_multiset(report.results.results)
-                assert got == expected, (shape, strategy, mode, sum(got.values()))
+                assert got == expected, (shape, strategy, setting, sum(got.values()))
     return expected, query, events
 
 
@@ -401,8 +411,7 @@ class TestNothingRetained:
             events = workload.events()
             expected = specification_results(query, events)
             for strategy in (STRATEGY_JIT, STRATEGY_DOE):
-                for mode in ExecutionMode.ALL:
-                    plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+                def prepare(plan):
                     script_gates(plan)
                     joins = plan.join_operators
 
@@ -420,9 +429,15 @@ class TestNothingRetained:
 
                     for op in joins:
                         op.purge = partial(purge_and_check, op=op, purge=op.purge)
-                    report = run_workload(plan, events, workload.window.length, mode=mode)
+
+                plan = build_xjoin_plan(query, shape=shape, strategy=strategy)
+                prepare(plan)
+                for setting, report in (
+                    ("synchronous", run_workload(plan, events, workload.window.length)),
+                    ("queued", run_queued(query, events, shape, strategy, prepare=prepare)),
+                ):
                     got = result_multiset(report.results.results)
-                    assert got == expected, (strategy, mode, sum(got.values()))
+                    assert got == expected, (strategy, setting, sum(got.values()))
         assert outstanding
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.context import ExecutionContext
 from repro.core.config import DetectionMode, JITConfig
 from repro.core.jit_join import JITJoinOperator
-from repro.engine import ExecutionMode, run_workload
+from repro.engine import run_workload
 from repro.engine.results import result_multiset
 from repro.metrics import CostKind
 from repro.operators.state import OperatorState
@@ -33,11 +33,10 @@ from repro.plans.builder import (
     build_xjoin_plan,
 )
 from repro.plans.query import ContinuousQuery
-from repro.scheduler import build_scheduler
 from repro.streams.generators import generate_clique_workload
 from repro.streams.time import Window
 
-from helpers import make_tuple, script_gates
+from helpers import make_tuple, run_queued, script_gates
 
 X = (("A", "x"),)
 Y = (("A", "y"),)
@@ -330,25 +329,31 @@ DETECTORS = DetectionMode.ALL
 SHAPES = (PLAN_LEFT_DEEP, PLAN_RIGHT_DEEP, PLAN_BUSHY)
 
 
-def _jit_run(query, events, window, shape, config, mode, use_hash_index):
-    plan = build_xjoin_plan(
-        query, shape=shape, strategy=STRATEGY_JIT, jit_config=config,
-        use_hash_index=use_hash_index,
+def _jit_run(query, events, window, shape, config, queued, use_hash_index):
+    registration = dict(
+        shape=shape, strategy=STRATEGY_JIT, jit_config=config, use_hash_index=use_hash_index
     )
     # Pinned open: the two runs pay differently for the same decisions, so
     # live gates would rest at different times and the decisions diverge.
-    script_gates(plan)
-    kwargs = {}
-    if mode == ExecutionMode.QUEUED:
-        kwargs = dict(mode=mode, scheduler=build_scheduler("jit_aware"))
-    report = run_workload(plan, events, window, **kwargs)
+    hosted = []
+
+    def prepare(plan):
+        script_gates(plan)
+        hosted.append(plan)
+
+    if queued:
+        report = run_queued(query, events, scheduler="jit_aware", prepare=prepare, **registration)
+    else:
+        prepare(build_xjoin_plan(query, **registration))
+        report = run_workload(hosted[0], events, window)
+    (plan,) = hosted
     stats = [
         dict(op.stats) for op in plan.join_operators if isinstance(op, JITJoinOperator)
     ]
     return report, stats
 
 
-def _assert_indexed_equals_nested(workload, shape, config, mode) -> int:
+def _assert_indexed_equals_nested(workload, shape, config, queued=False) -> int:
     """Indexed JIT == nested-loop JIT == REF; returns the suspensions sent."""
     query = ContinuousQuery.from_workload(workload)
     events = workload.events()
@@ -356,8 +361,8 @@ def _assert_indexed_equals_nested(workload, shape, config, mode) -> int:
     ref = run_workload(
         build_xjoin_plan(query, shape=shape, strategy=STRATEGY_REF), events, window
     )
-    nested, nested_stats = _jit_run(query, events, window, shape, config, mode, False)
-    indexed, indexed_stats = _jit_run(query, events, window, shape, config, mode, True)
+    nested, nested_stats = _jit_run(query, events, window, shape, config, queued, False)
+    indexed, indexed_stats = _jit_run(query, events, window, shape, config, queued, True)
     expected = result_multiset(ref.results.results)
     assert result_multiset(nested.results.results) == expected
     assert result_multiset(indexed.results.results) == expected
@@ -370,17 +375,17 @@ def _assert_indexed_equals_nested(workload, shape, config, mode) -> int:
 
 
 class TestIndexedJITDifferential:
-    @pytest.mark.parametrize("mode", (ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED))
+    @pytest.mark.parametrize("queued", (False, True), ids=("synchronous", "queued"))
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("detection", DETECTORS)
-    def test_matrix(self, detection, shape, mode):
+    def test_matrix(self, detection, shape, queued):
         workload = generate_clique_workload(
             n_sources=4, rate=1.0, window_seconds=20, dmax=6, duration=50, seed=21
         )
         suspensions = 0
         for arity in (1, 2, 3):
             config = JITConfig(detection_mode=detection, max_mns_arity=arity)
-            suspensions += _assert_indexed_equals_nested(workload, shape, config, mode)
+            suspensions += _assert_indexed_equals_nested(workload, shape, config, queued)
         if detection == DetectionMode.LATTICE:
             assert suspensions > 0  # the comparison is not vacuous
 
@@ -400,10 +405,7 @@ class TestIndexedJITDifferential:
     def test_type2_and_cascaded_empty_suspension(self, config, workload_params):
         workload = generate_clique_workload(duration=50, seed=4, **workload_params)
         for shape in (PLAN_LEFT_DEEP, PLAN_BUSHY):
-            assert (
-                _assert_indexed_equals_nested(workload, shape, config, ExecutionMode.SYNCHRONOUS)
-                > 0
-            )
+            assert _assert_indexed_equals_nested(workload, shape, config) > 0
 
 
 @pytest.mark.slow
@@ -418,17 +420,17 @@ class TestIndexedJITDifferentialSweep:
         arity=st.integers(min_value=1, max_value=3),
         detection=st.sampled_from(DETECTORS),
         shape=st.sampled_from(SHAPES),
-        mode=st.sampled_from((ExecutionMode.SYNCHRONOUS, ExecutionMode.QUEUED)),
+        queued=st.sampled_from((False, True)),
     )
     def test_random_configurations(
-        self, n_sources, rate, window_seconds, dmax, seed, arity, detection, shape, mode
+        self, n_sources, rate, window_seconds, dmax, seed, arity, detection, shape, queued
     ):
         workload = generate_clique_workload(
             n_sources=n_sources, rate=rate, window_seconds=window_seconds, dmax=dmax,
             duration=50, seed=seed,
         )
         config = JITConfig(detection_mode=detection, max_mns_arity=arity)
-        _assert_indexed_equals_nested(workload, shape, config, mode)
+        _assert_indexed_equals_nested(workload, shape, config, queued)
 
 
 # ------------------------------------------------------------------ cost shape

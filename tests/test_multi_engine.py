@@ -4,8 +4,8 @@ The central property: K queries served through a :class:`ShardedEngine` —
 with 1 shard and N shards, inline and on worker processes, under both
 scheduler policies — produce exactly the same per-query results as K
 independent :class:`ExecutionEngine` runs.  Plus unit coverage for the registry, the
-shared virtual clock, the router, placement, the push-based ingestion
-paths, and the reusable ``run_workload`` entry point.
+shared virtual clock, the router, placement and the push-based ingestion
+paths.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from golden import ALL_POLICIES
 from helpers import MinimalFIFOScheduler
-from repro.engine import ExecutionMode, run_workload
+from repro.engine import run_workload
 from repro.engine.results import result_key
 from repro.multi import (
     MultiQueryWorkload,
@@ -197,15 +197,6 @@ class TestSharedVirtualClock:
         with pytest.raises(RuntimeError, match="ahead of the ingestion watermark"):
             view.advance_to(7.0)
 
-    def test_reset(self):
-        clock = SharedVirtualClock()
-        view = clock.view("s0")
-        clock.observe(9.0)
-        view.advance_to(9.0)
-        clock.reset()
-        assert clock.watermark == 0.0
-        assert view.now == 0.0
-
 
 class TestRouterAndPartition:
     def test_router_dedups_and_sorts(self):
@@ -374,53 +365,6 @@ class TestShardedEngineAPI:
             per_shard[query_report.shard_id] += query_report.result_count
         for shard_id, metrics in enumerate(report.shard_metrics):
             assert metrics.results_produced == per_shard.get(shard_id, 0)
-
-
-class TestRunWorkloadReuse:
-    def test_prebuilt_single_engine(self, shared_workload, shared_events):
-        """run_workload drives a pre-built ExecutionEngine unchanged."""
-        from repro.context import ExecutionContext
-        from repro.engine.engine import ExecutionEngine
-
-        entry = _registry(shared_workload).get("q0")
-        subscribed = [e for e in shared_events if e.source in entry.sources]
-        expected = run_workload(
-            entry.build_plan(), subscribed, entry.query.window.length
-        ).results.multiset()
-        context = ExecutionContext(window=entry.query.window)
-        engine = ExecutionEngine(entry.build_plan(), context, mode=ExecutionMode.QUEUED)
-        report = run_workload(events=subscribed, engine=engine)
-        assert report.results.multiset() == expected
-
-    def test_sharded_engine_through_run_workload(self, shared_workload, shared_events):
-        registry = _registry(shared_workload)
-        with ShardedEngine(registry, n_shards=2) as engine:
-            report = run_workload(events=shared_events, engine=engine)
-        assert report.events_ingested == len(shared_events)
-
-    def test_engine_and_plan_are_exclusive(self, shared_workload, shared_events):
-        entry = _registry(shared_workload).get("q0")
-        with ShardedEngine(_registry(shared_workload)) as engine:
-            with pytest.raises(ValueError, match="not both"):
-                run_workload(
-                    entry.build_plan(), shared_events, 20.0, engine=engine
-                )
-            # Construction parameters are fixed by the pre-built engine and
-            # must be rejected rather than silently ignored.
-            with pytest.raises(ValueError, match="not both"):
-                run_workload(events=shared_events, engine=engine, keep_results=False)
-            with pytest.raises(ValueError, match="not both"):
-                run_workload(
-                    events=shared_events, engine=engine, mode=ExecutionMode.QUEUED
-                )
-            with pytest.raises(ValueError, match="not both"):
-                run_workload(
-                    events=shared_events,
-                    engine=engine,
-                    scheduler=build_scheduler("fifo"),
-                )
-        with pytest.raises(ValueError, match="needs either"):
-            run_workload(events=shared_events)
 
 
 class TestMultiQueryWorkload:

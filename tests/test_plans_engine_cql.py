@@ -1,5 +1,5 @@
 """Tests for query descriptions, plan builders, the CQL front end, schedulers
-and the execution engine (both modes)."""
+and the execution engine (synchronous, and queued on a one-query shard)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from repro.context import ExecutionContext
 from repro.core.config import DetectionMode, JITConfig
 from repro.core.jit_join import JITJoinOperator
-from repro.engine import ExecutionEngine, ExecutionMode, ResultCollector, run_workload
+from repro.engine import ExecutionEngine, ResultCollector, run_workload
 from repro.engine.results import result_key, result_multiset
 from repro.operators.base import PORT_LEFT, PORT_RIGHT
 from repro.operators.join import BinaryJoinOperator
@@ -38,7 +38,7 @@ from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
 
 from golden import ALL_POLICIES
-from helpers import make_tuple
+from helpers import make_tuple, run_queued
 
 
 # --------------------------------------------------------------------------- query
@@ -312,17 +312,20 @@ class TestEngine:
             build_xjoin_plan(query, strategy=STRATEGY_JIT), events, small_workload.window.length
         )
         for policy in ALL_POLICIES:
-            queued = run_workload(
-                build_xjoin_plan(query, strategy=STRATEGY_JIT),
-                events,
-                small_workload.window.length,
-                mode=ExecutionMode.QUEUED,
-                scheduler=build_scheduler(policy),
-            )
+            queued = run_queued(query, events, strategy=STRATEGY_JIT, scheduler=policy)
             assert result_multiset(queued.results.results) == result_multiset(sync.results.results)
 
-    def test_invalid_mode_rejected(self, small_workload):
+    def test_a_plan_attached_to_another_context_is_refused(self, small_workload):
+        # Its operators would charge the first run's context, and the second
+        # run would report an empty one: 0 units, 0 KB, no error.
         query = ContinuousQuery.from_workload(small_workload)
-        plan = build_xjoin_plan(query, strategy=STRATEGY_REF)
-        with pytest.raises(ValueError):
-            ExecutionEngine(plan, ExecutionContext(window=small_workload.window), mode="turbo")
+        events = small_workload.events()
+        plan = build_xjoin_plan(query, strategy=STRATEGY_JIT)
+        assert run_workload(plan, events, small_workload.window.length).cpu_units > 0
+        with pytest.raises(ValueError, match="attached to another execution context"):
+            run_workload(plan, events, small_workload.window.length)
+        # The context it is attached to is accepted.
+        context = ExecutionContext(window=small_workload.window)
+        fresh = build_xjoin_plan(query, strategy=STRATEGY_JIT)
+        fresh.attach(context)
+        assert ExecutionEngine(fresh, context).run(events).cpu_units > 0

@@ -1,10 +1,10 @@
 """Scheduler correctness: golden schedules, a linear-scan differential, policy rules.
 
 * ``golden.json`` pins what both policies (``fifo``, ``jit_aware``) produce
-  on a single queued plan and on 1- and 2-shard sync engines (with and
-  without shared sub-plans), in three parts: the schedule (per-shard pop
-  order + per-query result sequences, one digest), ``cpu_units`` and the
-  scheduler-step count.
+  on a single plan queued on a one-query shard and on 1- and 2-shard sync
+  engines (with and without shared sub-plans), in three parts: the schedule
+  (per-shard pop order + per-query result sequences, one digest),
+  ``cpu_units`` and the scheduler-step count.
   A mismatch names the part, so "a scheduling decision changed" and "a
   modelled cost moved" are different failures; ``python -m tests.golden
   --check|--record`` (``tests/golden.py``) lists what moved and re-records.
@@ -32,8 +32,14 @@ from hypothesis import strategies as st
 
 import golden
 from golden import ALL_POLICIES, SHARDED_CONFIGS
-from helpers import LinearScanScheduler, MinimalFIFOScheduler, StubOperator, ready_input
-from repro.engine import ExecutionMode, run_workload
+from helpers import (
+    LinearScanScheduler,
+    MinimalFIFOScheduler,
+    StubOperator,
+    ready_input,
+    run_queued,
+)
+from repro.engine import run_workload
 from repro.engine.results import result_multiset
 from repro.plans.builder import STRATEGY_JIT, build_xjoin_plan
 from repro.plans.query import ContinuousQuery
@@ -358,13 +364,7 @@ class TestSchedulerContract:
             build_xjoin_plan(query, strategy=STRATEGY_JIT), events, workload.window.length
         )
         scheduler = CONTRACT_SCHEDULERS[name]()
-        queued = run_workload(
-            build_xjoin_plan(query, strategy=STRATEGY_JIT),
-            events,
-            workload.window.length,
-            mode=ExecutionMode.QUEUED,
-            scheduler=scheduler,
-        )
+        queued = run_queued(query, events, strategy=STRATEGY_JIT, scheduler=lambda: scheduler)
         assert result_multiset(queued.results.results) == result_multiset(sync.results.results)
         assert len(queued.results.results) > 0
         assert scheduler.ready_count() == 0 and scheduler.ready_items() == ()

@@ -19,21 +19,16 @@ import json
 
 import pytest
 
-from helpers import make_tuple
-from repro.context import ExecutionContext
-from repro.engine import ExecutionEngine, ExecutionMode
+from helpers import make_tuple, run_queued
 from repro.multi import QueryRegistry, ShardedEngine, generate_multi_query_workload
 from repro.plans.builder import (
     PLAN_LEFT_DEEP,
     STRATEGY_JIT,
     STRATEGY_REF,
-    build_xjoin_plan,
 )
 from repro.plans.query import ContinuousQuery
-from repro.scheduler import build_scheduler
 from repro.serve import OverloadPolicy, StreamServer, parse_exposition
 from repro.streams.generators import generate_clique_workload
-from repro.streams.time import Window
 from repro.trace import (
     SpanKind,
     SpanRing,
@@ -101,25 +96,24 @@ def untraced_shared():
 
 
 def _single_run(tracer=None, sample_rate=1.0):
-    """One single-plan queued JIT run, optionally traced."""
+    """One JIT plan queued on a one-query shard, optionally traced:
+    (report, tracer, plan)."""
     workload = generate_clique_workload(
         n_sources=4, rate=0.5, window_seconds=20, dmax=2, duration=60, seed=0
     )
-    query = ContinuousQuery.from_workload(workload)
-    plan = build_xjoin_plan(query, shape=PLAN_LEFT_DEEP, strategy=STRATEGY_JIT)
-    context = ExecutionContext(window=Window(query.window.length))
-    engine = ExecutionEngine(
-        plan,
-        context,
-        mode=ExecutionMode.QUEUED,
-        scheduler=build_scheduler("jit_aware"),
-    )
     if tracer is None and sample_rate is not None:
         tracer = Tracer(sample_rate=sample_rate, capacity=200_000, seed=7)
-    if tracer is not None:
-        engine.attach_tracer(tracer)
-    report = engine.run(workload.events())
-    return engine, report, tracer, plan
+    hosted = []
+    report = run_queued(
+        ContinuousQuery.from_workload(workload),
+        workload.events(),
+        shape=PLAN_LEFT_DEEP,
+        strategy=STRATEGY_JIT,
+        scheduler="jit_aware",
+        prepare=hosted.append,
+        tracer=tracer,
+    )
+    return report, tracer, hosted[0]
 
 
 # ------------------------------------------------------------------ span ring
@@ -161,7 +155,7 @@ class TestSampling:
         """Same seed + same workload -> the exact same traces are sampled."""
         ids = []
         for _ in range(2):
-            _, _, tracer, _ = _single_run(sample_rate=0.5)
+            _, tracer, _ = _single_run(sample_rate=0.5)
             sampled = {
                 span["args"]["trace_id"]
                 for span in tracer.ring.snapshot()
@@ -173,7 +167,7 @@ class TestSampling:
         assert ids[0] == ids[1]
 
     def test_rate_zero_records_nothing(self):
-        _, report, tracer, _ = _single_run(sample_rate=0.0)
+        report, tracer, _ = _single_run(sample_rate=0.0)
         assert report.results.count > 0
         stats = tracer.stats()
         assert stats["traces_started"] > 0
@@ -355,8 +349,8 @@ class TestChromeTraceExport:
 
 class TestObservationOnly:
     def test_traced_single_run_matches_untraced(self):
-        _, untraced, _, _ = _single_run(sample_rate=None)
-        traced_engine, traced, tracer, _ = _single_run(sample_rate=1.0)
+        untraced, _, _ = _single_run(sample_rate=None)
+        traced, tracer, _ = _single_run(sample_rate=1.0)
         assert traced.results.multiset() == untraced.results.multiset()
         assert tracer.stats()["spans_recorded"] > 0
         # The traced drain charges the same modelled costs.
@@ -411,8 +405,8 @@ class TestTelemetryBridge:
 
 class TestExplainAnalyze:
     def test_single_engine_report(self):
-        _, report, tracer, plan = _single_run(sample_rate=1.0)
-        text = explain_analyze(tracer, plan)
+        report, tracer, plan = _single_run(sample_rate=1.0)
+        text = explain_analyze(tracer, plan, query_id="q0")
         assert "EXPLAIN ANALYZE" in text
         assert "steps=" in text
         assert "charges:" in text
@@ -506,7 +500,7 @@ class TestExplainAnalyze:
 
 class TestResultEmit:
     def test_sink_deliveries_recorded(self):
-        _, report, tracer, _ = _single_run(sample_rate=1.0)
+        report, tracer, _ = _single_run(sample_rate=1.0)
         emits = [
             span
             for span in tracer.ring.snapshot()

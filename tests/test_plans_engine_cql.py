@@ -3,6 +3,7 @@ and the execution engine (synchronous, and queued on a one-query shard)."""
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import pytest
@@ -38,7 +39,7 @@ from repro.streams.time import Window
 from repro.streams.tuples import AtomicTuple, join_tuples
 
 from golden import ALL_POLICIES
-from helpers import make_tuple, run_queued
+from helpers import make_tuple, record_pops, run_queued
 
 
 # --------------------------------------------------------------------------- query
@@ -329,3 +330,95 @@ class TestEngine:
         fresh = build_xjoin_plan(query, strategy=STRATEGY_JIT)
         fresh.attach(context)
         assert ExecutionEngine(fresh, context).run(events).cpu_units > 0
+
+    def test_engine_and_run_workload_take_no_setting(self):
+        # The synchronous push is the engine's only setting; the queued one
+        # is a one-query ShardedEngine, so neither entry point chooses.
+        engine_params = tuple(inspect.signature(ExecutionEngine.__init__).parameters)
+        run_params = tuple(inspect.signature(run_workload).parameters)
+        assert engine_params == ("self", "plan", "context", "keep_results")
+        assert run_params == ("plan", "events", "window_length", "keep_results")
+
+    def test_prebuilt_engine_runs_like_run_workload(self, small_workload):
+        query = ContinuousQuery.from_workload(small_workload)
+        events = small_workload.events()
+        expected = run_workload(
+            build_xjoin_plan(query, strategy=STRATEGY_JIT), events, small_workload.window.length
+        )
+        context = ExecutionContext(window=small_workload.window)
+        engine = ExecutionEngine(build_xjoin_plan(query, strategy=STRATEGY_JIT), context)
+        report = engine.run(events)
+        assert report.results.multiset() == expected.results.multiset()
+        assert report.cpu_units == expected.cpu_units
+        assert report.peak_memory_kb == expected.peak_memory_kb
+        assert report.metrics.counters == expected.metrics.counters
+
+    def test_submit_and_flush_drive_the_same_run(self, small_workload):
+        query = ContinuousQuery.from_workload(small_workload)
+        events = small_workload.events()
+        expected = run_workload(
+            build_xjoin_plan(query, strategy=STRATEGY_JIT), events, small_workload.window.length
+        )
+        context = ExecutionContext(window=small_workload.window)
+        engine = ExecutionEngine(build_xjoin_plan(query, strategy=STRATEGY_JIT), context)
+        for event in events:
+            engine.submit(event)
+        engine.flush()
+        assert engine.events_processed == len(events)
+        assert engine.collector.multiset() == expected.results.multiset()
+        assert context.cost.cpu_units == expected.cpu_units
+        assert context.memory.peak_bytes == expected.metrics.peak_memory_bytes
+
+    def test_keep_results_false_keeps_counts_and_costs(self, small_workload):
+        query = ContinuousQuery.from_workload(small_workload)
+        events = small_workload.events()
+        kept, counted = (
+            run_workload(
+                build_xjoin_plan(query, strategy=STRATEGY_JIT),
+                events,
+                small_workload.window.length,
+                keep_results=keep,
+            )
+            for keep in (True, False)
+        )
+        assert counted.result_count == kept.result_count > 0
+        assert counted.results.results == []
+        assert counted.cpu_units == kept.cpu_units
+        with pytest.raises(RuntimeError, match="not kept"):
+            counted.results.multiset()
+
+    def test_run_queued_prepares_the_hosted_plan_before_the_first_event(
+        self, small_workload
+    ):
+        query = ContinuousQuery.from_workload(small_workload)
+        events = small_workload.events()
+        seen = []
+
+        def prepare(plan):
+            assert plan.context is not None
+            assert plan.context.clock.now == 0.0
+            assert plan.context.cost.cpu_units == 0
+            seen.append(plan)
+
+        report = run_queued(query, events, strategy=STRATEGY_JIT, prepare=prepare)
+        (plan,) = seen
+        # The report reads the collector the hosted plan emits into.
+        assert plan.root.result_sink == report.results.add
+        assert report.events_processed == len(events)
+        assert report.result_count > 0
+
+    def test_run_queued_takes_a_scheduler_factory(self, small_workload):
+        query = ContinuousQuery.from_workload(small_workload)
+        events = small_workload.events()
+        pops = []
+        recorded = run_queued(
+            query,
+            events,
+            strategy=STRATEGY_JIT,
+            scheduler=lambda: record_pops(build_scheduler("fifo"), pops),
+        )
+        plain = run_queued(query, events, strategy=STRATEGY_JIT, scheduler="fifo")
+        assert pops
+        assert recorded.results.results == plain.results.results
+        assert recorded.cpu_units == plain.cpu_units
+        assert recorded.metrics.counters == plain.metrics.counters
